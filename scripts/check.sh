@@ -33,6 +33,10 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   GAMMA_BENCH_SIZES=10000 ./build/bench/table1_selection
   echo "== perf-regression gate (BENCH_*.json vs baselines/) =="
   python3 scripts/bench_compare.py --self-check
+  echo "== simulated-clock digests (perfbench smoke: selects, joins, txn updates) =="
+  # Exits nonzero on a wrong answer, a failed statement or a digest that
+  # differs from perfbench/expected.json.
+  python3 perfbench/run.py --workload all --seed 1 --seconds 2 --smoke
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--sanitize-only" ]]; then

@@ -38,7 +38,6 @@ using gamma::GammaMachine;
 using gamma::QueryResult;
 using gamma::RecoveryLog;
 using storage::DeferredUpdateFile;
-using storage::LockName;
 using storage::Rid;
 
 /// One tuple to relocate: where it lives now and where the new placement
@@ -389,17 +388,12 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
     }
   }
 
-  sim::CostTracker tracker(m.config_.hw, m.config_.tracker_nodes());
-  tracker.AttachFaultInjector(m.faults_.get());
-  m.BindAll(&tracker);
-  tracker.ChargeHostSetup(m.config_.host_setup_sec);
-  RecoveryLog log(&tracker, m.config_.recovery_node(), m.config_.page_size,
-                  m.wal_.get());
-  const uint64_t txn = m.txns_.Begin();
-  GammaMachine::QueryGuard guard(&m, txn);
-  const uint64_t wal_txn = m.StatementWalTxn();
-  const uint32_t wal_rel = m.wal_->InternRelation(meta->name);
-  guard.set_wal_txn(wal_txn);
+  GammaMachine::Statement stmt(&m, meta->name, /*external_txn=*/0);
+  sim::CostTracker& tracker = stmt.tracker();
+  RecoveryLog& log = stmt.log();
+  const uint64_t txn = stmt.txn();
+  const uint64_t wal_txn = stmt.wal_txn();
+  const uint32_t wal_rel = stmt.wal_rel();
   // Journal the migration on the scheduler ring. Begin is emitted before
   // any work so a mid-migration crash dump shows the open migration; the
   // clock only advances at FinalizeObs, so both events carry exact
@@ -411,13 +405,13 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
   // first — the worst case, where every physical effect landed on disk
   // before the lights went out, so recovery must physically reverse (or
   // complete) the statement from the durable log rather than benefiting
-  // from discarded buffers. The guard is dismissed: volatile state is gone,
-  // there is nothing to abort; Recover() finishes the job.
+  // from discarded buffers. The statement is dismissed: volatile state is
+  // gone, there is nothing to abort; Recover() finishes the job.
   auto crash_now = [&](const std::string& where) -> Status {
     GAMMA_CHECK(m.FlushAllPools().ok());
     m.BindAll(nullptr);
     m.Crash();
-    guard.Dismiss();
+    stmt.Dismiss();
     return Status::Unavailable("migration of " + name + " crashed " + where);
   };
 
@@ -468,10 +462,7 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
       storage::StorageManager& sm = *m.nodes_[static_cast<size_t>(src)];
       const uint32_t fid = meta->per_node_file[static_cast<size_t>(src)];
       storage::HeapFile& fragment = sm.file(fid);
-      GAMMA_CHECK(sm.locks()
-                      .Acquire(txn, LockName::File(fid),
-                               storage::LockMode::kExclusive)
-                      .ok());
+      sm.charge().Cpu(m.config_.hw.cost.instr_per_lock);
       DeferredUpdateFile deferred(&sm.charge(), m.config_.page_size);
       for (const size_t i : idxs) {
         const Mover& mv = plan.movers[i];
@@ -511,11 +502,7 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
     // arrivals into the fragment's chained backup.
     for (const auto& [dst, idxs] : by_dst) {
       storage::StorageManager& dsm = *m.nodes_[static_cast<size_t>(dst)];
-      const uint32_t fid = meta->per_node_file[static_cast<size_t>(dst)];
-      GAMMA_CHECK(dsm.locks()
-                      .Acquire(txn, LockName::File(fid),
-                               storage::LockMode::kExclusive)
-                      .ok());
+      dsm.charge().Cpu(m.config_.hw.cost.instr_per_lock);
       std::vector<std::vector<uint8_t>> combined;
       GAMMA_RETURN_NOT_OK(
           ScanFragment(*meta, dst, [&](Rid, std::span<const uint8_t> t) {
@@ -575,10 +562,7 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
           const uint32_t bfid =
               meta->per_node_backup_file[static_cast<size_t>(dst)];
           tracker.ChargeDataPacket(dst, bhost, mv.tuple.size());
-          GAMMA_CHECK(bsm.locks()
-                          .Acquire(txn, LockName::File(bfid),
-                                   storage::LockMode::kExclusive)
-                          .ok());
+          bsm.charge().Cpu(m.config_.hw.cost.instr_per_lock);
           bsm.charge().Cpu(m.config_.hw.cost.instr_per_tuple_store);
           auto brid_or = bsm.file(bfid).Append(mv.tuple);
           GAMMA_RETURN_NOT_OK(brid_or.status());
@@ -606,14 +590,9 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
       return crash_now("with every record forced, before commit");
     }
     GAMMA_RETURN_NOT_OK(m.FlushAllPools());
-    for (const int f : touched) {
-      if (m.faults_->OnCommitPoint(f)) {
-        guard.set_crashed();
-        return Status::Unavailable("migration of " + name + ": site " +
-                                   std::to_string(f) +
-                                   " died at its commit point");
-      }
-    }
+    GAMMA_RETURN_NOT_OK(stmt.ReachCommitPoint(
+        std::vector<int>(touched.begin(), touched.end()),
+        "migration of " + name));
     log.LogCommit(commit_site, wal_txn);
     if (options_.crash_after_commit) {
       // Durable winner, flip not yet applied: restart redo completes it
@@ -628,16 +607,9 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
                                m.config_.host_node(), /*blocking=*/true);
   tracker.EndPhase();
 
-  for (auto& node : m.nodes_) node->locks().ReleaseAll(txn);
   QueryResult result;
   result.result_tuples = moved;
-  guard.Dismiss();
-  m.BindAll(nullptr);
-  result.metrics = tracker.Finish();
-  result.metrics.log_records = log.stats().records;
-  result.metrics.log_forced_flushes = log.stats().forced_flushes;
-  m.FillLockMetrics(txn, &result.metrics);
-  m.txns_.Commit(txn);
+  result = stmt.Finish(std::move(result));
   if (moved > 0) {
     // Fragment counts changed under the relation; refresh the planner's
     // statistics from the new placement (uncharged, like the test hooks).

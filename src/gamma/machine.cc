@@ -36,8 +36,6 @@ using catalog::TupleView;
 using exec::Predicate;
 using exec::SplitTable;
 using storage::AccessIntent;
-using storage::LockMode;
-using storage::LockName;
 using storage::Rid;
 
 namespace {
@@ -208,7 +206,6 @@ std::vector<txn::LockManager::Grant> GammaMachine::CommitTxn(uint64_t txn) {
       wal_->Checkpoint();
     }
   }
-  for (auto& node : nodes_) node->locks().ReleaseAll(txn);
   return txns_.Commit(txn);
 }
 
@@ -218,7 +215,6 @@ std::vector<txn::LockManager::Grant> GammaMachine::AbortTxn(uint64_t txn) {
     UndoTransaction(txn, /*close=*/true);
     for (auto& node : nodes_) node->pool().Invalidate();
   }
-  for (auto& node : nodes_) node->locks().ReleaseAll(txn);
   return txns_.Abort(txn);
 }
 
@@ -270,59 +266,126 @@ Status GammaMachine::AcquireTxnLock(sim::CostTracker* tracker, uint64_t txn,
   }
 }
 
-void GammaMachine::FillLockMetrics(uint64_t txn,
-                                   sim::QueryMetrics* metrics) const {
-  const txn::TxnStats stats = txns_.StatsFor(txn);
-  metrics->locks_acquired = stats.locks_acquired;
-  metrics->lock_waits = stats.lock_waits;
-  metrics->lock_wait_sec = stats.lock_wait_sec;
-  metrics->deadlocks = stats.deadlocks;
-  metrics->lock_aborts = stats.aborts;
+GammaMachine::Statement::Statement(GammaMachine* machine)
+    : Statement(machine, /*wal=*/nullptr, /*external_txn=*/0) {}
+
+GammaMachine::Statement::Statement(GammaMachine* machine,
+                                   const std::string& relation,
+                                   uint64_t external_txn)
+    : Statement(machine, machine->wal_.get(), external_txn) {
+  if (machine_->wal_ == nullptr) return;
+  // Auto-commit statements get a fresh WAL id with the high bit set, so it
+  // can never collide with a TxnManager id; an external transaction logs
+  // under its own id.
+  wal_txn_ = auto_commit_ ? (1ull << 63) | machine_->next_statement_txn_++
+                          : txn_;
+  wal_rel_ = machine_->wal_->InternRelation(relation);
 }
 
-void GammaMachine::AbortQuery(uint64_t txn, const std::string& partial_result,
-                              uint64_t wal_txn, bool wal_crashed) {
-  for (auto& node : nodes_) node->locks().ReleaseAll(txn);
-  txns_.Abort(txn);
-  // A failed query's dirty pages are not durable state; drop them instead of
-  // flushing (a dead node could not accept them anyway).
-  for (auto& node : nodes_) node->pool().Discard();
-  BindAll(nullptr);
-  if (wal_ != nullptr && wal_txn != 0) {
-    if (wal_crashed) {
+GammaMachine::Statement::Statement(GammaMachine* machine, WalStore* wal,
+                                   uint64_t external_txn)
+    : machine_(machine),
+      tracker_(machine->config_.hw, machine->config_.tracker_nodes()),
+      log_(machine->config_.enable_logging ? &tracker_ : nullptr,
+           machine->config_.recovery_node(), machine->config_.page_size, wal),
+      auto_commit_(external_txn == 0) {
+  tracker_.AttachFaultInjector(machine_->faults_.get());
+  machine_->BindAll(&tracker_);
+  tracker_.ChargeHostSetup(machine_->config_.host_setup_sec);
+  txn_ = auto_commit_ ? machine_->txns_.Begin() : external_txn;
+}
+
+GammaMachine::Statement::~Statement() {
+  if (finished_) return;
+  GammaMachine& m = *machine_;
+  m.txns_.Abort(txn_);
+  // A failed statement's dirty pages are not durable state; drop them
+  // instead of flushing (a dead node could not accept them anyway).
+  for (auto& node : m.nodes_) node->pool().Discard();
+  m.BindAll(nullptr);
+  if (m.wal_ != nullptr && wal_txn_ != 0) {
+    if (crashed_) {
       // The node died at its commit point: undo the statement's effects on
       // the nodes still alive (so failover reads never see them), but leave
       // the records open as a loser — the dead node's copies are
       // unreachable until Recover()/ReintegrateNode() finishes the job.
-      wal_->DiscardStaged();
-      UndoTransaction(wal_txn, /*close=*/false);
+      m.wal_->DiscardStaged();
+      m.UndoTransaction(wal_txn_, /*close=*/false);
     } else {
       // Clean abort: reverse whatever the statement already sealed — the
       // pool Discard above dropped unflushed effects, but records of pages
       // that were evicted (or force-flushed before a later step failed)
       // survived on disk. Undo is test-and-apply, so already-dropped
       // effects are skipped.
-      UndoTransaction(wal_txn, /*close=*/true);
+      m.UndoTransaction(wal_txn_, /*close=*/true);
     }
     // The undo ran uncharged; settle its pages off-budget so the next
     // measured query does not pay for them.
-    for (auto& node : nodes_) node->pool().Invalidate();
+    for (auto& node : m.nodes_) node->pool().Invalidate();
   }
-  if (!partial_result.empty() && catalog_.Contains(partial_result)) {
-    auto meta_or = catalog_.Get(partial_result);
+  if (!partial_result_.empty() && m.catalog_.Contains(partial_result_)) {
+    auto meta_or = m.catalog_.Get(partial_result_);
     if (meta_or.ok()) {
       RelationMeta* meta = *meta_or;
-      for (int i = 0; i < config_.num_disk_nodes; ++i) {
+      for (int i = 0; i < m.config_.num_disk_nodes; ++i) {
         const uint32_t fid = meta->per_node_file[static_cast<size_t>(i)];
         if (fid != catalog::kNoFile) {
-          nodes_[static_cast<size_t>(i)]->DropFile(fid);
+          m.nodes_[static_cast<size_t>(i)]->DropFile(fid);
         }
       }
     }
-    catalog_.Drop(partial_result);
-    stats_.Drop(partial_result);
+    m.catalog_.Drop(partial_result_);
+    m.stats_.Drop(partial_result_);
   }
-  BindAll(nullptr);
+  m.BindAll(nullptr);
+}
+
+Status GammaMachine::Statement::ReachCommitPoint(const std::vector<int>& sites,
+                                                 const std::string& what) {
+  for (int site : sites) {
+    if (machine_->faults_->OnCommitPoint(site)) {
+      crashed_ = true;
+      return Status::Unavailable(what + ": site " + std::to_string(site) +
+                                 " died at its commit point");
+    }
+  }
+  return Status::OK();
+}
+
+Status GammaMachine::Statement::CommitWrites(const std::vector<int>& sites,
+                                             const std::string& what) {
+  if (!machine_->config_.enable_logging) return Status::OK();
+  const int commit_site = sites.empty() ? 0 : sites.front();
+  if (!auto_commit_) {
+    // The statement's records are forced; the commit marker waits for
+    // CommitTxn.
+    log_.Commit(commit_site);
+    return Status::OK();
+  }
+  // Commit point: the log is forced and the pages are durable, but the
+  // winner marker has not been sealed — a death here leaves a loser.
+  GAMMA_RETURN_NOT_OK(ReachCommitPoint(sites, what));
+  log_.LogCommit(commit_site, wal_txn_);
+  machine_->MaybeAutoCheckpoint(&log_, commit_site);
+  return Status::OK();
+}
+
+QueryResult GammaMachine::Statement::Finish(QueryResult result) {
+  finished_ = true;
+  machine_->BindAll(nullptr);
+  result.metrics = tracker_.Finish();
+  const RecoveryLog::Stats log_stats = log_.stats();
+  result.metrics.log_records = log_stats.records;
+  result.metrics.log_forced_flushes = log_stats.forced_flushes;
+  // Lock counters are read before the commit: they vanish with the txn.
+  const txn::TxnStats lock_stats = machine_->txns_.StatsFor(txn_);
+  result.metrics.locks_acquired = lock_stats.locks_acquired;
+  result.metrics.lock_waits = lock_stats.lock_waits;
+  result.metrics.lock_wait_sec = lock_stats.lock_wait_sec;
+  result.metrics.deadlocks = lock_stats.deadlocks;
+  result.metrics.lock_aborts = lock_stats.aborts;
+  if (auto_commit_) machine_->txns_.Commit(txn_);
+  return result;
 }
 
 Result<QueryResult> GammaMachine::RunWithFailover(
@@ -692,7 +755,7 @@ Status GammaMachine::BuildIndex(const std::string& name, int attr,
   return Status::OK();
 }
 
-GammaMachine::AccessDecision GammaMachine::ChooseAccessPath(
+Result<GammaMachine::AccessDecision> GammaMachine::ChooseAccessPath(
     const RelationMeta& meta, const SelectQuery& query) const {
   const Predicate& pred = query.predicate;
   // Indexes usable by this (possibly compound) predicate: those whose key
@@ -711,20 +774,30 @@ GammaMachine::AccessDecision GammaMachine::ChooseAccessPath(
 
   switch (query.access) {
     case AccessPath::kFileScan:
-      return {AccessPath::kFileScan, nullptr};
+      return AccessDecision{AccessPath::kFileScan, nullptr};
     case AccessPath::kClusteredIndex:
-      GAMMA_CHECK_MSG(clustered != nullptr,
-                      "no clustered index on a predicate attribute");
-      return {AccessPath::kClusteredIndex, clustered};
+      if (clustered == nullptr) {
+        return Status::InvalidArgument(
+            "no clustered index of " + meta.name +
+            " on a predicate attribute");
+      }
+      return AccessDecision{AccessPath::kClusteredIndex, clustered};
     case AccessPath::kNonClusteredIndex:
-      GAMMA_CHECK_MSG(non_clustered != nullptr,
-                      "no non-clustered index on a predicate attribute");
-      return {AccessPath::kNonClusteredIndex, non_clustered};
+      if (non_clustered == nullptr) {
+        return Status::InvalidArgument(
+            "no non-clustered index of " + meta.name +
+            " on a predicate attribute");
+      }
+      return AccessDecision{AccessPath::kNonClusteredIndex, non_clustered};
     case AccessPath::kAuto:
       break;
   }
-  if (clustered != nullptr) return {AccessPath::kClusteredIndex, clustered};
-  if (non_clustered == nullptr) return {AccessPath::kFileScan, nullptr};
+  if (clustered != nullptr) {
+    return AccessDecision{AccessPath::kClusteredIndex, clustered};
+  }
+  if (non_clustered == nullptr) {
+    return AccessDecision{AccessPath::kFileScan, nullptr};
+  }
   // Non-clustered: worthwhile only for low selectivity (§5.1).
   const auto bounds = *pred.BoundsOn(non_clustered->attr);
   const double span =
@@ -732,9 +805,9 @@ GammaMachine::AccessDecision GammaMachine::ChooseAccessPath(
   const double selectivity =
       span / std::max<double>(1.0, static_cast<double>(meta.num_tuples));
   if (selectivity <= kNonClusteredIndexThreshold) {
-    return {AccessPath::kNonClusteredIndex, non_clustered};
+    return AccessDecision{AccessPath::kNonClusteredIndex, non_clustered};
   }
-  return {AccessPath::kFileScan, nullptr};
+  return AccessDecision{AccessPath::kFileScan, nullptr};
 }
 
 RelationMeta* GammaMachine::MakeResultRelation(
@@ -808,16 +881,13 @@ Result<QueryResult> GammaMachine::RunSelect(const SelectQuery& query) {
 
 Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
   GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(query.relation));
-  sim::CostTracker tracker(config_.hw, config_.tracker_nodes());
-  tracker.AttachFaultInjector(faults_.get());
-  BindAll(&tracker);
-  tracker.ChargeHostSetup(config_.host_setup_sec);
-  RecoveryLog log(config_.enable_logging ? &tracker : nullptr,
-                  config_.recovery_node(), config_.page_size);
-  const uint64_t txn = txns_.Begin();
-  QueryGuard guard(this, txn);
+  GAMMA_ASSIGN_OR_RETURN(const AccessDecision decision,
+                         ChooseAccessPath(*meta, query));
+  Statement stmt(this);
+  sim::CostTracker& tracker = stmt.tracker();
+  RecoveryLog& log = stmt.log();
+  const uint64_t txn = stmt.txn();
 
-  const AccessDecision decision = ChooseAccessPath(*meta, query);
   const std::vector<int> fragments =
       ParticipatingNodes(*meta, query.predicate);
   // Resolve which node serves each participating fragment before any
@@ -840,7 +910,7 @@ Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
   if (query.store_result) {
     result_meta = MakeResultRelation(query.result_name, meta->schema);
     result.result_relation = result_meta->name;
-    guard.set_partial_result(result_meta->name);
+    stmt.set_partial_result(result_meta->name);
     store_nodes =
         single_site ? std::vector<int>{sources[0].node} : LiveDiskNodes();
     for (int node : store_nodes) {
@@ -900,10 +970,7 @@ Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
                 *nodes_[static_cast<size_t>(group.node)];
             for (size_t s : group.members) {
               const FragmentCopy& src = sources[s];
-              GAMMA_CHECK(sm.locks()
-                              .Acquire(txn, LockName::File(src.file),
-                                       LockMode::kShared)
-                              .ok());
+              sm.charge().Cpu(config_.hw.cost.instr_per_lock);
 
               // Store destinations rotated by the source index so concurrent
               // round-robin streams interleave evenly, or a single host
@@ -1014,8 +1081,6 @@ Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
   GAMMA_RETURN_NOT_OK(FlushAllPools());
   tracker.EndPhase();
 
-  for (auto& node : nodes_) node->locks().ReleaseAll(txn);
-
   if (query.store_result) {
     uint64_t stored = 0;
     for (const auto& store : stores) stored += store->stored();
@@ -1026,14 +1091,7 @@ Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
   } else {
     result.result_tuples = result.returned.size();
   }
-  guard.Dismiss();
-  BindAll(nullptr);
-  result.metrics = tracker.Finish();
-  result.metrics.log_records = log.stats().records;
-  result.metrics.log_forced_flushes = log.stats().forced_flushes;
-  FillLockMetrics(txn, &result.metrics);
-  txns_.Commit(txn);
-  return result;
+  return stmt.Finish(std::move(result));
 }
 
 Result<QueryResult> GammaMachine::RunJoin(const JoinQuery& query) {
@@ -1078,14 +1136,10 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
   const size_t nsites = join_nodes.size();
   const uint64_t site_capacity = config_.join_memory_total / nsites;
 
-  sim::CostTracker tracker(config_.hw, config_.tracker_nodes());
-  tracker.AttachFaultInjector(faults_.get());
-  BindAll(&tracker);
-  tracker.ChargeHostSetup(config_.host_setup_sec);
-  RecoveryLog log(config_.enable_logging ? &tracker : nullptr,
-                  config_.recovery_node(), config_.page_size);
-  const uint64_t txn = txns_.Begin();
-  QueryGuard guard(this, txn);
+  Statement stmt(this);
+  sim::CostTracker& tracker = stmt.tracker();
+  RecoveryLog& log = stmt.log();
+  const uint64_t txn = stmt.txn();
 
   // Resolve the serving copy of every fragment of both inputs up front.
   std::vector<FragmentCopy> inner_sources;
@@ -1106,7 +1160,7 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
   if (query.store_result) {
     result_meta = MakeResultRelation(query.result_name, result_schema);
     result.result_relation = result_meta->name;
-    guard.set_partial_result(result_meta->name);
+    stmt.set_partial_result(result_meta->name);
     store_nodes = LiveDiskNodes();
     for (int node : store_nodes) {
       stores.push_back(std::make_unique<exec::StoreConsumer>(
@@ -1457,10 +1511,7 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
                 *nodes_[static_cast<size_t>(group.node)];
             for (size_t f : group.members) {
               const FragmentCopy& src = inner_sources[f];
-              GAMMA_CHECK(sm.locks()
-                              .Acquire(txn, LockName::File(src.file),
-                                       LockMode::kShared)
-                              .ok());
+              sm.charge().Cpu(config_.hw.cost.instr_per_lock);
               std::vector<SplitTable::Destination> dests;
               for (size_t j = 0; j < nsites; ++j) {
                 dests.push_back(SplitTable::Destination{
@@ -1515,10 +1566,7 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
                 *nodes_[static_cast<size_t>(group.node)];
             for (size_t f : group.members) {
               const FragmentCopy& src = outer_sources[f];
-              GAMMA_CHECK(sm.locks()
-                              .Acquire(txn, LockName::File(src.file),
-                                       LockMode::kShared)
-                              .ok());
+              sm.charge().Cpu(config_.hw.cost.instr_per_lock);
               std::vector<SplitTable::Destination> dests;
               for (size_t j = 0; j < nsites; ++j) {
                 dests.push_back(SplitTable::Destination{
@@ -1709,8 +1757,6 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
   GAMMA_RETURN_NOT_OK(FlushAllPools());
   tracker.EndPhase();
 
-  for (auto& node : nodes_) node->locks().ReleaseAll(txn);
-
   if (query.store_result) {
     uint64_t stored = 0;
     for (const auto& store : stores) stored += store->stored();
@@ -1725,14 +1771,7 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
   simple_sites.clear();
   hybrid_sites.clear();
   merge_sites.clear();
-  guard.Dismiss();
-  BindAll(nullptr);
-  result.metrics = tracker.Finish();
-  result.metrics.log_records = log.stats().records;
-  result.metrics.log_forced_flushes = log.stats().forced_flushes;
-  FillLockMetrics(txn, &result.metrics);
-  txns_.Commit(txn);
-  return result;
+  return stmt.Finish(std::move(result));
 }
 
 }  // namespace gammadb::gamma

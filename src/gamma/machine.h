@@ -14,6 +14,7 @@
 #include "common/result.h"
 #include "common/units.h"
 #include "gamma/query.h"
+#include "gamma/recovery_log.h"
 #include "gamma/wal.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
@@ -28,8 +29,6 @@ class ElasticMigrator;
 }  // namespace gammadb::elastic
 
 namespace gammadb::gamma {
-
-class RecoveryLog;
 
 /// \brief Configuration of one simulated Gamma machine.
 ///
@@ -301,10 +300,9 @@ class GammaMachine {
 
   /// Starts an explicit transaction for use with the update queries above.
   uint64_t BeginTxn() { return txns_.Begin(); }
-  /// Commits / aborts an explicit transaction: releases its storage-level
-  /// locks on every node and its 2PL locks in every table. Returns the
-  /// lock requests that became grantable (for the workload scheduler to
-  /// wake the corresponding blocked clients).
+  /// Commits / aborts an explicit transaction: releases its 2PL locks in
+  /// every table. Returns the lock requests that became grantable (for the
+  /// workload scheduler to wake the corresponding blocked clients).
   std::vector<txn::LockManager::Grant> CommitTxn(uint64_t txn);
   std::vector<txn::LockManager::Grant> AbortTxn(uint64_t txn);
 
@@ -347,41 +345,76 @@ class GammaMachine {
     bool backup;
   };
 
-  /// RAII abort: unless dismissed, releases the query's locks, discards
-  /// un-flushed pages, drops the partial result relation and unbinds the
-  /// tracker. Declared after the CostTracker so it runs first.
-  class QueryGuard {
+  /// \brief One statement's lifecycle as an RAII scope.
+  ///
+  /// Construction opens the statement: a CostTracker with the fault
+  /// injector attached and every node bound to it, the host setup charge,
+  /// the RecoveryLog and the transaction (a fresh statement-scoped one, or
+  /// the caller's open one). A write statement also draws its WAL
+  /// transaction and relation ids. Finish() closes a successful statement.
+  /// Destroying an unfinished one aborts it: the transaction's locks are
+  /// released, un-flushed pages discarded, sealed WAL records reversed (or,
+  /// after a death at the commit point, left as losers), the partial result
+  /// relation dropped and the nodes unbound.
+  class Statement {
    public:
-    QueryGuard(GammaMachine* machine, uint64_t txn)
-        : machine_(machine), txn_(txn) {}
-    QueryGuard(const QueryGuard&) = delete;
-    QueryGuard& operator=(const QueryGuard&) = delete;
-    ~QueryGuard() {
-      if (!dismissed_) {
-        machine_->AbortQuery(txn_, partial_result_, wal_txn_, crashed_);
-      }
-    }
+    /// A read statement (select, join, aggregate): auto-commits, no WAL.
+    explicit Statement(GammaMachine* machine);
+    /// A write to `relation` under `external_txn` (0 auto-commits). With
+    /// logging on, its typed records go to the machine's WAL.
+    Statement(GammaMachine* machine, const std::string& relation,
+              uint64_t external_txn);
+    Statement(const Statement&) = delete;
+    Statement& operator=(const Statement&) = delete;
+    ~Statement();
 
-    /// Registers the result relation to drop if the query aborts.
+    sim::CostTracker& tracker() { return tracker_; }
+    RecoveryLog& log() { return log_; }
+    uint64_t txn() const { return txn_; }
+    uint64_t wal_txn() const { return wal_txn_; }
+    uint32_t wal_rel() const { return wal_rel_; }
+
+    /// Registers the result relation to drop if the statement aborts.
     void set_partial_result(const std::string& name) {
       partial_result_ = name;
     }
-    /// Registers the WAL transaction whose sealed records a clean abort
-    /// must reverse and close.
-    void set_wal_txn(uint64_t wal_txn) { wal_txn_ = wal_txn; }
-    /// Marks the abort as a crash (node died at the commit point): sealed
-    /// records stay in the log as losers for Recover() instead of being
-    /// compensated now.
-    void set_crashed() { crashed_ = true; }
-    void Dismiss() { dismissed_ = true; }
+
+    /// Draws the commit-point fault at every site in `sites`. A death there
+    /// fails the statement with Unavailable ("<what>: site N died at its
+    /// commit point") and leaves its forced records as a loser for
+    /// Recover() instead of compensating them.
+    Status ReachCommitPoint(const std::vector<int>& sites,
+                            const std::string& what);
+
+    /// Commit tail of a write statement whose records are forced and pages
+    /// flushed (no-op with logging off). Auto-commit: ReachCommitPoint,
+    /// then the sealed commit record and the checkpoint cadence at
+    /// `sites.front()`. Under an external transaction the commit marker
+    /// waits for CommitTxn; only the force + acknowledgement is charged.
+    Status CommitWrites(const std::vector<int>& sites, const std::string& what);
+
+    /// Success path: unbinds the nodes, closes the cost accounting, copies
+    /// the log and lock counters into `result.metrics` and commits a
+    /// statement-scoped transaction.
+    QueryResult Finish(QueryResult result);
+
+    /// Leaves without the abort path: the machine crashed under the
+    /// statement, so there is no volatile state left to back out.
+    void Dismiss() { finished_ = true; }
 
    private:
+    Statement(GammaMachine* machine, WalStore* wal, uint64_t external_txn);
+
     GammaMachine* machine_;
-    uint64_t txn_;
+    sim::CostTracker tracker_;
+    RecoveryLog log_;
+    bool auto_commit_;
+    uint64_t txn_ = 0;
     uint64_t wal_txn_ = 0;
+    uint32_t wal_rel_ = 0;
     std::string partial_result_;
     bool crashed_ = false;
-    bool dismissed_ = false;
+    bool finished_ = false;
   };
 
   /// One unit of host-parallel work: `body` runs on some pool thread with
@@ -425,13 +458,6 @@ class GammaMachine {
   /// Disk nodes currently alive, in index order.
   std::vector<int> LiveDiskNodes() const;
 
-  /// Backout path shared by the failed-query guards: release `txn`'s locks,
-  /// drop un-flushed pages, delete the partial result relation, unbind.
-  /// When `wal_txn` is set and the abort is clean (not `wal_crashed`), the
-  /// transaction's sealed log records are reversed and compensated.
-  void AbortQuery(uint64_t txn, const std::string& partial_result,
-                  uint64_t wal_txn = 0, bool wal_crashed = false);
-
   /// Runs `attempt`; while it reports Unavailable (a node died mid-flight),
   /// re-runs it against the surviving configuration up to
   /// `failover_max_retries` times, charging exponential backoff between
@@ -473,10 +499,6 @@ class GammaMachine {
 
   // --- Recovery internals (machine_recovery.cc) ---
 
-  /// Fresh WAL transaction id for an auto-commit statement (high bit set so
-  /// it can never collide with a TxnManager id).
-  uint64_t StatementWalTxn();
-
   /// Re-applies one committed log record missing from the serving copies
   /// (test-and-apply redo; a no-op when the forced pages already hold the
   /// effect). Bumps `*applied` and records the relation in `touched` only
@@ -504,9 +526,10 @@ class GammaMachine {
   void RecountRelation(const std::string& name);
 
   /// §5.1 optimizer: clustered index when the predicate is on its attribute;
-  /// non-clustered only when selectivity is low enough to beat a scan.
-  AccessDecision ChooseAccessPath(const catalog::RelationMeta& meta,
-                                  const SelectQuery& query) const;
+  /// non-clustered only when selectivity is low enough to beat a scan. A
+  /// forced index path with no matching index is InvalidArgument.
+  Result<AccessDecision> ChooseAccessPath(const catalog::RelationMeta& meta,
+                                          const SelectQuery& query) const;
 
   /// Registers a round-robin result relation and creates its fragments on
   /// the live disk nodes (kNoFile on dead ones; results are never backed
@@ -527,10 +550,6 @@ class GammaMachine {
   Status AcquireTxnLock(sim::CostTracker* tracker, uint64_t txn,
                         int charge_node, txn::LockId id, txn::LockMode mode);
 
-  /// Copies the transaction's 2PL counters into `metrics` (call before the
-  /// txn commits — stats vanish with the transaction).
-  void FillLockMetrics(uint64_t txn, sim::QueryMetrics* metrics) const;
-
   std::string FreshResultName();
 
   GammaConfig config_;
@@ -538,9 +557,9 @@ class GammaMachine {
   catalog::Catalog catalog_;
   opt::StatisticsCatalog stats_;
   std::vector<std::unique_ptr<storage::StorageManager>> nodes_;
-  /// 2PL lock tables: one per tracker node (fragment/page locks live in the
-  /// fragment's table, relation locks in the scheduler's), ids shared with
-  /// the storage-level lock managers. Only coordinator threads call it.
+  /// The machine's only lock tables (2PL): one per tracker node —
+  /// fragment/page locks live in the fragment's table, relation locks in the
+  /// scheduler's. Only coordinator threads call it.
   txn::TxnManager txns_;
   /// Replayable write-ahead log kept by the recovery server (only when
   /// `enable_logging`); survives Crash().

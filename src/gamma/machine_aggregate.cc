@@ -23,8 +23,6 @@ using exec::AggState;
 using exec::GroupedAggregator;
 using exec::Predicate;
 using exec::SplitTable;
-using storage::LockMode;
-using storage::LockName;
 
 namespace {
 
@@ -55,12 +53,9 @@ Result<QueryResult> GammaMachine::RunAggregateAttempt(
     return Status::InvalidArgument("aggregate group attribute out of range");
   }
 
-  sim::CostTracker tracker(config_.hw, config_.tracker_nodes());
-  tracker.AttachFaultInjector(faults_.get());
-  BindAll(&tracker);
-  tracker.ChargeHostSetup(config_.host_setup_sec);
-  const uint64_t txn = txns_.Begin();
-  QueryGuard guard(this, txn);
+  Statement stmt(this);
+  sim::CostTracker& tracker = stmt.tracker();
+  const uint64_t txn = stmt.txn();
   const int ndisk = config_.num_disk_nodes;
 
   // Which copy serves each fragment, and which sites can merge. With a dead
@@ -109,10 +104,7 @@ Result<QueryResult> GammaMachine::RunAggregateAttempt(
                 *nodes_[static_cast<size_t>(group.node)];
             for (size_t f : group.members) {
               const FragmentCopy& src = sources[f];
-              GAMMA_CHECK(sm.locks()
-                              .Acquire(txn, LockName::File(src.file),
-                                       LockMode::kShared)
-                              .ok());
+              sm.charge().Cpu(config_.hw.cost.instr_per_lock);
               locals[f] = std::make_unique<GroupedAggregator>(
                   query.group_attr, query.value_attr, query.func,
                   &meta->schema, &sm.charge());
@@ -273,14 +265,8 @@ Result<QueryResult> GammaMachine::RunAggregateAttempt(
   }
   tracker.EndPhase();
 
-  for (auto& node : nodes_) node->locks().ReleaseAll(txn);
   result.result_tuples = result.returned.size();
-  guard.Dismiss();
-  BindAll(nullptr);
-  result.metrics = tracker.Finish();
-  FillLockMetrics(txn, &result.metrics);
-  txns_.Commit(txn);
-  return result;
+  return stmt.Finish(std::move(result));
 }
 
 }  // namespace gammadb::gamma

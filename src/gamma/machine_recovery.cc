@@ -104,11 +104,6 @@ Status RemoveIndexEntry(storage::BTree& tree, int32_t key, Rid rid) {
 
 }  // namespace
 
-uint64_t GammaMachine::StatementWalTxn() {
-  // High bit set: can never collide with a TxnManager id.
-  return (1ull << 63) | next_statement_txn_++;
-}
-
 void GammaMachine::Crash() {
   // The flight recorder survives the crash (it models the post-mortem a
   // real operator would pull off stable storage); capture the dump before
@@ -116,11 +111,10 @@ void GammaMachine::Crash() {
   // saw at the moment of death.
   journal_.Emit(config_.recovery_node(), obs::JournalEventKind::kCrash);
   CapturePostMortem("crash");
-  // Volatile state vanishes: buffered (dirty) pages, storage-level and 2PL
-  // lock tables, open transactions. Disk contents and the recovery server's
-  // sealed log survive.
+  // Volatile state vanishes: buffered (dirty) pages, the 2PL lock tables,
+  // open transactions. Disk contents and the recovery server's sealed log
+  // survive.
   for (auto& node : nodes_) node->pool().Discard();
-  for (auto& node : nodes_) node->locks().Clear();
   txns_.CrashReset();
   if (wal_ != nullptr) wal_->DiscardStaged();
   crashed_ = true;

@@ -23,8 +23,6 @@ using catalog::TupleView;
 using exec::Predicate;
 using storage::AccessIntent;
 using storage::DeferredUpdateFile;
-using storage::LockMode;
-using storage::LockName;
 using storage::Rid;
 
 namespace {
@@ -50,7 +48,7 @@ Status GammaMachine::DeleteFromBackup(const RelationMeta& meta, int fragment,
   storage::HeapFile& backup =
       sm.file(meta.per_node_backup_file[static_cast<size_t>(fragment)]);
   // Ship the pre-image over, then locate the copy by content: backups carry
-  // no indexes. The primary's record lock already covers the logical tuple.
+  // no indexes. The primary's page lock already covers the logical tuple.
   tracker->ChargeDataPacket(fragment, host, tuple.size());
   Rid match{};
   bool found = false;
@@ -152,20 +150,12 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
                                       std::to_string(external_txn));
   }
 
-  sim::CostTracker tracker(config_.hw, config_.tracker_nodes());
-  tracker.AttachFaultInjector(faults_.get());
-  BindAll(&tracker);
-  tracker.ChargeHostSetup(config_.host_setup_sec);
-  RecoveryLog log(config_.enable_logging ? &tracker : nullptr,
-                  config_.recovery_node(), config_.page_size, wal_.get());
-  const bool auto_commit = external_txn == 0;
-  const uint64_t txn = auto_commit ? txns_.Begin() : external_txn;
-  QueryGuard guard(this, txn);
-  const uint64_t wal_txn =
-      wal_ != nullptr ? (auto_commit ? StatementWalTxn() : txn) : 0;
-  const uint32_t wal_rel =
-      wal_ != nullptr ? wal_->InternRelation(meta->name) : 0;
-  guard.set_wal_txn(wal_txn);
+  Statement stmt(this, meta->name, external_txn);
+  sim::CostTracker& tracker = stmt.tracker();
+  RecoveryLog& log = stmt.log();
+  const uint64_t txn = stmt.txn();
+  const uint64_t wal_txn = stmt.wal_txn();
+  const uint32_t wal_rel = stmt.wal_rel();
 
   // Host submits to the scheduler, which initiates one update operator at
   // the tuple's home site.
@@ -193,16 +183,19 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
   storage::HeapFile& fragment = sm.file(fid);
   // The tuple itself travels host -> home site.
   tracker.ChargeDataPacket(config_.host_node(), target, query.tuple.size());
-  GAMMA_CHECK(sm.locks()
-                  .Acquire(txn, LockName::File(fid), LockMode::kExclusive)
-                  .ok());
+  sm.charge().Cpu(config_.hw.cost.instr_per_lock);
   sm.charge().Cpu(config_.hw.cost.instr_per_tuple_store);
   GAMMA_ASSIGN_OR_RETURN(const Rid rid, fragment.Append(query.tuple));
   {
     const txn::LockId pl = txn::LockId::Page(
         rel, static_cast<uint32_t>(target), rid.page_index);
-    GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, txns_.TableFor(pl), pl,
-                                       txn::LockMode::kX));
+    if (Status st = AcquireTxnLock(&tracker, txn, txns_.TableFor(pl), pl,
+                                   txn::LockMode::kX);
+        !st.ok()) {
+      // Another open transaction holds the page: take the tuple back out.
+      fragment.Delete(rid);
+      return st;
+    }
   }
   DeferredUpdateFile deferred(&sm.charge(), config_.page_size);
   for (const IndexMeta& index : meta->indices) {
@@ -223,9 +216,7 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
     const uint32_t bfid =
         meta->per_node_backup_file[static_cast<size_t>(target)];
     tracker.ChargeDataPacket(target, backup_host, query.tuple.size());
-    GAMMA_CHECK(bsm.locks()
-                    .Acquire(txn, LockName::File(bfid), LockMode::kExclusive)
-                    .ok());
+    bsm.charge().Cpu(config_.hw.cost.instr_per_lock);
     bsm.charge().Cpu(config_.hw.cost.instr_per_tuple_store);
     auto brid_or = bsm.file(bfid).Append(query.tuple);
     if (!brid_or.ok()) {
@@ -248,44 +239,18 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
     fragment.Delete(rid);
     return st;
   }
-  if (config_.enable_logging) {
-    if (auto_commit) {
-      // Commit point: the log is forced and the pages are durable, but the
-      // winner marker has not been sealed — a death here leaves a loser.
-      if (faults_->OnCommitPoint(target)) {
-        guard.set_crashed();
-        return Status::Unavailable("append to " + query.relation +
-                                   ": home site " + std::to_string(target) +
-                                   " died at its commit point");
-      }
-      log.LogCommit(target, wal_txn);
-      MaybeAutoCheckpoint(&log, target);
-    } else {
-      // The statement's records are forced; the commit marker waits for
-      // CommitTxn.
-      log.Commit(target);
-    }
-  }
+  GAMMA_RETURN_NOT_OK(
+      stmt.CommitWrites({target}, "append to " + query.relation));
   tracker.ChargeControlMessage(target, config_.scheduler_node(), true);
   tracker.ChargeControlMessage(config_.scheduler_node(), config_.host_node(),
                                true);
   tracker.EndPhase();
 
-  if (auto_commit) {
-    for (auto& node : nodes_) node->locks().ReleaseAll(txn);
-  }
   meta->num_tuples += 1;
   stats_.OnAppend(query.relation, meta->schema, query.tuple);
   QueryResult result;
   result.result_tuples = 1;
-  guard.Dismiss();
-  BindAll(nullptr);
-  result.metrics = tracker.Finish();
-  result.metrics.log_records = log.stats().records;
-  result.metrics.log_forced_flushes = log.stats().forced_flushes;
-  FillLockMetrics(txn, &result.metrics);
-  if (auto_commit) txns_.Commit(txn);
-  return FinalizeObs("append", std::move(result));
+  return FinalizeObs("append", stmt.Finish(std::move(result)));
 }
 
 Result<QueryResult> GammaMachine::RunDelete(const DeleteQuery& query,
@@ -316,20 +281,12 @@ Result<QueryResult> GammaMachine::RunDelete(const DeleteQuery& query,
                                       std::to_string(external_txn));
   }
 
-  sim::CostTracker tracker(config_.hw, config_.tracker_nodes());
-  tracker.AttachFaultInjector(faults_.get());
-  BindAll(&tracker);
-  tracker.ChargeHostSetup(config_.host_setup_sec);
-  RecoveryLog log(config_.enable_logging ? &tracker : nullptr,
-                  config_.recovery_node(), config_.page_size, wal_.get());
-  const bool auto_commit = external_txn == 0;
-  const uint64_t txn = auto_commit ? txns_.Begin() : external_txn;
-  QueryGuard guard(this, txn);
-  const uint64_t wal_txn =
-      wal_ != nullptr ? (auto_commit ? StatementWalTxn() : txn) : 0;
-  const uint32_t wal_rel =
-      wal_ != nullptr ? wal_->InternRelation(meta->name) : 0;
-  guard.set_wal_txn(wal_txn);
+  Statement stmt(this, meta->name, external_txn);
+  sim::CostTracker& tracker = stmt.tracker();
+  RecoveryLog& log = stmt.log();
+  const uint64_t txn = stmt.txn();
+  const uint64_t wal_txn = stmt.wal_txn();
+  const uint32_t wal_rel = stmt.wal_rel();
 
   tracker.ChargeControlMessage(config_.host_node(), config_.scheduler_node(),
                                true);
@@ -370,14 +327,7 @@ Result<QueryResult> GammaMachine::RunDelete(const DeleteQuery& query,
     for (const Rid rid : rids) {
       GAMMA_ASSIGN_OR_RETURN(const std::vector<uint8_t> tuple,
                              fragment.Fetch(rid, AccessIntent::kRandom));
-      GAMMA_CHECK(sm.locks()
-                      .Acquire(txn,
-                               LockName::Record(
-                                   meta->per_node_file[static_cast<size_t>(
-                                       node)],
-                                   rid.page_index, rid.slot),
-                               LockMode::kExclusive)
-                      .ok());
+      sm.charge().Cpu(config_.hw.cost.instr_per_lock);
       {
         const txn::LockId pl = txn::LockId::Page(
             rel, static_cast<uint32_t>(node), rid.page_index);
@@ -413,42 +363,18 @@ Result<QueryResult> GammaMachine::RunDelete(const DeleteQuery& query,
     tracker.ChargeControlMessage(node, config_.scheduler_node(), true);
   }
   GAMMA_RETURN_NOT_OK(FlushAllPools());
-  if (config_.enable_logging && deleted > 0) {
-    const int commit_site = parts.empty() ? 0 : parts.front();
-    if (auto_commit) {
-      for (int node : parts) {
-        if (faults_->OnCommitPoint(node)) {
-          guard.set_crashed();
-          return Status::Unavailable(
-              "delete from " + query.relation + ": site " +
-              std::to_string(node) + " died at its commit point");
-        }
-      }
-      log.LogCommit(commit_site, wal_txn);
-      MaybeAutoCheckpoint(&log, commit_site);
-    } else {
-      log.Commit(commit_site);
-    }
+  if (deleted > 0) {
+    GAMMA_RETURN_NOT_OK(stmt.CommitWrites(parts, "delete from " + query.relation));
   }
   tracker.ChargeControlMessage(config_.scheduler_node(), config_.host_node(),
                                true);
   tracker.EndPhase();
 
-  if (auto_commit) {
-    for (auto& node : nodes_) node->locks().ReleaseAll(txn);
-  }
   meta->num_tuples -= deleted;
   stats_.OnDelete(query.relation, deleted);
   QueryResult result;
   result.result_tuples = deleted;
-  guard.Dismiss();
-  BindAll(nullptr);
-  result.metrics = tracker.Finish();
-  result.metrics.log_records = log.stats().records;
-  result.metrics.log_forced_flushes = log.stats().forced_flushes;
-  FillLockMetrics(txn, &result.metrics);
-  if (auto_commit) txns_.Commit(txn);
-  return FinalizeObs("delete", std::move(result));
+  return FinalizeObs("delete", stmt.Finish(std::move(result)));
 }
 
 Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
@@ -488,20 +414,12 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
                                       std::to_string(external_txn));
   }
 
-  sim::CostTracker tracker(config_.hw, config_.tracker_nodes());
-  tracker.AttachFaultInjector(faults_.get());
-  BindAll(&tracker);
-  tracker.ChargeHostSetup(config_.host_setup_sec);
-  RecoveryLog log(config_.enable_logging ? &tracker : nullptr,
-                  config_.recovery_node(), config_.page_size, wal_.get());
-  const bool auto_commit = external_txn == 0;
-  const uint64_t txn = auto_commit ? txns_.Begin() : external_txn;
-  QueryGuard guard(this, txn);
-  const uint64_t wal_txn =
-      wal_ != nullptr ? (auto_commit ? StatementWalTxn() : txn) : 0;
-  const uint32_t wal_rel =
-      wal_ != nullptr ? wal_->InternRelation(meta->name) : 0;
-  guard.set_wal_txn(wal_txn);
+  Statement stmt(this, meta->name, external_txn);
+  sim::CostTracker& tracker = stmt.tracker();
+  RecoveryLog& log = stmt.log();
+  const uint64_t txn = stmt.txn();
+  const uint64_t wal_txn = stmt.wal_txn();
+  const uint32_t wal_rel = stmt.wal_rel();
 
   tracker.ChargeControlMessage(config_.host_node(), config_.scheduler_node(),
                                true);
@@ -548,14 +466,7 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
       std::memcpy(new_tuple.data() +
                       meta->schema.offset(static_cast<size_t>(query.target_attr)),
                   &new_value, sizeof(new_value));
-      GAMMA_CHECK(sm.locks()
-                      .Acquire(txn,
-                               LockName::Record(
-                                   meta->per_node_file[static_cast<size_t>(
-                                       node)],
-                                   rid.page_index, rid.slot),
-                               LockMode::kExclusive)
-                      .ok());
+      sm.charge().Cpu(config_.hw.cost.instr_per_lock);
       {
         const txn::LockId pl = txn::LockId::Page(
             rel, static_cast<uint32_t>(node), rid.page_index);
@@ -593,13 +504,7 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
         if (new_home != node) {
           tracker.ChargeDataPacket(node, new_home, new_tuple.size());
         }
-        GAMMA_CHECK(dst.locks()
-                        .Acquire(txn,
-                                 LockName::File(
-                                     meta->per_node_file[static_cast<size_t>(
-                                         new_home)]),
-                                 LockMode::kExclusive)
-                        .ok());
+        dst.charge().Cpu(config_.hw.cost.instr_per_lock);
         {
           const txn::LockId fl =
               txn::LockId::Fragment(rel, static_cast<uint32_t>(new_home));
@@ -608,16 +513,22 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
                                              txn::LockMode::kIX));
         }
         dst.charge().Cpu(config_.hw.cost.instr_per_tuple_store);
-        GAMMA_ASSIGN_OR_RETURN(
-            const Rid new_rid,
-            dst.file(meta->per_node_file[static_cast<size_t>(new_home)])
-                .Append(new_tuple));
+        storage::HeapFile& dst_fragment =
+            dst.file(meta->per_node_file[static_cast<size_t>(new_home)]);
+        GAMMA_ASSIGN_OR_RETURN(const Rid new_rid,
+                               dst_fragment.Append(new_tuple));
         {
           const txn::LockId pl = txn::LockId::Page(
               rel, static_cast<uint32_t>(new_home), new_rid.page_index);
-          GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn,
-                                             txns_.TableFor(pl), pl,
-                                             txn::LockMode::kX));
+          if (Status st = AcquireTxnLock(&tracker, txn, txns_.TableFor(pl),
+                                         pl, txn::LockMode::kX);
+              !st.ok()) {
+            // Another open transaction holds the target page: put the
+            // tuple back where it was (the abort discards the index edits).
+            dst_fragment.Delete(new_rid);
+            fragment.Restore(rid, old_tuple);
+            return st;
+          }
         }
         DeferredUpdateFile deferred_new(&dst.charge(), config_.page_size);
         for (const IndexMeta& idx : meta->indices) {
@@ -711,44 +622,20 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
     tracker.ChargeControlMessage(node, config_.scheduler_node(), true);
   }
   GAMMA_RETURN_NOT_OK(FlushAllPools());
-  if (config_.enable_logging && modified > 0) {
-    const int commit_site = parts.empty() ? 0 : parts.front();
-    if (auto_commit) {
-      for (int node : parts) {
-        if (faults_->OnCommitPoint(node)) {
-          guard.set_crashed();
-          return Status::Unavailable(
-              "modify of " + query.relation + ": site " +
-              std::to_string(node) + " died at its commit point");
-        }
-      }
-      log.LogCommit(commit_site, wal_txn);
-      MaybeAutoCheckpoint(&log, commit_site);
-    } else {
-      log.Commit(commit_site);
-    }
+  if (modified > 0) {
+    GAMMA_RETURN_NOT_OK(stmt.CommitWrites(parts, "modify of " + query.relation));
   }
   tracker.ChargeControlMessage(config_.scheduler_node(), config_.host_node(),
                                true);
   tracker.EndPhase();
 
-  if (auto_commit) {
-    for (auto& node : nodes_) node->locks().ReleaseAll(txn);
-  }
   if (modified > 0) {
     stats_.OnModify(query.relation, meta->schema, query.target_attr,
                     query.new_value);
   }
   QueryResult result;
   result.result_tuples = modified;
-  guard.Dismiss();
-  BindAll(nullptr);
-  result.metrics = tracker.Finish();
-  result.metrics.log_records = log.stats().records;
-  result.metrics.log_forced_flushes = log.stats().forced_flushes;
-  FillLockMetrics(txn, &result.metrics);
-  if (auto_commit) txns_.Commit(txn);
-  return FinalizeObs("modify", std::move(result));
+  return FinalizeObs("modify", stmt.Finish(std::move(result)));
 }
 
 Result<std::vector<std::vector<uint8_t>>> GammaMachine::ReadRelation(

@@ -490,8 +490,9 @@ void WorkloadDriver::CommitClientTxn(size_t ci) {
     for (const Statement& stmt : spec.statements) {
       Result<gamma::QueryResult> r = RunStatement(*machine_, stmt, c.txn);
       GAMMA_CHECK_MSG(r.ok(),
-                      "statement failed under pre-acquired locks: " +
-                          r.status().message());
+                      ("statement failed under pre-acquired locks: " +
+                       r.status().message())
+                          .c_str());
     }
   }
   const std::vector<txn::LockManager::Grant> grants =

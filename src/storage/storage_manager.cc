@@ -7,8 +7,7 @@ namespace gammadb::storage {
 StorageManager::StorageManager(uint32_t page_size, uint64_t buffer_bytes,
                                sim::FaultInjector* faults, int fault_node)
     : disk_(page_size, faults, fault_node),
-      pool_(&disk_, &charge_, buffer_bytes),
-      locks_(&charge_) {}
+      pool_(&disk_, &charge_, buffer_bytes) {}
 
 void StorageManager::BindTracker(sim::CostTracker* tracker, int node) {
   charge_.tracker = tracker;

@@ -11,7 +11,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk.h"
 #include "storage/heap_file.h"
-#include "storage/lock_manager.h"
 
 namespace gammadb::storage {
 
@@ -20,8 +19,8 @@ using IndexId = uint32_t;
 
 /// \brief All storage state of one processor-with-disk: the NOSE/WiSS role.
 ///
-/// Owns the node's simulated disk, buffer pool, heap files, B-tree indices
-/// and lock manager, plus the ChargeContext through which every component
+/// Owns the node's simulated disk, buffer pool, heap files and B-tree
+/// indices, plus the ChargeContext through which every component
 /// reports simulated hardware usage. A machine binds the context to the
 /// current query's CostTracker before running operators on the node.
 class StorageManager {
@@ -51,7 +50,6 @@ class StorageManager {
   void EndExclusive() { exclusive_.store(false, std::memory_order_release); }
 
   BufferPool& pool() { return pool_; }
-  LockManager& locks() { return locks_; }
   SimulatedDisk& disk() { return disk_; }
 
   FileId CreateFile();
@@ -70,7 +68,6 @@ class StorageManager {
   ChargeContext charge_;
   SimulatedDisk disk_;
   BufferPool pool_;
-  LockManager locks_;
   std::unordered_map<FileId, std::unique_ptr<HeapFile>> files_;
   std::unordered_map<IndexId, std::unique_ptr<BTree>> indices_;
   FileId next_file_id_ = 1;

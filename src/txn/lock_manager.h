@@ -52,11 +52,12 @@ struct LockId {
 
 /// \brief One lock table of the multi-granularity 2PL layer.
 ///
-/// Unlike storage::LockManager (the per-node WiSS-level table that fails
-/// conflicting requests fast), this table queues them: each lock keeps a
-/// granted group and a FIFO wait queue, upgrades jump to the front, and a
-/// release promotes waiters strictly from the front (no starvation, and the
-/// grant order is a pure function of the request order — deterministic).
+/// The machine's only lock tables. A conflicting request queues: each lock
+/// keeps a granted group and a FIFO wait queue, upgrades jump to the front,
+/// and a release promotes waiters strictly from the front (no starvation,
+/// and the grant order is a pure function of the request order —
+/// deterministic). GammaMachine never waits on a real thread: it cancels a
+/// queued request and fails the statement fast.
 /// Blocking policy lives above: the TxnManager runs deadlock detection over
 /// the wait queues of every table.
 class LockManager {

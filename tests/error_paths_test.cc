@@ -123,6 +123,25 @@ TEST_F(GammaErrorTest, BuildIndexValidation) {
   EXPECT_FALSE(machine_.BuildIndex("A", wis::kUnique1, true).ok());
 }
 
+TEST_F(GammaErrorTest, ForcedIndexPathWithoutIndex) {
+  gamma::SelectQuery select;
+  select.relation = "A";
+  select.predicate = Predicate::Range(wis::kUnique1, 0, 49);
+  select.access = gamma::AccessPath::kClusteredIndex;
+  EXPECT_TRUE(machine_.RunSelect(select).status().IsInvalidArgument());
+  select.access = gamma::AccessPath::kNonClusteredIndex;
+  EXPECT_TRUE(machine_.RunSelect(select).status().IsInvalidArgument());
+  // An index on another attribute does not match the predicate either.
+  ASSERT_TRUE(machine_.BuildIndex("A", wis::kUnique2, false).ok());
+  EXPECT_TRUE(machine_.RunSelect(select).status().IsInvalidArgument());
+  // No partial result relation leaked; the machine answers the next query.
+  EXPECT_EQ(machine_.catalog().Names().size(), 1u);
+  select.access = gamma::AccessPath::kAuto;
+  const auto result = machine_.RunSelect(select);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->result_tuples, 50u);
+}
+
 TEST_F(GammaErrorTest, DeleteAndModifyMissingKeyAreNoOps) {
   gamma::DeleteQuery del{"A", wis::kUnique1, 99999};
   const auto deleted = machine_.RunDelete(del);

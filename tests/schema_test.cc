@@ -9,7 +9,6 @@
 #include "catalog/partition.h"
 #include "catalog/schema.h"
 #include "storage/deferred_update.h"
-#include "storage/lock_manager.h"
 #include "storage/storage_manager.h"
 #include "test_util.h"
 #include "wisconsin/wisconsin.h"
@@ -145,49 +144,6 @@ TEST(CatalogTest, FindIndexPrefersClustered) {
   EXPECT_FALSE(meta.FindIndex(2)->clustered);
   EXPECT_EQ(meta.FindIndex(9), nullptr);
   EXPECT_EQ(meta.FindClusteredIndex()->attr, 1);
-}
-
-TEST(LockManagerTest, SharedLocksCoexistExclusiveConflicts) {
-  storage::StorageManager sm(4096, 64 * 1024);
-  storage::LockManager& locks = sm.locks();
-  const auto name = storage::LockName::File(1);
-  EXPECT_TRUE(locks.Acquire(1, name, storage::LockMode::kShared).ok());
-  EXPECT_TRUE(locks.Acquire(2, name, storage::LockMode::kShared).ok());
-  EXPECT_FALSE(locks.Acquire(3, name, storage::LockMode::kExclusive).ok());
-  locks.ReleaseAll(1);
-  locks.ReleaseAll(2);
-  EXPECT_TRUE(locks.Acquire(3, name, storage::LockMode::kExclusive).ok());
-  EXPECT_FALSE(locks.Acquire(1, name, storage::LockMode::kShared).ok());
-  locks.ReleaseAll(3);
-}
-
-TEST(LockManagerTest, UpgradeOnlyForSoleHolder) {
-  storage::StorageManager sm(4096, 64 * 1024);
-  storage::LockManager& locks = sm.locks();
-  const auto name = storage::LockName::Page(1, 5);
-  EXPECT_TRUE(locks.Acquire(1, name, storage::LockMode::kShared).ok());
-  EXPECT_TRUE(locks.Acquire(1, name, storage::LockMode::kExclusive).ok());
-  locks.ReleaseAll(1);
-
-  EXPECT_TRUE(locks.Acquire(1, name, storage::LockMode::kShared).ok());
-  EXPECT_TRUE(locks.Acquire(2, name, storage::LockMode::kShared).ok());
-  EXPECT_FALSE(locks.Acquire(1, name, storage::LockMode::kExclusive).ok());
-  locks.ReleaseAll(1);
-  locks.ReleaseAll(2);
-}
-
-TEST(LockManagerTest, DistinctResourcesIndependent) {
-  storage::StorageManager sm(4096, 64 * 1024);
-  storage::LockManager& locks = sm.locks();
-  EXPECT_TRUE(locks.Acquire(1, storage::LockName::Record(1, 2, 3),
-                            storage::LockMode::kExclusive)
-                  .ok());
-  EXPECT_TRUE(locks.Acquire(2, storage::LockName::Record(1, 2, 4),
-                            storage::LockMode::kExclusive)
-                  .ok());
-  EXPECT_EQ(locks.held_count(1), 1u);
-  locks.ReleaseAll(1);
-  EXPECT_EQ(locks.held_count(1), 0u);
 }
 
 TEST(DeferredUpdateTest, CommitAppliesQueuedChanges) {

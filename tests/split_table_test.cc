@@ -137,7 +137,9 @@ TEST_F(SplitTableTest, BucketMapRoutingHonorsMap) {
     for (const auto& tuple : received_[d]) {
       const catalog::TupleView view(&MiniSchema(), tuple);
       auto [it, inserted] = homes.emplace(view.GetInt(0), d);
-      if (!inserted) EXPECT_EQ(it->second, d);
+      if (!inserted) {
+        EXPECT_EQ(it->second, d);
+      }
     }
   }
   EXPECT_EQ(homes.size(), 64u);

@@ -6,6 +6,7 @@
 // produce exactly the database state of its commit-order serial schedule,
 // byte for byte, at any host-pool width.
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -314,6 +315,108 @@ TEST(MachineTxnTest, FailFastConflictAbortsSecondTxn) {
   ASSERT_TRUE(retry.ok());
   EXPECT_EQ(retry->result_tuples, 1u);
   EXPECT_EQ((*machine.ReadRelation("R")).size(), 30u);
+}
+
+std::vector<std::vector<uint8_t>> Sorted(
+    std::vector<std::vector<uint8_t>> tuples) {
+  std::sort(tuples.begin(), tuples.end());
+  return tuples;
+}
+
+TEST(MachineTxnTest, ConflictingAppendsFailFast) {
+  gamma::GammaMachine machine(SmallConfig());
+  LoadMini(machine, "R", 32, 19);
+  auto expected = *machine.ReadRelation("R");
+
+  // Same key, so same home fragment and same last page: t2's page X lock
+  // conflicts with t1's.
+  gamma::AppendQuery first;
+  first.relation = "R";
+  first.tuple = testing::MiniTuple(100, 1);
+  const uint64_t t1 = machine.BeginTxn();
+  ASSERT_TRUE(machine.RunAppend(first, t1).ok());
+
+  gamma::AppendQuery second = first;
+  second.tuple = testing::MiniTuple(100, 2);
+  const uint64_t t2 = machine.BeginTxn();
+  const auto blocked = machine.RunAppend(second, t2);
+  ASSERT_FALSE(blocked.ok());
+  EXPECT_TRUE(blocked.status().IsFailedPrecondition())
+      << blocked.status().ToString();
+  EXPECT_FALSE(machine.txns().IsActive(t2));
+  EXPECT_TRUE(machine.txns().IsActive(t1));
+
+  machine.CommitTxn(t1);
+  expected.push_back(first.tuple);
+  EXPECT_EQ(Sorted(*machine.ReadRelation("R")), Sorted(expected));
+  EXPECT_EQ(*machine.CountTuples("R"), 33u);
+}
+
+TEST(MachineTxnTest, ConflictingRelocatingModifyFailsFast) {
+  gamma::GammaMachine machine(SmallConfig());
+  LoadMini(machine, "R", 32, 23);
+  auto expected = *machine.ReadRelation("R");
+
+  // A loaded key on one fragment, and two fresh keys homed on another: t1
+  // appends one, t2 moves the loaded tuple onto the other (modifying the
+  // partitioning attribute relocates it into t1's page).
+  auto meta = machine.catalog().Get("R");
+  ASSERT_TRUE(meta.ok());
+  catalog::Partitioner partitioner(&(*meta)->partitioning, &(*meta)->schema,
+                                   machine.config().num_disk_nodes);
+  const int32_t moved = 0;
+  int32_t appended = -1, target = -1;
+  for (int32_t k = 100; k < 200 && target < 0; ++k) {
+    if (partitioner.NodeForKey(k) == partitioner.NodeForKey(moved)) continue;
+    if (appended < 0) {
+      appended = k;
+    } else if (partitioner.NodeForKey(k) == partitioner.NodeForKey(appended)) {
+      target = k;
+    }
+  }
+  ASSERT_GE(target, 0);
+
+  gamma::AppendQuery append;
+  append.relation = "R";
+  append.tuple = testing::MiniTuple(appended, 1);
+  const uint64_t t1 = machine.BeginTxn();
+  ASSERT_TRUE(machine.RunAppend(append, t1).ok());
+
+  gamma::ModifyQuery modify;
+  modify.relation = "R";
+  modify.locate_attr = 0;
+  modify.locate_key = moved;
+  modify.target_attr = 0;
+  modify.new_value = target;
+  const uint64_t t2 = machine.BeginTxn();
+  const auto blocked = machine.RunModify(modify, t2);
+  ASSERT_FALSE(blocked.ok());
+  EXPECT_TRUE(blocked.status().IsFailedPrecondition())
+      << blocked.status().ToString();
+  EXPECT_FALSE(machine.txns().IsActive(t2));
+
+  machine.CommitTxn(t1);
+  expected.push_back(append.tuple);
+  EXPECT_EQ(Sorted(*machine.ReadRelation("R")), Sorted(expected));
+  // Each fragment's tuple count still matches its pages (a relocation
+  // that was only half backed out would cancel out in the total).
+  for (int f = 0; f < machine.config().num_disk_nodes; ++f) {
+    const storage::HeapFile& file =
+        machine.node(f).file((*meta)->per_node_file[static_cast<size_t>(f)]);
+    uint64_t scanned = 0;
+    ASSERT_TRUE(file.Scan([&](storage::Rid, std::span<const uint8_t>) {
+                      ++scanned;
+                      return true;
+                    })
+                    .ok());
+    EXPECT_EQ(file.num_tuples(), scanned) << "fragment " << f;
+  }
+
+  // With t1 gone the same relocation goes through.
+  const auto retry = machine.RunModify(modify);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(retry->result_tuples, 1u);
+  EXPECT_EQ(*machine.CountTuples("R"), 33u);
 }
 
 TEST(MachineTxnTest, UpdateUnderUnknownTxnFails) {
