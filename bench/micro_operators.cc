@@ -1,14 +1,17 @@
 // Micro-benchmarks (google-benchmark): host-time throughput of the real
 // data-path primitives underlying the simulation — slotted pages, B-tree,
-// join hash table, split routing, predicate evaluation. These measure the
-// reproduction's own code (wall-clock), not the simulated 1988 hardware.
+// join hash table, external sort, merge join, split routing, predicate
+// evaluation. These measure the reproduction's own code (wall-clock), not
+// the simulated 1988 hardware.
 
 #include <benchmark/benchmark.h>
 
 #include "catalog/schema.h"
 #include "common/rng.h"
 #include "exec/hash_table.h"
+#include "exec/merge_join.h"
 #include "exec/predicate.h"
+#include "exec/sort.h"
 #include "exec/split_table.h"
 #include "storage/btree.h"
 #include "storage/page.h"
@@ -130,6 +133,61 @@ void BM_JoinHashTableBuildProbe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 20000);
 }
 BENCHMARK(BM_JoinHashTableBuildProbe);
+
+/// A heap file of 10000 Wisconsin tuples in unique2-random order.
+storage::FileId LoadWisconsinFile(storage::StorageManager& sm, uint64_t seed) {
+  const storage::FileId id = sm.CreateFile();
+  for (const auto& tuple : wis::GenerateWisconsin(10000, seed)) {
+    if (!sm.file(id).Append(tuple).ok()) return id;
+  }
+  return id;
+}
+
+void BM_ExternalSort(benchmark::State& state) {
+  // Teradata's per-AMP sort step: 10000 Wisconsin tuples by unique2 under
+  // 512 KB of sort memory (four runs and a merge pass) through a 64 KB
+  // pool. Disk pages are never reused, so each iteration gets a fresh node.
+  const auto& schema = wis::WisconsinSchema();
+  for (auto _ : state) {
+    state.PauseTiming();
+    storage::StorageManager sm(4096, 64 << 10);
+    const storage::FileId input = LoadWisconsinFile(sm, 6);
+    if (!sm.pool().FlushAll().ok()) {
+      state.SkipWithError("flush failed");
+      return;
+    }
+    state.ResumeTiming();
+    const storage::FileId sorted =
+        exec::ExternalSort(sm, input, schema, wis::kUnique2, 512 << 10);
+    benchmark::DoNotOptimize(sm.file(sorted).num_tuples());
+  }
+  state.SetItemsProcessed(state.iterations() * 10000);
+}
+BENCHMARK(BM_ExternalSort);
+
+void BM_SortMergeJoin(benchmark::State& state) {
+  // Merge of two sorted 10000-tuple inputs on unique2 (every tuple matches
+  // once): materialize both, then emit 10000 concatenated results.
+  storage::StorageManager sm(4096, 8 << 20);
+  const auto& schema = wis::WisconsinSchema();
+  const storage::FileId left_in = LoadWisconsinFile(sm, 7);
+  const storage::FileId right_in = LoadWisconsinFile(sm, 8);
+  const storage::FileId left =
+      exec::ExternalSort(sm, left_in, schema, wis::kUnique2, 8 << 20);
+  const storage::FileId right =
+      exec::ExternalSort(sm, right_in, schema, wis::kUnique2, 8 << 20);
+  uint64_t emitted = 0;
+  for (auto _ : state) {
+    const auto stats = exec::SortMergeJoin(
+        sm.file(left), schema, wis::kUnique2, sm.file(right), schema,
+        wis::kUnique2, sm.charge(),
+        [&emitted](std::span<const uint8_t>) { ++emitted; });
+    benchmark::DoNotOptimize(stats.output);
+  }
+  benchmark::DoNotOptimize(emitted);
+  state.SetItemsProcessed(state.iterations() * 20000);
+}
+BENCHMARK(BM_SortMergeJoin);
 
 void BM_SplitTableRouting(benchmark::State& state) {
   const auto tuples = wis::GenerateWisconsin(10000, 4);

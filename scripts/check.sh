@@ -31,6 +31,8 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   GAMMA_BENCH_SIZES=10000 ./build/bench/extension_elastic
   echo "== Table 1 selections (baseline workload, 10k) =="
   GAMMA_BENCH_SIZES=10000 ./build/bench/table1_selection
+  echo "== Table 2 joins (baseline workload, 10k) =="
+  GAMMA_BENCH_SIZES=10000 ./build/bench/table2_join
   echo "== perf-regression gate (BENCH_*.json vs baselines/) =="
   python3 scripts/bench_compare.py --self-check
   echo "== simulated-clock digests (perfbench smoke: selects, joins, txn updates) =="

@@ -1,7 +1,6 @@
 #include "catalog/schema.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/macros.h"
 
@@ -77,13 +76,10 @@ void TupleBuilder::Reset() {
   std::fill(buffer_.begin(), buffer_.end(), uint8_t{0});
 }
 
-std::vector<uint8_t> ConcatTuples(std::span<const uint8_t> left,
-                                  std::span<const uint8_t> right) {
-  std::vector<uint8_t> out;
-  out.reserve(left.size() + right.size());
-  out.insert(out.end(), left.begin(), left.end());
+void ConcatInto(std::vector<uint8_t>& out, std::span<const uint8_t> left,
+                std::span<const uint8_t> right) {
+  out.assign(left.begin(), left.end());
   out.insert(out.end(), right.begin(), right.end());
-  return out;
 }
 
 }  // namespace gammadb::catalog

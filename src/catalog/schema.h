@@ -94,10 +94,11 @@ class TupleBuilder {
   std::vector<uint8_t> buffer_;
 };
 
-/// Concatenates two tuples' raw bytes (the physical form of a join result
-/// under Schema::Concat).
-std::vector<uint8_t> ConcatTuples(std::span<const uint8_t> left,
-                                  std::span<const uint8_t> right);
+/// Writes left ++ right into `out` (the physical form of a join result
+/// under Schema::Concat). Reusing one `out` across calls keeps its buffer,
+/// so a join emits its results without a heap allocation per tuple.
+void ConcatInto(std::vector<uint8_t>& out, std::span<const uint8_t> left,
+                std::span<const uint8_t> right);
 
 }  // namespace gammadb::catalog
 

@@ -112,6 +112,8 @@ class HashJoinSite {
   bool forced_round_ = false;
   Stats stats_;
   Status status_;
+  /// Result-tuple buffer reused by every match (no allocation per result).
+  std::vector<uint8_t> joined_;
 };
 
 }  // namespace gammadb::exec

@@ -1,5 +1,8 @@
 #include "exec/hash_table.h"
 
+#include <algorithm>
+#include <bit>
+
 namespace gammadb::exec {
 
 JoinHashTable::JoinHashTable(uint64_t capacity_bytes)
@@ -8,50 +11,51 @@ JoinHashTable::JoinHashTable(uint64_t capacity_bytes)
 bool JoinHashTable::Insert(int32_t key, std::span<const uint8_t> tuple) {
   const uint64_t need = tuple.size() + kPerEntryOverhead;
   if (bytes_used_ + need > capacity_bytes_) return false;
-  map_.emplace(key, std::vector<uint8_t>(tuple.begin(), tuple.end()));
+  Add(key, tuple);
   bytes_used_ += need;
-  num_tuples_ += 1;
   return true;
 }
 
 void JoinHashTable::InsertUnchecked(int32_t key,
                                     std::span<const uint8_t> tuple) {
-  map_.emplace(key, std::vector<uint8_t>(tuple.begin(), tuple.end()));
+  Add(key, tuple);
   bytes_used_ += tuple.size() + kPerEntryOverhead;
-  num_tuples_ += 1;
 }
 
-void JoinHashTable::Probe(
-    int32_t key,
-    const std::function<void(std::span<const uint8_t>)>& match) const {
-  auto [begin, end] = map_.equal_range(key);
-  for (auto it = begin; it != end; ++it) {
-    match(it->second);
+void JoinHashTable::Add(int32_t key, std::span<const uint8_t> tuple) {
+  const uint32_t index = arena_.Append(tuple);
+  entries_.push_back(Entry{kNil, key});
+  // Load factor <= 1: grow the head array (and rechain) when entries
+  // outnumber buckets; otherwise push the entry onto its chain.
+  if (entries_.size() > heads_.size()) {
+    Relink();
+    return;
   }
+  uint32_t& head = heads_[Bucket(key)];
+  entries_[index].next = head;
+  head = index;
 }
 
-uint64_t JoinHashTable::ExtractIf(
-    const std::function<bool(int32_t)>& should_extract,
-    const std::function<void(int32_t, std::span<const uint8_t>)>& sink) {
-  uint64_t removed = 0;
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (should_extract(it->first)) {
-      sink(it->first, it->second);
-      bytes_used_ -= it->second.size() + kPerEntryOverhead;
-      num_tuples_ -= 1;
-      it = map_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
+void JoinHashTable::Relink() {
+  const size_t buckets =
+      std::max<size_t>(kMinBuckets, std::bit_ceil(entries_.size()));
+  if (buckets > heads_.size()) {
+    heads_.resize(buckets);
+    bucket_shift_ = 32 - static_cast<uint32_t>(std::countr_zero(buckets));
   }
-  return removed;
+  std::fill(heads_.begin(), heads_.end(), kNil);
+  for (uint32_t i = 0; i < entries_.size(); ++i) {
+    uint32_t& head = heads_[Bucket(entries_[i].key)];
+    entries_[i].next = head;
+    head = i;
+  }
 }
 
 void JoinHashTable::Clear() {
-  map_.clear();
+  arena_.Clear();
+  entries_.clear();
+  std::fill(heads_.begin(), heads_.end(), kNil);
   bytes_used_ = 0;
-  num_tuples_ = 0;
 }
 
 }  // namespace gammadb::exec

@@ -2,10 +2,10 @@
 #define GAMMA_EXEC_HASH_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
+
+#include "exec/tuple_arena.h"
 
 namespace gammadb::exec {
 
@@ -15,6 +15,14 @@ namespace gammadb::exec {
 /// exceed the capacity. The overflow machinery around it (Simple or Hybrid
 /// hash join) decides what happens to rejected tuples; the table itself
 /// never spills.
+///
+/// Layout: tuple bytes live in a TupleArena and entry i describes arena
+/// tuple i, so no pointer or per-tuple allocation exists. A power-of-two
+/// array of chain heads holds entry indices; each 8-byte entry holds its
+/// key and the index of the next entry in its chain. Clear() keeps every
+/// buffer, so overflow rounds and Hybrid buckets reuse them. All tuples
+/// stored between two Clear() calls must have the same size (one join
+/// input's schema).
 class JoinHashTable {
  public:
   /// Accounting overhead per stored tuple (bucket pointer + length), on top
@@ -35,29 +43,74 @@ class JoinHashTable {
   /// callers count uses (it represents real memory over-commitment).
   void InsertUnchecked(int32_t key, std::span<const uint8_t> tuple);
 
-  /// Invokes `match` for every stored tuple with this key.
-  void Probe(int32_t key,
-             const std::function<void(std::span<const uint8_t>)>& match) const;
+  /// Invokes `match(std::span<const uint8_t>)` for every stored tuple with
+  /// this key.
+  template <typename Match>
+  void Probe(int32_t key, Match&& match) const {
+    if (entries_.empty()) return;
+    for (uint32_t i = heads_[Bucket(key)]; i != kNil; i = entries_[i].next) {
+      if (entries_[i].key == key) match(arena_.Get(i));
+    }
+  }
 
-  uint64_t size() const { return num_tuples_; }
+  uint64_t size() const { return entries_.size(); }
   uint64_t bytes_used() const { return bytes_used_; }
   uint64_t capacity_bytes() const { return capacity_bytes_; }
 
   /// Empties the table, keeping the capacity (next overflow round).
   void Clear();
 
-  /// Removes every entry whose key satisfies `should_extract`, handing each
-  /// removed (key, tuple) to `sink`. Returns the number removed. Used by the
-  /// Simple hash join's overflow purge.
-  uint64_t ExtractIf(
-      const std::function<bool(int32_t)>& should_extract,
-      const std::function<void(int32_t, std::span<const uint8_t>)>& sink);
+  /// Removes every entry whose key satisfies `should_extract(int32_t)`,
+  /// handing each removed (key, tuple) to `sink` in insertion order. Returns
+  /// the number removed. Used by the Simple hash join's overflow purge.
+  template <typename ShouldExtract, typename Sink>
+  uint64_t ExtractIf(ShouldExtract&& should_extract, Sink&& sink) {
+    const auto n = static_cast<uint32_t>(entries_.size());
+    uint32_t kept = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      const Entry entry = entries_[i];
+      if (should_extract(entry.key)) {
+        const std::span<const uint8_t> tuple = arena_.Get(i);
+        sink(entry.key, tuple);
+        bytes_used_ -= tuple.size() + kPerEntryOverhead;
+        continue;
+      }
+      if (kept != i) {
+        entries_[kept] = entry;
+        arena_.Move(kept, i);
+      }
+      ++kept;
+    }
+    entries_.resize(kept);
+    arena_.Truncate(kept);
+    Relink();
+    return n - kept;
+  }
 
  private:
+  static constexpr uint32_t kNil = UINT32_MAX;
+  static constexpr uint32_t kMinBuckets = 1024;
+
+  struct Entry {
+    uint32_t next;
+    int32_t key;
+  };
+
+  uint32_t Bucket(int32_t key) const {
+    // Fibonacci hashing: the top bits of a multiplicative hash.
+    return static_cast<uint32_t>(static_cast<uint32_t>(key) * 0x9E3779B1u) >>
+           bucket_shift_;
+  }
+  void Add(int32_t key, std::span<const uint8_t> tuple);
+  /// Rebuilds every chain over the current entries.
+  void Relink();
+
   uint64_t capacity_bytes_;
   uint64_t bytes_used_ = 0;
-  uint64_t num_tuples_ = 0;
-  std::unordered_multimap<int32_t, std::vector<uint8_t>> map_;
+  TupleArena arena_;
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> heads_;
+  uint32_t bucket_shift_ = 32;
 };
 
 }  // namespace gammadb::exec

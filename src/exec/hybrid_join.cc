@@ -84,13 +84,12 @@ void HybridHashJoinSite::ProbeTable(int32_t key,
                                     const TupleSink& emit) {
   const auto* tracker = sm_->charge().tracker;
   table_.Probe(key, [&](std::span<const uint8_t> build_tuple) {
-    const std::vector<uint8_t> joined =
-        catalog::ConcatTuples(build_tuple, tuple);
+    catalog::ConcatInto(joined_, build_tuple, tuple);
     if (tracker != nullptr) {
       ChargeCpu(tracker->hw().cost.instr_per_tuple_copy);
     }
     ++stats_.matches;
-    emit(joined);
+    emit(joined_);
   });
 }
 

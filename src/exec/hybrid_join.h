@@ -84,6 +84,8 @@ class HybridHashJoinSite {
   std::vector<storage::FileId> probe_buckets_;
   Stats stats_;
   Status status_;
+  /// Result-tuple buffer reused by every match (no allocation per result).
+  std::vector<uint8_t> joined_;
 };
 
 }  // namespace gammadb::exec

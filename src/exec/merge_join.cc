@@ -3,36 +3,38 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "exec/tuple_arena.h"
 
 namespace gammadb::exec {
 
 namespace {
 
-struct KeyedTuple {
-  int32_t key;
-  std::vector<uint8_t> bytes;
+/// One sorted input held in memory: keys[i] is the join key of tuples[i].
+struct KeyedTuples {
+  std::vector<int32_t> keys;
+  TupleArena tuples;
 };
 
-std::vector<KeyedTuple> Materialize(const storage::HeapFile& file,
-                                    const catalog::Schema& schema, int attr,
-                                    const storage::ChargeContext& charge) {
-  std::vector<KeyedTuple> tuples;
-  tuples.reserve(file.num_tuples());
-  file.Scan([&](storage::Rid, std::span<const uint8_t> tuple) {
-    const catalog::TupleView view(&schema, tuple);
-    tuples.push_back(KeyedTuple{view.GetInt(static_cast<size_t>(attr)),
-                                {tuple.begin(), tuple.end()}});
-    if (charge.tracker != nullptr) {
-      charge.Cpu(charge.tracker->hw().cost.instr_per_tuple_scan);
-    }
-    return true;
-  });
+Status Materialize(const storage::HeapFile& file,
+                   const catalog::Schema& schema, int attr,
+                   const storage::ChargeContext& charge, KeyedTuples* out) {
+  out->keys.reserve(file.num_tuples());
+  GAMMA_RETURN_NOT_OK(
+      file.Scan([&](storage::Rid, std::span<const uint8_t> tuple) {
+        const catalog::TupleView view(&schema, tuple);
+        out->keys.push_back(view.GetInt(static_cast<size_t>(attr)));
+        out->tuples.Append(tuple);
+        if (charge.tracker != nullptr) {
+          charge.Cpu(charge.tracker->hw().cost.instr_per_tuple_scan);
+        }
+        return true;
+      }));
 #ifndef NDEBUG
-  for (size_t i = 1; i < tuples.size(); ++i) {
-    GAMMA_DCHECK(tuples[i - 1].key <= tuples[i].key);
+  for (size_t i = 1; i < out->keys.size(); ++i) {
+    GAMMA_DCHECK(out->keys[i - 1] <= out->keys[i]);
   }
 #endif
-  return tuples;
+  return Status::OK();
 }
 
 }  // namespace
@@ -46,12 +48,14 @@ MergeJoinStats SortMergeJoin(const storage::HeapFile& left,
                              const storage::ChargeContext& charge,
                              const TupleSink& emit) {
   MergeJoinStats stats;
-  const std::vector<KeyedTuple> lhs =
-      Materialize(left, left_schema, left_attr, charge);
-  const std::vector<KeyedTuple> rhs =
-      Materialize(right, right_schema, right_attr, charge);
-  stats.left_read = lhs.size();
-  stats.right_read = rhs.size();
+  KeyedTuples lhs;
+  KeyedTuples rhs;
+  stats.status = Materialize(left, left_schema, left_attr, charge, &lhs);
+  if (!stats.status.ok()) return stats;
+  stats.status = Materialize(right, right_schema, right_attr, charge, &rhs);
+  if (!stats.status.ok()) return stats;
+  stats.left_read = lhs.keys.size();
+  stats.right_read = rhs.keys.size();
 
   auto charge_compare = [&] {
     if (charge.tracker != nullptr) {
@@ -59,22 +63,26 @@ MergeJoinStats SortMergeJoin(const storage::HeapFile& left,
     }
   };
 
+  std::vector<uint8_t> joined;
+  const size_t n_left = lhs.keys.size();
+  const size_t n_right = rhs.keys.size();
   size_t i = 0, j = 0;
-  while (i < lhs.size() && j < rhs.size()) {
+  while (i < n_left && j < n_right) {
     charge_compare();
-    if (lhs[i].key < rhs[j].key) {
+    if (lhs.keys[i] < rhs.keys[j]) {
       ++i;
-    } else if (lhs[i].key > rhs[j].key) {
+    } else if (lhs.keys[i] > rhs.keys[j]) {
       ++j;
     } else {
       // Key group: cross product of equal keys on both sides.
-      const int32_t key = lhs[i].key;
+      const int32_t key = lhs.keys[i];
       size_t j_end = j;
-      while (j_end < rhs.size() && rhs[j_end].key == key) ++j_end;
-      while (i < lhs.size() && lhs[i].key == key) {
+      while (j_end < n_right && rhs.keys[j_end] == key) ++j_end;
+      while (i < n_left && lhs.keys[i] == key) {
         for (size_t k = j; k < j_end; ++k) {
-          const std::vector<uint8_t> joined =
-              catalog::ConcatTuples(lhs[i].bytes, rhs[k].bytes);
+          catalog::ConcatInto(joined,
+                              lhs.tuples.Get(static_cast<uint32_t>(i)),
+                              rhs.tuples.Get(static_cast<uint32_t>(k)));
           if (charge.tracker != nullptr) {
             charge.Cpu(charge.tracker->hw().cost.instr_per_tuple_copy);
           }

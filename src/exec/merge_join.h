@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "catalog/schema.h"
+#include "common/status.h"
 #include "exec/select.h"
 #include "storage/heap_file.h"
 
@@ -16,10 +17,13 @@ namespace gammadb::exec {
 /// duplicate join keys on both sides (cross product within a key group).
 /// Charges one comparison per merge step and the standard per-tuple scan
 /// path; the sequential reads of both inputs are charged through the scans.
+/// A failed read of either input stops the join before any output and is
+/// returned in `status`.
 struct MergeJoinStats {
   uint64_t left_read = 0;
   uint64_t right_read = 0;
   uint64_t output = 0;
+  Status status;
 };
 
 MergeJoinStats SortMergeJoin(const storage::HeapFile& left,

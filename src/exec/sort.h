@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "catalog/schema.h"
+#include "common/status.h"
 #include "storage/storage_manager.h"
 
 namespace gammadb::exec {
@@ -16,11 +17,14 @@ namespace gammadb::exec {
 /// data once more. Comparison CPU is charged per the cost model.
 ///
 /// Returns the id of a new file in `sm` holding the tuples in ascending
-/// order of `attr`. The input file is left untouched.
+/// order of `attr`. The input file is left untouched. A storage error
+/// (a failed scan or append) abandons the sort: the returned file is empty
+/// and `*error`, when given, receives the error. Callers that must not lose
+/// tuples pass `error` and fail on it.
 storage::FileId ExternalSort(storage::StorageManager& sm,
                              storage::FileId input,
                              const catalog::Schema& schema, int attr,
-                             uint64_t memory_bytes);
+                             uint64_t memory_bytes, Status* error = nullptr);
 
 /// Number of sorted runs ExternalSort will form for `num_tuples` tuples of
 /// `tuple_size` bytes under `memory_bytes` of sort memory (test hook).

@@ -1621,19 +1621,27 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
     GAMMA_RETURN_NOT_OK(run_site_tasks([&](size_t j, sim::CostTracker&) {
       MergeJoinSite& site = *merge_sites[j];
       storage::StorageManager& sm = site.sm();
+      Status status;
       const storage::FileId sorted_build = exec::ExternalSort(
           sm, site.build_spool(), inner->schema, query.inner_attr,
-          site_capacity);
+          site_capacity, &status);
+      if (!status.ok()) {
+        sm.DropFile(sorted_build);
+        return status;
+      }
       const storage::FileId sorted_probe = exec::ExternalSort(
           sm, site.probe_spool(), outer->schema, query.outer_attr,
-          site_capacity);
-      exec::SortMergeJoin(sm.file(sorted_build), inner->schema,
-                          query.inner_attr, sm.file(sorted_probe),
-                          outer->schema, query.outer_attr, sm.charge(),
-                          result_sinks[j]);
+          site_capacity, &status);
+      if (status.ok()) {
+        status = exec::SortMergeJoin(sm.file(sorted_build), inner->schema,
+                                     query.inner_attr, sm.file(sorted_probe),
+                                     outer->schema, query.outer_attr,
+                                     sm.charge(), result_sinks[j])
+                     .status;
+      }
       sm.DropFile(sorted_build);
       sm.DropFile(sorted_probe);
-      return Status::OK();
+      return status;
     }));
     GAMMA_RETURN_NOT_OK(drain_results());
     GAMMA_RETURN_NOT_OK(check_sites());

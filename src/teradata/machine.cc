@@ -45,18 +45,20 @@ struct HashKeyed {
 
 /// Materializes a fragment in hash-key order (its physical order), applying
 /// a selection. The scan costs are charged through SelectScan.
-std::vector<HashKeyed> LoadHashOrdered(const storage::HeapFile& fragment,
-                                       const Schema& schema, int attr,
-                                       const Predicate& pred, uint64_t salt,
-                                       const storage::ChargeContext& charge) {
+Result<std::vector<HashKeyed>> LoadHashOrdered(
+    const storage::HeapFile& fragment, const Schema& schema, int attr,
+    const Predicate& pred, uint64_t salt,
+    const storage::ChargeContext& charge) {
   std::vector<HashKeyed> out;
   out.reserve(fragment.num_tuples());
-  exec::SelectScan(fragment, schema, pred, charge,
-                   [&](std::span<const uint8_t> t) {
-                     const int32_t key = AttrOf(schema, t, attr);
-                     out.push_back(HashKeyed{HashInt32(key, salt), key,
-                                             {t.begin(), t.end()}});
-                   });
+  GAMMA_RETURN_NOT_OK(
+      exec::SelectScan(fragment, schema, pred, charge,
+                       [&](std::span<const uint8_t> t) {
+                         const int32_t key = AttrOf(schema, t, attr);
+                         out.push_back(HashKeyed{HashInt32(key, salt), key,
+                                                 {t.begin(), t.end()}});
+                       })
+          .status());
   // The fragment is maintained in hash-key order; re-establish it here in
   // case single-tuple updates appended out of order (no cost charged: the
   // machine keeps the order as part of every insert).
@@ -74,6 +76,7 @@ uint64_t HashOrderMergeJoin(const std::vector<HashKeyed>& inner,
                             const storage::ChargeContext& charge,
                             const exec::TupleSink& emit) {
   uint64_t matches = 0;
+  std::vector<uint8_t> joined;
   auto charge_compare = [&] {
     if (charge.tracker != nullptr) {
       charge.Cpu(charge.tracker->hw().cost.instr_per_sort_compare);
@@ -97,7 +100,8 @@ uint64_t HashOrderMergeJoin(const std::vector<HashKeyed>& inner,
           if (charge.tracker != nullptr) {
             charge.Cpu(charge.tracker->hw().cost.instr_per_tuple_copy);
           }
-          emit(catalog::ConcatTuples(inner[i].bytes, outer[k].bytes));
+          catalog::ConcatInto(joined, inner[i].bytes, outer[k].bytes);
+          emit(joined);
           ++matches;
         }
         ++i;
@@ -124,8 +128,13 @@ void TeradataMachine::BindAll(sim::CostTracker* tracker) {
   }
 }
 
-void TeradataMachine::FlushAllPools() {
-  for (auto& amp : amps_) amp->pool().FlushAll();
+Status TeradataMachine::FlushAllPools() {
+  Status first;
+  for (auto& amp : amps_) {
+    Status status = amp->pool().FlushAll();
+    if (first.ok()) first = std::move(status);
+  }
+  return first;
 }
 
 void TeradataMachine::ChargeSteps(sim::CostTracker* tracker, int steps,
@@ -489,20 +498,15 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
 
   // --- Redistribution: both inputs hashed on the join attribute into
   // per-AMP spool files (skipped entirely for key-attribute joins). ---
-  std::vector<storage::FileId> outer_spool(
-      static_cast<size_t>(config_.num_amps));
-  std::vector<storage::FileId> inner_spool(
-      static_cast<size_t>(config_.num_amps));
-  std::vector<storage::FileId> outer_sorted(
-      static_cast<size_t>(config_.num_amps));
-  std::vector<storage::FileId> inner_sorted(
-      static_cast<size_t>(config_.num_amps));
+  const auto num_amps = static_cast<size_t>(config_.num_amps);
+  std::vector<storage::FileId> outer_spool(num_amps, catalog::kNoFile);
+  std::vector<storage::FileId> inner_spool(num_amps, catalog::kNoFile);
+  std::vector<storage::FileId> outer_sorted(num_amps, catalog::kNoFile);
+  std::vector<storage::FileId> inner_sorted(num_amps, catalog::kNoFile);
   if (!key_join) {
-    for (int amp = 0; amp < config_.num_amps; ++amp) {
-      outer_spool[static_cast<size_t>(amp)] =
-          amps_[static_cast<size_t>(amp)]->CreateFile();
-      inner_spool[static_cast<size_t>(amp)] =
-          amps_[static_cast<size_t>(amp)]->CreateFile();
+    for (size_t amp = 0; amp < num_amps; ++amp) {
+      outer_spool[amp] = amps_[amp]->CreateFile();
+      inner_spool[amp] = amps_[amp]->CreateFile();
     }
   }
 
@@ -513,8 +517,9 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
   auto redistribute = [&](RelationMeta* meta, const Predicate& pred,
                           int join_attr,
                           const std::vector<storage::FileId>& spools,
-                          const char* phase) {
+                          const char* phase) -> Status {
     tracker.BeginPhase(phase, sim::PhaseKind::kSequential);
+    Status spool_status;  // first failed spool append
     for (int src = 0; src < config_.num_amps; ++src) {
       storage::StorageManager& sm = *amps_[static_cast<size_t>(src)];
       std::vector<SplitTable::Destination> dests;
@@ -523,124 +528,157 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
             amps_[static_cast<size_t>(dst)]->file(
                 spools[static_cast<size_t>(dst)]);
         dests.push_back(SplitTable::Destination{
-            dst, [&spool, this, dst](std::span<const uint8_t> t) {
+            dst,
+            [&spool, &spool_status, this, dst](std::span<const uint8_t> t) {
               // Arriving tuples are inserted into a temporary file kept in
               // hash-key order (§6): the full tuple-insert path runs.
               amps_[static_cast<size_t>(dst)]->charge().Cpu(
                   config_.instr_per_spool_tuple);
-              spool.Append(t);
+              const auto rid = spool.Append(t);
+              if (!rid.ok() && spool_status.ok()) {
+                spool_status = rid.status();
+              }
             }});
       }
       SplitTable split(src, &meta->schema,
                        exec::RouteSpec::HashAttr(join_attr, placement_salt_),
                        std::move(dests), &tracker);
-      exec::SelectScan(
-          sm.file(meta->per_node_file[static_cast<size_t>(src)]),
-          meta->schema, pred, sm.charge(),
-          [&split](std::span<const uint8_t> t) { split.Send(t); });
+      GAMMA_RETURN_NOT_OK(
+          exec::SelectScan(
+              sm.file(meta->per_node_file[static_cast<size_t>(src)]),
+              meta->schema, pred, sm.charge(),
+              [&split](std::span<const uint8_t> t) { split.Send(t); })
+              .status());
       split.Close();
+      GAMMA_RETURN_NOT_OK(spool_status);
     }
-    FlushAllPools();
+    GAMMA_RETURN_NOT_OK(FlushAllPools());
     tracker.EndPhase();
+    return Status::OK();
   };
-  if (!key_join) {
-    redistribute(inner, query.inner_pred, query.inner_attr, inner_spool,
-                 "redistribute_inner");
-    redistribute(outer, query.outer_pred, query.outer_attr, outer_spool,
-                 "redistribute_outer");
 
-    // --- Sort both spools at every AMP. ---
-    tracker.BeginPhase("sort", sim::PhaseKind::kSequential);
-    for (int amp = 0; amp < config_.num_amps; ++amp) {
-      storage::StorageManager& sm = *amps_[static_cast<size_t>(amp)];
-      inner_sorted[static_cast<size_t>(amp)] =
-          exec::ExternalSort(sm, inner_spool[static_cast<size_t>(amp)],
-                             inner->schema, query.inner_attr,
-                             config_.sort_memory_bytes);
-      outer_sorted[static_cast<size_t>(amp)] =
-          exec::ExternalSort(sm, outer_spool[static_cast<size_t>(amp)],
-                             outer->schema, query.outer_attr,
-                             config_.sort_memory_bytes);
-    }
-    FlushAllPools();
-    tracker.EndPhase();
-  }
+  // Every step below may fail on a storage error. The temporary files are
+  // dropped either way; a failed join also drops its partial result.
+  auto run_steps = [&]() -> Status {
+    if (!key_join) {
+      GAMMA_RETURN_NOT_OK(redistribute(inner, query.inner_pred,
+                                       query.inner_attr, inner_spool,
+                                       "redistribute_inner"));
+      GAMMA_RETURN_NOT_OK(redistribute(outer, query.outer_pred,
+                                       query.outer_attr, outer_spool,
+                                       "redistribute_outer"));
 
-  // --- Merge join at every AMP; results re-hashed on the result key and
-  // inserted with full recovery. ---
-  tracker.BeginPhase("merge_store", sim::PhaseKind::kSequential);
-  for (int amp = 0; amp < config_.num_amps; ++amp) {
-    storage::StorageManager& sm = *amps_[static_cast<size_t>(amp)];
-    std::unique_ptr<SplitTable> split;
-    exec::TupleSink emit;
-    if (query.store_result) {
-      std::vector<SplitTable::Destination> dests;
-      for (int dst = 0; dst < config_.num_amps; ++dst) {
-        dests.push_back(SplitTable::Destination{
-            dst, [this, result_meta, result_state, dst,
-                  &query](std::span<const uint8_t> t) {
-              if (query.result_is_temp) {
-                // Intermediate spool: the sorted-temp insert path, without
-                // the transient-journal recovery I/Os.
-                storage::StorageManager& dst_sm =
-                    *amps_[static_cast<size_t>(dst)];
-                dst_sm.charge().Cpu(config_.instr_per_spool_tuple);
-                const Rid rid =
-                    dst_sm.file(result_meta->per_node_file
-                                    [static_cast<size_t>(dst)])
-                        .Append(t)
-                        .value();
-                result_state->key_dir[static_cast<size_t>(dst)].emplace(
-                    AttrOf(result_meta->schema, t, result_state->pk_attr),
-                    rid);
-                result_meta->num_tuples += 1;
-              } else {
-                InsertWithRecovery(result_meta->name, result_meta,
-                                   result_state, dst, t);
-              }
-            }});
+      // --- Sort both spools at every AMP. ---
+      tracker.BeginPhase("sort", sim::PhaseKind::kSequential);
+      for (int amp = 0; amp < config_.num_amps; ++amp) {
+        storage::StorageManager& sm = *amps_[static_cast<size_t>(amp)];
+        Status sort_status;
+        inner_sorted[static_cast<size_t>(amp)] = exec::ExternalSort(
+            sm, inner_spool[static_cast<size_t>(amp)], inner->schema,
+            query.inner_attr, config_.sort_memory_bytes, &sort_status);
+        GAMMA_RETURN_NOT_OK(sort_status);
+        outer_sorted[static_cast<size_t>(amp)] = exec::ExternalSort(
+            sm, outer_spool[static_cast<size_t>(amp)], outer->schema,
+            query.outer_attr, config_.sort_memory_bytes, &sort_status);
+        GAMMA_RETURN_NOT_OK(sort_status);
       }
-      split = std::make_unique<SplitTable>(
-          amp, &result_schema,
-          exec::RouteSpec::HashAttr(0, placement_salt_), std::move(dests),
-          &tracker);
-      split->set_force_network(true);
-      emit = [&split](std::span<const uint8_t> t) { split->Send(t); };
-    } else {
-      emit = [&, amp](std::span<const uint8_t> t) {
-        tracker.ChargeDataPacket(amp, config_.host_node(), t.size());
-        result.returned.emplace_back(t.begin(), t.end());
-      };
+      GAMMA_RETURN_NOT_OK(FlushAllPools());
+      tracker.EndPhase();
     }
-    if (key_join) {
-      const auto lhs = LoadHashOrdered(
-          sm.file(inner->per_node_file[static_cast<size_t>(amp)]),
-          inner->schema, query.inner_attr, query.inner_pred,
-          placement_salt_, sm.charge());
-      const auto rhs = LoadHashOrdered(
-          sm.file(outer->per_node_file[static_cast<size_t>(amp)]),
-          outer->schema, query.outer_attr, query.outer_pred,
-          placement_salt_, sm.charge());
-      HashOrderMergeJoin(lhs, rhs, sm.charge(), emit);
-    } else {
-      exec::SortMergeJoin(
-          sm.file(inner_sorted[static_cast<size_t>(amp)]), inner->schema,
-          query.inner_attr, sm.file(outer_sorted[static_cast<size_t>(amp)]),
-          outer->schema, query.outer_attr, sm.charge(), emit);
-    }
-    if (split != nullptr) split->Close();
-  }
-  FlushAllPools();
-  tracker.EndPhase();
 
-  if (!key_join) {
+    // --- Merge join at every AMP; results re-hashed on the result key and
+    // inserted with full recovery. ---
+    tracker.BeginPhase("merge_store", sim::PhaseKind::kSequential);
     for (int amp = 0; amp < config_.num_amps; ++amp) {
       storage::StorageManager& sm = *amps_[static_cast<size_t>(amp)];
-      sm.DropFile(inner_spool[static_cast<size_t>(amp)]);
-      sm.DropFile(outer_spool[static_cast<size_t>(amp)]);
-      sm.DropFile(inner_sorted[static_cast<size_t>(amp)]);
-      sm.DropFile(outer_sorted[static_cast<size_t>(amp)]);
+      std::unique_ptr<SplitTable> split;
+      exec::TupleSink emit;
+      if (query.store_result) {
+        std::vector<SplitTable::Destination> dests;
+        for (int dst = 0; dst < config_.num_amps; ++dst) {
+          dests.push_back(SplitTable::Destination{
+              dst, [this, result_meta, result_state, dst,
+                    &query](std::span<const uint8_t> t) {
+                if (query.result_is_temp) {
+                  // Intermediate spool: the sorted-temp insert path,
+                  // without the transient-journal recovery I/Os.
+                  storage::StorageManager& dst_sm =
+                      *amps_[static_cast<size_t>(dst)];
+                  dst_sm.charge().Cpu(config_.instr_per_spool_tuple);
+                  const Rid rid =
+                      dst_sm.file(result_meta->per_node_file
+                                      [static_cast<size_t>(dst)])
+                          .Append(t)
+                          .value();
+                  result_state->key_dir[static_cast<size_t>(dst)].emplace(
+                      AttrOf(result_meta->schema, t, result_state->pk_attr),
+                      rid);
+                  result_meta->num_tuples += 1;
+                } else {
+                  InsertWithRecovery(result_meta->name, result_meta,
+                                     result_state, dst, t);
+                }
+              }});
+        }
+        split = std::make_unique<SplitTable>(
+            amp, &result_schema,
+            exec::RouteSpec::HashAttr(0, placement_salt_), std::move(dests),
+            &tracker);
+        split->set_force_network(true);
+        emit = [&split](std::span<const uint8_t> t) { split->Send(t); };
+      } else {
+        emit = [&, amp](std::span<const uint8_t> t) {
+          tracker.ChargeDataPacket(amp, config_.host_node(), t.size());
+          result.returned.emplace_back(t.begin(), t.end());
+        };
+      }
+      if (key_join) {
+        GAMMA_ASSIGN_OR_RETURN(
+            const auto lhs,
+            LoadHashOrdered(
+                sm.file(inner->per_node_file[static_cast<size_t>(amp)]),
+                inner->schema, query.inner_attr, query.inner_pred,
+                placement_salt_, sm.charge()));
+        GAMMA_ASSIGN_OR_RETURN(
+            const auto rhs,
+            LoadHashOrdered(
+                sm.file(outer->per_node_file[static_cast<size_t>(amp)]),
+                outer->schema, query.outer_attr, query.outer_pred,
+                placement_salt_, sm.charge()));
+        HashOrderMergeJoin(lhs, rhs, sm.charge(), emit);
+      } else {
+        GAMMA_RETURN_NOT_OK(
+            exec::SortMergeJoin(
+                sm.file(inner_sorted[static_cast<size_t>(amp)]),
+                inner->schema, query.inner_attr,
+                sm.file(outer_sorted[static_cast<size_t>(amp)]),
+                outer->schema, query.outer_attr, sm.charge(), emit)
+                .status);
+      }
+      if (split != nullptr) split->Close();
     }
+    GAMMA_RETURN_NOT_OK(FlushAllPools());
+    tracker.EndPhase();
+    return Status::OK();
+  };
+  const Status status = run_steps();
+  for (size_t amp = 0; amp < num_amps; ++amp) {
+    for (storage::FileId id : {inner_spool[amp], outer_spool[amp],
+                               inner_sorted[amp], outer_sorted[amp]}) {
+      if (id != catalog::kNoFile) amps_[amp]->DropFile(id);
+    }
+  }
+  if (!status.ok()) {
+    BindAll(nullptr);
+    if (result_meta != nullptr) {
+      const std::string name = result_meta->name;
+      for (size_t amp = 0; amp < num_amps; ++amp) {
+        amps_[amp]->DropFile(result_meta->per_node_file[amp]);
+      }
+      GAMMA_CHECK(catalog_.Drop(name).ok());
+      states_.erase(name);
+    }
+    return status;
   }
 
   if (query.store_result) {

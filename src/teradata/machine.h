@@ -166,7 +166,8 @@ class TeradataMachine {
   };
 
   void BindAll(sim::CostTracker* tracker);
-  void FlushAllPools();
+  /// Flushes every AMP's pool; returns the first flush error.
+  Status FlushAllPools();
   /// Charges the IFP parse/dispatch/step overhead (serialized at the IFP).
   void ChargeSteps(sim::CostTracker* tracker, int steps, bool single_tuple);
   /// Home AMP of a key under the machine-wide placement hash.

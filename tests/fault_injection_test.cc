@@ -188,6 +188,48 @@ TEST(FaultMachineTest, CorruptionIsSurfacedNotRetried) {
   EXPECT_TRUE(result.status().IsCorruption());
 }
 
+TEST(FaultMachineTest, SortMergeJoinFailsInsteadOfLosingTuples) {
+  // Rotted pages anywhere on the join's path — base scans, the sites'
+  // spools, the sorted runs the merge reads — must fail the statement; a
+  // join that succeeds must return the full answer. Across these fault
+  // seeds some corruptions land inside the sort and the merge, after the
+  // base scans have succeeded.
+  gamma::JoinQuery join;
+  join.outer = "A";
+  join.inner = "B";
+  join.outer_attr = wis::kUnique2;
+  join.inner_attr = wis::kUnique2;
+  join.mode = gamma::JoinMode::kLocal;
+  join.algorithm = gamma::JoinAlgorithm::kSortMerge;
+  join.store_result = false;
+  // Both inputs outgrow a site's 16-frame pool, so both spools are read
+  // back from disk by the sort.
+  const auto expected =
+      MakeLoaded(FaultableConfig(), 2000, 2000)->RunJoin(join);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(expected->result_tuples, 2000u);
+
+  int failed = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    auto config = FaultableConfig();
+    config.fault.seed = seed;
+    config.fault.corrupt_read_prob = 0.004;
+    auto machine = MakeLoaded(config, 2000, 2000);
+    const auto result = machine->RunJoin(join);
+    if (result.ok()) {
+      EXPECT_EQ(result->result_tuples, expected->result_tuples)
+          << "fault seed " << seed;
+      EXPECT_TRUE(Sorted(result->returned) == Sorted(expected->returned))
+          << "fault seed " << seed;
+    } else {
+      EXPECT_TRUE(result.status().IsCorruption())
+          << "fault seed " << seed << ": " << result.status().ToString();
+      ++failed;
+    }
+  }
+  EXPECT_GT(failed, 0);
+}
+
 TEST(FaultMachineTest, DroppedPacketsChargeRetransmission) {
   auto clean = MakeLoaded(FaultableConfig(), 1000, 500);
   auto config = FaultableConfig();

@@ -2,6 +2,7 @@
 // select), predicates, the store consumer, external sort and merge join.
 
 #include <algorithm>
+#include <queue>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -169,6 +170,148 @@ TEST(SortTest, SortsAcrossRuns) {
   EXPECT_EQ(expected, 5000);
   // Input untouched.
   EXPECT_EQ(sm.file(input_id).num_tuples(), 5000u);
+}
+
+/// The ExternalSort algorithm as it was before runs were sorted through a
+/// tuple arena: each run's whole tuples sorted by std::sort on the key
+/// alone, then a k-way merge through a min-heap of (key, run). Sorting is
+/// not stable, so the order among equal keys is whatever these exact steps
+/// produce; the arena version must reproduce it tuple for tuple.
+std::vector<std::vector<uint8_t>> ReferenceSortOrder(
+    const std::vector<std::vector<uint8_t>>& scan_order, int attr,
+    size_t tuples_per_run) {
+  struct SortTuple {
+    int32_t key;
+    std::vector<uint8_t> bytes;
+  };
+  std::vector<std::vector<SortTuple>> runs;
+  for (size_t begin = 0; begin < scan_order.size(); begin += tuples_per_run) {
+    std::vector<SortTuple> run;
+    for (size_t i = begin;
+         i < std::min(scan_order.size(), begin + tuples_per_run); ++i) {
+      run.push_back(SortTuple{
+          catalog::TupleView(&MiniSchema(), scan_order[i])
+              .GetInt(static_cast<size_t>(attr)),
+          scan_order[i]});
+    }
+    std::sort(run.begin(), run.end(),
+              [](const SortTuple& a, const SortTuple& b) {
+                return a.key < b.key;
+              });
+    runs.push_back(std::move(run));
+  }
+  std::vector<std::vector<uint8_t>> out;
+  if (runs.size() == 1) {
+    for (const SortTuple& t : runs[0]) out.push_back(t.bytes);
+    return out;
+  }
+  using HeapItem = std::pair<int32_t, size_t>;
+  auto greater = [](const HeapItem& a, const HeapItem& b) {
+    return a.first > b.first;
+  };
+  std::priority_queue<HeapItem, std::vector<HeapItem>, decltype(greater)>
+      heap(greater);
+  std::vector<size_t> next(runs.size(), 0);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    if (!runs[i].empty()) heap.emplace(runs[i][0].key, i);
+  }
+  while (!heap.empty()) {
+    const size_t idx = heap.top().second;
+    heap.pop();
+    out.push_back(runs[idx][next[idx]].bytes);
+    if (++next[idx] < runs[idx].size()) {
+      heap.emplace(runs[idx][next[idx]].key, idx);
+    }
+  }
+  return out;
+}
+
+TEST(SortTest, DuplicateKeyOrderMatchesReferenceAlgorithm) {
+  // 6000 tuples over 13 distinct keys: every run is mostly ties, so any
+  // change in how ties are permuted (a stable sort, a different merge
+  // tie-break) changes the output sequence.
+  storage::StorageManager sm(4096, 256 * 1024);
+  const storage::FileId input_id = sm.CreateFile();
+  Rng rng(17);
+  for (int32_t i = 0; i < 6000; ++i) {
+    ASSERT_TRUE(sm.file(input_id)
+                    .Append(MiniTuple(static_cast<int32_t>(rng.Uniform(13)), i))
+                    .ok());
+  }
+  std::vector<std::vector<uint8_t>> scan_order;
+  ASSERT_TRUE(sm.file(input_id)
+                  .Scan([&](storage::Rid, std::span<const uint8_t> t) {
+                    scan_order.emplace_back(t.begin(), t.end());
+                    return true;
+                  })
+                  .ok());
+
+  for (const size_t tuples_per_run : {size_t{700}, size_t{10000}}) {
+    const uint64_t memory = tuples_per_run * MiniSchema().tuple_size();
+    Status error;
+    const storage::FileId sorted_id =
+        ExternalSort(sm, input_id, MiniSchema(), 0, memory, &error);
+    ASSERT_TRUE(error.ok()) << error.ToString();
+    std::vector<std::vector<uint8_t>> got;
+    ASSERT_TRUE(sm.file(sorted_id)
+                    .Scan([&](storage::Rid, std::span<const uint8_t> t) {
+                      got.emplace_back(t.begin(), t.end());
+                      return true;
+                    })
+                    .ok());
+    const auto want = ReferenceSortOrder(scan_order, 0, tuples_per_run);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i])
+          << "position " << i << " with " << tuples_per_run
+          << " tuples per run";
+    }
+    sm.DropFile(sorted_id);
+  }
+}
+
+/// A file of `n` mini tuples whose pages mostly live on disk only (a pool
+/// of eight frames), with stored page `corrupt_page` rotted.
+storage::FileId CorruptedFile(storage::StorageManager& sm, int32_t n,
+                              uint32_t corrupt_page) {
+  const storage::FileId id = sm.CreateFile();
+  for (int32_t i = 0; i < n; ++i) {
+    GAMMA_CHECK(sm.file(id).Append(MiniTuple(i, i)).ok());
+  }
+  GAMMA_CHECK(sm.pool().FlushAll().ok());
+  sm.disk().CorruptStoredPage(corrupt_page);
+  return id;
+}
+
+TEST(SortTest, StorageErrorAbandonsSortAndReportsIt) {
+  storage::StorageManager sm(4096, 8 * 4096);
+  const storage::FileId input_id = CorruptedFile(sm, 5000, 3);
+  for (const uint64_t memory : {uint64_t{1} << 20, uint64_t{24 * 500}}) {
+    Status error;
+    const storage::FileId sorted_id =
+        ExternalSort(sm, input_id, MiniSchema(), 0, memory, &error);
+    EXPECT_TRUE(error.IsCorruption()) << error.ToString();
+    EXPECT_EQ(sm.file(sorted_id).num_tuples(), 0u);
+  }
+}
+
+TEST(MergeJoinTest, ReadErrorIsReturnedNotShortAnswer) {
+  storage::StorageManager sm(4096, 8 * 4096);
+  const storage::FileId left_id = CorruptedFile(sm, 5000, 3);
+  const storage::FileId right_id = sm.CreateFile();
+  for (int32_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(sm.file(right_id).Append(MiniTuple(i, -i)).ok());
+  }
+  uint64_t emitted = 0;
+  for (const bool corrupt_left : {true, false}) {
+    const auto stats = SortMergeJoin(
+        sm.file(corrupt_left ? left_id : right_id), MiniSchema(), 0,
+        sm.file(corrupt_left ? right_id : left_id), MiniSchema(), 0,
+        sm.charge(), [&](std::span<const uint8_t>) { ++emitted; });
+    EXPECT_TRUE(stats.status.IsCorruption()) << stats.status.ToString();
+    EXPECT_EQ(stats.output, 0u);
+  }
+  EXPECT_EQ(emitted, 0u);
 }
 
 TEST(SortTest, EmptyInput) {

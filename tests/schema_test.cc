@@ -63,7 +63,10 @@ TEST(SchemaTest, ConcatPrefixesCollidingNames) {
 TEST(SchemaTest, ConcatTuplesBytes) {
   const auto left = gammadb::testing::MiniTuple(1, 2);
   const auto right = gammadb::testing::MiniTuple(3, 4);
-  const auto joined = catalog::ConcatTuples(left, right);
+  // A reused buffer is overwritten, not appended to.
+  std::vector<uint8_t> joined(7, 0xFF);
+  catalog::ConcatInto(joined, left, right);
+  ASSERT_EQ(joined.size(), left.size() + right.size());
   const Schema schema = Schema::Concat(gammadb::testing::MiniSchema(),
                                        gammadb::testing::MiniSchema());
   const TupleView view(&schema, joined);

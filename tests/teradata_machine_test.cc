@@ -140,6 +140,41 @@ TEST_F(TeradataMachineTest, SortMergeJoinCorrect) {
                                wis::kUnique2));
 }
 
+TEST_F(TeradataMachineTest, JoinOverRottedPageFailsAndCleansUp) {
+  const auto bprime = wis::GenerateWisconsin(200, 8);
+  ASSERT_TRUE(machine_
+                  .CreateRelation("Bprime", wis::WisconsinSchema(),
+                                  wis::kUnique1)
+                  .ok());
+  ASSERT_TRUE(machine_.LoadTuples("Bprime", bprime).ok());
+  // A's first page on AMP 2 was evicted from the 16-frame pool during the
+  // load; rot it on disk.
+  machine_.amp(2).disk().CorruptStoredPage(0);
+
+  for (const bool key_join : {false, true}) {
+    TdJoinQuery query;
+    query.outer = "A";
+    query.inner = "Bprime";
+    query.outer_attr = key_join ? wis::kUnique1 : wis::kUnique2;
+    query.inner_attr = key_join ? wis::kUnique1 : wis::kUnique2;
+    query.result_name = key_join ? "J_key" : "J";
+    const auto result = machine_.RunJoin(query);
+    ASSERT_FALSE(result.ok()) << "key join " << key_join;
+    EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+    // The partial result relation is gone.
+    EXPECT_FALSE(machine_.CountTuples(query.result_name).ok());
+  }
+  // The machine stays usable: a join that does not touch A still runs.
+  TdJoinQuery self_join;
+  self_join.outer = "Bprime";
+  self_join.inner = "Bprime";
+  self_join.outer_attr = wis::kUnique2;
+  self_join.inner_attr = wis::kUnique2;
+  const auto ok = machine_.RunJoin(self_join);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->result_tuples, 200u);
+}
+
 TEST_F(TeradataMachineTest, KeyAttributeJoinSkipsRedistribution) {
   const auto bprime = wis::GenerateWisconsin(200, 8);
   ASSERT_TRUE(machine_
