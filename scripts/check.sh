@@ -33,6 +33,8 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   GAMMA_BENCH_SIZES=10000 ./build/bench/table1_selection
   echo "== Table 2 joins (baseline workload, 10k) =="
   GAMMA_BENCH_SIZES=10000 ./build/bench/table2_join
+  echo "== aggregates (scalar + grouped, local/merge path, 100k) =="
+  ./build/bench/extension_aggregates
   echo "== perf-regression gate (BENCH_*.json vs baselines/) =="
   python3 scripts/bench_compare.py --self-check
   echo "== simulated-clock digests (perfbench smoke: selects, joins, txn updates) =="

@@ -41,4 +41,19 @@ uint64_t Exchange::buffered() const {
   return total;
 }
 
+std::vector<SplitTable::Destination> ExchangeDestinations(
+    Exchange& ex, size_t producer, const std::vector<int>& nodes,
+    size_t rotate) {
+  std::vector<SplitTable::Destination> dests;
+  dests.reserve(nodes.size());
+  for (size_t d = 0; d < nodes.size(); ++d) {
+    const size_t c = (d + rotate) % nodes.size();
+    dests.push_back(SplitTable::Destination{
+        nodes[c], [&ex, producer, c](std::span<const uint8_t> t) {
+          ex.Append(producer, c, t);
+        }});
+  }
+  return dests;
+}
+
 }  // namespace gammadb::exec

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "exec/select.h"
+#include "exec/split_table.h"
 
 namespace gammadb::exec {
 
@@ -60,6 +61,14 @@ class Exchange {
   size_t tuple_size_;
   std::vector<std::vector<uint8_t>> cells_;
 };
+
+/// Split-table destinations that buffer `producer`'s tuples in `ex`:
+/// destination d is consumer c = (d + rotate) % nodes.size(), running at
+/// `nodes[c]`. Rotating by the producer index interleaves concurrent
+/// round-robin streams; a host-bound result is `nodes = {host_node}`.
+std::vector<SplitTable::Destination> ExchangeDestinations(
+    Exchange& ex, size_t producer, const std::vector<int>& nodes,
+    size_t rotate = 0);
 
 }  // namespace gammadb::exec
 

@@ -45,6 +45,10 @@ namespace {
 /// the index for the 1% queries).
 constexpr double kNonClusteredIndexThreshold = 0.05;
 
+/// Statement profiles kept for FlushProfileRing: one combined trace file
+/// replaces the one-file-per-query pattern on long runs.
+constexpr size_t kProfileRingCapacity = 64;
+
 /// Ceiling on overflow rounds; reaching it means the residency escalation
 /// could not shrink the build input (impossible without extreme skew).
 constexpr int kMaxOverflowRounds = 64;
@@ -131,14 +135,6 @@ GammaMachine::GammaMachine(GammaConfig config)
   if (config_.enable_logging) {
     wal_ = std::make_unique<WalStore>(config_.tracker_nodes());
   }
-  // Profile ring capacity: GAMMA_PROFILE_RING statements (default 64,
-  // 0 disables buffering). One FlushProfileRing file replaces the
-  // one-file-per-query pattern on long runs.
-  if (const char* env = std::getenv("GAMMA_PROFILE_RING")) {
-    char* end = nullptr;
-    const long cap = std::strtol(env, &end, 10);
-    if (end != env && cap >= 0) profile_ring_cap_ = static_cast<size_t>(cap);
-  }
   // Wire the flight recorder into the layers that emit events from their
   // own call sites: fault draws (per-node rings), lock waits / deadlock
   // victims (scheduler ring), WAL forces / checkpoints (recovery ring).
@@ -185,6 +181,25 @@ Result<GammaMachine::FragmentCopy> GammaMachine::ServingCopy(
   }
   return Status::Unavailable("fragment " + std::to_string(fragment) + " of " +
                              meta.name + " has no surviving copy");
+}
+
+Result<std::vector<GammaMachine::FragmentCopy>> GammaMachine::ServingCopies(
+    const RelationMeta& meta, const std::vector<int>& fragments) const {
+  std::vector<FragmentCopy> copies;
+  copies.reserve(fragments.size());
+  for (int f : fragments) {
+    GAMMA_ASSIGN_OR_RETURN(const FragmentCopy copy, ServingCopy(meta, f));
+    copies.push_back(copy);
+  }
+  return copies;
+}
+
+std::vector<int> GammaMachine::AllFragments() const {
+  std::vector<int> all(static_cast<size_t>(config_.num_disk_nodes));
+  for (int i = 0; i < config_.num_disk_nodes; ++i) {
+    all[static_cast<size_t>(i)] = i;
+  }
+  return all;
 }
 
 std::vector<int> GammaMachine::LiveDiskNodes() const {
@@ -264,6 +279,43 @@ Status GammaMachine::AcquireTxnLock(sim::CostTracker* tracker, uint64_t txn,
           "lock conflict on " + id.ToString() + " (" + txn::ModeName(mode) +
           ") for transaction " + std::to_string(txn));
   }
+}
+
+Status GammaMachine::LockForRead(sim::CostTracker& tracker, uint64_t txn,
+                                 const RelationMeta& meta,
+                                 const std::vector<int>& fragments) {
+  const uint32_t rel = txns_.RelationId(meta.name);
+  GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, config_.scheduler_node(),
+                                     txn::LockId::Relation(rel),
+                                     txn::LockMode::kIS));
+  for (int f : fragments) {
+    const txn::LockId id = txn::LockId::Fragment(rel, static_cast<uint32_t>(f));
+    GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, txns_.TableFor(id), id,
+                                       txn::LockMode::kS));
+  }
+  return Status::OK();
+}
+
+Status GammaMachine::ScanSources(sim::CostTracker& tracker,
+                                 const std::vector<FragmentCopy>& sources,
+                                 const ScanBody& body) {
+  std::vector<NodeTask> tasks;
+  for (const NodeGroup& group : GroupByServingNode(sources)) {
+    tasks.push_back(NodeTask{
+        group.node, [&, group](sim::CostTracker& shard) -> Status {
+          storage::StorageManager& sm =
+              *nodes_[static_cast<size_t>(group.node)];
+          for (size_t s : group.members) {
+            const FragmentCopy& src = sources[s];
+            sm.charge().Cpu(config_.hw.cost.instr_per_lock);
+            GAMMA_RETURN_NOT_OK(body(s, src, sm, shard));
+            shard.ChargeControlMessage(src.node, config_.scheduler_node(),
+                                       /*blocking=*/false);
+          }
+          return Status::OK();
+        }});
+  }
+  return RunNodeTasks(&tracker, std::move(tasks));
 }
 
 GammaMachine::Statement::Statement(GammaMachine* machine)
@@ -427,9 +479,9 @@ Result<QueryResult> GammaMachine::FinalizeObs(const char* label,
   if (result.ok()) {
     obs::FinalizeStatement(config_.trace, "gamma", label,
                            config_.hw.net.ring_bytes_per_sec, &*result);
-    if (result->profile != nullptr && profile_ring_cap_ > 0) {
+    if (result->profile != nullptr) {
       profile_ring_.push_back(result->profile);
-      while (profile_ring_.size() > profile_ring_cap_) {
+      if (profile_ring_.size() > kProfileRingCapacity) {
         profile_ring_.pop_front();
       }
     }
@@ -867,12 +919,115 @@ std::vector<int> GammaMachine::ParticipatingNodes(
       if (!sites.empty()) return {sites.begin(), sites.end()};
     }
   }
-  std::vector<int> all(static_cast<size_t>(config_.num_disk_nodes));
-  for (int i = 0; i < config_.num_disk_nodes; ++i) {
-    all[static_cast<size_t>(i)] = i;
-  }
-  return all;
+  return AllFragments();
 }
+
+/// \brief The result side of a select or join: a fresh round-robin relation
+/// with one StoreConsumer per store site, or the host.
+///
+/// Producers route result tuples through split tables into an
+/// exec::Exchange whose consumer columns are nodes(). Drain() replays each
+/// column in ascending producer order (the arrival order of the sequential
+/// schedule); Close() ends the statement's last phase.
+class GammaMachine::ResultStore {
+ public:
+  /// Opens the result relation `name` (a fresh name when empty) on
+  /// `store_nodes` when `store`, registered as the statement's partial
+  /// result; otherwise results are gathered into `result.returned`.
+  ResultStore(GammaMachine& machine, Statement& stmt, bool store,
+              const std::string& name, const Schema& schema,
+              const std::vector<int>& store_nodes, QueryResult& result)
+      : m_(machine), stmt_(stmt), result_(result) {
+    if (!store) {
+      nodes_ = {m_.config_.host_node()};
+      return;
+    }
+    meta_ = m_.MakeResultRelation(name, schema);
+    result_.result_relation = meta_->name;
+    stmt_.set_partial_result(meta_->name);
+    nodes_ = store_nodes;
+    for (int node : nodes_) {
+      storage::StorageManager& sm = *m_.nodes_[static_cast<size_t>(node)];
+      stores_.push_back(std::make_unique<exec::StoreConsumer>(
+          &sm.file(meta_->per_node_file[static_cast<size_t>(node)]),
+          &sm.charge()));
+    }
+  }
+
+  bool stored() const { return meta_ != nullptr; }
+  /// The consumer node of each exchange column: the store sites, or the
+  /// host.
+  const std::vector<int>& nodes() const { return nodes_; }
+
+  /// The first failed store append.
+  Status status() const {
+    for (const auto& store : stores_) GAMMA_RETURN_NOT_OK(store->status());
+    return Status::OK();
+  }
+
+  /// Replays every tuple buffered in `ex` to its consumer, then clears
+  /// `ex`. Each store site appends and logs its column in one host task;
+  /// host-bound tuples are gathered by the coordinator (the host is not a
+  /// simulated storage node; its packet costs were charged at the split).
+  Status Drain(exec::Exchange& ex) {
+    RecoveryLog& log = stmt_.log();
+    if (stored()) {
+      std::vector<NodeTask> tasks;
+      for (size_t d = 0; d < stores_.size(); ++d) {
+        const int node = nodes_[d];
+        tasks.push_back(NodeTask{
+            node, [&, d, node](sim::CostTracker& shard) {
+              log.BindNode(node, &shard);
+              ex.Drain(d, [&](std::span<const uint8_t> t) {
+                stores_[d]->Consume(t);
+                log.Append(node, static_cast<uint32_t>(t.size()));
+              });
+              log.BindNode(node, nullptr);
+              return Status::OK();
+            }});
+      }
+      GAMMA_RETURN_NOT_OK(m_.RunNodeTasks(&stmt_.tracker(), std::move(tasks)));
+      log.Settle();
+    } else {
+      ex.Drain(0, [this](std::span<const uint8_t> t) {
+        result_.returned.emplace_back(t.begin(), t.end());
+      });
+    }
+    ex.Clear();
+    return Status::OK();
+  }
+
+  /// Ends the statement's last phase: surfaces a failed store, commits the
+  /// stores' log records, flushes every pool, closes the phase and records
+  /// the result cardinality.
+  Status Close() {
+    GAMMA_RETURN_NOT_OK(status());
+    if (stored() && m_.config_.enable_logging) {
+      for (int node : nodes_) stmt_.log().Commit(node);
+    }
+    GAMMA_RETURN_NOT_OK(m_.FlushAllPools());
+    stmt_.tracker().EndPhase();
+    if (!stored()) {
+      result_.result_tuples = result_.returned.size();
+      return Status::OK();
+    }
+    uint64_t total = 0;
+    for (const auto& store : stores_) total += store->stored();
+    result_.result_tuples = total;
+    meta_->num_tuples = total;
+    m_.stats_.SetResultCardinality(meta_->name, meta_->schema,
+                                   static_cast<double>(total));
+    return Status::OK();
+  }
+
+ private:
+  GammaMachine& m_;
+  Statement& stmt_;
+  QueryResult& result_;
+  RelationMeta* meta_ = nullptr;
+  std::vector<int> nodes_;
+  std::vector<std::unique_ptr<exec::StoreConsumer>> stores_;
+};
 
 Result<QueryResult> GammaMachine::RunSelect(const SelectQuery& query) {
   return FinalizeObs("select",
@@ -885,41 +1040,22 @@ Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
                          ChooseAccessPath(*meta, query));
   Statement stmt(this);
   sim::CostTracker& tracker = stmt.tracker();
-  RecoveryLog& log = stmt.log();
-  const uint64_t txn = stmt.txn();
 
   const std::vector<int> fragments =
       ParticipatingNodes(*meta, query.predicate);
   // Resolve which node serves each participating fragment before any
   // operator is scheduled (primaries, or chained backups of dead nodes).
-  std::vector<FragmentCopy> sources;
-  sources.reserve(fragments.size());
-  for (int f : fragments) {
-    GAMMA_ASSIGN_OR_RETURN(const FragmentCopy copy, ServingCopy(*meta, f));
-    sources.push_back(copy);
-  }
+  GAMMA_ASSIGN_OR_RETURN(const std::vector<FragmentCopy> sources,
+                         ServingCopies(*meta, fragments));
   // A single-site selection stores its (single-tuple) result at one site;
   // otherwise results are declustered round-robin over every live disk
   // node (§4).
-  const bool single_site = sources.size() == 1;
-
   QueryResult result;
-  RelationMeta* result_meta = nullptr;
-  std::vector<std::unique_ptr<exec::StoreConsumer>> stores;
-  std::vector<int> store_nodes;
-  if (query.store_result) {
-    result_meta = MakeResultRelation(query.result_name, meta->schema);
-    result.result_relation = result_meta->name;
-    stmt.set_partial_result(result_meta->name);
-    store_nodes =
-        single_site ? std::vector<int>{sources[0].node} : LiveDiskNodes();
-    for (int node : store_nodes) {
-      stores.push_back(std::make_unique<exec::StoreConsumer>(
-          &nodes_[static_cast<size_t>(node)]->file(
-              result_meta->per_node_file[static_cast<size_t>(node)]),
-          &nodes_[static_cast<size_t>(node)]->charge()));
-    }
-  }
+  ResultStore results(*this, stmt, query.store_result, query.result_name,
+                      meta->schema,
+                      sources.size() == 1 ? std::vector<int>{sources[0].node}
+                                          : LiveDiskNodes(),
+                      result);
 
   // Host submits the compiled query to the scheduler; completion flows back.
   tracker.ChargeControlMessage(config_.host_node(), config_.scheduler_node(),
@@ -929,170 +1065,578 @@ Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
   // Scheduling: one select operator per source site, plus one store operator
   // per store site when the result is kept in the database.
   tracker.ChargeScheduling(1, static_cast<uint32_t>(sources.size()));
-  if (query.store_result) {
-    tracker.ChargeScheduling(1, static_cast<uint32_t>(store_nodes.size()));
+  if (results.stored()) {
+    tracker.ChargeScheduling(1, static_cast<uint32_t>(results.nodes().size()));
   }
 
   tracker.BeginPhase("select", sim::PhaseKind::kPipelined);
+  // Charged inside the phase so the lock-manager CPU shows up in the cost
+  // model.
+  GAMMA_RETURN_NOT_OK(LockForRead(tracker, stmt.txn(), *meta, fragments));
 
-  // Transaction footprint (multi-granularity 2PL, coordinator-side):
-  // intention-shared on the relation at the scheduler's lock table, shared on
-  // every participating fragment at the fragment's home table. Charged
-  // inside the phase so the lock-manager CPU shows up in the cost model.
-  {
-    const uint32_t rel = txns_.RelationId(meta->name);
-    GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, config_.scheduler_node(),
-                                       txn::LockId::Relation(rel),
-                                       txn::LockMode::kIS));
-    for (int f : fragments) {
-      const txn::LockId id =
-          txn::LockId::Fragment(rel, static_cast<uint32_t>(f));
-      GAMMA_RETURN_NOT_OK(
-          AcquireTxnLock(&tracker, txn, txns_.TableFor(id), id,
-                         txn::LockMode::kS));
+  // Producers route each selected tuple through the split table into the
+  // (source, consumer) exchange cell — the same routing decisions and
+  // network charges as direct delivery. Store destinations are rotated by
+  // the source index so concurrent round-robin streams interleave evenly.
+  exec::Exchange ex(sources.size(), results.nodes().size(),
+                    meta->schema.tuple_size());
+  GAMMA_RETURN_NOT_OK(ScanSources(
+      tracker, sources,
+      [&](size_t s, const FragmentCopy& src, storage::StorageManager& sm,
+          sim::CostTracker& shard) -> Status {
+        SplitTable split(src.node, &meta->schema,
+                         exec::RouteSpec::RoundRobin(),
+                         exec::ExchangeDestinations(ex, s, results.nodes(), s),
+                         &shard);
+        const exec::TupleSink emit = [&split](std::span<const uint8_t> t) {
+          split.Send(t);
+        };
+        const storage::HeapFile& fragment = sm.file(src.file);
+        // Backups carry no indexes: a backup-served fragment is always
+        // scanned.
+        const AccessPath path =
+            src.backup ? AccessPath::kFileScan : decision.path;
+        switch (path) {
+          case AccessPath::kFileScan:
+            GAMMA_RETURN_NOT_OK(exec::SelectScan(fragment, meta->schema,
+                                                 query.predicate, sm.charge(),
+                                                 emit)
+                                    .status());
+            break;
+          case AccessPath::kClusteredIndex:
+            GAMMA_RETURN_NOT_OK(
+                exec::ClusteredIndexSelect(
+                    fragment,
+                    sm.index(decision.index->per_node_index
+                                 [static_cast<size_t>(src.node)]),
+                    decision.index->attr, meta->schema, query.predicate,
+                    sm.charge(), emit)
+                    .status());
+            break;
+          case AccessPath::kNonClusteredIndex:
+            GAMMA_RETURN_NOT_OK(
+                exec::NonClusteredIndexSelect(
+                    fragment,
+                    sm.index(decision.index->per_node_index
+                                 [static_cast<size_t>(src.node)]),
+                    decision.index->attr, meta->schema, query.predicate,
+                    sm.charge(), emit)
+                    .status());
+            break;
+          case AccessPath::kAuto:
+            GAMMA_CHECK_MSG(false, "unresolved access path");
+        }
+        split.Close();
+        return Status::OK();
+      }));
+  GAMMA_RETURN_NOT_OK(results.Drain(ex));
+  GAMMA_RETURN_NOT_OK(results.Close());
+  return stmt.Finish(std::move(result));
+}
+
+/// \brief One join attempt (§6): both inputs' serving copies, the join
+/// sites' operators, the result split tables and store, and the phase
+/// functions RunJoinAttempt calls in order — SampleSkew (bucket-map routing
+/// only), Build, Probe, the algorithm's finish (FinishHybrid,
+/// FinishSortMerge or OverflowRounds), Finalize. Each phase runs all of its
+/// barriers, so a per-phase host timer wraps one call.
+struct GammaMachine::JoinRun {
+  /// Opens the result, charges the query's control messages and operator
+  /// scheduling, sets up the result split tables and join-site operators
+  /// and decides the build/probe routing.
+  JoinRun(GammaMachine& machine, Statement& statement, const JoinQuery& query,
+          const RelationMeta& inner_rel, const RelationMeta& outer_rel,
+          std::vector<int> sites, std::vector<FragmentCopy> inner_copies,
+          std::vector<FragmentCopy> outer_copies)
+      : m(machine),
+        stmt(statement),
+        tracker(statement.tracker()),
+        q(query),
+        inner(inner_rel),
+        outer(outer_rel),
+        join_nodes(std::move(sites)),
+        nsites(join_nodes.size()),
+        site_capacity(machine.config_.join_memory_total / nsites),
+        inner_sources(std::move(inner_copies)),
+        outer_sources(std::move(outer_copies)),
+        result_schema(Schema::Concat(inner.schema, outer.schema)),
+        results(machine, statement, query.store_result, query.result_name,
+                result_schema, machine.LiveDiskNodes(), result),
+        res_ex(nsites, results.nodes().size(), result_schema.tuple_size()) {
+    const GammaConfig& config = m.config_;
+    tracker.ChargeControlMessage(config.host_node(), config.scheduler_node(),
+                                 /*blocking=*/true);
+    tracker.ChargeControlMessage(config.scheduler_node(), config.host_node(),
+                                 /*blocking=*/true);
+    // Scheduling: two selects on the disk nodes, build + join on the join
+    // sites ("a join is logically composed of two operators", §6.2.3), one
+    // store on the disk nodes.
+    tracker.ChargeScheduling(2, static_cast<uint32_t>(config.num_disk_nodes));
+    tracker.ChargeScheduling(2, static_cast<uint32_t>(nsites));
+    if (results.stored()) {
+      tracker.ChargeScheduling(1,
+                               static_cast<uint32_t>(results.nodes().size()));
+    }
+    for (size_t j = 0; j < nsites; ++j) {
+      result_splits.push_back(std::make_unique<SplitTable>(
+          join_nodes[j], &result_schema, exec::RouteSpec::RoundRobin(),
+          exec::ExchangeDestinations(res_ex, j, results.nodes(), j),
+          &tracker));
+      result_sinks.push_back(
+          [split = result_splits.back().get()](std::span<const uint8_t> t) {
+            split->Send(t);
+          });
+    }
+
+    // Join sites: Simple (Gamma's algorithm), Hybrid (the §8 replacement),
+    // or sort-merge (the Teradata-style alternative).
+    const uint64_t expected_build = q.expected_build_tuples != 0
+                                        ? q.expected_build_tuples
+                                        : inner.num_tuples;
+    seed0 = m.next_salt_++;
+    for (size_t j = 0; j < nsites; ++j) {
+      storage::StorageManager& sm =
+          *m.nodes_[static_cast<size_t>(join_nodes[j])];
+      switch (q.algorithm) {
+        case JoinAlgorithm::kHybridHash: {
+          const uint64_t expected_bytes =
+              (expected_build * (inner.schema.tuple_size() +
+                                 exec::JoinHashTable::kPerEntryOverhead)) /
+              nsites;
+          hybrid_sites.push_back(std::make_unique<exec::HybridHashJoinSite>(
+              join_nodes[j], &sm, &inner.schema, &outer.schema, q.inner_attr,
+              q.outer_attr, site_capacity, expected_bytes, seed0 ^ 0xA5A5));
+          break;
+        }
+        case JoinAlgorithm::kSimpleHash:
+          simple_sites.push_back(std::make_unique<exec::HashJoinSite>(
+              join_nodes[j], &sm, &inner.schema, &outer.schema, q.inner_attr,
+              q.outer_attr, site_capacity));
+          simple_sites.back()->BeginRound(seed0);
+          break;
+        case JoinAlgorithm::kSortMerge:
+          merge_sites.push_back(
+              std::make_unique<MergeJoinSite>(join_nodes[j], &sm));
+          break;
+      }
+    }
+
+    // Optional bit-vector filter over the building relation's join keys,
+    // consulted by the probing side's split tables (§2).
+    if (q.use_bit_filter) {
+      filter = std::make_unique<exec::BitVectorFilter>(
+          static_cast<uint32_t>(std::max<uint64_t>(expected_build * 8, 1024)),
+          seed0 ^ 0xF117E4);
+    }
+
+    // Gamma uses the same hash function to decluster relations at load time
+    // and to split them for joins (§6.2.1) — when the join attribute is the
+    // partitioning attribute, every input tuple of a Local join therefore
+    // short-circuits, and roughly half do under Allnodes.
+    uint64_t routing_salt = HashBytes(&seed0, sizeof(seed0), 0x407E);
+    if (inner.partitioning.strategy == PartitionStrategy::kHashed &&
+        inner.partitioning.key_attr == q.inner_attr) {
+      routing_salt = inner.partitioning.hash_salt;
+    } else if (outer.partitioning.strategy == PartitionStrategy::kHashed &&
+               outer.partitioning.key_attr == q.outer_attr) {
+      routing_salt = outer.partitioning.hash_salt;
+    }
+    build_route = exec::RouteSpec::HashAttr(q.inner_attr, routing_salt);
+    probe_route = exec::RouteSpec::HashAttr(q.outer_attr, routing_salt);
+
+    // Skew-aware routing: when the frequency sketches predict that hash
+    // routing would leave one site with well over its fair share,
+    // SampleSkew replaces both routes with one bucket map.
+    switch (q.routing) {
+      case SplitRouting::kHash:
+        break;
+      case SplitRouting::kBucketMap:
+        use_bucket_map = true;
+        break;
+      case SplitRouting::kAuto:
+        use_bucket_map =
+            opt::PredictJoinSkew(m.stats_.Find(q.outer), q.outer_attr,
+                                 m.stats_.Find(q.inner), q.inner_attr, nsites)
+                .use_bucket_map;
+        break;
     }
   }
 
-  // Producer subphase: one host task per serving node scans its fragments
-  // and routes each selected tuple through the split table into the
-  // per-(source, consumer) exchange cell — the same routing decisions and
-  // network charges as direct delivery, buffered so the consumer side can
-  // replay them in canonical order after the barrier.
-  exec::Exchange ex(sources.size(),
-                    query.store_result ? stores.size() : size_t{1},
-                    meta->schema.tuple_size());
-  {
-    std::vector<NodeTask> scan_tasks;
+  /// Charged sample phase: every kSkewSampleStride-th page of each fragment
+  /// of both inputs is read (disk + per-tuple CPU through the node's charge
+  /// context) and the surviving join keys collected per fragment, so the
+  /// coordinator merges them in canonical fragment order regardless of host
+  /// thread count. Both routes then go through one virtual-bucket map
+  /// balanced by LPT — a build tuple and the probe tuples matching it have
+  /// to meet at one site. Rebuilt on every failover attempt, against
+  /// whatever copies are then serving.
+  Status SampleSkew() {
+    const uint64_t bucket_salt = HashBytes(&seed0, sizeof(seed0), 0xB0C4);
+    exec::SplitTableBuilder builder(exec::ChooseBucketCount(nsites),
+                                    bucket_salt);
+    tracker.BeginPhase("skew_sample", sim::PhaseKind::kPipelined);
+    std::vector<std::vector<int32_t>> inner_keys(inner_sources.size());
+    std::vector<std::vector<int32_t>> outer_keys(outer_sources.size());
+    GAMMA_RETURN_NOT_OK(SampleKeys(inner_sources, inner.schema, q.inner_attr,
+                                   q.inner_pred, inner_keys));
+    GAMMA_RETURN_NOT_OK(SampleKeys(outer_sources, outer.schema, q.outer_attr,
+                                   q.outer_pred, outer_keys));
+    tracker.EndPhase();
+    for (size_t f = 0; f < inner_keys.size(); ++f) {
+      for (const int32_t key : inner_keys[f]) {
+        builder.AddSampleKey(key, inner_sources[f].node);
+      }
+    }
+    for (size_t f = 0; f < outer_keys.size(); ++f) {
+      for (const int32_t key : outer_keys[f]) {
+        builder.AddWeightedKey(key, exec::kSkewProbeWeight,
+                               outer_sources[f].node);
+      }
+    }
+    const exec::SkewAssignment assignment = builder.Build(join_nodes);
+    build_route = exec::RouteSpec::BucketMap(q.inner_attr, bucket_salt,
+                                             assignment.bucket_map);
+    probe_route = exec::RouteSpec::BucketMap(q.outer_attr, bucket_salt,
+                                             assignment.bucket_map);
+    return Status::OK();
+  }
+
+  /// Select inner at every serving site and split it on the join attribute
+  /// to the join sites, which build. Producers buffer into the (fragment,
+  /// site) exchange; after the barrier each site drains its column in
+  /// ascending fragment order — the arrival order of the sequential loop.
+  Status Build() {
+    tracker.BeginPhase("build", sim::PhaseKind::kPipelined);
+    // 2PL footprint for both inputs, inner first.
+    const std::vector<int> fragments = m.AllFragments();
+    GAMMA_RETURN_NOT_OK(m.LockForRead(tracker, stmt.txn(), inner, fragments));
+    GAMMA_RETURN_NOT_OK(m.LockForRead(tracker, stmt.txn(), outer, fragments));
+
+    exec::Exchange build_ex(inner_sources.size(), nsites,
+                            inner.schema.tuple_size());
+    GAMMA_RETURN_NOT_OK(m.ScanSources(
+        tracker, inner_sources,
+        [&](size_t f, const FragmentCopy& src, storage::StorageManager& sm,
+            sim::CostTracker& shard) -> Status {
+          SplitTable split(src.node, &inner.schema, build_route,
+                           exec::ExchangeDestinations(build_ex, f, join_nodes),
+                           &shard);
+          GAMMA_RETURN_NOT_OK(
+              exec::SelectScan(
+                  sm.file(src.file), inner.schema, q.inner_pred, sm.charge(),
+                  [&](std::span<const uint8_t> t) {
+                    if (filter != nullptr) {
+                      filter->Insert(TupleView(&inner.schema, t)
+                                         .GetInt(static_cast<size_t>(
+                                             q.inner_attr)));
+                    }
+                    split.Send(t);
+                  })
+                  .status());
+          split.Close();
+          return Status::OK();
+        }));
+    GAMMA_RETURN_NOT_OK(RunSiteTasks([&](size_t j, sim::CostTracker&) {
+      build_ex.Drain(j, Deliver(/*probe=*/false, j));
+      return Status::OK();
+    }));
+    build_ex.Clear();
+    return EndSitePhase();
+  }
+
+  /// Select outer, split it with the build's route, probe.
+  Status Probe() {
+    tracker.BeginPhase("probe", sim::PhaseKind::kPipelined);
+    exec::Exchange probe_ex(outer_sources.size(), nsites,
+                            outer.schema.tuple_size());
+    GAMMA_RETURN_NOT_OK(m.ScanSources(
+        tracker, outer_sources,
+        [&](size_t f, const FragmentCopy& src, storage::StorageManager& sm,
+            sim::CostTracker& shard) -> Status {
+          SplitTable split(src.node, &outer.schema, probe_route,
+                           exec::ExchangeDestinations(probe_ex, f, join_nodes),
+                           &shard, filter.get(), q.outer_attr);
+          GAMMA_RETURN_NOT_OK(
+              exec::SelectScan(
+                  sm.file(src.file), outer.schema, q.outer_pred, sm.charge(),
+                  [&split](std::span<const uint8_t> t) { split.Send(t); })
+                  .status());
+          split.Close();
+          return Status::OK();
+        }));
+    GAMMA_RETURN_NOT_OK(RunSiteTasks([&](size_t j, sim::CostTracker&) {
+      probe_ex.Drain(j, Deliver(/*probe=*/true, j));
+      return Status::OK();
+    }));
+    probe_ex.Clear();
+    GAMMA_RETURN_NOT_OK(results.Drain(res_ex));
+    return EndSitePhase();
+  }
+
+  /// Hybrid: spooled buckets are joined locally, one extra read each.
+  Status FinishHybrid() {
+    tracker.BeginPhase("hybrid_buckets", sim::PhaseKind::kPipelined);
+    GAMMA_RETURN_NOT_OK(RunSiteTasks([&](size_t j, sim::CostTracker&) {
+      return hybrid_sites[j]->FinishSpooledBuckets(result_sinks[j]);
+    }));
+    GAMMA_RETURN_NOT_OK(results.Drain(res_ex));
+    return EndSitePhase();
+  }
+
+  /// Sort-merge: each site sorts its spooled partitions on the join
+  /// attribute and merges them; memory bounds the run size, never the join,
+  /// so there are no overflow rounds.
+  Status FinishSortMerge() {
+    tracker.BeginPhase("sort_merge", sim::PhaseKind::kPipelined);
+    GAMMA_RETURN_NOT_OK(RunSiteTasks([&](size_t j, sim::CostTracker&) {
+      MergeJoinSite& site = *merge_sites[j];
+      storage::StorageManager& sm = site.sm();
+      Status status;
+      const storage::FileId sorted_build =
+          exec::ExternalSort(sm, site.build_spool(), inner.schema,
+                             q.inner_attr, site_capacity, &status);
+      if (!status.ok()) {
+        sm.DropFile(sorted_build);
+        return status;
+      }
+      const storage::FileId sorted_probe =
+          exec::ExternalSort(sm, site.probe_spool(), outer.schema,
+                             q.outer_attr, site_capacity, &status);
+      if (status.ok()) {
+        status = exec::SortMergeJoin(sm.file(sorted_build), inner.schema,
+                                     q.inner_attr, sm.file(sorted_probe),
+                                     outer.schema, q.outer_attr, sm.charge(),
+                                     result_sinks[j])
+                     .status;
+      }
+      sm.DropFile(sorted_build);
+      sm.DropFile(sorted_probe);
+      return status;
+    }));
+    GAMMA_RETURN_NOT_OK(results.Drain(res_ex));
+    return EndSitePhase();
+  }
+
+  /// Simple hash join: recursively redistribute and re-join the overflow
+  /// partitions. Each round uses a fresh split-table hash, so overflow
+  /// tuples no longer align with the storage partitioning (§6.2.2). If a
+  /// round makes no progress — a single key's duplicates exceed the table,
+  /// which no residency split can fix — the next round is forced: it
+  /// over-commits memory instead of spooling, guaranteeing termination.
+  Status OverflowRounds() {
+    int round = 0;
+    uint64_t prev_spooled = UINT64_MAX;
+    for (;;) {
+      bool any_overflow = false;
+      uint64_t spooled = 0;
+      for (const auto& site : simple_sites) {
+        any_overflow = any_overflow || site->HasOverflow();
+        spooled += site->build_spool().num_tuples() +
+                   site->probe_spool().num_tuples();
+      }
+      if (!any_overflow) return Status::OK();
+      const bool forced = spooled >= prev_spooled;
+      prev_spooled = spooled;
+      GAMMA_CHECK_MSG(++round < kMaxOverflowRounds,
+                      "join overflow failed to converge");
+      tracker.AddOverflowRound();
+      const uint64_t round_seed = m.next_salt_++;
+      const uint64_t round_salt =
+          HashBytes(&round_seed, sizeof(round_seed), 0x0F107);
+      for (const auto& site : simple_sites) {
+        site->BeginRound(round_seed, forced);
+      }
+      GAMMA_RETURN_NOT_OK(
+          RedistributeSpools(/*probe=*/false, round, round_salt));
+      GAMMA_RETURN_NOT_OK(
+          RedistributeSpools(/*probe=*/true, round, round_salt));
+    }
+  }
+
+  /// One overflow round's phase for the build (or probe) side: every site
+  /// rescans the spool the previous round left it and splits it, rehashed
+  /// with `salt`, to the join sites.
+  Status RedistributeSpools(bool probe, int round, uint64_t salt) {
+    const RelationMeta& rel = probe ? outer : inner;
+    const int attr = probe ? q.outer_attr : q.inner_attr;
+    tracker.BeginPhase((probe ? "overflow_probe_" : "overflow_build_") +
+                           std::to_string(round),
+                       sim::PhaseKind::kPipelined);
+    exec::Exchange oex(nsites, nsites, rel.schema.tuple_size());
+    GAMMA_RETURN_NOT_OK(
+        RunSiteTasks([&](size_t j, sim::CostTracker& shard) -> Status {
+          storage::StorageManager& sm =
+              *m.nodes_[static_cast<size_t>(join_nodes[j])];
+          SplitTable split(join_nodes[j], &rel.schema,
+                           exec::RouteSpec::HashAttr(attr, salt),
+                           exec::ExchangeDestinations(oex, j, join_nodes),
+                           &shard);
+          const storage::HeapFile& spool =
+              probe ? simple_sites[j]->prev_probe_spool()
+                    : simple_sites[j]->prev_build_spool();
+          GAMMA_RETURN_NOT_OK(
+              spool.Scan([&](Rid, std::span<const uint8_t> t) {
+                sm.charge().Cpu(m.config_.hw.cost.instr_per_tuple_scan);
+                split.Send(t);
+                return true;
+              }));
+          split.Close();
+          return Status::OK();
+        }));
+    GAMMA_RETURN_NOT_OK(RunSiteTasks([&](size_t k, sim::CostTracker&) {
+      oex.Drain(k, Deliver(probe, k));
+      return Status::OK();
+    }));
+    if (probe) GAMMA_RETURN_NOT_OK(results.Drain(res_ex));
+    return EndSitePhase();
+  }
+
+  /// Final packets / end-of-stream from the join operators to the result.
+  Status Finalize() {
+    tracker.BeginPhase("finalize", sim::PhaseKind::kPipelined);
+    for (auto& split : result_splits) split->Close();
+    GAMMA_RETURN_NOT_OK(results.Drain(res_ex));
+    GAMMA_RETURN_NOT_OK(CheckSites());
+    GAMMA_RETURN_NOT_OK(results.Close());
+    // Site teardown drops the spool files before the tracker unbinds.
+    simple_sites.clear();
+    hybrid_sites.clear();
+    merge_sites.clear();
+    return Status::OK();
+  }
+
+  /// Runs `body(j, shard)` as one host task per join site, with site j's
+  /// result split rebound to that task's shard (probe/bucket/merge work
+  /// emits result tuples through it) and restored afterwards.
+  Status RunSiteTasks(
+      const std::function<Status(size_t, sim::CostTracker&)>& body) {
+    std::vector<NodeTask> tasks;
+    tasks.reserve(nsites);
+    for (size_t j = 0; j < nsites; ++j) {
+      tasks.push_back(NodeTask{
+          join_nodes[j], [&, j](sim::CostTracker& shard) {
+            result_splits[j]->BindTracker(&shard);
+            const Status st = body(j, shard);
+            result_splits[j]->BindTracker(&tracker);
+            return st;
+          }});
+    }
+    return m.RunNodeTasks(&tracker, std::move(tasks));
+  }
+
+  /// Hands arriving build (or probe) tuples to site j's operator.
+  exec::TupleSink Deliver(bool probe, size_t j) {
+    return [this, probe, j](std::span<const uint8_t> t) {
+      switch (q.algorithm) {
+        case JoinAlgorithm::kHybridHash:
+          if (probe) {
+            hybrid_sites[j]->AddProbeTuple(t, result_sinks[j]);
+          } else {
+            hybrid_sites[j]->AddBuildTuple(t);
+          }
+          break;
+        case JoinAlgorithm::kSimpleHash:
+          if (probe) {
+            simple_sites[j]->AddProbeTuple(t, result_sinks[j]);
+          } else {
+            simple_sites[j]->AddBuildTuple(t);
+          }
+          break;
+        case JoinAlgorithm::kSortMerge:
+          if (probe) {
+            merge_sites[j]->AddProbeTuple(t);
+          } else {
+            merge_sites[j]->AddBuildTuple(t);
+          }
+          break;
+      }
+    };
+  }
+
+  /// Push-based operators latch their first error; surfaced between phases.
+  Status CheckSites() const {
+    for (const auto& site : simple_sites) GAMMA_RETURN_NOT_OK(site->status());
+    for (const auto& site : hybrid_sites) GAMMA_RETURN_NOT_OK(site->status());
+    for (const auto& site : merge_sites) GAMMA_RETURN_NOT_OK(site->status());
+    return results.status();
+  }
+
+  /// Closes a join-site phase: latched errors, pool flush, phase end.
+  Status EndSitePhase() {
+    GAMMA_RETURN_NOT_OK(CheckSites());
+    GAMMA_RETURN_NOT_OK(m.FlushAllPools());
+    tracker.EndPhase();
+    return Status::OK();
+  }
+
+  /// Collects the join keys of every kSkewSampleStride-th page of each
+  /// serving copy into `keys[source]`. Unlike ScanSources, sampling takes
+  /// no fragment lock, so it charges no `instr_per_lock`.
+  Status SampleKeys(const std::vector<FragmentCopy>& sources,
+                    const Schema& schema, int attr, const Predicate& pred,
+                    std::vector<std::vector<int32_t>>& keys) {
+    std::vector<NodeTask> tasks;
     for (const NodeGroup& group : GroupByServingNode(sources)) {
-      scan_tasks.push_back(NodeTask{
+      tasks.push_back(NodeTask{
           group.node, [&, group](sim::CostTracker& shard) -> Status {
             storage::StorageManager& sm =
-                *nodes_[static_cast<size_t>(group.node)];
-            for (size_t s : group.members) {
-              const FragmentCopy& src = sources[s];
-              sm.charge().Cpu(config_.hw.cost.instr_per_lock);
-
-              // Store destinations rotated by the source index so concurrent
-              // round-robin streams interleave evenly, or a single host
-              // destination for host-bound results.
-              std::vector<SplitTable::Destination> dests;
-              if (query.store_result) {
-                for (size_t d = 0; d < stores.size(); ++d) {
-                  const size_t rotated = (d + s) % stores.size();
-                  dests.push_back(SplitTable::Destination{
-                      store_nodes[rotated],
-                      [&ex, s, rotated](std::span<const uint8_t> t) {
-                        ex.Append(s, rotated, t);
-                      }});
-                }
-              } else {
-                dests.push_back(SplitTable::Destination{
-                    config_.host_node(),
-                    [&ex, s](std::span<const uint8_t> t) {
-                      ex.Append(s, 0, t);
-                    }});
+                *m.nodes_[static_cast<size_t>(group.node)];
+            const auto& cost = shard.hw().cost;
+            for (size_t f : group.members) {
+              const FragmentCopy& src = sources[f];
+              const storage::HeapFile& file = sm.file(src.file);
+              for (uint32_t p = 0; p < file.num_pages();
+                   p += exec::kSkewSampleStride) {
+                GAMMA_RETURN_NOT_OK(file.ScanPages(
+                    p, p, [&](Rid, std::span<const uint8_t> t) {
+                      sm.charge().Cpu(cost.instr_per_tuple_scan +
+                                      cost.instr_per_tuple_hash);
+                      if (pred.Eval(t, schema)) {
+                        keys[f].push_back(TupleView(&schema, t).GetInt(
+                            static_cast<size_t>(attr)));
+                      }
+                      return true;
+                    }));
               }
-              SplitTable split(src.node, &meta->schema,
-                               exec::RouteSpec::RoundRobin(),
-                               std::move(dests), &shard);
-              const exec::TupleSink emit =
-                  [&split](std::span<const uint8_t> t) { split.Send(t); };
-
-              const storage::HeapFile& fragment = sm.file(src.file);
-              // Backups carry no indexes: a backup-served fragment is always
-              // scanned.
-              const AccessPath path =
-                  src.backup ? AccessPath::kFileScan : decision.path;
-              switch (path) {
-                case AccessPath::kFileScan:
-                  GAMMA_RETURN_NOT_OK(exec::SelectScan(fragment, meta->schema,
-                                                       query.predicate,
-                                                       sm.charge(), emit)
-                                          .status());
-                  break;
-                case AccessPath::kClusteredIndex:
-                  GAMMA_RETURN_NOT_OK(
-                      exec::ClusteredIndexSelect(
-                          fragment,
-                          sm.index(decision.index->per_node_index
-                                       [static_cast<size_t>(src.node)]),
-                          decision.index->attr, meta->schema, query.predicate,
-                          sm.charge(), emit)
-                          .status());
-                  break;
-                case AccessPath::kNonClusteredIndex:
-                  GAMMA_RETURN_NOT_OK(
-                      exec::NonClusteredIndexSelect(
-                          fragment,
-                          sm.index(decision.index->per_node_index
-                                       [static_cast<size_t>(src.node)]),
-                          decision.index->attr, meta->schema, query.predicate,
-                          sm.charge(), emit)
-                          .status());
-                  break;
-                case AccessPath::kAuto:
-                  GAMMA_CHECK_MSG(false, "unresolved access path");
-              }
-              split.Close();
-              shard.ChargeControlMessage(src.node, config_.scheduler_node(),
-                                         /*blocking=*/false);
+              // Sampled counts return to the scheduler in one message.
+              shard.ChargeControlMessage(src.node, m.config_.scheduler_node(),
+                                         false);
             }
             return Status::OK();
           }});
     }
-    GAMMA_RETURN_NOT_OK(RunNodeTasks(&tracker, std::move(scan_tasks)));
+    return m.RunNodeTasks(&tracker, std::move(tasks));
   }
 
-  // Consumer subphase: each store site drains its exchange column in
-  // ascending source order — exactly the arrival order the sequential
-  // source loop produced — appending to its result fragment and logging.
-  if (query.store_result) {
-    std::vector<NodeTask> store_tasks;
-    for (size_t d = 0; d < stores.size(); ++d) {
-      const int store_node = store_nodes[d];
-      store_tasks.push_back(NodeTask{
-          store_node, [&, d, store_node](sim::CostTracker& shard) {
-            log.BindNode(store_node, &shard);
-            ex.Drain(d, [&, store_node](std::span<const uint8_t> t) {
-              stores[d]->Consume(t);
-              log.Append(store_node, static_cast<uint32_t>(t.size()));
-            });
-            log.BindNode(store_node, nullptr);
-            return Status::OK();
-          }});
-    }
-    GAMMA_RETURN_NOT_OK(RunNodeTasks(&tracker, std::move(store_tasks)));
-    log.Settle();
-  } else {
-    // Host-bound results are gathered by the coordinator (the host is not a
-    // simulated storage node; its packet costs were charged at the split).
-    ex.Drain(0, [&result](std::span<const uint8_t> t) {
-      result.returned.emplace_back(t.begin(), t.end());
-    });
-  }
-  ex.Clear();
-
-  for (const auto& store : stores) {
-    GAMMA_RETURN_NOT_OK(store->status());
-  }
-  if (query.store_result && config_.enable_logging) {
-    for (int node : store_nodes) log.Commit(node);
-  }
-  GAMMA_RETURN_NOT_OK(FlushAllPools());
-  tracker.EndPhase();
-
-  if (query.store_result) {
-    uint64_t stored = 0;
-    for (const auto& store : stores) stored += store->stored();
-    result.result_tuples = stored;
-    result_meta->num_tuples = stored;
-    stats_.SetResultCardinality(result_meta->name, result_meta->schema,
-                                static_cast<double>(stored));
-  } else {
-    result.result_tuples = result.returned.size();
-  }
-  return stmt.Finish(std::move(result));
-}
+  GammaMachine& m;
+  Statement& stmt;
+  sim::CostTracker& tracker;
+  const JoinQuery& q;
+  const RelationMeta& inner;
+  const RelationMeta& outer;
+  const std::vector<int> join_nodes;
+  const size_t nsites;
+  const uint64_t site_capacity;
+  const std::vector<FragmentCopy> inner_sources;
+  const std::vector<FragmentCopy> outer_sources;
+  const Schema result_schema;
+  QueryResult result;
+  ResultStore results;
+  /// Result tuples buffered per (site, consumer) until the next drain.
+  exec::Exchange res_ex;
+  /// Per-site result split tables (join output is declustered round-robin
+  /// to the store operators); they stay open across overflow rounds.
+  std::vector<std::unique_ptr<SplitTable>> result_splits;
+  std::vector<exec::TupleSink> result_sinks;
+  uint64_t seed0 = 0;
+  std::vector<std::unique_ptr<exec::HashJoinSite>> simple_sites;
+  std::vector<std::unique_ptr<exec::HybridHashJoinSite>> hybrid_sites;
+  std::vector<std::unique_ptr<MergeJoinSite>> merge_sites;
+  std::unique_ptr<exec::BitVectorFilter> filter;
+  bool use_bucket_map = false;
+  exec::RouteSpec build_route;
+  exec::RouteSpec probe_route;
+};
 
 Result<QueryResult> GammaMachine::RunJoin(const JoinQuery& query) {
   return FinalizeObs("join",
@@ -1133,653 +1677,32 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
   if (join_nodes.empty()) {
     return Status::Unavailable("no surviving join sites");
   }
-  const size_t nsites = join_nodes.size();
-  const uint64_t site_capacity = config_.join_memory_total / nsites;
 
   Statement stmt(this);
-  sim::CostTracker& tracker = stmt.tracker();
-  RecoveryLog& log = stmt.log();
-  const uint64_t txn = stmt.txn();
-
   // Resolve the serving copy of every fragment of both inputs up front.
-  std::vector<FragmentCopy> inner_sources;
-  std::vector<FragmentCopy> outer_sources;
-  for (int f = 0; f < config_.num_disk_nodes; ++f) {
-    GAMMA_ASSIGN_OR_RETURN(const FragmentCopy ic, ServingCopy(*inner, f));
-    GAMMA_ASSIGN_OR_RETURN(const FragmentCopy oc, ServingCopy(*outer, f));
-    inner_sources.push_back(ic);
-    outer_sources.push_back(oc);
-  }
-
-  const Schema result_schema =
-      Schema::Concat(inner->schema, outer->schema);
-  QueryResult result;
-  RelationMeta* result_meta = nullptr;
-  std::vector<std::unique_ptr<exec::StoreConsumer>> stores;
-  std::vector<int> store_nodes;
-  if (query.store_result) {
-    result_meta = MakeResultRelation(query.result_name, result_schema);
-    result.result_relation = result_meta->name;
-    stmt.set_partial_result(result_meta->name);
-    store_nodes = LiveDiskNodes();
-    for (int node : store_nodes) {
-      stores.push_back(std::make_unique<exec::StoreConsumer>(
-          &nodes_[static_cast<size_t>(node)]->file(
-              result_meta->per_node_file[static_cast<size_t>(node)]),
-          &nodes_[static_cast<size_t>(node)]->charge()));
-    }
-  }
-
-  tracker.ChargeControlMessage(config_.host_node(), config_.scheduler_node(),
-                               /*blocking=*/true);
-  tracker.ChargeControlMessage(config_.scheduler_node(), config_.host_node(),
-                               /*blocking=*/true);
-  // Scheduling: two selects on the disk nodes, build + join on the join
-  // sites ("a join is logically composed of two operators", §6.2.3), one
-  // store on the disk nodes.
-  tracker.ChargeScheduling(2, static_cast<uint32_t>(config_.num_disk_nodes));
-  tracker.ChargeScheduling(2, static_cast<uint32_t>(nsites));
-  if (query.store_result) {
-    tracker.ChargeScheduling(1, static_cast<uint32_t>(store_nodes.size()));
-  }
-
-  // Per-site result split tables (join output is declustered round-robin to
-  // the store operators; stays open across overflow rounds). Result tuples
-  // buffer in the (site, store) exchange; after every barrier where sites
-  // emitted, `drain_results` replays them to the store operators (or the
-  // host) in ascending site order.
-  exec::Exchange res_ex(nsites, query.store_result ? stores.size() : size_t{1},
-                        result_schema.tuple_size());
-  std::vector<std::unique_ptr<SplitTable>> result_splits;
-  std::vector<exec::TupleSink> result_sinks;
-  for (size_t j = 0; j < nsites; ++j) {
-    std::vector<SplitTable::Destination> dests;
-    if (query.store_result) {
-      for (size_t d = 0; d < stores.size(); ++d) {
-        const size_t rotated = (d + j) % stores.size();
-        dests.push_back(SplitTable::Destination{
-            store_nodes[rotated],
-            [&res_ex, j, rotated](std::span<const uint8_t> t) {
-              res_ex.Append(j, rotated, t);
-            }});
-      }
-    } else {
-      dests.push_back(SplitTable::Destination{
-          config_.host_node(), [&res_ex, j](std::span<const uint8_t> t) {
-            res_ex.Append(j, 0, t);
-          }});
-    }
-    result_splits.push_back(std::make_unique<SplitTable>(
-        join_nodes[j], &result_schema, exec::RouteSpec::RoundRobin(),
-        std::move(dests), &tracker));
-    result_sinks.push_back(
-        [split = result_splits.back().get()](std::span<const uint8_t> t) {
-          split->Send(t);
-        });
-  }
-  auto drain_results = [&]() -> Status {
-    if (query.store_result) {
-      std::vector<NodeTask> store_tasks;
-      for (size_t d = 0; d < stores.size(); ++d) {
-        const int store_node = store_nodes[d];
-        store_tasks.push_back(NodeTask{
-            store_node, [&, d, store_node](sim::CostTracker& shard) {
-              log.BindNode(store_node, &shard);
-              res_ex.Drain(d, [&, store_node](std::span<const uint8_t> t) {
-                stores[d]->Consume(t);
-                log.Append(store_node, static_cast<uint32_t>(t.size()));
-              });
-              log.BindNode(store_node, nullptr);
-              return Status::OK();
-            }});
-      }
-      GAMMA_RETURN_NOT_OK(RunNodeTasks(&tracker, std::move(store_tasks)));
-      log.Settle();
-    } else {
-      res_ex.Drain(0, [&result](std::span<const uint8_t> t) {
-        result.returned.emplace_back(t.begin(), t.end());
-      });
-    }
-    res_ex.Clear();
-    return Status::OK();
-  };
-  // Runs `body(j, shard)` as one host task per join site, with site j's
-  // result split rebound to that task's shard (probe/bucket/merge work emits
-  // result tuples through it) and restored afterwards.
-  auto run_site_tasks =
-      [&](const std::function<Status(size_t, sim::CostTracker&)>& body)
-      -> Status {
-    std::vector<NodeTask> tasks;
-    tasks.reserve(nsites);
-    for (size_t j = 0; j < nsites; ++j) {
-      tasks.push_back(NodeTask{
-          join_nodes[j], [&, j](sim::CostTracker& shard) {
-            result_splits[j]->BindTracker(&shard);
-            const Status st = body(j, shard);
-            result_splits[j]->BindTracker(&tracker);
-            return st;
-          }});
-    }
-    return RunNodeTasks(&tracker, std::move(tasks));
-  };
-
-  // Join sites: Simple (Gamma's algorithm), Hybrid (the §8 replacement), or
-  // sort-merge (the Teradata-style alternative).
-  const uint64_t expected_build =
-      query.expected_build_tuples != 0 ? query.expected_build_tuples
-                                       : inner->num_tuples;
-  std::vector<std::unique_ptr<exec::HashJoinSite>> simple_sites;
-  std::vector<std::unique_ptr<exec::HybridHashJoinSite>> hybrid_sites;
-  std::vector<std::unique_ptr<MergeJoinSite>> merge_sites;
-  const uint64_t seed0 = next_salt_++;
-  for (size_t j = 0; j < nsites; ++j) {
-    storage::StorageManager& sm = *nodes_[static_cast<size_t>(join_nodes[j])];
-    switch (query.algorithm) {
-      case JoinAlgorithm::kHybridHash: {
-        const uint64_t expected_bytes =
-            (expected_build * (inner->schema.tuple_size() +
-                               exec::JoinHashTable::kPerEntryOverhead)) /
-            nsites;
-        hybrid_sites.push_back(std::make_unique<exec::HybridHashJoinSite>(
-            join_nodes[j], &sm, &inner->schema, &outer->schema,
-            query.inner_attr, query.outer_attr, site_capacity, expected_bytes,
-            seed0 ^ 0xA5A5));
-        break;
-      }
-      case JoinAlgorithm::kSimpleHash:
-        simple_sites.push_back(std::make_unique<exec::HashJoinSite>(
-            join_nodes[j], &sm, &inner->schema, &outer->schema,
-            query.inner_attr, query.outer_attr, site_capacity));
-        simple_sites.back()->BeginRound(seed0);
-        break;
-      case JoinAlgorithm::kSortMerge:
-        merge_sites.push_back(
-            std::make_unique<MergeJoinSite>(join_nodes[j], &sm));
-        break;
-    }
-  }
-
-  // Optional bit-vector filter over the building relation's join keys,
-  // consulted by the probing side's split tables (§2).
-  std::unique_ptr<exec::BitVectorFilter> filter;
-  if (query.use_bit_filter) {
-    filter = std::make_unique<exec::BitVectorFilter>(
-        static_cast<uint32_t>(std::max<uint64_t>(expected_build * 8, 1024)),
-        seed0 ^ 0xF117E4);
-  }
-
-  // Gamma uses the same hash function to decluster relations at load time
-  // and to split them for joins (§6.2.1) — when the join attribute is the
-  // partitioning attribute, every input tuple of a Local join therefore
-  // short-circuits, and roughly half do under Allnodes.
-  uint64_t routing_salt = HashBytes(&seed0, sizeof(seed0), 0x407E);
-  if (inner->partitioning.strategy == PartitionStrategy::kHashed &&
-      inner->partitioning.key_attr == query.inner_attr) {
-    routing_salt = inner->partitioning.hash_salt;
-  } else if (outer->partitioning.strategy == PartitionStrategy::kHashed &&
-             outer->partitioning.key_attr == query.outer_attr) {
-    routing_salt = outer->partitioning.hash_salt;
-  }
-
-  // Skew-aware routing: when the frequency sketches predict that hash
-  // routing would leave one site with well over its fair share, draw a
-  // charged sample of both inputs and route through a virtual-bucket map
-  // balanced by LPT instead. Build and probe must share the map — a build
-  // tuple and the probe tuples matching it have to meet at one site.
-  bool use_bucket_map = false;
-  switch (query.routing) {
-    case SplitRouting::kHash:
+  const std::vector<int> fragments = AllFragments();
+  GAMMA_ASSIGN_OR_RETURN(std::vector<FragmentCopy> inner_sources,
+                         ServingCopies(*inner, fragments));
+  GAMMA_ASSIGN_OR_RETURN(std::vector<FragmentCopy> outer_sources,
+                         ServingCopies(*outer, fragments));
+  JoinRun run(*this, stmt, query, *inner, *outer, std::move(join_nodes),
+              std::move(inner_sources), std::move(outer_sources));
+  if (run.use_bucket_map) GAMMA_RETURN_NOT_OK(run.SampleSkew());
+  GAMMA_RETURN_NOT_OK(run.Build());
+  GAMMA_RETURN_NOT_OK(run.Probe());
+  switch (query.algorithm) {
+    case JoinAlgorithm::kHybridHash:
+      GAMMA_RETURN_NOT_OK(run.FinishHybrid());
       break;
-    case SplitRouting::kBucketMap:
-      use_bucket_map = true;
+    case JoinAlgorithm::kSortMerge:
+      GAMMA_RETURN_NOT_OK(run.FinishSortMerge());
       break;
-    case SplitRouting::kAuto: {
-      double predicted = 1.0;
-      if (const opt::RelationStats* s = stats_.Find(query.inner)) {
-        if (const opt::AttrStats* a = s->Attr(query.inner_attr)) {
-          predicted =
-              std::max(predicted, opt::PredictHashImbalance(*a, nsites));
-        }
-      }
-      if (const opt::RelationStats* s = stats_.Find(query.outer)) {
-        if (const opt::AttrStats* a = s->Attr(query.outer_attr)) {
-          predicted =
-              std::max(predicted, opt::PredictHashImbalance(*a, nsites));
-        }
-      }
-      use_bucket_map = predicted > opt::kSkewImbalanceThreshold;
+    case JoinAlgorithm::kSimpleHash:
+      GAMMA_RETURN_NOT_OK(run.OverflowRounds());
       break;
-    }
   }
-
-  exec::RouteSpec build_route =
-      exec::RouteSpec::HashAttr(query.inner_attr, routing_salt);
-  exec::RouteSpec probe_route =
-      exec::RouteSpec::HashAttr(query.outer_attr, routing_salt);
-  if (use_bucket_map) {
-    // Charged sample phase: every kSkewSampleStride-th page of each
-    // fragment of both inputs is read (disk + per-tuple CPU through the
-    // node's charge context) and the surviving join keys collected per
-    // fragment, so the coordinator merges them in canonical fragment order
-    // regardless of host thread count. Rebuilt on every failover attempt,
-    // against whatever copies are then serving.
-    const uint64_t bucket_salt = HashBytes(&seed0, sizeof(seed0), 0xB0C4);
-    exec::SplitTableBuilder builder(exec::ChooseBucketCount(nsites),
-                                    bucket_salt);
-    tracker.BeginPhase("skew_sample", sim::PhaseKind::kPipelined);
-    std::vector<std::vector<int32_t>> inner_keys(inner_sources.size());
-    std::vector<std::vector<int32_t>> outer_keys(outer_sources.size());
-    auto sample_input = [&](const std::vector<FragmentCopy>& sources,
-                            const Schema& schema, int attr,
-                            const Predicate& pred,
-                            std::vector<std::vector<int32_t>>& out) -> Status {
-      std::vector<NodeTask> tasks;
-      for (const NodeGroup& group : GroupByServingNode(sources)) {
-        tasks.push_back(NodeTask{
-            group.node, [&, group](sim::CostTracker& shard) -> Status {
-              storage::StorageManager& sm =
-                  *nodes_[static_cast<size_t>(group.node)];
-              const auto& cost = shard.hw().cost;
-              for (size_t f : group.members) {
-                const FragmentCopy& src = sources[f];
-                const storage::HeapFile& file = sm.file(src.file);
-                for (uint32_t p = 0; p < file.num_pages();
-                     p += exec::kSkewSampleStride) {
-                  GAMMA_RETURN_NOT_OK(file.ScanPages(
-                      p, p, [&](Rid, std::span<const uint8_t> t) {
-                        sm.charge().Cpu(cost.instr_per_tuple_scan +
-                                        cost.instr_per_tuple_hash);
-                        if (pred.Eval(t, schema)) {
-                          out[f].push_back(
-                              TupleView(&schema, t).GetInt(
-                                  static_cast<size_t>(attr)));
-                        }
-                        return true;
-                      }));
-                }
-                // Sampled counts return to the scheduler in one message.
-                shard.ChargeControlMessage(src.node, config_.scheduler_node(),
-                                           false);
-              }
-              return Status::OK();
-            }});
-      }
-      return RunNodeTasks(&tracker, std::move(tasks));
-    };
-    GAMMA_RETURN_NOT_OK(sample_input(inner_sources, inner->schema,
-                                     query.inner_attr, query.inner_pred,
-                                     inner_keys));
-    GAMMA_RETURN_NOT_OK(sample_input(outer_sources, outer->schema,
-                                     query.outer_attr, query.outer_pred,
-                                     outer_keys));
-    tracker.EndPhase();
-    for (size_t f = 0; f < inner_keys.size(); ++f) {
-      for (const int32_t key : inner_keys[f]) {
-        builder.AddSampleKey(key, inner_sources[f].node);
-      }
-    }
-    for (size_t f = 0; f < outer_keys.size(); ++f) {
-      for (const int32_t key : outer_keys[f]) {
-        builder.AddWeightedKey(key, exec::kSkewProbeWeight,
-                               outer_sources[f].node);
-      }
-    }
-    const exec::SkewAssignment assignment = builder.Build(join_nodes);
-    build_route = exec::RouteSpec::BucketMap(query.inner_attr, bucket_salt,
-                                             assignment.bucket_map);
-    probe_route = exec::RouteSpec::BucketMap(query.outer_attr, bucket_salt,
-                                             assignment.bucket_map);
-  }
-
-  auto build_deliver = [&](size_t j) {
-    return [&, j](std::span<const uint8_t> t) {
-      switch (query.algorithm) {
-        case JoinAlgorithm::kHybridHash:
-          hybrid_sites[j]->AddBuildTuple(t);
-          break;
-        case JoinAlgorithm::kSimpleHash:
-          simple_sites[j]->AddBuildTuple(t);
-          break;
-        case JoinAlgorithm::kSortMerge:
-          merge_sites[j]->AddBuildTuple(t);
-          break;
-      }
-    };
-  };
-  auto probe_deliver = [&](size_t j) {
-    return [&, j](std::span<const uint8_t> t) {
-      switch (query.algorithm) {
-        case JoinAlgorithm::kHybridHash:
-          hybrid_sites[j]->AddProbeTuple(t, result_sinks[j]);
-          break;
-        case JoinAlgorithm::kSimpleHash:
-          simple_sites[j]->AddProbeTuple(t, result_sinks[j]);
-          break;
-        case JoinAlgorithm::kSortMerge:
-          merge_sites[j]->AddProbeTuple(t);
-          break;
-      }
-    };
-  };
-  // Push-based operators latch their first error; surface it between phases.
-  auto check_sites = [&]() -> Status {
-    for (const auto& site : simple_sites) {
-      GAMMA_RETURN_NOT_OK(site->status());
-    }
-    for (const auto& site : hybrid_sites) {
-      GAMMA_RETURN_NOT_OK(site->status());
-    }
-    for (const auto& site : merge_sites) {
-      GAMMA_RETURN_NOT_OK(site->status());
-    }
-    for (const auto& store : stores) {
-      GAMMA_RETURN_NOT_OK(store->status());
-    }
-    return Status::OK();
-  };
-
-  // --- Build phase: select inner at every serving site, split on the join
-  // attribute to the join sites. Producers buffer into the (fragment, site)
-  // exchange; after the barrier each site drains its column in ascending
-  // fragment order — the arrival order of the sequential loop. ---
-  tracker.BeginPhase("build", sim::PhaseKind::kPipelined);
-
-  // 2PL footprint for both inputs: intention-shared on each relation, shared
-  // on every fragment (ascending relation then fragment order, the canonical
-  // order that keeps single-statement transactions deadlock-free).
-  for (const RelationMeta* rel_meta : {inner, outer}) {
-    const uint32_t rel = txns_.RelationId(rel_meta->name);
-    GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, config_.scheduler_node(),
-                                       txn::LockId::Relation(rel),
-                                       txn::LockMode::kIS));
-    for (int f = 0; f < config_.num_disk_nodes; ++f) {
-      const txn::LockId id =
-          txn::LockId::Fragment(rel, static_cast<uint32_t>(f));
-      GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, txns_.TableFor(id),
-                                         id, txn::LockMode::kS));
-    }
-  }
-
-  exec::Exchange build_ex(static_cast<size_t>(config_.num_disk_nodes), nsites,
-                          inner->schema.tuple_size());
-  {
-    std::vector<NodeTask> scan_tasks;
-    for (const NodeGroup& group : GroupByServingNode(inner_sources)) {
-      scan_tasks.push_back(NodeTask{
-          group.node, [&, group](sim::CostTracker& shard) -> Status {
-            storage::StorageManager& sm =
-                *nodes_[static_cast<size_t>(group.node)];
-            for (size_t f : group.members) {
-              const FragmentCopy& src = inner_sources[f];
-              sm.charge().Cpu(config_.hw.cost.instr_per_lock);
-              std::vector<SplitTable::Destination> dests;
-              for (size_t j = 0; j < nsites; ++j) {
-                dests.push_back(SplitTable::Destination{
-                    join_nodes[j], [&build_ex, f, j](std::span<const uint8_t> t) {
-                      build_ex.Append(f, j, t);
-                    }});
-              }
-              SplitTable split(src.node, &inner->schema, build_route,
-                               std::move(dests), &shard);
-              GAMMA_RETURN_NOT_OK(
-                  exec::SelectScan(
-                      sm.file(src.file), inner->schema, query.inner_pred,
-                      sm.charge(),
-                      [&](std::span<const uint8_t> t) {
-                        if (filter != nullptr) {
-                          filter->Insert(
-                              TupleView(&inner->schema, t)
-                                  .GetInt(
-                                      static_cast<size_t>(query.inner_attr)));
-                        }
-                        split.Send(t);
-                      })
-                      .status());
-              split.Close();
-              shard.ChargeControlMessage(src.node, config_.scheduler_node(),
-                                         false);
-            }
-            return Status::OK();
-          }});
-    }
-    GAMMA_RETURN_NOT_OK(RunNodeTasks(&tracker, std::move(scan_tasks)));
-  }
-  GAMMA_RETURN_NOT_OK(run_site_tasks([&](size_t j, sim::CostTracker&) {
-    build_ex.Drain(j, build_deliver(j));
-    return Status::OK();
-  }));
-  build_ex.Clear();
-  GAMMA_RETURN_NOT_OK(check_sites());
-  GAMMA_RETURN_NOT_OK(FlushAllPools());
-  tracker.EndPhase();
-
-  // --- Probe phase: select outer, split with the same hash, probe. ---
-  tracker.BeginPhase("probe", sim::PhaseKind::kPipelined);
-  exec::Exchange probe_ex(static_cast<size_t>(config_.num_disk_nodes), nsites,
-                          outer->schema.tuple_size());
-  {
-    std::vector<NodeTask> scan_tasks;
-    for (const NodeGroup& group : GroupByServingNode(outer_sources)) {
-      scan_tasks.push_back(NodeTask{
-          group.node, [&, group](sim::CostTracker& shard) -> Status {
-            storage::StorageManager& sm =
-                *nodes_[static_cast<size_t>(group.node)];
-            for (size_t f : group.members) {
-              const FragmentCopy& src = outer_sources[f];
-              sm.charge().Cpu(config_.hw.cost.instr_per_lock);
-              std::vector<SplitTable::Destination> dests;
-              for (size_t j = 0; j < nsites; ++j) {
-                dests.push_back(SplitTable::Destination{
-                    join_nodes[j], [&probe_ex, f, j](std::span<const uint8_t> t) {
-                      probe_ex.Append(f, j, t);
-                    }});
-              }
-              SplitTable split(src.node, &outer->schema, probe_route,
-                               std::move(dests), &shard, filter.get(),
-                               query.outer_attr);
-              GAMMA_RETURN_NOT_OK(
-                  exec::SelectScan(sm.file(src.file), outer->schema,
-                                   query.outer_pred, sm.charge(),
-                                   [&split](std::span<const uint8_t> t) {
-                                     split.Send(t);
-                                   })
-                      .status());
-              split.Close();
-              shard.ChargeControlMessage(src.node, config_.scheduler_node(),
-                                         false);
-            }
-            return Status::OK();
-          }});
-    }
-    GAMMA_RETURN_NOT_OK(RunNodeTasks(&tracker, std::move(scan_tasks)));
-  }
-  GAMMA_RETURN_NOT_OK(run_site_tasks([&](size_t j, sim::CostTracker&) {
-    probe_ex.Drain(j, probe_deliver(j));
-    return Status::OK();
-  }));
-  probe_ex.Clear();
-  GAMMA_RETURN_NOT_OK(drain_results());
-  GAMMA_RETURN_NOT_OK(check_sites());
-  GAMMA_RETURN_NOT_OK(FlushAllPools());
-  tracker.EndPhase();
-
-  if (query.algorithm == JoinAlgorithm::kHybridHash) {
-    // Hybrid: spooled buckets are joined locally, one extra read each.
-    tracker.BeginPhase("hybrid_buckets", sim::PhaseKind::kPipelined);
-    GAMMA_RETURN_NOT_OK(run_site_tasks([&](size_t j, sim::CostTracker&) {
-      return hybrid_sites[j]->FinishSpooledBuckets(result_sinks[j]);
-    }));
-    GAMMA_RETURN_NOT_OK(drain_results());
-    GAMMA_RETURN_NOT_OK(check_sites());
-    GAMMA_RETURN_NOT_OK(FlushAllPools());
-    tracker.EndPhase();
-  } else if (query.algorithm == JoinAlgorithm::kSortMerge) {
-    // Sort-merge: each site sorts its spooled partitions on the join
-    // attribute and merges them; memory bounds the run size, never the
-    // join, so there are no overflow rounds.
-    tracker.BeginPhase("sort_merge", sim::PhaseKind::kPipelined);
-    GAMMA_RETURN_NOT_OK(run_site_tasks([&](size_t j, sim::CostTracker&) {
-      MergeJoinSite& site = *merge_sites[j];
-      storage::StorageManager& sm = site.sm();
-      Status status;
-      const storage::FileId sorted_build = exec::ExternalSort(
-          sm, site.build_spool(), inner->schema, query.inner_attr,
-          site_capacity, &status);
-      if (!status.ok()) {
-        sm.DropFile(sorted_build);
-        return status;
-      }
-      const storage::FileId sorted_probe = exec::ExternalSort(
-          sm, site.probe_spool(), outer->schema, query.outer_attr,
-          site_capacity, &status);
-      if (status.ok()) {
-        status = exec::SortMergeJoin(sm.file(sorted_build), inner->schema,
-                                     query.inner_attr, sm.file(sorted_probe),
-                                     outer->schema, query.outer_attr,
-                                     sm.charge(), result_sinks[j])
-                     .status;
-      }
-      sm.DropFile(sorted_build);
-      sm.DropFile(sorted_probe);
-      return status;
-    }));
-    GAMMA_RETURN_NOT_OK(drain_results());
-    GAMMA_RETURN_NOT_OK(check_sites());
-    GAMMA_RETURN_NOT_OK(FlushAllPools());
-    tracker.EndPhase();
-  } else {
-    // Simple hash join: recursively redistribute and re-join the overflow
-    // partitions. Each round uses a fresh split-table hash, so overflow
-    // tuples no longer align with the storage partitioning (§6.2.2). If a
-    // round makes no progress — a single key's duplicates exceed the table,
-    // which no residency split can fix — the next round is forced: it
-    // over-commits memory instead of spooling, guaranteeing termination.
-    int round = 0;
-    uint64_t prev_spooled = UINT64_MAX;
-    for (;;) {
-      bool any_overflow = false;
-      uint64_t spooled = 0;
-      for (const auto& site : simple_sites) {
-        any_overflow = any_overflow || site->HasOverflow();
-        spooled += site->build_spool().num_tuples() +
-                   site->probe_spool().num_tuples();
-      }
-      if (!any_overflow) break;
-      const bool forced = spooled >= prev_spooled;
-      prev_spooled = spooled;
-      GAMMA_CHECK_MSG(++round < kMaxOverflowRounds,
-                      "join overflow failed to converge");
-      tracker.AddOverflowRound();
-      const uint64_t round_seed = next_salt_++;
-      const uint64_t round_salt =
-          HashBytes(&round_seed, sizeof(round_seed), 0x0F107);
-      for (const auto& site : simple_sites) {
-        site->BeginRound(round_seed, forced);
-      }
-
-      tracker.BeginPhase("overflow_build_" + std::to_string(round),
-                         sim::PhaseKind::kPipelined);
-      {
-        exec::Exchange oex(nsites, nsites, inner->schema.tuple_size());
-        GAMMA_RETURN_NOT_OK(
-            run_site_tasks([&](size_t j, sim::CostTracker& shard) -> Status {
-              storage::StorageManager& sm =
-                  *nodes_[static_cast<size_t>(join_nodes[j])];
-              std::vector<SplitTable::Destination> dests;
-              for (size_t k = 0; k < nsites; ++k) {
-                dests.push_back(SplitTable::Destination{
-                    join_nodes[k], [&oex, j, k](std::span<const uint8_t> t) {
-                      oex.Append(j, k, t);
-                    }});
-              }
-              SplitTable split(
-                  join_nodes[j], &inner->schema,
-                  exec::RouteSpec::HashAttr(query.inner_attr, round_salt),
-                  std::move(dests), &shard);
-              GAMMA_RETURN_NOT_OK(simple_sites[j]->prev_build_spool().Scan(
-                  [&](Rid, std::span<const uint8_t> t) {
-                    sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan);
-                    split.Send(t);
-                    return true;
-                  }));
-              split.Close();
-              return Status::OK();
-            }));
-        GAMMA_RETURN_NOT_OK(run_site_tasks([&](size_t k, sim::CostTracker&) {
-          oex.Drain(k, build_deliver(k));
-          return Status::OK();
-        }));
-      }
-      GAMMA_RETURN_NOT_OK(check_sites());
-      GAMMA_RETURN_NOT_OK(FlushAllPools());
-      tracker.EndPhase();
-
-      tracker.BeginPhase("overflow_probe_" + std::to_string(round),
-                         sim::PhaseKind::kPipelined);
-      {
-        exec::Exchange oex(nsites, nsites, outer->schema.tuple_size());
-        GAMMA_RETURN_NOT_OK(
-            run_site_tasks([&](size_t j, sim::CostTracker& shard) -> Status {
-              storage::StorageManager& sm =
-                  *nodes_[static_cast<size_t>(join_nodes[j])];
-              std::vector<SplitTable::Destination> dests;
-              for (size_t k = 0; k < nsites; ++k) {
-                dests.push_back(SplitTable::Destination{
-                    join_nodes[k], [&oex, j, k](std::span<const uint8_t> t) {
-                      oex.Append(j, k, t);
-                    }});
-              }
-              SplitTable split(
-                  join_nodes[j], &outer->schema,
-                  exec::RouteSpec::HashAttr(query.outer_attr, round_salt),
-                  std::move(dests), &shard);
-              GAMMA_RETURN_NOT_OK(simple_sites[j]->prev_probe_spool().Scan(
-                  [&](Rid, std::span<const uint8_t> t) {
-                    sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan);
-                    split.Send(t);
-                    return true;
-                  }));
-              split.Close();
-              return Status::OK();
-            }));
-        GAMMA_RETURN_NOT_OK(run_site_tasks([&](size_t k, sim::CostTracker&) {
-          oex.Drain(k, probe_deliver(k));
-          return Status::OK();
-        }));
-        GAMMA_RETURN_NOT_OK(drain_results());
-      }
-      GAMMA_RETURN_NOT_OK(check_sites());
-      GAMMA_RETURN_NOT_OK(FlushAllPools());
-      tracker.EndPhase();
-    }
-  }
-
-  // Final packets / end-of-stream from the join operators to the stores.
-  tracker.BeginPhase("finalize", sim::PhaseKind::kPipelined);
-  for (auto& split : result_splits) split->Close();
-  GAMMA_RETURN_NOT_OK(drain_results());
-  GAMMA_RETURN_NOT_OK(check_sites());
-  if (query.store_result && config_.enable_logging) {
-    for (int node : store_nodes) log.Commit(node);
-  }
-  GAMMA_RETURN_NOT_OK(FlushAllPools());
-  tracker.EndPhase();
-
-  if (query.store_result) {
-    uint64_t stored = 0;
-    for (const auto& store : stores) stored += store->stored();
-    result.result_tuples = stored;
-    result_meta->num_tuples = stored;
-    stats_.SetResultCardinality(result_meta->name, result_meta->schema,
-                                static_cast<double>(stored));
-  } else {
-    result.result_tuples = result.returned.size();
-  }
-  // Site teardown drops the spool files before the tracker unbinds.
-  simple_sites.clear();
-  hybrid_sites.clear();
-  merge_sites.clear();
-  return stmt.Finish(std::move(result));
+  GAMMA_RETURN_NOT_OK(run.Finalize());
+  return stmt.Finish(std::move(run.result));
 }
 
 }  // namespace gammadb::gamma

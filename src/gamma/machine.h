@@ -234,8 +234,7 @@ class GammaMachine {
   /// Requires all disk nodes alive, no open transactions, not crashed.
   Result<GrowthReport> AddNode();
 
-  /// Bounded ring of the most recent statement profiles (capacity from
-  /// GAMMA_PROFILE_RING, default 64; 0 disables buffering). Filled by every
+  /// Bounded ring of the 64 most recent statement profiles. Filled by every
   /// successful traced statement in completion order.
   const std::deque<std::shared_ptr<const obs::Profile>>& profile_ring() const {
     return profile_ring_;
@@ -455,8 +454,47 @@ class GammaMachine {
   Result<FragmentCopy> ServingCopy(const catalog::RelationMeta& meta,
                                    int fragment) const;
 
+  /// The serving copy of each of `fragments`, in order, or the first
+  /// Unavailable.
+  Result<std::vector<FragmentCopy>> ServingCopies(
+      const catalog::RelationMeta& meta,
+      const std::vector<int>& fragments) const;
+
+  /// Every disk fragment index, ascending.
+  std::vector<int> AllFragments() const;
+
   /// Disk nodes currently alive, in index order.
   std::vector<int> LiveDiskNodes() const;
+
+  // --- Dataflow scaffold shared by select, join and aggregate ---
+
+  /// A read statement's 2PL footprint on one relation: IS on the relation
+  /// at the scheduler's lock table, then S on each of `fragments` at its
+  /// home table (the canonical order that keeps single-statement
+  /// transactions deadlock-free).
+  Status LockForRead(sim::CostTracker& tracker, uint64_t txn,
+                     const catalog::RelationMeta& meta,
+                     const std::vector<int>& fragments);
+
+  /// One select operator's work on source `s`: `src` is the copy it reads,
+  /// `sm` that copy's node and `shard` the task's cost shard.
+  using ScanBody =
+      std::function<Status(size_t s, const FragmentCopy& src,
+                           storage::StorageManager& sm,
+                           sim::CostTracker& shard)>;
+
+  /// Runs the select operators over `sources`: one host task per serving
+  /// node (GroupByServingNode). Each source charges its fragment lock's
+  /// CPU path (`instr_per_lock`) at the serving node, runs `body`, and
+  /// reports completion to the scheduler in one control message.
+  Status ScanSources(sim::CostTracker& tracker,
+                     const std::vector<FragmentCopy>& sources,
+                     const ScanBody& body);
+
+  /// Result side of a select or join (defined in machine.cc).
+  class ResultStore;
+  /// One join attempt's state and phase functions (defined in machine.cc).
+  struct JoinRun;
 
   /// Runs `attempt`; while it reports Unavailable (a node died mid-flight),
   /// re-runs it against the surviving configuration up to
@@ -571,8 +609,6 @@ class GammaMachine {
   uint64_t next_salt_ = 0xBEEF;
   /// Recent statement profiles, newest last (see profile_ring()).
   std::deque<std::shared_ptr<const obs::Profile>> profile_ring_;
-  /// Ring capacity, read from GAMMA_PROFILE_RING at construction.
-  size_t profile_ring_cap_ = 64;
   /// Flight recorder (see journal()); ring i belongs to tracker node i.
   obs::Journal journal_;
   /// Statements finalized so far — the ordinal stamped on journal events.

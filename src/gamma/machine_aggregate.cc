@@ -55,17 +55,13 @@ Result<QueryResult> GammaMachine::RunAggregateAttempt(
 
   Statement stmt(this);
   sim::CostTracker& tracker = stmt.tracker();
-  const uint64_t txn = stmt.txn();
   const int ndisk = config_.num_disk_nodes;
 
   // Which copy serves each fragment, and which sites can merge. With a dead
   // node the merge work redistributes over the survivors.
-  std::vector<FragmentCopy> sources;
-  sources.reserve(static_cast<size_t>(ndisk));
-  for (int f = 0; f < ndisk; ++f) {
-    GAMMA_ASSIGN_OR_RETURN(const FragmentCopy src, ServingCopy(*meta, f));
-    sources.push_back(src);
-  }
+  const std::vector<int> fragments = AllFragments();
+  GAMMA_ASSIGN_OR_RETURN(const std::vector<FragmentCopy> sources,
+                         ServingCopies(*meta, fragments));
   const std::vector<int> merge_sites = LiveDiskNodes();
   if (merge_sites.empty()) {
     return Status::Unavailable("no surviving aggregation sites");
@@ -81,48 +77,20 @@ Result<QueryResult> GammaMachine::RunAggregateAttempt(
       static_cast<size_t>(ndisk));
   tracker.BeginPhase("local_agg", sim::PhaseKind::kPipelined);
 
-  // 2PL footprint: IS on the relation, S on every scanned fragment.
-  {
-    const uint32_t rel = txns_.RelationId(meta->name);
-    GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, config_.scheduler_node(),
-                                       txn::LockId::Relation(rel),
-                                       txn::LockMode::kIS));
-    for (int f = 0; f < ndisk; ++f) {
-      const txn::LockId id =
-          txn::LockId::Fragment(rel, static_cast<uint32_t>(f));
-      GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, txns_.TableFor(id),
-                                         id, txn::LockMode::kS));
-    }
-  }
-
-  {
-    std::vector<NodeTask> tasks;
-    for (const NodeGroup& group : GroupByServingNode(sources)) {
-      tasks.push_back(NodeTask{
-          group.node, [&, group](sim::CostTracker& shard) -> Status {
-            storage::StorageManager& sm =
-                *nodes_[static_cast<size_t>(group.node)];
-            for (size_t f : group.members) {
-              const FragmentCopy& src = sources[f];
-              sm.charge().Cpu(config_.hw.cost.instr_per_lock);
-              locals[f] = std::make_unique<GroupedAggregator>(
-                  query.group_attr, query.value_attr, query.func,
-                  &meta->schema, &sm.charge());
-              GAMMA_RETURN_NOT_OK(
-                  exec::SelectScan(sm.file(src.file), meta->schema,
-                                   query.predicate, sm.charge(),
-                                   [&](std::span<const uint8_t> t) {
-                                     locals[f]->Consume(t);
-                                   })
-                      .status());
-              shard.ChargeControlMessage(src.node, config_.scheduler_node(),
-                                         false);
-            }
-            return Status::OK();
-          }});
-    }
-    GAMMA_RETURN_NOT_OK(RunNodeTasks(&tracker, std::move(tasks)));
-  }
+  GAMMA_RETURN_NOT_OK(LockForRead(tracker, stmt.txn(), *meta, fragments));
+  GAMMA_RETURN_NOT_OK(ScanSources(
+      tracker, sources,
+      [&](size_t f, const FragmentCopy& src, storage::StorageManager& sm,
+          sim::CostTracker&) -> Status {
+        locals[f] = std::make_unique<GroupedAggregator>(
+            query.group_attr, query.value_attr, query.func, &meta->schema,
+            &sm.charge());
+        return exec::SelectScan(
+                   sm.file(src.file), meta->schema, query.predicate,
+                   sm.charge(),
+                   [&](std::span<const uint8_t> t) { locals[f]->Consume(t); })
+            .status();
+      }));
   GAMMA_RETURN_NOT_OK(FlushAllPools());
   tracker.EndPhase();
 
@@ -183,17 +151,9 @@ Result<QueryResult> GammaMachine::RunAggregateAttempt(
       tasks.push_back(NodeTask{
           group.node, [&, group](sim::CostTracker& shard) -> Status {
             for (size_t f : group.members) {
-              const FragmentCopy& src = sources[f];
-              std::vector<SplitTable::Destination> dests;
-              for (size_t d = 0; d < merge_sites.size(); ++d) {
-                dests.push_back(SplitTable::Destination{
-                    merge_sites[d],
-                    [&agg_ex, f, d](std::span<const uint8_t> partial) {
-                      agg_ex.Append(f, d, partial);
-                    }});
-              }
-              SplitTable split(src.node, &partial_schema, merge_route,
-                               std::move(dests), &shard);
+              SplitTable split(
+                  sources[f].node, &partial_schema, merge_route,
+                  exec::ExchangeDestinations(agg_ex, f, merge_sites), &shard);
               catalog::TupleBuilder builder(&partial_schema);
               for (const auto& [group_key, state] : locals[f]->groups()) {
                 builder.SetInt(0, group_key);
@@ -242,14 +202,10 @@ Result<QueryResult> GammaMachine::RunAggregateAttempt(
             // Sites that received no groups send nothing (not even the
             // end-of-stream split, matching the sequential schedule).
             if (globals[d]->num_groups() == 0) return Status::OK();
-            std::vector<SplitTable::Destination> dests;
-            dests.push_back(SplitTable::Destination{
-                config_.host_node(), [&ret_ex, d](std::span<const uint8_t> t) {
-                  ret_ex.Append(d, 0, t);
-                }});
-            SplitTable split(merge_sites[d], &result_schema,
-                             exec::RouteSpec::Single(0), std::move(dests),
-                             &shard);
+            SplitTable split(
+                merge_sites[d], &result_schema, exec::RouteSpec::Single(0),
+                exec::ExchangeDestinations(ret_ex, d, {config_.host_node()}),
+                &shard);
             globals[d]->EmitResults(
                 [&split](std::span<const uint8_t> t) { split.Send(t); });
             split.Close();

@@ -227,18 +227,12 @@ Result<PlannedJoin> Planner::PlanJoin(gamma::JoinQuery query) const {
     join_sites += model_.shape().num_diskless_nodes;
   }
   join_sites = std::max(1, join_sites);
-  auto sketch_imbalance = [&](const RelationStats* stats, int attr) {
-    const AttrStats* as = stats != nullptr ? stats->Attr(attr) : nullptr;
-    return as != nullptr
-               ? PredictHashImbalance(*as, static_cast<size_t>(join_sites))
-               : 1.0;
-  };
-  const double predicted =
-      std::max(sketch_imbalance(outer_stats, query.outer_attr),
-               sketch_imbalance(inner_stats, query.inner_attr));
+  const JoinSkewPrediction skew =
+      PredictJoinSkew(outer_stats, query.outer_attr, inner_stats,
+                      query.inner_attr, static_cast<size_t>(join_sites));
   const double sample_sec =
       model_.EstimateSkewSample(*outer, outer_stats, *inner, inner_stats);
-  bool bucket_map = predicted > kSkewImbalanceThreshold;
+  bool bucket_map = skew.use_bucket_map;
   if (query.routing != gamma::SplitRouting::kAuto) {
     bucket_map = query.routing == gamma::SplitRouting::kBucketMap;
   }
@@ -265,8 +259,8 @@ Result<PlannedJoin> Planner::PlanJoin(gamma::JoinQuery query) const {
     std::snprintf(buf, sizeof(buf),
                   "routing: %s (predicted hash imbalance %.2f %s threshold "
                   "%.2f%s)",
-                  bucket_map ? "bucket-map" : "hash", predicted,
-                  predicted > kSkewImbalanceThreshold ? ">" : "<=",
+                  bucket_map ? "bucket-map" : "hash", skew.imbalance,
+                  skew.use_bucket_map ? ">" : "<=",
                   kSkewImbalanceThreshold,
                   query.routing != gamma::SplitRouting::kAuto ? ", forced"
                                                               : "");
@@ -274,7 +268,7 @@ Result<PlannedJoin> Planner::PlanJoin(gamma::JoinQuery query) const {
     std::snprintf(buf, sizeof(buf),
                   "est per-node routed tuples: hash max/mean %.0f/%.0f, "
                   "bucket-map ~%.0f",
-                  mean_routed * predicted, mean_routed, mean_routed);
+                  mean_routed * skew.imbalance, mean_routed, mean_routed);
     planned.plan.details.push_back(buf);
     if (bucket_map) {
       planned.plan.details.push_back("est sampling cost: " +

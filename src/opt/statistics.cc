@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace gammadb::opt {
 
@@ -86,6 +87,23 @@ double PredictHashImbalance(const AttrStats& attr, size_t nsites) {
   if (nsites <= 1) return 1.0;
   const double f = std::clamp(attr.freq.TopShare(), 0.0, 1.0);
   return 1.0 + f * static_cast<double>(nsites - 1);
+}
+
+JoinSkewPrediction PredictJoinSkew(const RelationStats* outer, int outer_attr,
+                                   const RelationStats* inner, int inner_attr,
+                                   size_t nsites) {
+  JoinSkewPrediction prediction;
+  for (const auto& [stats, attr] : {std::pair{outer, outer_attr},
+                                    std::pair{inner, inner_attr}}) {
+    const AttrStats* as = stats != nullptr ? stats->Attr(attr) : nullptr;
+    if (as != nullptr) {
+      prediction.imbalance =
+          std::max(prediction.imbalance, PredictHashImbalance(*as, nsites));
+    }
+  }
+  prediction.use_bucket_map =
+      prediction.imbalance > kSkewImbalanceThreshold;
+  return prediction;
 }
 
 double AttrStats::DistinctEstimate(double cardinality) const {

@@ -135,6 +135,19 @@ struct RelationStats {
   }
 };
 
+/// Hash-routing skew predicted for a join over `nsites` join sites: the
+/// larger PredictHashImbalance of its two join attributes (1.0 for an
+/// attribute without statistics), and whether it exceeds
+/// kSkewImbalanceThreshold so bucket-map routing pays for its sample. The
+/// planner and the executing machine both decide kAuto routing with it.
+struct JoinSkewPrediction {
+  double imbalance = 1.0;
+  bool use_bucket_map = false;
+};
+JoinSkewPrediction PredictJoinSkew(const RelationStats* outer, int outer_attr,
+                                   const RelationStats* inner, int inner_attr,
+                                   size_t nsites);
+
 /// \brief Catalog statistics collected at load time and maintained
 /// incrementally by append / delete / modify.
 ///

@@ -321,6 +321,20 @@ Result<QueryResult> TeradataMachine::FinalizeObs(const char* label,
   return result;
 }
 
+Status TeradataMachine::AbandonResult(RelationMeta* result_meta,
+                                      Status status) {
+  BindAll(nullptr);
+  if (result_meta != nullptr) {
+    const std::string name = result_meta->name;
+    for (size_t amp = 0; amp < amps_.size(); ++amp) {
+      amps_[amp]->DropFile(result_meta->per_node_file[amp]);
+    }
+    GAMMA_CHECK(catalog_.Drop(name).ok());
+    states_.erase(name);
+  }
+  return status;
+}
+
 Result<QueryResult> TeradataMachine::RunSelect(const TdSelectQuery& query) {
   GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(query.relation));
   RelationState& state = states_.at(query.relation);
@@ -362,46 +376,50 @@ Result<QueryResult> TeradataMachine::RunSelect(const TdSelectQuery& query) {
     return split;
   };
 
-  if (exact_pk) {
-    tracker.BeginPhase("point_select", sim::PhaseKind::kSequential);
-    const int amp_index = AmpForKey(pred.lo());
-    storage::StorageManager& sm = *amps_[static_cast<size_t>(amp_index)];
-    auto [begin, end] =
-        state.key_dir[static_cast<size_t>(amp_index)].equal_range(pred.lo());
-    for (auto it = begin; it != end; ++it) {
-      auto tuple =
-          sm.file(meta->per_node_file[static_cast<size_t>(amp_index)])
-              .Fetch(it->second, AccessIntent::kRandom);
-      GAMMA_CHECK(tuple.ok());
-      sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan +
-                      config_.hw.cost.instr_per_attr_compare);
-      if (query.store_result) {
-        const int home = AmpForKey(AttrOf(meta->schema, *tuple, 0));
-        tracker.ChargeDataPacket(amp_index, home, tuple->size(),
-                                 /*force_network=*/true);
-        InsertWithRecovery(result_meta->name, result_meta, result_state,
-                           home, *tuple);
-      } else {
-        tracker.ChargeDataPacket(amp_index, config_.host_node(),
-                                 tuple->size());
-        result.returned.push_back(*tuple);
+  // Every step may fail on a storage error; a failed select drops its
+  // partial result.
+  auto run_steps = [&]() -> Status {
+    if (exact_pk) {
+      tracker.BeginPhase("point_select", sim::PhaseKind::kSequential);
+      const int amp_index = AmpForKey(pred.lo());
+      storage::StorageManager& sm = *amps_[static_cast<size_t>(amp_index)];
+      auto [begin, end] =
+          state.key_dir[static_cast<size_t>(amp_index)].equal_range(pred.lo());
+      for (auto it = begin; it != end; ++it) {
+        GAMMA_ASSIGN_OR_RETURN(
+            const std::vector<uint8_t> tuple,
+            sm.file(meta->per_node_file[static_cast<size_t>(amp_index)])
+                .Fetch(it->second, AccessIntent::kRandom));
+        sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan +
+                        config_.hw.cost.instr_per_attr_compare);
+        if (query.store_result) {
+          const int home = AmpForKey(AttrOf(meta->schema, tuple, 0));
+          tracker.ChargeDataPacket(amp_index, home, tuple.size(),
+                                   /*force_network=*/true);
+          InsertWithRecovery(result_meta->name, result_meta, result_state,
+                             home, tuple);
+        } else {
+          tracker.ChargeDataPacket(amp_index, config_.host_node(),
+                                   tuple.size());
+          result.returned.push_back(tuple);
+        }
       }
+      GAMMA_RETURN_NOT_OK(FlushAllPools());
+      tracker.EndPhase();
+      return Status::OK();
     }
-    FlushAllPools();
-    tracker.EndPhase();
-  } else {
     // Pick the access path: a dense secondary index helps only at low
-    // selectivity, and even then the whole index must be scanned (§3, §5.1).
+    // selectivity, and even then the whole index must be scanned (§3,
+    // §5.1).
     const SecondaryIndex* index = nullptr;
     if (query.allow_index && !pred.is_true()) {
       for (const SecondaryIndex& candidate : state.indices) {
         if (candidate.attr == pred.attr()) index = &candidate;
       }
-      const double span =
-          static_cast<double>(pred.hi()) - pred.lo() + 1;
+      const double span = static_cast<double>(pred.hi()) - pred.lo() + 1;
       const double selectivity =
-          span / std::max<double>(1.0,
-                                  static_cast<double>(meta->num_tuples));
+          span /
+          std::max<double>(1.0, static_cast<double>(meta->num_tuples));
       if (selectivity > kIndexThreshold) index = nullptr;
     }
 
@@ -427,32 +445,38 @@ Result<QueryResult> TeradataMachine::RunSelect(const TdSelectQuery& query) {
         // Scan the *entire* index (hash order, not key order), then fetch
         // each qualifying tuple with a random access.
         std::vector<Rid> rids;
-        sm.file(index->per_amp_file[static_cast<size_t>(amp_index)])
-            .Scan([&](Rid, std::span<const uint8_t> bytes) {
-              const internal::IndexEntry entry =
-                  internal::DeserializeIndexEntry(bytes);
-              sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan +
-                              pred.compare_count() *
-                                  config_.hw.cost.instr_per_attr_compare);
-              if (entry.key >= pred.lo() && entry.key <= pred.hi()) {
-                rids.push_back(Rid{entry.page_index, entry.slot});
-              }
-              return true;
-            });
+        GAMMA_RETURN_NOT_OK(
+            sm.file(index->per_amp_file[static_cast<size_t>(amp_index)])
+                .Scan([&](Rid, std::span<const uint8_t> bytes) {
+                  const internal::IndexEntry entry =
+                      internal::DeserializeIndexEntry(bytes);
+                  sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan +
+                                  pred.compare_count() *
+                                      config_.hw.cost.instr_per_attr_compare);
+                  if (entry.key >= pred.lo() && entry.key <= pred.hi()) {
+                    rids.push_back(Rid{entry.page_index, entry.slot});
+                  }
+                  return true;
+                }));
         for (const Rid rid : rids) {
-          auto tuple = fragment.Fetch(rid, AccessIntent::kRandom);
-          GAMMA_CHECK(tuple.ok());
+          GAMMA_ASSIGN_OR_RETURN(const std::vector<uint8_t> tuple,
+                                 fragment.Fetch(rid, AccessIntent::kRandom));
           sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan);
-          emit(*tuple);
+          emit(tuple);
         }
       } else {
-        exec::SelectScan(fragment, meta->schema, pred, sm.charge(), emit);
+        GAMMA_RETURN_NOT_OK(
+            exec::SelectScan(fragment, meta->schema, pred, sm.charge(), emit)
+                .status());
       }
       if (split != nullptr) split->Close();
     }
-    FlushAllPools();
+    GAMMA_RETURN_NOT_OK(FlushAllPools());
     tracker.EndPhase();
-  }
+    return Status::OK();
+  };
+  const Status status = run_steps();
+  if (!status.ok()) return AbandonResult(result_meta, status);
 
   if (query.store_result) {
     result.result_tuples = result_meta->num_tuples;
@@ -668,18 +692,7 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
       if (id != catalog::kNoFile) amps_[amp]->DropFile(id);
     }
   }
-  if (!status.ok()) {
-    BindAll(nullptr);
-    if (result_meta != nullptr) {
-      const std::string name = result_meta->name;
-      for (size_t amp = 0; amp < num_amps; ++amp) {
-        amps_[amp]->DropFile(result_meta->per_node_file[amp]);
-      }
-      GAMMA_CHECK(catalog_.Drop(name).ok());
-      states_.erase(name);
-    }
-    return status;
-  }
+  if (!status.ok()) return AbandonResult(result_meta, status);
 
   if (query.store_result) {
     result.result_tuples = result_meta->num_tuples;

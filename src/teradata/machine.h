@@ -178,6 +178,9 @@ class TeradataMachine {
                                   RelationState* state, int amp_index,
                                   std::span<const uint8_t> tuple);
   std::string FreshResultName();
+  /// Failure path of a statement: unbinds the AMPs and drops the partial
+  /// result relation (when there is one). Returns `status`.
+  Status AbandonResult(catalog::RelationMeta* result_meta, Status status);
   /// Registers a result relation hash-partitioned on attribute 0.
   catalog::RelationMeta* MakeResultRelation(const std::string& requested,
                                             catalog::Schema schema,

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,7 +134,10 @@ RunOutput RunEndToEnd(
   return out;
 }
 
-void ExpectRunsIdentical(
+/// Runs `query` end to end at 1 and at kManyThreads host threads, expects
+/// identical answers, accounting and fault draws, and returns the 1-thread
+/// run.
+RunOutput ExpectRunsIdentical(
     const gamma::GammaConfig& config,
     const std::function<Result<QueryResult>(gamma::GammaMachine&)>& query) {
   const RunOutput one =
@@ -156,47 +160,133 @@ void ExpectRunsIdentical(
             many.fault_stats.transient_write_faults);
   EXPECT_EQ(one.fault_stats.corrupted_reads, many.fault_stats.corrupted_reads);
   EXPECT_EQ(one.fault_stats.packets_dropped, many.fault_stats.packets_dropped);
+  return one;
+}
+
+std::vector<std::string> PhaseNames(const QueryResult& result) {
+  std::vector<std::string> names;
+  for (const sim::PhaseMetrics& phase : result.metrics.phases) {
+    names.push_back(phase.name);
+  }
+  return names;
 }
 
 // Table 1's shape: a 10% range selection returned to the host, and the
-// same selection stored declustered across all nodes.
+// same selection stored declustered across all nodes; then the 10% range
+// through a clustered index and a 1% range through a non-clustered index.
+// Every access path runs as one "select" phase.
 TEST(ParallelExecutorTest, SelectionIdenticalAcrossThreadCounts) {
   for (const bool store : {false, true}) {
-    ExpectRunsIdentical(ParallelConfig(), [store](gamma::GammaMachine& m) {
-      gamma::SelectQuery query;
-      query.relation = "A";
-      query.predicate = Predicate::Range(wis::kUnique2, 100, 299);
-      query.store_result = store;
-      return m.RunSelect(query);
-    });
+    const RunOutput run =
+        ExpectRunsIdentical(ParallelConfig(), [store](gamma::GammaMachine& m) {
+          gamma::SelectQuery query;
+          query.relation = "A";
+          query.predicate = Predicate::Range(wis::kUnique2, 100, 299);
+          query.store_result = store;
+          return m.RunSelect(query);
+        });
+    EXPECT_EQ(PhaseNames(run.result), std::vector<std::string>{"select"});
+  }
+  for (const bool clustered : {true, false}) {
+    const RunOutput run = ExpectRunsIdentical(
+        ParallelConfig(), [clustered](gamma::GammaMachine& m) {
+          GAMMA_CHECK(m.BuildIndex("A", wis::kUnique2, clustered).ok());
+          gamma::SelectQuery query;
+          query.relation = "A";
+          query.predicate =
+              Predicate::Range(wis::kUnique2, 100, clustered ? 299 : 119);
+          query.access = clustered ? gamma::AccessPath::kClusteredIndex
+                                   : gamma::AccessPath::kNonClusteredIndex;
+          return m.RunSelect(query);
+        });
+    EXPECT_EQ(run.result.result_tuples, clustered ? 200u : 20u);
+    EXPECT_EQ(PhaseNames(run.result), std::vector<std::string>{"select"});
   }
 }
 
-// Table 2's shape: joinABprime on the partitioning attribute plus the
-// non-partitioning variant that repartitions both inputs.
+// Table 2's shape (joinABprime on the partitioning attribute, and the
+// non-partitioning variant that repartitions both inputs) under every join
+// algorithm, site choice, routing and result destination, each with its
+// exact phase sequence.
 TEST(ParallelExecutorTest, JoinIdenticalAcrossThreadCounts) {
-  for (const int attr : {wis::kUnique1, wis::kUnique2}) {
-    ExpectRunsIdentical(ParallelConfig(), [attr](gamma::GammaMachine& m) {
-      gamma::JoinQuery join;
-      join.outer = "A";
-      join.inner = "B";
-      join.outer_attr = attr;
-      join.inner_attr = attr;
-      join.mode = gamma::JoinMode::kAllnodes;
-      return m.RunJoin(join);
-    });
+  using gamma::JoinAlgorithm;
+  using gamma::JoinMode;
+  using gamma::SplitRouting;
+  struct Variant {
+    const char* name;
+    int attr;
+    JoinMode mode;
+    JoinAlgorithm algorithm;
+    SplitRouting routing;
+    bool bit_filter;
+    bool store;
+    /// Aggregate join memory; 0 keeps ParallelConfig's.
+    uint64_t join_memory;
+    std::vector<std::string> phases;
+  };
+  const std::vector<std::string> hash = {"build", "probe", "finalize"};
+  const Variant variants[] = {
+      {"simple_key", wis::kUnique1, JoinMode::kAllnodes,
+       JoinAlgorithm::kSimpleHash, SplitRouting::kAuto, false, true, 0, hash},
+      {"simple_nonkey", wis::kUnique2, JoinMode::kAllnodes,
+       JoinAlgorithm::kSimpleHash, SplitRouting::kAuto, false, true, 0, hash},
+      {"hybrid", wis::kUnique2, JoinMode::kRemote, JoinAlgorithm::kHybridHash,
+       SplitRouting::kAuto, false, true, 0,
+       {"build", "probe", "hybrid_buckets", "finalize"}},
+      {"sort_merge", wis::kUnique2, JoinMode::kLocal,
+       JoinAlgorithm::kSortMerge, SplitRouting::kAuto, false, false, 0,
+       {"build", "probe", "sort_merge", "finalize"}},
+      {"overflow", wis::kUnique2, JoinMode::kAllnodes,
+       JoinAlgorithm::kSimpleHash, SplitRouting::kAuto, false, true, 64 << 10,
+       {"build", "probe", "overflow_build_1", "overflow_probe_1",
+        "overflow_build_2", "overflow_probe_2", "overflow_build_3",
+        "overflow_probe_3", "overflow_build_4", "overflow_probe_4",
+        "finalize"}},
+      {"bit_filter", wis::kUnique2, JoinMode::kLocal,
+       JoinAlgorithm::kSimpleHash, SplitRouting::kAuto, true, false, 0, hash},
+      {"bucket_map", wis::kUnique2, JoinMode::kRemote,
+       JoinAlgorithm::kSimpleHash, SplitRouting::kBucketMap, false, true, 0,
+       {"skew_sample", "build", "probe", "finalize"}},
+  };
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    gamma::GammaConfig config = ParallelConfig();
+    if (v.join_memory != 0) config.join_memory_total = v.join_memory;
+    const RunOutput run =
+        ExpectRunsIdentical(config, [&v](gamma::GammaMachine& m) {
+          gamma::JoinQuery join;
+          join.outer = "A";
+          join.inner = "B";
+          join.outer_attr = v.attr;
+          join.inner_attr = v.attr;
+          join.mode = v.mode;
+          join.algorithm = v.algorithm;
+          join.routing = v.routing;
+          join.use_bit_filter = v.bit_filter;
+          join.store_result = v.store;
+          return m.RunJoin(join);
+        });
+    EXPECT_EQ(run.result.result_tuples, 1000u);
+    EXPECT_EQ(run.result.result_relation.empty(), !v.store);
+    EXPECT_EQ(PhaseNames(run.result), v.phases);
   }
 }
 
 TEST(ParallelExecutorTest, AggregateIdenticalAcrossThreadCounts) {
-  ExpectRunsIdentical(ParallelConfig(), [](gamma::GammaMachine& m) {
-    gamma::AggregateQuery query;
-    query.relation = "A";
-    query.group_attr = wis::kTen;
-    query.value_attr = wis::kUnique1;
-    query.func = exec::AggFunc::kSum;
-    return m.RunAggregate(query);
-  });
+  for (const int group_attr : {-1, static_cast<int>(wis::kTen)}) {
+    const RunOutput run = ExpectRunsIdentical(
+        ParallelConfig(), [group_attr](gamma::GammaMachine& m) {
+          gamma::AggregateQuery query;
+          query.relation = "A";
+          query.group_attr = group_attr;
+          query.value_attr = wis::kUnique1;
+          query.func = exec::AggFunc::kSum;
+          return m.RunAggregate(query);
+        });
+    EXPECT_EQ(run.result.result_tuples, group_attr < 0 ? 1u : 10u);
+    EXPECT_EQ(PhaseNames(run.result),
+              (std::vector<std::string>{"local_agg", "global_agg", "return"}));
+  }
 }
 
 // Injected transient faults, dropped packets, and recovery logging: the

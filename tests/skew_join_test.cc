@@ -15,6 +15,7 @@
 
 #include "exec/skew.h"
 #include "gamma/machine.h"
+#include "opt/planner.h"
 #include "opt/statistics.h"
 #include "sim/host_pool.h"
 #include "test_util.h"
@@ -252,6 +253,25 @@ TEST(SkewJoinTest, AutoRoutingStaysOnHashForUniformKeys) {
       machine->RunJoin(SkewJoin(gamma::SplitRouting::kAuto));
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(RanSkewSample(*result));
+}
+
+// The planner and the executing machine share one skew predictor: the
+// routing the planner picks for a kAuto join is the one the machine runs.
+TEST(SkewJoinTest, PlannerRoutingMatchesExecutedAutoRouting) {
+  for (const double theta : {0.0, 1.0}) {
+    SCOPED_TRACE(theta);
+    auto machine = MakeSkewLoaded(SkewConfig(), theta);
+    const opt::Planner planner(*machine);
+    const auto planned = planner.PlanJoin(SkewJoin(gamma::SplitRouting::kAuto));
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    gamma::JoinQuery query = planned->query;
+    query.routing = gamma::SplitRouting::kAuto;
+    const auto result = machine->RunJoin(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(planned->query.routing == gamma::SplitRouting::kBucketMap,
+              RanSkewSample(*result));
+    EXPECT_EQ(RanSkewSample(*result), theta > 0);
+  }
 }
 
 TEST(SkewJoinTest, BucketMapRunIsBitIdenticalAcrossHostThreads) {

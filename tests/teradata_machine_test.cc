@@ -175,6 +175,68 @@ TEST_F(TeradataMachineTest, JoinOverRottedPageFailsAndCleansUp) {
   EXPECT_EQ(ok->result_tuples, 200u);
 }
 
+TEST_F(TeradataMachineTest, SelectOverRottedPageFails) {
+  ASSERT_TRUE(machine_.BuildSecondaryIndex("A", wis::kUnique2).ok());
+  const auto bprime = wis::GenerateWisconsin(200, 8);
+  ASSERT_TRUE(machine_
+                  .CreateRelation("Bprime", wis::WisconsinSchema(),
+                                  wis::kUnique1)
+                  .ok());
+  ASSERT_TRUE(machine_.LoadTuples("Bprime", bprime).ok());
+  // Disk page 0 of AMP 2 is A's first page there. Read the keys of one of
+  // its tuples for the index and point paths, drop the page from the
+  // pool, then rot it on disk.
+  storage::StorageManager& amp2 = machine_.amp(2);
+  const catalog::RelationMeta* a = *machine_.catalog().Get("A");
+  int32_t pk_on_page0 = -1;
+  int32_t key_on_page0 = -1;
+  ASSERT_TRUE(amp2.file(a->per_node_file[2])
+                  .ScanPages(0, 0,
+                             [&](storage::Rid, std::span<const uint8_t> t) {
+                               const catalog::TupleView view(
+                                   &wis::WisconsinSchema(), t);
+                               pk_on_page0 = view.GetInt(wis::kUnique1);
+                               key_on_page0 = view.GetInt(wis::kUnique2);
+                               return false;
+                             })
+                  .ok());
+  ASSERT_GE(key_on_page0, 0);
+  ASSERT_TRUE(amp2.pool().Invalidate().ok());
+  amp2.disk().CorruptStoredPage(0);
+
+  struct Case {
+    const char* name;
+    Predicate predicate;
+    bool store;
+  };
+  const Case cases[] = {
+      {"scan_store", Predicate::Range(wis::kUnique1, 0, 1999), true},
+      {"scan_host", Predicate::Range(wis::kUnique1, 0, 1999), false},
+      {"index", Predicate::Eq(wis::kUnique2, key_on_page0), true},
+      {"point", Predicate::Eq(wis::kUnique1, pk_on_page0), false},
+  };
+  for (const Case& c : cases) {
+    TdSelectQuery query;
+    query.relation = "A";
+    query.predicate = c.predicate;
+    query.store_result = c.store;
+    query.result_name = std::string("R_") + c.name;
+    const auto result = machine_.RunSelect(query);
+    ASSERT_FALSE(result.ok()) << c.name;
+    EXPECT_TRUE(result.status().IsCorruption())
+        << c.name << ": " << result.status().ToString();
+    EXPECT_FALSE(machine_.CountTuples(query.result_name).ok()) << c.name;
+  }
+  // The machine stays usable: a select that does not touch A still runs.
+  TdSelectQuery other;
+  other.relation = "Bprime";
+  other.predicate = Predicate::Range(wis::kUnique1, 0, 199);
+  const auto ok = machine_.RunSelect(other);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->result_tuples, 200u);
+  EXPECT_EQ(*machine_.CountTuples(ok->result_relation), 200u);
+}
+
 TEST_F(TeradataMachineTest, KeyAttributeJoinSkipsRedistribution) {
   const auto bprime = wis::GenerateWisconsin(200, 8);
   ASSERT_TRUE(machine_
