@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark): host-time throughput of the real
 // data-path primitives underlying the simulation — slotted pages, B-tree,
 // join hash table, external sort, merge join, split routing, predicate
-// evaluation. These measure the reproduction's own code (wall-clock), not
-// the simulated 1988 hardware.
+// evaluation, Teradata bulk load and load-time statistics. These measure
+// the reproduction's own code (wall-clock), not the simulated 1988
+// hardware.
 
 #include <benchmark/benchmark.h>
 
@@ -13,9 +14,12 @@
 #include "exec/predicate.h"
 #include "exec/sort.h"
 #include "exec/split_table.h"
+#include "opt/statistics.h"
+#include "sim/host_pool.h"
 #include "storage/btree.h"
 #include "storage/page.h"
 #include "storage/storage_manager.h"
+#include "teradata/machine.h"
 #include "wisconsin/wisconsin.h"
 
 namespace gammadb {
@@ -260,6 +264,56 @@ void BM_WisconsinGenerate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_WisconsinGenerate)->Arg(10000);
+
+void BM_TeradataLoad(benchmark::State& state) {
+  // teradata.load_ns_per_tuple: 100k Wisconsin tuples bulk-loaded into a
+  // fresh 20-AMP machine (route, hash-order sort, append, key directory,
+  // pool settle) at Arg host threads. The machine's construction is not
+  // timed.
+  const auto tuples = wis::GenerateWisconsin(100000, 8);
+  sim::HostPool& pool = sim::HostPool::Instance();
+  const int saved_threads = pool.num_threads();
+  pool.set_num_threads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto machine =
+        std::make_unique<teradata::TeradataMachine>(teradata::TeradataConfig{});
+    if (!machine->CreateRelation("A", wis::WisconsinSchema(), wis::kUnique1)
+             .ok()) {
+      state.SkipWithError("create failed");
+      break;
+    }
+    state.ResumeTiming();
+    if (!machine->LoadTuples("A", tuples).ok()) {
+      state.SkipWithError("load failed");
+      break;
+    }
+    state.PauseTiming();
+    machine.reset();
+    state.ResumeTiming();
+  }
+  pool.set_num_threads(saved_threads);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(tuples.size()));
+}
+BENCHMARK(BM_TeradataLoad)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+void BM_StatsAbsorb(benchmark::State& state) {
+  // opt.stats.absorb_ns_per_tuple: load-time statistics over 100k Wisconsin
+  // tuples (min/max, linear-counting and space-saving sketches on each of
+  // the 13 integer attributes).
+  const auto tuples = wis::GenerateWisconsin(100000, 9);
+  const auto& schema = wis::WisconsinSchema();
+  const auto partitioning = catalog::PartitionSpec::Hashed(wis::kUnique1);
+  for (auto _ : state) {
+    opt::StatisticsCatalog stats;
+    stats.OnLoad("A", schema, tuples, partitioning);
+    benchmark::DoNotOptimize(stats.Find("A"));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(tuples.size()));
+}
+BENCHMARK(BM_StatsAbsorb)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace gammadb

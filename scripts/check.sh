@@ -63,6 +63,13 @@ if [[ "$MODE" == "all" || "$MODE" == "--tsan-only" ]]; then
   echo "== elastic growth under TSan (4 host threads) =="
   GAMMA_HOST_THREADS=4 GAMMA_BENCH_SIZES=10000 \
     ./build-tsan/bench/extension_elastic
+  echo "== Table 1 selections under TSan (4 host threads) =="
+  GAMMA_HOST_THREADS=4 GAMMA_BENCH_SIZES=10000 \
+    ./build-tsan/bench/table1_selection
+  echo "== Table 2 joins under TSan (4 host threads: parallel Teradata load," \
+    "secondary-index build and hash-ordered key joins) =="
+  GAMMA_HOST_THREADS=4 GAMMA_BENCH_SIZES=10000 \
+    ./build-tsan/bench/table2_join
 fi
 
 echo "All checks passed."

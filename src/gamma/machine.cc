@@ -623,43 +623,42 @@ Status GammaMachine::LoadTuples(
   }
   catalog::Partitioner partitioner(&meta->partitioning, &meta->schema,
                                    config_.num_disk_nodes);
-  // Route every tuple once on the coordinator, then fan the appends out one
-  // host task per disk node: a node appends exactly the subsequence of
-  // tuples homed (or backed up) on it, in input order — the same per-node
-  // append sequence the sequential loop produced, so the stored pages are
-  // bit-identical for any thread count.
-  std::vector<int> targets(tuples.size());
+  // Route every tuple once on the coordinator into per-node append lists,
+  // then fan the appends out one host task per disk node: a node appends
+  // exactly the subsequence of tuples homed (or backed up) on it, in input
+  // order — the same per-node append sequence the sequential loop produced,
+  // so the stored pages are bit-identical for any thread count.
+  struct Placement {
+    uint32_t file;
+    size_t index;
+  };
+  const auto num_disk = static_cast<size_t>(config_.num_disk_nodes);
+  std::vector<std::vector<Placement>> placements(num_disk);
   for (size_t i = 0; i < tuples.size(); ++i) {
-    targets[i] = partitioner.NodeFor(tuples[i]);
+    const auto home = static_cast<size_t>(partitioner.NodeFor(tuples[i]));
+    placements[home].push_back({meta->per_node_file[home], i});
+    if (meta->backed_up) {
+      placements[(home + 1) % num_disk].push_back(
+          {meta->per_node_backup_file[home], i});
+    }
   }
   struct Undo {
     uint32_t file;
     Rid rid;
   };
-  std::vector<std::vector<Undo>> undo(
-      static_cast<size_t>(config_.num_disk_nodes));
+  std::vector<std::vector<Undo>> undo(num_disk);
   std::vector<NodeTask> tasks;
-  tasks.reserve(static_cast<size_t>(config_.num_disk_nodes));
-  for (int n = 0; n < config_.num_disk_nodes; ++n) {
+  tasks.reserve(num_disk);
+  for (size_t n = 0; n < num_disk; ++n) {
     tasks.push_back(NodeTask{
-        n, [&, n](sim::CostTracker&) -> Status {
-          storage::StorageManager& sm = *nodes_[static_cast<size_t>(n)];
-          std::vector<Undo>& mine = undo[static_cast<size_t>(n)];
-          for (size_t i = 0; i < tuples.size(); ++i) {
-            if (targets[i] == n) {
-              const uint32_t fid = meta->per_node_file[static_cast<size_t>(n)];
-              auto rid_or = sm.file(fid).Append(tuples[i]);
-              if (!rid_or.ok()) return rid_or.status();
-              mine.push_back({fid, *rid_or});
-            }
-            if (meta->backed_up &&
-                (targets[i] + 1) % config_.num_disk_nodes == n) {
-              const uint32_t bfid =
-                  meta->per_node_backup_file[static_cast<size_t>(targets[i])];
-              auto brid_or = sm.file(bfid).Append(tuples[i]);
-              if (!brid_or.ok()) return brid_or.status();
-              mine.push_back({bfid, *brid_or});
-            }
+        static_cast<int>(n), [&, n](sim::CostTracker&) -> Status {
+          storage::StorageManager& sm = *nodes_[n];
+          std::vector<Undo>& mine = undo[n];
+          mine.reserve(placements[n].size());
+          for (const Placement& p : placements[n]) {
+            GAMMA_ASSIGN_OR_RETURN(const Rid rid,
+                                   sm.file(p.file).Append(tuples[p.index]));
+            mine.push_back({p.file, rid});
           }
           return Status::OK();
         }});
@@ -738,28 +737,30 @@ Status GammaMachine::BuildIndex(const std::string& name, int attr,
 
       if (clustered) {
         // Physically reorder the fragment into key order, then index it.
-        std::vector<std::vector<uint8_t>> tuples;
-        tuples.reserve(fragment.num_tuples());
+        // Sorting {key, scan position} pairs keeps equal keys in scan order
+        // (what a stable sort of the tuples gives) without moving tuples.
+        const size_t tuple_size = meta->schema.tuple_size();
+        std::vector<uint8_t> bytes;
+        bytes.reserve(fragment.num_tuples() * tuple_size);
+        std::vector<std::pair<int32_t, size_t>> order;
+        order.reserve(fragment.num_tuples());
         GAMMA_RETURN_NOT_OK(
             fragment.Scan([&](Rid, std::span<const uint8_t> tuple) {
-              tuples.emplace_back(tuple.begin(), tuple.end());
+              order.emplace_back(TupleView(&meta->schema, tuple)
+                                     .GetInt(static_cast<size_t>(attr)),
+                                 order.size());
+              bytes.insert(bytes.end(), tuple.begin(), tuple.end());
               return true;
             }));
-        std::stable_sort(tuples.begin(), tuples.end(),
-                         [&](const std::vector<uint8_t>& a,
-                             const std::vector<uint8_t>& b) {
-                           return TupleView(&meta->schema, a)
-                                      .GetInt(static_cast<size_t>(attr)) <
-                                  TupleView(&meta->schema, b)
-                                      .GetInt(static_cast<size_t>(attr));
-                         });
+        std::sort(order.begin(), order.end());
         const storage::FileId sorted_id = sm.CreateFile();
         storage::HeapFile& sorted = sm.file(sorted_id);
-        for (const std::vector<uint8_t>& tuple : tuples) {
-          GAMMA_ASSIGN_OR_RETURN(const Rid rid, sorted.Append(tuple));
-          entries.emplace_back(TupleView(&meta->schema, tuple)
-                                   .GetInt(static_cast<size_t>(attr)),
-                               rid);
+        for (const auto& [key, position] : order) {
+          GAMMA_ASSIGN_OR_RETURN(
+              const Rid rid,
+              sorted.Append(std::span<const uint8_t>(
+                  bytes.data() + position * tuple_size, tuple_size)));
+          entries.emplace_back(key, rid);
         }
         new_files[static_cast<size_t>(i)] = sorted_id;
       } else {

@@ -13,6 +13,7 @@
 #include "catalog/catalog.h"
 #include "common/result.h"
 #include "common/units.h"
+#include "exec/node_executor.h"
 #include "gamma/query.h"
 #include "gamma/recovery_log.h"
 #include "gamma/wal.h"
@@ -416,13 +417,7 @@ class GammaMachine {
     bool finished_ = false;
   };
 
-  /// One unit of host-parallel work: `body` runs on some pool thread with
-  /// exclusive ownership of node `owner`'s storage (owner < 0: no storage),
-  /// charging simulated costs into a private CostTracker shard.
-  struct NodeTask {
-    int owner;
-    std::function<Status(sim::CostTracker& shard)> body;
-  };
+  using NodeTask = exec::NodeTask;
 
   /// Participating fragments grouped by serving node (failover can map two
   /// fragments onto one survivor; both must run in that node's task).
@@ -431,13 +426,9 @@ class GammaMachine {
     std::vector<size_t> members;  // indices into the sources vector
   };
 
-  /// Runs `tasks` on the host pool (inline, in order, with one thread) and
-  /// barriers. Each task's node is bound to the task's shard for the
-  /// duration; afterwards shards are merged into `tracker` and nodes
-  /// rebound to it in task order, so accounting is byte-identical for every
-  /// thread count. Returns the first non-OK task status, in task order —
-  /// all tasks run to completion either way (an abort discards their work).
-  /// `tracker` may be null (uncharged work, e.g. loading).
+  /// Runs `tasks` on this machine's nodes through exec::NodeExecutor::Run
+  /// (same contract: task-order merge, first failure returned). `tracker`
+  /// may be null (uncharged work, e.g. loading).
   Status RunNodeTasks(sim::CostTracker* tracker, std::vector<NodeTask> tasks);
 
   static std::vector<NodeGroup> GroupByServingNode(

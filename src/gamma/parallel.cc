@@ -1,19 +1,9 @@
-// Host-parallel task runner of GammaMachine: maps one phase's independent
-// per-node work onto the process-wide worker pool, with deterministic cost
-// accounting.
-//
-// Determinism contract: each task charges into a private CostTracker shard
-// (a full node-slot vector with no phases of its own); after the barrier the
-// shards are merged into the query tracker *in task order*. With one host
-// thread the same tasks run inline in the same order, so every simulated
-// time, counter and answer is byte-identical for any thread count — the
-// schedule decides only which core does the work, never what is charged.
+// GammaMachine's side of host parallelism: grouping fragments by serving
+// node, and running per-node tasks on the shared exec::NodeExecutor (whose
+// determinism contract makes every thread count byte-identical).
 
-#include <memory>
-
-#include "common/macros.h"
+#include "exec/node_executor.h"
 #include "gamma/machine.h"
-#include "sim/host_pool.h"
 
 namespace gammadb::gamma {
 
@@ -45,42 +35,9 @@ std::vector<GammaMachine::NodeGroup> GammaMachine::GroupByServingNode(
 
 Status GammaMachine::RunNodeTasks(sim::CostTracker* tracker,
                                   std::vector<NodeTask> tasks) {
-  const size_t n = tasks.size();
-  std::vector<std::unique_ptr<sim::CostTracker>> shards(n);
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<std::function<void()>> thunks;
-  thunks.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    shards[i] =
-        std::make_unique<sim::CostTracker>(config_.hw, config_.tracker_nodes());
-    shards[i]->AttachFaultInjector(faults_.get());
-    thunks.push_back([this, i, tracker, &tasks, &shards, &statuses] {
-      const NodeTask& task = tasks[i];
-      if (task.owner >= 0) {
-        storage::StorageManager& sm = *nodes_[static_cast<size_t>(task.owner)];
-        sm.BeginExclusive();
-        if (tracker != nullptr) sm.BindTracker(shards[i].get(), task.owner);
-        statuses[i] = task.body(*shards[i]);
-        sm.EndExclusive();
-      } else {
-        statuses[i] = task.body(*shards[i]);
-      }
-    });
-  }
-  sim::HostPool::Instance().RunAll(thunks);
-  // Barrier passed: merge shards and restore the node bindings, in task
-  // order (callers build tasks in canonical node order).
-  for (size_t i = 0; i < n; ++i) {
-    if (tracker != nullptr) tracker->MergeUsage(*shards[i]);
-    if (tasks[i].owner >= 0) {
-      nodes_[static_cast<size_t>(tasks[i].owner)]->BindTracker(tracker,
-                                                               tasks[i].owner);
-    }
-  }
-  for (const Status& status : statuses) {
-    GAMMA_RETURN_NOT_OK(status);
-  }
-  return Status::OK();
+  return exec::NodeExecutor(nodes_, config_.hw, config_.tracker_nodes(),
+                            faults_.get())
+      .Run(tracker, std::move(tasks));
 }
 
 }  // namespace gammadb::gamma

@@ -1,8 +1,12 @@
 #include "opt/statistics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <utility>
+
+#include "sim/host_pool.h"
 
 namespace gammadb::opt {
 
@@ -18,6 +22,20 @@ uint64_t MixHash(int32_t value) {
   return x ^ (x >> 31);
 }
 
+/// Lemire's fastmod_u64 ("Faster Remainder by Direct Computation", 2019):
+/// `a % d` from `m` = ceil(2^128 / d), exact for every 64-bit `a` and `d`.
+uint64_t FastMod(uint64_t a, unsigned __int128 m, uint64_t d) {
+  const unsigned __int128 low = m * a;
+  // The high 64 bits of the 192-bit product low * d.
+  const unsigned __int128 bottom = ((low & UINT64_MAX) * d) >> 64;
+  const unsigned __int128 top = (low >> 64) * d;
+  return static_cast<uint64_t>((bottom + top) >> 64);
+}
+
+size_t IndexHome(int32_t value) {
+  return (static_cast<uint32_t>(value) * 0x9E3779B1u) >> 26;
+}
+
 }  // namespace
 
 DistinctSketch::DistinctSketch(uint64_t expected) {
@@ -28,6 +46,7 @@ DistinctSketch::DistinctSketch(uint64_t expected) {
   const uint64_t words = (bits + 63) / 64;
   words_.assign(words, 0);
   bit_count_ = words * 64;
+  fastmod_m_ = ~static_cast<unsigned __int128>(0) / bit_count_ + 1;
 }
 
 void DistinctSketch::Insert(int32_t value) {
@@ -35,7 +54,7 @@ void DistinctSketch::Insert(int32_t value) {
     // Un-sized sketch (incrementally created relation): start small.
     *this = DistinctSketch(1024);
   }
-  const uint64_t bit = MixHash(value) % bit_count_;
+  const uint64_t bit = FastMod(MixHash(value), fastmod_m_, bit_count_);
   uint64_t& word = words_[bit / 64];
   const uint64_t mask = 1ull << (bit % 64);
   if ((word & mask) == 0) {
@@ -52,26 +71,79 @@ double DistinctSketch::Estimate(double fallback) const {
   return -m * std::log(zero_fraction);
 }
 
+size_t FrequencySketch::Probe(int32_t value) const {
+  size_t pos = IndexHome(value);
+  while (index_slot_[pos] != 0 && index_value_[pos] != value) {
+    pos = (pos + 1) % kIndexSlots;
+  }
+  return pos;
+}
+
+void FrequencySketch::Index(size_t pos, int32_t value, size_t slot) {
+  index_value_[pos] = value;
+  index_slot_[pos] = static_cast<uint8_t>(slot + 1);
+  pos_of_[slot] = static_cast<uint8_t>(pos);
+}
+
+void FrequencySketch::Unindex(size_t pos) {
+  size_t hole = pos;
+  for (size_t next = (hole + 1) % kIndexSlots; index_slot_[next] != 0;
+       next = (next + 1) % kIndexSlots) {
+    // An entry may fill the hole only if the hole lies on its probe path.
+    const size_t home = IndexHome(index_value_[next]);
+    if ((next - home) % kIndexSlots >= (next - hole) % kIndexSlots) {
+      Index(hole, index_value_[next], index_slot_[next] - 1u);
+      hole = next;
+    }
+  }
+  index_slot_[hole] = 0;
+}
+
+void FrequencySketch::LeaveMin(size_t slot) {
+  min_mask_ &= ~(uint32_t{1} << slot);
+  if (min_mask_ == 0) RescanMin();
+}
+
+void FrequencySketch::RescanMin() {
+  min_count_ = entries_[0].count;
+  for (const Entry& e : entries_) min_count_ = std::min(min_count_, e.count);
+  min_mask_ = 0;
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].count == min_count_) min_mask_ |= uint32_t{1} << i;
+  }
+}
+
 void FrequencySketch::Insert(int32_t value) {
+  static_assert(kCapacity <= 32 && kIndexSlots >= 2 * kCapacity);
   if (tick_++ % kSampleEvery != 0) return;
   ++sampled_;
-  Entry* min_entry = nullptr;
-  for (Entry& e : entries_) {
-    if (e.value == value) {
-      e.count += 1;
-      return;
-    }
-    if (min_entry == nullptr || e.count < min_entry->count) min_entry = &e;
-  }
-  if (entries_.size() < kCapacity) {
-    entries_.push_back(Entry{value, 1, 0});
+  const bool full = entries_.size() == kCapacity;
+  const size_t pos = Probe(value);
+  if (index_slot_[pos] != 0) {
+    const size_t slot = index_slot_[pos] - 1u;
+    Entry& e = entries_[slot];
+    e.count += 1;
+    if (full && e.count - 1 == min_count_) LeaveMin(slot);
     return;
   }
-  // Space-saving takeover: the new value inherits the minimum counter and
-  // records it as its error bound.
-  min_entry->value = value;
-  min_entry->error = min_entry->count;
-  min_entry->count += 1;
+  if (!full) {
+    Index(pos, value, entries_.size());
+    entries_.push_back(Entry{value, 1, 0});
+    if (entries_.size() == kCapacity) RescanMin();
+    return;
+  }
+  // Space-saving takeover: the new value inherits the first minimum counter
+  // and records it as its error bound. The new value is indexed before the
+  // old one leaves (the table has room for both), so one probe serves.
+  const auto victim = static_cast<size_t>(std::countr_zero(min_mask_));
+  Entry& e = entries_[victim];
+  const size_t old_pos = pos_of_[victim];
+  Index(pos, value, victim);
+  Unindex(old_pos);
+  e.value = value;
+  e.error = e.count;
+  e.count += 1;
+  LeaveMin(victim);
 }
 
 double FrequencySketch::TopShare() const {
@@ -132,9 +204,7 @@ void StatisticsCatalog::OnLoad(
     AttrStats& as = stats.attrs[a];
     if (!as.has_values) as.sketch = DistinctSketch(tuples.size());
   }
-  for (const std::vector<uint8_t>& tuple : tuples) {
-    Absorb(stats, schema, tuple);
-  }
+  AbsorbBatch(stats, schema, tuples);
   stats.cardinality += static_cast<double>(tuples.size());
 }
 
@@ -203,9 +273,7 @@ void StatisticsCatalog::Recompute(
     if (schema.attr(a).type != catalog::AttrType::kInt32) continue;
     fresh.attrs[a].sketch = DistinctSketch(tuples.size());
   }
-  for (const std::vector<uint8_t>& tuple : tuples) {
-    Absorb(fresh, schema, tuple);
-  }
+  AbsorbBatch(fresh, schema, tuples);
   fresh.cardinality = static_cast<double>(tuples.size());
   relations_[relation] = std::move(fresh);
 }
@@ -229,20 +297,62 @@ RelationStats& StatisticsCatalog::Ensure(const std::string& relation,
   return stats;
 }
 
+void StatisticsCatalog::AbsorbValue(AttrStats& as, int32_t value) {
+  as.min = std::min(as.min, value);
+  as.max = std::max(as.max, value);
+  as.sketch.Insert(value);
+  as.freq.Insert(value);
+  as.has_values = true;
+}
+
 void StatisticsCatalog::Absorb(RelationStats& stats,
                                const catalog::Schema& schema,
                                std::span<const uint8_t> tuple) {
   const catalog::TupleView view(&schema, tuple);
   for (size_t a = 0; a < schema.num_attrs(); ++a) {
     if (schema.attr(a).type != catalog::AttrType::kInt32) continue;
-    const int32_t value = view.GetInt(a);
-    AttrStats& as = stats.attrs[a];
-    as.min = std::min(as.min, value);
-    as.max = std::max(as.max, value);
-    as.sketch.Insert(value);
-    as.freq.Insert(value);
-    as.has_values = true;
+    AbsorbValue(stats.attrs[a], view.GetInt(a));
   }
+}
+
+void StatisticsCatalog::AbsorbBatch(
+    RelationStats& stats, const catalog::Schema& schema,
+    const std::vector<std::vector<uint8_t>>& tuples) {
+  std::vector<size_t> ints;
+  for (size_t a = 0; a < schema.num_attrs(); ++a) {
+    if (schema.attr(a).type == catalog::AttrType::kInt32) ints.push_back(a);
+  }
+  // Every attribute's statistics see the batch in input order whichever
+  // task folds them in, so the attributes are split into one contiguous
+  // block per pool thread, and each task runs tuple-major over its block,
+  // like Absorb. A task folds into private copies: neighbouring AttrStats
+  // share cache lines, and both tasks would write them on every tuple.
+  sim::HostPool& pool = sim::HostPool::Instance();
+  const size_t num_tasks =
+      std::min(ints.size(), static_cast<size_t>(pool.num_threads()));
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(num_tasks);
+  for (size_t k = 0; k < num_tasks; ++k) {
+    const size_t begin = ints.size() * k / num_tasks;
+    const size_t end = ints.size() * (k + 1) / num_tasks;
+    tasks.push_back([&, begin, end] {
+      std::vector<AttrStats> mine;
+      mine.reserve(end - begin);
+      for (size_t i = begin; i < end; ++i) {
+        mine.push_back(std::move(stats.attrs[ints[i]]));
+      }
+      for (const std::vector<uint8_t>& tuple : tuples) {
+        const catalog::TupleView view(&schema, tuple);
+        for (size_t i = begin; i < end; ++i) {
+          AbsorbValue(mine[i - begin], view.GetInt(ints[i]));
+        }
+      }
+      for (size_t i = begin; i < end; ++i) {
+        stats.attrs[ints[i]] = std::move(mine[i - begin]);
+      }
+    });
+  }
+  pool.RunAll(tasks);
 }
 
 }  // namespace gammadb::opt

@@ -32,11 +32,16 @@ class DistinctSketch {
   /// `fallback` (the caller's cardinality upper bound).
   double Estimate(double fallback) const;
   uint64_t bit_count() const { return bit_count_; }
+  uint64_t set_bits() const { return set_bits_; }
+  const std::vector<uint64_t>& words() const { return words_; }
 
  private:
   std::vector<uint64_t> words_;
   uint64_t bit_count_ = 0;
   uint64_t set_bits_ = 0;
+  /// ceil(2^128 / bit_count_): turns the per-insert `% bit_count_` into
+  /// Lemire's exact multiply-only fastmod.
+  unsigned __int128 fastmod_m_ = 0;
 };
 
 /// \brief Space-saving heavy-hitter sketch [Metwally et al. 2005] over a
@@ -68,6 +73,20 @@ class FrequencySketch {
 
  private:
   static constexpr size_t kCapacity = 32;
+  /// Open-addressing value -> entry index, at most half full.
+  static constexpr size_t kIndexSlots = 64;
+
+  /// Table position holding `value`, or the free position it would take.
+  size_t Probe(int32_t value) const;
+  /// Records `value` -> entry `slot` at table position `pos`.
+  void Index(size_t pos, int32_t value, size_t slot);
+  /// Frees table position `pos` (linear-probing backward shift).
+  void Unindex(size_t pos);
+  /// Entry `slot` has just grown past min_count_.
+  void LeaveMin(size_t slot);
+  /// Recomputes min_count_ and min_mask_ from the (full) entry vector.
+  void RescanMin();
+
   /// Only every 4th insert is counted: keeps per-tuple maintenance cheap at
   /// bulk load while leaving hundreds of samples behind any value heavy
   /// enough to matter to routing.
@@ -76,6 +95,16 @@ class FrequencySketch {
   uint64_t tick_ = 0;
   uint64_t sampled_ = 0;
   std::vector<Entry> entries_;
+  int32_t index_value_[kIndexSlots] = {};
+  /// Entry index + 1 per table position; 0 marks a free position.
+  uint8_t index_slot_[kIndexSlots] = {};
+  /// Table position of each entry.
+  uint8_t pos_of_[kCapacity] = {};
+  /// Once entries_ is full: the smallest count, and a bit per entry at it.
+  /// The takeover victim is the lowest set bit — the first minimum in
+  /// vector order, as a linear scan would find it.
+  uint64_t min_count_ = 0;
+  uint32_t min_mask_ = 0;
 };
 
 /// Per-attribute statistics (integer attributes only; char attributes are
@@ -185,8 +214,13 @@ class StatisticsCatalog {
  private:
   RelationStats& Ensure(const std::string& relation,
                         const catalog::Schema& schema);
+  static void AbsorbValue(AttrStats& as, int32_t value);
   static void Absorb(RelationStats& stats, const catalog::Schema& schema,
                      std::span<const uint8_t> tuple);
+  /// Absorb over a batch, attributes split across host tasks; the result is
+  /// identical to absorbing tuple by tuple.
+  static void AbsorbBatch(RelationStats& stats, const catalog::Schema& schema,
+                          const std::vector<std::vector<uint8_t>>& tuples);
 
   std::map<std::string, RelationStats> relations_;
 };

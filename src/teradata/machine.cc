@@ -9,6 +9,7 @@
 #include "common/hash.h"
 #include "common/macros.h"
 #include "exec/merge_join.h"
+#include "exec/node_executor.h"
 #include "exec/select.h"
 #include "exec/sort.h"
 #include "exec/split_table.h"
@@ -60,12 +61,14 @@ Result<std::vector<HashKeyed>> LoadHashOrdered(
                        })
           .status());
   // The fragment is maintained in hash-key order; re-establish it here in
-  // case single-tuple updates appended out of order (no cost charged: the
-  // machine keeps the order as part of every insert).
-  std::stable_sort(out.begin(), out.end(),
-                   [](const HashKeyed& a, const HashKeyed& b) {
-                     return a.hash < b.hash;
-                   });
+  // case single-tuple updates or a second load batch appended out of order
+  // (no cost charged: the machine keeps the order as part of every insert).
+  const auto by_hash = [](const HashKeyed& a, const HashKeyed& b) {
+    return a.hash < b.hash;
+  };
+  if (!std::is_sorted(out.begin(), out.end(), by_hash)) {
+    std::stable_sort(out.begin(), out.end(), by_hash);
+  }
   return out;
 }
 
@@ -186,45 +189,84 @@ Status TeradataMachine::CreateRelation(const std::string& name,
   return Status::OK();
 }
 
+Status TeradataMachine::RunAmpTasks(std::vector<exec::NodeTask> tasks) {
+  return exec::NodeExecutor(amps_, config_.hw, config_.tracker_nodes())
+      .Run(nullptr, std::move(tasks));
+}
+
 Status TeradataMachine::LoadTuples(
     const std::string& name, const std::vector<std::vector<uint8_t>>& tuples) {
   GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(name));
   RelationState& state = states_.at(name);
-  // Route each tuple to its AMP, then store each fragment in hash-key order
-  // (the hash value, then a sequence number, forms the tuple id, §3).
-  std::vector<std::vector<const std::vector<uint8_t>*>> per_amp(
-      static_cast<size_t>(config_.num_amps));
-  for (const std::vector<uint8_t>& tuple : tuples) {
-    if (tuple.size() != meta->schema.tuple_size()) {
+  const auto num_amps = static_cast<size_t>(config_.num_amps);
+  // Route each tuple to its AMP by its placement hash, computed once; each
+  // AMP then stores its fragment in hash-key order (the hash value, then a
+  // sequence number, forms the tuple id, §3). Ties keep input order.
+  struct Keyed {
+    uint64_t hash;
+    size_t index;
+    bool operator<(const Keyed& o) const {
+      return hash != o.hash ? hash < o.hash : index < o.index;
+    }
+  };
+  std::vector<std::vector<Keyed>> per_amp(num_amps);
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (tuples[i].size() != meta->schema.tuple_size()) {
       return Status::InvalidArgument("tuple size does not match schema");
     }
-    const int32_t key = AttrOf(meta->schema, tuple, state.pk_attr);
-    per_amp[static_cast<size_t>(AmpForKey(key))].push_back(&tuple);
+    const uint64_t hash =
+        HashInt32(AttrOf(meta->schema, tuples[i], state.pk_attr),
+                  placement_salt_);
+    per_amp[hash % num_amps].push_back(Keyed{hash, i});
   }
-  for (int i = 0; i < config_.num_amps; ++i) {
-    auto& bucket = per_amp[static_cast<size_t>(i)];
-    std::stable_sort(bucket.begin(), bucket.end(),
-                     [&](const std::vector<uint8_t>* a,
-                         const std::vector<uint8_t>* b) {
-                       return HashInt32(AttrOf(meta->schema, *a,
-                                               state.pk_attr),
-                                        placement_salt_) <
-                              HashInt32(AttrOf(meta->schema, *b,
-                                               state.pk_attr),
-                                        placement_salt_);
-                     });
-    storage::HeapFile& fragment =
-        amps_[static_cast<size_t>(i)]->file(
-            meta->per_node_file[static_cast<size_t>(i)]);
-    for (const std::vector<uint8_t>* tuple : bucket) {
-      const Rid rid = fragment.Append(*tuple).value();
-      state.key_dir[static_cast<size_t>(i)].emplace(
-          AttrOf(meta->schema, *tuple, state.pk_attr), rid);
+  // One task per AMP: sort, append, fill the key directory and settle the
+  // pool (loading is uncharged; measured queries start cold).
+  std::vector<std::vector<std::pair<int32_t, Rid>>> appended(num_amps);
+  std::vector<exec::NodeTask> tasks;
+  tasks.reserve(num_amps);
+  for (size_t amp = 0; amp < num_amps; ++amp) {
+    tasks.push_back(exec::NodeTask{
+        static_cast<int>(amp), [&, amp](sim::CostTracker&) -> Status {
+          std::vector<Keyed>& bucket = per_amp[amp];
+          std::sort(bucket.begin(), bucket.end());
+          storage::HeapFile& fragment =
+              amps_[amp]->file(meta->per_node_file[amp]);
+          auto& dir = state.key_dir[amp];
+          dir.reserve(dir.size() + bucket.size());
+          auto& mine = appended[amp];
+          mine.reserve(bucket.size());
+          for (const Keyed& k : bucket) {
+            const std::vector<uint8_t>& tuple = tuples[k.index];
+            GAMMA_ASSIGN_OR_RETURN(const Rid rid, fragment.Append(tuple));
+            const int32_t key = AttrOf(meta->schema, tuple, state.pk_attr);
+            mine.emplace_back(key, rid);
+            dir.emplace(key, rid);
+          }
+          return amps_[amp]->pool().Invalidate();
+        }});
+  }
+  const Status status = RunAmpTasks(std::move(tasks));
+  if (!status.ok()) {
+    // All-or-nothing: tombstone what this call appended and take it back out
+    // of the key directory, then settle the pools.
+    for (size_t amp = 0; amp < num_amps; ++amp) {
+      storage::HeapFile& fragment = amps_[amp]->file(meta->per_node_file[amp]);
+      auto& dir = state.key_dir[amp];
+      for (const auto& [key, rid] : appended[amp]) {
+        auto [begin, end] = dir.equal_range(key);
+        for (auto entry = begin; entry != end; ++entry) {
+          if (entry->second == rid) {
+            dir.erase(entry);
+            break;
+          }
+        }
+        fragment.Delete(rid);
+      }
+      amps_[amp]->pool().Invalidate();
     }
+    return status;
   }
   meta->num_tuples += tuples.size();
-  // Loading is uncharged; settle and cool the pools before measured queries.
-  for (auto& amp : amps_) amp->pool().Invalidate();
   return Status::OK();
 }
 
@@ -235,23 +277,51 @@ Status TeradataMachine::BuildSecondaryIndex(const std::string& name,
     return Status::InvalidArgument("index attribute out of range");
   }
   RelationState& state = states_.at(name);
+  const auto num_amps = static_cast<size_t>(config_.num_amps);
   SecondaryIndex index;
   index.attr = attr;
-  index.dir.resize(static_cast<size_t>(config_.num_amps));
-  for (int i = 0; i < config_.num_amps; ++i) {
-    storage::StorageManager& sm = *amps_[static_cast<size_t>(i)];
-    const storage::FileId file_id = sm.CreateFile();
-    storage::HeapFile& index_file = sm.file(file_id);
-    sm.file(meta->per_node_file[static_cast<size_t>(i)])
-        .Scan([&](Rid rid, std::span<const uint8_t> tuple) {
-          const int32_t key = AttrOf(meta->schema, tuple, attr);
-          index_file.Append(internal::SerializeIndexEntry(key, rid));
-          index.dir[static_cast<size_t>(i)].emplace(key, rid);
-          return true;
-        });
-    index.per_amp_file.push_back(file_id);
+  index.dir.resize(num_amps);
+  index.per_amp_file.assign(num_amps, catalog::kNoFile);
+  // One task per AMP: scan the fragment into a fresh entry file and the
+  // exact-match directory, then settle the pool.
+  std::vector<exec::NodeTask> tasks;
+  tasks.reserve(num_amps);
+  for (size_t amp = 0; amp < num_amps; ++amp) {
+    tasks.push_back(exec::NodeTask{
+        static_cast<int>(amp), [&, amp](sim::CostTracker&) -> Status {
+          storage::StorageManager& sm = *amps_[amp];
+          index.per_amp_file[amp] = sm.CreateFile();
+          storage::HeapFile& index_file = sm.file(index.per_amp_file[amp]);
+          const storage::HeapFile& fragment =
+              sm.file(meta->per_node_file[amp]);
+          auto& dir = index.dir[amp];
+          dir.reserve(fragment.num_tuples());
+          Status append_status;
+          GAMMA_RETURN_NOT_OK(
+              fragment.Scan([&](Rid rid, std::span<const uint8_t> tuple) {
+                const int32_t key = AttrOf(meta->schema, tuple, attr);
+                append_status =
+                    index_file.Append(internal::SerializeIndexEntry(key, rid))
+                        .status();
+                if (!append_status.ok()) return false;
+                dir.emplace(key, rid);
+                return true;
+              }));
+          GAMMA_RETURN_NOT_OK(append_status);
+          return sm.pool().Invalidate();
+        }});
   }
-  for (auto& amp : amps_) amp->pool().Invalidate();
+  const Status status = RunAmpTasks(std::move(tasks));
+  if (!status.ok()) {
+    // A partial index would silently miss rows: drop every entry file.
+    for (size_t amp = 0; amp < num_amps; ++amp) {
+      if (index.per_amp_file[amp] != catalog::kNoFile) {
+        amps_[amp]->DropFile(index.per_amp_file[amp]);
+      }
+      amps_[amp]->pool().Invalidate();
+    }
+    return status;
+  }
   state.indices.push_back(std::move(index));
   // Catalog-level metadata so callers can discover the index.
   catalog::IndexMeta meta_index;

@@ -11,6 +11,7 @@
 #include "catalog/catalog.h"
 #include "common/result.h"
 #include "common/units.h"
+#include "exec/node_executor.h"
 #include "exec/predicate.h"
 #include "exec/query_result.h"
 #include "obs/trace.h"
@@ -166,6 +167,9 @@ class TeradataMachine {
   };
 
   void BindAll(sim::CostTracker* tracker);
+  /// Runs uncharged per-AMP work (loading, index builds) on the shared
+  /// exec::NodeExecutor; returns the first failure in AMP order.
+  Status RunAmpTasks(std::vector<exec::NodeTask> tasks);
   /// Flushes every AMP's pool; returns the first flush error.
   Status FlushAllPools();
   /// Charges the IFP parse/dispatch/step overhead (serialized at the IFP).

@@ -278,12 +278,13 @@ Result<std::vector<std::vector<uint8_t>>> TeradataMachine::ReadRelation(
   std::vector<std::vector<uint8_t>> out;
   out.reserve(meta->num_tuples);
   for (int i = 0; i < config_.num_amps; ++i) {
-    amps_[static_cast<size_t>(i)]
-        ->file(meta->per_node_file[static_cast<size_t>(i)])
-        .Scan([&](Rid, std::span<const uint8_t> tuple) {
-          out.emplace_back(tuple.begin(), tuple.end());
-          return true;
-        });
+    GAMMA_RETURN_NOT_OK(
+        amps_[static_cast<size_t>(i)]
+            ->file(meta->per_node_file[static_cast<size_t>(i)])
+            .Scan([&](Rid, std::span<const uint8_t> tuple) {
+              out.emplace_back(tuple.begin(), tuple.end());
+              return true;
+            }));
   }
   return out;
 }

@@ -2,6 +2,7 @@
 // correct answers against reference oracles, plus the cost-model behaviours
 // the paper's analysis depends on.
 
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -55,6 +56,48 @@ TEST_F(GammaMachineTest, LoadDistributesAllTuples) {
     EXPECT_GT(frag, 350u);
     EXPECT_LT(frag, 650u);
   }
+}
+
+// A clustered build over a ten-valued attribute: each node's rewritten
+// fragment holds its old fragment stably sorted by the key (equal keys in
+// their old scan order), and the index finds every tuple of a key.
+TEST_F(GammaMachineTest, ClusteredBuildOverDuplicateKeysIsStable) {
+  const auto fragments = [&] {
+    const auto& meta = **machine_.catalog().Get("A");
+    std::vector<std::vector<std::vector<uint8_t>>> out;
+    for (int node = 0; node < 4; ++node) {
+      auto& rows = out.emplace_back();
+      EXPECT_TRUE(machine_.node(node)
+                      .file(meta.per_node_file[static_cast<size_t>(node)])
+                      .Scan([&](storage::Rid, std::span<const uint8_t> t) {
+                        rows.emplace_back(t.begin(), t.end());
+                        return true;
+                      })
+                      .ok());
+    }
+    return out;
+  };
+  const auto ten_of = [](const std::vector<uint8_t>& t) {
+    return catalog::TupleView(&wis::WisconsinSchema(), t).GetInt(wis::kTen);
+  };
+  auto expected = fragments();
+  for (auto& rows : expected) {
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&](const auto& a, const auto& b) {
+                       return ten_of(a) < ten_of(b);
+                     });
+  }
+  ASSERT_TRUE(machine_.BuildIndex("A", wis::kTen, /*clustered=*/true).ok());
+  EXPECT_EQ(fragments(), expected);
+
+  SelectQuery query;
+  query.relation = "A";
+  query.predicate = Predicate::Eq(wis::kTen, 3);
+  query.access = AccessPath::kClusteredIndex;
+  query.store_result = false;
+  const auto result = machine_.RunSelect(query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->result_tuples, 200u);
 }
 
 TEST_F(GammaMachineTest, FileScanSelectionCorrect) {

@@ -2,13 +2,17 @@
 // incremental maintenance by append / delete / modify, rebuild after a
 // failover, and result-relation cardinality from stored query results.
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gamma/machine.h"
+#include "common/rng.h"
 #include "opt/statistics.h"
+#include "sim/host_pool.h"
 #include "test_util.h"
 #include "wisconsin/wisconsin.h"
 
@@ -176,6 +180,192 @@ TEST(OptimizerStatsFailoverTest, RecomputeAfterFailoverMatchesSurvivors) {
   EXPECT_EQ(stats->cardinality, 1000.0);
   EXPECT_EQ(stats->Attr(wis::kUnique1)->min, 0);
   EXPECT_EQ(stats->Attr(wis::kUnique1)->max, 999);
+}
+
+// Verbatim copies of the sketches before their O(1) rewrite (64-bit `%`
+// for the bit, linear scans for the value and the takeover victim): the
+// reference the rewrite must match bit for bit.
+namespace reference {
+
+uint64_t MixHash(int32_t value) {
+  uint64_t x = static_cast<uint64_t>(static_cast<uint32_t>(value));
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+class DistinctSketch {
+ public:
+  explicit DistinctSketch(uint64_t expected) {
+    uint64_t bits = std::max<uint64_t>(4096, 4 * expected);
+    const uint64_t words = (bits + 63) / 64;
+    words_.assign(words, 0);
+    bit_count_ = words * 64;
+  }
+  void Insert(int32_t value) {
+    const uint64_t bit = MixHash(value) % bit_count_;
+    uint64_t& word = words_[bit / 64];
+    const uint64_t mask = 1ull << (bit % 64);
+    if ((word & mask) == 0) {
+      word |= mask;
+      ++set_bits_;
+    }
+  }
+  std::vector<uint64_t> words_;
+  uint64_t bit_count_ = 0;
+  uint64_t set_bits_ = 0;
+};
+
+class FrequencySketch {
+ public:
+  void Insert(int32_t value) {
+    if (tick_++ % 4 != 0) return;
+    ++sampled_;
+    opt::FrequencySketch::Entry* min_entry = nullptr;
+    for (opt::FrequencySketch::Entry& e : entries_) {
+      if (e.value == value) {
+        e.count += 1;
+        return;
+      }
+      if (min_entry == nullptr || e.count < min_entry->count) min_entry = &e;
+    }
+    if (entries_.size() < 32) {
+      entries_.push_back(opt::FrequencySketch::Entry{value, 1, 0});
+      return;
+    }
+    min_entry->value = value;
+    min_entry->error = min_entry->count;
+    min_entry->count += 1;
+  }
+  uint64_t tick_ = 0;
+  uint64_t sampled_ = 0;
+  std::vector<opt::FrequencySketch::Entry> entries_;
+};
+
+}  // namespace reference
+
+void ExpectSketchesEqual(const opt::DistinctSketch& d,
+                         const reference::DistinctSketch& d_ref,
+                         const opt::FrequencySketch& f,
+                         const reference::FrequencySketch& f_ref,
+                         uint64_t inserted) {
+  ASSERT_EQ(d.bit_count(), d_ref.bit_count_) << inserted;
+  ASSERT_EQ(d.set_bits(), d_ref.set_bits_) << inserted;
+  ASSERT_TRUE(d.words() == d_ref.words_) << inserted;
+  ASSERT_EQ(f.sampled(), f_ref.sampled_) << inserted;
+  ASSERT_EQ(f.entries().size(), f_ref.entries_.size()) << inserted;
+  for (size_t i = 0; i < f.entries().size(); ++i) {
+    ASSERT_EQ(f.entries()[i].value, f_ref.entries_[i].value)
+        << inserted << " slot " << i;
+    ASSERT_EQ(f.entries()[i].count, f_ref.entries_[i].count)
+        << inserted << " slot " << i;
+    ASSERT_EQ(f.entries()[i].error, f_ref.entries_[i].error)
+        << inserted << " slot " << i;
+  }
+}
+
+// Bulk statistics fold attributes on separate host tasks: two batches into
+// one relation, then a Recompute, leave every attribute's state identical
+// at 1, 2 and 4 host threads.
+TEST(StatisticsThreadsTest, BulkFoldIdenticalAcrossThreadCounts) {
+  const auto batch1 = wis::GenerateWisconsin(20000, 3);
+  const auto batch2 = wis::GenerateWisconsin(5000, 4);
+  const auto& schema = wis::WisconsinSchema();
+  const auto fold = [&](int threads) {
+    sim::HostPool& pool = sim::HostPool::Instance();
+    const int prev = pool.num_threads();
+    pool.set_num_threads(threads);
+    opt::StatisticsCatalog stats;
+    const auto spec = catalog::PartitionSpec::Hashed(wis::kUnique1);
+    stats.OnLoad("A", schema, batch1, spec);
+    stats.OnLoad("A", schema, batch2, spec);
+    stats.Recompute("B", schema, batch2);
+    pool.set_num_threads(prev);
+    return std::vector<RelationStats>{*stats.Find("A"), *stats.Find("B")};
+  };
+  const auto one = fold(1);
+  for (const int threads : {2, 4}) {
+    const auto many = fold(threads);
+    for (size_t r = 0; r < one.size(); ++r) {
+      ASSERT_EQ(one[r].cardinality, many[r].cardinality);
+      ASSERT_EQ(one[r].attrs.size(), many[r].attrs.size());
+      for (size_t a = 0; a < one[r].attrs.size(); ++a) {
+        const opt::AttrStats& x = one[r].attrs[a];
+        const opt::AttrStats& y = many[r].attrs[a];
+        EXPECT_EQ(x.has_values, y.has_values) << threads << " attr " << a;
+        EXPECT_EQ(x.min, y.min) << threads << " attr " << a;
+        EXPECT_EQ(x.max, y.max) << threads << " attr " << a;
+        EXPECT_EQ(x.sketch.set_bits(), y.sketch.set_bits());
+        EXPECT_TRUE(x.sketch.words() == y.sketch.words())
+            << threads << " attr " << a;
+        EXPECT_EQ(x.freq.sampled(), y.freq.sampled());
+        ASSERT_EQ(x.freq.entries().size(), y.freq.entries().size());
+        for (size_t i = 0; i < x.freq.entries().size(); ++i) {
+          EXPECT_EQ(x.freq.entries()[i].value, y.freq.entries()[i].value);
+          EXPECT_EQ(x.freq.entries()[i].count, y.freq.entries()[i].count);
+          EXPECT_EQ(x.freq.entries()[i].error, y.freq.entries()[i].error);
+        }
+      }
+    }
+  }
+}
+
+// 1.2M inserts over phases that stress every path of both sketches: pure
+// churn over a huge domain (every sample a takeover, the minimum bucket
+// emptying every 32), Zipf-like heavy hitters mixed with churn (found-value
+// increments at and above the minimum), a narrow domain that fits the 32
+// counters, and extreme int32 values.
+TEST(SketchEquivalenceTest, MatchesLinearScanReferenceBitForBit) {
+  for (const uint64_t expected : {uint64_t{1000}, uint64_t{300007}}) {
+    opt::DistinctSketch distinct(expected);
+    reference::DistinctSketch distinct_ref(expected);
+    opt::FrequencySketch freq;
+    reference::FrequencySketch freq_ref;
+    Rng rng(expected);
+    uint64_t inserted = 0;
+    const auto insert = [&](int32_t value) {
+      distinct.Insert(value);
+      distinct_ref.Insert(value);
+      freq.Insert(value);
+      freq_ref.Insert(value);
+      ++inserted;
+    };
+    constexpr int kPhase = 100000;
+    for (int round = 0; round < 2; ++round) {
+      for (int i = 0; i < kPhase; ++i) {  // churn
+        insert(static_cast<int32_t>(rng.Next64()));
+      }
+      ExpectSketchesEqual(distinct, distinct_ref, freq, freq_ref, inserted);
+      for (int i = 0; i < 2 * kPhase; ++i) {  // heavy hitters + churn
+        const uint64_t r = rng.Uniform(100);
+        if (r < 30) {
+          insert(7);
+        } else if (r < 45) {
+          insert(-3);
+        } else if (r < 60) {
+          insert(static_cast<int32_t>(rng.Uniform(40)));
+        } else {
+          insert(static_cast<int32_t>(rng.Uniform(1u << 30)));
+        }
+      }
+      ExpectSketchesEqual(distinct, distinct_ref, freq, freq_ref, inserted);
+      for (int i = 0; i < kPhase; ++i) {  // narrow domain, then extremes
+        insert(static_cast<int32_t>(rng.Uniform(24)) - 12);
+      }
+      for (int i = 0; i < kPhase; ++i) {
+        const int32_t extreme[] = {INT32_MIN, INT32_MAX, 0, -1, 1};
+        insert(i % 3 == 0 ? extreme[rng.Uniform(5)]
+                          : static_cast<int32_t>(rng.Next64()));
+      }
+      ExpectSketchesEqual(distinct, distinct_ref, freq, freq_ref, inserted);
+      for (int i = 0; i < kPhase; ++i) {  // ascending keys (Wisconsin-like)
+        insert(round * kPhase + i);
+      }
+      ExpectSketchesEqual(distinct, distinct_ref, freq, freq_ref, inserted);
+    }
+    EXPECT_GE(inserted, 1000000u);
+  }
 }
 
 }  // namespace

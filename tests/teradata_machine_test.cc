@@ -3,8 +3,14 @@
 // (full index scans for range predicates, never-short-circuited result
 // redistribution, costly recovery on inserts).
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+#include "sim/host_pool.h"
 #include "teradata/machine.h"
 #include "test_util.h"
 #include "wisconsin/wisconsin.h"
@@ -21,6 +27,22 @@ TeradataConfig SmallConfig() {
   TeradataConfig config;
   config.num_amps = 5;
   return config;
+}
+
+constexpr int kManyThreadsForLoad = 4;
+
+/// `tuple` with integer attribute `attr` overwritten by `value`.
+std::vector<uint8_t> WithInt(std::vector<uint8_t> tuple, int attr,
+                             int32_t value) {
+  std::memcpy(tuple.data() +
+                  wis::WisconsinSchema().offset(static_cast<size_t>(attr)),
+              &value, sizeof(value));
+  return tuple;
+}
+
+int32_t IntOf(const std::vector<uint8_t>& tuple, int attr) {
+  return catalog::TupleView(&wis::WisconsinSchema(), tuple)
+      .GetInt(static_cast<size_t>(attr));
 }
 
 class TeradataMachineTest : public ::testing::Test {
@@ -324,6 +346,184 @@ TEST_F(TeradataMachineTest, ModifyPrimaryKeyRelocates) {
   EXPECT_EQ(machine_.RunSelect(select)->result_tuples, 1u);
   select.predicate = Predicate::Eq(wis::kUnique1, 55);
   EXPECT_EQ(machine_.RunSelect(select)->result_tuples, 0u);
+}
+
+TEST_F(TeradataMachineTest, SecondaryIndexOverRottedPageFails) {
+  // The next file id on every AMP: a failed build must leave no partial
+  // entry file behind under it.
+  std::vector<storage::FileId> next_file;
+  for (int amp = 0; amp < SmallConfig().num_amps; ++amp) {
+    const storage::FileId probe = machine_.amp(amp).CreateFile();
+    machine_.amp(amp).DropFile(probe);
+    next_file.push_back(probe + 1);
+  }
+  // The load settled AMP 2's pool, so its first fragment page is read back
+  // from disk by the index build's scan.
+  machine_.amp(2).disk().CorruptStoredPage(0);
+
+  const Status status = machine_.BuildSecondaryIndex("A", wis::kUnique2);
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_TRUE((*machine_.catalog().Get("A"))->indices.empty());
+  for (int amp = 0; amp < SmallConfig().num_amps; ++amp) {
+    EXPECT_FALSE(machine_.amp(amp).HasFile(next_file[static_cast<size_t>(amp)]))
+        << "amp " << amp;
+  }
+  // Reading the relation back hits the same page and says so.
+  const auto rows = machine_.ReadRelation("A");
+  ASSERT_FALSE(rows.ok());
+  EXPECT_TRUE(rows.status().IsCorruption()) << rows.status().ToString();
+
+  // The machine stays usable: a healthy relation still gets its index.
+  const auto bprime = wis::GenerateWisconsin(300, 8);
+  ASSERT_TRUE(machine_
+                  .CreateRelation("Bprime", wis::WisconsinSchema(),
+                                  wis::kUnique1)
+                  .ok());
+  ASSERT_TRUE(machine_.LoadTuples("Bprime", bprime).ok());
+  ASSERT_TRUE(machine_.BuildSecondaryIndex("Bprime", wis::kUnique2).ok());
+  TdSelectQuery query;
+  query.relation = "Bprime";
+  query.predicate = Predicate::Range(wis::kUnique2, 10, 12);
+  query.store_result = false;
+  const auto result = machine_.RunSelect(query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->result_tuples, 3u);
+}
+
+TEST_F(TeradataMachineTest, LoadAppendFailureRollsBackTheBatch) {
+  // Rot the tail page of AMP 2's fragment: the next batch's first append
+  // there must read it back, and fails.
+  storage::SimulatedDisk& disk = machine_.amp(2).disk();
+  disk.CorruptStoredPage(disk.num_pages() - 1);
+
+  std::vector<std::vector<uint8_t>> batch;
+  for (int i = 0; i < 500; ++i) {
+    batch.push_back(WithInt(tuples_[static_cast<size_t>(i)], wis::kUnique1,
+                            100000 + i));
+  }
+  const Status status = machine_.LoadTuples("A", batch);
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+
+  // All or nothing: the AMPs that took their share tombstoned it again, and
+  // no key of the batch is reachable through the key directory.
+  EXPECT_EQ(*machine_.CountTuples("A"), 2000u);
+  TdSelectQuery point;
+  point.relation = "A";
+  point.store_result = false;
+  for (int i = 0; i < 500; ++i) {
+    point.predicate = Predicate::Eq(wis::kUnique1, 100000 + i);
+    const auto result = machine_.RunSelect(point);
+    ASSERT_TRUE(result.ok()) << i << ": " << result.status().ToString();
+    EXPECT_EQ(result->result_tuples, 0u) << i;
+  }
+  // Batch-1 keys on the healthy AMPs are still one access away.
+  const uint64_t salt = (*machine_.catalog().Get("A"))->partitioning.hash_salt;
+  for (int32_t key = 0; key < 50; ++key) {
+    if (HashInt32(key, salt) % 5 == 2) continue;
+    point.predicate = Predicate::Eq(wis::kUnique1, key);
+    const auto found = machine_.RunSelect(point);
+    ASSERT_TRUE(found.ok()) << key << ": " << found.status().ToString();
+    EXPECT_EQ(found->result_tuples, 1u) << key;
+  }
+}
+
+// Two batches with duplicate primary keys, loaded at 1 and at 4 host
+// threads: the stored hash-key order and every key-directory lookup are
+// identical, and each AMP's fragment holds its share of batch 1 stably
+// sorted by placement hash, followed by its share of batch 2.
+TEST(TeradataLoadTest, HashOrderAndKeyDirectoryIdenticalAcrossThreadCounts) {
+  const auto base = wis::GenerateWisconsin(2100, 11);
+  std::vector<std::vector<uint8_t>> batch1;
+  std::vector<std::vector<uint8_t>> batch2;
+  for (int i = 0; i < 1500; ++i) {  // keys 0..499, three copies each
+    batch1.push_back(WithInt(base[static_cast<size_t>(i)], wis::kUnique1,
+                             i % 500));
+  }
+  for (int i = 0; i < 600; ++i) {  // keys 300..899: half old, half new
+    batch2.push_back(WithInt(base[static_cast<size_t>(1500 + i)],
+                             wis::kUnique1, 300 + i));
+  }
+  constexpr int kKeys = 900;
+
+  struct Run {
+    uint64_t salt = 0;
+    std::vector<std::vector<uint8_t>> rows;
+    std::vector<std::vector<std::vector<uint8_t>>> lookups;
+    std::vector<double> lookup_seconds;
+  };
+  const auto run = [&](int threads) {
+    sim::HostPool& pool = sim::HostPool::Instance();
+    const int prev = pool.num_threads();
+    pool.set_num_threads(threads);
+    Run out;
+    TeradataMachine machine(SmallConfig());
+    EXPECT_TRUE(machine
+                    .CreateRelation("A", wis::WisconsinSchema(),
+                                    wis::kUnique1)
+                    .ok());
+    EXPECT_TRUE(machine.LoadTuples("A", batch1).ok());
+    EXPECT_TRUE(machine.LoadTuples("A", batch2).ok());
+    out.salt = (*machine.catalog().Get("A"))->partitioning.hash_salt;
+    out.rows = *machine.ReadRelation("A");
+    TdSelectQuery point;
+    point.relation = "A";
+    point.store_result = false;
+    for (int key = 0; key < kKeys; ++key) {
+      point.predicate = Predicate::Eq(wis::kUnique1, key);
+      const auto result = machine.RunSelect(point);
+      EXPECT_TRUE(result.ok());
+      out.lookups.push_back(result->returned);
+      out.lookup_seconds.push_back(result->seconds());
+    }
+    pool.set_num_threads(prev);
+    return out;
+  };
+  const Run one = run(1);
+  const Run four = run(kManyThreadsForLoad);
+  EXPECT_EQ(one.rows, four.rows);
+  EXPECT_EQ(one.lookups, four.lookups);
+  EXPECT_EQ(one.lookup_seconds, four.lookup_seconds);
+
+  const int num_amps = SmallConfig().num_amps;
+  const auto hash_of = [&](const std::vector<uint8_t>& t) {
+    return HashInt32(IntOf(t, wis::kUnique1), one.salt);
+  };
+  std::vector<std::vector<uint8_t>> expected;
+  for (int amp = 0; amp < num_amps; ++amp) {
+    for (const auto* batch : {&batch1, &batch2}) {
+      std::vector<std::vector<uint8_t>> share;
+      for (const auto& t : *batch) {
+        if (hash_of(t) % static_cast<uint64_t>(num_amps) ==
+            static_cast<uint64_t>(amp)) {
+          share.push_back(t);
+        }
+      }
+      std::stable_sort(share.begin(), share.end(),
+                       [&](const auto& a, const auto& b) {
+                         return hash_of(a) < hash_of(b);
+                       });
+      expected.insert(expected.end(), share.begin(), share.end());
+    }
+  }
+  EXPECT_EQ(one.rows, expected);
+
+  // Every lookup finds exactly the copies of its key.
+  std::vector<std::multiset<int32_t>> copies(kKeys);
+  for (const auto* batch : {&batch1, &batch2}) {
+    for (const auto& t : *batch) {
+      copies[static_cast<size_t>(IntOf(t, wis::kUnique1))].insert(
+          IntOf(t, wis::kUnique2));
+    }
+  }
+  for (int key = 0; key < kKeys; ++key) {
+    std::multiset<int32_t> found;
+    for (const auto& t : one.lookups[static_cast<size_t>(key)]) {
+      found.insert(IntOf(t, wis::kUnique2));
+    }
+    EXPECT_EQ(found, copies[static_cast<size_t>(key)]) << "key " << key;
+  }
 }
 
 }  // namespace
