@@ -128,8 +128,9 @@ double RunGammaRow(gamma::GammaMachine& machine, int row, uint32_t n,
   return first->seconds() + final_join->seconds();
 }
 
-double RunTeradataRow(teradata::TeradataMachine& machine, int row,
-                      uint32_t n) {
+/// Teradata rows, reported under the same labels with a "teradata/" prefix.
+double RunTeradataRow(teradata::TeradataMachine& machine, int row, uint32_t n,
+                      JsonReport& report) {
   const int attr = row < 3 ? wis::kUnique2 : wis::kUnique1;
   const int32_t tenth = static_cast<int32_t>(n / 10) - 1;
   const int variant = row % 3;
@@ -166,7 +167,12 @@ double RunTeradataRow(teradata::TeradataMachine& machine, int row,
                  first.status().ToString().c_str());
     return -1;
   }
-  if (variant != 2) return first->seconds();
+  if (variant != 2) {
+    report.Add("teradata/" + std::string(kRowNames[row]) + "/n=" +
+                   std::to_string(n),
+               *first);
+    return first->seconds();
+  }
 
   teradata::TdJoinQuery second;
   second.outer = first->result_relation;
@@ -174,7 +180,17 @@ double RunTeradataRow(teradata::TeradataMachine& machine, int row,
   second.outer_attr = attr;
   second.inner_attr = attr;
   const auto final_join = machine.RunJoin(second);
-  if (!final_join.ok()) return -1;
+  if (!final_join.ok()) {
+    std::fprintf(stderr, "teradata join 2 failed: %s\n",
+                 final_join.status().ToString().c_str());
+    return -1;
+  }
+  report.Add("teradata/" + std::string(kRowNames[row]) + "/join1/n=" +
+                 std::to_string(n),
+             *first);
+  report.Add("teradata/" + std::string(kRowNames[row]) + "/join2/n=" +
+                 std::to_string(n),
+             *final_join);
   return first->seconds() + final_join->seconds();
 }
 
@@ -204,7 +220,7 @@ int main(int argc, char** argv) {
       const auto paper_it = kPaper.find({row, n});
       const PaperCell paper =
           paper_it != kPaper.end() ? paper_it->second : PaperCell{-1, -1};
-      const double td = RunTeradataRow(td_machine, row, n);
+      const double td = RunTeradataRow(td_machine, row, n, report);
       const double gm = RunGammaRow(gamma_machine, row, n, report);
       table.AddRow(kRowNames[row], {paper.teradata, td, paper.gamma, gm});
     }

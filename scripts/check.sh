@@ -41,6 +41,9 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   # Exits nonzero on a wrong answer, a failed statement or a digest that
   # differs from perfbench/expected.json.
   python3 perfbench/run.py --workload all --seed 1 --seconds 2 --smoke
+  echo "== simulated-clock digests on a 4-thread host pool (perfbench smoke) =="
+  python3 perfbench/run.py --workload all --seed 1 --seconds 2 --smoke \
+    --threads 4
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--sanitize-only" ]]; then
@@ -67,7 +70,8 @@ if [[ "$MODE" == "all" || "$MODE" == "--tsan-only" ]]; then
   GAMMA_HOST_THREADS=4 GAMMA_BENCH_SIZES=10000 \
     ./build-tsan/bench/table1_selection
   echo "== Table 2 joins under TSan (4 host threads: parallel Teradata load," \
-    "secondary-index build and hash-ordered key joins) =="
+    "secondary-index build, and the joins' per-AMP sort step and pool" \
+    "flushes) =="
   GAMMA_HOST_THREADS=4 GAMMA_BENCH_SIZES=10000 \
     ./build-tsan/bench/table2_join
 fi

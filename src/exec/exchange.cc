@@ -5,39 +5,33 @@
 namespace gammadb::exec {
 
 Exchange::Exchange(size_t producers, size_t consumers, size_t tuple_size)
-    : producers_(producers), consumers_(consumers), tuple_size_(tuple_size) {
+    : producers_(producers),
+      consumers_(consumers),
+      tuple_size_(tuple_size),
+      cells_(producers * consumers) {
   GAMMA_CHECK(producers > 0 && consumers > 0 && tuple_size > 0);
-  cells_.resize(producers * consumers);
 }
 
 void Exchange::Append(size_t producer, size_t consumer,
                       std::span<const uint8_t> t) {
   GAMMA_CHECK(t.size() == tuple_size_);
-  std::vector<uint8_t>& bytes = cell(producer, consumer);
-  bytes.insert(bytes.end(), t.begin(), t.end());
+  cell(producer, consumer).Append(t);
 }
 
 void Exchange::Drain(size_t consumer, const TupleSink& sink) const {
   for (size_t p = 0; p < producers_; ++p) {
-    const std::vector<uint8_t>& bytes = cell(p, consumer);
-    for (size_t off = 0; off < bytes.size(); off += tuple_size_) {
-      sink(std::span<const uint8_t>(bytes.data() + off, tuple_size_));
-    }
+    const TupleArena& tuples = cell(p, consumer);
+    for (uint32_t i = 0; i < tuples.size(); ++i) sink(tuples.Get(i));
   }
 }
 
 void Exchange::Clear() {
-  for (std::vector<uint8_t>& bytes : cells_) {
-    bytes.clear();
-    bytes.shrink_to_fit();
-  }
+  for (TupleArena& tuples : cells_) tuples.Clear();
 }
 
 uint64_t Exchange::buffered() const {
   uint64_t total = 0;
-  for (const std::vector<uint8_t>& bytes : cells_) {
-    total += bytes.size() / tuple_size_;
-  }
+  for (const TupleArena& tuples : cells_) total += tuples.size();
   return total;
 }
 

@@ -7,6 +7,7 @@
 
 #include "exec/select.h"
 #include "exec/split_table.h"
+#include "exec/tuple_arena.h"
 
 namespace gammadb::exec {
 
@@ -21,8 +22,9 @@ namespace gammadb::exec {
 /// cell here — single writer per cell, no locks — and after the producer
 /// barrier each consumer drains its column in ascending producer order,
 /// which reproduces the sequential arrival order exactly. Tuples are
-/// fixed-size (every schema in the system is), so a cell is one contiguous
-/// byte vector.
+/// fixed-size (every schema in the system is), so a cell is a TupleArena:
+/// appends never move buffered bytes, and Clear() keeps the chunks for the
+/// next phase.
 class Exchange {
  public:
   Exchange(size_t producers, size_t consumers, size_t tuple_size);
@@ -49,17 +51,17 @@ class Exchange {
   uint64_t buffered() const;
 
  private:
-  std::vector<uint8_t>& cell(size_t producer, size_t consumer) {
+  TupleArena& cell(size_t producer, size_t consumer) {
     return cells_[producer * consumers_ + consumer];
   }
-  const std::vector<uint8_t>& cell(size_t producer, size_t consumer) const {
+  const TupleArena& cell(size_t producer, size_t consumer) const {
     return cells_[producer * consumers_ + consumer];
   }
 
   size_t producers_;
   size_t consumers_;
   size_t tuple_size_;
-  std::vector<std::vector<uint8_t>> cells_;
+  std::vector<TupleArena> cells_;
 };
 
 /// Split-table destinations that buffer `producer`'s tuples in `ex`:

@@ -35,6 +35,20 @@ struct NodeTask {
 /// schedule decides only which core does the work, never what is charged.
 class NodeExecutor {
  public:
+  /// How each task's shard meets the query tracker's usage of its owner.
+  enum class Merge {
+    /// The shard starts empty and is added at the barrier, so a node's sum
+    /// is (what the phase charged it before) + (what the task charged).
+    kAdd,
+    /// The shard starts from the tracker's current usage of the owner and
+    /// replaces it at the barrier; other nodes are still added. A task that
+    /// charges only its owner then makes exactly the additions, in the same
+    /// order, that running it inline on the tracker would, even after
+    /// serial charges to that node earlier in the phase. Owners must be
+    /// distinct.
+    kContinueOwner,
+  };
+
   /// `nodes[i]` is node i's storage; every task's shard is a
   /// CostTracker(hw, tracker_nodes) with `faults` (may be null) attached.
   NodeExecutor(std::span<const std::unique_ptr<storage::StorageManager>> nodes,
@@ -50,7 +64,8 @@ class NodeExecutor {
   /// thread count. Returns the first non-OK task status, in task order —
   /// all tasks run to completion either way (an abort discards their work).
   /// `tracker` may be null (uncharged work, e.g. loading).
-  Status Run(sim::CostTracker* tracker, std::vector<NodeTask> tasks) const;
+  Status Run(sim::CostTracker* tracker, std::vector<NodeTask> tasks,
+             Merge merge = Merge::kAdd) const;
 
  private:
   std::span<const std::unique_ptr<storage::StorageManager>> nodes_;

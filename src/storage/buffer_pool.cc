@@ -87,15 +87,25 @@ BufferPool::Buffer BufferPool::TakeBuffer() {
   return buf;
 }
 
+BufferPool::Frame* BufferPool::Find(uint32_t page_no) {
+  if (last_ != nullptr && last_->page_no == page_no) return last_;
+  auto it = frames_.find(page_no);
+  if (it == frames_.end()) return nullptr;
+  last_ = &it->second;
+  return last_;
+}
+
 BufferPool::Frame& BufferPool::Install(uint32_t page_no, Buffer data) {
   Frame& frame = frames_[page_no];
   frame.data = std::move(data);
   frame.page_no = page_no;
   frame.pin_count = 1;
+  last_ = &frame;
   return frame;
 }
 
 BufferPool::FrameMap::iterator BufferPool::Drop(FrameMap::iterator it) {
+  if (last_ == &it->second) last_ = nullptr;
   LruRemove(&it->second);
   spare_.push_back(std::move(it->second.data));
   return frames_.erase(it);
@@ -129,14 +139,12 @@ Status BufferPool::MakeRoom() {
 }
 
 Result<uint8_t*> BufferPool::Pin(uint32_t page_no, AccessIntent intent) {
-  auto it = frames_.find(page_no);
-  if (it != frames_.end()) {
-    Frame& frame = it->second;
-    if (frame.pin_count == 0) LruRemove(&frame);
-    frame.pin_count += 1;
+  if (Frame* frame = Find(page_no); frame != nullptr) {
+    if (frame->pin_count == 0) LruRemove(frame);
+    frame->pin_count += 1;
     ++hits_;
     charge_->BufferHit();
-    return frame.data.get();
+    return frame->data.get();
   }
   GAMMA_RETURN_NOT_OK(MakeRoom());
   // Read into a buffer outside the frame table first; a failed or corrupt
@@ -171,20 +179,19 @@ Result<uint32_t> BufferPool::NewPage(uint8_t** frame_out) {
 }
 
 void BufferPool::MarkDirty(uint32_t page_no, AccessIntent intent) {
-  auto it = frames_.find(page_no);
-  GAMMA_CHECK_MSG(it != frames_.end() && it->second.pin_count > 0,
+  Frame* frame = Find(page_no);
+  GAMMA_CHECK_MSG(frame != nullptr && frame->pin_count > 0,
                   "MarkDirty on unpinned page");
-  it->second.dirty = true;
-  it->second.write_intent = intent;
+  frame->dirty = true;
+  frame->write_intent = intent;
 }
 
 void BufferPool::Unpin(uint32_t page_no) {
-  auto it = frames_.find(page_no);
-  GAMMA_CHECK_MSG(it != frames_.end() && it->second.pin_count > 0,
+  Frame* frame = Find(page_no);
+  GAMMA_CHECK_MSG(frame != nullptr && frame->pin_count > 0,
                   "Unpin without pin");
-  Frame& frame = it->second;
-  frame.pin_count -= 1;
-  if (frame.pin_count == 0) LruAppend(&frame);
+  frame->pin_count -= 1;
+  if (frame->pin_count == 0) LruAppend(frame);
 }
 
 Status BufferPool::FlushAll() {

@@ -30,7 +30,9 @@ namespace gammadb::storage {
 /// Page buffers are recycled: an evicted or discarded frame's buffer goes
 /// on a spare list and backs the next miss or NewPage, so a warm pool pins,
 /// evicts and re-reads without touching the host allocator. The LRU list is
-/// threaded through the frames themselves.
+/// threaded through the frames themselves, and the frame of the most recent
+/// lookup is cached, so the Pin / MarkDirty / Unpin run of one page costs a
+/// single hash lookup.
 class BufferPool {
  public:
   /// Transient-fault retry budget per logical disk access.
@@ -63,6 +65,11 @@ class BufferPool {
   void MarkDirty(uint32_t page_no, AccessIntent intent = AccessIntent::kRandom);
 
   void Unpin(uint32_t page_no);
+
+  /// Returns a page its file no longer owns to the disk for reuse. A frame
+  /// still cached for it stays and ages out like any other; a dirty one is
+  /// still written back and charged, so freeing moves no simulated cost.
+  void FreePage(uint32_t page_no) { disk_->Free(page_no); }
 
   /// Writes back every dirty frame (used at phase boundaries so write costs
   /// land in the phase that produced them). Stops at the first unrecoverable
@@ -108,6 +115,9 @@ class BufferPool {
   Status WriteWithRetry(uint32_t page_no, const uint8_t* data,
                         AccessIntent intent);
 
+  /// The frame cached for `page_no`, or null.
+  Frame* Find(uint32_t page_no);
+
   /// Evicts one unpinned frame if at capacity. Checked failure if every
   /// frame is pinned (operators pin O(1) pages at a time).
   Status MakeRoom();
@@ -130,6 +140,8 @@ class BufferPool {
   /// Unpinned frames, least-recently-used at the head.
   Frame* lru_head_ = nullptr;
   Frame* lru_tail_ = nullptr;
+  /// The frame the last Find or Install returned (null after it is dropped).
+  Frame* last_ = nullptr;
   std::vector<Buffer> spare_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -68,11 +68,11 @@ uint32_t SimulatedDisk::ComputeChecksum(const uint8_t* data, size_t len) {
 }
 
 Status SimulatedDisk::CheckBounds(uint32_t page_no, const char* op) const {
-  if (page_no >= num_pages_) {
+  if (page_no >= num_pages()) {
     return Status::OutOfRange(std::string(op) + " of page " +
                               std::to_string(page_no) + " on node " +
                               std::to_string(node_) + ": disk has " +
-                              std::to_string(num_pages_) + " pages");
+                              std::to_string(num_pages()) + " pages");
   }
   return Status::OK();
 }
@@ -110,45 +110,71 @@ Result<uint32_t> SimulatedDisk::Allocate() {
     return Status::Unavailable("disk node " + std::to_string(node_) +
                                " is dead");
   }
-  if (num_pages_ >= kMaxPages) {
+  if (live_pages_ >= kMaxPages || slot_of_.size() >= kFreed) {
     return Status::ResourceExhausted(
         "disk on node " + std::to_string(node_) + " is full (" +
         std::to_string(kMaxPages) + " pages)");
   }
-  if (num_pages_ % pages_per_slab_ == 0) {
-    // calloc: every page of a fresh slab is already a zeroed page.
-    auto* slab = static_cast<uint8_t*>(
-        std::calloc(pages_per_slab_, static_cast<size_t>(page_size_)));
-    GAMMA_CHECK_MSG(slab != nullptr, "host out of memory for a disk slab");
-    slabs_.emplace_back(slab);
+  uint32_t slot = 0;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    std::memset(SlotData(slot), 0, page_size_);
+    checksums_[slot] = zero_checksum_;
+  } else {
+    slot = num_slots();
+    if (slot % pages_per_slab_ == 0) {
+      // calloc: every page of a fresh slab is already a zeroed page.
+      auto* slab = static_cast<uint8_t*>(
+          std::calloc(pages_per_slab_, static_cast<size_t>(page_size_)));
+      GAMMA_CHECK_MSG(slab != nullptr, "host out of memory for a disk slab");
+      slabs_.emplace_back(slab);
+    }
+    checksums_.push_back(zero_checksum_);
   }
-  checksums_.push_back(zero_checksum_);
-  return num_pages_++;
+  ++live_pages_;
+  slot_of_.push_back(slot);
+  return static_cast<uint32_t>(slot_of_.size() - 1);
+}
+
+void SimulatedDisk::Free(uint32_t page_no) {
+  GAMMA_CHECK_MSG(page_no < num_pages() && slot_of_[page_no] != kFreed,
+                  "free of a page that is not allocated");
+  free_slots_.push_back(slot_of_[page_no]);
+  slot_of_[page_no] = kFreed;
+  --live_pages_;
 }
 
 Status SimulatedDisk::Read(uint32_t page_no, uint8_t* out) {
   GAMMA_RETURN_NOT_OK(CheckBounds(page_no, "read"));
+  if (slot_of_[page_no] == kFreed) {
+    return Status::NotFound("read of freed page " + std::to_string(page_no) +
+                            " on node " + std::to_string(node_));
+  }
   GAMMA_RETURN_NOT_OK(ConsultFaults(page_no, /*writing=*/false));
-  std::memcpy(out, PageData(page_no), page_size_);
+  std::memcpy(out, SlotData(slot_of_[page_no]), page_size_);
   return Status::OK();
 }
 
 Status SimulatedDisk::Write(uint32_t page_no, const uint8_t* data) {
   GAMMA_RETURN_NOT_OK(CheckBounds(page_no, "write"));
   GAMMA_RETURN_NOT_OK(ConsultFaults(page_no, /*writing=*/true));
-  std::memcpy(PageData(page_no), data, page_size_);
-  checksums_[page_no] = ComputeChecksum(data, page_size_);
+  const uint32_t slot = slot_of_[page_no];
+  if (slot == kFreed) return Status::OK();  // a stale frame's write-back
+  std::memcpy(SlotData(slot), data, page_size_);
+  checksums_[slot] = ComputeChecksum(data, page_size_);
   return Status::OK();
 }
 
 uint32_t SimulatedDisk::StoredChecksum(uint32_t page_no) const {
-  GAMMA_CHECK(page_no < checksums_.size());
-  return checksums_[page_no];
+  GAMMA_CHECK(page_no < num_pages() && slot_of_[page_no] != kFreed);
+  return checksums_[slot_of_[page_no]];
 }
 
 void SimulatedDisk::CorruptStoredPage(uint32_t page_no) {
-  GAMMA_CHECK(page_no < num_pages_);
-  PageData(page_no)[page_no % page_size_] ^= 0xFF;
+  GAMMA_CHECK(page_no < num_pages());
+  const uint32_t slot = slot_of_[page_no];
+  if (slot != kFreed) SlotData(slot)[page_no % page_size_] ^= 0xFF;
 }
 
 }  // namespace gammadb::storage

@@ -64,9 +64,13 @@ struct ChargeContext {
 /// mismatch as Status::Corruption — keeping the detector out of the page
 /// layout, the way a drive's sector ECC is invisible to the format on top.
 ///
-/// Pages live in fixed-size zero-filled slabs (kSlabBytes each), so a page
-/// allocation is a counter bump, a page's bytes never move, and the host
-/// pays one heap allocation per slab instead of one per page.
+/// Pages live in fixed-size zero-filled slabs (kSlabBytes each), so a page's
+/// bytes never move and the host pays one heap allocation per slab instead
+/// of one per page. A page number maps to a slab slot; Free returns the slot
+/// for the next Allocate to reuse, but the page number itself is never
+/// handed out again (the buffer pool may still hold a stale frame for it,
+/// and its flush order follows page numbers). Writing a freed page drops
+/// the bytes; reading one is an error.
 ///
 /// When a FaultInjector is attached, each Read/Write first consults the
 /// node's fault schedule: a dead node yields kUnavailable, a transient
@@ -74,8 +78,8 @@ struct ChargeContext {
 /// byte of the *stored* page so the checksum no longer matches.
 class SimulatedDisk {
  public:
-  /// Hard cap on pages per drive; Allocate past it is ResourceExhausted
-  /// (a full disk), not a crash.
+  /// Hard cap on live (allocated, not yet freed) pages per drive; Allocate
+  /// past it is ResourceExhausted (a full disk), not a crash.
   static constexpr uint32_t kMaxPages = 1u << 20;
   /// Host bytes per page slab (rounded down to whole pages, at least one).
   /// Each disk's last slab is partly empty, and a machine has dozens of
@@ -89,18 +93,34 @@ class SimulatedDisk {
   SimulatedDisk& operator=(const SimulatedDisk&) = delete;
 
   uint32_t page_size() const { return page_size_; }
-  uint32_t num_pages() const { return num_pages_; }
+  /// Page numbers handed out so far, freed ones included: every page number
+  /// below it is in bounds.
+  uint32_t num_pages() const { return static_cast<uint32_t>(slot_of_.size()); }
+  /// Pages allocated and not yet freed.
+  uint32_t live_pages() const { return live_pages_; }
+  /// Slab slots carved so far (host memory held, in pages); Allocate reuses
+  /// freed slots before carving new ones.
+  uint32_t num_slots() const {
+    return static_cast<uint32_t>(checksums_.size());
+  }
   int node() const { return node_; }
 
-  /// Allocates a zeroed page and returns its page number.
+  /// Allocates a zeroed page and returns its (never before used) page
+  /// number, reusing a freed slot when there is one.
   Result<uint32_t> Allocate();
 
+  /// Returns the page's slot for reuse. The page number stays in bounds:
+  /// later writes to it are dropped, reads fail.
+  void Free(uint32_t page_no);
+
   /// Copies a page into `out` (must hold page_size bytes). Non-const because
-  /// an injected corruption fault mutates the stored page.
+  /// an injected corruption fault mutates the stored page. A freed page is
+  /// NotFound.
   Status Read(uint32_t page_no, uint8_t* out);
 
   /// Copies `data` (page_size bytes) into the page and refreshes its
-  /// checksum.
+  /// checksum. On a freed page the bounds check and the fault draw still
+  /// run, then the bytes are dropped.
   Status Write(uint32_t page_no, const uint8_t* data);
 
   /// The checksum recorded for the page by its last successful Write.
@@ -114,7 +134,8 @@ class SimulatedDisk {
   static uint32_t ComputeChecksum(const uint8_t* data, size_t len);
 
   /// Test hook: flips one byte of the stored page without touching its
-  /// checksum — the bit-rot a checksum exists to catch.
+  /// checksum — the bit-rot a checksum exists to catch. A freed page has no
+  /// stored bytes; nothing happens.
   void CorruptStoredPage(uint32_t page_no);
 
  private:
@@ -122,9 +143,12 @@ class SimulatedDisk {
   /// fault stream and the corruption side effect only applies to reads.
   Status ConsultFaults(uint32_t page_no, bool writing);
   Status CheckBounds(uint32_t page_no, const char* op) const;
-  uint8_t* PageData(uint32_t page_no) const {
-    return slabs_[page_no / pages_per_slab_].get() +
-           static_cast<size_t>(page_no % pages_per_slab_) * page_size_;
+  /// Slot of a freed page.
+  static constexpr uint32_t kFreed = UINT32_MAX;
+
+  uint8_t* SlotData(uint32_t slot) const {
+    return slabs_[slot / pages_per_slab_].get() +
+           static_cast<size_t>(slot % pages_per_slab_) * page_size_;
   }
 
   struct FreeDeleter {
@@ -135,8 +159,13 @@ class SimulatedDisk {
   uint32_t pages_per_slab_;
   /// Checksum of an all-zero page: what Allocate records.
   uint32_t zero_checksum_;
-  uint32_t num_pages_ = 0;
+  uint32_t live_pages_ = 0;
   std::vector<std::unique_ptr<uint8_t[], FreeDeleter>> slabs_;
+  /// Page number -> slot (kFreed once freed).
+  std::vector<uint32_t> slot_of_;
+  /// Freed slots, reused last-in first-out.
+  std::vector<uint32_t> free_slots_;
+  /// Checksum per slot carved so far.
   std::vector<uint32_t> checksums_;
   sim::FaultInjector* faults_;
   int node_;

@@ -9,6 +9,8 @@ HeapFile::HeapFile(BufferPool* pool, const ChargeContext* charge)
   GAMMA_CHECK(pool != nullptr && charge != nullptr);
 }
 
+HeapFile::~HeapFile() { Clear(); }
+
 Result<Rid> HeapFile::Append(std::span<const uint8_t> record) {
   GAMMA_CHECK_MSG(record.size() + 16 <= pool_->page_size(),
                   "record larger than a page");
@@ -135,6 +137,7 @@ Status HeapFile::Update(Rid rid, std::span<const uint8_t> record) {
 }
 
 void HeapFile::Clear() {
+  for (const uint32_t page_no : pages_) pool_->FreePage(page_no);
   pages_.clear();
   num_tuples_ = 0;
 }

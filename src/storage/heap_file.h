@@ -40,8 +40,9 @@ class HeapFile {
 
   HeapFile(const HeapFile&) = delete;
   HeapFile& operator=(const HeapFile&) = delete;
-  HeapFile(HeapFile&&) = default;
-  HeapFile& operator=(HeapFile&&) = default;
+
+  /// Returns the file's pages to the disk.
+  ~HeapFile();
 
   uint32_t num_pages() const {
     return static_cast<uint32_t>(pages_.size());
@@ -73,8 +74,8 @@ class HeapFile {
   /// do). The rid remains valid.
   Status Update(Rid rid, std::span<const uint8_t> record);
 
-  /// Forgets all pages and tuples (temporary-file reuse). The simulated
-  /// disk's space is unbounded, so old pages are simply abandoned.
+  /// Forgets all tuples and returns every page to the disk (temporary-file
+  /// reuse). The next Append starts on a fresh page.
   void Clear();
 
  private:

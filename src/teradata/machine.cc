@@ -132,12 +132,17 @@ void TeradataMachine::BindAll(sim::CostTracker* tracker) {
 }
 
 Status TeradataMachine::FlushAllPools() {
-  Status first;
-  for (auto& amp : amps_) {
-    Status status = amp->pool().FlushAll();
-    if (first.ok()) first = std::move(status);
+  // Every AMP is bound to the same tracker (or to none) between steps.
+  sim::CostTracker* tracker = amps_[0]->charge().tracker;
+  std::vector<exec::NodeTask> tasks;
+  tasks.reserve(amps_.size());
+  for (size_t amp = 0; amp < amps_.size(); ++amp) {
+    tasks.push_back(exec::NodeTask{static_cast<int>(amp),
+                                   [this, amp](sim::CostTracker&) {
+                                     return amps_[amp]->pool().FlushAll();
+                                   }});
   }
-  return first;
+  return RunAmpTasks(tracker, std::move(tasks));
 }
 
 void TeradataMachine::ChargeSteps(sim::CostTracker* tracker, int steps,
@@ -189,9 +194,11 @@ Status TeradataMachine::CreateRelation(const std::string& name,
   return Status::OK();
 }
 
-Status TeradataMachine::RunAmpTasks(std::vector<exec::NodeTask> tasks) {
+Status TeradataMachine::RunAmpTasks(sim::CostTracker* tracker,
+                                    std::vector<exec::NodeTask> tasks) {
   return exec::NodeExecutor(amps_, config_.hw, config_.tracker_nodes())
-      .Run(nullptr, std::move(tasks));
+      .Run(tracker, std::move(tasks),
+           exec::NodeExecutor::Merge::kContinueOwner);
 }
 
 Status TeradataMachine::LoadTuples(
@@ -245,7 +252,7 @@ Status TeradataMachine::LoadTuples(
           return amps_[amp]->pool().Invalidate();
         }});
   }
-  const Status status = RunAmpTasks(std::move(tasks));
+  const Status status = RunAmpTasks(nullptr, std::move(tasks));
   if (!status.ok()) {
     // All-or-nothing: tombstone what this call appended and take it back out
     // of the key directory, then settle the pools.
@@ -311,7 +318,7 @@ Status TeradataMachine::BuildSecondaryIndex(const std::string& name,
           return sm.pool().Invalidate();
         }});
   }
-  const Status status = RunAmpTasks(std::move(tasks));
+  const Status status = RunAmpTasks(nullptr, std::move(tasks));
   if (!status.ok()) {
     // A partial index would silently miss rows: drop every entry file.
     for (size_t amp = 0; amp < num_amps; ++amp) {
@@ -662,21 +669,28 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
                                        query.outer_attr, outer_spool,
                                        "redistribute_outer"));
 
-      // --- Sort both spools at every AMP. ---
+      // --- Sort both spools at every AMP: one task per AMP, each charging
+      // only its own AMP, so the AMPs sort in parallel. ---
       tracker.BeginPhase("sort", sim::PhaseKind::kSequential);
-      for (int amp = 0; amp < config_.num_amps; ++amp) {
-        storage::StorageManager& sm = *amps_[static_cast<size_t>(amp)];
-        Status sort_status;
-        inner_sorted[static_cast<size_t>(amp)] = exec::ExternalSort(
-            sm, inner_spool[static_cast<size_t>(amp)], inner->schema,
-            query.inner_attr, config_.sort_memory_bytes, &sort_status);
-        GAMMA_RETURN_NOT_OK(sort_status);
-        outer_sorted[static_cast<size_t>(amp)] = exec::ExternalSort(
-            sm, outer_spool[static_cast<size_t>(amp)], outer->schema,
-            query.outer_attr, config_.sort_memory_bytes, &sort_status);
-        GAMMA_RETURN_NOT_OK(sort_status);
+      std::vector<exec::NodeTask> sorts;
+      sorts.reserve(num_amps);
+      for (size_t amp = 0; amp < num_amps; ++amp) {
+        sorts.push_back(exec::NodeTask{
+            static_cast<int>(amp), [&, amp](sim::CostTracker&) -> Status {
+              storage::StorageManager& sm = *amps_[amp];
+              Status sort_status;
+              inner_sorted[amp] = exec::ExternalSort(
+                  sm, inner_spool[amp], inner->schema, query.inner_attr,
+                  config_.sort_memory_bytes, &sort_status);
+              GAMMA_RETURN_NOT_OK(sort_status);
+              outer_sorted[amp] = exec::ExternalSort(
+                  sm, outer_spool[amp], outer->schema, query.outer_attr,
+                  config_.sort_memory_bytes, &sort_status);
+              GAMMA_RETURN_NOT_OK(sort_status);
+              return sm.pool().FlushAll();
+            }});
       }
-      GAMMA_RETURN_NOT_OK(FlushAllPools());
+      GAMMA_RETURN_NOT_OK(RunAmpTasks(&tracker, std::move(sorts)));
       tracker.EndPhase();
     }
 

@@ -167,10 +167,16 @@ class TeradataMachine {
   };
 
   void BindAll(sim::CostTracker* tracker);
-  /// Runs uncharged per-AMP work (loading, index builds) on the shared
-  /// exec::NodeExecutor; returns the first failure in AMP order.
-  Status RunAmpTasks(std::vector<exec::NodeTask> tasks);
-  /// Flushes every AMP's pool; returns the first flush error.
+  /// Runs one task per AMP on the shared exec::NodeExecutor and returns the
+  /// first failure in AMP order. `tracker` is null for uncharged work
+  /// (loading, index builds). Charged tasks continue their AMP's sums
+  /// (Merge::kContinueOwner), so a task that charges only its own AMP is
+  /// bit-identical to running it inline, even after serial charges earlier
+  /// in the phase.
+  Status RunAmpTasks(sim::CostTracker* tracker,
+                     std::vector<exec::NodeTask> tasks);
+  /// Flushes every AMP's pool, one task per AMP, charging whatever tracker
+  /// the AMPs are bound to; returns the first flush error in AMP order.
   Status FlushAllPools();
   /// Charges the IFP parse/dispatch/step overhead (serialized at the IFP).
   void ChargeSteps(sim::CostTracker* tracker, int steps, bool single_tuple);

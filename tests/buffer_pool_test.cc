@@ -1,13 +1,17 @@
 // Unit tests for the simulated disk and the LRU buffer pool, including the
 // cost accounting they produce.
 
+#include <algorithm>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/cost_tracker.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk.h"
+#include "storage/storage_manager.h"
 
 namespace gammadb::storage {
 namespace {
@@ -242,6 +246,134 @@ TEST(DiskTest, ChecksumCatchesEverySingleByteChange) {
               SimulatedDisk::ComputeChecksum(zeros.data(), len + 1))
         << "length " << len;
   }
+}
+
+TEST(DiskTest, FreedPageReadsFailAndWritesAreDropped) {
+  SimulatedDisk disk(1024);
+  const uint32_t page_no = disk.Allocate().value();
+  disk.Free(page_no);
+  EXPECT_EQ(disk.live_pages(), 0u);
+  EXPECT_EQ(disk.num_pages(), 1u);  // the number stays in bounds
+  std::vector<uint8_t> buf(1024, 0x11);
+  EXPECT_TRUE(disk.Read(page_no, buf.data()).IsNotFound());
+  EXPECT_TRUE(disk.Write(page_no, buf.data()).ok());
+  EXPECT_TRUE(disk.Read(page_no, buf.data()).IsNotFound());
+  // Page numbers are never reused; the slot is.
+  EXPECT_EQ(disk.Allocate().value(), 1u);
+  EXPECT_EQ(disk.num_slots(), 1u);
+}
+
+/// A page's bytes, all `value`.
+std::vector<uint8_t> Filled(uint8_t value) {
+  return std::vector<uint8_t>(4096, value);
+}
+
+// A dropped file's slots back the next file, which must see zeroed pages
+// (on disk and through the pool) before its first write.
+TEST(PageRecyclingTest, NewFileOnRecycledSlotsReadsZeros) {
+  StorageManager sm(4096, 16 * 4096);
+  const FileId old_id = sm.CreateFile();
+  const std::vector<uint8_t> record(200, 0xAB);
+  for (int i = 0; i < 19 * 40; ++i) {
+    ASSERT_TRUE(sm.file(old_id).Append(record).ok());
+  }
+  ASSERT_TRUE(sm.pool().Invalidate().ok());
+  const uint32_t old_pages = sm.file(old_id).num_pages();
+  ASSERT_GT(old_pages, 16u);  // more pages than pool frames
+  const uint32_t slots = sm.disk().num_slots();
+  sm.DropFile(old_id);
+  EXPECT_EQ(sm.disk().live_pages(), 0u);
+
+  // Raw allocations on the recycled slots: zero bytes, zero checksum.
+  const std::vector<uint8_t> zeros = Filled(0);
+  std::vector<uint8_t> buf(4096);
+  std::vector<uint32_t> fresh;
+  for (uint32_t i = 0; i < old_pages; ++i) {
+    fresh.push_back(sm.disk().Allocate().value());
+    ASSERT_TRUE(sm.disk().Read(fresh.back(), buf.data()).ok());
+    EXPECT_EQ(buf, zeros) << "page " << fresh.back();
+    EXPECT_EQ(sm.disk().StoredChecksum(fresh.back()),
+              SimulatedDisk::ComputeChecksum(zeros.data(), zeros.size()));
+  }
+  EXPECT_EQ(sm.disk().num_slots(), slots);  // no new host memory
+  for (const uint32_t page_no : fresh) {
+    uint8_t* frame = sm.pool().Pin(page_no, AccessIntent::kRandom).value();
+    EXPECT_TRUE(
+        std::all_of(frame, frame + 4096, [](uint8_t b) { return b == 0; }));
+    sm.pool().Unpin(page_no);
+  }
+
+  // A heap file on the recycled slots holds only its own records.
+  for (const uint32_t page_no : fresh) sm.pool().FreePage(page_no);
+  const FileId new_id = sm.CreateFile();
+  const std::vector<uint8_t> mine(200, 0x5C);
+  for (int i = 0; i < 19 * 5; ++i) {
+    ASSERT_TRUE(sm.file(new_id).Append(mine).ok());
+  }
+  ASSERT_TRUE(sm.pool().Invalidate().ok());
+  uint64_t seen = 0;
+  ASSERT_TRUE(sm.file(new_id)
+                  .Scan([&](Rid, std::span<const uint8_t> r) {
+                    EXPECT_TRUE(std::equal(r.begin(), r.end(), mine.begin()));
+                    ++seen;
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(seen, 19u * 5);
+  EXPECT_EQ(sm.disk().num_slots(), slots);
+}
+
+// A stale dirty frame of a freed page is still written back and charged
+// (the simulated cost of dropping a file does not move), but its bytes must
+// not land in the slot's new owner.
+TEST_F(BufferPoolTest, StaleDirtyFrameKeepsItsChargeButNotItsBytes) {
+  uint8_t* frame = nullptr;
+  const uint32_t stale = pool_.NewPage(&frame).value();
+  std::memset(frame, 0xAA, 4096);
+  pool_.Unpin(stale);
+  pool_.FreePage(stale);
+
+  const uint32_t owner = pool_.NewPage(&frame).value();
+  EXPECT_EQ(disk_.num_slots(), 1u);  // the stale page's slot, recycled
+  std::memset(frame, 0xBB, 4096);
+  pool_.Unpin(owner);
+  ASSERT_TRUE(pool_.FlushAll().ok());  // writes both frames
+  // Dirty the stale frame again so its write-back lands after the owner's.
+  pool_.Pin(stale, AccessIntent::kRandom).value();
+  pool_.MarkDirty(stale);
+  pool_.Unpin(stale);
+  ASSERT_TRUE(pool_.FlushAll().ok());
+
+  EXPECT_EQ(tracker_.current(0).pages_written, 3u);
+  EXPECT_EQ(tracker_.current(0).rand_page_ios, 1u);
+  EXPECT_GT(tracker_.current(0).disk_sec, 0);
+  std::vector<uint8_t> buf(4096);
+  ASSERT_TRUE(disk_.Read(owner, buf.data()).ok());
+  EXPECT_EQ(buf, Filled(0xBB));
+  pool_.Discard();
+  frame = pool_.Pin(owner, AccessIntent::kRandom).value();  // checksum OK
+  EXPECT_EQ(frame[0], 0xBB);
+  pool_.Unpin(owner);
+  // The freed page itself is gone once its frame is.
+  EXPECT_TRUE(pool_.Pin(stale, AccessIntent::kRandom).status().IsNotFound());
+}
+
+TEST_F(BufferPoolTest, CorruptionOnRecycledPageIsCaught) {
+  uint8_t* frame = nullptr;
+  const uint32_t first = pool_.NewPage(&frame).value();
+  pool_.Unpin(first);
+  ASSERT_TRUE(pool_.Invalidate().ok());
+  pool_.FreePage(first);
+
+  const uint32_t recycled = pool_.NewPage(&frame).value();
+  std::memset(frame, 0x3C, 4096);
+  pool_.Unpin(recycled);
+  ASSERT_TRUE(pool_.Invalidate().ok());
+  ASSERT_EQ(disk_.num_slots(), 1u);
+  disk_.CorruptStoredPage(recycled);
+  const auto pinned = pool_.Pin(recycled, AccessIntent::kRandom);
+  ASSERT_FALSE(pinned.ok());
+  EXPECT_TRUE(pinned.status().IsCorruption()) << pinned.status().ToString();
 }
 
 TEST(DiskParamsTest, AccessTimesMatchPaperFacts) {

@@ -229,6 +229,24 @@ TEST(DiskBoundsTest, AllocateStopsAtCapacity) {
   EXPECT_EQ(disk.num_pages(), storage::SimulatedDisk::kMaxPages);
 }
 
+// The cap counts live pages, not page numbers ever handed out: a disk that
+// keeps freeing what it allocates never fills up.
+TEST(DiskBoundsTest, AllocateAndFreePastCapacity) {
+  storage::SimulatedDisk disk(64);
+  const uint32_t kept = disk.Allocate().value();
+  for (uint32_t i = 0; i < storage::SimulatedDisk::kMaxPages + 10; ++i) {
+    const auto page = disk.Allocate();
+    ASSERT_TRUE(page.ok()) << "allocation " << i << ": "
+                           << page.status().ToString();
+    disk.Free(*page);
+  }
+  EXPECT_EQ(disk.live_pages(), 1u);
+  EXPECT_EQ(disk.num_pages(), storage::SimulatedDisk::kMaxPages + 11);
+  EXPECT_EQ(disk.num_slots(), 2u);
+  std::vector<uint8_t> buf(64, 0);
+  EXPECT_TRUE(disk.Read(kept, buf.data()).ok());
+}
+
 TEST(TeradataErrorTest, DeleteMissingKeyIsNoOp) {
   teradata::TeradataMachine machine{teradata::TeradataConfig{}};
   ASSERT_TRUE(

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "gamma/machine.h"
 #include "sim/host_pool.h"
 #include "sim/workload.h"
+#include "teradata/machine.h"
 #include "test_util.h"
 #include "wisconsin/wisconsin.h"
 
@@ -269,6 +271,75 @@ TEST(ParallelExecutorTest, JoinIdenticalAcrossThreadCounts) {
     EXPECT_EQ(run.result.result_tuples, 1000u);
     EXPECT_EQ(run.result.result_relation.empty(), !v.store);
     EXPECT_EQ(PhaseNames(run.result), v.phases);
+  }
+}
+
+// Teradata's sort step and pool flushes run one task per AMP. Key joins
+// (no redistribution or sort) and non-key joins (redistribute, multi-run
+// external sort, merge), stored and returned, must match the 1-thread run
+// byte for byte and field for field — including a second statement on the
+// same machine, which starts from the pools the first one left behind.
+TEST(ParallelExecutorTest, TeradataJoinIdenticalAcrossThreadCounts) {
+  struct TdOutput {
+    std::vector<QueryResult> results;
+    std::vector<std::vector<std::vector<uint8_t>>> stored;
+  };
+  for (const int attr : {wis::kUnique1, wis::kUnique2}) {
+    for (const bool store : {false, true}) {
+      SCOPED_TRACE(std::string(attr == wis::kUnique1 ? "key" : "non-key") +
+                   (store ? ", stored" : ", returned"));
+      const auto run = [&] {
+        teradata::TeradataConfig config;
+        config.num_amps = 8;
+        config.sort_memory_bytes = 16 << 10;  // several runs per AMP
+        teradata::TeradataMachine machine(config);
+        for (const auto& [name, n, seed] :
+             {std::tuple{"A", 2000u, 7}, std::tuple{"B", 1000u, 8}}) {
+          GAMMA_CHECK(machine
+                          .CreateRelation(name, wis::WisconsinSchema(),
+                                          wis::kUnique1)
+                          .ok());
+          GAMMA_CHECK(machine
+                          .LoadTuples(name, wis::GenerateWisconsin(
+                                                n, static_cast<uint64_t>(seed)))
+                          .ok());
+        }
+        TdOutput out;
+        for (int repeat = 0; repeat < 2; ++repeat) {
+          teradata::TdJoinQuery join;
+          join.outer = "A";
+          join.inner = "B";
+          join.outer_attr = attr;
+          join.inner_attr = attr;
+          join.store_result = store;
+          auto result = machine.RunJoin(join);
+          GAMMA_CHECK_MSG(result.ok(), result.status().ToString().c_str());
+          if (store) {
+            out.stored.push_back(
+                *machine.ReadRelation(result->result_relation));
+          }
+          out.results.push_back(*std::move(result));
+        }
+        return out;
+      };
+      const TdOutput one = WithThreads(1, run);
+      const TdOutput many = WithThreads(kManyThreads, run);
+      ASSERT_EQ(one.results.size(), many.results.size());
+      for (size_t i = 0; i < one.results.size(); ++i) {
+        EXPECT_EQ(one.results[i].result_tuples, 1000u);
+        EXPECT_EQ(one.results[i].returned, many.results[i].returned);
+        EXPECT_EQ(one.results[i].seconds(), many.results[i].seconds());
+        ExpectMetricsEq(one.results[i].metrics, many.results[i].metrics);
+      }
+      EXPECT_EQ(one.stored, many.stored);
+      const std::vector<std::string> phases =
+          attr == wis::kUnique1
+              ? std::vector<std::string>{"ifp_dispatch", "merge_store"}
+              : std::vector<std::string>{"ifp_dispatch", "redistribute_inner",
+                                         "redistribute_outer", "sort",
+                                         "merge_store"};
+      EXPECT_EQ(PhaseNames(one.results[0]), phases);
+    }
   }
 }
 

@@ -4,7 +4,9 @@
 // redistribution, costly recovery on inserts).
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -160,6 +162,41 @@ TEST_F(TeradataMachineTest, SortMergeJoinCorrect) {
             ReferenceJoinCount(bprime, wis::WisconsinSchema(), wis::kUnique2,
                                tuples_, wis::WisconsinSchema(),
                                wis::kUnique2));
+}
+
+// Simulated seconds of a 2k x 1k non-key join (redistribute, external sort
+// over several runs per AMP, merge), stored and returned, pinned at %.17g:
+// running the sort step and the pool flushes as per-AMP host tasks, and
+// recycling the spool and run pages, must not move the 1988 clock by a bit.
+TEST(TeradataGoldenTest, NonKeyJoinSecondsArePinned) {
+  std::string seconds[2];
+  for (const bool store : {false, true}) {
+    TeradataConfig config = SmallConfig();
+    config.sort_memory_bytes = 16 << 10;
+    TeradataMachine machine(config);
+    ASSERT_TRUE(
+        machine.CreateRelation("A", wis::WisconsinSchema(), wis::kUnique1)
+            .ok());
+    ASSERT_TRUE(machine.LoadTuples("A", wis::GenerateWisconsin(2000, 7)).ok());
+    ASSERT_TRUE(
+        machine.CreateRelation("B", wis::WisconsinSchema(), wis::kUnique1)
+            .ok());
+    ASSERT_TRUE(machine.LoadTuples("B", wis::GenerateWisconsin(1000, 8)).ok());
+    TdJoinQuery query;
+    query.outer = "A";
+    query.inner = "B";
+    query.outer_attr = wis::kUnique2;
+    query.inner_attr = wis::kUnique2;
+    query.store_result = store;
+    const auto result = machine.RunJoin(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->result_tuples, 1000u);
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", result->metrics.TotalSec());
+    seconds[store ? 1 : 0] = buf;
+  }
+  EXPECT_EQ(seconds[0], "29.972577233538765");
+  EXPECT_EQ(seconds[1], "70.02183501131536");
 }
 
 TEST_F(TeradataMachineTest, JoinOverRottedPageFailsAndCleansUp) {
