@@ -2,6 +2,10 @@
 // queries on both machines. Gamma runs full concurrency control with
 // partial recovery (deferred-update files for the indices); Teradata runs
 // full concurrency control and recovery on every change.
+//
+// BENCH_table3_update.json carries one row per cell and machine
+// ("<machine>/<row>/n=<n>") plus the published value of each cell as a
+// scalar ("paper/<machine>/<row>/n=<n>"; -1 where the paper has none).
 
 #include <cstdio>
 #include <map>
@@ -48,80 +52,81 @@ std::vector<uint8_t> FreshTuple(uint32_t n, int delta) {
   return {builder.bytes().begin(), builder.bytes().end()};
 }
 
-double RunGammaRow(gamma::GammaMachine& machine, int row, uint32_t n) {
+exec::QueryResult RunGammaRow(gamma::GammaMachine& machine, int row,
+                              uint32_t n) {
   const int32_t mid = static_cast<int32_t>(n / 2);
   switch (row) {
     case 0: {
       gamma::AppendQuery query{HeapName(n), FreshTuple(n, 0)};
-      return machine.RunAppend(query)->seconds();
+      return *machine.RunAppend(query);
     }
     case 1: {
       gamma::AppendQuery query{IndexedName(n), FreshTuple(n, 1)};
-      return machine.RunAppend(query)->seconds();
+      return *machine.RunAppend(query);
     }
     case 2: {
       gamma::DeleteQuery query{IndexedName(n), wis::kUnique1, mid};
-      return machine.RunDelete(query)->seconds();
+      return *machine.RunDelete(query);
     }
     case 3: {
       gamma::ModifyQuery query{IndexedName(n), wis::kUnique1, mid + 1,
                                wis::kUnique1,
                                static_cast<int32_t>(n) + 500};
-      return machine.RunModify(query)->seconds();
+      return *machine.RunModify(query);
     }
     case 4: {
       gamma::ModifyQuery query{IndexedName(n), wis::kUnique1, mid + 2,
                                wis::kOddOnePercent, 999};
-      return machine.RunModify(query)->seconds();
+      return *machine.RunModify(query);
     }
     case 5: {
       gamma::ModifyQuery query{IndexedName(n), wis::kUnique2, mid + 3,
                                wis::kUnique2,
                                static_cast<int32_t>(n) + 600};
-      return machine.RunModify(query)->seconds();
+      return *machine.RunModify(query);
     }
     default:
-      return -1;
+      return {};
   }
 }
 
-double RunTeradataRow(teradata::TeradataMachine& machine, int row,
-                      uint32_t n) {
+exec::QueryResult RunTeradataRow(teradata::TeradataMachine& machine, int row,
+                                 uint32_t n) {
   const int32_t mid = static_cast<int32_t>(n / 2);
   const std::string bare = HeapName(n);     // no secondary index
   const std::string indexed = IndexedName(n);
   switch (row) {
     case 0: {
       teradata::TdAppendQuery query{bare, FreshTuple(n, 0)};
-      return machine.RunAppend(query)->seconds();
+      return *machine.RunAppend(query);
     }
     case 1: {
       teradata::TdAppendQuery query{indexed, FreshTuple(n, 1)};
-      return machine.RunAppend(query)->seconds();
+      return *machine.RunAppend(query);
     }
     case 2: {
       teradata::TdDeleteQuery query{indexed, wis::kUnique1, mid};
-      return machine.RunDelete(query)->seconds();
+      return *machine.RunDelete(query);
     }
     case 3: {
       teradata::TdModifyQuery query{indexed, wis::kUnique1, mid + 1,
                                     wis::kUnique1,
                                     static_cast<int32_t>(n) + 500};
-      return machine.RunModify(query)->seconds();
+      return *machine.RunModify(query);
     }
     case 4: {
       teradata::TdModifyQuery query{indexed, wis::kUnique1, mid + 2,
                                     wis::kOddOnePercent, 999};
-      return machine.RunModify(query)->seconds();
+      return *machine.RunModify(query);
     }
     case 5: {
       teradata::TdModifyQuery query{indexed, wis::kUnique2, mid + 3,
                                     wis::kUnique2,
                                     static_cast<int32_t>(n) + 600};
-      return machine.RunModify(query)->seconds();
+      return *machine.RunModify(query);
     }
     default:
-      return -1;
+      return {};
   }
 }
 
@@ -132,6 +137,7 @@ int main(int argc, char** argv) {
   using namespace gammadb::bench;
   InitBench(argc, argv);
   std::printf("Reproduction of Table 3: Update Queries\n");
+  JsonReport report("table3_update");
   for (const uint32_t n : BenchSizes()) {
     gammadb::gamma::GammaMachine gamma_machine(PaperGammaConfig());
     LoadGammaDatabase(gamma_machine, n, /*with_indices=*/true,
@@ -156,11 +162,19 @@ int main(int argc, char** argv) {
       const auto paper_it = kPaper.find({row, n});
       const PaperCell paper =
           paper_it != kPaper.end() ? paper_it->second : PaperCell{-1, -1};
-      const double td = RunTeradataRow(td_machine, row, n);
-      const double gm = RunGammaRow(gamma_machine, row, n);
-      table.AddRow(kRowNames[row], {paper.teradata, td, paper.gamma, gm});
+      const gammadb::exec::QueryResult td = RunTeradataRow(td_machine, row, n);
+      const gammadb::exec::QueryResult gm = RunGammaRow(gamma_machine, row, n);
+      const std::string cell =
+          std::string(kRowNames[row]) + "/n=" + std::to_string(n);
+      report.Add("teradata/" + cell, td);
+      report.AddScalar("paper/teradata/" + cell, paper.teradata);
+      report.Add("gamma/" + cell, gm);
+      report.AddScalar("paper/gamma/" + cell, paper.gamma);
+      table.AddRow(kRowNames[row],
+                   {paper.teradata, td.seconds(), paper.gamma, gm.seconds()});
     }
     table.Print();
   }
+  report.Write();
   return 0;
 }

@@ -33,6 +33,8 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   GAMMA_BENCH_SIZES=10000 ./build/bench/table1_selection
   echo "== Table 2 joins (baseline workload, 10k) =="
   GAMMA_BENCH_SIZES=10000 ./build/bench/table2_join
+  echo "== Table 3 updates (baseline workload, 10k) =="
+  GAMMA_BENCH_SIZES=10000 ./build/bench/table3_update
   echo "== aggregates (scalar + grouped, local/merge path, 100k) =="
   ./build/bench/extension_aggregates
   echo "== perf-regression gate (BENCH_*.json vs baselines/) =="
@@ -69,6 +71,9 @@ if [[ "$MODE" == "all" || "$MODE" == "--tsan-only" ]]; then
   echo "== Table 1 selections under TSan (4 host threads) =="
   GAMMA_HOST_THREADS=4 GAMMA_BENCH_SIZES=10000 \
     ./build-tsan/bench/table1_selection
+  echo "== Table 3 updates under TSan (4 host threads) =="
+  GAMMA_HOST_THREADS=4 GAMMA_BENCH_SIZES=10000 \
+    ./build-tsan/bench/table3_update
   echo "== Table 2 joins under TSan (4 host threads: parallel Teradata load," \
     "secondary-index build, and the joins' per-AMP sort step and pool" \
     "flushes) =="

@@ -76,6 +76,13 @@ class TupleView {
   std::span<const uint8_t> bytes_;
 };
 
+/// Integer attribute `attr` of `tuple` under `schema` (a key, index or
+/// partitioning attribute).
+inline int32_t IntAttr(const Schema& schema, std::span<const uint8_t> tuple,
+                       int attr) {
+  return TupleView(&schema, tuple).GetInt(static_cast<size_t>(attr));
+}
+
 /// \brief Builder that assembles one tuple's bytes under a schema.
 class TupleBuilder {
  public:

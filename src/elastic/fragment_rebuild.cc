@@ -8,17 +8,8 @@
 namespace gammadb::elastic {
 
 using catalog::IndexMeta;
-using catalog::TupleView;
+using catalog::IntAttr;
 using storage::Rid;
-
-namespace {
-
-int32_t KeyOf(const catalog::Schema& schema, const std::vector<uint8_t>& tuple,
-              int attr) {
-  return TupleView(&schema, tuple).GetInt(static_cast<size_t>(attr));
-}
-
-}  // namespace
 
 Result<FragmentRebuildResult> RebuildFragment(
     storage::StorageManager& dst, int fragment, catalog::RelationMeta* meta,
@@ -35,8 +26,8 @@ Result<FragmentRebuildResult> RebuildFragment(
     std::stable_sort(tuples.begin(), tuples.end(),
                      [&](const std::vector<uint8_t>& a,
                          const std::vector<uint8_t>& b) {
-                       return KeyOf(meta->schema, a, clustered->attr) <
-                              KeyOf(meta->schema, b, clustered->attr);
+                       return IntAttr(meta->schema, a, clustered->attr) <
+                              IntAttr(meta->schema, b, clustered->attr);
                      });
   }
 
@@ -57,7 +48,7 @@ Result<FragmentRebuildResult> RebuildFragment(
     entries.reserve(tuples.size());
     for (size_t i = 0; i < tuples.size(); ++i) {
       entries.push_back(storage::BTree::Entry{
-          KeyOf(meta->schema, tuples[i], idx.attr), result.rids[i]});
+          IntAttr(meta->schema, tuples[i], idx.attr), result.rids[i]});
     }
     std::sort(entries.begin(), entries.end(),
               [](const storage::BTree::Entry& a,

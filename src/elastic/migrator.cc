@@ -29,11 +29,10 @@
 
 namespace gammadb::elastic {
 
-using catalog::IndexMeta;
+using catalog::IntAttr;
 using catalog::PartitionSpec;
 using catalog::PartitionStrategy;
 using catalog::RelationMeta;
-using catalog::TupleView;
 using gamma::GammaMachine;
 using gamma::QueryResult;
 using gamma::RecoveryLog;
@@ -56,11 +55,6 @@ struct ElasticMigrator::Plan {
 };
 
 namespace {
-
-int32_t AttrOf(const catalog::Schema& schema, std::span<const uint8_t> tuple,
-               int attr) {
-  return TupleView(&schema, tuple).GetInt(static_cast<size_t>(attr));
-}
 
 /// Largest-remainder fair share of `total` items over `n` sites (low
 /// indices take the remainder).
@@ -165,7 +159,7 @@ Status ElasticMigrator::PlanHashed(RelationMeta* meta, Plan* plan) const {
   for (int f = 0; f < n; ++f) {
     GAMMA_RETURN_NOT_OK(
         ScanFragment(*meta, f, [&](Rid, std::span<const uint8_t> t) {
-          const int32_t key = AttrOf(meta->schema, t, key_attr);
+          const int32_t key = IntAttr(meta->schema, t, key_attr);
           ++bucket_tuples[HashInt32(key, salt) % buckets];
           ++total;
         }));
@@ -219,7 +213,7 @@ Status ElasticMigrator::PlanHashed(RelationMeta* meta, Plan* plan) const {
   for (const int f : donors) {
     GAMMA_RETURN_NOT_OK(
         ScanFragment(*meta, f, [&](Rid rid, std::span<const uint8_t> t) {
-          const int32_t key = AttrOf(meta->schema, t, key_attr);
+          const int32_t key = IntAttr(meta->schema, t, key_attr);
           const int dest =
               spec.bucket_map[HashInt32(key, salt) % buckets];
           if (dest != f) {
@@ -259,7 +253,7 @@ Status ElasticMigrator::PlanRange(RelationMeta* meta, Plan* plan) const {
   for (int f = 0; f < n; ++f) {
     GAMMA_RETURN_NOT_OK(
         ScanFragment(*meta, f, [&](Rid, std::span<const uint8_t> t) {
-          const int32_t key = AttrOf(meta->schema, t, key_attr);
+          const int32_t key = IntAttr(meta->schema, t, key_attr);
           keys[RangeOf(spec.range_boundaries, key)].push_back(key);
         }));
   }
@@ -301,7 +295,7 @@ Status ElasticMigrator::PlanRange(RelationMeta* meta, Plan* plan) const {
   for (const int f : donors) {
     GAMMA_RETURN_NOT_OK(
         ScanFragment(*meta, f, [&](Rid rid, std::span<const uint8_t> t) {
-          const int32_t key = AttrOf(meta->schema, t, key_attr);
+          const int32_t key = IntAttr(meta->schema, t, key_attr);
           const int dest =
               spec.range_nodes[RangeOf(spec.range_boundaries, key)];
           if (dest != f) {
@@ -369,10 +363,7 @@ Status ElasticMigrator::PlanRoundRobin(RelationMeta* meta,
 Status ElasticMigrator::MigrateOne(const std::string& name,
                                    MigrationReport* report) {
   GammaMachine& m = *machine_;
-  if (m.crashed_) {
-    return Status::Unavailable(
-        "machine crashed: run Recover() before migrating");
-  }
+  GAMMA_RETURN_NOT_OK(m.RefuseIfCrashed("migrating"));
   if (m.wal_ == nullptr) {
     return Status::FailedPrecondition(
         "elastic migration requires enable_logging: the move is WAL-logged "
@@ -388,12 +379,9 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
     }
   }
 
-  GammaMachine::Statement stmt(&m, meta->name, /*external_txn=*/0);
+  GammaMachine::WriteStatement stmt(&m, meta, /*external_txn=*/0);
   sim::CostTracker& tracker = stmt.tracker();
   RecoveryLog& log = stmt.log();
-  const uint64_t txn = stmt.txn();
-  const uint64_t wal_txn = stmt.wal_txn();
-  const uint32_t wal_rel = stmt.wal_rel();
   // Journal the migration on the scheduler ring. Begin is emitted before
   // any work so a mid-migration crash dump shows the open migration; the
   // clock only advances at FinalizeObs, so both events carry exact
@@ -415,16 +403,7 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
     return Status::Unavailable("migration of " + name + " crashed " + where);
   };
 
-  tracker.ChargeControlMessage(m.config_.host_node(),
-                               m.config_.scheduler_node(),
-                               /*blocking=*/true);
-  tracker.ChargeScheduling(1, static_cast<uint32_t>(n));
-  tracker.BeginPhase("migrate", sim::PhaseKind::kSequential);
-
-  const uint32_t rel = m.txns_.RelationId(meta->name);
-  GAMMA_RETURN_NOT_OK(m.AcquireTxnLock(
-      &tracker, txn, m.config_.scheduler_node(), txn::LockId::Relation(rel),
-      txn::LockMode::kIX));
+  GAMMA_RETURN_NOT_OK(stmt.Open("migrate", static_cast<size_t>(n)));
 
   // --- Plan: charged scans decide which tuples move where and what the
   // post-migration spec looks like. Queries keep routing with the old spec
@@ -447,10 +426,7 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
   // X on every fragment the move rewrites (on top of the relation IX); a
   // conflict with an open transaction fails fast like any statement.
   for (const int f : touched) {
-    const txn::LockId fl =
-        txn::LockId::Fragment(rel, static_cast<uint32_t>(f));
-    GAMMA_RETURN_NOT_OK(m.AcquireTxnLock(&tracker, txn, m.txns_.TableFor(fl),
-                                         fl, txn::LockMode::kX));
+    GAMMA_RETURN_NOT_OK(stmt.LockFragment(f, txn::LockMode::kX));
   }
 
   uint64_t moved = 0;
@@ -460,28 +436,15 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
     // copies retired with it.
     for (const auto& [src, idxs] : by_src) {
       storage::StorageManager& sm = *m.nodes_[static_cast<size_t>(src)];
-      const uint32_t fid = meta->per_node_file[static_cast<size_t>(src)];
-      storage::HeapFile& fragment = sm.file(fid);
       sm.charge().Cpu(m.config_.hw.cost.instr_per_lock);
       DeferredUpdateFile deferred(&sm.charge(), m.config_.page_size);
       for (const size_t i : idxs) {
         const Mover& mv = plan.movers[i];
-        GAMMA_RETURN_NOT_OK(fragment.Delete(mv.rid));
-        for (const IndexMeta& idx : meta->indices) {
-          deferred.LogDelete(
-              &sm.index(idx.per_node_index[static_cast<size_t>(src)]),
-              AttrOf(meta->schema, mv.tuple, idx.attr), mv.rid);
-        }
-        bool mirrored = false;
-        Rid backup_rid{};
-        if (meta->backed_up) {
-          GAMMA_RETURN_NOT_OK(
-              m.DeleteFromBackup(*meta, src, mv.tuple, &tracker,
-                                 &backup_rid));
-          mirrored = true;
-        }
-        log.LogDelete(src, wal_txn, wal_rel, src, mv.rid, mv.tuple,
-                      mirrored, backup_rid);
+        GAMMA_RETURN_NOT_OK(
+            stmt.RemoveAtHome(src, mv.rid, mv.tuple, &deferred));
+        GAMMA_ASSIGN_OR_RETURN(const GammaMachine::Mirror mirror,
+                               stmt.MirrorChange(src, mv.tuple, {}));
+        stmt.LogDelete(src, mv.rid, mv.tuple, mirror);
         ++moved;
         if (options_.crash_after_moves != 0 &&
             moved == options_.crash_after_moves) {
@@ -551,27 +514,17 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
         ++cursor;
       }
 
-      const int bhost = (dst + 1) % n;
       for (size_t k = 0; k < idxs.size(); ++k) {
         const Mover& mv = plan.movers[idxs[k]];
-        bool mirrored = false;
-        Rid backup_rid{};
+        GammaMachine::Mirror mirror;
         if (meta->backed_up) {
-          storage::StorageManager& bsm =
-              *m.nodes_[static_cast<size_t>(bhost)];
-          const uint32_t bfid =
-              meta->per_node_backup_file[static_cast<size_t>(dst)];
-          tracker.ChargeDataPacket(dst, bhost, mv.tuple.size());
-          bsm.charge().Cpu(m.config_.hw.cost.instr_per_lock);
-          bsm.charge().Cpu(m.config_.hw.cost.instr_per_tuple_store);
-          auto brid_or = bsm.file(bfid).Append(mv.tuple);
-          GAMMA_RETURN_NOT_OK(brid_or.status());
-          backup_rid = *brid_or;
+          GAMMA_ASSIGN_OR_RETURN(
+              mirror.backup_rid,
+              stmt.MirrorInsert(dst, mv.tuple, /*charge_lock=*/true));
           report->bytes_shipped += mv.tuple.size();
-          mirrored = true;
+          mirror.mirrored = true;
         }
-        log.LogInsert(dst, wal_txn, wal_rel, dst, arrival_rid[k], mv.tuple,
-                      mirrored, backup_rid);
+        stmt.LogInsert(dst, arrival_rid[k], mv.tuple, mirror);
       }
       log.ForceTail(dst);
       tracker.ChargeControlMessage(dst, m.config_.scheduler_node(),
@@ -583,7 +536,8 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
     // spec flips only after the commit record is durable.
     const int commit_site = touched.empty() ? 0 : *touched.begin();
     if (spec_changed) {
-      log.LogPartition(commit_site, wal_txn, wal_rel, old_image, new_image);
+      log.LogPartition(commit_site, stmt.wal_txn(), stmt.wal_rel(), old_image,
+                      new_image);
       log.ForceTail(commit_site);
     }
     if (options_.crash_before_flip) {
@@ -593,7 +547,7 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
     GAMMA_RETURN_NOT_OK(stmt.ReachCommitPoint(
         std::vector<int>(touched.begin(), touched.end()),
         "migration of " + name));
-    log.LogCommit(commit_site, wal_txn);
+    log.LogCommit(commit_site, stmt.wal_txn());
     if (options_.crash_after_commit) {
       // Durable winner, flip not yet applied: restart redo completes it
       // from the kPartition record.

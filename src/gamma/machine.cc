@@ -116,6 +116,7 @@ size_t JournalCapFromEnv() {
 GammaMachine::GammaMachine(GammaConfig config)
     : config_(config),
       txns_(config.tracker_nodes(), config.scheduler_node()),
+      profile_ring_(kProfileRingCapacity),
       journal_(config.tracker_nodes(), JournalCapFromEnv()) {
   GAMMA_CHECK(config_.num_disk_nodes > 0);
   GAMMA_CHECK(config_.num_diskless_nodes >= 0);
@@ -442,10 +443,7 @@ QueryResult GammaMachine::Statement::Finish(QueryResult result) {
 
 Result<QueryResult> GammaMachine::RunWithFailover(
     const std::function<Result<QueryResult>()>& attempt) {
-  if (crashed_) {
-    return Status::Unavailable(
-        "machine crashed: run Recover() before issuing queries");
-  }
+  GAMMA_RETURN_NOT_OK(RefuseIfCrashed("issuing queries"));
   Result<QueryResult> result = attempt();
   const uint32_t budget =
       config_.failover_max_retries > 0
@@ -480,10 +478,7 @@ Result<QueryResult> GammaMachine::FinalizeObs(const char* label,
     obs::FinalizeStatement(config_.trace, "gamma", label,
                            config_.hw.net.ring_bytes_per_sec, &*result);
     if (result->profile != nullptr) {
-      profile_ring_.push_back(result->profile);
-      if (profile_ring_.size() > kProfileRingCapacity) {
-        profile_ring_.pop_front();
-      }
+      profile_ring_.Push(result->profile);
     }
     // Flight recorder: place the statement's lifecycle inside its simulated
     // interval, then advance the machine clock past it. Strictly
@@ -567,12 +562,14 @@ void GammaMachine::CapturePostMortem(const std::string& reason) {
 }
 
 Status GammaMachine::FlushProfileRing(const std::string& path) {
-  const std::vector<std::shared_ptr<const obs::Profile>> profiles(
-      profile_ring_.begin(), profile_ring_.end());
+  std::vector<std::shared_ptr<const obs::Profile>> profiles;
+  for (size_t i = 0; i < profile_ring_.size(); ++i) {
+    profiles.push_back(profile_ring_[i]);
+  }
   if (!obs::WriteChromeTraceAll(profiles, path)) {
     return Status::IOError("cannot write profile-ring trace to " + path);
   }
-  profile_ring_.clear();
+  profile_ring_.Clear();
   return Status::OK();
 }
 

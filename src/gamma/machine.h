@@ -2,9 +2,9 @@
 #define GAMMA_GAMMA_MACHINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -17,11 +17,13 @@
 #include "gamma/query.h"
 #include "gamma/recovery_log.h"
 #include "gamma/wal.h"
+#include "obs/bounded_ring.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
 #include "opt/statistics.h"
 #include "sim/fault_injector.h"
 #include "sim/hardware.h"
+#include "storage/deferred_update.h"
 #include "storage/storage_manager.h"
 #include "txn/txn_manager.h"
 
@@ -237,7 +239,8 @@ class GammaMachine {
 
   /// Bounded ring of the 64 most recent statement profiles. Filled by every
   /// successful traced statement in completion order.
-  const std::deque<std::shared_ptr<const obs::Profile>>& profile_ring() const {
+  const obs::BoundedRing<std::shared_ptr<const obs::Profile>>& profile_ring()
+      const {
     return profile_ring_;
   }
 
@@ -510,21 +513,113 @@ class GammaMachine {
   Result<QueryResult> RunJoinAttempt(const JoinQuery& query);
   Result<QueryResult> RunAggregateAttempt(const AggregateQuery& query);
 
-  /// Removes the backup copy of a tuple deleted from `fragment` (located by
-  /// content match — backups have no indexes), charging the shipping packet
-  /// and the scan. `deleted_rid`, when given, receives the backup rid (the
-  /// WAL logs it so undo can restore the copy in place).
-  Status DeleteFromBackup(const catalog::RelationMeta& meta, int fragment,
-                          std::span<const uint8_t> tuple,
-                          sim::CostTracker* tracker,
-                          storage::Rid* deleted_rid = nullptr);
+  // --- Write path of append, delete, modify and migration
+  // (machine_updates.cc; DESIGN.md "Write path") ---
 
-  /// In-place rewrite of the backup copy of a modified tuple.
-  Status UpdateInBackup(const catalog::RelationMeta& meta, int fragment,
-                        std::span<const uint8_t> old_tuple,
-                        std::span<const uint8_t> new_tuple,
-                        sim::CostTracker* tracker,
-                        storage::Rid* updated_rid = nullptr);
+  /// The crashed-machine guard of every write and control entry point:
+  /// `make`("machine crashed: run Recover() before <action>") while crashed.
+  Status RefuseIfCrashed(
+      const char* action,
+      Status (*make)(std::string) = &Status::Unavailable) const;
+
+  /// A write's refusals before its Statement opens: a dead site in `homes`
+  /// ("<what>: <role> site N is down"), then an unknown `external_txn`.
+  Status CheckWrite(const char* kind, const std::string& what,
+                    const std::vector<int>& homes, uint64_t external_txn,
+                    const char* role = "primary") const;
+
+  /// Whether a write to fragment `home` mirrors into its chained backup. A
+  /// dead backup host skips the mirror when the WAL will carry the write
+  /// (mirrored=false) for reintegration, and blocks it otherwise.
+  Result<bool> MirrorsTo(const catalog::RelationMeta& meta, int home) const;
+
+  /// First tuple of `file` equal to `bytes`, charging `instr_per_tuple_scan`
+  /// per tuple visited: backups have no indexes and logged rids go stale,
+  /// so the mirror steps and recovery both locate copies by content.
+  Result<std::optional<storage::Rid>> FindByContent(
+      storage::StorageManager& sm, storage::HeapFile& file,
+      std::span<const uint8_t> bytes) const;
+
+  /// A write's chained-backup effect, as its WAL record carries it.
+  struct Mirror {
+    bool mirrored = false;
+    storage::Rid backup_rid{};
+  };
+
+  /// \brief A write statement on one relation, with the steps every write
+  /// is built from. Each step charges what the statements charged inline
+  /// before, in the same order; a caller whose order differs composes the
+  /// smaller steps itself.
+  class WriteStatement : public Statement {
+   public:
+    WriteStatement(GammaMachine* machine, catalog::RelationMeta* meta,
+                   uint64_t external_txn);
+
+    catalog::RelationMeta& meta() { return meta_; }
+
+    /// Host -> scheduler message, scheduling of `operators` operators, the
+    /// sequential `phase`, IX on the relation.
+    Status Open(const char* phase, size_t operators);
+    Status LockFragment(int node, txn::LockMode mode);
+    /// Rids on `node` matching the exact-match `pred` (through `index`, else
+    /// a charged scan), then IX on the fragment.
+    Result<std::vector<storage::Rid>> Locate(int node,
+                                             const exec::Predicate& pred,
+                                             const catalog::IndexMeta* index);
+    /// Fetch, lock-path CPU and page X lock; returns the pre-image.
+    Result<std::vector<uint8_t>> FetchForUpdate(int node, storage::Rid rid);
+    /// Heap delete, index entries queued for removal in `deferred`.
+    Status RemoveAtHome(int node, storage::Rid rid,
+                        std::span<const uint8_t> tuple,
+                        storage::DeferredUpdateFile* deferred);
+    /// Store CPU, append, page X lock, index entries through a committed
+    /// deferred file. A failure past the append takes the tuple back out
+    /// and runs `undo`. The caller charges the arrival first.
+    Result<storage::Rid> InsertAtHome(int home, std::span<const uint8_t> tuple,
+                                      const std::function<void()>& undo);
+    /// Packet to the backup host, lock-path CPU if `charge_lock`, store CPU,
+    /// append to fragment `home`'s chained backup.
+    Result<storage::Rid> MirrorInsert(int home, std::span<const uint8_t> tuple,
+                                      bool charge_lock);
+    /// Where MirrorsTo says so: ships `before` to the backup host, locates
+    /// its copy by content and deletes it (`after` empty) or rewrites it.
+    Result<Mirror> MirrorChange(int node, std::span<const uint8_t> before,
+                                std::span<const uint8_t> after);
+    /// WAL records of a write at fragment `node` (no-ops with logging off).
+    void LogInsert(int node, storage::Rid rid, std::span<const uint8_t> tuple,
+                   const Mirror& mirror);
+    void LogDelete(int node, storage::Rid rid, std::span<const uint8_t> tuple,
+                   const Mirror& mirror);
+
+    /// Per-tuple work of a delete or modify on a fetched, X-locked tuple.
+    using MatchBody = std::function<Status(
+        int node, storage::Rid rid, const std::vector<uint8_t>& tuple,
+        storage::DeferredUpdateFile& deferred)>;
+    /// Delete and modify after Open: per node of `parts`, Locate, then
+    /// FetchForUpdate and `body` per match, the node's deferred file, the
+    /// log force and the completion message; then the commit tail (flush,
+    /// commit protocol, reply, EndPhase). Returns the tuples changed.
+    Result<uint64_t> RewriteMatches(const std::vector<int>& parts,
+                                    const exec::Predicate& pred,
+                                    const catalog::IndexMeta* index,
+                                    const std::string& what,
+                                    const MatchBody& body);
+
+   private:
+    GammaMachine& m_;
+    catalog::RelationMeta& meta_;
+    uint32_t rel_ = 0;
+  };
+
+  /// Key-modify relocation (§7): remove at home, insert at the new home.
+  Status Relocate(WriteStatement& stmt, int node, storage::Rid rid,
+                  const std::vector<uint8_t>& old_tuple,
+                  const std::vector<uint8_t>& new_tuple,
+                  const std::string& what);
+  Status ModifyInPlace(WriteStatement& stmt, int node, storage::Rid rid,
+                       const std::vector<uint8_t>& old_tuple,
+                       const std::vector<uint8_t>& new_tuple,
+                       int target_attr);
 
   // --- Recovery internals (machine_recovery.cc) ---
 
@@ -599,7 +694,7 @@ class GammaMachine {
   uint64_t next_result_id_ = 1;
   uint64_t next_salt_ = 0xBEEF;
   /// Recent statement profiles, newest last (see profile_ring()).
-  std::deque<std::shared_ptr<const obs::Profile>> profile_ring_;
+  obs::BoundedRing<std::shared_ptr<const obs::Profile>> profile_ring_;
   /// Flight recorder (see journal()); ring i belongs to tracker node i.
   obs::Journal journal_;
   /// Statements finalized so far — the ordinal stamped on journal events.

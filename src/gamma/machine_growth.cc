@@ -45,10 +45,8 @@ constexpr int kBucketsPerNode = 16;
 }  // namespace
 
 Result<GammaMachine::GrowthReport> GammaMachine::AddNode() {
-  if (crashed_) {
-    return Status::FailedPrecondition(
-        "machine crashed: run Recover() before adding a node");
-  }
+  GAMMA_RETURN_NOT_OK(
+      RefuseIfCrashed("adding a node", &Status::FailedPrecondition));
   // The ring rewiring reads node 0 and writes the new node, and every
   // relation gains a fragment everywhere; a dead node would leave the
   // catalog half-grown.

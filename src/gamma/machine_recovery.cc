@@ -28,8 +28,8 @@
 namespace gammadb::gamma {
 
 using catalog::IndexMeta;
+using catalog::IntAttr;
 using catalog::RelationMeta;
-using catalog::TupleView;
 using storage::AccessIntent;
 using storage::Rid;
 
@@ -57,36 +57,11 @@ bool ApplyPartitionImage(RelationMeta* meta,
   return true;
 }
 
-int32_t KeyOf(const catalog::Schema& schema, std::span<const uint8_t> tuple,
-              int attr) {
-  return TupleView(&schema, tuple).GetInt(static_cast<size_t>(attr));
-}
-
 /// True when the fetch succeeded and returned exactly `want`.
 bool Holds(const Result<std::vector<uint8_t>>& cur,
            std::span<const uint8_t> want) {
   return cur.ok() && cur->size() == want.size() &&
          std::memcmp(cur->data(), want.data(), want.size()) == 0;
-}
-
-/// Content-match scan: the rid in a log record is only a fast path (a
-/// rebuild renumbers pages), so both passes fall back to locating the
-/// image by value.
-Result<std::optional<Rid>> FindByContent(storage::StorageManager& sm,
-                                         storage::HeapFile& file,
-                                         std::span<const uint8_t> bytes,
-                                         double scan_cpu) {
-  std::optional<Rid> found;
-  GAMMA_RETURN_NOT_OK(file.Scan([&](Rid rid, std::span<const uint8_t> t) {
-    sm.charge().Cpu(scan_cpu);
-    if (t.size() == bytes.size() &&
-        std::memcmp(t.data(), bytes.data(), t.size()) == 0) {
-      found = rid;
-      return false;
-    }
-    return true;
-  }));
-  return found;
 }
 
 Status EnsureIndexEntry(storage::BTree& tree, int32_t key, Rid rid) {
@@ -166,7 +141,6 @@ Status GammaMachine::RedoRecord(const WalRecord& record, uint64_t* applied,
   }
   const int node = record.fragment;
   if (node < 0 || node >= config_.num_disk_nodes) return Status::OK();
-  const double scan_cpu = config_.hw.cost.instr_per_tuple_scan;
   bool changed = false;
 
   if (!faults_->IsDead(node) &&
@@ -180,9 +154,8 @@ Status GammaMachine::RedoRecord(const WalRecord& record, uint64_t* applied,
         Rid at = record.rid;
         bool present = Holds(cur, record.after);
         if (!present) {
-          GAMMA_ASSIGN_OR_RETURN(
-              const std::optional<Rid> match,
-              FindByContent(sm, file, record.after, scan_cpu));
+          GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> match,
+                                 FindByContent(sm, file, record.after));
           if (match.has_value()) {
             present = true;
           } else {
@@ -198,7 +171,7 @@ Status GammaMachine::RedoRecord(const WalRecord& record, uint64_t* applied,
           for (const IndexMeta& idx : meta->indices) {
             GAMMA_RETURN_NOT_OK(EnsureIndexEntry(
                 sm.index(idx.per_node_index[static_cast<size_t>(node)]),
-                KeyOf(meta->schema, record.after, idx.attr), at));
+                IntAttr(meta->schema, record.after, idx.attr), at));
           }
         }
         break;
@@ -213,13 +186,13 @@ Status GammaMachine::RedoRecord(const WalRecord& record, uint64_t* applied,
           // locate the image by value. A failed fetch is a tombstone: the
           // delete already happened, no scan needed.
           GAMMA_ASSIGN_OR_RETURN(
-              victim, FindByContent(sm, file, record.before, scan_cpu));
+              victim, FindByContent(sm, file, record.before));
         }
         if (victim.has_value()) {
           for (const IndexMeta& idx : meta->indices) {
             GAMMA_RETURN_NOT_OK(RemoveIndexEntry(
                 sm.index(idx.per_node_index[static_cast<size_t>(node)]),
-                KeyOf(meta->schema, record.before, idx.attr), *victim));
+                IntAttr(meta->schema, record.before, idx.attr), *victim));
           }
           GAMMA_RETURN_NOT_OK(file.Delete(*victim));
           changed = true;
@@ -232,21 +205,20 @@ Status GammaMachine::RedoRecord(const WalRecord& record, uint64_t* applied,
         if (Holds(cur, record.before)) {
           stale = record.rid;
         } else if (!Holds(cur, record.after)) {
-          GAMMA_ASSIGN_OR_RETURN(
-              const std::optional<Rid> done,
-              FindByContent(sm, file, record.after, scan_cpu));
+          GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> done,
+                                 FindByContent(sm, file, record.after));
           if (!done.has_value()) {
             GAMMA_ASSIGN_OR_RETURN(
-                stale, FindByContent(sm, file, record.before, scan_cpu));
+                stale, FindByContent(sm, file, record.before));
           }
         }
         if (stale.has_value()) {
           GAMMA_RETURN_NOT_OK(file.Update(*stale, record.after));
           for (const IndexMeta& idx : meta->indices) {
             const int32_t before_key =
-                KeyOf(meta->schema, record.before, idx.attr);
+                IntAttr(meta->schema, record.before, idx.attr);
             const int32_t after_key =
-                KeyOf(meta->schema, record.after, idx.attr);
+                IntAttr(meta->schema, record.after, idx.attr);
             if (before_key == after_key) continue;
             storage::BTree& tree =
                 sm.index(idx.per_node_index[static_cast<size_t>(node)]);
@@ -275,9 +247,8 @@ Status GammaMachine::RedoRecord(const WalRecord& record, uint64_t* applied,
           const auto cur = backup.Fetch(record.backup_rid,
                                         AccessIntent::kRandom);
           if (!Holds(cur, record.after)) {
-            GAMMA_ASSIGN_OR_RETURN(
-                const std::optional<Rid> match,
-                FindByContent(sm, backup, record.after, scan_cpu));
+            GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> match,
+                                   FindByContent(sm, backup, record.after));
             if (!match.has_value()) {
               if (cur.ok() ||
                   !backup.Restore(record.backup_rid, record.after).ok()) {
@@ -296,7 +267,7 @@ Status GammaMachine::RedoRecord(const WalRecord& record, uint64_t* applied,
             victim = record.backup_rid;
           } else if (cur.ok()) {
             GAMMA_ASSIGN_OR_RETURN(
-                victim, FindByContent(sm, backup, record.before, scan_cpu));
+                victim, FindByContent(sm, backup, record.before));
           }
           if (victim.has_value()) {
             GAMMA_RETURN_NOT_OK(backup.Delete(*victim));
@@ -311,12 +282,11 @@ Status GammaMachine::RedoRecord(const WalRecord& record, uint64_t* applied,
           if (Holds(cur, record.before)) {
             stale = record.backup_rid;
           } else if (!Holds(cur, record.after)) {
-            GAMMA_ASSIGN_OR_RETURN(
-                const std::optional<Rid> done,
-                FindByContent(sm, backup, record.after, scan_cpu));
+            GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> done,
+                                   FindByContent(sm, backup, record.after));
             if (!done.has_value()) {
               GAMMA_ASSIGN_OR_RETURN(
-                  stale, FindByContent(sm, backup, record.before, scan_cpu));
+                  stale, FindByContent(sm, backup, record.before));
             }
           }
           if (stale.has_value()) {
@@ -355,7 +325,6 @@ Status GammaMachine::UndoRecord(const WalRecord& record, uint64_t* undone,
   }
   const int node = record.fragment;
   if (node < 0 || node >= config_.num_disk_nodes) return Status::OK();
-  const double scan_cpu = config_.hw.cost.instr_per_tuple_scan;
   bool changed = false;
 
   if (!faults_->IsDead(node) &&
@@ -371,13 +340,13 @@ Status GammaMachine::UndoRecord(const WalRecord& record, uint64_t* undone,
           victim = record.rid;
         } else {
           GAMMA_ASSIGN_OR_RETURN(
-              victim, FindByContent(sm, file, record.after, scan_cpu));
+              victim, FindByContent(sm, file, record.after));
         }
         if (victim.has_value()) {
           for (const IndexMeta& idx : meta->indices) {
             GAMMA_RETURN_NOT_OK(RemoveIndexEntry(
                 sm.index(idx.per_node_index[static_cast<size_t>(node)]),
-                KeyOf(meta->schema, record.after, idx.attr), *victim));
+                IntAttr(meta->schema, record.after, idx.attr), *victim));
           }
           GAMMA_RETURN_NOT_OK(file.Delete(*victim));
           changed = true;
@@ -388,9 +357,8 @@ Status GammaMachine::UndoRecord(const WalRecord& record, uint64_t* undone,
         // Restore at the original rid keeps the fragment byte-identical to
         // one that never deleted (later appends land after the revived
         // slot, exactly as they would have).
-        GAMMA_ASSIGN_OR_RETURN(
-            const std::optional<Rid> present,
-            FindByContent(sm, file, record.before, scan_cpu));
+        GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> present,
+                               FindByContent(sm, file, record.before));
         if (!present.has_value()) {
           Rid at = record.rid;
           if (!file.Restore(record.rid, record.before).ok()) {
@@ -399,7 +367,7 @@ Status GammaMachine::UndoRecord(const WalRecord& record, uint64_t* undone,
           for (const IndexMeta& idx : meta->indices) {
             GAMMA_RETURN_NOT_OK(EnsureIndexEntry(
                 sm.index(idx.per_node_index[static_cast<size_t>(node)]),
-                KeyOf(meta->schema, record.before, idx.attr), at));
+                IntAttr(meta->schema, record.before, idx.attr), at));
           }
           changed = true;
         }
@@ -411,21 +379,20 @@ Status GammaMachine::UndoRecord(const WalRecord& record, uint64_t* undone,
         if (Holds(cur, record.after)) {
           stale = record.rid;
         } else if (!Holds(cur, record.before)) {
-          GAMMA_ASSIGN_OR_RETURN(
-              const std::optional<Rid> done,
-              FindByContent(sm, file, record.before, scan_cpu));
+          GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> done,
+                                 FindByContent(sm, file, record.before));
           if (!done.has_value()) {
             GAMMA_ASSIGN_OR_RETURN(
-                stale, FindByContent(sm, file, record.after, scan_cpu));
+                stale, FindByContent(sm, file, record.after));
           }
         }
         if (stale.has_value()) {
           GAMMA_RETURN_NOT_OK(file.Update(*stale, record.before));
           for (const IndexMeta& idx : meta->indices) {
             const int32_t before_key =
-                KeyOf(meta->schema, record.before, idx.attr);
+                IntAttr(meta->schema, record.before, idx.attr);
             const int32_t after_key =
-                KeyOf(meta->schema, record.after, idx.attr);
+                IntAttr(meta->schema, record.after, idx.attr);
             if (before_key == after_key) continue;
             storage::BTree& tree =
                 sm.index(idx.per_node_index[static_cast<size_t>(node)]);
@@ -458,7 +425,7 @@ Status GammaMachine::UndoRecord(const WalRecord& record, uint64_t* undone,
             victim = record.backup_rid;
           } else {
             GAMMA_ASSIGN_OR_RETURN(
-                victim, FindByContent(sm, backup, record.after, scan_cpu));
+                victim, FindByContent(sm, backup, record.after));
           }
           if (victim.has_value()) {
             GAMMA_RETURN_NOT_OK(backup.Delete(*victim));
@@ -467,9 +434,8 @@ Status GammaMachine::UndoRecord(const WalRecord& record, uint64_t* undone,
           break;
         }
         case WalKind::kDelete: {
-          GAMMA_ASSIGN_OR_RETURN(
-              const std::optional<Rid> present,
-              FindByContent(sm, backup, record.before, scan_cpu));
+          GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> present,
+                                 FindByContent(sm, backup, record.before));
           if (!present.has_value()) {
             if (!backup.Restore(record.backup_rid, record.before).ok()) {
               GAMMA_RETURN_NOT_OK(backup.Append(record.before).status());
@@ -485,12 +451,11 @@ Status GammaMachine::UndoRecord(const WalRecord& record, uint64_t* undone,
           if (Holds(cur, record.after)) {
             stale = record.backup_rid;
           } else if (!Holds(cur, record.before)) {
-            GAMMA_ASSIGN_OR_RETURN(
-                const std::optional<Rid> done,
-                FindByContent(sm, backup, record.before, scan_cpu));
+            GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> done,
+                                   FindByContent(sm, backup, record.before));
             if (!done.has_value()) {
               GAMMA_ASSIGN_OR_RETURN(
-                  stale, FindByContent(sm, backup, record.after, scan_cpu));
+                  stale, FindByContent(sm, backup, record.after));
             }
           }
           if (stale.has_value()) {
@@ -619,10 +584,8 @@ Result<GammaMachine::RebuildReport> GammaMachine::ReintegrateNode(int node) {
   if (node < 0 || node >= config_.num_disk_nodes) {
     return Status::InvalidArgument("no such disk node");
   }
-  if (crashed_) {
-    return Status::FailedPrecondition(
-        "machine crashed: run Recover() before reintegrating a node");
-  }
+  GAMMA_RETURN_NOT_OK(
+      RefuseIfCrashed("reintegrating a node", &Status::FailedPrecondition));
   if (!faults_->IsDead(node)) {
     return Status::FailedPrecondition("disk node " + std::to_string(node) +
                                       " is alive");
@@ -635,7 +598,6 @@ Result<GammaMachine::RebuildReport> GammaMachine::ReintegrateNode(int node) {
   tracker.BeginPhase("reintegrate", sim::PhaseKind::kSequential);
   RebuildReport report;
   report.node = node;
-  const double scan_cpu = config_.hw.cost.instr_per_tuple_scan;
   std::set<std::string> touched;
 
   // --- 1) Reverse non-committed effects stranded on the revived disk:
@@ -673,7 +635,7 @@ Result<GammaMachine::RebuildReport> GammaMachine::ReintegrateNode(int node) {
     std::vector<std::vector<uint8_t>> tuples;
     GAMMA_RETURN_NOT_OK(
         src.file(bfid).Scan([&](Rid, std::span<const uint8_t> t) {
-          src.charge().Cpu(scan_cpu);
+          src.charge().Cpu(config_.hw.cost.instr_per_tuple_scan);
           tuples.emplace_back(t.begin(), t.end());
           return true;
         }));
@@ -720,9 +682,8 @@ Result<GammaMachine::RebuildReport> GammaMachine::ReintegrateNode(int node) {
                              r.before.size() + r.after.size());
     switch (r.kind) {
       case WalKind::kInsert: {
-        GAMMA_ASSIGN_OR_RETURN(
-            std::optional<Rid> at,
-            FindByContent(sm, backup, r.after, scan_cpu));
+        GAMMA_ASSIGN_OR_RETURN(std::optional<Rid> at,
+                               FindByContent(sm, backup, r.after));
         if (!at.has_value()) {
           GAMMA_ASSIGN_OR_RETURN(const Rid rid, backup.Append(r.after));
           at = rid;
@@ -731,9 +692,8 @@ Result<GammaMachine::RebuildReport> GammaMachine::ReintegrateNode(int node) {
         break;
       }
       case WalKind::kDelete: {
-        GAMMA_ASSIGN_OR_RETURN(
-            const std::optional<Rid> victim,
-            FindByContent(sm, backup, r.before, scan_cpu));
+        GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> victim,
+                               FindByContent(sm, backup, r.before));
         if (victim.has_value()) {
           GAMMA_RETURN_NOT_OK(backup.Delete(*victim));
           r.backup_rid = *victim;
@@ -741,14 +701,13 @@ Result<GammaMachine::RebuildReport> GammaMachine::ReintegrateNode(int node) {
         break;
       }
       case WalKind::kModify: {
-        GAMMA_ASSIGN_OR_RETURN(
-            std::optional<Rid> at,
-            FindByContent(sm, backup, r.before, scan_cpu));
+        GAMMA_ASSIGN_OR_RETURN(std::optional<Rid> at,
+                               FindByContent(sm, backup, r.before));
         if (at.has_value()) {
           GAMMA_RETURN_NOT_OK(backup.Update(*at, r.after));
         } else {
           GAMMA_ASSIGN_OR_RETURN(
-              at, FindByContent(sm, backup, r.after, scan_cpu));
+              at, FindByContent(sm, backup, r.after));
         }
         if (at.has_value()) r.backup_rid = *at;
         break;

@@ -17,107 +17,274 @@
 namespace gammadb::gamma {
 
 using catalog::IndexMeta;
+using catalog::IntAttr;
 using catalog::PartitionStrategy;
 using catalog::RelationMeta;
-using catalog::TupleView;
 using exec::Predicate;
 using storage::AccessIntent;
 using storage::DeferredUpdateFile;
 using storage::Rid;
 
-namespace {
-
-int32_t AttrOf(const catalog::Schema& schema,
-               std::span<const uint8_t> tuple, int attr) {
-  return TupleView(&schema, tuple).GetInt(static_cast<size_t>(attr));
+Status GammaMachine::RefuseIfCrashed(const char* action,
+                                     Status (*make)(std::string)) const {
+  if (!crashed_) return Status::OK();
+  return make(std::string("machine crashed: run Recover() before ") + action);
 }
 
-}  // namespace
+Status GammaMachine::CheckWrite(const char* kind, const std::string& what,
+                                const std::vector<int>& homes,
+                                uint64_t external_txn,
+                                const char* role) const {
+  // Writes always go to the primary copy; no failover for updates.
+  for (int node : homes) {
+    if (faults_->IsDead(node)) {
+      return Status::Unavailable(what + ": " + role + " site " +
+                                 std::to_string(node) + " is down");
+    }
+  }
+  if (external_txn != 0 && !txns_.IsActive(external_txn)) {
+    return Status::FailedPrecondition(std::string(kind) +
+                                      " under unknown transaction " +
+                                      std::to_string(external_txn));
+  }
+  return Status::OK();
+}
 
-Status GammaMachine::DeleteFromBackup(const RelationMeta& meta, int fragment,
-                                      std::span<const uint8_t> tuple,
-                                      sim::CostTracker* tracker,
-                                      Rid* deleted_rid) {
-  const int host = (fragment + 1) % config_.num_disk_nodes;
-  if (faults_->IsDead(host)) {
+Result<bool> GammaMachine::MirrorsTo(const RelationMeta& meta,
+                                     int home) const {
+  if (!meta.backed_up) return false;
+  const int host = (home + 1) % config_.num_disk_nodes;
+  if (!faults_->IsDead(host)) return true;
+  // Without the replayable log a dead backup host blocks the write (the
+  // mirror would silently diverge). With it the write proceeds and its
+  // record carries mirrored=false; reintegration replays it into the stale
+  // backup when the host returns.
+  if (wal_ == nullptr) {
     return Status::Unavailable("backup site " + std::to_string(host) +
-                               " of fragment " + std::to_string(fragment) +
+                               " of fragment " + std::to_string(home) +
                                " of " + meta.name + " is down");
   }
-  storage::StorageManager& sm = *nodes_[static_cast<size_t>(host)];
-  storage::HeapFile& backup =
-      sm.file(meta.per_node_backup_file[static_cast<size_t>(fragment)]);
-  // Ship the pre-image over, then locate the copy by content: backups carry
-  // no indexes. The primary's page lock already covers the logical tuple.
-  tracker->ChargeDataPacket(fragment, host, tuple.size());
-  Rid match{};
-  bool found = false;
-  GAMMA_RETURN_NOT_OK(backup.Scan([&](Rid rid, std::span<const uint8_t> t) {
+  return false;
+}
+
+Result<std::optional<Rid>> GammaMachine::FindByContent(
+    storage::StorageManager& sm, storage::HeapFile& file,
+    std::span<const uint8_t> bytes) const {
+  std::optional<Rid> found;
+  GAMMA_RETURN_NOT_OK(file.Scan([&](Rid rid, std::span<const uint8_t> t) {
     sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan);
-    if (t.size() == tuple.size() &&
-        std::memcmp(t.data(), tuple.data(), t.size()) == 0) {
-      match = rid;
-      found = true;
+    if (t.size() == bytes.size() &&
+        std::memcmp(t.data(), bytes.data(), t.size()) == 0) {
+      found = rid;
       return false;
     }
     return true;
   }));
-  if (!found) {
-    return Status::Corruption("backup of fragment " +
-                              std::to_string(fragment) + " of " + meta.name +
-                              " is missing a tuple");
-  }
-  if (deleted_rid != nullptr) *deleted_rid = match;
-  return backup.Delete(match);
+  return found;
 }
 
-Status GammaMachine::UpdateInBackup(const RelationMeta& meta, int fragment,
-                                    std::span<const uint8_t> old_tuple,
-                                    std::span<const uint8_t> new_tuple,
-                                    sim::CostTracker* tracker,
-                                    Rid* updated_rid) {
-  const int host = (fragment + 1) % config_.num_disk_nodes;
-  if (faults_->IsDead(host)) {
-    return Status::Unavailable("backup site " + std::to_string(host) +
-                               " of fragment " + std::to_string(fragment) +
-                               " of " + meta.name + " is down");
+GammaMachine::WriteStatement::WriteStatement(GammaMachine* machine,
+                                             RelationMeta* meta,
+                                             uint64_t external_txn)
+    : Statement(machine, meta->name, external_txn),
+      m_(*machine),
+      meta_(*meta) {}
+
+Status GammaMachine::WriteStatement::Open(const char* phase,
+                                          size_t operators) {
+  // The host submits to the scheduler, which initiates the update
+  // operators at the participating sites.
+  tracker().ChargeControlMessage(m_.config_.host_node(),
+                                 m_.config_.scheduler_node(),
+                                 /*blocking=*/true);
+  tracker().ChargeScheduling(1, static_cast<uint32_t>(operators));
+  tracker().BeginPhase(phase, sim::PhaseKind::kSequential);
+  // 2PL footprint: IX on the relation, then IX (or X) on each written
+  // fragment and X on each written page.
+  rel_ = m_.txns_.RelationId(meta_.name);
+  return m_.AcquireTxnLock(&tracker(), txn(), m_.config_.scheduler_node(),
+                           txn::LockId::Relation(rel_), txn::LockMode::kIX);
+}
+
+Status GammaMachine::WriteStatement::LockFragment(int node,
+                                                  txn::LockMode mode) {
+  const txn::LockId fl =
+      txn::LockId::Fragment(rel_, static_cast<uint32_t>(node));
+  return m_.AcquireTxnLock(&tracker(), txn(), m_.txns_.TableFor(fl), fl,
+                           mode);
+}
+
+Result<std::vector<Rid>> GammaMachine::WriteStatement::Locate(
+    int node, const Predicate& pred, const IndexMeta* index) {
+  storage::StorageManager& sm = *m_.nodes_[static_cast<size_t>(node)];
+  std::vector<Rid> rids;
+  if (index != nullptr) {
+    GAMMA_ASSIGN_OR_RETURN(
+        rids, sm.index(index->per_node_index[static_cast<size_t>(node)])
+                  .RangeLookup(pred.lo(), pred.hi()));
+  } else {
+    const auto& cost = m_.config_.hw.cost;
+    GAMMA_RETURN_NOT_OK(
+        sm.file(meta_.per_node_file[static_cast<size_t>(node)])
+            .Scan([&](Rid rid, std::span<const uint8_t> tuple) {
+              sm.charge().Cpu(cost.instr_per_tuple_scan +
+                              cost.instr_per_attr_compare);
+              if (pred.Eval(tuple, meta_.schema)) rids.push_back(rid);
+              return true;
+            }));
   }
-  storage::StorageManager& sm = *nodes_[static_cast<size_t>(host)];
+  GAMMA_RETURN_NOT_OK(LockFragment(node, txn::LockMode::kIX));
+  return rids;
+}
+
+Result<std::vector<uint8_t>> GammaMachine::WriteStatement::FetchForUpdate(
+    int node, Rid rid) {
+  storage::StorageManager& sm = *m_.nodes_[static_cast<size_t>(node)];
+  GAMMA_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> tuple,
+      sm.file(meta_.per_node_file[static_cast<size_t>(node)])
+          .Fetch(rid, AccessIntent::kRandom));
+  sm.charge().Cpu(m_.config_.hw.cost.instr_per_lock);
+  const txn::LockId pl =
+      txn::LockId::Page(rel_, static_cast<uint32_t>(node), rid.page_index);
+  GAMMA_RETURN_NOT_OK(m_.AcquireTxnLock(&tracker(), txn(),
+                                        m_.txns_.TableFor(pl), pl,
+                                        txn::LockMode::kX));
+  return tuple;
+}
+
+Status GammaMachine::WriteStatement::RemoveAtHome(
+    int node, Rid rid, std::span<const uint8_t> tuple,
+    DeferredUpdateFile* deferred) {
+  storage::StorageManager& sm = *m_.nodes_[static_cast<size_t>(node)];
+  GAMMA_RETURN_NOT_OK(
+      sm.file(meta_.per_node_file[static_cast<size_t>(node)]).Delete(rid));
+  for (const IndexMeta& idx : meta_.indices) {
+    deferred->LogDelete(
+        &sm.index(idx.per_node_index[static_cast<size_t>(node)]),
+        IntAttr(meta_.schema, tuple, idx.attr), rid);
+  }
+  return Status::OK();
+}
+
+Result<Rid> GammaMachine::WriteStatement::InsertAtHome(
+    int home, std::span<const uint8_t> tuple,
+    const std::function<void()>& undo) {
+  storage::StorageManager& sm = *m_.nodes_[static_cast<size_t>(home)];
+  storage::HeapFile& fragment =
+      sm.file(meta_.per_node_file[static_cast<size_t>(home)]);
+  sm.charge().Cpu(m_.config_.hw.cost.instr_per_tuple_store);
+  GAMMA_ASSIGN_OR_RETURN(const Rid rid, fragment.Append(tuple));
+  // Atomicity: a failure past the append takes the tuple back out (another
+  // open transaction holding the page, or the index maintenance failing).
+  const auto take_back = [&](Status st) {
+    fragment.Delete(rid);
+    if (undo) undo();
+    return st;
+  };
+  const txn::LockId pl =
+      txn::LockId::Page(rel_, static_cast<uint32_t>(home), rid.page_index);
+  if (Status st = m_.AcquireTxnLock(&tracker(), txn(), m_.txns_.TableFor(pl),
+                                    pl, txn::LockMode::kX);
+      !st.ok()) {
+    return take_back(st);
+  }
+  DeferredUpdateFile deferred(&sm.charge(), m_.config_.page_size);
+  for (const IndexMeta& idx : meta_.indices) {
+    deferred.LogInsert(
+        &sm.index(idx.per_node_index[static_cast<size_t>(home)]),
+        IntAttr(meta_.schema, tuple, idx.attr), rid);
+  }
+  if (Status st = deferred.Commit(); !st.ok()) return take_back(st);
+  return rid;
+}
+
+Result<Rid> GammaMachine::WriteStatement::MirrorInsert(
+    int home, std::span<const uint8_t> tuple, bool charge_lock) {
+  const int host = (home + 1) % m_.config_.num_disk_nodes;
+  storage::StorageManager& bsm = *m_.nodes_[static_cast<size_t>(host)];
+  tracker().ChargeDataPacket(home, host, tuple.size());
+  if (charge_lock) bsm.charge().Cpu(m_.config_.hw.cost.instr_per_lock);
+  bsm.charge().Cpu(m_.config_.hw.cost.instr_per_tuple_store);
+  return bsm.file(meta_.per_node_backup_file[static_cast<size_t>(home)])
+      .Append(tuple);
+}
+
+Result<GammaMachine::Mirror> GammaMachine::WriteStatement::MirrorChange(
+    int node, std::span<const uint8_t> before,
+    std::span<const uint8_t> after) {
+  GAMMA_ASSIGN_OR_RETURN(const bool mirror, m_.MirrorsTo(meta_, node));
+  if (!mirror) return Mirror{};
+  const int host = (node + 1) % m_.config_.num_disk_nodes;
+  storage::StorageManager& sm = *m_.nodes_[static_cast<size_t>(host)];
   storage::HeapFile& backup =
-      sm.file(meta.per_node_backup_file[static_cast<size_t>(fragment)]);
-  tracker->ChargeDataPacket(fragment, host, new_tuple.size());
-  Rid match{};
-  bool found = false;
-  GAMMA_RETURN_NOT_OK(backup.Scan([&](Rid rid, std::span<const uint8_t> t) {
-    sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan);
-    if (t.size() == old_tuple.size() &&
-        std::memcmp(t.data(), old_tuple.data(), t.size()) == 0) {
-      match = rid;
-      found = true;
-      return false;
-    }
-    return true;
-  }));
-  if (!found) {
-    return Status::Corruption("backup of fragment " +
-                              std::to_string(fragment) + " of " + meta.name +
-                              " is missing a tuple");
+      sm.file(meta_.per_node_backup_file[static_cast<size_t>(node)]);
+  // Ship the pre-image over, then locate the copy by content. The primary's
+  // page lock already covers the logical tuple.
+  tracker().ChargeDataPacket(node, host, before.size());
+  GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> match,
+                         m_.FindByContent(sm, backup, before));
+  if (!match.has_value()) {
+    return Status::Corruption("backup of fragment " + std::to_string(node) +
+                              " of " + meta_.name + " is missing a tuple");
   }
-  if (updated_rid != nullptr) *updated_rid = match;
-  return backup.Update(match, new_tuple);
+  GAMMA_RETURN_NOT_OK(after.empty() ? backup.Delete(*match)
+                                    : backup.Update(*match, after));
+  return Mirror{true, *match};
+}
+
+void GammaMachine::WriteStatement::LogInsert(int node, Rid rid,
+                                             std::span<const uint8_t> tuple,
+                                             const Mirror& mirror) {
+  if (!m_.config_.enable_logging) return;
+  log().LogInsert(node, wal_txn(), wal_rel(), node, rid, tuple,
+                  mirror.mirrored, mirror.backup_rid);
+}
+
+void GammaMachine::WriteStatement::LogDelete(int node, Rid rid,
+                                             std::span<const uint8_t> tuple,
+                                             const Mirror& mirror) {
+  if (!m_.config_.enable_logging) return;
+  log().LogDelete(node, wal_txn(), wal_rel(), node, rid, tuple,
+                  mirror.mirrored, mirror.backup_rid);
+}
+
+Result<uint64_t> GammaMachine::WriteStatement::RewriteMatches(
+    const std::vector<int>& parts, const Predicate& pred,
+    const IndexMeta* index, const std::string& what, const MatchBody& body) {
+  const int scheduler = m_.config_.scheduler_node();
+  uint64_t changed = 0;
+  for (int node : parts) {
+    GAMMA_ASSIGN_OR_RETURN(const std::vector<Rid> rids,
+                           Locate(node, pred, index));
+    DeferredUpdateFile deferred(
+        &m_.nodes_[static_cast<size_t>(node)]->charge(), m_.config_.page_size);
+    for (const Rid rid : rids) {
+      GAMMA_ASSIGN_OR_RETURN(const std::vector<uint8_t> tuple,
+                             FetchForUpdate(node, rid));
+      GAMMA_RETURN_NOT_OK(body(node, rid, tuple, deferred));
+      ++changed;
+    }
+    GAMMA_RETURN_NOT_OK(deferred.Commit());
+    // The force follows the statement-wide count, not this node's.
+    if (m_.config_.enable_logging && changed > 0) log().ForceTail(node);
+    tracker().ChargeControlMessage(node, scheduler, /*blocking=*/true);
+  }
+  GAMMA_RETURN_NOT_OK(m_.FlushAllPools());
+  if (changed > 0) GAMMA_RETURN_NOT_OK(CommitWrites(parts, what));
+  tracker().ChargeControlMessage(scheduler, m_.config_.host_node(),
+                                 /*blocking=*/true);
+  tracker().EndPhase();
+  return changed;
 }
 
 Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
                                             uint64_t external_txn) {
-  if (crashed_) {
-    return Status::Unavailable(
-        "machine crashed: run Recover() before issuing queries");
-  }
+  GAMMA_RETURN_NOT_OK(RefuseIfCrashed("issuing queries"));
   GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(query.relation));
   if (query.tuple.size() != meta->schema.tuple_size()) {
     return Status::InvalidArgument("tuple size does not match schema");
   }
-
   int target;
   if (meta->partitioning.strategy == PartitionStrategy::kRoundRobin) {
     target = static_cast<int>(meta->num_tuples %
@@ -127,124 +294,52 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
                                      config_.num_disk_nodes);
     target = partitioner.NodeFor(query.tuple);
   }
-  // Writes always go to the primary copy; no failover for updates.
-  if (faults_->IsDead(target)) {
-    return Status::Unavailable("append to " + query.relation +
-                               ": home site " + std::to_string(target) +
-                               " is down");
-  }
-  const int backup_host = (target + 1) % config_.num_disk_nodes;
-  // Without the replayable log, a dead backup host blocks the write (the
-  // mirror would silently diverge). With logging on, the write proceeds and
-  // its records carry mirrored=false — reintegration replays them into the
-  // stale backup when the host returns.
-  const bool mirror = meta->backed_up && !faults_->IsDead(backup_host);
-  if (meta->backed_up && !mirror && wal_ == nullptr) {
-    return Status::Unavailable("append to " + query.relation +
-                               ": backup site " + std::to_string(backup_host) +
-                               " is down");
-  }
+  const std::string what = "append to " + query.relation;
+  GAMMA_RETURN_NOT_OK(
+      CheckWrite("append", what, {target}, external_txn, "home"));
+  GAMMA_ASSIGN_OR_RETURN(const bool mirror, MirrorsTo(*meta, target));
 
-  if (external_txn != 0 && !txns_.IsActive(external_txn)) {
-    return Status::FailedPrecondition("append under unknown transaction " +
-                                      std::to_string(external_txn));
-  }
-
-  Statement stmt(this, meta->name, external_txn);
-  sim::CostTracker& tracker = stmt.tracker();
-  RecoveryLog& log = stmt.log();
-  const uint64_t txn = stmt.txn();
-  const uint64_t wal_txn = stmt.wal_txn();
-  const uint32_t wal_rel = stmt.wal_rel();
-
-  // Host submits to the scheduler, which initiates one update operator at
-  // the tuple's home site.
-  tracker.ChargeControlMessage(config_.host_node(), config_.scheduler_node(),
-                               /*blocking=*/true);
-  tracker.ChargeScheduling(1, 1);
-
-  tracker.BeginPhase("append", sim::PhaseKind::kSequential);
-
-  // 2PL footprint: intention-exclusive on relation and home fragment; the
-  // page-level X lock follows once the append picks the page.
-  const uint32_t rel = txns_.RelationId(meta->name);
-  GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, config_.scheduler_node(),
-                                     txn::LockId::Relation(rel),
-                                     txn::LockMode::kIX));
-  {
-    const txn::LockId fl =
-        txn::LockId::Fragment(rel, static_cast<uint32_t>(target));
-    GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, txns_.TableFor(fl), fl,
-                                       txn::LockMode::kIX));
-  }
-
+  WriteStatement stmt(this, meta, external_txn);
+  GAMMA_RETURN_NOT_OK(stmt.Open("append", 1));
+  GAMMA_RETURN_NOT_OK(stmt.LockFragment(target, txn::LockMode::kIX));
   storage::StorageManager& sm = *nodes_[static_cast<size_t>(target)];
-  const uint32_t fid = meta->per_node_file[static_cast<size_t>(target)];
-  storage::HeapFile& fragment = sm.file(fid);
+  storage::HeapFile& fragment =
+      sm.file(meta->per_node_file[static_cast<size_t>(target)]);
   // The tuple itself travels host -> home site.
-  tracker.ChargeDataPacket(config_.host_node(), target, query.tuple.size());
+  stmt.tracker().ChargeDataPacket(config_.host_node(), target,
+                                  query.tuple.size());
   sm.charge().Cpu(config_.hw.cost.instr_per_lock);
-  sm.charge().Cpu(config_.hw.cost.instr_per_tuple_store);
-  GAMMA_ASSIGN_OR_RETURN(const Rid rid, fragment.Append(query.tuple));
-  {
-    const txn::LockId pl = txn::LockId::Page(
-        rel, static_cast<uint32_t>(target), rid.page_index);
-    if (Status st = AcquireTxnLock(&tracker, txn, txns_.TableFor(pl), pl,
-                                   txn::LockMode::kX);
-        !st.ok()) {
-      // Another open transaction holds the page: take the tuple back out.
-      fragment.Delete(rid);
-      return st;
-    }
-  }
-  DeferredUpdateFile deferred(&sm.charge(), config_.page_size);
-  for (const IndexMeta& index : meta->indices) {
-    deferred.LogInsert(
-        &sm.index(index.per_node_index[static_cast<size_t>(target)]),
-        AttrOf(meta->schema, query.tuple, index.attr), rid);
-  }
-  if (Status st = deferred.Commit(); !st.ok()) {
-    // Atomicity: take the appended tuple back out before reporting.
-    fragment.Delete(rid);
-    return st;
-  }
-  storage::HeapFile* backup_file = nullptr;
-  Rid backup_rid{};
+  GAMMA_ASSIGN_OR_RETURN(const Rid rid,
+                         stmt.InsertAtHome(target, query.tuple, nullptr));
+  Mirror backup;
   if (mirror) {
-    // Mirror into the chained backup at (target + 1) % n.
-    storage::StorageManager& bsm = *nodes_[static_cast<size_t>(backup_host)];
-    const uint32_t bfid =
-        meta->per_node_backup_file[static_cast<size_t>(target)];
-    tracker.ChargeDataPacket(target, backup_host, query.tuple.size());
-    bsm.charge().Cpu(config_.hw.cost.instr_per_lock);
-    bsm.charge().Cpu(config_.hw.cost.instr_per_tuple_store);
-    auto brid_or = bsm.file(bfid).Append(query.tuple);
+    auto brid_or =
+        stmt.MirrorInsert(target, query.tuple, /*charge_lock=*/true);
     if (!brid_or.ok()) {
       fragment.Delete(rid);
       return brid_or.status();
     }
-    backup_file = &bsm.file(bfid);
-    backup_rid = *brid_or;
+    backup = Mirror{true, *brid_or};
   }
-  if (config_.enable_logging) {
-    // Write-ahead: the record and the force precede the page flushes below.
-    log.LogInsert(target, wal_txn, wal_rel, target, rid, query.tuple, mirror,
-                  backup_rid);
-    log.ForceTail(target);
-  }
+  // Write-ahead: the record and the force precede the page flushes below.
+  stmt.LogInsert(target, rid, query.tuple, backup);
+  if (config_.enable_logging) stmt.log().ForceTail(target);
   if (Status st = FlushAllPools(); !st.ok()) {
     // The commit-time force failed: tombstone this append (both copies)
     // while its pages are still cached so nothing partial survives.
-    if (backup_file != nullptr) backup_file->Delete(backup_rid);
+    if (backup.mirrored) {
+      nodes_[static_cast<size_t>((target + 1) % config_.num_disk_nodes)]
+          ->file(meta->per_node_backup_file[static_cast<size_t>(target)])
+          .Delete(backup.backup_rid);
+    }
     fragment.Delete(rid);
     return st;
   }
-  GAMMA_RETURN_NOT_OK(
-      stmt.CommitWrites({target}, "append to " + query.relation));
-  tracker.ChargeControlMessage(target, config_.scheduler_node(), true);
-  tracker.ChargeControlMessage(config_.scheduler_node(), config_.host_node(),
-                               true);
-  tracker.EndPhase();
+  GAMMA_RETURN_NOT_OK(stmt.CommitWrites({target}, what));
+  stmt.tracker().ChargeControlMessage(target, config_.scheduler_node(), true);
+  stmt.tracker().ChargeControlMessage(config_.scheduler_node(),
+                                      config_.host_node(), true);
+  stmt.tracker().EndPhase();
 
   meta->num_tuples += 1;
   stats_.OnAppend(query.relation, meta->schema, query.tuple);
@@ -255,120 +350,32 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
 
 Result<QueryResult> GammaMachine::RunDelete(const DeleteQuery& query,
                                             uint64_t external_txn) {
-  if (crashed_) {
-    return Status::Unavailable(
-        "machine crashed: run Recover() before issuing queries");
-  }
+  GAMMA_RETURN_NOT_OK(RefuseIfCrashed("issuing queries"));
   GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(query.relation));
   if (query.key_attr < 0 ||
       static_cast<size_t>(query.key_attr) >= meta->schema.num_attrs()) {
     return Status::InvalidArgument("delete key attribute out of range");
   }
-
   const Predicate pred = Predicate::Eq(query.key_attr, query.key);
   const std::vector<int> parts = ParticipatingNodes(*meta, pred);
-  const IndexMeta* index = meta->FindIndex(query.key_attr);
-  for (int node : parts) {
-    if (faults_->IsDead(node)) {
-      return Status::Unavailable("delete from " + query.relation +
-                                 ": primary site " + std::to_string(node) +
-                                 " is down");
-    }
-  }
+  const std::string what = "delete from " + query.relation;
+  GAMMA_RETURN_NOT_OK(CheckWrite("delete", what, parts, external_txn));
 
-  if (external_txn != 0 && !txns_.IsActive(external_txn)) {
-    return Status::FailedPrecondition("delete under unknown transaction " +
-                                      std::to_string(external_txn));
-  }
-
-  Statement stmt(this, meta->name, external_txn);
-  sim::CostTracker& tracker = stmt.tracker();
-  RecoveryLog& log = stmt.log();
-  const uint64_t txn = stmt.txn();
-  const uint64_t wal_txn = stmt.wal_txn();
-  const uint32_t wal_rel = stmt.wal_rel();
-
-  tracker.ChargeControlMessage(config_.host_node(), config_.scheduler_node(),
-                               true);
-  tracker.ChargeScheduling(1, static_cast<uint32_t>(parts.size()));
-
-  uint64_t deleted = 0;
-  tracker.BeginPhase("delete", sim::PhaseKind::kSequential);
-  const uint32_t rel = txns_.RelationId(meta->name);
-  GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, config_.scheduler_node(),
-                                     txn::LockId::Relation(rel),
-                                     txn::LockMode::kIX));
-  for (int node : parts) {
-    storage::StorageManager& sm = *nodes_[static_cast<size_t>(node)];
-    storage::HeapFile& fragment =
-        sm.file(meta->per_node_file[static_cast<size_t>(node)]);
-
-    std::vector<Rid> rids;
-    if (index != nullptr) {
-      GAMMA_ASSIGN_OR_RETURN(
-          rids, sm.index(index->per_node_index[static_cast<size_t>(node)])
-                    .RangeLookup(query.key, query.key));
-    } else {
-      GAMMA_RETURN_NOT_OK(
-          fragment.Scan([&](Rid rid, std::span<const uint8_t> tuple) {
-            sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan +
-                            config_.hw.cost.instr_per_attr_compare);
-            if (pred.Eval(tuple, meta->schema)) rids.push_back(rid);
-            return true;
+  WriteStatement stmt(this, meta, external_txn);
+  GAMMA_RETURN_NOT_OK(stmt.Open("delete", parts.size()));
+  GAMMA_ASSIGN_OR_RETURN(
+      const uint64_t deleted,
+      stmt.RewriteMatches(
+          parts, pred, meta->FindIndex(query.key_attr), what,
+          [&](int node, Rid rid, const std::vector<uint8_t>& tuple,
+              DeferredUpdateFile& deferred) -> Status {
+            GAMMA_RETURN_NOT_OK(
+                stmt.RemoveAtHome(node, rid, tuple, &deferred));
+            GAMMA_ASSIGN_OR_RETURN(const Mirror mirror,
+                                   stmt.MirrorChange(node, tuple, {}));
+            stmt.LogDelete(node, rid, tuple, mirror);
+            return Status::OK();
           }));
-    }
-    {
-      const txn::LockId fl =
-          txn::LockId::Fragment(rel, static_cast<uint32_t>(node));
-      GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, txns_.TableFor(fl),
-                                         fl, txn::LockMode::kIX));
-    }
-    DeferredUpdateFile deferred(&sm.charge(), config_.page_size);
-    for (const Rid rid : rids) {
-      GAMMA_ASSIGN_OR_RETURN(const std::vector<uint8_t> tuple,
-                             fragment.Fetch(rid, AccessIntent::kRandom));
-      sm.charge().Cpu(config_.hw.cost.instr_per_lock);
-      {
-        const txn::LockId pl = txn::LockId::Page(
-            rel, static_cast<uint32_t>(node), rid.page_index);
-        GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, txns_.TableFor(pl),
-                                           pl, txn::LockMode::kX));
-      }
-      GAMMA_RETURN_NOT_OK(fragment.Delete(rid));
-      for (const IndexMeta& idx : meta->indices) {
-        deferred.LogDelete(
-            &sm.index(idx.per_node_index[static_cast<size_t>(node)]),
-            AttrOf(meta->schema, tuple, idx.attr), rid);
-      }
-      bool mirrored = false;
-      Rid backup_rid{};
-      if (meta->backed_up) {
-        const int bhost = (node + 1) % config_.num_disk_nodes;
-        if (wal_ == nullptr || !faults_->IsDead(bhost)) {
-          GAMMA_RETURN_NOT_OK(
-              DeleteFromBackup(*meta, node, tuple, &tracker, &backup_rid));
-          mirrored = true;
-        }
-        // else: the backup host is down but the log keeps the record with
-        // mirrored=false; reintegration replays it into the stale copy.
-      }
-      if (config_.enable_logging) {
-        log.LogDelete(node, wal_txn, wal_rel, node, rid, tuple, mirrored,
-                      backup_rid);
-      }
-      ++deleted;
-    }
-    GAMMA_RETURN_NOT_OK(deferred.Commit());
-    if (config_.enable_logging && deleted > 0) log.ForceTail(node);
-    tracker.ChargeControlMessage(node, config_.scheduler_node(), true);
-  }
-  GAMMA_RETURN_NOT_OK(FlushAllPools());
-  if (deleted > 0) {
-    GAMMA_RETURN_NOT_OK(stmt.CommitWrites(parts, "delete from " + query.relation));
-  }
-  tracker.ChargeControlMessage(config_.scheduler_node(), config_.host_node(),
-                               true);
-  tracker.EndPhase();
 
   meta->num_tuples -= deleted;
   stats_.OnDelete(query.relation, deleted);
@@ -377,12 +384,101 @@ Result<QueryResult> GammaMachine::RunDelete(const DeleteQuery& query,
   return FinalizeObs("delete", stmt.Finish(std::move(result)));
 }
 
+Status GammaMachine::Relocate(WriteStatement& stmt, int node, Rid rid,
+                              const std::vector<uint8_t>& old_tuple,
+                              const std::vector<uint8_t>& new_tuple,
+                              const std::string& what) {
+  // The partitioning attribute changed: delete here, re-insert at the new
+  // home site, and maintain every index at both ends through the
+  // deferred-update files (Halloween-safe, §7). The scheduler must initiate
+  // a second operator at the new home and run the commit protocol across
+  // both sites.
+  RelationMeta& meta = stmt.meta();
+  sim::CostTracker& tracker = stmt.tracker();
+  storage::StorageManager& sm = *nodes_[static_cast<size_t>(node)];
+  tracker.ChargeScheduling(1, 1);
+  tracker.ChargeControlMessage(config_.scheduler_node(), node, true);
+  tracker.ChargeControlMessage(node, config_.scheduler_node(), true);
+  DeferredUpdateFile deferred_old(&sm.charge(), config_.page_size);
+  GAMMA_RETURN_NOT_OK(stmt.RemoveAtHome(node, rid, old_tuple, &deferred_old));
+  GAMMA_RETURN_NOT_OK(deferred_old.Commit());
+
+  catalog::Partitioner partitioner(&meta.partitioning, &meta.schema,
+                                   config_.num_disk_nodes);
+  const int new_home = partitioner.NodeFor(new_tuple);
+  if (faults_->IsDead(new_home)) {
+    return Status::Unavailable(what + ": relocation target site " +
+                               std::to_string(new_home) + " is down");
+  }
+  if (new_home != node) {
+    tracker.ChargeDataPacket(node, new_home, new_tuple.size());
+  }
+  // Unlike append, the lock-path CPU precedes the fragment lock here.
+  nodes_[static_cast<size_t>(new_home)]->charge().Cpu(
+      config_.hw.cost.instr_per_lock);
+  GAMMA_RETURN_NOT_OK(stmt.LockFragment(new_home, txn::LockMode::kIX));
+  storage::HeapFile& fragment =
+      sm.file(meta.per_node_file[static_cast<size_t>(node)]);
+  // A failed store puts the tuple back where it was (the abort discards
+  // the index edits).
+  GAMMA_ASSIGN_OR_RETURN(
+      const Rid new_rid,
+      stmt.InsertAtHome(new_home, new_tuple,
+                        [&] { fragment.Restore(rid, old_tuple); }));
+
+  // The backup copy moves with the tuple: out of this fragment's chain,
+  // into the new home fragment's chain. The new-side mirror charges no
+  // lock-path CPU (DESIGN.md "Write path").
+  GAMMA_ASSIGN_OR_RETURN(const Mirror old_mirror,
+                         stmt.MirrorChange(node, old_tuple, {}));
+  GAMMA_ASSIGN_OR_RETURN(const bool mirror_new, MirrorsTo(meta, new_home));
+  Mirror new_mirror;
+  if (mirror_new) {
+    GAMMA_ASSIGN_OR_RETURN(
+        new_mirror.backup_rid,
+        stmt.MirrorInsert(new_home, new_tuple, /*charge_lock=*/false));
+    new_mirror.mirrored = true;
+  }
+  // A relocation is logically delete-here + insert-there; two records keep
+  // undo and reintegration site-local.
+  stmt.LogDelete(node, rid, old_tuple, old_mirror);
+  stmt.LogInsert(new_home, new_rid, new_tuple, new_mirror);
+  return Status::OK();
+}
+
+Status GammaMachine::ModifyInPlace(WriteStatement& stmt, int node, Rid rid,
+                                   const std::vector<uint8_t>& old_tuple,
+                                   const std::vector<uint8_t>& new_tuple,
+                                   int target_attr) {
+  const RelationMeta& meta = stmt.meta();
+  storage::StorageManager& sm = *nodes_[static_cast<size_t>(node)];
+  GAMMA_RETURN_NOT_OK(sm.file(meta.per_node_file[static_cast<size_t>(node)])
+                          .Update(rid, new_tuple));
+  // Pre-image record for the statement, forced at commit (Gamma's partial
+  // recovery covers in-place modifies too).
+  sm.charge().DiskWrite(config_.page_size, AccessIntent::kRandom);
+  DeferredUpdateFile deferred(&sm.charge(), config_.page_size);
+  for (const IndexMeta& idx : meta.indices) {
+    if (idx.attr != target_attr) continue;
+    storage::BTree& tree =
+        sm.index(idx.per_node_index[static_cast<size_t>(node)]);
+    deferred.LogDelete(&tree, IntAttr(meta.schema, old_tuple, idx.attr), rid);
+    deferred.LogInsert(&tree, IntAttr(meta.schema, new_tuple, idx.attr), rid);
+  }
+  GAMMA_RETURN_NOT_OK(deferred.Commit());
+  GAMMA_ASSIGN_OR_RETURN(const Mirror mirror,
+                         stmt.MirrorChange(node, old_tuple, new_tuple));
+  if (config_.enable_logging) {  // before and after images
+    stmt.log().LogModify(node, stmt.wal_txn(), stmt.wal_rel(), node, rid,
+                         old_tuple, new_tuple, mirror.mirrored,
+                         mirror.backup_rid);
+  }
+  return Status::OK();
+}
+
 Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
                                             uint64_t external_txn) {
-  if (crashed_) {
-    return Status::Unavailable(
-        "machine crashed: run Recover() before issuing queries");
-  }
+  GAMMA_RETURN_NOT_OK(RefuseIfCrashed("issuing queries"));
   GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(query.relation));
   if (query.locate_attr < 0 ||
       static_cast<size_t>(query.locate_attr) >= meta->schema.num_attrs() ||
@@ -394,240 +490,32 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
       catalog::AttrType::kInt32) {
     return Status::InvalidArgument("modify supports integer attributes");
   }
-
   const Predicate pred = Predicate::Eq(query.locate_attr, query.locate_key);
   const std::vector<int> parts = ParticipatingNodes(*meta, pred);
-  const IndexMeta* locate_index = meta->FindIndex(query.locate_attr);
+  const std::string what = "modify of " + query.relation;
+  GAMMA_RETURN_NOT_OK(CheckWrite("modify", what, parts, external_txn));
   const bool relocates =
       meta->partitioning.strategy != PartitionStrategy::kRoundRobin &&
       meta->partitioning.key_attr == query.target_attr;
-  for (int node : parts) {
-    if (faults_->IsDead(node)) {
-      return Status::Unavailable("modify of " + query.relation +
-                                 ": primary site " + std::to_string(node) +
-                                 " is down");
-    }
-  }
+  const size_t target_offset =
+      meta->schema.offset(static_cast<size_t>(query.target_attr));
 
-  if (external_txn != 0 && !txns_.IsActive(external_txn)) {
-    return Status::FailedPrecondition("modify under unknown transaction " +
-                                      std::to_string(external_txn));
-  }
-
-  Statement stmt(this, meta->name, external_txn);
-  sim::CostTracker& tracker = stmt.tracker();
-  RecoveryLog& log = stmt.log();
-  const uint64_t txn = stmt.txn();
-  const uint64_t wal_txn = stmt.wal_txn();
-  const uint32_t wal_rel = stmt.wal_rel();
-
-  tracker.ChargeControlMessage(config_.host_node(), config_.scheduler_node(),
-                               true);
-  tracker.ChargeScheduling(1, static_cast<uint32_t>(parts.size()));
-
-  uint64_t modified = 0;
-  tracker.BeginPhase("modify", sim::PhaseKind::kSequential);
-  const uint32_t rel = txns_.RelationId(meta->name);
-  GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, config_.scheduler_node(),
-                                     txn::LockId::Relation(rel),
-                                     txn::LockMode::kIX));
-  for (int node : parts) {
-    storage::StorageManager& sm = *nodes_[static_cast<size_t>(node)];
-    storage::HeapFile& fragment =
-        sm.file(meta->per_node_file[static_cast<size_t>(node)]);
-
-    std::vector<Rid> rids;
-    if (locate_index != nullptr) {
-      GAMMA_ASSIGN_OR_RETURN(
-          rids,
-          sm.index(locate_index->per_node_index[static_cast<size_t>(node)])
-              .RangeLookup(query.locate_key, query.locate_key));
-    } else {
-      GAMMA_RETURN_NOT_OK(
-          fragment.Scan([&](Rid rid, std::span<const uint8_t> tuple) {
-            sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan +
-                            config_.hw.cost.instr_per_attr_compare);
-            if (pred.Eval(tuple, meta->schema)) rids.push_back(rid);
-            return true;
+  WriteStatement stmt(this, meta, external_txn);
+  GAMMA_RETURN_NOT_OK(stmt.Open("modify", parts.size()));
+  GAMMA_ASSIGN_OR_RETURN(
+      const uint64_t modified,
+      stmt.RewriteMatches(
+          parts, pred, meta->FindIndex(query.locate_attr), what,
+          [&](int node, Rid rid, const std::vector<uint8_t>& old_tuple,
+              DeferredUpdateFile&) -> Status {
+            std::vector<uint8_t> new_tuple = old_tuple;
+            std::memcpy(new_tuple.data() + target_offset, &query.new_value,
+                        sizeof(query.new_value));
+            return relocates ? Relocate(stmt, node, rid, old_tuple,
+                                        new_tuple, what)
+                             : ModifyInPlace(stmt, node, rid, old_tuple,
+                                             new_tuple, query.target_attr);
           }));
-    }
-
-    {
-      const txn::LockId fl =
-          txn::LockId::Fragment(rel, static_cast<uint32_t>(node));
-      GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, txns_.TableFor(fl),
-                                         fl, txn::LockMode::kIX));
-    }
-    for (const Rid rid : rids) {
-      GAMMA_ASSIGN_OR_RETURN(const std::vector<uint8_t> old_tuple,
-                             fragment.Fetch(rid, AccessIntent::kRandom));
-      std::vector<uint8_t> new_tuple = old_tuple;
-      const int32_t new_value = query.new_value;
-      std::memcpy(new_tuple.data() +
-                      meta->schema.offset(static_cast<size_t>(query.target_attr)),
-                  &new_value, sizeof(new_value));
-      sm.charge().Cpu(config_.hw.cost.instr_per_lock);
-      {
-        const txn::LockId pl = txn::LockId::Page(
-            rel, static_cast<uint32_t>(node), rid.page_index);
-        GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn, txns_.TableFor(pl),
-                                           pl, txn::LockMode::kX));
-      }
-
-      if (relocates) {
-        // The partitioning attribute changed: delete here, re-insert at the
-        // new home site, and maintain every index at both ends through the
-        // deferred-update files (Halloween-safe, §7). The scheduler must
-        // initiate a second operator at the new home and run the commit
-        // protocol across both sites.
-        tracker.ChargeScheduling(1, 1);
-        tracker.ChargeControlMessage(config_.scheduler_node(), node, true);
-        tracker.ChargeControlMessage(node, config_.scheduler_node(), true);
-        DeferredUpdateFile deferred_old(&sm.charge(), config_.page_size);
-        GAMMA_RETURN_NOT_OK(fragment.Delete(rid));
-        for (const IndexMeta& idx : meta->indices) {
-          deferred_old.LogDelete(
-              &sm.index(idx.per_node_index[static_cast<size_t>(node)]),
-              AttrOf(meta->schema, old_tuple, idx.attr), rid);
-        }
-        GAMMA_RETURN_NOT_OK(deferred_old.Commit());
-
-        catalog::Partitioner partitioner(&meta->partitioning, &meta->schema,
-                                         config_.num_disk_nodes);
-        const int new_home = partitioner.NodeFor(new_tuple);
-        if (faults_->IsDead(new_home)) {
-          return Status::Unavailable("modify of " + query.relation +
-                                     ": relocation target site " +
-                                     std::to_string(new_home) + " is down");
-        }
-        storage::StorageManager& dst = *nodes_[static_cast<size_t>(new_home)];
-        if (new_home != node) {
-          tracker.ChargeDataPacket(node, new_home, new_tuple.size());
-        }
-        dst.charge().Cpu(config_.hw.cost.instr_per_lock);
-        {
-          const txn::LockId fl =
-              txn::LockId::Fragment(rel, static_cast<uint32_t>(new_home));
-          GAMMA_RETURN_NOT_OK(AcquireTxnLock(&tracker, txn,
-                                             txns_.TableFor(fl), fl,
-                                             txn::LockMode::kIX));
-        }
-        dst.charge().Cpu(config_.hw.cost.instr_per_tuple_store);
-        storage::HeapFile& dst_fragment =
-            dst.file(meta->per_node_file[static_cast<size_t>(new_home)]);
-        GAMMA_ASSIGN_OR_RETURN(const Rid new_rid,
-                               dst_fragment.Append(new_tuple));
-        {
-          const txn::LockId pl = txn::LockId::Page(
-              rel, static_cast<uint32_t>(new_home), new_rid.page_index);
-          if (Status st = AcquireTxnLock(&tracker, txn, txns_.TableFor(pl),
-                                         pl, txn::LockMode::kX);
-              !st.ok()) {
-            // Another open transaction holds the target page: put the
-            // tuple back where it was (the abort discards the index edits).
-            dst_fragment.Delete(new_rid);
-            fragment.Restore(rid, old_tuple);
-            return st;
-          }
-        }
-        DeferredUpdateFile deferred_new(&dst.charge(), config_.page_size);
-        for (const IndexMeta& idx : meta->indices) {
-          deferred_new.LogInsert(
-              &dst.index(idx.per_node_index[static_cast<size_t>(new_home)]),
-              AttrOf(meta->schema, new_tuple, idx.attr), new_rid);
-        }
-        GAMMA_RETURN_NOT_OK(deferred_new.Commit());
-        bool old_mirrored = false;
-        bool new_mirrored = false;
-        Rid old_backup_rid{};
-        Rid new_backup_rid{};
-        if (meta->backed_up) {
-          // The backup copy moves with the tuple: out of this fragment's
-          // chain, into the new home fragment's chain. A dead backup host on
-          // either end blocks the write unless the log can carry the
-          // mirrored=false record for reintegration to replay.
-          const int old_backup_host = (node + 1) % config_.num_disk_nodes;
-          if (wal_ == nullptr || !faults_->IsDead(old_backup_host)) {
-            GAMMA_RETURN_NOT_OK(DeleteFromBackup(*meta, node, old_tuple,
-                                                 &tracker, &old_backup_rid));
-            old_mirrored = true;
-          }
-          const int new_backup_host =
-              (new_home + 1) % config_.num_disk_nodes;
-          if (faults_->IsDead(new_backup_host)) {
-            if (wal_ == nullptr) {
-              return Status::Unavailable(
-                  "modify of " + query.relation + ": backup site " +
-                  std::to_string(new_backup_host) + " is down");
-            }
-          } else {
-            storage::StorageManager& bsm =
-                *nodes_[static_cast<size_t>(new_backup_host)];
-            tracker.ChargeDataPacket(new_home, new_backup_host,
-                                     new_tuple.size());
-            bsm.charge().Cpu(config_.hw.cost.instr_per_tuple_store);
-            auto brid_or =
-                bsm.file(meta->per_node_backup_file[static_cast<size_t>(
-                             new_home)])
-                    .Append(new_tuple);
-            GAMMA_RETURN_NOT_OK(brid_or.status());
-            new_backup_rid = *brid_or;
-            new_mirrored = true;
-          }
-        }
-        if (config_.enable_logging) {
-          // A relocation is logically delete-here + insert-there; two
-          // records keep undo and reintegration site-local.
-          log.LogDelete(node, wal_txn, wal_rel, node, rid, old_tuple,
-                        old_mirrored, old_backup_rid);
-          log.LogInsert(new_home, wal_txn, wal_rel, new_home, new_rid,
-                        new_tuple, new_mirrored, new_backup_rid);
-        }
-      } else {
-        GAMMA_RETURN_NOT_OK(fragment.Update(rid, new_tuple));
-        // Pre-image record for the statement, forced at commit (Gamma's
-        // partial recovery covers in-place modifies too).
-        sm.charge().DiskWrite(config_.page_size, AccessIntent::kRandom);
-        DeferredUpdateFile deferred(&sm.charge(), config_.page_size);
-        for (const IndexMeta& idx : meta->indices) {
-          if (idx.attr != query.target_attr) continue;
-          storage::BTree& tree =
-              sm.index(idx.per_node_index[static_cast<size_t>(node)]);
-          deferred.LogDelete(&tree,
-                             AttrOf(meta->schema, old_tuple, idx.attr), rid);
-          deferred.LogInsert(&tree,
-                             AttrOf(meta->schema, new_tuple, idx.attr), rid);
-        }
-        GAMMA_RETURN_NOT_OK(deferred.Commit());
-        bool mirrored = false;
-        Rid backup_rid{};
-        if (meta->backed_up) {
-          const int bhost = (node + 1) % config_.num_disk_nodes;
-          if (wal_ == nullptr || !faults_->IsDead(bhost)) {
-            GAMMA_RETURN_NOT_OK(UpdateInBackup(*meta, node, old_tuple,
-                                               new_tuple, &tracker,
-                                               &backup_rid));
-            mirrored = true;
-          }
-        }
-        if (config_.enable_logging) {
-          // Before and after images.
-          log.LogModify(node, wal_txn, wal_rel, node, rid, old_tuple,
-                        new_tuple, mirrored, backup_rid);
-        }
-      }
-      ++modified;
-    }
-    if (config_.enable_logging && modified > 0) log.ForceTail(node);
-    tracker.ChargeControlMessage(node, config_.scheduler_node(), true);
-  }
-  GAMMA_RETURN_NOT_OK(FlushAllPools());
-  if (modified > 0) {
-    GAMMA_RETURN_NOT_OK(stmt.CommitWrites(parts, "modify of " + query.relation));
-  }
-  tracker.ChargeControlMessage(config_.scheduler_node(), config_.host_node(),
-                               true);
-  tracker.EndPhase();
 
   if (modified > 0) {
     stats_.OnModify(query.relation, meta->schema, query.target_attr,

@@ -37,7 +37,8 @@ const char* JournalEventKindName(JournalEventKind kind) {
 
 Journal::Journal(int num_rings, size_t capacity) : capacity_(capacity) {
   GAMMA_CHECK(num_rings > 0);
-  rings_.resize(static_cast<size_t>(num_rings));
+  rings_.assign(static_cast<size_t>(num_rings),
+                Ring{BoundedRing<JournalEvent>(capacity), 0});
 }
 
 void Journal::Push(int ring, double sim_sec, JournalEventKind kind, int64_t a,
@@ -52,10 +53,7 @@ void Journal::Push(int ring, double sim_sec, JournalEventKind kind, int64_t a,
   event.a = a;
   event.b = b;
   event.detail = std::move(detail);
-  r.events.push_back(std::move(event));
-  if (r.events.size() > capacity_) {
-    r.events.erase(r.events.begin());  // evict oldest
-  }
+  r.events.Push(std::move(event));  // evicts the oldest once full
 }
 
 void Journal::Emit(int ring, JournalEventKind kind, int64_t a, int64_t b,
@@ -70,10 +68,11 @@ void Journal::EmitAt(int ring, double sim_sec, JournalEventKind kind,
 
 void Journal::Grow(int index) {
   GAMMA_CHECK(index >= 0 && static_cast<size_t>(index) <= rings_.size());
-  rings_.insert(rings_.begin() + index, Ring{});
+  rings_.insert(rings_.begin() + index,
+                Ring{BoundedRing<JournalEvent>(capacity_), 0});
 }
 
-const std::vector<JournalEvent>& Journal::ring(int i) const {
+const BoundedRing<JournalEvent>& Journal::ring(int i) const {
   GAMMA_CHECK(i >= 0 && static_cast<size_t>(i) < rings_.size());
   return rings_[static_cast<size_t>(i)].events;
 }
@@ -84,8 +83,9 @@ std::vector<Journal::MergedEvent> Journal::Merged() const {
   for (const Ring& r : rings_) total += r.events.size();
   merged.reserve(total);
   for (size_t i = 0; i < rings_.size(); ++i) {
-    for (const JournalEvent& e : rings_[i].events) {
-      merged.push_back(MergedEvent{static_cast<int>(i), &e});
+    const BoundedRing<JournalEvent>& events = rings_[i].events;
+    for (size_t k = 0; k < events.size(); ++k) {
+      merged.push_back(MergedEvent{static_cast<int>(i), &events[k]});
     }
   }
   std::sort(merged.begin(), merged.end(),
@@ -181,7 +181,7 @@ std::string Journal::EventsJson() const {
 }
 
 void Journal::Clear() {
-  for (Ring& r : rings_) r.events.clear();
+  for (Ring& r : rings_) r.events.Clear();
 }
 
 }  // namespace gammadb::obs

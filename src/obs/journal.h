@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/bounded_ring.h"
+
 namespace gammadb::obs {
 
 /// What happened, encoded compactly; the payload meaning of `a` / `b` is
@@ -105,7 +107,7 @@ class Journal {
   void Grow(int index);
 
   /// Events of ring `i` in emit order (oldest first).
-  const std::vector<JournalEvent>& ring(int i) const;
+  const BoundedRing<JournalEvent>& ring(int i) const;
 
   struct MergedEvent {
     int ring;
@@ -131,7 +133,7 @@ class Journal {
 
  private:
   struct Ring {
-    std::vector<JournalEvent> events;  // oldest first
+    BoundedRing<JournalEvent> events;  // oldest first
     uint64_t next_seq = 0;
   };
 

@@ -17,9 +17,9 @@
 
 namespace gammadb::teradata {
 
+using catalog::IntAttr;
 using catalog::RelationMeta;
 using catalog::Schema;
-using catalog::TupleView;
 using exec::Predicate;
 using exec::QueryResult;
 using exec::SplitTable;
@@ -31,11 +31,6 @@ namespace {
 /// The optimizer uses a dense secondary index below this selectivity
 /// (it chose the index at 1% and the scan at 10%, §5.1).
 constexpr double kIndexThreshold = 0.05;
-
-int32_t AttrOf(const Schema& schema, std::span<const uint8_t> tuple,
-               int attr) {
-  return TupleView(&schema, tuple).GetInt(static_cast<size_t>(attr));
-}
 
 /// One tuple of a hash-key-ordered fragment, tagged with its placement hash.
 struct HashKeyed {
@@ -55,7 +50,7 @@ Result<std::vector<HashKeyed>> LoadHashOrdered(
   GAMMA_RETURN_NOT_OK(
       exec::SelectScan(fragment, schema, pred, charge,
                        [&](std::span<const uint8_t> t) {
-                         const int32_t key = AttrOf(schema, t, attr);
+                         const int32_t key = IntAttr(schema, t, attr);
                          out.push_back(HashKeyed{HashInt32(key, salt), key,
                                                  {t.begin(), t.end()}});
                        })
@@ -222,7 +217,7 @@ Status TeradataMachine::LoadTuples(
       return Status::InvalidArgument("tuple size does not match schema");
     }
     const uint64_t hash =
-        HashInt32(AttrOf(meta->schema, tuples[i], state.pk_attr),
+        HashInt32(IntAttr(meta->schema, tuples[i], state.pk_attr),
                   placement_salt_);
     per_amp[hash % num_amps].push_back(Keyed{hash, i});
   }
@@ -245,7 +240,7 @@ Status TeradataMachine::LoadTuples(
           for (const Keyed& k : bucket) {
             const std::vector<uint8_t>& tuple = tuples[k.index];
             GAMMA_ASSIGN_OR_RETURN(const Rid rid, fragment.Append(tuple));
-            const int32_t key = AttrOf(meta->schema, tuple, state.pk_attr);
+            const int32_t key = IntAttr(meta->schema, tuple, state.pk_attr);
             mine.emplace_back(key, rid);
             dir.emplace(key, rid);
           }
@@ -306,7 +301,7 @@ Status TeradataMachine::BuildSecondaryIndex(const std::string& name,
           Status append_status;
           GAMMA_RETURN_NOT_OK(
               fragment.Scan([&](Rid rid, std::span<const uint8_t> tuple) {
-                const int32_t key = AttrOf(meta->schema, tuple, attr);
+                const int32_t key = IntAttr(meta->schema, tuple, attr);
                 append_status =
                     index_file.Append(internal::SerializeIndexEntry(key, rid))
                         .status();
@@ -361,10 +356,9 @@ catalog::RelationMeta* TeradataMachine::MakeResultRelation(
   return *catalog_.Get(name);
 }
 
-storage::Rid TeradataMachine::InsertWithRecovery(
-    const std::string& relation, catalog::RelationMeta* meta,
-    RelationState* state, int amp_index, std::span<const uint8_t> tuple) {
-  (void)relation;
+Result<Rid> TeradataMachine::InsertWithRecovery(
+    catalog::RelationMeta* meta, RelationState* state, int amp_index,
+    std::span<const uint8_t> tuple) {
   storage::StorageManager& sm = *amps_[static_cast<size_t>(amp_index)];
   const auto& charge = sm.charge();
   // Full-recovery insert path: transient-journal and index-maintenance I/Os
@@ -373,16 +367,18 @@ storage::Rid TeradataMachine::InsertWithRecovery(
     charge.DiskWrite(config_.page_size, AccessIntent::kRandom);
   }
   charge.Cpu(config_.instr_per_insert_logging);
-  const Rid rid =
+  GAMMA_ASSIGN_OR_RETURN(
+      const Rid rid,
       sm.file(meta->per_node_file[static_cast<size_t>(amp_index)])
-          .Append(tuple)
-          .value();
+          .Append(tuple));
   state->key_dir[static_cast<size_t>(amp_index)].emplace(
-      AttrOf(meta->schema, tuple, state->pk_attr), rid);
+      IntAttr(meta->schema, tuple, state->pk_attr), rid);
   for (SecondaryIndex& index : state->indices) {
-    const int32_t key = AttrOf(meta->schema, tuple, index.attr);
-    sm.file(index.per_amp_file[static_cast<size_t>(amp_index)])
-        .Append(internal::SerializeIndexEntry(key, rid));
+    const int32_t key = IntAttr(meta->schema, tuple, index.attr);
+    GAMMA_RETURN_NOT_OK(
+        sm.file(index.per_amp_file[static_cast<size_t>(amp_index)])
+            .Append(internal::SerializeIndexEntry(key, rid))
+            .status());
     index.dir[static_cast<size_t>(amp_index)].emplace(key, rid);
   }
   meta->num_tuples += 1;
@@ -433,16 +429,18 @@ Result<QueryResult> TeradataMachine::RunSelect(const TdSelectQuery& query) {
   }
 
   // Result tuples are re-hashed on the result's primary key; the low-level
-  // software never short-circuits this (§4).
+  // software never short-circuits this (§4). The first failed store is
+  // kept and fails the select once its split closes.
+  Status store_status;
   auto make_store_split = [&](int src, const Schema* schema,
                               int pk_attr) {
     std::vector<SplitTable::Destination> dests;
     for (int amp = 0; amp < config_.num_amps; ++amp) {
       dests.push_back(SplitTable::Destination{
-          amp, [this, result_meta, result_state,
-                amp](std::span<const uint8_t> t) {
-            InsertWithRecovery(result_meta->name, result_meta, result_state,
-                               amp, t);
+          amp, [this, result_meta, result_state, amp,
+                &store_status](std::span<const uint8_t> t) {
+            auto rid = InsertWithRecovery(result_meta, result_state, amp, t);
+            if (!rid.ok() && store_status.ok()) store_status = rid.status();
           }});
     }
     auto split = std::make_unique<SplitTable>(
@@ -470,11 +468,12 @@ Result<QueryResult> TeradataMachine::RunSelect(const TdSelectQuery& query) {
         sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan +
                         config_.hw.cost.instr_per_attr_compare);
         if (query.store_result) {
-          const int home = AmpForKey(AttrOf(meta->schema, tuple, 0));
+          const int home = AmpForKey(IntAttr(meta->schema, tuple, 0));
           tracker.ChargeDataPacket(amp_index, home, tuple.size(),
                                    /*force_network=*/true);
-          InsertWithRecovery(result_meta->name, result_meta, result_state,
-                             home, tuple);
+          GAMMA_RETURN_NOT_OK(
+              InsertWithRecovery(result_meta, result_state, home, tuple)
+                  .status());
         } else {
           tracker.ChargeDataPacket(amp_index, config_.host_node(),
                                    tuple.size());
@@ -547,6 +546,7 @@ Result<QueryResult> TeradataMachine::RunSelect(const TdSelectQuery& query) {
                 .status());
       }
       if (split != nullptr) split->Close();
+      GAMMA_RETURN_NOT_OK(store_status);
     }
     GAMMA_RETURN_NOT_OK(FlushAllPools());
     tracker.EndPhase();
@@ -695,8 +695,10 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
     }
 
     // --- Merge join at every AMP; results re-hashed on the result key and
-    // inserted with full recovery. ---
+    // inserted with full recovery. The first failed store fails the join
+    // once its split closes. ---
     tracker.BeginPhase("merge_store", sim::PhaseKind::kSequential);
+    Status store_status;
     for (int amp = 0; amp < config_.num_amps; ++amp) {
       storage::StorageManager& sm = *amps_[static_cast<size_t>(amp)];
       std::unique_ptr<SplitTable> split;
@@ -705,27 +707,33 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
         std::vector<SplitTable::Destination> dests;
         for (int dst = 0; dst < config_.num_amps; ++dst) {
           dests.push_back(SplitTable::Destination{
-              dst, [this, result_meta, result_state, dst,
-                    &query](std::span<const uint8_t> t) {
+              dst, [this, result_meta, result_state, dst, &query,
+                    &store_status](std::span<const uint8_t> t) {
+                Status st;
                 if (query.result_is_temp) {
                   // Intermediate spool: the sorted-temp insert path,
                   // without the transient-journal recovery I/Os.
                   storage::StorageManager& dst_sm =
                       *amps_[static_cast<size_t>(dst)];
                   dst_sm.charge().Cpu(config_.instr_per_spool_tuple);
-                  const Rid rid =
-                      dst_sm.file(result_meta->per_node_file
-                                      [static_cast<size_t>(dst)])
-                          .Append(t)
-                          .value();
-                  result_state->key_dir[static_cast<size_t>(dst)].emplace(
-                      AttrOf(result_meta->schema, t, result_state->pk_attr),
-                      rid);
-                  result_meta->num_tuples += 1;
+                  auto rid = dst_sm
+                                 .file(result_meta->per_node_file
+                                           [static_cast<size_t>(dst)])
+                                 .Append(t);
+                  if (rid.ok()) {
+                    result_state->key_dir[static_cast<size_t>(dst)].emplace(
+                        IntAttr(result_meta->schema, t,
+                                result_state->pk_attr),
+                        *rid);
+                    result_meta->num_tuples += 1;
+                  } else {
+                    st = rid.status();
+                  }
                 } else {
-                  InsertWithRecovery(result_meta->name, result_meta,
-                                     result_state, dst, t);
+                  st = InsertWithRecovery(result_meta, result_state, dst, t)
+                           .status();
                 }
+                if (!st.ok() && store_status.ok()) store_status = st;
               }});
         }
         split = std::make_unique<SplitTable>(
@@ -764,6 +772,7 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
                 .status);
       }
       if (split != nullptr) split->Close();
+      GAMMA_RETURN_NOT_OK(store_status);
     }
     GAMMA_RETURN_NOT_OK(FlushAllPools());
     tracker.EndPhase();

@@ -183,10 +183,10 @@ class TeradataMachine {
   /// Home AMP of a key under the machine-wide placement hash.
   int AmpForKey(int32_t key) const;
   /// Appends one tuple with full recovery cost; updates directories.
-  storage::Rid InsertWithRecovery(const std::string& relation,
-                                  catalog::RelationMeta* meta,
-                                  RelationState* state, int amp_index,
-                                  std::span<const uint8_t> tuple);
+  /// Returns the first storage error of the tuple or index-entry append.
+  Result<storage::Rid> InsertWithRecovery(catalog::RelationMeta* meta,
+                                          RelationState* state, int amp_index,
+                                          std::span<const uint8_t> tuple);
   std::string FreshResultName();
   /// Failure path of a statement: unbinds the AMPs and drops the partial
   /// result relation (when there is one). Returns `status`.

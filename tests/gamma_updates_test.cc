@@ -2,8 +2,14 @@
 // appends, deletes and the three modify variants, with index maintenance
 // through deferred-update files.
 
+#include <cstdio>
+#include <functional>
+#include <memory>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "elastic/migrator.h"
 #include "gamma/machine.h"
 #include "test_util.h"
 #include "wisconsin/wisconsin.h"
@@ -207,6 +213,218 @@ TEST_F(GammaUpdatesTest, UpdateTimesAreSubSecond) {
   DeleteQuery del{.relation = "R", .key_attr = wis::kUnique1, .key = 9999};
   const auto d = machine_.RunDelete(del);
   EXPECT_LT(d->seconds(), 2.0);
+}
+
+
+// --- Every write kind, pinned ---
+//
+// Each Gamma write statement (and one elastic migration) runs on a fresh
+// machine with chained declustering and logging on, once with every node
+// up and once with the backup host of the written fragment dead. The
+// simulated seconds (at full double precision) and every WAL record the
+// statement appended (kind, fragment, rid, mirrored, backup rid) are pinned:
+// the write path must charge and log exactly this, in this order.
+
+GammaConfig PinConfig() {
+  GammaConfig config;
+  config.num_disk_nodes = 4;
+  config.num_diskless_nodes = 0;
+  config.chained_declustering = true;
+  config.enable_logging = true;
+  return config;
+}
+
+std::vector<uint8_t> PinTuple(int32_t u1) {
+  catalog::TupleBuilder builder(&wis::WisconsinSchema());
+  builder.SetInt(wis::kUnique1, u1).SetInt(wis::kUnique2, u1);
+  builder.SetChar(wis::kStringU1, "new");
+  return {builder.bytes().begin(), builder.bytes().end()};
+}
+
+/// "H": heap, "R": clustered unique1 + non-clustered unique2, "S": a small
+/// heap for the migration; all hashed on unique1.
+std::unique_ptr<GammaMachine> PinMachine() {
+  auto machine = std::make_unique<GammaMachine>(PinConfig());
+  const auto spec = PartitionSpec::Hashed(wis::kUnique1);
+  for (const auto& [name, n] :
+       std::vector<std::pair<std::string, uint32_t>>{
+           {"H", 400}, {"R", 400}, {"S", 24}}) {
+    GAMMA_CHECK(
+        machine->CreateRelation(name, wis::WisconsinSchema(), spec).ok());
+    GAMMA_CHECK(
+        machine->LoadTuples(name, wis::GenerateWisconsin(n, 3)).ok());
+  }
+  GAMMA_CHECK(machine->BuildIndex("R", wis::kUnique1, true).ok());
+  GAMMA_CHECK(machine->BuildIndex("R", wis::kUnique2, false).ok());
+  return machine;
+}
+
+int HomeOf(GammaMachine& machine, int32_t key) {
+  const catalog::RelationMeta* meta = *machine.catalog().Get("R");
+  return catalog::Partitioner(&meta->partitioning, &meta->schema, 4)
+      .NodeForKey(key);
+}
+
+std::string RenderWal(const WalStore& wal, size_t from) {
+  std::string out;
+  const auto& records = wal.records();
+  for (size_t i = from; i < records.size(); ++i) {
+    const WalRecord& r = records[i];
+    char line[96];
+    std::snprintf(line, sizeof(line), "k%d f%d %u:%u m%d b%u:%u;",
+                  static_cast<int>(r.kind), r.fragment, r.rid.page_index,
+                  static_cast<unsigned>(r.rid.slot), r.mirrored ? 1 : 0,
+                  r.backup_rid.page_index,
+                  static_cast<unsigned>(r.backup_rid.slot));
+    out += line;
+  }
+  return out;
+}
+
+/// First key >= 2000 whose home is two sites past `key`'s: a relocation
+/// whose old and new backup hosts are both distinct from either home.
+int32_t RelocationTarget(GammaMachine& machine, int32_t key) {
+  const int want = (HomeOf(machine, key) + 2) % 4;
+  int32_t candidate = 2000;
+  while (HomeOf(machine, candidate) != want) ++candidate;
+  return candidate;
+}
+
+struct WriteKind {
+  const char* name;
+  /// unique1 of the written tuple; its home's backup host is the one killed.
+  int32_t key;
+  std::function<Result<double>(GammaMachine&)> run;
+  /// {TotalSec at %.17g, WAL records} with all nodes up / backup host dead
+  /// ("" seconds: the statement is refused as Unavailable).
+  std::pair<std::string, std::string> all_up;
+  std::pair<std::string, std::string> backup_dead;
+};
+
+Result<double> Seconds(const Result<QueryResult>& result) {
+  if (!result.ok()) return result.status();
+  return result->metrics.TotalSec();
+}
+
+std::vector<WriteKind> AllWriteKinds() {
+  return {
+      {"append/heap", 1001,
+       [](GammaMachine& m) {
+         return Seconds(m.RunAppend({"H", PinTuple(1001)}));
+       },
+       {"0.15570608130081304",
+        "k0 f2 5:2 m1 b5:2;k3 f-1 0:0 m1 b0:0;"},
+       {"0.15029008130081301",
+        "k0 f2 5:2 m0 b0:0;k3 f-1 0:0 m1 b0:0;"}},
+      {"append/indexed", 1002,
+       [](GammaMachine& m) {
+         return Seconds(m.RunAppend({"R", PinTuple(1002)}));
+       },
+       {"0.33635811382113817",
+        "k0 f0 4:18 m1 b4:18;k3 f-1 0:0 m1 b0:0;"},
+       {"0.33094211382113825",
+        "k0 f0 4:18 m0 b0:0;k3 f-1 0:0 m1 b0:0;"}},
+      {"delete/index", 17,
+       [](GammaMachine& m) {
+         return Seconds(m.RunDelete({"R", wis::kUnique1, 17}));
+       },
+       {"0.33377544715447155",
+        "k1 f3 0:4 m1 b1:18;k3 f-1 0:0 m1 b0:0;"},
+       {"0.32835944715447152",
+        "k1 f3 0:4 m0 b0:0;k3 f-1 0:0 m1 b0:0;"}},
+      {"delete/scan", 18,
+       [](GammaMachine& m) {
+         return Seconds(m.RunDelete({"H", wis::kUnique1, 18}));
+       },
+       {"0.28061691056910576",
+        "k1 f0 1:6 m1 b1:6;k3 f-1 0:0 m1 b0:0;"},
+       {"0.27520091056910578",
+        "k1 f0 1:6 m0 b0:0;k3 f-1 0:0 m1 b0:0;"}},
+      {"modify/non-indexed", 19,
+       [](GammaMachine& m) {
+         return Seconds(
+             m.RunModify({"R", wis::kUnique1, 19, wis::kOddOnePercent, 999}));
+       },
+       {"0.22357291056910575",
+        "k2 f0 0:4 m1 b4:11;k3 f-1 0:0 m1 b0:0;"},
+       {"0.18695349593495936",
+        "k2 f0 0:4 m0 b0:0;k3 f-1 0:0 m1 b0:0;"}},
+      {"modify/indexed", 20,
+       [](GammaMachine& m) {
+         return Seconds(
+             m.RunModify({"R", wis::kUnique1, 20, wis::kUnique2, 5000}));
+       },
+       {"0.33419144715447152",
+        "k2 f3 0:5 m1 b2:11;k3 f-1 0:0 m1 b0:0;"},
+       {"0.32877544715447155",
+        "k2 f3 0:5 m0 b0:0;k3 f-1 0:0 m1 b0:0;"}},
+      {"modify/key-relocates", 21,
+       [](GammaMachine& m) {
+         return Seconds(m.RunModify({"R", wis::kUnique1, 21, wis::kUnique1,
+                                     RelocationTarget(m, 21)}));
+       },
+       {"0.38119144715447151",
+        "k1 f1 0:6 m1 b2:14;"
+        "k0 f3 5:11 m1 b5:11;"
+        "k3 f-1 0:0 m1 b0:0;"},
+       {"0.37577544715447153",
+        "k1 f1 0:6 m0 b0:0;"
+        "k0 f3 5:11 m1 b5:11;"
+        "k3 f-1 0:0 m1 b0:0;"}},
+      {"migrate", 0,
+       [](GammaMachine& m) -> Result<double> {
+         GAMMA_ASSIGN_OR_RETURN(
+             const elastic::MigrationReport report,
+             elastic::ElasticMigrator(&m).MigrateRelation("S"));
+         return report.migration_sec;
+       },
+       {"0.39835749593495945",
+        "k1 f0 0:1 m1 b0:1;"
+        "k1 f0 0:5 m1 b0:5;"
+        "k1 f1 0:1 m1 b0:1;"
+        "k1 f1 0:2 m1 b0:2;"
+        "k1 f3 0:2 m1 b0:2;"
+        "k0 f0 0:4 m1 b0:6;"
+        "k0 f4 0:0 m1 b0:0;"
+        "k0 f4 0:1 m1 b0:1;"
+        "k0 f4 0:2 m1 b0:2;"
+        "k0 f4 0:3 m1 b0:3;"
+        "k7 f-1 0:0 m1 b0:0;"
+        "k3 f-1 0:0 m1 b0:0;"},
+       {"",
+        ""}},
+  };
+}
+
+TEST(WritePathPin, EveryWriteKindKeepsItsChargesAndRecords) {
+  for (const WriteKind& kind : AllWriteKinds()) {
+    for (const bool backup_dead : {false, true}) {
+      SCOPED_TRACE(std::string(kind.name) +
+                   (backup_dead ? " / backup host dead" : " / all up"));
+      auto machine = PinMachine();
+      const int backup_host = (HomeOf(*machine, kind.key) + 1) % 4;
+      // The migration grows the machine first; its dead-backup run is
+      // refused because migrations need every node alive.
+      if (std::string(kind.name) == "migrate") {
+        ASSERT_TRUE(machine->AddNode().ok());
+      }
+      if (backup_dead) machine->KillNode(backup_host);
+      const size_t before = machine->wal()->records().size();
+      const Result<double> seconds = kind.run(*machine);
+      std::string got_seconds;
+      if (seconds.ok()) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.17g", *seconds);
+        got_seconds = buf;
+      } else {
+        EXPECT_TRUE(seconds.status().IsUnavailable())
+            << seconds.status().ToString();
+      }
+      const auto& want = backup_dead ? kind.backup_dead : kind.all_up;
+      EXPECT_EQ(got_seconds, want.first);
+      EXPECT_EQ(RenderWal(*machine->wal(), before), want.second);
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // (including under a mid-query failover), and zero effect on simulated
 // seconds from any recording.
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "gamma/machine.h"
+#include "obs/bounded_ring.h"
 #include "obs/chrome_trace.h"
 #include "obs/journal.h"
 #include "obs/metrics_registry.h"
@@ -557,6 +559,52 @@ TEST(JournalTest, RingBoundEvictsOldestAndKeepsSeq) {
   }
   EXPECT_EQ(journal.events_emitted(), 7u);  // evicted events still count
   EXPECT_EQ(journal.Merged().size(), 5u);
+}
+
+TEST(BoundedRingTest, WrapsInArrivalOrderOverManyLaps) {
+  obs::BoundedRing<int> ring(5);
+  for (int pushed = 1; pushed <= 17; ++pushed) {  // 3.4 laps
+    ring.Push(pushed);
+    const int kept = std::min(pushed, 5);
+    ASSERT_EQ(ring.size(), static_cast<size_t>(kept));
+    std::vector<int> want;
+    for (int v = pushed - kept + 1; v <= pushed; ++v) want.push_back(v);
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(ring[i], want[i]) << pushed;
+    }
+  }
+  ring.Clear();
+  EXPECT_TRUE(ring.empty());
+  ring.Push(42);
+  ASSERT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring[0], 42);
+  obs::BoundedRing<int> none(0);
+  none.Push(1);
+  EXPECT_TRUE(none.empty());
+}
+
+TEST(JournalTest, WraparoundKeepsEvictionOrderAndSeqOverLaps) {
+  obs::Journal journal(2, 3);
+  for (int i = 0; i < 11; ++i) {  // more than three laps of ring 0
+    journal.Emit(0, obs::JournalEventKind::kLockWait, i);
+    const auto& ring0 = journal.ring(0);
+    const size_t kept = std::min<size_t>(static_cast<size_t>(i) + 1, 3);
+    ASSERT_EQ(ring0.size(), kept);
+    const uint64_t oldest = static_cast<uint64_t>(i) + 1 - kept;
+    for (size_t k = 0; k < kept; ++k) {
+      EXPECT_EQ(ring0[k].seq, oldest + k) << i;
+      EXPECT_EQ(ring0[k].a, static_cast<int64_t>(oldest + k)) << i;
+    }
+  }
+  EXPECT_EQ(journal.events_emitted(), 11u);
+  const auto merged = journal.Merged();
+  ASSERT_EQ(merged.size(), 3u);
+  for (size_t k = 0; k < merged.size(); ++k) {
+    EXPECT_EQ(merged[k].event->seq, 8 + k);
+  }
+  EXPECT_NE(journal.RenderText().find("journal: 11 events recorded, 3 "
+                                      "retained"),
+            std::string::npos);
 }
 
 TEST(JournalTest, ZeroCapacityDisablesRecording) {

@@ -466,6 +466,93 @@ TEST_F(TeradataMachineTest, LoadAppendFailureRollsBackTheBatch) {
   }
 }
 
+// --- Update paths over a rotted page: each returns Corruption and leaves
+// the machine usable. ---
+
+class TeradataRottedUpdateTest : public TeradataMachineTest {
+ protected:
+  /// Primary key of the first tuple on AMP 2's first fragment page, which
+  /// is then dropped from the pool and rotted on disk.
+  int32_t RotFirstPageOfAmp2() {
+    storage::StorageManager& amp2 = machine_.amp(2);
+    const catalog::RelationMeta* a = *machine_.catalog().Get("A");
+    int32_t pk = -1;
+    EXPECT_TRUE(amp2.file(a->per_node_file[2])
+                    .ScanPages(0, 0,
+                               [&](storage::Rid, std::span<const uint8_t> t) {
+                                 pk = IntOf({t.begin(), t.end()},
+                                            wis::kUnique1);
+                                 return false;
+                               })
+                    .ok());
+    EXPECT_TRUE(amp2.pool().Invalidate().ok());
+    amp2.disk().CorruptStoredPage(0);
+    return pk;
+  }
+
+  /// Rots the tail page of AMP 2's fragment, where its next append lands.
+  void RotTailPageOfAmp2() {
+    EXPECT_TRUE(machine_.amp(2).pool().Invalidate().ok());
+    storage::SimulatedDisk& disk = machine_.amp(2).disk();
+    disk.CorruptStoredPage(disk.num_pages() - 1);
+  }
+
+  /// The first key at or past `from` whose home is AMP `amp`.
+  int32_t KeyOnAmp(int amp, int32_t from) {
+    const uint64_t salt =
+        (*machine_.catalog().Get("A"))->partitioning.hash_salt;
+    int32_t key = from;
+    while (static_cast<int>(HashInt32(key, salt) % 5) != amp) ++key;
+    return key;
+  }
+
+  /// Asserts `result` failed with Corruption and a healthy append still
+  /// runs.
+  void ExpectCorruptionThenUsable(const Result<exec::QueryResult>& result) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+    const auto ok = machine_.RunAppend(
+        {"A", WithInt(tuples_[0], wis::kUnique1, KeyOnAmp(0, 200000))});
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  }
+};
+
+TEST_F(TeradataRottedUpdateTest, AppendReturnsCorruption) {
+  RotTailPageOfAmp2();
+  ExpectCorruptionThenUsable(machine_.RunAppend(
+      {"A", WithInt(tuples_[0], wis::kUnique1, KeyOnAmp(2, 100000))}));
+  EXPECT_EQ(*machine_.CountTuples("A"), 2001u);
+}
+
+TEST_F(TeradataRottedUpdateTest, DeleteReturnsCorruption) {
+  const int32_t pk = RotFirstPageOfAmp2();
+  ExpectCorruptionThenUsable(
+      machine_.RunDelete({"A", wis::kUnique1, pk}));
+}
+
+TEST_F(TeradataRottedUpdateTest, InPlaceModifyReturnsCorruption) {
+  const int32_t pk = RotFirstPageOfAmp2();
+  ExpectCorruptionThenUsable(machine_.RunModify(
+      {"A", wis::kUnique1, pk, wis::kOddOnePercent, 999}));
+}
+
+TEST_F(TeradataRottedUpdateTest, KeyModifyReturnsCorruptionAndKeepsTuple) {
+  // The tuple leaves a healthy AMP for AMP 2, whose tail page is rotted.
+  RotTailPageOfAmp2();
+  const int32_t key = KeyOnAmp(0, 0);
+  ExpectCorruptionThenUsable(machine_.RunModify(
+      {"A", wis::kUnique1, key, wis::kUnique1, KeyOnAmp(2, 100000)}));
+  // The failed relocation put the tuple back at its old home.
+  TdSelectQuery point;
+  point.relation = "A";
+  point.predicate = Predicate::Eq(wis::kUnique1, key);
+  point.store_result = false;
+  const auto found = machine_.RunSelect(point);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_EQ(found->result_tuples, 1u);
+  EXPECT_EQ(*machine_.CountTuples("A"), 2001u);
+}
+
 // Two batches with duplicate primary keys, loaded at 1 and at 4 host
 // threads: the stored hash-key order and every key-directory lookup are
 // identical, and each AMP's fragment holds its share of batch 1 stably
