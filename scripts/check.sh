@@ -51,6 +51,8 @@ fi
 if [[ "$MODE" == "all" || "$MODE" == "--sanitize-only" ]]; then
   echo "== sanitized build (ASan + UBSan) =="
   run_suite build-sanitize -DGAMMA_SANITIZE=address
+  echo "== recovery smoke under ASan + UBSan (crash, restart, reintegration) =="
+  GAMMA_BENCH_SIZES=10000 ./build-sanitize/bench/extension_recovery_server
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--tsan-only" ]]; then

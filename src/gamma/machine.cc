@@ -327,10 +327,7 @@ GammaMachine::Statement::Statement(GammaMachine* machine,
                                    uint64_t external_txn)
     : Statement(machine, machine->wal_.get(), external_txn) {
   if (machine_->wal_ == nullptr) return;
-  // Auto-commit statements get a fresh WAL id with the high bit set, so it
-  // can never collide with a TxnManager id; an external transaction logs
-  // under its own id.
-  wal_txn_ = auto_commit_ ? (1ull << 63) | machine_->next_statement_txn_++
+  wal_txn_ = auto_commit_ ? StatementTxn(machine_->next_statement_txn_++)
                           : txn_;
   wal_rel_ = machine_->wal_->InternRelation(relation);
 }

@@ -8,6 +8,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -621,19 +622,74 @@ class GammaMachine {
                        const std::vector<uint8_t>& new_tuple,
                        int target_attr);
 
-  // --- Recovery internals (machine_recovery.cc) ---
+  // --- Recovery internals (machine_recovery.cc; DESIGN.md §12) ---
 
-  /// Re-applies one committed log record missing from the serving copies
-  /// (test-and-apply redo; a no-op when the forced pages already hold the
-  /// effect). Bumps `*applied` and records the relation in `touched` only
-  /// when something changed.
-  Status RedoRecord(const WalRecord& record, uint64_t* applied,
-                    std::set<std::string>* touched);
+  /// A charged maintenance pass (restart, reintegration, growth). It owns
+  /// the pass's tracker, attaches the fault injector, binds every node to it
+  /// and opens one sequential phase. Every exit unbinds the nodes, so a
+  /// failed pass leaves none bound to a dead tracker.
+  class MaintenanceScope {
+   public:
+    MaintenanceScope(GammaMachine* machine, const char* phase);
+    ~MaintenanceScope();
+    MaintenanceScope(const MaintenanceScope&) = delete;
+    MaintenanceScope& operator=(const MaintenanceScope&) = delete;
 
-  /// Reverses one loser record on the primary (and, when mirrored, the
-  /// backup), maintaining index entries incrementally so rids never move.
-  Status UndoRecord(const WalRecord& record, uint64_t* undone,
-                    std::set<std::string>* touched);
+    sim::CostTracker& tracker() { return tracker_; }
+    /// Flushes every pool into the phase, closes it, unbinds the nodes and
+    /// returns the pass's simulated seconds.
+    Result<double> Finish();
+
+   private:
+    GammaMachine* machine_;
+    sim::CostTracker tracker_;
+  };
+
+  /// How a replay step reads a log record: redo applies before → after,
+  /// undo after → before, and catch-up is redo into a stale backup. Each
+  /// mode has its own locate rules (machine_recovery.cc).
+  enum class Replay { kRedo, kUndo, kCatchUp };
+  /// One fragment copy a replay step writes, with its locate hint.
+  struct ReplayCopy;
+  /// Where a replay step found or left its image, and whether it wrote.
+  struct Landing;
+  /// A caught-up record and the backup rid to stamp it with.
+  using CatchUpStamp = std::pair<WalRecord*, std::optional<storage::Rid>>;
+
+  /// The one replay step: applies the image transition `from` → `to` to
+  /// `copy` under `mode`'s locate rules. An empty image is no image, so an
+  /// insert is ∅ → after, a delete before → ∅ and a modify before → after.
+  /// Test-and-apply: a copy that already shows `to` is left alone.
+  Result<Landing> ApplyTransition(const ReplayCopy& copy, Replay mode,
+                                  std::span<const uint8_t> from,
+                                  std::span<const uint8_t> to);
+
+  /// Replays `record` (kRedo or kUndo) on its reachable primary, with index
+  /// maintenance, and on its mirrored backup; a kPartition record flips the
+  /// catalog's spec image instead. Bumps `*applied` and records the relation
+  /// in `touched` (may be null) only when something changed.
+  Status ReplayRecord(const WalRecord& record, Replay direction,
+                      uint64_t* applied, std::set<std::string>* touched);
+
+  /// The loser rule shared by restart and reintegration: a logged
+  /// transaction that neither committed nor cleanly aborted is a loser
+  /// unless it is an explicit transaction still open in the lock manager.
+  bool IsLoser(uint64_t wal_txn) const;
+
+  /// Journals a finished restart, feeds the metrics registry and hands the
+  /// pending post-mortem dump out on `report`.
+  void NoteRestart(RecoveryReport* report);
+
+  // ReintegrateNode's steps, in order (DESIGN.md §12).
+  Status UndoStrandedLosers(RebuildReport* report,
+                            std::set<std::string>* touched);
+  Status RebuildPrimaries(int node, sim::CostTracker& tracker,
+                          RebuildReport* report,
+                          std::set<std::string>* touched);
+  Status CatchUpBackups(int node, sim::CostTracker& tracker,
+                        RebuildReport* report,
+                        std::vector<CatchUpStamp>* stamps);
+  void CloseReachableLosers();
 
   /// Physically reverses every sealed record of `wal_txn` wherever it is
   /// reachable (dead nodes are skipped). `close` additionally compensates

@@ -130,14 +130,10 @@ Result<GammaMachine::GrowthReport> GammaMachine::AddNode() {
   // empty index slots on the new node, and backed-up relations get their
   // ring rewired. Sequential on the coordinator — deterministic at any
   // host-thread count.
-  sim::CostTracker tracker(config_.hw, config_.tracker_nodes());
-  tracker.AttachFaultInjector(faults_.get());
-  BindAll(&tracker);
-  tracker.BeginPhase("grow", sim::PhaseKind::kSequential);
+  MaintenanceScope scope(this, "grow");
   const double scan_cpu = config_.hw.cost.instr_per_tuple_scan;
   storage::StorageManager& fresh = *nodes_[static_cast<size_t>(new_node)];
 
-  Status failed = Status::OK();
   for (const std::string& name : catalog_.Names()) {
     auto meta_or = catalog_.Get(name);
     if (!meta_or.ok()) continue;
@@ -155,26 +151,20 @@ Result<GammaMachine::GrowthReport> GammaMachine::AddNode() {
         meta->per_node_backup_file[static_cast<size_t>(old_n - 1)];
     if (old_bfid != catalog::kNoFile) {
       std::vector<std::vector<uint8_t>> tuples;
-      failed = donor.file(old_bfid).Scan(
+      GAMMA_RETURN_NOT_OK(donor.file(old_bfid).Scan(
           [&](Rid, std::span<const uint8_t> t) {
             donor.charge().Cpu(scan_cpu);
             tuples.emplace_back(t.begin(), t.end());
             return true;
-          });
-      if (!failed.ok()) break;
+          }));
       const storage::FileId new_bfid = fresh.CreateFile();
       for (const std::vector<uint8_t>& tuple : tuples) {
-        tracker.ChargeDataPacket(0, new_node, tuple.size());
+        scope.tracker().ChargeDataPacket(0, new_node, tuple.size());
         fresh.charge().Cpu(config_.hw.cost.instr_per_tuple_store);
-        auto rid_or = fresh.file(new_bfid).Append(tuple);
-        if (!rid_or.ok()) {
-          failed = rid_or.status();
-          break;
-        }
+        GAMMA_RETURN_NOT_OK(fresh.file(new_bfid).Append(tuple).status());
         report.bytes_shipped += tuple.size();
         ++report.backup_tuples_relocated;
       }
-      if (!failed.ok()) break;
       donor.DropFile(old_bfid);
       meta->per_node_backup_file[static_cast<size_t>(old_n - 1)] = new_bfid;
     }
@@ -182,11 +172,7 @@ Result<GammaMachine::GrowthReport> GammaMachine::AddNode() {
     meta->per_node_backup_file.push_back(nodes_[0]->CreateFile());
   }
 
-  if (failed.ok()) failed = FlushAllPools();
-  tracker.EndPhase();
-  BindAll(nullptr);
-  GAMMA_RETURN_NOT_OK(failed);
-  report.grow_sec = tracker.Finish().TotalSec();
+  GAMMA_ASSIGN_OR_RETURN(report.grow_sec, scope.Finish());
   journal_.Advance(report.grow_sec);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
   registry.counter("elastic.nodes_added").Inc();

@@ -6,6 +6,11 @@
 // makes the passes idempotent — safe to run after a whole-machine crash,
 // after a single node death, and again after both.
 //
+// Redo, undo and reintegration's catch-up share one replay step,
+// ApplyTransition: the image transition from → to on one fragment copy.
+// Undo is redo with the images swapped; the modes differ only in how they
+// locate images (kLocateRules, DESIGN.md §12).
+//
 // The machine forces the log tail and every dirty page at each statement's
 // commit point, so redo is normally pure verification; the substantive pass
 // is undo, which reverses statements that died between the log force and
@@ -77,6 +82,72 @@ Status RemoveIndexEntry(storage::BTree& tree, int32_t key, Rid rid) {
   return tree.Delete(key, rid).status();
 }
 
+/// Moves `rid`'s entries in a primary's indexes on `node` from image `from`
+/// to image `to` (an empty image has no entry): every index whose key
+/// differs drops the `from` entry and gains the `to` entry. A backup
+/// (`meta` null) has no indexes.
+Status MoveIndexEntries(storage::StorageManager& sm, const RelationMeta* meta,
+                        int node, std::span<const uint8_t> from,
+                        std::span<const uint8_t> to, Rid rid) {
+  if (meta == nullptr) return Status::OK();
+  const auto key = [&](std::span<const uint8_t> image,
+                       int attr) -> std::optional<int32_t> {
+    if (image.empty()) return std::nullopt;
+    return IntAttr(meta->schema, image, attr);
+  };
+  for (const IndexMeta& idx : meta->indices) {
+    const std::optional<int32_t> from_key = key(from, idx.attr);
+    const std::optional<int32_t> to_key = key(to, idx.attr);
+    if (from_key == to_key) continue;
+    storage::BTree& tree =
+        sm.index(idx.per_node_index[static_cast<size_t>(node)]);
+    if (from_key.has_value()) {
+      GAMMA_RETURN_NOT_OK(RemoveIndexEntry(tree, *from_key, rid));
+    }
+    if (to_key.has_value()) {
+      GAMMA_RETURN_NOT_OK(EnsureIndexEntry(tree, *to_key, rid));
+    }
+  }
+  return Status::OK();
+}
+
+/// The rid a record's backup copy landed at; unset when the write never
+/// reached the backup.
+std::optional<Rid> BackupHint(const WalRecord& record) {
+  if (!record.mirrored) return std::nullopt;
+  return record.backup_rid;
+}
+
+/// How a replay step locates images on a fragment copy (DESIGN.md §12,
+/// "The replay step"). The modes differ only where the simulated clock sees
+/// it: a hint probe charges a page pin, a content scan charges every tuple
+/// it visits.
+struct LocateRules {
+  /// Making an image present: probe the hint first and restore at the hint
+  /// only if the probe found a dead slot. Without: scan, then try to restore
+  /// at the hint, then append.
+  bool probe_to_make_present;
+  /// Making an image absent: a dead hint slot means it is already gone.
+  /// Without: scan anyway.
+  bool dead_hint_is_absent;
+  /// Changing an image: scan for the source image before the target.
+  bool source_first;
+};
+
+/// Indexed by GammaMachine::Replay. Catch-up is redo without a hint, except
+/// that it scans for the source image first.
+constexpr LocateRules kLocateRules[] = {
+    /*kRedo=*/{.probe_to_make_present = true,
+               .dead_hint_is_absent = true,
+               .source_first = false},
+    /*kUndo=*/{.probe_to_make_present = false,
+               .dead_hint_is_absent = false,
+               .source_first = false},
+    /*kCatchUp=*/{.probe_to_make_present = true,
+                  .dead_hint_is_absent = true,
+                  .source_first = true},
+};
+
 }  // namespace
 
 void GammaMachine::Crash() {
@@ -124,354 +195,133 @@ void GammaMachine::RecountRelation(const std::string& name) {
   (void)RecomputeStatistics(name);
 }
 
-Status GammaMachine::RedoRecord(const WalRecord& record, uint64_t* applied,
-                                std::set<std::string>* touched) {
+struct GammaMachine::ReplayCopy {
+  storage::StorageManager& sm;
+  storage::HeapFile& file;
+  /// The record's rid on this copy, if it has one (unset for a write that
+  /// never reached the backup). A rebuild renumbers rids, so it is a hint.
+  std::optional<Rid> hint;
+  /// The primary's relation, whose indexes on `node` follow the tuple; null
+  /// for a backup, which has no indexes.
+  const RelationMeta* indexed = nullptr;
+  int node = -1;
+};
+
+struct GammaMachine::Landing {
+  /// The slot that holds `to` (or held `from`, for a removal); unset when
+  /// neither image was found.
+  std::optional<Rid> at;
+  bool changed = false;
+};
+
+Result<GammaMachine::Landing> GammaMachine::ApplyTransition(
+    const ReplayCopy& copy, Replay mode, std::span<const uint8_t> from,
+    std::span<const uint8_t> to) {
+  const LocateRules& rules = kLocateRules[static_cast<size_t>(mode)];
+  storage::HeapFile& file = copy.file;
+  const auto find = [&](std::span<const uint8_t> image) {
+    return FindByContent(copy.sm, file, image);
+  };
+  const auto reindex = [&](Rid rid) {
+    return MoveIndexEntries(copy.sm, copy.indexed, copy.node, from, to, rid);
+  };
+  std::optional<Result<std::vector<uint8_t>>> probe;
+  if (copy.hint.has_value() && (!from.empty() || rules.probe_to_make_present)) {
+    probe.emplace(file.Fetch(*copy.hint, AccessIntent::kRandom));
+  }
+  const bool dead_hint = probe.has_value() && !probe->ok();
+
+  if (from.empty()) {  // make `to` present
+    if (probe.has_value() && Holds(*probe, to)) return Landing{copy.hint};
+    GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> found, find(to));
+    if (found.has_value()) return Landing{found};
+    Rid at;
+    if (copy.hint.has_value() && (!probe.has_value() || dead_hint) &&
+        file.Restore(*copy.hint, to).ok()) {
+      at = *copy.hint;
+    } else {
+      GAMMA_ASSIGN_OR_RETURN(at, file.Append(to));
+    }
+    GAMMA_RETURN_NOT_OK(reindex(at));
+    return Landing{at, true};
+  }
+
+  std::optional<Rid> stale;  // the slot holding `from`
+  std::optional<Rid> done;   // the slot already holding `to`
+  if (probe.has_value() && Holds(*probe, from)) {
+    stale = copy.hint;
+  } else if (to.empty()) {  // make `from` absent
+    if (dead_hint && rules.dead_hint_is_absent) return Landing{};
+    GAMMA_ASSIGN_OR_RETURN(stale, find(from));
+  } else if (probe.has_value() && Holds(*probe, to)) {
+    done = copy.hint;
+  } else if (rules.source_first) {
+    GAMMA_ASSIGN_OR_RETURN(stale, find(from));
+    if (!stale.has_value()) {
+      GAMMA_ASSIGN_OR_RETURN(done, find(to));
+    }
+  } else {
+    GAMMA_ASSIGN_OR_RETURN(done, find(to));
+    if (!done.has_value()) {
+      GAMMA_ASSIGN_OR_RETURN(stale, find(from));
+    }
+  }
+  if (!stale.has_value()) return Landing{done};
+  if (to.empty()) {
+    GAMMA_RETURN_NOT_OK(reindex(*stale));
+    GAMMA_RETURN_NOT_OK(file.Delete(*stale));
+  } else {
+    GAMMA_RETURN_NOT_OK(file.Update(*stale, to));
+    GAMMA_RETURN_NOT_OK(reindex(*stale));
+  }
+  return Landing{stale, true};
+}
+
+Status GammaMachine::ReplayRecord(const WalRecord& record, Replay direction,
+                                  uint64_t* applied,
+                                  std::set<std::string>* touched) {
   const std::string& name = wal_->RelationName(record.rel);
   auto meta_or = catalog_.Get(name);
   if (!meta_or.ok()) return Status::OK();  // relation dropped since
   RelationMeta* meta = *meta_or;
-  if (record.kind == WalKind::kPartition) {
-    // Committed migration: make sure the catalog shows the new placement
-    // (the crash may have landed between the commit record and the flip).
-    if (ApplyPartitionImage(meta, record.after)) {
-      ++*applied;
-      if (touched != nullptr) touched->insert(name);
-    }
-    return Status::OK();
-  }
-  const int node = record.fragment;
-  if (node < 0 || node >= config_.num_disk_nodes) return Status::OK();
+  const bool redo = direction == Replay::kRedo;
+  const std::span<const uint8_t> from = redo ? record.before : record.after;
+  const std::span<const uint8_t> to = redo ? record.after : record.before;
   bool changed = false;
-
-  if (!faults_->IsDead(node) &&
-      meta->per_node_file[static_cast<size_t>(node)] != catalog::kNoFile) {
-    storage::StorageManager& sm = *nodes_[static_cast<size_t>(node)];
-    storage::HeapFile& file =
-        sm.file(meta->per_node_file[static_cast<size_t>(node)]);
-    switch (record.kind) {
-      case WalKind::kInsert: {
-        const auto cur = file.Fetch(record.rid, AccessIntent::kRandom);
-        Rid at = record.rid;
-        bool present = Holds(cur, record.after);
-        if (!present) {
-          GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> match,
-                                 FindByContent(sm, file, record.after));
-          if (match.has_value()) {
-            present = true;
-          } else {
-            if (!cur.ok() && file.Restore(record.rid, record.after).ok()) {
-              at = record.rid;
-            } else {
-              GAMMA_ASSIGN_OR_RETURN(at, file.Append(record.after));
-            }
-            changed = true;
-          }
-        }
-        if (changed) {
-          for (const IndexMeta& idx : meta->indices) {
-            GAMMA_RETURN_NOT_OK(EnsureIndexEntry(
-                sm.index(idx.per_node_index[static_cast<size_t>(node)]),
-                IntAttr(meta->schema, record.after, idx.attr), at));
-          }
-        }
-        break;
-      }
-      case WalKind::kDelete: {
-        const auto cur = file.Fetch(record.rid, AccessIntent::kRandom);
-        std::optional<Rid> victim;
-        if (Holds(cur, record.before)) {
-          victim = record.rid;
-        } else if (cur.ok()) {
-          // The slot holds something else (renumbered after a rebuild);
-          // locate the image by value. A failed fetch is a tombstone: the
-          // delete already happened, no scan needed.
-          GAMMA_ASSIGN_OR_RETURN(
-              victim, FindByContent(sm, file, record.before));
-        }
-        if (victim.has_value()) {
-          for (const IndexMeta& idx : meta->indices) {
-            GAMMA_RETURN_NOT_OK(RemoveIndexEntry(
-                sm.index(idx.per_node_index[static_cast<size_t>(node)]),
-                IntAttr(meta->schema, record.before, idx.attr), *victim));
-          }
-          GAMMA_RETURN_NOT_OK(file.Delete(*victim));
-          changed = true;
-        }
-        break;
-      }
-      case WalKind::kModify: {
-        const auto cur = file.Fetch(record.rid, AccessIntent::kRandom);
-        std::optional<Rid> stale;
-        if (Holds(cur, record.before)) {
-          stale = record.rid;
-        } else if (!Holds(cur, record.after)) {
-          GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> done,
-                                 FindByContent(sm, file, record.after));
-          if (!done.has_value()) {
-            GAMMA_ASSIGN_OR_RETURN(
-                stale, FindByContent(sm, file, record.before));
-          }
-        }
-        if (stale.has_value()) {
-          GAMMA_RETURN_NOT_OK(file.Update(*stale, record.after));
-          for (const IndexMeta& idx : meta->indices) {
-            const int32_t before_key =
-                IntAttr(meta->schema, record.before, idx.attr);
-            const int32_t after_key =
-                IntAttr(meta->schema, record.after, idx.attr);
-            if (before_key == after_key) continue;
-            storage::BTree& tree =
-                sm.index(idx.per_node_index[static_cast<size_t>(node)]);
-            GAMMA_RETURN_NOT_OK(RemoveIndexEntry(tree, before_key, *stale));
-            GAMMA_RETURN_NOT_OK(EnsureIndexEntry(tree, after_key, *stale));
-          }
-          changed = true;
-        }
-        break;
-      }
-      default:
-        break;
+  if (record.kind == WalKind::kPartition) {
+    // A migration's catalog flip: redo shows the new placement (the crash
+    // may have landed between the commit record and the flip), undo
+    // restores the old one.
+    changed = ApplyPartitionImage(meta, to);
+  } else {
+    const int node = record.fragment;
+    if (node < 0 || node >= config_.num_disk_nodes) return Status::OK();
+    const size_t frag = static_cast<size_t>(node);
+    if (!faults_->IsDead(node) &&
+        meta->per_node_file[frag] != catalog::kNoFile) {
+      storage::StorageManager& sm = *nodes_[frag];
+      GAMMA_ASSIGN_OR_RETURN(
+          const Landing primary,
+          ApplyTransition({sm, sm.file(meta->per_node_file[frag]), record.rid,
+                           meta, node},
+                          direction, from, to));
+      changed = primary.changed;
     }
-  }
-
-  if (record.mirrored && meta->backed_up &&
-      meta->per_node_backup_file[static_cast<size_t>(node)] !=
-          catalog::kNoFile) {
     const int host = (node + 1) % config_.num_disk_nodes;
-    if (!faults_->IsDead(host)) {
+    if (record.mirrored && meta->backed_up &&
+        meta->per_node_backup_file[frag] != catalog::kNoFile &&
+        !faults_->IsDead(host)) {
       storage::StorageManager& sm = *nodes_[static_cast<size_t>(host)];
-      storage::HeapFile& backup =
-          sm.file(meta->per_node_backup_file[static_cast<size_t>(node)]);
-      switch (record.kind) {
-        case WalKind::kInsert: {
-          const auto cur = backup.Fetch(record.backup_rid,
-                                        AccessIntent::kRandom);
-          if (!Holds(cur, record.after)) {
-            GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> match,
-                                   FindByContent(sm, backup, record.after));
-            if (!match.has_value()) {
-              if (cur.ok() ||
-                  !backup.Restore(record.backup_rid, record.after).ok()) {
-                GAMMA_RETURN_NOT_OK(backup.Append(record.after).status());
-              }
-              changed = true;
-            }
-          }
-          break;
-        }
-        case WalKind::kDelete: {
-          const auto cur = backup.Fetch(record.backup_rid,
-                                        AccessIntent::kRandom);
-          std::optional<Rid> victim;
-          if (Holds(cur, record.before)) {
-            victim = record.backup_rid;
-          } else if (cur.ok()) {
-            GAMMA_ASSIGN_OR_RETURN(
-                victim, FindByContent(sm, backup, record.before));
-          }
-          if (victim.has_value()) {
-            GAMMA_RETURN_NOT_OK(backup.Delete(*victim));
-            changed = true;
-          }
-          break;
-        }
-        case WalKind::kModify: {
-          const auto cur = backup.Fetch(record.backup_rid,
-                                        AccessIntent::kRandom);
-          std::optional<Rid> stale;
-          if (Holds(cur, record.before)) {
-            stale = record.backup_rid;
-          } else if (!Holds(cur, record.after)) {
-            GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> done,
-                                   FindByContent(sm, backup, record.after));
-            if (!done.has_value()) {
-              GAMMA_ASSIGN_OR_RETURN(
-                  stale, FindByContent(sm, backup, record.before));
-            }
-          }
-          if (stale.has_value()) {
-            GAMMA_RETURN_NOT_OK(backup.Update(*stale, record.after));
-            changed = true;
-          }
-          break;
-        }
-        default:
-          break;
-      }
+      GAMMA_ASSIGN_OR_RETURN(
+          const Landing backup,
+          ApplyTransition({sm, sm.file(meta->per_node_backup_file[frag]),
+                           BackupHint(record)},
+                          direction, from, to));
+      changed = changed || backup.changed;
     }
   }
-
   if (changed) {
     ++*applied;
-    if (touched != nullptr) touched->insert(name);
-  }
-  return Status::OK();
-}
-
-Status GammaMachine::UndoRecord(const WalRecord& record, uint64_t* undone,
-                                std::set<std::string>* touched) {
-  const std::string& name = wal_->RelationName(record.rel);
-  auto meta_or = catalog_.Get(name);
-  if (!meta_or.ok()) return Status::OK();
-  RelationMeta* meta = *meta_or;
-  if (record.kind == WalKind::kPartition) {
-    // Loser migration: restore the old placement (a no-op when the crash
-    // came before the flip was applied).
-    if (ApplyPartitionImage(meta, record.before)) {
-      ++*undone;
-      if (touched != nullptr) touched->insert(name);
-    }
-    return Status::OK();
-  }
-  const int node = record.fragment;
-  if (node < 0 || node >= config_.num_disk_nodes) return Status::OK();
-  bool changed = false;
-
-  if (!faults_->IsDead(node) &&
-      meta->per_node_file[static_cast<size_t>(node)] != catalog::kNoFile) {
-    storage::StorageManager& sm = *nodes_[static_cast<size_t>(node)];
-    storage::HeapFile& file =
-        sm.file(meta->per_node_file[static_cast<size_t>(node)]);
-    switch (record.kind) {
-      case WalKind::kInsert: {
-        const auto cur = file.Fetch(record.rid, AccessIntent::kRandom);
-        std::optional<Rid> victim;
-        if (Holds(cur, record.after)) {
-          victim = record.rid;
-        } else {
-          GAMMA_ASSIGN_OR_RETURN(
-              victim, FindByContent(sm, file, record.after));
-        }
-        if (victim.has_value()) {
-          for (const IndexMeta& idx : meta->indices) {
-            GAMMA_RETURN_NOT_OK(RemoveIndexEntry(
-                sm.index(idx.per_node_index[static_cast<size_t>(node)]),
-                IntAttr(meta->schema, record.after, idx.attr), *victim));
-          }
-          GAMMA_RETURN_NOT_OK(file.Delete(*victim));
-          changed = true;
-        }
-        break;
-      }
-      case WalKind::kDelete: {
-        // Restore at the original rid keeps the fragment byte-identical to
-        // one that never deleted (later appends land after the revived
-        // slot, exactly as they would have).
-        GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> present,
-                               FindByContent(sm, file, record.before));
-        if (!present.has_value()) {
-          Rid at = record.rid;
-          if (!file.Restore(record.rid, record.before).ok()) {
-            GAMMA_ASSIGN_OR_RETURN(at, file.Append(record.before));
-          }
-          for (const IndexMeta& idx : meta->indices) {
-            GAMMA_RETURN_NOT_OK(EnsureIndexEntry(
-                sm.index(idx.per_node_index[static_cast<size_t>(node)]),
-                IntAttr(meta->schema, record.before, idx.attr), at));
-          }
-          changed = true;
-        }
-        break;
-      }
-      case WalKind::kModify: {
-        const auto cur = file.Fetch(record.rid, AccessIntent::kRandom);
-        std::optional<Rid> stale;
-        if (Holds(cur, record.after)) {
-          stale = record.rid;
-        } else if (!Holds(cur, record.before)) {
-          GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> done,
-                                 FindByContent(sm, file, record.before));
-          if (!done.has_value()) {
-            GAMMA_ASSIGN_OR_RETURN(
-                stale, FindByContent(sm, file, record.after));
-          }
-        }
-        if (stale.has_value()) {
-          GAMMA_RETURN_NOT_OK(file.Update(*stale, record.before));
-          for (const IndexMeta& idx : meta->indices) {
-            const int32_t before_key =
-                IntAttr(meta->schema, record.before, idx.attr);
-            const int32_t after_key =
-                IntAttr(meta->schema, record.after, idx.attr);
-            if (before_key == after_key) continue;
-            storage::BTree& tree =
-                sm.index(idx.per_node_index[static_cast<size_t>(node)]);
-            GAMMA_RETURN_NOT_OK(RemoveIndexEntry(tree, after_key, *stale));
-            GAMMA_RETURN_NOT_OK(EnsureIndexEntry(tree, before_key, *stale));
-          }
-          changed = true;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  if (record.mirrored && meta->backed_up &&
-      meta->per_node_backup_file[static_cast<size_t>(node)] !=
-          catalog::kNoFile) {
-    const int host = (node + 1) % config_.num_disk_nodes;
-    if (!faults_->IsDead(host)) {
-      storage::StorageManager& sm = *nodes_[static_cast<size_t>(host)];
-      storage::HeapFile& backup =
-          sm.file(meta->per_node_backup_file[static_cast<size_t>(node)]);
-      switch (record.kind) {
-        case WalKind::kInsert: {
-          const auto cur = backup.Fetch(record.backup_rid,
-                                        AccessIntent::kRandom);
-          std::optional<Rid> victim;
-          if (Holds(cur, record.after)) {
-            victim = record.backup_rid;
-          } else {
-            GAMMA_ASSIGN_OR_RETURN(
-                victim, FindByContent(sm, backup, record.after));
-          }
-          if (victim.has_value()) {
-            GAMMA_RETURN_NOT_OK(backup.Delete(*victim));
-            changed = true;
-          }
-          break;
-        }
-        case WalKind::kDelete: {
-          GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> present,
-                                 FindByContent(sm, backup, record.before));
-          if (!present.has_value()) {
-            if (!backup.Restore(record.backup_rid, record.before).ok()) {
-              GAMMA_RETURN_NOT_OK(backup.Append(record.before).status());
-            }
-            changed = true;
-          }
-          break;
-        }
-        case WalKind::kModify: {
-          const auto cur = backup.Fetch(record.backup_rid,
-                                        AccessIntent::kRandom);
-          std::optional<Rid> stale;
-          if (Holds(cur, record.after)) {
-            stale = record.backup_rid;
-          } else if (!Holds(cur, record.before)) {
-            GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> done,
-                                   FindByContent(sm, backup, record.before));
-            if (!done.has_value()) {
-              GAMMA_ASSIGN_OR_RETURN(
-                  stale, FindByContent(sm, backup, record.after));
-            }
-          }
-          if (stale.has_value()) {
-            GAMMA_RETURN_NOT_OK(backup.Update(*stale, record.before));
-            changed = true;
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
-  }
-
-  if (changed) {
-    ++*undone;
     if (touched != nullptr) touched->insert(name);
   }
   return Status::OK();
@@ -485,19 +335,44 @@ void GammaMachine::UndoTransaction(uint64_t wal_txn, bool close) {
     if (it->txn != wal_txn || !IsData(it->kind)) continue;
     // Best effort: an unreachable copy (dead node) is picked up by
     // Recover()/ReintegrateNode() later.
-    (void)UndoRecord(*it, &undone, nullptr);
+    (void)ReplayRecord(*it, Replay::kUndo, &undone, nullptr);
   }
   if (close) wal_->NoteCleanAbort(wal_txn);
+}
+
+GammaMachine::MaintenanceScope::MaintenanceScope(GammaMachine* machine,
+                                                 const char* phase)
+    : machine_(machine),
+      tracker_(machine->config_.hw, machine->config_.tracker_nodes()) {
+  tracker_.AttachFaultInjector(machine_->faults_.get());
+  machine_->BindAll(&tracker_);
+  tracker_.BeginPhase(phase, sim::PhaseKind::kSequential);
+}
+
+GammaMachine::MaintenanceScope::~MaintenanceScope() {
+  machine_->BindAll(nullptr);
+}
+
+Result<double> GammaMachine::MaintenanceScope::Finish() {
+  GAMMA_RETURN_NOT_OK(machine_->FlushAllPools());
+  tracker_.EndPhase();
+  machine_->BindAll(nullptr);
+  return tracker_.Finish().TotalSec();
+}
+
+bool GammaMachine::IsLoser(uint64_t wal_txn) const {
+  // A transaction still active in the lock manager is live (Recover on an
+  // un-crashed machine is a pure verification pass; a real crash cleared
+  // the transaction table).
+  return !wal_->IsCommitted(wal_txn) && !wal_->IsAborted(wal_txn) &&
+         (IsStatementTxn(wal_txn) || !txns_.IsActive(wal_txn));
 }
 
 Result<GammaMachine::RecoveryReport> GammaMachine::Recover() {
   if (wal_ == nullptr) {
     return Status::FailedPrecondition("Recover requires enable_logging");
   }
-  sim::CostTracker tracker(config_.hw, config_.tracker_nodes());
-  tracker.AttachFaultInjector(faults_.get());
-  BindAll(&tracker);
-  tracker.BeginPhase("recovery", sim::PhaseKind::kSequential);
+  MaintenanceScope scope(this, "recovery");
   RecoveryReport report;
 
   // --- Analysis: one sequential sweep of the retained log classifies every
@@ -512,19 +387,15 @@ Result<GammaMachine::RecoveryReport> GammaMachine::Recover() {
     if (!IsData(r.kind)) continue;
     if (wal_->IsCommitted(r.txn)) {
       winners.insert(r.txn);
-    } else if (!wal_->IsAborted(r.txn)) {
-      // A transaction still active in the lock manager is live, not a loser
-      // (Recover on an un-crashed machine is a pure verification pass; a
-      // real crash cleared the transaction table).
-      const bool statement_txn = (r.txn >> 63) != 0;
-      if (statement_txn || !txns_.IsActive(r.txn)) losers.insert(r.txn);
+    } else if (IsLoser(r.txn)) {
+      losers.insert(r.txn);
     }
   }
   const uint64_t log_pages =
       (report.log_bytes_replayed + config_.page_size - 1) / config_.page_size;
   for (uint64_t p = 0; p < log_pages; ++p) {
-    tracker.ChargeDiskRead(config_.recovery_node(), config_.page_size,
-                           /*sequential=*/true);
+    scope.tracker().ChargeDiskRead(config_.recovery_node(), config_.page_size,
+                                   /*sequential=*/true);
   }
 
   // --- Redo (forward): committed effects missing from the serving copies.
@@ -532,48 +403,52 @@ Result<GammaMachine::RecoveryReport> GammaMachine::Recover() {
   std::set<std::string> touched;
   for (const WalRecord& r : log) {
     if (!IsData(r.kind) || !winners.contains(r.txn)) continue;
-    GAMMA_RETURN_NOT_OK(RedoRecord(r, &report.records_redone, &touched));
+    GAMMA_RETURN_NOT_OK(
+        ReplayRecord(r, Replay::kRedo, &report.records_redone, &touched));
   }
 
-  // --- Undo (backward): reverse every loser record, then close the losers
-  // in the log so a second restart skips them.
+  // --- Undo (backward): reverse every loser record.
   for (auto it = log.rbegin(); it != log.rend(); ++it) {
     if (!IsData(it->kind) || !losers.contains(it->txn)) continue;
-    GAMMA_RETURN_NOT_OK(UndoRecord(*it, &report.records_undone, &touched));
+    GAMMA_RETURN_NOT_OK(
+        ReplayRecord(*it, Replay::kUndo, &report.records_undone, &touched));
   }
-  for (const uint64_t txn : losers) wal_->NoteCleanAbort(txn);
-
   report.winners = winners.size();
   report.losers = losers.size();
-  GAMMA_RETURN_NOT_OK(FlushAllPools());
-  tracker.EndPhase();
-  BindAll(nullptr);
+  GAMMA_ASSIGN_OR_RETURN(report.recovery_sec, scope.Finish());
+
+  // The reversals are on disk: close the losers in the log so a second
+  // restart skips them. A failed restart leaves them for the next one.
+  for (const uint64_t txn : losers) wal_->NoteCleanAbort(txn);
   for (const std::string& name : touched) RecountRelation(name);
   crashed_ = false;
-  report.recovery_sec = tracker.Finish().TotalSec();
+  NoteRestart(&report);
+  return report;
+}
+
+void GammaMachine::NoteRestart(RecoveryReport* report) {
   // Flight recorder: the restart occupies [now, now + recovery_sec) on the
   // simulated clock, and the pending post-mortem dump (captured at crash
   // time) rides out on the report.
   journal_.Emit(config_.recovery_node(),
                 obs::JournalEventKind::kRecoverBegin);
   journal_.EmitAt(config_.recovery_node(),
-                  journal_.now() + report.recovery_sec,
+                  journal_.now() + report->recovery_sec,
                   obs::JournalEventKind::kRecoverEnd,
-                  static_cast<int64_t>(report.winners),
-                  static_cast<int64_t>(report.losers));
-  journal_.Advance(report.recovery_sec);
-  report.post_mortem_json = std::move(post_mortem_);
+                  static_cast<int64_t>(report->winners),
+                  static_cast<int64_t>(report->losers));
+  journal_.Advance(report->recovery_sec);
+  report->post_mortem_json = std::move(post_mortem_);
   post_mortem_.clear();
   // Coordinator-serial path: histogram observation order is deterministic.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
   registry.counter("recovery.restarts").Inc();
-  registry.counter("recovery.records_redone").Inc(report.records_redone);
-  registry.counter("recovery.records_undone").Inc(report.records_undone);
-  registry.counter("recovery.losers").Inc(report.losers);
+  registry.counter("recovery.records_redone").Inc(report->records_redone);
+  registry.counter("recovery.records_undone").Inc(report->records_undone);
+  registry.counter("recovery.losers").Inc(report->losers);
   registry
       .histogram("recovery.seconds", {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0})
-      .Observe(report.recovery_sec);
-  return report;
+      .Observe(report->recovery_sec);
 }
 
 Result<GammaMachine::RebuildReport> GammaMachine::ReintegrateNode(int node) {
@@ -591,33 +466,69 @@ Result<GammaMachine::RebuildReport> GammaMachine::ReintegrateNode(int node) {
                                       " is alive");
   }
 
-  sim::CostTracker tracker(config_.hw, config_.tracker_nodes());
-  tracker.AttachFaultInjector(faults_.get());
+  MaintenanceScope scope(this, "reintegrate");
   faults_->ReviveNode(node);
-  BindAll(&tracker);
-  tracker.BeginPhase("reintegrate", sim::PhaseKind::kSequential);
   RebuildReport report;
   report.node = node;
   std::set<std::string> touched;
+  std::vector<CatchUpStamp> stamps;
+  Status status = UndoStrandedLosers(&report, &touched);
+  if (status.ok()) {
+    status = RebuildPrimaries(node, scope.tracker(), &report, &touched);
+  }
+  if (status.ok()) {
+    status = CatchUpBackups(node, scope.tracker(), &report, &stamps);
+  }
+  Result<double> sec = status.ok() ? scope.Finish() : Result<double>(status);
+  if (!sec.ok()) {
+    // Put the node back down with the log unstamped, so a retry redoes
+    // every step (each is test-and-apply).
+    faults_->KillNode(node);
+    return sec.status();
+  }
+  report.rebuild_sec = *sec;
 
-  // --- 1) Reverse non-committed effects stranded on the revived disk:
-  // statements that died at this node's commit point flushed their pages
+  // Every step is on disk: stamp the caught-up records mirrored (the
+  // checkpoint may now truncate them) and close the reversed losers.
+  for (const auto& [record, backup_rid] : stamps) {
+    record->mirrored = true;
+    if (backup_rid.has_value()) record->backup_rid = *backup_rid;
+  }
+  CloseReachableLosers();
+  for (const std::string& name : touched) RecountRelation(name);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  registry.counter("recovery.reintegrations").Inc();
+  registry.counter("recovery.fragments_rebuilt").Inc(report.fragments_rebuilt);
+  registry.counter("recovery.tuples_copied").Inc(report.tuples_copied);
+  registry
+      .histogram("recovery.rebuild_seconds",
+                 {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0})
+      .Observe(report.rebuild_sec);
+  return report;
+}
+
+Status GammaMachine::UndoStrandedLosers(RebuildReport* report,
+                                        std::set<std::string>* touched) {
+  // Statements that died at the node's commit point flushed their pages
   // before the death, and every undo so far skipped the unreachable node.
   // Test-and-apply makes the global sweep a no-op everywhere else.
-  {
-    const std::deque<WalRecord>& log = wal_->records();
-    for (auto it = log.rbegin(); it != log.rend(); ++it) {
-      if (!IsData(it->kind) || wal_->IsCommitted(it->txn)) continue;
-      GAMMA_RETURN_NOT_OK(
-          UndoRecord(*it, &report.records_undone, &touched));
-    }
+  const std::deque<WalRecord>& log = wal_->records();
+  for (auto it = log.rbegin(); it != log.rend(); ++it) {
+    if (!IsData(it->kind) || wal_->IsCommitted(it->txn)) continue;
+    GAMMA_RETURN_NOT_OK(
+        ReplayRecord(*it, Replay::kUndo, &report->records_undone, touched));
   }
+  return Status::OK();
+}
 
-  // --- 2) Rebuild the node's primary fragments from their chained backups
-  // (the Gamma procedure: a replacement disk is filled from the surviving
-  // copy). Mirrored writes land in primary order, so the copy reproduces
-  // the fragment's logical order; a clustered fragment is re-sorted on its
-  // key (order-exact provided no appends landed after the clustering).
+Status GammaMachine::RebuildPrimaries(int node, sim::CostTracker& tracker,
+                                      RebuildReport* report,
+                                      std::set<std::string>* touched) {
+  // The Gamma procedure: a replacement disk is filled from the surviving
+  // copy. Mirrored writes land in primary order, so the copy reproduces the
+  // fragment's logical order; a clustered fragment is re-sorted on its key
+  // (order-exact provided no appends landed after the clustering).
+  const int host = (node + 1) % config_.num_disk_nodes;
   for (const std::string& name : catalog_.Names()) {
     auto meta_or = catalog_.Get(name);
     if (!meta_or.ok()) continue;
@@ -627,7 +538,6 @@ Result<GammaMachine::RebuildReport> GammaMachine::ReintegrateNode(int node) {
     const uint32_t bfid =
         meta->per_node_backup_file[static_cast<size_t>(node)];
     if (old_fid == catalog::kNoFile || bfid == catalog::kNoFile) continue;
-    const int host = (node + 1) % config_.num_disk_nodes;
     if (faults_->IsDead(host)) continue;  // no source; the old copy stands
 
     storage::StorageManager& src = *nodes_[static_cast<size_t>(host)];
@@ -645,103 +555,62 @@ Result<GammaMachine::RebuildReport> GammaMachine::ReintegrateNode(int node) {
     // shared with the elastic migrator.
     for (const std::vector<uint8_t>& tuple : tuples) {
       tracker.ChargeDataPacket(host, node, tuple.size());
-      report.bytes_shipped += tuple.size();
-      ++report.tuples_copied;
+      report->bytes_shipped += tuple.size();
+      ++report->tuples_copied;
     }
     GAMMA_RETURN_NOT_OK(
         elastic::RebuildFragment(dst, node, meta, std::move(tuples),
                                  config_.hw)
             .status());
-    ++report.fragments_rebuilt;
-    touched.insert(name);
+    ++report->fragments_rebuilt;
+    touched->insert(name);
   }
+  return Status::OK();
+}
 
-  // --- 3) Catch the node's stale backup fragments up: replay the committed
-  // records that could not be mirrored while the node was dead, stamping
-  // each with its landing rid so the log regains the mirrored invariant
-  // (and the checkpoint can truncate them).
+Status GammaMachine::CatchUpBackups(int node, sim::CostTracker& tracker,
+                                    RebuildReport* report,
+                                    std::vector<CatchUpStamp>* stamps) {
+  // Replays the committed records that could not be mirrored while the node
+  // was dead into its stale backup of its predecessor's fragment, noting
+  // each record's landing rid for the stamp.
   const int pred =
       (node + config_.num_disk_nodes - 1) % config_.num_disk_nodes;
+  storage::StorageManager& sm = *nodes_[static_cast<size_t>(node)];
   for (WalRecord& r : wal_->mutable_records()) {
     if (!IsData(r.kind) || r.mirrored || r.fragment != pred) continue;
     if (!wal_->IsCommitted(r.txn)) continue;
-    const std::string& name = wal_->RelationName(r.rel);
-    auto meta_or = catalog_.Get(name);
+    auto meta_or = catalog_.Get(wal_->RelationName(r.rel));
     if (!meta_or.ok()) continue;
-    RelationMeta* meta = *meta_or;
+    const RelationMeta* meta = *meta_or;
     if (!meta->backed_up) continue;
     const uint32_t bfid =
         meta->per_node_backup_file[static_cast<size_t>(pred)];
     if (bfid == catalog::kNoFile) continue;
-    storage::StorageManager& sm = *nodes_[static_cast<size_t>(node)];
-    storage::HeapFile& backup = sm.file(bfid);
     // The recovery server ships the retained record to the rebuilt host.
     tracker.ChargeDiskRead(config_.recovery_node(), config_.page_size,
                            /*sequential=*/true);
     tracker.ChargeDataPacket(config_.recovery_node(), node,
                              r.before.size() + r.after.size());
-    switch (r.kind) {
-      case WalKind::kInsert: {
-        GAMMA_ASSIGN_OR_RETURN(std::optional<Rid> at,
-                               FindByContent(sm, backup, r.after));
-        if (!at.has_value()) {
-          GAMMA_ASSIGN_OR_RETURN(const Rid rid, backup.Append(r.after));
-          at = rid;
-        }
-        r.backup_rid = *at;
-        break;
-      }
-      case WalKind::kDelete: {
-        GAMMA_ASSIGN_OR_RETURN(const std::optional<Rid> victim,
-                               FindByContent(sm, backup, r.before));
-        if (victim.has_value()) {
-          GAMMA_RETURN_NOT_OK(backup.Delete(*victim));
-          r.backup_rid = *victim;
-        }
-        break;
-      }
-      case WalKind::kModify: {
-        GAMMA_ASSIGN_OR_RETURN(std::optional<Rid> at,
-                               FindByContent(sm, backup, r.before));
-        if (at.has_value()) {
-          GAMMA_RETURN_NOT_OK(backup.Update(*at, r.after));
-        } else {
-          GAMMA_ASSIGN_OR_RETURN(
-              at, FindByContent(sm, backup, r.after));
-        }
-        if (at.has_value()) r.backup_rid = *at;
-        break;
-      }
-      default:
-        break;
-    }
-    r.mirrored = true;
-    ++report.log_records_replayed;
+    GAMMA_ASSIGN_OR_RETURN(
+        const Landing landing,
+        ApplyTransition({sm, sm.file(bfid), BackupHint(r)}, Replay::kCatchUp,
+                        r.before, r.after));
+    stamps->emplace_back(&r, landing.at);
+    ++report->log_records_replayed;
   }
+  return Status::OK();
+}
 
-  // A loser whose every copy is now reachable has been fully reversed;
-  // close it so restarts and checkpoints stop carrying it.
-  if (static_cast<int>(LiveDiskNodes().size()) == config_.num_disk_nodes) {
-    for (const uint64_t txn : wal_->OpenTxns()) {
-      const bool statement_txn = (txn >> 63) != 0;
-      if (statement_txn || !txns_.IsActive(txn)) wal_->NoteCleanAbort(txn);
-    }
+void GammaMachine::CloseReachableLosers() {
+  // A loser whose every copy is reachable has been fully reversed; close it
+  // so restarts and checkpoints stop carrying it.
+  if (static_cast<int>(LiveDiskNodes().size()) != config_.num_disk_nodes) {
+    return;
   }
-
-  GAMMA_RETURN_NOT_OK(FlushAllPools());
-  tracker.EndPhase();
-  BindAll(nullptr);
-  for (const std::string& name : touched) RecountRelation(name);
-  report.rebuild_sec = tracker.Finish().TotalSec();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
-  registry.counter("recovery.reintegrations").Inc();
-  registry.counter("recovery.fragments_rebuilt").Inc(report.fragments_rebuilt);
-  registry.counter("recovery.tuples_copied").Inc(report.tuples_copied);
-  registry
-      .histogram("recovery.rebuild_seconds",
-                 {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0})
-      .Observe(report.rebuild_sec);
-  return report;
+  for (const uint64_t txn : wal_->OpenTxns()) {
+    if (IsLoser(txn)) wal_->NoteCleanAbort(txn);
+  }
 }
 
 }  // namespace gammadb::gamma

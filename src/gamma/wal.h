@@ -39,6 +39,16 @@ enum class WalKind : uint8_t {
   kPartition,
 };
 
+/// The WAL transaction id of an auto-commit statement: its counter with the
+/// high bit set, so it never collides with a TxnManager id (explicit
+/// transactions log under their own id).
+inline constexpr uint64_t StatementTxn(uint64_t counter) {
+  return (uint64_t{1} << 63) | counter;
+}
+inline constexpr bool IsStatementTxn(uint64_t wal_txn) {
+  return (wal_txn >> 63) != 0;
+}
+
 /// One replayable log record. Payload images are logical tuple copies —
 /// redo and undo are test-and-apply (idempotent) against the serving copy,
 /// so records survive file rebuilds that renumber rids.
