@@ -21,6 +21,12 @@ run_suite() {
 if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   echo "== plain build =="
   run_suite build
+  echo "== examples (each must exit 0; machine_duel drives the Teradata path) =="
+  for example in machine_duel overflow_autopsy partitioning_explorer \
+      quel_session quickstart; do
+    ./build/examples/"$example" > /dev/null ||
+      { echo "example $example failed"; exit 1; }
+  done
   echo "== recovery smoke (crash replay + node reintegration, 10k) =="
   GAMMA_BENCH_SIZES=10000 ./build/bench/extension_recovery_server
   echo "== profiled queries (Table 1 selection + Fig 9 join, traced, 10k) =="

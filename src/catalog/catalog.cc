@@ -27,6 +27,13 @@ Status Catalog::Register(RelationMeta meta) {
   return Status::OK();
 }
 
+Status Catalog::CheckResultName(const std::string& name) const {
+  if (!name.empty() && relations_.contains(name)) {
+    return Status::AlreadyExists("result relation " + name);
+  }
+  return Status::OK();
+}
+
 Result<RelationMeta*> Catalog::Get(const std::string& name) {
   auto it = relations_.find(name);
   if (it == relations_.end()) {

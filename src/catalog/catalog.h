@@ -63,6 +63,10 @@ class Catalog {
   bool Contains(const std::string& name) const {
     return relations_.contains(name);
   }
+  /// AlreadyExists when a statement may not store its result under `name`:
+  /// it names an existing relation. An empty name is always free (the
+  /// machine picks a fresh one).
+  Status CheckResultName(const std::string& name) const;
   Status Drop(const std::string& name);
   std::vector<std::string> Names() const;
 

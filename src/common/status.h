@@ -75,6 +75,7 @@ class Status {
   const std::string& message() const { return message_; }
 
   bool IsNotFound() const { return code_ == Code::kNotFound; }
+  bool IsAlreadyExists() const { return code_ == Code::kAlreadyExists; }
   bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
   bool IsFailedPrecondition() const {
     return code_ == Code::kFailedPrecondition;

@@ -571,7 +571,11 @@ Status GammaMachine::FlushProfileRing(const std::string& path) {
 }
 
 std::string GammaMachine::FreshResultName() {
-  return "result_" + std::to_string(next_result_id_++);
+  std::string name;
+  do {
+    name = "result_" + std::to_string(next_result_id_++);
+  } while (catalog_.Contains(name));
+  return name;
 }
 
 Status GammaMachine::CreateRelation(const std::string& name,
@@ -1033,6 +1037,9 @@ Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
   GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(query.relation));
   GAMMA_ASSIGN_OR_RETURN(const AccessDecision decision,
                          ChooseAccessPath(*meta, query));
+  if (query.store_result) {
+    GAMMA_RETURN_NOT_OK(catalog_.CheckResultName(query.result_name));
+  }
   Statement stmt(this);
   sim::CostTracker& tracker = stmt.tracker();
 
@@ -1646,6 +1653,9 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
       query.inner_attr < 0 ||
       static_cast<size_t>(query.inner_attr) >= inner->schema.num_attrs()) {
     return Status::InvalidArgument("join attribute out of range");
+  }
+  if (query.store_result) {
+    GAMMA_RETURN_NOT_OK(catalog_.CheckResultName(query.result_name));
   }
 
   // Join sites per execution mode (§6); dead disk nodes host no operators.

@@ -24,6 +24,25 @@ namespace {
 // Lexer
 // ---------------------------------------------------------------------------
 
+std::string Lower(std::string word) {
+  std::transform(word.begin(), word.end(), word.begin(), [](char c) {
+    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  });
+  return word;
+}
+
+/// The catalog's spelling of relation name `lowered`: the lexer lower-cases
+/// identifiers but catalog names are case-sensitive. `lowered` itself when
+/// no relation matches.
+std::string CatalogName(const catalog::Catalog& catalog,
+                        const std::string& lowered) {
+  std::string actual = lowered;
+  for (const std::string& name : catalog.Names()) {
+    if (Lower(name) == lowered) actual = name;
+  }
+  return actual;
+}
+
 enum class TokKind { kIdent, kNumber, kSymbol, kEnd };
 
 struct Token {
@@ -52,11 +71,8 @@ class Lexer {
                 input_[j] == '_')) {
           ++j;
         }
-        std::string word(input_.substr(i, j - i));
-        std::transform(word.begin(), word.end(), word.begin(), [](char ch) {
-          return static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-        });
-        tokens.push_back(Token{TokKind::kIdent, std::move(word)});
+        tokens.push_back(Token{TokKind::kIdent,
+                               Lower(std::string(input_.substr(i, j - i)))});
         i = j;
         continue;
       }
@@ -344,19 +360,8 @@ Result<exec::QueryResult> Session::Execute(std::string_view statement) {
     if (cursor.Peek().kind != TokKind::kIdent) {
       return Status::InvalidArgument("expected a relation name");
     }
-    // Relation names are case-sensitive in the catalog; re-scan the raw
-    // token (lower-cased already) against the catalog names.
     const std::string lowered = cursor.Next().text;
-    std::string actual = lowered;
-    for (const std::string& name : machine_->catalog().Names()) {
-      std::string candidate = name;
-      std::transform(candidate.begin(), candidate.end(), candidate.begin(),
-                     [](char c) {
-                       return static_cast<char>(
-                           std::tolower(static_cast<unsigned char>(c)));
-                     });
-      if (candidate == lowered) actual = name;
-    }
+    const std::string actual = CatalogName(machine_->catalog(), lowered);
     if (!machine_->catalog().Contains(actual)) {
       return Status::NotFound("relation " + lowered);
     }
@@ -369,18 +374,9 @@ Result<exec::QueryResult> Session::Execute(std::string_view statement) {
     if (!cursor.ConsumeIdent("to")) {
       return Status::InvalidArgument("expected 'append to <rel> (...)'");
     }
-    GAMMA_ASSIGN_OR_RETURN(std::string lowered,
+    GAMMA_ASSIGN_OR_RETURN(const std::string lowered,
                            cursor.ExpectIdent("relation name"));
-    std::string relation = lowered;
-    for (const std::string& name : machine_->catalog().Names()) {
-      std::string candidate = name;
-      std::transform(candidate.begin(), candidate.end(), candidate.begin(),
-                     [](char c) {
-                       return static_cast<char>(
-                           std::tolower(static_cast<unsigned char>(c)));
-                     });
-      if (candidate == lowered) relation = name;
-    }
+    const std::string relation = CatalogName(machine_->catalog(), lowered);
     GAMMA_ASSIGN_OR_RETURN(const catalog::RelationMeta* meta,
                            machine_->catalog().Get(relation));
     catalog::TupleBuilder builder(&meta->schema);
@@ -463,6 +459,7 @@ Result<exec::QueryResult> Session::Execute(std::string_view statement) {
   bool store = false;
   if (cursor.ConsumeIdent("into")) {
     GAMMA_ASSIGN_OR_RETURN(into, cursor.ExpectIdent("result relation name"));
+    into = CatalogName(machine_->catalog(), into);
     store = true;
   }
   GAMMA_RETURN_NOT_OK(cursor.ExpectSymbol("("));

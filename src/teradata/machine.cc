@@ -120,10 +120,26 @@ TeradataMachine::TeradataMachine(TeradataConfig config) : config_(config) {
   }
 }
 
-void TeradataMachine::BindAll(sim::CostTracker* tracker) {
-  for (int i = 0; i < config_.num_amps; ++i) {
-    amps_[static_cast<size_t>(i)]->BindTracker(tracker, i);
+void TeradataMachine::Directory::Erase(int32_t key, Rid rid) {
+  auto [begin, end] = map_.equal_range(key);
+  for (auto it = begin; it != end; ++it) {
+    if (it->second == rid) {
+      map_.erase(it);
+      return;
+    }
   }
+}
+
+std::vector<Rid> TeradataMachine::Directory::Find(int32_t key) const {
+  std::vector<Rid> rids;
+  auto [begin, end] = map_.equal_range(key);
+  for (auto it = begin; it != end; ++it) rids.push_back(it->second);
+  return rids;
+}
+
+Result<TeradataMachine::Rel> TeradataMachine::GetRel(const std::string& name) {
+  GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(name));
+  return Rel{meta, &states_.at(name)};
 }
 
 Status TeradataMachine::FlushAllPools() {
@@ -140,27 +156,37 @@ Status TeradataMachine::FlushAllPools() {
   return RunAmpTasks(tracker, std::move(tasks));
 }
 
-void TeradataMachine::ChargeSteps(sim::CostTracker* tracker, int steps,
-                                  bool single_tuple) {
-  // IFP work (parse, plan, per-step dispatch over the Y-net) is serialized
-  // ahead of AMP execution; modelled as scheduler time.
-  const double overhead = single_tuple
-                              ? config_.single_step_overhead_sec
-                              : steps * config_.step_overhead_sec;
-  tracker->BeginPhase("ifp_dispatch", sim::PhaseKind::kSequential);
-  tracker->ChargeSerialSec(config_.ifp_node(), overhead);
-  tracker->ChargeControlMessage(config_.host_node(), config_.ifp_node(),
-                                /*blocking=*/true);
-  tracker->EndPhase();
-}
-
 int TeradataMachine::AmpForKey(int32_t key) const {
   return static_cast<int>(HashInt32(key, placement_salt_) %
                           static_cast<uint64_t>(config_.num_amps));
 }
 
 std::string TeradataMachine::FreshResultName() {
-  return "td_result_" + std::to_string(next_result_id_++);
+  std::string name;
+  do {
+    name = "td_result_" + std::to_string(next_result_id_++);
+  } while (catalog_.Contains(name));
+  return name;
+}
+
+TeradataMachine::Rel TeradataMachine::AddRelation(const std::string& name,
+                                                  catalog::Schema schema,
+                                                  int pk_attr) {
+  RelationMeta meta;
+  meta.name = name;
+  meta.schema = std::move(schema);
+  meta.partitioning = catalog::PartitionSpec::Hashed(pk_attr);
+  meta.partitioning.hash_salt = placement_salt_;
+  for (int i = 0; i < config_.num_amps; ++i) {
+    meta.per_node_file.push_back(amps_[static_cast<size_t>(i)]->CreateFile());
+  }
+  GAMMA_CHECK(catalog_.Register(std::move(meta)).ok());
+  RelationState state;
+  state.pk_attr = pk_attr;
+  state.key_dir.resize(static_cast<size_t>(config_.num_amps));
+  auto [it, inserted] = states_.emplace(name, std::move(state));
+  GAMMA_CHECK(inserted);
+  return Rel{*catalog_.Get(name), &it->second};
 }
 
 Status TeradataMachine::CreateRelation(const std::string& name,
@@ -173,19 +199,7 @@ Status TeradataMachine::CreateRelation(const std::string& name,
       static_cast<size_t>(primary_key_attr) >= schema.num_attrs()) {
     return Status::InvalidArgument("primary key attribute out of range");
   }
-  RelationMeta meta;
-  meta.name = name;
-  meta.schema = std::move(schema);
-  meta.partitioning = catalog::PartitionSpec::Hashed(primary_key_attr);
-  meta.partitioning.hash_salt = placement_salt_;
-  for (int i = 0; i < config_.num_amps; ++i) {
-    meta.per_node_file.push_back(amps_[static_cast<size_t>(i)]->CreateFile());
-  }
-  GAMMA_RETURN_NOT_OK(catalog_.Register(std::move(meta)));
-  RelationState state;
-  state.pk_attr = primary_key_attr;
-  state.key_dir.resize(static_cast<size_t>(config_.num_amps));
-  states_.emplace(name, std::move(state));
+  AddRelation(name, std::move(schema), primary_key_attr);
   return Status::OK();
 }
 
@@ -198,8 +212,9 @@ Status TeradataMachine::RunAmpTasks(sim::CostTracker* tracker,
 
 Status TeradataMachine::LoadTuples(
     const std::string& name, const std::vector<std::vector<uint8_t>>& tuples) {
-  GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(name));
-  RelationState& state = states_.at(name);
+  GAMMA_ASSIGN_OR_RETURN(const Rel rel, GetRel(name));
+  const RelationMeta& meta = *rel.meta;
+  const int pk_attr = rel.state->pk_attr;
   const auto num_amps = static_cast<size_t>(config_.num_amps);
   // Route each tuple to its AMP by its placement hash, computed once; each
   // AMP then stores its fragment in hash-key order (the hash value, then a
@@ -213,17 +228,16 @@ Status TeradataMachine::LoadTuples(
   };
   std::vector<std::vector<Keyed>> per_amp(num_amps);
   for (size_t i = 0; i < tuples.size(); ++i) {
-    if (tuples[i].size() != meta->schema.tuple_size()) {
+    if (tuples[i].size() != meta.schema.tuple_size()) {
       return Status::InvalidArgument("tuple size does not match schema");
     }
     const uint64_t hash =
-        HashInt32(IntAttr(meta->schema, tuples[i], state.pk_attr),
-                  placement_salt_);
+        HashInt32(IntAttr(meta.schema, tuples[i], pk_attr), placement_salt_);
     per_amp[hash % num_amps].push_back(Keyed{hash, i});
   }
   // One task per AMP: sort, append, fill the key directory and settle the
   // pool (loading is uncharged; measured queries start cold).
-  std::vector<std::vector<std::pair<int32_t, Rid>>> appended(num_amps);
+  std::vector<std::vector<std::pair<size_t, Rid>>> appended(num_amps);
   std::vector<exec::NodeTask> tasks;
   tasks.reserve(num_amps);
   for (size_t amp = 0; amp < num_amps; ++amp) {
@@ -232,53 +246,43 @@ Status TeradataMachine::LoadTuples(
           std::vector<Keyed>& bucket = per_amp[amp];
           std::sort(bucket.begin(), bucket.end());
           storage::HeapFile& fragment =
-              amps_[amp]->file(meta->per_node_file[amp]);
-          auto& dir = state.key_dir[amp];
-          dir.reserve(dir.size() + bucket.size());
+              amps_[amp]->file(meta.per_node_file[amp]);
+          Directory& dir = rel.state->key_dir[amp];
+          dir.Reserve(bucket.size());
           auto& mine = appended[amp];
           mine.reserve(bucket.size());
           for (const Keyed& k : bucket) {
             const std::vector<uint8_t>& tuple = tuples[k.index];
             GAMMA_ASSIGN_OR_RETURN(const Rid rid, fragment.Append(tuple));
-            const int32_t key = IntAttr(meta->schema, tuple, state.pk_attr);
-            mine.emplace_back(key, rid);
-            dir.emplace(key, rid);
+            mine.emplace_back(k.index, rid);
+            dir.Add(IntAttr(meta.schema, tuple, pk_attr), rid);
           }
           return amps_[amp]->pool().Invalidate();
         }});
   }
   const Status status = RunAmpTasks(nullptr, std::move(tasks));
   if (!status.ok()) {
-    // All-or-nothing: tombstone what this call appended and take it back out
-    // of the key directory, then settle the pools.
+    // All-or-nothing: take what this call appended back out, then settle
+    // the pools.
     for (size_t amp = 0; amp < num_amps; ++amp) {
-      storage::HeapFile& fragment = amps_[amp]->file(meta->per_node_file[amp]);
-      auto& dir = state.key_dir[amp];
-      for (const auto& [key, rid] : appended[amp]) {
-        auto [begin, end] = dir.equal_range(key);
-        for (auto entry = begin; entry != end; ++entry) {
-          if (entry->second == rid) {
-            dir.erase(entry);
-            break;
-          }
-        }
-        fragment.Delete(rid);
+      for (const auto& [index, rid] : appended[amp]) {
+        (void)Remove(rel, static_cast<int>(amp), rid, tuples[index]);
       }
       amps_[amp]->pool().Invalidate();
     }
     return status;
   }
-  meta->num_tuples += tuples.size();
+  rel.meta->num_tuples += tuples.size();
   return Status::OK();
 }
 
 Status TeradataMachine::BuildSecondaryIndex(const std::string& name,
                                             int attr) {
-  GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(name));
+  GAMMA_ASSIGN_OR_RETURN(const Rel rel, GetRel(name));
+  RelationMeta* meta = rel.meta;
   if (attr < 0 || static_cast<size_t>(attr) >= meta->schema.num_attrs()) {
     return Status::InvalidArgument("index attribute out of range");
   }
-  RelationState& state = states_.at(name);
   const auto num_amps = static_cast<size_t>(config_.num_amps);
   SecondaryIndex index;
   index.attr = attr;
@@ -296,8 +300,8 @@ Status TeradataMachine::BuildSecondaryIndex(const std::string& name,
           storage::HeapFile& index_file = sm.file(index.per_amp_file[amp]);
           const storage::HeapFile& fragment =
               sm.file(meta->per_node_file[amp]);
-          auto& dir = index.dir[amp];
-          dir.reserve(fragment.num_tuples());
+          Directory& dir = index.dir[amp];
+          dir.Reserve(fragment.num_tuples());
           Status append_status;
           GAMMA_RETURN_NOT_OK(
               fragment.Scan([&](Rid rid, std::span<const uint8_t> tuple) {
@@ -306,7 +310,7 @@ Status TeradataMachine::BuildSecondaryIndex(const std::string& name,
                     index_file.Append(internal::SerializeIndexEntry(key, rid))
                         .status();
                 if (!append_status.ok()) return false;
-                dir.emplace(key, rid);
+                dir.Add(key, rid);
                 return true;
               }));
           GAMMA_RETURN_NOT_OK(append_status);
@@ -324,7 +328,7 @@ Status TeradataMachine::BuildSecondaryIndex(const std::string& name,
     }
     return status;
   }
-  state.indices.push_back(std::move(index));
+  rel.state->indices.push_back(std::move(index));
   // Catalog-level metadata so callers can discover the index.
   catalog::IndexMeta meta_index;
   meta_index.attr = attr;
@@ -334,268 +338,250 @@ Status TeradataMachine::BuildSecondaryIndex(const std::string& name,
   return Status::OK();
 }
 
-catalog::RelationMeta* TeradataMachine::MakeResultRelation(
-    const std::string& requested, catalog::Schema schema,
-    RelationState** state_out) {
-  const std::string name = requested.empty() ? FreshResultName() : requested;
-  RelationMeta meta;
-  meta.name = name;
-  meta.schema = std::move(schema);
-  meta.partitioning = catalog::PartitionSpec::Hashed(0);
-  meta.partitioning.hash_salt = placement_salt_;
-  for (int i = 0; i < config_.num_amps; ++i) {
-    meta.per_node_file.push_back(amps_[static_cast<size_t>(i)]->CreateFile());
+// --- Statement scope and result sink (DESIGN.md §20) ---
+
+TeradataMachine::Statement::Statement(TeradataMachine& machine, int steps,
+                                      bool single_tuple)
+    : m_(machine),
+      tracker_(machine.config_.hw, machine.config_.tracker_nodes()),
+      temps_(machine.amps_.size()) {
+  for (size_t amp = 0; amp < m_.amps_.size(); ++amp) {
+    m_.amps_[amp]->BindTracker(&tracker_, static_cast<int>(amp));
   }
-  GAMMA_CHECK(catalog_.Register(std::move(meta)).ok());
-  RelationState state;
-  state.pk_attr = 0;
-  state.key_dir.resize(static_cast<size_t>(config_.num_amps));
-  auto [it, inserted] = states_.emplace(name, std::move(state));
-  GAMMA_CHECK(inserted);
-  *state_out = &it->second;
-  return *catalog_.Get(name);
+  // IFP work (parse, plan, per-step dispatch over the Y-net) is serialized
+  // ahead of AMP execution; modelled as scheduler time.
+  const TeradataConfig& config = m_.config_;
+  tracker_.BeginPhase("ifp_dispatch", sim::PhaseKind::kSequential);
+  tracker_.ChargeSerialSec(config.ifp_node(),
+                           single_tuple ? config.single_step_overhead_sec
+                                        : steps * config.step_overhead_sec);
+  tracker_.ChargeControlMessage(config.host_node(), config.ifp_node(),
+                                /*blocking=*/true);
+  tracker_.EndPhase();
 }
 
-Result<Rid> TeradataMachine::InsertWithRecovery(
-    catalog::RelationMeta* meta, RelationState* state, int amp_index,
-    std::span<const uint8_t> tuple) {
-  storage::StorageManager& sm = *amps_[static_cast<size_t>(amp_index)];
-  const auto& charge = sm.charge();
-  // Full-recovery insert path: transient-journal and index-maintenance I/Os
-  // plus the logging CPU ([DEWI87]; the paper's §4 cost analysis).
-  for (uint32_t i = 0; i < config_.insert_recovery_ios; ++i) {
-    charge.DiskWrite(config_.page_size, AccessIntent::kRandom);
-  }
-  charge.Cpu(config_.instr_per_insert_logging);
-  GAMMA_ASSIGN_OR_RETURN(
-      const Rid rid,
-      sm.file(meta->per_node_file[static_cast<size_t>(amp_index)])
-          .Append(tuple));
-  state->key_dir[static_cast<size_t>(amp_index)].emplace(
-      IntAttr(meta->schema, tuple, state->pk_attr), rid);
-  for (SecondaryIndex& index : state->indices) {
-    const int32_t key = IntAttr(meta->schema, tuple, index.attr);
-    GAMMA_RETURN_NOT_OK(
-        sm.file(index.per_amp_file[static_cast<size_t>(amp_index)])
-            .Append(internal::SerializeIndexEntry(key, rid))
-            .status());
-    index.dir[static_cast<size_t>(amp_index)].emplace(key, rid);
-  }
-  meta->num_tuples += 1;
-  return rid;
-}
-
-Result<QueryResult> TeradataMachine::FinalizeObs(const char* label,
-                                                 Result<QueryResult> result) {
-  if (result.ok()) {
-    obs::FinalizeStatement(config_.trace, "teradata", label,
-                           config_.hw.net.ring_bytes_per_sec, &*result);
-  }
-  return result;
-}
-
-Status TeradataMachine::AbandonResult(RelationMeta* result_meta,
-                                      Status status) {
-  BindAll(nullptr);
-  if (result_meta != nullptr) {
-    const std::string name = result_meta->name;
-    for (size_t amp = 0; amp < amps_.size(); ++amp) {
-      amps_[amp]->DropFile(result_meta->per_node_file[amp]);
+TeradataMachine::Statement::~Statement() {
+  if (ended_) return;
+  End();
+  if (stored_.meta != nullptr) {
+    // A failed statement leaves no partial result behind.
+    const std::string name = stored_.meta->name;
+    for (size_t amp = 0; amp < m_.amps_.size(); ++amp) {
+      m_.amps_[amp]->DropFile(stored_.meta->per_node_file[amp]);
     }
-    GAMMA_CHECK(catalog_.Drop(name).ok());
-    states_.erase(name);
+    GAMMA_CHECK(m_.catalog_.Drop(name).ok());
+    m_.states_.erase(name);
   }
-  return status;
+}
+
+void TeradataMachine::Statement::End() {
+  ended_ = true;
+  split_.reset();
+  for (size_t amp = 0; amp < m_.amps_.size(); ++amp) {
+    for (const storage::FileId id : temps_[amp]) m_.amps_[amp]->DropFile(id);
+    m_.amps_[amp]->BindTracker(nullptr, static_cast<int>(amp));
+  }
+}
+
+void TeradataMachine::Statement::OpenResult(bool store,
+                                            const std::string& name,
+                                            catalog::Schema schema,
+                                            InsertMode mode) {
+  sink_open_ = true;
+  mode_ = mode;
+  if (!store) return;
+  stored_ = m_.AddRelation(name.empty() ? m_.FreshResultName() : name,
+                           std::move(schema), /*pk_attr=*/0);
+  result_.result_relation = stored_.meta->name;
+}
+
+void TeradataMachine::Statement::SendToHost(int src,
+                                            std::span<const uint8_t> tuple) {
+  tracker_.ChargeDataPacket(src, m_.config_.host_node(), tuple.size());
+  result_.returned.emplace_back(tuple.begin(), tuple.end());
+}
+
+exec::TupleSink TeradataMachine::Statement::OpenStream(int src) {
+  if (stored_.meta == nullptr) {
+    return [this, src](std::span<const uint8_t> t) { SendToHost(src, t); };
+  }
+  // Result tuples are re-hashed on the result's primary key; the low-level
+  // software never short-circuits this (§4). The first failed store is
+  // kept and fails the statement once the stream closes.
+  std::vector<SplitTable::Destination> dests;
+  for (int dst = 0; dst < m_.config_.num_amps; ++dst) {
+    dests.push_back(SplitTable::Destination{
+        dst, [this, dst](std::span<const uint8_t> t) {
+          auto rid = m_.Insert(mode_, stored_, dst, t);
+          if (!rid.ok() && store_status_.ok()) store_status_ = rid.status();
+        }});
+  }
+  split_ = std::make_unique<SplitTable>(
+      src, &stored_.meta->schema,
+      exec::RouteSpec::HashAttr(0, m_.placement_salt_), std::move(dests),
+      &tracker_);
+  split_->set_force_network(true);
+  return [split = split_.get()](std::span<const uint8_t> t) {
+    split->Send(t);
+  };
+}
+
+Status TeradataMachine::Statement::CloseStream() {
+  if (split_ != nullptr) {
+    split_->Close();
+    split_.reset();
+  }
+  return store_status_;
+}
+
+Status TeradataMachine::Statement::Deliver(int src,
+                                           std::span<const uint8_t> tuple) {
+  if (stored_.meta == nullptr) {
+    SendToHost(src, tuple);
+    return Status::OK();
+  }
+  const int home = m_.AmpForKey(IntAttr(stored_.meta->schema, tuple, 0));
+  tracker_.ChargeDataPacket(src, home, tuple.size(), /*force_network=*/true);
+  return m_.Insert(mode_, stored_, home, tuple).status();
+}
+
+storage::FileId TeradataMachine::Statement::TempFile(int amp) {
+  const storage::FileId id = m_.amps_[static_cast<size_t>(amp)]->CreateFile();
+  AdoptTemp(amp, id);
+  return id;
+}
+
+void TeradataMachine::Statement::AdoptTemp(int amp, storage::FileId id) {
+  temps_[static_cast<size_t>(amp)].push_back(id);
+}
+
+Result<QueryResult> TeradataMachine::Statement::Finish(const char* label) {
+  if (sink_open_) {
+    result_.result_tuples = stored_.meta != nullptr
+                                ? stored_.meta->num_tuples
+                                : result_.returned.size();
+  }
+  End();
+  result_.metrics = tracker_.Finish();
+  obs::FinalizeStatement(m_.config_.trace, "teradata", label,
+                         m_.config_.hw.net.ring_bytes_per_sec, &result_);
+  return std::move(result_);
 }
 
 Result<QueryResult> TeradataMachine::RunSelect(const TdSelectQuery& query) {
-  GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(query.relation));
-  RelationState& state = states_.at(query.relation);
-  const Predicate& pred = query.predicate;
-
-  sim::CostTracker tracker(config_.hw, config_.tracker_nodes());
-  BindAll(&tracker);
-  QueryResult result;
-
-  const bool exact_pk = pred.is_eq() && pred.attr() == state.pk_attr;
-  ChargeSteps(&tracker, query.store_result ? 2 : 1, exact_pk);
-
-  RelationMeta* result_meta = nullptr;
-  RelationState* result_state = nullptr;
+  GAMMA_ASSIGN_OR_RETURN(const Rel rel, GetRel(query.relation));
   if (query.store_result) {
-    result_meta =
-        MakeResultRelation(query.result_name, meta->schema, &result_state);
-    result.result_relation = result_meta->name;
+    GAMMA_RETURN_NOT_OK(catalog_.CheckResultName(query.result_name));
   }
+  const RelationMeta& meta = *rel.meta;
+  const Predicate& pred = query.predicate;
+  const bool exact_pk = pred.is_eq() && pred.attr() == rel.state->pk_attr;
+  Statement stmt(*this, query.store_result ? 2 : 1, exact_pk);
+  stmt.OpenResult(query.store_result, query.result_name, meta.schema,
+                  InsertMode::kRecovery);
+  sim::CostTracker& tracker = stmt.tracker();
 
-  // Result tuples are re-hashed on the result's primary key; the low-level
-  // software never short-circuits this (§4). The first failed store is
-  // kept and fails the select once its split closes.
-  Status store_status;
-  auto make_store_split = [&](int src, const Schema* schema,
-                              int pk_attr) {
-    std::vector<SplitTable::Destination> dests;
-    for (int amp = 0; amp < config_.num_amps; ++amp) {
-      dests.push_back(SplitTable::Destination{
-          amp, [this, result_meta, result_state, amp,
-                &store_status](std::span<const uint8_t> t) {
-            auto rid = InsertWithRecovery(result_meta, result_state, amp, t);
-            if (!rid.ok() && store_status.ok()) store_status = rid.status();
-          }});
-    }
-    auto split = std::make_unique<SplitTable>(
-        src, schema,
-        exec::RouteSpec::HashAttr(pk_attr, placement_salt_),
-        std::move(dests), &tracker);
-    split->set_force_network(true);
-    return split;
-  };
-
-  // Every step may fail on a storage error; a failed select drops its
-  // partial result.
-  auto run_steps = [&]() -> Status {
-    if (exact_pk) {
-      tracker.BeginPhase("point_select", sim::PhaseKind::kSequential);
-      const int amp_index = AmpForKey(pred.lo());
-      storage::StorageManager& sm = *amps_[static_cast<size_t>(amp_index)];
-      auto [begin, end] =
-          state.key_dir[static_cast<size_t>(amp_index)].equal_range(pred.lo());
-      for (auto it = begin; it != end; ++it) {
-        GAMMA_ASSIGN_OR_RETURN(
-            const std::vector<uint8_t> tuple,
-            sm.file(meta->per_node_file[static_cast<size_t>(amp_index)])
-                .Fetch(it->second, AccessIntent::kRandom));
-        sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan +
-                        config_.hw.cost.instr_per_attr_compare);
-        if (query.store_result) {
-          const int home = AmpForKey(IntAttr(meta->schema, tuple, 0));
-          tracker.ChargeDataPacket(amp_index, home, tuple.size(),
-                                   /*force_network=*/true);
-          GAMMA_RETURN_NOT_OK(
-              InsertWithRecovery(result_meta, result_state, home, tuple)
-                  .status());
-        } else {
-          tracker.ChargeDataPacket(amp_index, config_.host_node(),
-                                   tuple.size());
-          result.returned.push_back(tuple);
-        }
-      }
-      GAMMA_RETURN_NOT_OK(FlushAllPools());
-      tracker.EndPhase();
-      return Status::OK();
-    }
-    // Pick the access path: a dense secondary index helps only at low
-    // selectivity, and even then the whole index must be scanned (§3,
-    // §5.1).
-    const SecondaryIndex* index = nullptr;
-    if (query.allow_index && !pred.is_true()) {
-      for (const SecondaryIndex& candidate : state.indices) {
-        if (candidate.attr == pred.attr()) index = &candidate;
-      }
-      const double span = static_cast<double>(pred.hi()) - pred.lo() + 1;
-      const double selectivity =
-          span /
-          std::max<double>(1.0, static_cast<double>(meta->num_tuples));
-      if (selectivity > kIndexThreshold) index = nullptr;
-    }
-
-    // AMP software serializes its disk, CPU and Y-net work (single 80286).
-    tracker.BeginPhase("scan_select", sim::PhaseKind::kSequential);
-    for (int amp_index = 0; amp_index < config_.num_amps; ++amp_index) {
-      storage::StorageManager& sm = *amps_[static_cast<size_t>(amp_index)];
-      std::unique_ptr<SplitTable> split;
-      exec::TupleSink emit;
-      if (query.store_result) {
-        split = make_store_split(amp_index, &meta->schema, 0);
-        emit = [&split](std::span<const uint8_t> t) { split->Send(t); };
-      } else {
-        emit = [&](std::span<const uint8_t> t) {
-          tracker.ChargeDataPacket(amp_index, config_.host_node(), t.size());
-          result.returned.emplace_back(t.begin(), t.end());
-        };
-      }
-
-      storage::HeapFile& fragment =
-          sm.file(meta->per_node_file[static_cast<size_t>(amp_index)]);
-      if (index != nullptr) {
-        // Scan the *entire* index (hash order, not key order), then fetch
-        // each qualifying tuple with a random access.
-        std::vector<Rid> rids;
-        GAMMA_RETURN_NOT_OK(
-            sm.file(index->per_amp_file[static_cast<size_t>(amp_index)])
-                .Scan([&](Rid, std::span<const uint8_t> bytes) {
-                  const internal::IndexEntry entry =
-                      internal::DeserializeIndexEntry(bytes);
-                  sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan +
-                                  pred.compare_count() *
-                                      config_.hw.cost.instr_per_attr_compare);
-                  if (entry.key >= pred.lo() && entry.key <= pred.hi()) {
-                    rids.push_back(Rid{entry.page_index, entry.slot});
-                  }
-                  return true;
-                }));
-        for (const Rid rid : rids) {
-          GAMMA_ASSIGN_OR_RETURN(const std::vector<uint8_t> tuple,
-                                 fragment.Fetch(rid, AccessIntent::kRandom));
-          sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan);
-          emit(tuple);
-        }
-      } else {
-        GAMMA_RETURN_NOT_OK(
-            exec::SelectScan(fragment, meta->schema, pred, sm.charge(), emit)
-                .status());
-      }
-      if (split != nullptr) split->Close();
-      GAMMA_RETURN_NOT_OK(store_status);
+  if (exact_pk) {
+    tracker.BeginPhase("point_select", sim::PhaseKind::kSequential);
+    const int amp_index = AmpForKey(pred.lo());
+    const auto amp = static_cast<size_t>(amp_index);
+    storage::StorageManager& sm = *amps_[amp];
+    for (const Rid rid : rel.state->key_dir[amp].Find(pred.lo())) {
+      GAMMA_ASSIGN_OR_RETURN(
+          const std::vector<uint8_t> tuple,
+          sm.file(meta.per_node_file[amp]).Fetch(rid, AccessIntent::kRandom));
+      sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan +
+                      config_.hw.cost.instr_per_attr_compare);
+      GAMMA_RETURN_NOT_OK(stmt.Deliver(amp_index, tuple));
     }
     GAMMA_RETURN_NOT_OK(FlushAllPools());
     tracker.EndPhase();
-    return Status::OK();
-  };
-  const Status status = run_steps();
-  if (!status.ok()) return AbandonResult(result_meta, status);
-
-  if (query.store_result) {
-    result.result_tuples = result_meta->num_tuples;
-  } else {
-    result.result_tuples = result.returned.size();
+    return stmt.Finish("select");
   }
-  BindAll(nullptr);
-  result.metrics = tracker.Finish();
-  return FinalizeObs("select", std::move(result));
+  // Pick the access path: a dense secondary index helps only at low
+  // selectivity, and even then the whole index must be scanned (§3, §5.1).
+  const SecondaryIndex* index = nullptr;
+  if (query.allow_index && !pred.is_true()) {
+    for (const SecondaryIndex& candidate : rel.state->indices) {
+      if (candidate.attr == pred.attr()) index = &candidate;
+    }
+    const double span = static_cast<double>(pred.hi()) - pred.lo() + 1;
+    const double selectivity =
+        span / std::max<double>(1.0, static_cast<double>(meta.num_tuples));
+    if (selectivity > kIndexThreshold) index = nullptr;
+  }
+
+  // AMP software serializes its disk, CPU and Y-net work (single 80286).
+  tracker.BeginPhase("scan_select", sim::PhaseKind::kSequential);
+  for (int amp_index = 0; amp_index < config_.num_amps; ++amp_index) {
+    const auto amp = static_cast<size_t>(amp_index);
+    storage::StorageManager& sm = *amps_[amp];
+    const exec::TupleSink emit = stmt.OpenStream(amp_index);
+    storage::HeapFile& fragment = sm.file(meta.per_node_file[amp]);
+    if (index != nullptr) {
+      // Scan the *entire* index (hash order, not key order), then fetch
+      // each qualifying tuple with a random access.
+      std::vector<Rid> rids;
+      GAMMA_RETURN_NOT_OK(
+          sm.file(index->per_amp_file[amp])
+              .Scan([&](Rid, std::span<const uint8_t> bytes) {
+                const internal::IndexEntry entry =
+                    internal::DeserializeIndexEntry(bytes);
+                sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan +
+                                pred.compare_count() *
+                                    config_.hw.cost.instr_per_attr_compare);
+                if (entry.key >= pred.lo() && entry.key <= pred.hi()) {
+                  rids.push_back(Rid{entry.page_index, entry.slot});
+                }
+                return true;
+              }));
+      for (const Rid rid : rids) {
+        GAMMA_ASSIGN_OR_RETURN(const std::vector<uint8_t> tuple,
+                               fragment.Fetch(rid, AccessIntent::kRandom));
+        sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan);
+        emit(tuple);
+      }
+    } else {
+      GAMMA_RETURN_NOT_OK(
+          exec::SelectScan(fragment, meta.schema, pred, sm.charge(), emit)
+              .status());
+    }
+    GAMMA_RETURN_NOT_OK(stmt.CloseStream());
+  }
+  GAMMA_RETURN_NOT_OK(FlushAllPools());
+  tracker.EndPhase();
+  return stmt.Finish("select");
 }
 
 Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
-  GAMMA_ASSIGN_OR_RETURN(RelationMeta * outer, catalog_.Get(query.outer));
-  GAMMA_ASSIGN_OR_RETURN(RelationMeta * inner, catalog_.Get(query.inner));
+  GAMMA_ASSIGN_OR_RETURN(const Rel outer, GetRel(query.outer));
+  GAMMA_ASSIGN_OR_RETURN(const Rel inner, GetRel(query.inner));
   if (query.outer_attr < 0 ||
-      static_cast<size_t>(query.outer_attr) >= outer->schema.num_attrs() ||
+      static_cast<size_t>(query.outer_attr) >=
+          outer.meta->schema.num_attrs() ||
       query.inner_attr < 0 ||
-      static_cast<size_t>(query.inner_attr) >= inner->schema.num_attrs()) {
+      static_cast<size_t>(query.inner_attr) >=
+          inner.meta->schema.num_attrs()) {
     return Status::InvalidArgument("join attribute out of range");
   }
-
-  sim::CostTracker tracker(config_.hw, config_.tracker_nodes());
-  BindAll(&tracker);
-  QueryResult result;
+  if (query.store_result) {
+    GAMMA_RETURN_NOT_OK(catalog_.CheckResultName(query.result_name));
+  }
   // Joining on both primary keys: every tuple already lives at its join AMP
   // *and* every fragment is already in hash-key order on the join attribute,
   // so the redistribution and sort steps are skipped — the §6.1
   // "substantial performance improvement" for key-attribute joins.
-  const bool key_join =
-      query.outer_attr == states_.at(query.outer).pk_attr &&
-      query.inner_attr == states_.at(query.inner).pk_attr;
-  const int steps = (key_join ? 1 : 3) + (query.store_result ? 1 : 0);
-  ChargeSteps(&tracker, steps, /*single_tuple=*/false);
-
-  const Schema result_schema = Schema::Concat(inner->schema, outer->schema);
-  RelationMeta* result_meta = nullptr;
-  RelationState* result_state = nullptr;
-  if (query.store_result) {
-    result_meta =
-        MakeResultRelation(query.result_name, result_schema, &result_state);
-    result.result_relation = result_meta->name;
-  }
+  const bool key_join = query.outer_attr == outer.state->pk_attr &&
+                        query.inner_attr == inner.state->pk_attr;
+  Statement stmt(*this, (key_join ? 1 : 3) + (query.store_result ? 1 : 0),
+                 /*single_tuple=*/false);
+  // Results are inserted with full recovery, unless they feed a later step
+  // of the same query: an intermediate is spooled.
+  stmt.OpenResult(query.store_result, query.result_name,
+                  Schema::Concat(inner.meta->schema, outer.meta->schema),
+                  query.result_is_temp ? InsertMode::kSpool
+                                       : InsertMode::kRecovery);
+  sim::CostTracker& tracker = stmt.tracker();
 
   // --- Redistribution: both inputs hashed on the join attribute into
   // per-AMP spool files (skipped entirely for key-attribute joins). ---
@@ -605,9 +591,9 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
   std::vector<storage::FileId> outer_sorted(num_amps, catalog::kNoFile);
   std::vector<storage::FileId> inner_sorted(num_amps, catalog::kNoFile);
   if (!key_join) {
-    for (size_t amp = 0; amp < num_amps; ++amp) {
-      outer_spool[amp] = amps_[amp]->CreateFile();
-      inner_spool[amp] = amps_[amp]->CreateFile();
+    for (int amp = 0; amp < config_.num_amps; ++amp) {
+      outer_spool[static_cast<size_t>(amp)] = stmt.TempFile(amp);
+      inner_spool[static_cast<size_t>(amp)] = stmt.TempFile(amp);
     }
   }
 
@@ -615,7 +601,7 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
   // the Ynet's hardware hashes tuples to AMPs with the fixed placement
   // function (§4) — there is no per-query software split table that could
   // carry a bucket->AMP map, and result rows always pay the network path.
-  auto redistribute = [&](RelationMeta* meta, const Predicate& pred,
+  auto redistribute = [&](const RelationMeta& meta, const Predicate& pred,
                           int join_attr,
                           const std::vector<storage::FileId>& spools,
                           const char* phase) -> Status {
@@ -625,29 +611,24 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
       storage::StorageManager& sm = *amps_[static_cast<size_t>(src)];
       std::vector<SplitTable::Destination> dests;
       for (int dst = 0; dst < config_.num_amps; ++dst) {
-        storage::HeapFile& spool =
-            amps_[static_cast<size_t>(dst)]->file(
-                spools[static_cast<size_t>(dst)]);
+        // Arriving tuples are inserted into a temporary file kept in
+        // hash-key order (§6): the full tuple-insert path runs.
         dests.push_back(SplitTable::Destination{
-            dst,
-            [&spool, &spool_status, this, dst](std::span<const uint8_t> t) {
-              // Arriving tuples are inserted into a temporary file kept in
-              // hash-key order (§6): the full tuple-insert path runs.
-              amps_[static_cast<size_t>(dst)]->charge().Cpu(
-                  config_.instr_per_spool_tuple);
-              const auto rid = spool.Append(t);
+            dst, [&, dst](std::span<const uint8_t> t) {
+              const auto rid = Insert(InsertMode::kSpool, dst,
+                                      spools[static_cast<size_t>(dst)], t);
               if (!rid.ok() && spool_status.ok()) {
                 spool_status = rid.status();
               }
             }});
       }
-      SplitTable split(src, &meta->schema,
+      SplitTable split(src, &meta.schema,
                        exec::RouteSpec::HashAttr(join_attr, placement_salt_),
                        std::move(dests), &tracker);
       GAMMA_RETURN_NOT_OK(
           exec::SelectScan(
-              sm.file(meta->per_node_file[static_cast<size_t>(src)]),
-              meta->schema, pred, sm.charge(),
+              sm.file(meta.per_node_file[static_cast<size_t>(src)]),
+              meta.schema, pred, sm.charge(),
               [&split](std::span<const uint8_t> t) { split.Send(t); })
               .status());
       split.Close();
@@ -658,143 +639,72 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
     return Status::OK();
   };
 
-  // Every step below may fail on a storage error. The temporary files are
-  // dropped either way; a failed join also drops its partial result.
-  auto run_steps = [&]() -> Status {
-    if (!key_join) {
-      GAMMA_RETURN_NOT_OK(redistribute(inner, query.inner_pred,
-                                       query.inner_attr, inner_spool,
-                                       "redistribute_inner"));
-      GAMMA_RETURN_NOT_OK(redistribute(outer, query.outer_pred,
-                                       query.outer_attr, outer_spool,
-                                       "redistribute_outer"));
+  if (!key_join) {
+    GAMMA_RETURN_NOT_OK(redistribute(*inner.meta, query.inner_pred,
+                                     query.inner_attr, inner_spool,
+                                     "redistribute_inner"));
+    GAMMA_RETURN_NOT_OK(redistribute(*outer.meta, query.outer_pred,
+                                     query.outer_attr, outer_spool,
+                                     "redistribute_outer"));
 
-      // --- Sort both spools at every AMP: one task per AMP, each charging
-      // only its own AMP, so the AMPs sort in parallel. ---
-      tracker.BeginPhase("sort", sim::PhaseKind::kSequential);
-      std::vector<exec::NodeTask> sorts;
-      sorts.reserve(num_amps);
-      for (size_t amp = 0; amp < num_amps; ++amp) {
-        sorts.push_back(exec::NodeTask{
-            static_cast<int>(amp), [&, amp](sim::CostTracker&) -> Status {
-              storage::StorageManager& sm = *amps_[amp];
-              Status sort_status;
-              inner_sorted[amp] = exec::ExternalSort(
-                  sm, inner_spool[amp], inner->schema, query.inner_attr,
-                  config_.sort_memory_bytes, &sort_status);
-              GAMMA_RETURN_NOT_OK(sort_status);
-              outer_sorted[amp] = exec::ExternalSort(
-                  sm, outer_spool[amp], outer->schema, query.outer_attr,
-                  config_.sort_memory_bytes, &sort_status);
-              GAMMA_RETURN_NOT_OK(sort_status);
-              return sm.pool().FlushAll();
-            }});
-      }
-      GAMMA_RETURN_NOT_OK(RunAmpTasks(&tracker, std::move(sorts)));
-      tracker.EndPhase();
+    // --- Sort both spools at every AMP: one task per AMP, each charging
+    // only its own AMP, so the AMPs sort in parallel. ---
+    tracker.BeginPhase("sort", sim::PhaseKind::kSequential);
+    std::vector<exec::NodeTask> sorts;
+    sorts.reserve(num_amps);
+    for (size_t amp = 0; amp < num_amps; ++amp) {
+      sorts.push_back(exec::NodeTask{
+          static_cast<int>(amp), [&, amp](sim::CostTracker&) -> Status {
+            storage::StorageManager& sm = *amps_[amp];
+            Status sort_status;
+            inner_sorted[amp] = exec::ExternalSort(
+                sm, inner_spool[amp], inner.meta->schema, query.inner_attr,
+                config_.sort_memory_bytes, &sort_status);
+            stmt.AdoptTemp(static_cast<int>(amp), inner_sorted[amp]);
+            GAMMA_RETURN_NOT_OK(sort_status);
+            outer_sorted[amp] = exec::ExternalSort(
+                sm, outer_spool[amp], outer.meta->schema, query.outer_attr,
+                config_.sort_memory_bytes, &sort_status);
+            stmt.AdoptTemp(static_cast<int>(amp), outer_sorted[amp]);
+            GAMMA_RETURN_NOT_OK(sort_status);
+            return sm.pool().FlushAll();
+          }});
     }
-
-    // --- Merge join at every AMP; results re-hashed on the result key and
-    // inserted with full recovery. The first failed store fails the join
-    // once its split closes. ---
-    tracker.BeginPhase("merge_store", sim::PhaseKind::kSequential);
-    Status store_status;
-    for (int amp = 0; amp < config_.num_amps; ++amp) {
-      storage::StorageManager& sm = *amps_[static_cast<size_t>(amp)];
-      std::unique_ptr<SplitTable> split;
-      exec::TupleSink emit;
-      if (query.store_result) {
-        std::vector<SplitTable::Destination> dests;
-        for (int dst = 0; dst < config_.num_amps; ++dst) {
-          dests.push_back(SplitTable::Destination{
-              dst, [this, result_meta, result_state, dst, &query,
-                    &store_status](std::span<const uint8_t> t) {
-                Status st;
-                if (query.result_is_temp) {
-                  // Intermediate spool: the sorted-temp insert path,
-                  // without the transient-journal recovery I/Os.
-                  storage::StorageManager& dst_sm =
-                      *amps_[static_cast<size_t>(dst)];
-                  dst_sm.charge().Cpu(config_.instr_per_spool_tuple);
-                  auto rid = dst_sm
-                                 .file(result_meta->per_node_file
-                                           [static_cast<size_t>(dst)])
-                                 .Append(t);
-                  if (rid.ok()) {
-                    result_state->key_dir[static_cast<size_t>(dst)].emplace(
-                        IntAttr(result_meta->schema, t,
-                                result_state->pk_attr),
-                        *rid);
-                    result_meta->num_tuples += 1;
-                  } else {
-                    st = rid.status();
-                  }
-                } else {
-                  st = InsertWithRecovery(result_meta, result_state, dst, t)
-                           .status();
-                }
-                if (!st.ok() && store_status.ok()) store_status = st;
-              }});
-        }
-        split = std::make_unique<SplitTable>(
-            amp, &result_schema,
-            exec::RouteSpec::HashAttr(0, placement_salt_), std::move(dests),
-            &tracker);
-        split->set_force_network(true);
-        emit = [&split](std::span<const uint8_t> t) { split->Send(t); };
-      } else {
-        emit = [&, amp](std::span<const uint8_t> t) {
-          tracker.ChargeDataPacket(amp, config_.host_node(), t.size());
-          result.returned.emplace_back(t.begin(), t.end());
-        };
-      }
-      if (key_join) {
-        GAMMA_ASSIGN_OR_RETURN(
-            const auto lhs,
-            LoadHashOrdered(
-                sm.file(inner->per_node_file[static_cast<size_t>(amp)]),
-                inner->schema, query.inner_attr, query.inner_pred,
-                placement_salt_, sm.charge()));
-        GAMMA_ASSIGN_OR_RETURN(
-            const auto rhs,
-            LoadHashOrdered(
-                sm.file(outer->per_node_file[static_cast<size_t>(amp)]),
-                outer->schema, query.outer_attr, query.outer_pred,
-                placement_salt_, sm.charge()));
-        HashOrderMergeJoin(lhs, rhs, sm.charge(), emit);
-      } else {
-        GAMMA_RETURN_NOT_OK(
-            exec::SortMergeJoin(
-                sm.file(inner_sorted[static_cast<size_t>(amp)]),
-                inner->schema, query.inner_attr,
-                sm.file(outer_sorted[static_cast<size_t>(amp)]),
-                outer->schema, query.outer_attr, sm.charge(), emit)
-                .status);
-      }
-      if (split != nullptr) split->Close();
-      GAMMA_RETURN_NOT_OK(store_status);
-    }
-    GAMMA_RETURN_NOT_OK(FlushAllPools());
+    GAMMA_RETURN_NOT_OK(RunAmpTasks(&tracker, std::move(sorts)));
     tracker.EndPhase();
-    return Status::OK();
-  };
-  const Status status = run_steps();
-  for (size_t amp = 0; amp < num_amps; ++amp) {
-    for (storage::FileId id : {inner_spool[amp], outer_spool[amp],
-                               inner_sorted[amp], outer_sorted[amp]}) {
-      if (id != catalog::kNoFile) amps_[amp]->DropFile(id);
-    }
   }
-  if (!status.ok()) return AbandonResult(result_meta, status);
 
-  if (query.store_result) {
-    result.result_tuples = result_meta->num_tuples;
-  } else {
-    result.result_tuples = result.returned.size();
+  // --- Merge join at every AMP into the result sink. ---
+  tracker.BeginPhase("merge_store", sim::PhaseKind::kSequential);
+  for (int amp_index = 0; amp_index < config_.num_amps; ++amp_index) {
+    const auto amp = static_cast<size_t>(amp_index);
+    storage::StorageManager& sm = *amps_[amp];
+    const exec::TupleSink emit = stmt.OpenStream(amp_index);
+    if (key_join) {
+      GAMMA_ASSIGN_OR_RETURN(
+          const auto lhs,
+          LoadHashOrdered(sm.file(inner.meta->per_node_file[amp]),
+                          inner.meta->schema, query.inner_attr,
+                          query.inner_pred, placement_salt_, sm.charge()));
+      GAMMA_ASSIGN_OR_RETURN(
+          const auto rhs,
+          LoadHashOrdered(sm.file(outer.meta->per_node_file[amp]),
+                          outer.meta->schema, query.outer_attr,
+                          query.outer_pred, placement_salt_, sm.charge()));
+      HashOrderMergeJoin(lhs, rhs, sm.charge(), emit);
+    } else {
+      GAMMA_RETURN_NOT_OK(
+          exec::SortMergeJoin(sm.file(inner_sorted[amp]), inner.meta->schema,
+                              query.inner_attr, sm.file(outer_sorted[amp]),
+                              outer.meta->schema, query.outer_attr,
+                              sm.charge(), emit)
+              .status);
+    }
+    GAMMA_RETURN_NOT_OK(stmt.CloseStream());
   }
-  BindAll(nullptr);
-  result.metrics = tracker.Finish();
-  return FinalizeObs("join", std::move(result));
+  GAMMA_RETURN_NOT_OK(FlushAllPools());
+  tracker.EndPhase();
+  return stmt.Finish("join");
 }
 
 }  // namespace gammadb::teradata

@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -14,6 +16,8 @@
 #include "exec/node_executor.h"
 #include "exec/predicate.h"
 #include "exec/query_result.h"
+#include "exec/select.h"
+#include "exec/split_table.h"
 #include "obs/trace.h"
 #include "sim/hardware.h"
 #include "storage/storage_manager.h"
@@ -145,28 +149,99 @@ class TeradataMachine {
   Result<uint64_t> CountTuples(const std::string& name);
 
  private:
-  /// Post-accounting observability hook (mirrors GammaMachine::FinalizeObs):
-  /// feeds the metrics registry and attaches the derived Profile when
-  /// tracing is enabled. Passes error results through untouched.
-  Result<exec::QueryResult> FinalizeObs(const char* label,
-                                        Result<exec::QueryResult> result);
+  /// One AMP's hash directory (primary key or secondary index): key -> rids
+  /// in one access (§3). Only these methods know its format.
+  class Directory {
+   public:
+    /// Makes room for `more` entries beyond the current ones.
+    void Reserve(size_t more) { map_.reserve(map_.size() + more); }
+    void Add(int32_t key, storage::Rid rid) { map_.emplace(key, rid); }
+    /// Drops one (key -> rid) entry, if present.
+    void Erase(int32_t key, storage::Rid rid);
+    /// Every rid under `key`, in directory order.
+    std::vector<storage::Rid> Find(int32_t key) const;
 
+   private:
+    std::unordered_multimap<int32_t, storage::Rid> map_;
+  };
   /// Dense secondary index: an entry file per AMP (scanned in full for range
   /// predicates) plus the hash directory used for exact-match access.
   struct SecondaryIndex {
     int attr = -1;
     std::vector<storage::FileId> per_amp_file;
-    std::vector<std::unordered_multimap<int32_t, storage::Rid>> dir;
+    std::vector<Directory> dir;
   };
   /// Per-relation physical state beyond the shared catalog entry.
   struct RelationState {
     int pk_attr = -1;
-    /// Hash-file directory per AMP: key -> rid in one access (§3).
-    std::vector<std::unordered_multimap<int32_t, storage::Rid>> key_dir;
+    std::vector<Directory> key_dir;
     std::vector<SecondaryIndex> indices;
   };
+  /// A relation's catalog entry and physical state.
+  struct Rel {
+    catalog::RelationMeta* meta = nullptr;
+    RelationState* state = nullptr;
+  };
+  /// kRecovery: `insert_recovery_ios` random writes plus the logging CPU
+  /// ([DEWI87]). kSpool: a hash-key-ordered temporary, the insert CPU only.
+  enum class InsertMode { kRecovery, kSpool };
 
-  void BindAll(sim::CostTracker* tracker);
+  /// \brief One statement's scope and result sink (DESIGN.md §20).
+  ///
+  /// Binds every AMP to its tracker and charges the IFP dispatch on entry.
+  /// Owns the result relation and the per-AMP temporary files: Finish()
+  /// drops the temporaries and unbinds; ending without Finish() also drops
+  /// the result relation. The sink stores results in a fresh relation
+  /// hashed on attribute 0, or returns them to the host.
+  class Statement {
+   public:
+    Statement(TeradataMachine& machine, int steps, bool single_tuple);
+    Statement(const Statement&) = delete;
+    Statement& operator=(const Statement&) = delete;
+    ~Statement();
+
+    sim::CostTracker& tracker() { return tracker_; }
+    exec::QueryResult& result() { return result_; }
+
+    /// Opens the sink: into relation `name` (fresh when empty), inserted
+    /// per `mode`, when `store`; else to the host.
+    void OpenResult(bool store, const std::string& name,
+                    catalog::Schema schema, InsertMode mode);
+    /// AMP `src`'s stream into the sink, valid until CloseStream(); stored
+    /// tuples are re-hashed through a split table that never
+    /// short-circuits (§4).
+    exec::TupleSink OpenStream(int src);
+    /// Closes the open stream; returns the first failed store.
+    Status CloseStream();
+    /// Sends one tuple from AMP `src` in one packet, then stores it.
+    Status Deliver(int src, std::span<const uint8_t> tuple);
+
+    /// A temporary file on AMP `amp`, dropped when the statement ends.
+    storage::FileId TempFile(int amp);
+    /// Adopts `id` as one; safe from AMP `amp`'s node task.
+    void AdoptTemp(int amp, storage::FileId id);
+
+    /// Sets the result cardinality (when a sink is open), ends the
+    /// statement and runs the accounting and observability hook.
+    Result<exec::QueryResult> Finish(const char* label);
+
+   private:
+    void End();
+    void SendToHost(int src, std::span<const uint8_t> tuple);
+
+    TeradataMachine& m_;
+    sim::CostTracker tracker_;
+    exec::QueryResult result_;
+    bool sink_open_ = false;
+    Rel stored_;  // null meta: results go to the host
+    InsertMode mode_ = InsertMode::kRecovery;
+    std::unique_ptr<exec::SplitTable> split_;
+    Status store_status_;
+    std::vector<std::vector<storage::FileId>> temps_;
+    bool ended_ = false;
+  };
+
+  Result<Rel> GetRel(const std::string& name);
   /// Runs one task per AMP on the shared exec::NodeExecutor and returns the
   /// first failure in AMP order. `tracker` is null for uncharged work
   /// (loading, index builds). Charged tasks continue their AMP's sums
@@ -178,30 +253,45 @@ class TeradataMachine {
   /// Flushes every AMP's pool, one task per AMP, charging whatever tracker
   /// the AMPs are bound to; returns the first flush error in AMP order.
   Status FlushAllPools();
-  /// Charges the IFP parse/dispatch/step overhead (serialized at the IFP).
-  void ChargeSteps(sim::CostTracker* tracker, int steps, bool single_tuple);
   /// Home AMP of a key under the machine-wide placement hash.
   int AmpForKey(int32_t key) const;
-  /// Appends one tuple with full recovery cost; updates directories.
-  /// Returns the first storage error of the tuple or index-entry append.
-  Result<storage::Rid> InsertWithRecovery(catalog::RelationMeta* meta,
-                                          RelationState* state, int amp_index,
-                                          std::span<const uint8_t> tuple);
   std::string FreshResultName();
-  /// Failure path of a statement: unbinds the AMPs and drops the partial
-  /// result relation (when there is one). Returns `status`.
-  Status AbandonResult(catalog::RelationMeta* result_meta, Status status);
-  /// Registers a result relation hash-partitioned on attribute 0.
-  catalog::RelationMeta* MakeResultRelation(const std::string& requested,
-                                            catalog::Schema schema,
-                                            RelationState** state_out);
+  /// Registers relation `name` (which must be free) hash-declustered on
+  /// `pk_attr`, with an empty fragment and key directory per AMP.
+  Rel AddRelation(const std::string& name, catalog::Schema schema,
+                  int pk_attr);
+
+  // --- Write steps (machine_updates.cc, DESIGN.md §20) ---
+
+  /// (amp, rid) of the rows of `rel` whose `attr` equals `key`, in AMP
+  /// order: through the primary hash (one random read at the home AMP), a
+  /// secondary index on `attr` (one per AMP), else a charged full scan.
+  Result<std::vector<std::pair<int, storage::Rid>>> Locate(Rel rel, int attr,
+                                                           int32_t key);
+  /// Appends `tuple` to `file` on AMP `amp`, charged per `mode`.
+  Result<storage::Rid> Insert(InsertMode mode, int amp, storage::FileId file,
+                              std::span<const uint8_t> tuple);
+  /// Inserts into `rel`'s fragment, links every directory, appends every
+  /// index entry and counts the tuple; a failed entry append undoes it.
+  Result<storage::Rid> Insert(InsertMode mode, Rel rel, int amp,
+                              std::span<const uint8_t> tuple);
+  /// Deletes `image` at (amp, rid) and unlinks it; charges one random write
+  /// per secondary index (the leaf rewrites). Callers charge the journal
+  /// and keep the count.
+  Status Remove(Rel rel, int amp, storage::Rid rid,
+                std::span<const uint8_t> image);
+  /// Undoes Remove (uncharged).
+  Status Restore(Rel rel, int amp, storage::Rid rid,
+                 std::span<const uint8_t> image);
+  /// Adds or erases `image`'s key at (amp, rid) in every directory.
+  void Link(Rel rel, int amp, storage::Rid rid, std::span<const uint8_t> image,
+            bool add);
 
   TeradataConfig config_;
   catalog::Catalog catalog_;
   std::map<std::string, RelationState> states_;
   std::vector<std::unique_ptr<storage::StorageManager>> amps_;
   uint64_t next_result_id_ = 1;
-  uint64_t next_salt_ = 0x7EDA;
   /// Placement hash salt: also used to redistribute joins on the primary
   /// key, which is what lets key-attribute joins skip the network (§6.1).
   uint64_t placement_salt_ = 0xDBC1012;

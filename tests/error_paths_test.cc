@@ -154,6 +154,39 @@ TEST_F(GammaErrorTest, DeleteAndModifyMissingKeyAreNoOps) {
   EXPECT_EQ(*machine_.CountTuples("A"), 500u);
 }
 
+// A result name that names an existing relation is refused up front:
+// nothing is charged, created or dropped, and the machine stays usable.
+TEST_F(GammaErrorTest, ResultNameCollisionIsAlreadyExists) {
+  gamma::SelectQuery select;
+  select.relation = "A";
+  select.predicate = Predicate::Range(wis::kUnique1, 0, 9);
+  select.result_name = "A";
+  const auto selected = machine_.RunSelect(select);
+  EXPECT_TRUE(selected.status().IsAlreadyExists())
+      << selected.status().ToString();
+
+  gamma::JoinQuery join;
+  join.outer = "A";
+  join.inner = "A";
+  join.outer_attr = wis::kUnique1;
+  join.inner_attr = wis::kUnique1;
+  join.mode = gamma::JoinMode::kLocal;
+  join.result_name = "A";
+  const auto joined = machine_.RunJoin(join);
+  EXPECT_TRUE(joined.status().IsAlreadyExists()) << joined.status().ToString();
+  EXPECT_EQ(machine_.catalog().Names(), std::vector<std::string>{"A"});
+  EXPECT_EQ(*machine_.CountTuples("A"), 500u);
+
+  // A host-bound select ignores the name; a fresh name still stores.
+  select.store_result = false;
+  EXPECT_TRUE(machine_.RunSelect(select).ok());
+  select.store_result = true;
+  select.result_name = "R";
+  const auto stored = machine_.RunSelect(select);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_EQ(*machine_.CountTuples("R"), 10u);
+}
+
 TEST(TeradataErrorTest, ValidationMirrorsGamma) {
   teradata::TeradataMachine machine{teradata::TeradataConfig{}};
   EXPECT_TRUE(machine
@@ -258,6 +291,46 @@ TEST(TeradataErrorTest, DeleteMissingKeyIsNoOp) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->result_tuples, 0u);
   EXPECT_EQ(*machine.CountTuples("A"), 100u);
+}
+
+TEST(TeradataErrorTest, ResultNameCollisionIsAlreadyExists) {
+  teradata::TeradataMachine machine{teradata::TeradataConfig{}};
+  ASSERT_TRUE(
+      machine.CreateRelation("A", wis::WisconsinSchema(), wis::kUnique1)
+          .ok());
+  ASSERT_TRUE(machine.LoadTuples("A", wis::GenerateWisconsin(100, 1)).ok());
+  // The fresh result name of the first unnamed store, taken by a user.
+  ASSERT_TRUE(machine
+                  .CreateRelation("td_result_1", wis::WisconsinSchema(),
+                                  wis::kUnique1)
+                  .ok());
+
+  teradata::TdSelectQuery select;
+  select.relation = "A";
+  select.predicate = Predicate::Range(wis::kUnique1, 0, 9);
+  select.result_name = "A";
+  const auto selected = machine.RunSelect(select);
+  EXPECT_TRUE(selected.status().IsAlreadyExists())
+      << selected.status().ToString();
+
+  teradata::TdJoinQuery join;
+  join.outer = "A";
+  join.inner = "A";
+  join.outer_attr = wis::kUnique2;
+  join.inner_attr = wis::kUnique2;
+  join.result_name = "td_result_1";
+  const auto joined = machine.RunJoin(join);
+  EXPECT_TRUE(joined.status().IsAlreadyExists()) << joined.status().ToString();
+  EXPECT_EQ(machine.catalog().Names(),
+            (std::vector<std::string>{"A", "td_result_1"}));
+  EXPECT_EQ(*machine.CountTuples("A"), 100u);
+
+  // Unnamed results skip the taken fresh name.
+  select.result_name.clear();
+  const auto stored = machine.RunSelect(select);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_EQ(stored->result_relation, "td_result_2");
+  EXPECT_EQ(*machine.CountTuples("td_result_2"), 10u);
 }
 
 }  // namespace

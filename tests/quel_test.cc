@@ -70,6 +70,31 @@ TEST_F(QuelTest, RetrieveIntoStoresResult) {
   EXPECT_EQ(*machine_.CountTuples("tenpct"), 200u);
 }
 
+// `into` resolves its name the way range declarations do (case-blind), and
+// an existing relation there is refused instead of overwritten or aborted on.
+TEST_F(QuelTest, RetrieveIntoExistingRelationIsAlreadyExists) {
+  ASSERT_TRUE(session_.Execute("range of t is A").ok());
+  ASSERT_TRUE(session_.Execute("range of b is Bprime").ok());
+  const auto select =
+      session_.Execute("retrieve into A (t.all) where t.unique1 < 200");
+  EXPECT_TRUE(select.status().IsAlreadyExists()) << select.status().ToString();
+  const auto join = session_.Execute(
+      "retrieve into bprime (t.all, b.all) where t.unique2 = b.unique2");
+  EXPECT_TRUE(join.status().IsAlreadyExists()) << join.status().ToString();
+  EXPECT_EQ(*machine_.CountTuples("A"), 2000u);
+  EXPECT_EQ(*machine_.CountTuples("Bprime"), 200u);
+  EXPECT_EQ(machine_.catalog().Names().size(), 2u);
+
+  ASSERT_TRUE(
+      session_.Execute("retrieve into tenpct (t.all) where t.unique1 < 200")
+          .ok());
+  EXPECT_TRUE(
+      session_.Execute("retrieve into tenpct (t.all) where t.unique1 < 100")
+          .status()
+          .IsAlreadyExists());
+  EXPECT_EQ(*machine_.CountTuples("tenpct"), 200u);
+}
+
 TEST_F(QuelTest, ExactMatchSelection) {
   ASSERT_TRUE(session_.Execute("range of t is A").ok());
   const auto result =
