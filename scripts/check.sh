@@ -52,6 +52,8 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   echo "== simulated-clock digests on a 4-thread host pool (perfbench smoke) =="
   python3 perfbench/run.py --workload all --seed 1 --seconds 2 --smoke \
     --threads 4
+  echo "== perfbench self-tests (width 1 vs 2, perturbed answer and digest caught) =="
+  python3 perfbench/selftest.py
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--sanitize-only" ]]; then

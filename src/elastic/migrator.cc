@@ -36,6 +36,7 @@ using catalog::RelationMeta;
 using gamma::GammaMachine;
 using gamma::QueryResult;
 using gamma::RecoveryLog;
+using gamma::WalKind;
 using storage::DeferredUpdateFile;
 using storage::Rid;
 
@@ -444,7 +445,7 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
             stmt.RemoveAtHome(src, mv.rid, mv.tuple, &deferred));
         GAMMA_ASSIGN_OR_RETURN(const GammaMachine::Mirror mirror,
                                stmt.MirrorChange(src, mv.tuple, {}));
-        stmt.LogDelete(src, mv.rid, mv.tuple, mirror);
+        stmt.Log(WalKind::kDelete, src, mv.rid, mv.tuple, {}, mirror);
         ++moved;
         if (options_.crash_after_moves != 0 &&
             moved == options_.crash_after_moves) {
@@ -524,7 +525,7 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
           report->bytes_shipped += mv.tuple.size();
           mirror.mirrored = true;
         }
-        stmt.LogInsert(dst, arrival_rid[k], mv.tuple, mirror);
+        stmt.Log(WalKind::kInsert, dst, arrival_rid[k], {}, mv.tuple, mirror);
       }
       log.ForceTail(dst);
       tracker.ChargeControlMessage(dst, m.config_.scheduler_node(),
@@ -536,8 +537,8 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
     // spec flips only after the commit record is durable.
     const int commit_site = touched.empty() ? 0 : *touched.begin();
     if (spec_changed) {
-      log.LogPartition(commit_site, stmt.wal_txn(), stmt.wal_rel(), old_image,
-                      new_image);
+      stmt.Log(WalKind::kPartition, commit_site, {}, old_image, new_image,
+               {});
       log.ForceTail(commit_site);
     }
     if (options_.crash_before_flip) {

@@ -217,10 +217,7 @@ std::vector<txn::LockManager::Grant> GammaMachine::CommitTxn(uint64_t txn) {
   if (wal_ != nullptr && !wal_->IsCommitted(txn) &&
       wal_->HasDataRecords(txn)) {
     wal_->NoteCommit(txn);
-    if (config_.checkpoint_every_commits > 0 &&
-        wal_->commits_since_checkpoint() >= config_.checkpoint_every_commits) {
-      wal_->Checkpoint();
-    }
+    MaybeAutoCheckpoint(/*log=*/nullptr, /*src_node=*/0);
   }
   return txns_.Commit(txn);
 }
@@ -976,12 +973,10 @@ class GammaMachine::ResultStore {
         const int node = nodes_[d];
         tasks.push_back(NodeTask{
             node, [&, d, node](sim::CostTracker& shard) {
-              log.BindNode(node, &shard);
               ex.Drain(d, [&](std::span<const uint8_t> t) {
                 stores_[d]->Consume(t);
-                log.Append(node, static_cast<uint32_t>(t.size()));
+                log.Append(node, static_cast<uint32_t>(t.size()), &shard);
               });
-              log.BindNode(node, nullptr);
               return Status::OK();
             }});
       }

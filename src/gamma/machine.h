@@ -365,7 +365,7 @@ class GammaMachine {
     /// A read statement (select, join, aggregate): auto-commits, no WAL.
     explicit Statement(GammaMachine* machine);
     /// A write to `relation` under `external_txn` (0 auto-commits). With
-    /// logging on, its typed records go to the machine's WAL.
+    /// logging on, its records go to the machine's WAL.
     Statement(GammaMachine* machine, const std::string& relation,
               uint64_t external_txn);
     Statement(const Statement&) = delete;
@@ -586,11 +586,14 @@ class GammaMachine {
     /// its copy by content and deletes it (`after` empty) or rewrites it.
     Result<Mirror> MirrorChange(int node, std::span<const uint8_t> before,
                                 std::span<const uint8_t> after);
-    /// WAL records of a write at fragment `node` (no-ops with logging off).
-    void LogInsert(int node, storage::Rid rid, std::span<const uint8_t> tuple,
-                   const Mirror& mirror);
-    void LogDelete(int node, storage::Rid rid, std::span<const uint8_t> tuple,
-                   const Mirror& mirror);
+    /// The statement's one WAL entry: a `kind` record of fragment `node`
+    /// with its images, charged from `node` (a no-op with logging off). An
+    /// insert is ∅ → after, a delete before → ∅ and a modify before →
+    /// after; a kPartition record (spec images) carries fragment -1 and
+    /// counts as mirrored, since no backup copy needs catching up.
+    void Log(WalKind kind, int node, storage::Rid rid,
+             std::span<const uint8_t> before, std::span<const uint8_t> after,
+             const Mirror& mirror);
 
     /// Per-tuple work of a delete or modify on a fetched, X-locked tuple.
     using MatchBody = std::function<Status(
@@ -698,7 +701,8 @@ class GammaMachine {
   void UndoTransaction(uint64_t wal_txn, bool close);
 
   /// Writes a fuzzy checkpoint when the commit cadence is due, charging the
-  /// checkpoint records through `log` from `src_node`.
+  /// checkpoint records through `log` from `src_node` (null: uncharged, as
+  /// for CommitTxn, which runs outside any statement).
   void MaybeAutoCheckpoint(RecoveryLog* log, int src_node);
 
   /// Resets `name`'s cardinality from its serving fragment copies and

@@ -180,7 +180,7 @@ void GammaMachine::MaybeAutoCheckpoint(RecoveryLog* log, int src_node) {
     return;
   }
   wal_->Checkpoint();
-  log->ChargeCheckpoint(src_node);
+  if (log != nullptr) log->ChargeCheckpoint(src_node);
 }
 
 void GammaMachine::RecountRelation(const std::string& name) {

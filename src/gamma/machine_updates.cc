@@ -233,20 +233,20 @@ Result<GammaMachine::Mirror> GammaMachine::WriteStatement::MirrorChange(
   return Mirror{true, *match};
 }
 
-void GammaMachine::WriteStatement::LogInsert(int node, Rid rid,
-                                             std::span<const uint8_t> tuple,
-                                             const Mirror& mirror) {
-  if (!m_.config_.enable_logging) return;
-  log().LogInsert(node, wal_txn(), wal_rel(), node, rid, tuple,
-                  mirror.mirrored, mirror.backup_rid);
-}
-
-void GammaMachine::WriteStatement::LogDelete(int node, Rid rid,
-                                             std::span<const uint8_t> tuple,
-                                             const Mirror& mirror) {
-  if (!m_.config_.enable_logging) return;
-  log().LogDelete(node, wal_txn(), wal_rel(), node, rid, tuple,
-                  mirror.mirrored, mirror.backup_rid);
+void GammaMachine::WriteStatement::Log(WalKind kind, int node, Rid rid,
+                                       std::span<const uint8_t> before,
+                                       std::span<const uint8_t> after,
+                                       const Mirror& mirror) {
+  const bool partition = kind == WalKind::kPartition;
+  WalRecord header;
+  header.txn = wal_txn();
+  header.kind = kind;
+  header.rel = wal_rel();
+  header.fragment = partition ? -1 : node;
+  header.rid = rid;
+  header.backup_rid = mirror.backup_rid;
+  header.mirrored = partition || mirror.mirrored;
+  log().Log(node, std::move(header), before, after);
 }
 
 Result<uint64_t> GammaMachine::WriteStatement::RewriteMatches(
@@ -267,7 +267,7 @@ Result<uint64_t> GammaMachine::WriteStatement::RewriteMatches(
     }
     GAMMA_RETURN_NOT_OK(deferred.Commit());
     // The force follows the statement-wide count, not this node's.
-    if (m_.config_.enable_logging && changed > 0) log().ForceTail(node);
+    if (changed > 0) log().ForceTail(node);
     tracker().ChargeControlMessage(node, scheduler, /*blocking=*/true);
   }
   GAMMA_RETURN_NOT_OK(m_.FlushAllPools());
@@ -322,8 +322,8 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
     backup = Mirror{true, *brid_or};
   }
   // Write-ahead: the record and the force precede the page flushes below.
-  stmt.LogInsert(target, rid, query.tuple, backup);
-  if (config_.enable_logging) stmt.log().ForceTail(target);
+  stmt.Log(WalKind::kInsert, target, rid, {}, query.tuple, backup);
+  stmt.log().ForceTail(target);
   if (Status st = FlushAllPools(); !st.ok()) {
     // The commit-time force failed: tombstone this append (both copies)
     // while its pages are still cached so nothing partial survives.
@@ -373,7 +373,7 @@ Result<QueryResult> GammaMachine::RunDelete(const DeleteQuery& query,
                 stmt.RemoveAtHome(node, rid, tuple, &deferred));
             GAMMA_ASSIGN_OR_RETURN(const Mirror mirror,
                                    stmt.MirrorChange(node, tuple, {}));
-            stmt.LogDelete(node, rid, tuple, mirror);
+            stmt.Log(WalKind::kDelete, node, rid, tuple, {}, mirror);
             return Status::OK();
           }));
 
@@ -441,8 +441,8 @@ Status GammaMachine::Relocate(WriteStatement& stmt, int node, Rid rid,
   }
   // A relocation is logically delete-here + insert-there; two records keep
   // undo and reintegration site-local.
-  stmt.LogDelete(node, rid, old_tuple, old_mirror);
-  stmt.LogInsert(new_home, new_rid, new_tuple, new_mirror);
+  stmt.Log(WalKind::kDelete, node, rid, old_tuple, {}, old_mirror);
+  stmt.Log(WalKind::kInsert, new_home, new_rid, {}, new_tuple, new_mirror);
   return Status::OK();
 }
 
@@ -468,11 +468,7 @@ Status GammaMachine::ModifyInPlace(WriteStatement& stmt, int node, Rid rid,
   GAMMA_RETURN_NOT_OK(deferred.Commit());
   GAMMA_ASSIGN_OR_RETURN(const Mirror mirror,
                          stmt.MirrorChange(node, old_tuple, new_tuple));
-  if (config_.enable_logging) {  // before and after images
-    stmt.log().LogModify(node, stmt.wal_txn(), stmt.wal_rel(), node, rid,
-                         old_tuple, new_tuple, mirror.mirrored,
-                         mirror.backup_rid);
-  }
+  stmt.Log(WalKind::kModify, node, rid, old_tuple, new_tuple, mirror);
   return Status::OK();
 }
 

@@ -1,5 +1,7 @@
 #include "gamma/recovery_log.h"
 
+#include <utility>
+
 #include "common/macros.h"
 
 namespace gammadb::gamma {
@@ -15,20 +17,9 @@ RecoveryLog::RecoveryLog(sim::CostTracker* tracker, int recovery_node,
     const size_t n = static_cast<size_t>(tracker->num_nodes());
     pending_.resize(n, 0);
     unsettled_.resize(n, 0);
-    overrides_.resize(n, nullptr);
     records_.resize(n, 0);
     bytes_.resize(n, 0);
   }
-}
-
-sim::CostTracker* RecoveryLog::TrackerFor(int src_node) const {
-  sim::CostTracker* shard = overrides_[static_cast<size_t>(src_node)];
-  return shard != nullptr ? shard : tracker_;
-}
-
-void RecoveryLog::BindNode(int src_node, sim::CostTracker* shard) {
-  if (tracker_ == nullptr) return;
-  overrides_[static_cast<size_t>(src_node)] = shard;
 }
 
 void RecoveryLog::ApplyToServer(uint64_t bytes) {
@@ -43,8 +34,8 @@ void RecoveryLog::ApplyToServer(uint64_t bytes) {
   }
 }
 
-void RecoveryLog::ShipPacket(int src_node, uint64_t bytes) {
-  sim::CostTracker* sink = TrackerFor(src_node);
+void RecoveryLog::ShipPacket(int src_node, uint64_t bytes,
+                             sim::CostTracker* sink) {
   sink->ChargeDataPacket(src_node, recovery_node_, bytes);
   if (sink == tracker_) {
     ApplyToServer(bytes);
@@ -57,32 +48,41 @@ void RecoveryLog::ShipPacket(int src_node, uint64_t bytes) {
   }
 }
 
-void RecoveryLog::Append(int src_node, uint32_t payload_bytes) {
-  const uint32_t record = kRecordHeaderBytes + payload_bytes;
-  if (tracker_ == nullptr) {
-    untracked_records_.fetch_add(1, std::memory_order_relaxed);
-    untracked_bytes_.fetch_add(record, std::memory_order_relaxed);
-    return;
-  }
-  ++records_[static_cast<size_t>(src_node)];
-  bytes_[static_cast<size_t>(src_node)] += record;
+void RecoveryLog::Enqueue(int src_node, uint64_t record_bytes,
+                          sim::CostTracker* sink) {
   // Building the record is cheap; shipping dominates.
-  sim::CostTracker* sink = TrackerFor(src_node);
   sink->ChargeCpu(src_node, sink->hw().cost.instr_per_tuple_copy);
   uint64_t& pending = pending_[static_cast<size_t>(src_node)];
-  pending += record;
+  pending += record_bytes;
   const uint64_t payload = sink->hw().net.packet_payload_bytes;
   while (pending >= payload) {
-    ShipPacket(src_node, payload);
+    ShipPacket(src_node, payload, sink);
     pending -= payload;
   }
 }
 
+void RecoveryLog::Append(int src_node, uint32_t payload_bytes,
+                         sim::CostTracker* shard) {
+  if (tracker_ == nullptr) return;
+  const uint64_t record = kRecordHeaderBytes + payload_bytes;
+  ++records_[static_cast<size_t>(src_node)];
+  bytes_[static_cast<size_t>(src_node)] += record;
+  Enqueue(src_node, record, shard != nullptr ? shard : tracker_);
+}
+
+void RecoveryLog::Log(int src_node, WalRecord header,
+                      std::span<const uint8_t> before,
+                      std::span<const uint8_t> after) {
+  if (tracker_ == nullptr) return;
+  if (wal_ != nullptr) {
+    header.before.assign(before.begin(), before.end());
+    header.after.assign(after.begin(), after.end());
+    wal_->Append(std::move(header));
+  }
+  Append(src_node, static_cast<uint32_t>(before.size() + after.size()));
+}
+
 void RecoveryLog::Settle() {
-  // The staging side mirrors the charging side: records buffered by task-
-  // bound sources become durable log content in the same canonical order
-  // their packets are applied to the server's sequential log.
-  if (wal_ != nullptr) wal_->Seal();
   if (tracker_ == nullptr) return;
   for (size_t node = 0; node < unsettled_.size(); ++node) {
     if (unsettled_[node] == 0) continue;
@@ -91,165 +91,46 @@ void RecoveryLog::Settle() {
   }
 }
 
-void RecoveryLog::Commit(int src_node) {
-  if (wal_ != nullptr) wal_->Seal();
+void RecoveryLog::ForceTail(int src_node) {
   if (tracker_ == nullptr) return;
   uint64_t& pending = pending_[static_cast<size_t>(src_node)];
   if (pending > 0) {
-    ShipPacket(src_node, pending);
+    ShipPacket(src_node, pending, tracker_);
     pending = 0;
   }
   Settle();
   if (server_pending_ > 0) {
-    // Force the log tail (partial page) at commit.
     tracker_->ChargeDiskWrite(recovery_node_, page_size_,
                               /*sequential=*/true);
     server_pending_ = 0;
     ++log_pages_written_;
     ++forced_flushes_;
   }
-  // Commit acknowledgement round trip.
+}
+
+void RecoveryLog::Commit(int src_node) {
+  if (tracker_ == nullptr) return;
+  ForceTail(src_node);
   tracker_->ChargeControlMessage(src_node, recovery_node_, /*blocking=*/true);
   tracker_->ChargeControlMessage(recovery_node_, src_node, /*blocking=*/false);
 }
 
-void RecoveryLog::ForceTail(int src_node) {
-  if (wal_ != nullptr) wal_->Seal();
-  if (tracker_ == nullptr) return;
-  uint64_t& pending = pending_[static_cast<size_t>(src_node)];
-  if (pending > 0) {
-    ShipPacket(src_node, pending);
-    pending = 0;
-  }
-  Settle();
-  if (server_pending_ > 0) {
-    tracker_->ChargeDiskWrite(recovery_node_, page_size_,
-                              /*sequential=*/true);
-    server_pending_ = 0;
-    ++log_pages_written_;
-    ++forced_flushes_;
-  }
-}
-
-void RecoveryLog::AppendUncounted(int src_node, uint32_t payload_bytes) {
-  if (tracker_ == nullptr) return;
-  const uint32_t record = kRecordHeaderBytes + payload_bytes;
-  sim::CostTracker* sink = TrackerFor(src_node);
-  sink->ChargeCpu(src_node, sink->hw().cost.instr_per_tuple_copy);
-  uint64_t& pending = pending_[static_cast<size_t>(src_node)];
-  pending += record;
-  const uint64_t payload = sink->hw().net.packet_payload_bytes;
-  while (pending >= payload) {
-    ShipPacket(src_node, payload);
-    pending -= payload;
-  }
-}
-
-namespace {
-
-std::vector<uint8_t> CopyImage(std::span<const uint8_t> bytes) {
-  return {bytes.begin(), bytes.end()};
-}
-
-}  // namespace
-
-void RecoveryLog::LogInsert(int src_node, uint64_t txn, uint32_t rel,
-                            int32_t fragment, storage::Rid rid,
-                            std::span<const uint8_t> tuple, bool mirrored,
-                            storage::Rid backup_rid) {
-  if (wal_ != nullptr) {
-    WalRecord record;
-    record.txn = txn;
-    record.kind = WalKind::kInsert;
-    record.rel = rel;
-    record.fragment = fragment;
-    record.rid = rid;
-    record.backup_rid = backup_rid;
-    record.mirrored = mirrored;
-    record.after = CopyImage(tuple);
-    wal_->Append(std::move(record));
-  }
-  Append(src_node, static_cast<uint32_t>(tuple.size()));
-}
-
-void RecoveryLog::LogDelete(int src_node, uint64_t txn, uint32_t rel,
-                            int32_t fragment, storage::Rid rid,
-                            std::span<const uint8_t> before, bool mirrored,
-                            storage::Rid backup_rid) {
-  if (wal_ != nullptr) {
-    WalRecord record;
-    record.txn = txn;
-    record.kind = WalKind::kDelete;
-    record.rel = rel;
-    record.fragment = fragment;
-    record.rid = rid;
-    record.backup_rid = backup_rid;
-    record.mirrored = mirrored;
-    record.before = CopyImage(before);
-    wal_->Append(std::move(record));
-  }
-  Append(src_node, static_cast<uint32_t>(before.size()));
-}
-
-void RecoveryLog::LogModify(int src_node, uint64_t txn, uint32_t rel,
-                            int32_t fragment, storage::Rid rid,
-                            std::span<const uint8_t> before,
-                            std::span<const uint8_t> after, bool mirrored,
-                            storage::Rid backup_rid) {
-  if (wal_ != nullptr) {
-    WalRecord record;
-    record.txn = txn;
-    record.kind = WalKind::kModify;
-    record.rel = rel;
-    record.fragment = fragment;
-    record.rid = rid;
-    record.backup_rid = backup_rid;
-    record.mirrored = mirrored;
-    record.before = CopyImage(before);
-    record.after = CopyImage(after);
-    wal_->Append(std::move(record));
-  }
-  Append(src_node, static_cast<uint32_t>(before.size() + after.size()));
-}
-
-void RecoveryLog::LogPartition(int src_node, uint64_t txn, uint32_t rel,
-                               std::span<const uint8_t> before,
-                               std::span<const uint8_t> after) {
-  if (wal_ != nullptr) {
-    WalRecord record;
-    record.txn = txn;
-    record.kind = WalKind::kPartition;
-    record.rel = rel;
-    record.fragment = -1;
-    record.mirrored = true;  // no backup copy to catch up; truncatable
-    record.before = CopyImage(before);
-    record.after = CopyImage(after);
-    wal_->Append(std::move(record));
-  }
-  Append(src_node, static_cast<uint32_t>(before.size() + after.size()));
-}
-
 void RecoveryLog::LogCommit(int src_node, uint64_t txn) {
-  if (wal_ != nullptr) {
-    wal_->Seal();
-    wal_->NoteCommit(txn);
-  }
-  // The commit record itself ships like any record but is excluded from the
-  // data-record stats; the force + acknowledgement are the classic commit.
-  AppendUncounted(src_node, 0);
+  if (tracker_ == nullptr) return;
+  if (wal_ != nullptr) wal_->NoteCommit(txn);
+  Enqueue(src_node, kRecordHeaderBytes, tracker_);
   Commit(src_node);
 }
 
 void RecoveryLog::ChargeCheckpoint(int src_node) {
-  AppendUncounted(src_node, 0);
-  AppendUncounted(src_node, 0);
+  if (tracker_ == nullptr) return;
+  Enqueue(src_node, kRecordHeaderBytes, tracker_);
+  Enqueue(src_node, kRecordHeaderBytes, tracker_);
   ForceTail(src_node);
 }
 
 RecoveryLog::Stats RecoveryLog::stats() const {
   Stats total;
-  total.records = untracked_records_.load(std::memory_order_relaxed);
-  total.bytes = untracked_bytes_.load(std::memory_order_relaxed);
   for (size_t node = 0; node < records_.size(); ++node) {
     total.records += records_[node];
     total.bytes += bytes_[node];

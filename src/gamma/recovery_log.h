@@ -1,14 +1,12 @@
 #ifndef GAMMA_GAMMA_RECOVERY_LOG_H_
 #define GAMMA_GAMMA_RECOVERY_LOG_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "gamma/wal.h"
 #include "sim/cost_tracker.h"
-#include "storage/heap_file.h"
 
 namespace gammadb::gamma {
 
@@ -16,23 +14,28 @@ namespace gammadb::gamma {
 ///
 /// The evaluated Gamma lacked full recovery: its "most glaring deficiency".
 /// The authors' stated fix is "a recovery server that will collect log
-/// records from each processor". This class implements that design: each
-/// operator ships log records (packed into network packets) to a dedicated
-/// recovery processor, which appends them to a sequential log; commit forces
-/// the tail of the log and acknowledges.
+/// records from each processor". This class charges that design for one
+/// statement: each operator ships log records (packed into network packets)
+/// to a dedicated recovery processor, which appends them to a sequential
+/// log; a force writes the partial tail page, and commit is a force plus an
+/// acknowledgement round trip. The records themselves live in the
+/// machine-lifetime WalStore.
 ///
-/// Host-parallel execution: store operators on different nodes append log
-/// records concurrently, so all per-source state (pending bytes, record
-/// counters, the charging sink) is per node, and the *server-side* work —
-/// sequential log-page writes fed by every source — is deferred while any
-/// source is rebound to a task shard (BindNode) and applied in canonical
-/// node order at Settle(). The sequential coordinator path (no BindNode
-/// calls) applies server work immediately, exactly as before.
+/// One path in: every replayable record goes through Log(), which copies
+/// its images into the attached WalStore and charges them through Append();
+/// store operators call Append() alone (charge only, nothing replayable).
+/// Commit and checkpoint markers ship through the same packet loop as
+/// Append() but are not counted in stats().records. ForceTail() is the one
+/// force; Commit() and ChargeCheckpoint() end in it.
 ///
-/// Enabled via GammaConfig::enable_logging; the ablation bench
-/// `extension_recovery_server` measures what this full-recovery path costs
-/// on the paper's workloads (the price Gamma's numbers avoided paying and
-/// Teradata's numbers included).
+/// Host-parallel execution: a store task passes its shard to Append(), which
+/// charges the source node's CPU and packets there and defers the server's
+/// sequential log-page writes (shared across sources) to the next Settle(),
+/// which applies them in canonical node order. Calls without a shard apply
+/// server work immediately.
+///
+/// Logging off is a null tracker: every call returns at once, charges
+/// nothing, counts nothing and leaves any WalStore untouched.
 class RecoveryLog {
  public:
   struct Stats {
@@ -44,98 +47,70 @@ class RecoveryLog {
   };
 
   /// Per-record header (txn id, kind, file id, rid, lengths).
-  static constexpr uint32_t kRecordHeaderBytes = 32;
+  static constexpr uint32_t kRecordHeaderBytes =
+      static_cast<uint32_t>(WalRecord::kHeaderBytes);
 
   /// `recovery_node` is the dedicated processor's tracker index; `tracker`
-  /// may be null (logging disabled / unmeasured). `wal`, when given, is the
-  /// machine-lifetime store the typed Log* calls stage replayable records
-  /// into (null = charge-only, the pre-recovery accounting mode).
+  /// may be null (logging off). `wal`, when given, is the machine-lifetime
+  /// store Log() appends replayable records to (null = charge-only).
   RecoveryLog(sim::CostTracker* tracker, int recovery_node,
               uint32_t page_size, WalStore* wal = nullptr);
 
   RecoveryLog(const RecoveryLog&) = delete;
   RecoveryLog& operator=(const RecoveryLog&) = delete;
 
-  /// Redirects `src_node`'s charging to a host-parallel task shard (null
-  /// restores the query tracker). While bound, the node's shipped packets
-  /// accumulate toward the next Settle() instead of being applied to the
-  /// server log immediately.
-  void BindNode(int src_node, sim::CostTracker* shard);
-
   /// Logs one record of `payload_bytes` (tuple image(s)) from `src_node`.
-  /// Full packets are shipped to the recovery server as they fill; the
-  /// server appends them to the sequential log as pages fill.
-  void Append(int src_node, uint32_t payload_bytes);
+  /// Full packets are shipped to the recovery server as they fill. With a
+  /// `shard` (a host-parallel store task) the source's charges land there
+  /// and the server's page writes wait for Settle(); without one they land
+  /// on the statement's tracker and the server appends at once.
+  void Append(int src_node, uint32_t payload_bytes,
+              sim::CostTracker* shard = nullptr);
 
-  // --- Typed records (charge exactly like Append, and seal the replayable
-  // --- content into the WalStore when one is attached). Update statements
-  // --- run on the coordinator thread, so records seal in program order and
-  // --- LSNs are identical for any host-pool width. ---
+  /// Logs one replayable record from `src_node`: `header` (txn, kind, rel,
+  /// fragment, rids, mirrored) with its `before`/`after` images, which are
+  /// copied into the WalStore when one is attached. Charges like Append of
+  /// `before.size() + after.size()`. Update statements log on the
+  /// coordinator thread, so LSNs are identical for any host-pool width.
+  void Log(int src_node, WalRecord header, std::span<const uint8_t> before,
+           std::span<const uint8_t> after);
 
-  /// Tuple appended to fragment `fragment` of `rel` at `rid`.
-  void LogInsert(int src_node, uint64_t txn, uint32_t rel, int32_t fragment,
-                 storage::Rid rid, std::span<const uint8_t> tuple,
-                 bool mirrored, storage::Rid backup_rid = {});
-
-  /// Tuple deleted; `before` is the pre-image.
-  void LogDelete(int src_node, uint64_t txn, uint32_t rel, int32_t fragment,
-                 storage::Rid rid, std::span<const uint8_t> before,
-                 bool mirrored, storage::Rid backup_rid = {});
-
-  /// Tuple rewritten in place; logs before and after images (2x payload,
-  /// the historical charge for a modify).
-  void LogModify(int src_node, uint64_t txn, uint32_t rel, int32_t fragment,
-                 storage::Rid rid, std::span<const uint8_t> before,
-                 std::span<const uint8_t> after, bool mirrored,
-                 storage::Rid backup_rid = {});
-
-  /// Catalog partition-spec flip of an elastic migration (`before`/`after`
-  /// are PartitionSpec::Serialize images; fragment -1, mirrored). Redo of a
-  /// committed flip completes it; undo of a loser restores the old
-  /// placement.
-  void LogPartition(int src_node, uint64_t txn, uint32_t rel,
-                    std::span<const uint8_t> before,
-                    std::span<const uint8_t> after);
-
-  /// Forces the log tail for `src_node`'s records *without* the commit
-  /// acknowledgement: flushes the partial packet, settles deferred server
-  /// work, and writes the partial log page. This is the data force of the
-  /// commit protocol — the statement's page writes may only proceed once it
-  /// completes (write-ahead rule).
+  /// Forces the log tail for `src_node`'s records: flushes its partial
+  /// packet, settles deferred server work, and writes the partial log page.
+  /// This is the data force of the commit protocol — the statement's page
+  /// writes may only proceed once it completes (write-ahead rule).
   void ForceTail(int src_node);
 
-  /// Seals the statement's commit record (winner marker) and runs the
-  /// classic commit step: force + acknowledgement round trip.
+  /// Commit point for `src_node`: ForceTail plus the acknowledgement round
+  /// trip.
+  void Commit(int src_node);
+
+  /// Seals the statement's commit record (winner marker), ships the
+  /// uncounted marker and commits.
   void LogCommit(int src_node, uint64_t txn);
 
-  /// Charges the fuzzy-checkpoint record pair (excluded from the
-  /// data-record stats, like commit markers) and forces the tail. The
-  /// caller seals the actual checkpoint via WalStore::Checkpoint().
+  /// Charges the fuzzy-checkpoint record pair (uncounted markers) and
+  /// forces the tail. The caller seals the actual checkpoint via
+  /// WalStore::Checkpoint().
   void ChargeCheckpoint(int src_node);
 
-  /// Applies packets shipped by task-bound sources to the server's
+  /// Applies packets shipped by shard-charged Append calls to the server's
   /// sequential log, in canonical node order, charging the query tracker.
   /// The machine calls this at every phase barrier where stores logged;
   /// no-op when nothing is deferred.
   void Settle();
 
-  /// Commit point for `src_node`: flushes its partial packet, forces the
-  /// log tail, and waits for the acknowledgement.
-  void Commit(int src_node);
-
-  /// Counters aggregated over the per-node streams.
+  /// Counters aggregated over the per-node streams (all zero with logging
+  /// off).
   Stats stats() const;
 
-  WalStore* wal() { return wal_; }
-
  private:
-  sim::CostTracker* TrackerFor(int src_node) const;
-  void ShipPacket(int src_node, uint64_t bytes);
+  /// The packet loop every record and marker goes through: builds it on
+  /// `sink` and ships each full packet.
+  void Enqueue(int src_node, uint64_t record_bytes, sim::CostTracker* sink);
+  void ShipPacket(int src_node, uint64_t bytes, sim::CostTracker* sink);
   /// Server side: copy `bytes` into the log buffer, write full pages.
   void ApplyToServer(uint64_t bytes);
-  /// Charge path of Append without bumping the record/byte stats — used for
-  /// commit markers, which the metrics contract excludes from log_records.
-  void AppendUncounted(int src_node, uint32_t payload_bytes);
 
   sim::CostTracker* tracker_;
   int recovery_node_;
@@ -143,11 +118,8 @@ class RecoveryLog {
   WalStore* wal_;
   /// Unshipped log bytes per source node.
   std::vector<uint64_t> pending_;
-  /// Shipped bytes per source awaiting server-side settlement (only used
-  /// while the source is bound to a shard).
+  /// Shard-shipped bytes per source awaiting server-side settlement.
   std::vector<uint64_t> unsettled_;
-  /// Task-shard overrides per source node (null = the query tracker).
-  std::vector<sim::CostTracker*> overrides_;
   /// Per-source record/byte counters (single writer: the owning task).
   std::vector<uint64_t> records_;
   std::vector<uint64_t> bytes_;
@@ -155,12 +127,6 @@ class RecoveryLog {
   uint64_t server_pending_ = 0;
   uint64_t log_pages_written_ = 0;
   uint64_t forced_flushes_ = 0;
-  /// Record/byte counters used when no tracker is attached (logging off:
-  /// there are no per-node vectors to write into). Atomic because parallel
-  /// store tasks bump them concurrently; relaxed increments commute, so the
-  /// totals stay deterministic.
-  std::atomic<uint64_t> untracked_records_{0};
-  std::atomic<uint64_t> untracked_bytes_{0};
 };
 
 }  // namespace gammadb::gamma

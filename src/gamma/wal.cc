@@ -121,16 +121,6 @@ bool WalStore::HasDataRecords(uint64_t txn) const {
   return false;
 }
 
-void WalStore::MarkMirrored(uint32_t rel, int32_t fragment,
-                            uint64_t upto_lsn) {
-  for (WalRecord& record : log_) {
-    if (record.lsn > upto_lsn) break;
-    if (record.rel == rel && record.fragment == fragment) {
-      record.mirrored = true;
-    }
-  }
-}
-
 std::vector<uint64_t> WalStore::OpenTxns() const {
   std::set<uint64_t> open;
   for (const WalRecord& record : log_) {

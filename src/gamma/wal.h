@@ -85,11 +85,18 @@ struct WalRecord {
 /// `RecoveryLog` (per statement) charges the simulated cost of shipping and
 /// forcing log records; this machine-lifetime store keeps the records
 /// themselves so a crashed machine can be restored and a rebuilt node can be
-/// caught up. Mirrors the host-parallel staging discipline of the charging
-/// path: store operators stage records under the one-task-per-node rule into
-/// per-node buffers, and the coordinator seals them into the global
-/// LSN-ordered log in canonical node order at every barrier — so LSNs are
-/// byte-identical for any GAMMA_HOST_THREADS.
+/// caught up. Every data record arrives through `RecoveryLog::Log` and every
+/// marker through NoteCommit, NoteCleanAbort or Checkpoint, all on the
+/// coordinator thread and sealed at once, so records seal in program order
+/// and LSNs are byte-identical for any GAMMA_HOST_THREADS. Store operators
+/// only charge their records; nothing replayable comes from a parallel task.
+///
+/// Stage/Seal/DiscardStaged are the per-node staging path for records
+/// produced inside host-parallel tasks (stage under the one-task-per-node
+/// rule, seal in canonical node order at a barrier). The machine does not
+/// use it today; it stays because perfbench measures its host cost as the
+/// `gamma.wal.stage_seal_ns` layer, and Grow keeps its buffers as wide as
+/// the tracker.
 class WalStore {
  public:
   explicit WalStore(int num_nodes);
@@ -149,11 +156,6 @@ class WalStore {
   /// True when `txn` has at least one sealed insert/delete/modify record in
   /// the retained log.
   bool HasDataRecords(uint64_t txn) const;
-
-  /// Marks every sealed record of fragment `fragment` of `rel` with
-  /// lsn <= `upto_lsn` as mirrored (reintegration replayed them into the
-  /// caught-up backup).
-  void MarkMirrored(uint32_t rel, int32_t fragment, uint64_t upto_lsn);
 
   // --- Checkpointing ---
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <set>
 
 #include "common/hash.h"
 #include "common/macros.h"
@@ -520,8 +521,12 @@ Result<QueryResult> TeradataMachine::RunSelect(const TdSelectQuery& query) {
     storage::HeapFile& fragment = sm.file(meta.per_node_file[amp]);
     if (index != nullptr) {
       // Scan the *entire* index (hash order, not key order), then fetch
-      // each qualifying tuple with a random access.
+      // each qualifying tuple with a random access. Entry files are
+      // append-only, so a modified or deleted tuple leaves stale entries:
+      // each rid is fetched once, a dead slot is skipped, and the fetched
+      // tuple must still match (DESIGN.md §20).
       std::vector<Rid> rids;
+      std::set<Rid> seen;
       GAMMA_RETURN_NOT_OK(
           sm.file(index->per_amp_file[amp])
               .Scan([&](Rid, std::span<const uint8_t> bytes) {
@@ -530,16 +535,20 @@ Result<QueryResult> TeradataMachine::RunSelect(const TdSelectQuery& query) {
                 sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan +
                                 pred.compare_count() *
                                     config_.hw.cost.instr_per_attr_compare);
-                if (entry.key >= pred.lo() && entry.key <= pred.hi()) {
-                  rids.push_back(Rid{entry.page_index, entry.slot});
+                const Rid rid{entry.page_index, entry.slot};
+                if (entry.key >= pred.lo() && entry.key <= pred.hi() &&
+                    seen.insert(rid).second) {
+                  rids.push_back(rid);
                 }
                 return true;
               }));
       for (const Rid rid : rids) {
-        GAMMA_ASSIGN_OR_RETURN(const std::vector<uint8_t> tuple,
-                               fragment.Fetch(rid, AccessIntent::kRandom));
+        Result<std::vector<uint8_t>> tuple =
+            fragment.Fetch(rid, AccessIntent::kRandom);
+        if (tuple.status().IsNotFound()) continue;
+        GAMMA_RETURN_NOT_OK(tuple.status());
         sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan);
-        emit(tuple);
+        if (pred.Eval(*tuple, meta.schema)) emit(*tuple);
       }
     } else {
       GAMMA_RETURN_NOT_OK(

@@ -498,6 +498,38 @@ TEST_F(TeradataMachineTest, DeleteOnNonIndexedAttributeScans) {
   EXPECT_EQ(found->result_tuples, 0u);
 }
 
+// Dense index entry files are append-only: a modify or delete leaves the
+// old entry behind. The index path fetches each rid once, skips a dead
+// slot and re-checks the predicate, so stale entries never reach the
+// answer.
+TEST_F(TeradataMachineTest, IndexSelectIgnoresStaleEntries) {
+  ASSERT_TRUE(machine_.BuildSecondaryIndex("A", wis::kUnique2).ok());
+  const auto count = [&](int32_t lo, int32_t hi) -> uint64_t {
+    TdSelectQuery select;
+    select.relation = "A";
+    select.predicate = Predicate::Range(wis::kUnique2, lo, hi);
+    select.store_result = false;
+    const auto result = machine_.RunSelect(select);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result->result_tuples : 0;
+  };
+  const auto modify = [&](int32_t from, int32_t to) {
+    const auto result =
+        machine_.RunModify({"A", wis::kUnique2, from, wis::kUnique2, to});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->result_tuples, 1u);
+  };
+  // 100 of 2000 tuples: 5% selectivity, the index path.
+  modify(150, 90000);
+  EXPECT_EQ(count(100, 199), 99u);  // entry 150 now names a tuple outside
+  modify(90000, 160);
+  EXPECT_EQ(count(100, 199), 100u);  // entries 150 and 160 name one rid
+  const auto deleted = machine_.RunDelete({"A", wis::kUnique2, 120});
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(deleted->result_tuples, 1u);
+  EXPECT_EQ(count(100, 149), 49u);  // entry 120 names a dead slot
+}
+
 TEST_F(TeradataMachineTest, ModifyPrimaryKeyRelocates) {
   TdModifyQuery modify;
   modify.relation = "A";
