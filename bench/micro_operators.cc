@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): host-time throughput of the real
 // data-path primitives underlying the simulation — slotted pages, B-tree,
 // join hash table, external sort, merge join, split routing, predicate
-// evaluation, Teradata bulk load and load-time statistics. These measure
+// evaluation, Teradata bulk load, load-time statistics and Gamma index
+// builds. These measure
 // the reproduction's own code (wall-clock), not the simulated 1988
 // hardware.
 
@@ -14,6 +15,7 @@
 #include "exec/predicate.h"
 #include "exec/sort.h"
 #include "exec/split_table.h"
+#include "gamma/machine.h"
 #include "opt/statistics.h"
 #include "sim/host_pool.h"
 #include "storage/btree.h"
@@ -301,19 +303,61 @@ BENCHMARK(BM_TeradataLoad)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 void BM_StatsAbsorb(benchmark::State& state) {
   // opt.stats.absorb_ns_per_tuple: load-time statistics over 100k Wisconsin
   // tuples (min/max, linear-counting and space-saving sketches on each of
-  // the 13 integer attributes).
+  // the 13 integer attributes) at Arg host threads.
   const auto tuples = wis::GenerateWisconsin(100000, 9);
   const auto& schema = wis::WisconsinSchema();
   const auto partitioning = catalog::PartitionSpec::Hashed(wis::kUnique1);
+  sim::HostPool& pool = sim::HostPool::Instance();
+  const int saved_threads = pool.num_threads();
+  pool.set_num_threads(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     opt::StatisticsCatalog stats;
     stats.OnLoad("A", schema, tuples, partitioning);
     benchmark::DoNotOptimize(stats.Find("A"));
   }
+  pool.set_num_threads(saved_threads);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(tuples.size()));
 }
-BENCHMARK(BM_StatsAbsorb)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StatsAbsorb)->Arg(1)->Arg(2)->Arg(4)->Unit(
+    benchmark::kMillisecond);
+
+void BM_BuildIndex(benchmark::State& state) {
+  // gamma.build_index_ns_per_tuple: a clustered index on unique1 (the
+  // fragments rewritten in key order), then a non-clustered index on
+  // unique2, over 100k Wisconsin tuples on the default machine at Arg host
+  // threads. The machine's construction and the load are not timed.
+  const auto tuples = wis::GenerateWisconsin(100000, 10);
+  sim::HostPool& pool = sim::HostPool::Instance();
+  const int saved_threads = pool.num_threads();
+  pool.set_num_threads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto machine = std::make_unique<gamma::GammaMachine>(gamma::GammaConfig{});
+    if (!machine
+             ->CreateRelation("A", wis::WisconsinSchema(),
+                              catalog::PartitionSpec::Hashed(wis::kUnique1))
+             .ok() ||
+        !machine->LoadTuples("A", tuples).ok()) {
+      state.SkipWithError("load failed");
+      break;
+    }
+    state.ResumeTiming();
+    if (!machine->BuildIndex("A", wis::kUnique1, /*clustered=*/true).ok() ||
+        !machine->BuildIndex("A", wis::kUnique2, /*clustered=*/false).ok()) {
+      state.SkipWithError("index build failed");
+      break;
+    }
+    state.PauseTiming();
+    machine.reset();
+    state.ResumeTiming();
+  }
+  pool.set_num_threads(saved_threads);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(tuples.size()));
+}
+BENCHMARK(BM_BuildIndex)->Arg(1)->Arg(2)->Arg(4)->Unit(
+    benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace gammadb

@@ -53,6 +53,37 @@ constexpr size_t kProfileRingCapacity = 64;
 /// could not shrink the build input (impossible without extreme skew).
 constexpr int kMaxOverflowRounds = 64;
 
+/// Stable LSD radix sort by a signed int32 key, one byte per pass. Flipping
+/// the sign bit turns unsigned digit order into signed key order, and equal
+/// keys keep their input order, as std::stable_sort by key would. A pass
+/// whose digit every item shares moves nothing and is skipped.
+template <typename T, typename Key>
+void RadixSortByKey(std::vector<T>& items, Key key) {
+  const auto digit = [&](const T& item, int pass) {
+    return ((static_cast<uint32_t>(key(item)) ^ 0x80000000u) >> (8 * pass)) &
+           0xFFu;
+  };
+  size_t counts[4][256] = {};
+  for (const T& item : items) {
+    for (int pass = 0; pass < 4; ++pass) ++counts[pass][digit(item, pass)];
+  }
+  std::vector<T> sorted(items.size());
+  for (int pass = 0; pass < 4; ++pass) {
+    size_t* count = counts[pass];
+    if (items.empty() || count[digit(items[0], pass)] == items.size()) {
+      continue;
+    }
+    size_t offset = 0;
+    for (size_t d = 0; d < 256; ++d) {
+      const size_t n = count[d];
+      count[d] = offset;
+      offset += n;
+    }
+    for (const T& item : items) sorted[count[digit(item, pass)]++] = item;
+    items.swap(sorted);
+  }
+}
+
 /// One sort-merge join site: arriving build/probe tuples are spooled to
 /// temporary files, sorted on the join attribute once both streams close,
 /// and merge-joined (the Teradata-style alternative of §8's comparison).
@@ -581,6 +612,18 @@ Status GammaMachine::CreateRelation(const std::string& name,
   if (catalog_.Contains(name)) {
     return Status::AlreadyExists("relation " + name);
   }
+  if (!storage::HeapFile::RecordFits(schema.tuple_size(), config_.page_size)) {
+    return Status::InvalidArgument("a tuple of " + name +
+                                   " does not fit on one page");
+  }
+  if (spec.strategy != PartitionStrategy::kRoundRobin &&
+      (spec.key_attr < 0 ||
+       static_cast<size_t>(spec.key_attr) >= schema.num_attrs() ||
+       schema.attr(static_cast<size_t>(spec.key_attr)).type !=
+           catalog::AttrType::kInt32)) {
+    return Status::InvalidArgument(
+        "partitioning attribute must be an int attribute of " + name);
+  }
   for (int i = 0; i < config_.num_disk_nodes; ++i) {
     if (faults_->IsDead(i)) {
       return Status::Unavailable("cannot create relation " + name +
@@ -727,9 +770,10 @@ Status GammaMachine::BuildIndex(const std::string& name, int attr,
       storage::HeapFile& fragment =
           sm.file(meta->per_node_file[static_cast<size_t>(i)]);
 
-      std::vector<std::pair<int32_t, Rid>> entries;
-      entries.reserve(fragment.num_tuples());
-
+      // Both index kinds radix-sort by key: equal keys keep scan order,
+      // which is rid order, so entries come out in (key, rid) order.
+      std::vector<storage::BTree::Entry> btree_entries;
+      btree_entries.reserve(fragment.num_tuples());
       if (clustered) {
         // Physically reorder the fragment into key order, then index it.
         // Sorting {key, scan position} pairs keeps equal keys in scan order
@@ -747,37 +791,40 @@ Status GammaMachine::BuildIndex(const std::string& name, int attr,
               bytes.insert(bytes.end(), tuple.begin(), tuple.end());
               return true;
             }));
-        std::sort(order.begin(), order.end());
+        RadixSortByKey(order, [](const auto& o) { return o.first; });
         const storage::FileId sorted_id = sm.CreateFile();
         storage::HeapFile& sorted = sm.file(sorted_id);
-        for (const auto& [key, position] : order) {
+        // The key-order gather jumps across `bytes`: fetch a few tuples
+        // ahead so their cache lines arrive before the append reads them.
+        constexpr size_t kPrefetchAhead = 8;
+        for (size_t j = 0; j < order.size(); ++j) {
+          if (j + kPrefetchAhead < order.size()) {
+            const uint8_t* ahead =
+                bytes.data() + order[j + kPrefetchAhead].second * tuple_size;
+            for (size_t line = 0; line < tuple_size; line += 64) {
+              __builtin_prefetch(ahead + line);
+            }
+          }
+          const auto& [key, position] = order[j];
           GAMMA_ASSIGN_OR_RETURN(
               const Rid rid,
               sorted.Append(std::span<const uint8_t>(
                   bytes.data() + position * tuple_size, tuple_size)));
-          entries.emplace_back(key, rid);
+          btree_entries.push_back(storage::BTree::Entry{key, rid});
         }
         new_files[static_cast<size_t>(i)] = sorted_id;
       } else {
         GAMMA_RETURN_NOT_OK(
             fragment.Scan([&](Rid rid, std::span<const uint8_t> tuple) {
-              entries.emplace_back(TupleView(&meta->schema, tuple)
-                                       .GetInt(static_cast<size_t>(attr)),
-                                   rid);
+              btree_entries.push_back(storage::BTree::Entry{
+                  TupleView(&meta->schema, tuple)
+                      .GetInt(static_cast<size_t>(attr)),
+                  rid});
               return true;
             }));
-        std::sort(entries.begin(), entries.end(),
-                  [](const auto& a, const auto& b) {
-                    if (a.first != b.first) return a.first < b.first;
-                    return a.second < b.second;
-                  });
+        RadixSortByKey(btree_entries, [](const auto& e) { return e.key; });
       }
 
-      std::vector<storage::BTree::Entry> btree_entries;
-      btree_entries.reserve(entries.size());
-      for (const auto& [key, rid] : entries) {
-        btree_entries.push_back(storage::BTree::Entry{key, rid});
-      }
       const storage::IndexId index_id = sm.CreateIndex();
       GAMMA_RETURN_NOT_OK(sm.index(index_id).BulkLoad(btree_entries));
       new_indices[static_cast<size_t>(i)] = index_id;

@@ -27,7 +27,10 @@ class DistinctSketch {
   /// Sizes the bitmap for roughly `expected` distinct values.
   explicit DistinctSketch(uint64_t expected);
 
-  void Insert(int32_t value);
+  void Insert(int32_t value) { InsertAll(std::span(&value, 1)); }
+  /// Insert on each of `values` in order. A value seen again within the
+  /// call is skipped unhashed: its bit is already set.
+  void InsertAll(std::span<const int32_t> values);
   /// Linear-counting estimate; when the bitmap is fully saturated returns
   /// `fallback` (the caller's cardinality upper bound).
   double Estimate(double fallback) const;
@@ -61,7 +64,9 @@ class FrequencySketch {
     uint64_t error = 0;
   };
 
-  void Insert(int32_t value);
+  void Insert(int32_t value) { InsertAll(std::span(&value, 1)); }
+  /// Insert on each of `values` in order, visiting only the sampled ones.
+  void InsertAll(std::span<const int32_t> values);
 
   /// Guaranteed lower bound on the frequency share of the most frequent
   /// value (max over entries of (count - error) / sampled inserts); 0 when
@@ -73,15 +78,11 @@ class FrequencySketch {
 
  private:
   static constexpr size_t kCapacity = 32;
-  /// Open-addressing value -> entry index, at most half full.
-  static constexpr size_t kIndexSlots = 64;
 
-  /// Table position holding `value`, or the free position it would take.
-  size_t Probe(int32_t value) const;
-  /// Records `value` -> entry `slot` at table position `pos`.
-  void Index(size_t pos, int32_t value, size_t slot);
-  /// Frees table position `pos` (linear-probing backward shift).
-  void Unindex(size_t pos);
+  /// Counts one sampled value.
+  void Sample(int32_t value);
+  /// Bit i set when values_[i] == value, lanes past entries_.size() too.
+  uint32_t Match(int32_t value) const;
   /// Entry `slot` has just grown past min_count_.
   void LeaveMin(size_t slot);
   /// Recomputes min_count_ and min_mask_ from the (full) entry vector.
@@ -95,11 +96,8 @@ class FrequencySketch {
   uint64_t tick_ = 0;
   uint64_t sampled_ = 0;
   std::vector<Entry> entries_;
-  int32_t index_value_[kIndexSlots] = {};
-  /// Entry index + 1 per table position; 0 marks a free position.
-  uint8_t index_slot_[kIndexSlots] = {};
-  /// Table position of each entry.
-  uint8_t pos_of_[kCapacity] = {};
+  /// entries_[i].value at lane i, so that one vector compare finds a value.
+  int32_t values_[kCapacity] = {};
   /// Once entries_ is full: the smallest count, and a bit per entry at it.
   /// The takeover victim is the lowest set bit — the first minimum in
   /// vector order, as a linear scan would find it.
@@ -214,11 +212,6 @@ class StatisticsCatalog {
  private:
   RelationStats& Ensure(const std::string& relation,
                         const catalog::Schema& schema);
-  static void AbsorbValue(AttrStats& as, int32_t value);
-  static void Absorb(RelationStats& stats, const catalog::Schema& schema,
-                     std::span<const uint8_t> tuple);
-  /// Absorb over a batch, attributes split across host tasks; the result is
-  /// identical to absorbing tuple by tuple.
   static void AbsorbBatch(RelationStats& stats, const catalog::Schema& schema,
                           const std::vector<std::vector<uint8_t>>& tuples);
 

@@ -12,7 +12,7 @@ HeapFile::HeapFile(BufferPool* pool, const ChargeContext* charge)
 HeapFile::~HeapFile() { Clear(); }
 
 Result<Rid> HeapFile::Append(std::span<const uint8_t> record) {
-  GAMMA_CHECK_MSG(record.size() + 16 <= pool_->page_size(),
+  GAMMA_CHECK_MSG(RecordFits(record.size(), pool_->page_size()),
                   "record larger than a page");
   if (!pages_.empty()) {
     const uint32_t page_no = pages_.back();

@@ -49,7 +49,14 @@ class HeapFile {
   }
   uint64_t num_tuples() const { return num_tuples_; }
 
-  /// Appends a record, growing the file as needed.
+  /// Whether Append takes a `record_size`-byte record on `page_size`-byte
+  /// pages: an empty page must hold it with its header and slot.
+  static bool RecordFits(size_t record_size, uint32_t page_size) {
+    return record_size + 16 <= page_size;
+  }
+
+  /// Appends a record, growing the file as needed. The record must fit
+  /// (RecordFits).
   Result<Rid> Append(std::span<const uint8_t> record);
 
   /// Full sequential scan.

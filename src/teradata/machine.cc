@@ -196,9 +196,16 @@ Status TeradataMachine::CreateRelation(const std::string& name,
   if (catalog_.Contains(name)) {
     return Status::AlreadyExists("relation " + name);
   }
+  if (!storage::HeapFile::RecordFits(schema.tuple_size(), config_.page_size)) {
+    return Status::InvalidArgument("a tuple of " + name +
+                                   " does not fit on one page");
+  }
   if (primary_key_attr < 0 ||
-      static_cast<size_t>(primary_key_attr) >= schema.num_attrs()) {
-    return Status::InvalidArgument("primary key attribute out of range");
+      static_cast<size_t>(primary_key_attr) >= schema.num_attrs() ||
+      schema.attr(static_cast<size_t>(primary_key_attr)).type !=
+          catalog::AttrType::kInt32) {
+    return Status::InvalidArgument(
+        "primary key must be an int attribute of " + name);
   }
   AddRelation(name, std::move(schema), primary_key_attr);
   return Status::OK();

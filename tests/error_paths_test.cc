@@ -123,6 +123,48 @@ TEST_F(GammaErrorTest, BuildIndexValidation) {
   EXPECT_FALSE(machine_.BuildIndex("A", wis::kUnique1, true).ok());
 }
 
+// A one-int-plus-string schema whose tuple is `string_bytes` + 4 bytes.
+catalog::Schema WideSchema(uint32_t string_bytes) {
+  return catalog::Schema({{"key", catalog::AttrType::kInt32, 4},
+                          {"text", catalog::AttrType::kChar, string_bytes}});
+}
+
+// A partitioning key LoadTuples cannot hash or range (out of range, or a
+// char attribute), and a tuple no page can hold, are refused when the
+// relation is created. Nothing is registered, and the largest tuple that
+// fits a 4 KB page loads.
+TEST_F(GammaErrorTest, CreateRelationRejectsUnusableKeyAndOversizedTuple) {
+  const auto& schema = wis::WisconsinSchema();
+  for (const catalog::PartitionSpec& spec :
+       {catalog::PartitionSpec::Hashed(99),
+        catalog::PartitionSpec::Hashed(wis::kStringU1),
+        catalog::PartitionSpec::RangeUser(-1, {100}),
+        catalog::PartitionSpec::RangeUser(wis::kString4, {100}),
+        catalog::PartitionSpec::RangeUniform(wis::kStringU2, 0, 499, 2)}) {
+    EXPECT_TRUE(machine_.CreateRelation("B", schema, spec).IsInvalidArgument());
+  }
+  EXPECT_TRUE(machine_
+                  .CreateRelation("B", WideSchema(5000),
+                                  catalog::PartitionSpec::RoundRobin())
+                  .IsInvalidArgument());
+  // 4 + 4077 bytes plus the page's header and slot is one byte too many.
+  EXPECT_TRUE(machine_
+                  .CreateRelation("B", WideSchema(4077),
+                                  catalog::PartitionSpec::RoundRobin())
+                  .IsInvalidArgument());
+  EXPECT_EQ(machine_.catalog().Names(), std::vector<std::string>{"A"});
+
+  ASSERT_TRUE(machine_
+                  .CreateRelation("B", WideSchema(4076),
+                                  catalog::PartitionSpec::Hashed(0))
+                  .ok());
+  const std::vector<std::vector<uint8_t>> wide(3,
+                                               std::vector<uint8_t>(4080, 1));
+  ASSERT_TRUE(machine_.LoadTuples("B", wide).ok());
+  EXPECT_EQ(*machine_.CountTuples("B"), 3u);
+  EXPECT_EQ(*machine_.CountTuples("A"), 500u);
+}
+
 TEST_F(GammaErrorTest, ForcedIndexPathWithoutIndex) {
   gamma::SelectQuery select;
   select.relation = "A";
@@ -193,6 +235,13 @@ TEST(TeradataErrorTest, ValidationMirrorsGamma) {
                   .CreateRelation("A", wis::WisconsinSchema(),
                                   /*primary_key_attr=*/99)
                   .IsInvalidArgument());
+  EXPECT_TRUE(machine
+                  .CreateRelation("A", wis::WisconsinSchema(), wis::kStringU1)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      machine.CreateRelation("A", WideSchema(5000), 0).IsInvalidArgument());
+  EXPECT_TRUE(
+      machine.CreateRelation("A", WideSchema(4077), 0).IsInvalidArgument());
   ASSERT_TRUE(
       machine.CreateRelation("A", wis::WisconsinSchema(), wis::kUnique1)
           .ok());

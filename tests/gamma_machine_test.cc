@@ -3,6 +3,8 @@
 // the paper's analysis depends on.
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -98,6 +100,84 @@ TEST_F(GammaMachineTest, ClusteredBuildOverDuplicateKeysIsStable) {
   const auto result = machine_.RunSelect(query);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->result_tuples, 200u);
+}
+
+// Keys that repeat and go below zero, with every byte of the key varying
+// across the relation: the clustered build leaves each fragment stably
+// sorted by key, and a non-clustered range over the duplicates returns rids
+// in (key, rid) order.
+TEST(GammaIndexBuildTest, NegativeAndDuplicateKeysKeepScanOrder) {
+  const catalog::Schema schema({{"key", catalog::AttrType::kInt32, 4},
+                                {"seq", catalog::AttrType::kInt32, 4}});
+  const int32_t kKeys[] = {-3,     7,      -3,        INT32_MIN, 0,
+                           -70000, 7,      INT32_MAX, -1,        70000,
+                           -1,     0,      -16777217, 16777216,  -3};
+  std::vector<std::vector<uint8_t>> tuples;
+  for (int32_t seq = 0; seq < 600; ++seq) {
+    std::vector<uint8_t>& t = tuples.emplace_back(8);
+    std::memcpy(t.data(), &kKeys[seq % std::size(kKeys)], 4);
+    std::memcpy(t.data() + 4, &seq, 4);
+  }
+  const auto key_of = [&](std::span<const uint8_t> t) {
+    return catalog::TupleView(&schema, t).GetInt(0);
+  };
+  struct Row {
+    storage::Rid rid;
+    std::vector<uint8_t> bytes;
+  };
+  for (const bool clustered : {true, false}) {
+    GammaMachine machine(SmallConfig());
+    ASSERT_TRUE(
+        machine.CreateRelation("R", schema, PartitionSpec::RoundRobin()).ok());
+    ASSERT_TRUE(machine.LoadTuples("R", tuples).ok());
+    const auto fragment = [&](int node) {
+      const auto& meta = **machine.catalog().Get("R");
+      std::vector<Row> rows;
+      EXPECT_TRUE(machine.node(node)
+                      .file(meta.per_node_file[static_cast<size_t>(node)])
+                      .Scan([&](storage::Rid rid, std::span<const uint8_t> t) {
+                        rows.push_back(Row{rid, {t.begin(), t.end()}});
+                        return true;
+                      })
+                      .ok());
+      return rows;
+    };
+    std::vector<std::vector<Row>> before;
+    for (int node = 0; node < 4; ++node) before.push_back(fragment(node));
+    ASSERT_TRUE(machine.BuildIndex("R", 0, clustered).ok());
+    const auto& meta = **machine.catalog().Get("R");
+    for (int node = 0; node < 4; ++node) {
+      std::vector<Row> expected = before[static_cast<size_t>(node)];
+      if (clustered) {
+        std::stable_sort(expected.begin(), expected.end(),
+                         [&](const Row& a, const Row& b) {
+                           return key_of(a.bytes) < key_of(b.bytes);
+                         });
+        std::vector<std::vector<uint8_t>> want;
+        std::vector<std::vector<uint8_t>> got;
+        for (const Row& row : expected) want.push_back(row.bytes);
+        for (const Row& row : fragment(node)) got.push_back(row.bytes);
+        EXPECT_EQ(got, want) << "node " << node;
+        continue;
+      }
+      // Rids of keys in [-3, 0], in (key, rid) order.
+      std::vector<std::pair<int32_t, storage::Rid>> in_range;
+      for (const Row& row : expected) {
+        const int32_t key = key_of(row.bytes);
+        if (key >= -3 && key <= 0) in_range.emplace_back(key, row.rid);
+      }
+      std::sort(in_range.begin(), in_range.end());
+      std::vector<storage::Rid> want;
+      for (const auto& entry : in_range) want.push_back(entry.second);
+      const auto got =
+          machine.node(node)
+              .index(meta.indices[0].per_node_index[static_cast<size_t>(node)])
+              .RangeLookup(-3, 0);
+      ASSERT_TRUE(got.ok());
+      EXPECT_GT(want.size(), 50u);
+      EXPECT_TRUE(*got == want) << "node " << node;
+    }
+  }
 }
 
 TEST_F(GammaMachineTest, FileScanSelectionCorrect) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -265,13 +266,35 @@ void ExpectSketchesEqual(const opt::DistinctSketch& d,
   }
 }
 
-// Bulk statistics fold attributes on separate host tasks: two batches into
-// one relation, then a Recompute, leave every attribute's state identical
-// at 1, 2 and 4 host threads.
+void ExpectAttrStatsEqual(const opt::AttrStats& x, const opt::AttrStats& y,
+                          const std::string& label) {
+  EXPECT_EQ(x.has_values, y.has_values) << label;
+  EXPECT_EQ(x.min, y.min) << label;
+  EXPECT_EQ(x.max, y.max) << label;
+  EXPECT_EQ(x.sketch.bit_count(), y.sketch.bit_count()) << label;
+  EXPECT_EQ(x.sketch.set_bits(), y.sketch.set_bits()) << label;
+  EXPECT_TRUE(x.sketch.words() == y.sketch.words()) << label;
+  EXPECT_EQ(x.freq.sampled(), y.freq.sampled()) << label;
+  ASSERT_EQ(x.freq.entries().size(), y.freq.entries().size()) << label;
+  for (size_t i = 0; i < x.freq.entries().size(); ++i) {
+    EXPECT_EQ(x.freq.entries()[i].value, y.freq.entries()[i].value) << label;
+    EXPECT_EQ(x.freq.entries()[i].count, y.freq.entries()[i].count) << label;
+    EXPECT_EQ(x.freq.entries()[i].error, y.freq.entries()[i].error) << label;
+  }
+}
+
+// Bulk statistics gather the int columns a block of tuples at a time and
+// fold each attribute on its own host task. Loads that span several gather
+// blocks and whose sizes are not a multiple of the 1-in-4 sample, with an
+// append and a modify between two loads (so the second load starts mid
+// sample cycle), then a Recompute, leave every attribute's state identical
+// at 1, 2 and 4 host threads, and identical to inserting value by value.
 TEST(StatisticsThreadsTest, BulkFoldIdenticalAcrossThreadCounts) {
-  const auto batch1 = wis::GenerateWisconsin(20000, 3);
-  const auto batch2 = wis::GenerateWisconsin(5000, 4);
+  const auto batch1 = wis::GenerateWisconsin(40001, 3);
+  const auto batch2 = wis::GenerateWisconsin(5003, 4);
+  const auto appended = wis::GenerateWisconsin(1, 5).front();
   const auto& schema = wis::WisconsinSchema();
+  constexpr int32_t kModified = 77;
   const auto fold = [&](int threads) {
     sim::HostPool& pool = sim::HostPool::Instance();
     const int prev = pool.num_threads();
@@ -279,33 +302,60 @@ TEST(StatisticsThreadsTest, BulkFoldIdenticalAcrossThreadCounts) {
     opt::StatisticsCatalog stats;
     const auto spec = catalog::PartitionSpec::Hashed(wis::kUnique1);
     stats.OnLoad("A", schema, batch1, spec);
+    stats.OnAppend("A", schema, appended);
+    stats.OnModify("A", schema, wis::kTen, kModified);
     stats.OnLoad("A", schema, batch2, spec);
     stats.Recompute("B", schema, batch2);
     pool.set_num_threads(prev);
     return std::vector<RelationStats>{*stats.Find("A"), *stats.Find("B")};
   };
-  const auto one = fold(1);
-  for (const int threads : {2, 4}) {
-    const auto many = fold(threads);
-    for (size_t r = 0; r < one.size(); ++r) {
-      ASSERT_EQ(one[r].cardinality, many[r].cardinality);
-      ASSERT_EQ(one[r].attrs.size(), many[r].attrs.size());
-      for (size_t a = 0; a < one[r].attrs.size(); ++a) {
-        const opt::AttrStats& x = one[r].attrs[a];
-        const opt::AttrStats& y = many[r].attrs[a];
-        EXPECT_EQ(x.has_values, y.has_values) << threads << " attr " << a;
-        EXPECT_EQ(x.min, y.min) << threads << " attr " << a;
-        EXPECT_EQ(x.max, y.max) << threads << " attr " << a;
-        EXPECT_EQ(x.sketch.set_bits(), y.sketch.set_bits());
-        EXPECT_TRUE(x.sketch.words() == y.sketch.words())
-            << threads << " attr " << a;
-        EXPECT_EQ(x.freq.sampled(), y.freq.sampled());
-        ASSERT_EQ(x.freq.entries().size(), y.freq.entries().size());
-        for (size_t i = 0; i < x.freq.entries().size(); ++i) {
-          EXPECT_EQ(x.freq.entries()[i].value, y.freq.entries()[i].value);
-          EXPECT_EQ(x.freq.entries()[i].count, y.freq.entries()[i].count);
-          EXPECT_EQ(x.freq.entries()[i].error, y.freq.entries()[i].error);
-        }
+  // The reference inserts every value on its own, tuple by tuple.
+  const auto insert = [&](std::vector<opt::AttrStats>& attrs,
+                          const std::vector<uint8_t>& tuple) {
+    const catalog::TupleView view(&schema, tuple);
+    for (size_t a = 0; a < schema.num_attrs(); ++a) {
+      if (schema.attr(a).type != catalog::AttrType::kInt32) continue;
+      const int32_t value = view.GetInt(a);
+      attrs[a].min = std::min(attrs[a].min, value);
+      attrs[a].max = std::max(attrs[a].max, value);
+      attrs[a].sketch.Insert(value);
+      attrs[a].freq.Insert(value);
+      attrs[a].has_values = true;
+    }
+  };
+  const auto sized = [&](size_t rows) {
+    std::vector<opt::AttrStats> attrs(schema.num_attrs());
+    for (size_t a = 0; a < schema.num_attrs(); ++a) {
+      if (schema.attr(a).type != catalog::AttrType::kInt32) continue;
+      attrs[a].sketch = opt::DistinctSketch(rows);
+    }
+    return attrs;
+  };
+  std::vector<std::vector<opt::AttrStats>> reference{sized(batch1.size()),
+                                                     sized(batch2.size())};
+  for (const auto& tuple : batch1) insert(reference[0], tuple);
+  insert(reference[0], appended);
+  opt::AttrStats& ten = reference[0][wis::kTen];
+  ten.min = std::min(ten.min, kModified);
+  ten.max = std::max(ten.max, kModified);
+  ten.sketch.Insert(kModified);
+  ten.freq.Insert(kModified);
+  for (const auto& tuple : batch2) insert(reference[0], tuple);
+  for (const auto& tuple : batch2) insert(reference[1], tuple);
+  const std::vector<double> cardinalities{
+      static_cast<double>(batch1.size() + 1 + batch2.size()),
+      static_cast<double>(batch2.size())};
+
+  for (const int threads : {1, 2, 4}) {
+    const auto folded = fold(threads);
+    for (size_t r = 0; r < folded.size(); ++r) {
+      EXPECT_EQ(folded[r].cardinality, cardinalities[r]) << threads;
+      ASSERT_EQ(folded[r].attrs.size(), schema.num_attrs());
+      for (size_t a = 0; a < schema.num_attrs(); ++a) {
+        ExpectAttrStatsEqual(folded[r].attrs[a], reference[r][a],
+                             std::to_string(threads) + " threads, relation " +
+                                 std::to_string(r) + ", attr " +
+                                 std::to_string(a));
       }
     }
   }
