@@ -92,7 +92,7 @@ Result<ScanStats> NonClusteredIndexSelect(const storage::HeapFile& file,
   for (const storage::Rid& rid : rids) {
     auto tuple = file.Fetch(rid, storage::AccessIntent::kRandom);
     if (tuple.status().IsNotFound()) {
-      GAMMA_CHECK_MSG(false, "index entry points at a missing record");
+      return Status::Corruption("index entry points at a missing record");
     }
     GAMMA_RETURN_NOT_OK(tuple.status());
     ++stats.examined;

@@ -48,7 +48,8 @@ Result<ScanStats> ClusteredIndexSelect(const storage::HeapFile& file,
 /// Selection through a non-clustered index on `key_attr`: the leaf entries
 /// give the qualifying rids in key order, but each fetch is a random
 /// data-page access (in the worst case one page fault per tuple — paper
-/// §5.1). Residual conjunction terms are evaluated on fetched tuples.
+/// §5.1). Residual conjunction terms are evaluated on fetched tuples. An
+/// entry whose record is gone is Corruption.
 Result<ScanStats> NonClusteredIndexSelect(const storage::HeapFile& file,
                                           const storage::BTree& index,
                                           int key_attr,

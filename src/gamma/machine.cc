@@ -53,6 +53,16 @@ constexpr size_t kProfileRingCapacity = 64;
 /// could not shrink the build input (impossible without extreme skew).
 constexpr int kMaxOverflowRounds = 64;
 
+/// Loops that jump between scattered tuples ask for a tuple's cache lines
+/// this many tuples before they read it.
+constexpr size_t kPrefetchAhead = 8;
+
+void PrefetchLines(const uint8_t* data, size_t size) {
+  for (size_t line = 0; line < size; line += 64) {
+    __builtin_prefetch(data + line);
+  }
+}
+
 /// Stable LSD radix sort by a signed int32 key, one byte per pass. Flipping
 /// the sign bit turns unsigned digit order into signed key order, and equal
 /// keys keep their input order, as std::stable_sort by key would. A pass
@@ -672,7 +682,17 @@ Status GammaMachine::LoadTuples(
   };
   const auto num_disk = static_cast<size_t>(config_.num_disk_nodes);
   std::vector<std::vector<Placement>> placements(num_disk);
+  // Both loops chase the caller's separately allocated tuples: the route
+  // reads each one's partitioning key, a node's appends copy it whole.
+  const size_t key_offset =
+      meta->partitioning.strategy == PartitionStrategy::kRoundRobin
+          ? 0
+          : meta->schema.offset(
+                static_cast<size_t>(meta->partitioning.key_attr));
   for (size_t i = 0; i < tuples.size(); ++i) {
+    if (i + kPrefetchAhead < tuples.size()) {
+      __builtin_prefetch(tuples[i + kPrefetchAhead].data() + key_offset);
+    }
     const auto home = static_cast<size_t>(partitioner.NodeFor(tuples[i]));
     placements[home].push_back({meta->per_node_file[home], i});
     if (meta->backed_up) {
@@ -692,8 +712,15 @@ Status GammaMachine::LoadTuples(
         static_cast<int>(n), [&, n](sim::CostTracker&) -> Status {
           storage::StorageManager& sm = *nodes_[n];
           std::vector<Undo>& mine = undo[n];
-          mine.reserve(placements[n].size());
-          for (const Placement& p : placements[n]) {
+          const std::vector<Placement>& homed = placements[n];
+          mine.reserve(homed.size());
+          for (size_t j = 0; j < homed.size(); ++j) {
+            if (j + kPrefetchAhead < homed.size()) {
+              const std::vector<uint8_t>& ahead =
+                  tuples[homed[j + kPrefetchAhead].index];
+              PrefetchLines(ahead.data(), ahead.size());
+            }
+            const Placement& p = homed[j];
             GAMMA_ASSIGN_OR_RETURN(const Rid rid,
                                    sm.file(p.file).Append(tuples[p.index]));
             mine.push_back({p.file, rid});
@@ -794,16 +821,12 @@ Status GammaMachine::BuildIndex(const std::string& name, int attr,
         RadixSortByKey(order, [](const auto& o) { return o.first; });
         const storage::FileId sorted_id = sm.CreateFile();
         storage::HeapFile& sorted = sm.file(sorted_id);
-        // The key-order gather jumps across `bytes`: fetch a few tuples
-        // ahead so their cache lines arrive before the append reads them.
-        constexpr size_t kPrefetchAhead = 8;
+        // The key-order gather jumps across `bytes`.
         for (size_t j = 0; j < order.size(); ++j) {
           if (j + kPrefetchAhead < order.size()) {
-            const uint8_t* ahead =
-                bytes.data() + order[j + kPrefetchAhead].second * tuple_size;
-            for (size_t line = 0; line < tuple_size; line += 64) {
-              __builtin_prefetch(ahead + line);
-            }
+            PrefetchLines(
+                bytes.data() + order[j + kPrefetchAhead].second * tuple_size,
+                tuple_size);
           }
           const auto& [key, position] = order[j];
           GAMMA_ASSIGN_OR_RETURN(
@@ -903,6 +926,15 @@ Result<GammaMachine::AccessDecision> GammaMachine::ChooseAccessPath(
     return AccessDecision{AccessPath::kNonClusteredIndex, non_clustered};
   }
   return AccessDecision{AccessPath::kFileScan, nullptr};
+}
+
+Status GammaMachine::CheckResult(const std::string& name,
+                                 const Schema& schema) const {
+  GAMMA_RETURN_NOT_OK(catalog_.CheckResultName(name));
+  if (!storage::HeapFile::RecordFits(schema.tuple_size(), config_.page_size)) {
+    return Status::InvalidArgument("a result tuple does not fit on one page");
+  }
+  return Status::OK();
 }
 
 RelationMeta* GammaMachine::MakeResultRelation(
@@ -1080,7 +1112,7 @@ Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
   GAMMA_ASSIGN_OR_RETURN(const AccessDecision decision,
                          ChooseAccessPath(*meta, query));
   if (query.store_result) {
-    GAMMA_RETURN_NOT_OK(catalog_.CheckResultName(query.result_name));
+    GAMMA_RETURN_NOT_OK(CheckResult(query.result_name, meta->schema));
   }
   Statement stmt(this);
   sim::CostTracker& tracker = stmt.tracker();
@@ -1697,7 +1729,9 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
     return Status::InvalidArgument("join attribute out of range");
   }
   if (query.store_result) {
-    GAMMA_RETURN_NOT_OK(catalog_.CheckResultName(query.result_name));
+    GAMMA_RETURN_NOT_OK(CheckResult(query.result_name,
+                                    Schema::Concat(inner->schema,
+                                                   outer->schema)));
   }
 
   // Join sites per execution mode (§6); dead disk nodes host no operators.

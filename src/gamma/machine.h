@@ -325,8 +325,9 @@ class GammaMachine {
   Result<uint64_t> CountTuples(const std::string& name);
 
   /// Rebuilds the relation's catalog statistics from a fresh (uncharged)
-  /// scan of the serving fragment copies — e.g. after a failover rebuild,
-  /// when incremental maintenance has drifted.
+  /// sweep of the serving fragment copies — e.g. after a failover rebuild,
+  /// when incremental maintenance has drifted. A failed sweep keeps the old
+  /// statistics.
   Status RecomputeStatistics(const std::string& name);
 
  private:
@@ -715,6 +716,10 @@ class GammaMachine {
   Result<AccessDecision> ChooseAccessPath(const catalog::RelationMeta& meta,
                                           const SelectQuery& query) const;
 
+  /// Refuses a stored result before anything is charged: a taken `name`,
+  /// or a `schema` tuple larger than a page.
+  Status CheckResult(const std::string& name,
+                     const catalog::Schema& schema) const;
   /// Registers a round-robin result relation and creates its fragments on
   /// the live disk nodes (kNoFile on dead ones; results are never backed
   /// up — a failed query is simply re-run).

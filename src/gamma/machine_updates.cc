@@ -547,8 +547,44 @@ Result<std::vector<std::vector<uint8_t>>> GammaMachine::ReadRelation(
 
 Status GammaMachine::RecomputeStatistics(const std::string& name) {
   GAMMA_ASSIGN_OR_RETURN(const RelationMeta* meta, catalog_.Get(name));
-  GAMMA_ASSIGN_OR_RETURN(const auto tuples, ReadRelation(name));
-  stats_.Recompute(name, meta->schema, tuples);
+  // One sweep over ReadRelation's pages in ReadRelation's order (the same
+  // pins), copying only the int attributes, a page at a time, into columns.
+  const catalog::Schema& schema = meta->schema;
+  const std::vector<size_t> ints = opt::IntAttrs(schema);
+  opt::IntColumns swept;
+  swept.columns.resize(ints.size());
+  // num_tuples is only a capacity hint: the live slots are counted.
+  for (auto& column : swept.columns) column.reserve(meta->num_tuples);
+  std::vector<const uint8_t*> live;
+  const auto sweep = [&](uint32_t, const storage::SlottedPage& page) {
+    live.clear();
+    for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
+      const std::span<const uint8_t> record = page.Get(slot);
+      if (!record.empty()) live.push_back(record.data());
+    }
+    for (size_t i = 0; i < ints.size(); ++i) {
+      std::vector<int32_t>& column = swept.columns[i];
+      const size_t base = column.size();
+      column.resize(base + live.size());
+      const uint32_t offset = schema.offset(ints[i]);
+      for (size_t t = 0; t < live.size(); ++t) {
+        std::memcpy(&column[base + t], live[t] + offset, sizeof(int32_t));
+      }
+    }
+    swept.rows += live.size();
+    return true;
+  };
+  for (int f = 0; f < config_.num_disk_nodes; ++f) {
+    if (meta->per_node_file[static_cast<size_t>(f)] == catalog::kNoFile) {
+      continue;
+    }
+    GAMMA_ASSIGN_OR_RETURN(const FragmentCopy copy, ServingCopy(*meta, f));
+    GAMMA_RETURN_NOT_OK(
+        nodes_[static_cast<size_t>(copy.node)]->file(copy.file).VisitPages(
+            sweep));
+  }
+  // Only a complete sweep replaces the statistics.
+  stats_.Recompute(name, schema, swept);
   return Status::OK();
 }
 

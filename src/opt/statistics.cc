@@ -38,8 +38,8 @@ uint64_t FastMod(uint64_t a, unsigned __int128 m, uint64_t d) {
   return static_cast<uint64_t>((bottom + top) >> 64);
 }
 
-/// Tuples per gathered column block in AbsorbBatch: the 13 Wisconsin int
-/// columns of a block take 832 KB, about a core's L2.
+/// Tuples per column block in FoldBatch: the 13 Wisconsin int columns of a
+/// gathered block take 832 KB, about a core's L2.
 constexpr size_t kGatherBlock = 16384;
 
 /// Folds an attribute's values (at least one), in order, into its
@@ -195,6 +195,14 @@ JoinSkewPrediction PredictJoinSkew(const RelationStats* outer, int outer_attr,
   return prediction;
 }
 
+std::vector<size_t> IntAttrs(const catalog::Schema& schema) {
+  std::vector<size_t> ints;
+  for (size_t a = 0; a < schema.num_attrs(); ++a) {
+    if (schema.attr(a).type == catalog::AttrType::kInt32) ints.push_back(a);
+  }
+  return ints;
+}
+
 double AttrStats::DistinctEstimate(double cardinality) const {
   if (!has_values || cardinality <= 0) return 1;
   const double estimate = sketch.Estimate(cardinality);
@@ -215,7 +223,7 @@ void StatisticsCatalog::OnLoad(
       (stats.hash_partitioned || stats.range_partitioned)
           ? partitioning.key_attr
           : -1;
-  AbsorbBatch(stats, schema, tuples);
+  AbsorbTuples(stats, schema, tuples);
 }
 
 void StatisticsCatalog::OnIndexBuilt(const std::string& relation, int attr,
@@ -269,16 +277,18 @@ void StatisticsCatalog::SetResultCardinality(const std::string& relation,
 void StatisticsCatalog::Recompute(
     const std::string& relation, const catalog::Schema& schema,
     const std::vector<std::vector<uint8_t>>& tuples) {
-  RelationStats fresh;
-  if (auto it = relations_.find(relation); it != relations_.end()) {
-    // Keep structural facts; rebuild the data-dependent ones.
-    fresh.partition_attr = it->second.partition_attr;
-    fresh.hash_partitioned = it->second.hash_partitioned;
-    fresh.range_partitioned = it->second.range_partitioned;
-    fresh.indexes = it->second.indexes;
-  }
-  relations_[relation] = std::move(fresh);
-  AbsorbBatch(Ensure(relation, schema), schema, tuples);
+  AbsorbTuples(Reset(relation, schema), schema, tuples);
+}
+
+void StatisticsCatalog::Recompute(const std::string& relation,
+                                  const catalog::Schema& schema,
+                                  const IntColumns& swept) {
+  FoldBatch(Reset(relation, schema), IntAttrs(schema), swept.rows,
+            [&](size_t begin, size_t, std::vector<const int32_t*>& block) {
+              for (size_t i = 0; i < block.size(); ++i) {
+                block[i] = swept.columns[i].data() + begin;
+              }
+            });
 }
 
 void StatisticsCatalog::Drop(const std::string& relation) {
@@ -300,21 +310,50 @@ RelationStats& StatisticsCatalog::Ensure(const std::string& relation,
   return stats;
 }
 
-void StatisticsCatalog::AbsorbBatch(
+RelationStats& StatisticsCatalog::Reset(const std::string& relation,
+                                        const catalog::Schema& schema) {
+  RelationStats fresh;
+  if (auto it = relations_.find(relation); it != relations_.end()) {
+    fresh.partition_attr = it->second.partition_attr;
+    fresh.hash_partitioned = it->second.hash_partitioned;
+    fresh.range_partitioned = it->second.range_partitioned;
+    fresh.indexes = it->second.indexes;
+  }
+  relations_[relation] = std::move(fresh);
+  return Ensure(relation, schema);
+}
+
+void StatisticsCatalog::FoldBatch(RelationStats& stats,
+                                  const std::vector<size_t>& ints,
+                                  uint64_t rows, const GatherBlock& gather) {
+  // Size the sketch once, from the first (bulk) batch.
+  for (const size_t a : ints) {
+    AttrStats& as = stats.attrs[a];
+    if (!as.has_values) as.sketch = DistinctSketch(rows);
+  }
+  // Blocks run in batch order, so every attribute sees the batch in order.
+  std::vector<const int32_t*> block(ints.size());
+  size_t n = 0;
+  std::vector<std::function<void()>> fold;
+  for (size_t i = 0; i < ints.size(); ++i) {
+    fold.push_back(
+        [&, i] { Fold(stats.attrs[ints[i]], std::span(block[i], n)); });
+  }
+  sim::HostPool& pool = sim::HostPool::Instance();
+  for (uint64_t begin = 0; begin < rows; begin += n) {
+    n = static_cast<size_t>(std::min<uint64_t>(kGatherBlock, rows - begin));
+    gather(static_cast<size_t>(begin), n, block);
+    pool.RunAll(fold);
+  }
+  stats.cardinality += static_cast<double>(rows);
+}
+
+void StatisticsCatalog::AbsorbTuples(
     RelationStats& stats, const catalog::Schema& schema,
     const std::vector<std::vector<uint8_t>>& tuples) {
-  std::vector<size_t> ints;
-  for (size_t a = 0; a < schema.num_attrs(); ++a) {
-    if (schema.attr(a).type != catalog::AttrType::kInt32) continue;
-    ints.push_back(a);
-    // Size the sketch once, from the first (bulk) load.
-    AttrStats& as = stats.attrs[a];
-    if (!as.has_values) as.sketch = DistinctSketch(tuples.size());
-  }
-  // Per block: the pool's threads gather disjoint tuple ranges into the
-  // int columns (column i at [i * block, (i + 1) * block)), then one task
-  // per attribute folds its column. Blocks run in input order, so every
-  // attribute sees the batch in input order.
+  const std::vector<size_t> ints = IntAttrs(schema);
+  // The pool's threads gather disjoint tuple ranges of a block into the int
+  // columns (column i at [i * block, (i + 1) * block)).
   const size_t block = std::min(kGatherBlock, tuples.size());
   std::vector<int32_t> columns(ints.size() * block);
   size_t begin = 0;
@@ -345,18 +384,16 @@ void StatisticsCatalog::AbsorbBatch(
       }
     });
   }
-  std::vector<std::function<void()>> fold;
-  for (size_t i = 0; i < ints.size(); ++i) {
-    fold.push_back([&, i] {
-      Fold(stats.attrs[ints[i]], std::span(columns).subspan(i * block, n));
-    });
-  }
-  for (; begin < tuples.size(); begin += n) {
-    n = std::min(block, tuples.size() - begin);
-    pool.RunAll(gather);
-    pool.RunAll(fold);
-  }
-  stats.cardinality += static_cast<double>(tuples.size());
+  FoldBatch(stats, ints, tuples.size(),
+            [&](size_t block_begin, size_t block_n,
+                std::vector<const int32_t*>& out) {
+              begin = block_begin;
+              n = block_n;
+              pool.RunAll(gather);
+              for (size_t i = 0; i < out.size(); ++i) {
+                out[i] = &columns[i * block];
+              }
+            });
 }
 
 }  // namespace gammadb::opt

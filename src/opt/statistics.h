@@ -2,6 +2,7 @@
 #define GAMMA_OPT_STATISTICS_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <span>
@@ -131,6 +132,19 @@ inline constexpr double kSkewImbalanceThreshold = 1.25;
 /// imbalance ≈ 1 + f·(nsites − 1).
 double PredictHashImbalance(const AttrStats& attr, size_t nsites);
 
+/// The positions of `schema`'s int attributes, ascending: the attributes
+/// that carry statistics.
+std::vector<size_t> IntAttrs(const catalog::Schema& schema);
+
+/// A relation's int attributes as columns, as a recount sweeps them from
+/// the stored pages.
+struct IntColumns {
+  uint64_t rows = 0;
+  /// One column per attribute of IntAttrs(schema), in that order; each
+  /// holds `rows` values in tuple order.
+  std::vector<std::vector<int32_t>> columns;
+};
+
 struct IndexStats {
   int attr = -1;
   bool clustered = false;
@@ -205,6 +219,10 @@ class StatisticsCatalog {
   /// partitioning/index info, replaces cardinality and attribute stats.
   void Recompute(const std::string& relation, const catalog::Schema& schema,
                  const std::vector<std::vector<uint8_t>>& tuples);
+  /// The same rebuild from swept columns: bit-identical to Recompute over
+  /// the tuples the columns were swept from, in the same order.
+  void Recompute(const std::string& relation, const catalog::Schema& schema,
+                 const IntColumns& swept);
   void Drop(const std::string& relation);
 
   const RelationStats* Find(const std::string& relation) const;
@@ -212,8 +230,22 @@ class StatisticsCatalog {
  private:
   RelationStats& Ensure(const std::string& relation,
                         const catalog::Schema& schema);
-  static void AbsorbBatch(RelationStats& stats, const catalog::Schema& schema,
-                          const std::vector<std::vector<uint8_t>>& tuples);
+  /// Clears `relation`'s data-dependent statistics, keeping its structural
+  /// facts (partitioning, indexes).
+  RelationStats& Reset(const std::string& relation,
+                       const catalog::Schema& schema);
+
+  /// Readies the int columns of tuples [begin, begin + n) of a batch: one
+  /// pointer per attribute of IntAttrs, each to n values.
+  using GatherBlock = std::function<void(size_t begin, size_t n,
+                                         std::vector<const int32_t*>& block)>;
+  /// Folds a batch of `rows` tuples into `stats`: one column block at a
+  /// time from `gather`, then one host task per attribute.
+  static void FoldBatch(RelationStats& stats, const std::vector<size_t>& ints,
+                        uint64_t rows, const GatherBlock& gather);
+  /// FoldBatch over tuples, gathered into column blocks.
+  static void AbsorbTuples(RelationStats& stats, const catalog::Schema& schema,
+                           const std::vector<std::vector<uint8_t>>& tuples);
 
   std::map<std::string, RelationStats> relations_;
 };

@@ -48,23 +48,16 @@ Status HeapFile::Scan(const ScanCallback& callback) const {
 
 Status HeapFile::ScanPages(uint32_t first_page, uint32_t last_page,
                            const ScanCallback& callback) const {
-  GAMMA_CHECK(first_page <= last_page && last_page < pages_.size());
-  for (uint32_t i = first_page; i <= last_page; ++i) {
-    const uint32_t page_no = pages_[i];
-    uint8_t* frame = nullptr;
-    GAMMA_ASSIGN_OR_RETURN(frame,
-                           pool_->Pin(page_no, AccessIntent::kSequential));
-    SlottedPage page(frame, pool_->page_size());
-    bool keep_going = true;
-    for (uint16_t slot = 0; keep_going && slot < page.slot_count(); ++slot) {
-      auto record = page.Get(slot);
-      if (record.empty()) continue;
-      keep_going = callback(Rid{i, slot}, record);
-    }
-    pool_->Unpin(page_no);
-    if (!keep_going) return Status::OK();
-  }
-  return Status::OK();
+  return VisitPages(first_page, last_page,
+                    [&](uint32_t i, const SlottedPage& page) {
+                      for (uint16_t slot = 0; slot < page.slot_count();
+                           ++slot) {
+                        auto record = page.Get(slot);
+                        if (record.empty()) continue;
+                        if (!callback(Rid{i, slot}, record)) return false;
+                      }
+                      return true;
+                    });
 }
 
 Result<std::vector<uint8_t>> HeapFile::Fetch(Rid rid,

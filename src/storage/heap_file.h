@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/result.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
@@ -65,6 +67,34 @@ class HeapFile {
   /// Sequential scan of the page range [first_page, last_page].
   Status ScanPages(uint32_t first_page, uint32_t last_page,
                    const ScanCallback& callback) const;
+
+  /// Calls `visit(page_index, page)` on the pages [first_page, last_page]
+  /// in file order, each pinned kSequential for its call: the pins of
+  /// ScanPages, a page at a time instead of a record at a time. `visit`
+  /// returns false to stop.
+  template <typename Visit>
+  Status VisitPages(uint32_t first_page, uint32_t last_page,
+                    Visit&& visit) const {
+    GAMMA_CHECK(first_page <= last_page && last_page < pages_.size());
+    for (uint32_t i = first_page; i <= last_page; ++i) {
+      const uint32_t page_no = pages_[i];
+      uint8_t* frame = nullptr;
+      GAMMA_ASSIGN_OR_RETURN(frame,
+                             pool_->Pin(page_no, AccessIntent::kSequential));
+      const SlottedPage page(frame, pool_->page_size());
+      const bool keep_going = visit(i, page);
+      pool_->Unpin(page_no);
+      if (!keep_going) break;
+    }
+    return Status::OK();
+  }
+
+  /// VisitPages over the whole file: the pins of a full Scan.
+  template <typename Visit>
+  Status VisitPages(Visit&& visit) const {
+    if (pages_.empty()) return Status::OK();
+    return VisitPages(0, num_pages() - 1, std::forward<Visit>(visit));
+  }
 
   /// Random fetch of one record (copied out).
   Result<std::vector<uint8_t>> Fetch(

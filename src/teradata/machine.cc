@@ -170,6 +170,15 @@ std::string TeradataMachine::FreshResultName() {
   return name;
 }
 
+Status TeradataMachine::CheckResult(const std::string& name,
+                                    const catalog::Schema& schema) const {
+  GAMMA_RETURN_NOT_OK(catalog_.CheckResultName(name));
+  if (!storage::HeapFile::RecordFits(schema.tuple_size(), config_.page_size)) {
+    return Status::InvalidArgument("a result tuple does not fit on one page");
+  }
+  return Status::OK();
+}
+
 TeradataMachine::Rel TeradataMachine::AddRelation(const std::string& name,
                                                   catalog::Schema schema,
                                                   int pk_attr) {
@@ -479,7 +488,7 @@ Result<QueryResult> TeradataMachine::Statement::Finish(const char* label) {
 Result<QueryResult> TeradataMachine::RunSelect(const TdSelectQuery& query) {
   GAMMA_ASSIGN_OR_RETURN(const Rel rel, GetRel(query.relation));
   if (query.store_result) {
-    GAMMA_RETURN_NOT_OK(catalog_.CheckResultName(query.result_name));
+    GAMMA_RETURN_NOT_OK(CheckResult(query.result_name, rel.meta->schema));
   }
   const RelationMeta& meta = *rel.meta;
   const Predicate& pred = query.predicate;
@@ -581,7 +590,9 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
     return Status::InvalidArgument("join attribute out of range");
   }
   if (query.store_result) {
-    GAMMA_RETURN_NOT_OK(catalog_.CheckResultName(query.result_name));
+    GAMMA_RETURN_NOT_OK(CheckResult(
+        query.result_name,
+        Schema::Concat(inner.meta->schema, outer.meta->schema)));
   }
   // Joining on both primary keys: every tuple already lives at its join AMP
   // *and* every fragment is already in hash-key order on the join attribute,

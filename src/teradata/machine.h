@@ -256,6 +256,10 @@ class TeradataMachine {
   /// Home AMP of a key under the machine-wide placement hash.
   int AmpForKey(int32_t key) const;
   std::string FreshResultName();
+  /// Refuses a stored result (or a temporary spool) before anything is
+  /// charged: a taken `name`, or a `schema` tuple larger than a page.
+  Status CheckResult(const std::string& name,
+                     const catalog::Schema& schema) const;
   /// Registers relation `name` (which must be free) hash-declustered on
   /// `pk_attr`, with an empty fragment and key directory per AMP.
   Rel AddRelation(const std::string& name, catalog::Schema schema,

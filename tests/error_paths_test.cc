@@ -2,6 +2,8 @@
 // descriptive Status, never a crash or a silent wrong answer, and must leave
 // the machine usable afterwards.
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "gamma/machine.h"
@@ -229,6 +231,54 @@ TEST_F(GammaErrorTest, ResultNameCollisionIsAlreadyExists) {
   EXPECT_EQ(*machine_.CountTuples("R"), 10u);
 }
 
+// A stored join whose result tuple (two 2104-byte tuples side by side) no
+// page can hold is refused before anything is charged or created; the same
+// join returned to the host still runs.
+TEST_F(GammaErrorTest, OversizedStoredJoinResultIsInvalidArgument) {
+  ASSERT_TRUE(machine_
+                  .CreateRelation("W", WideSchema(2100),
+                                  catalog::PartitionSpec::Hashed(0))
+                  .ok());
+  std::vector<std::vector<uint8_t>> wide;
+  for (int32_t key = 0; key < 3; ++key) {
+    wide.emplace_back(2104, 7);
+    std::memcpy(wide.back().data(), &key, sizeof(key));
+  }
+  ASSERT_TRUE(machine_.LoadTuples("W", wide).ok());
+  gamma::JoinQuery join;
+  join.outer = "W";
+  join.inner = "W";
+  join.outer_attr = 0;
+  join.inner_attr = 0;
+  join.mode = gamma::JoinMode::kLocal;
+  const auto stored = machine_.RunJoin(join);
+  EXPECT_TRUE(stored.status().IsInvalidArgument())
+      << stored.status().ToString();
+  EXPECT_EQ(machine_.catalog().Names(),
+            (std::vector<std::string>{"A", "W"}));
+
+  join.store_result = false;
+  const auto returned = machine_.RunJoin(join);
+  ASSERT_TRUE(returned.ok()) << returned.status().ToString();
+  EXPECT_EQ(returned->result_tuples, 3u);
+}
+
+// A non-clustered index entry whose record vanished behind the index's back
+// fails the select with Corruption instead of aborting the process.
+TEST_F(GammaErrorTest, DanglingIndexEntryIsCorruption) {
+  ASSERT_TRUE(machine_.BuildIndex("A", wis::kUnique2, false).ok());
+  const catalog::RelationMeta& meta = **machine_.catalog().Get("A");
+  storage::HeapFile& fragment = machine_.node(0).file(meta.per_node_file[0]);
+  ASSERT_TRUE(fragment.Delete(storage::Rid{0, 0}).ok());
+  gamma::SelectQuery select;
+  select.relation = "A";
+  select.predicate = Predicate::Range(wis::kUnique2, 0, 499);
+  select.access = gamma::AccessPath::kNonClusteredIndex;
+  const auto result = machine_.RunSelect(select);
+  EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+  EXPECT_EQ(machine_.catalog().Names(), std::vector<std::string>{"A"});
+}
+
 TEST(TeradataErrorTest, ValidationMirrorsGamma) {
   teradata::TeradataMachine machine{teradata::TeradataConfig{}};
   EXPECT_TRUE(machine
@@ -272,6 +322,27 @@ TEST(TeradataErrorTest, ValidationMirrorsGamma) {
   EXPECT_TRUE(machine.RunDelete(del).status().IsInvalidArgument());
   teradata::TdModifyQuery modify{"A", 0, 1, 99, 0};
   EXPECT_TRUE(machine.RunModify(modify).status().IsInvalidArgument());
+
+  // A stored or spooled join result no page can hold is refused up front.
+  ASSERT_TRUE(machine.CreateRelation("W", WideSchema(2100), 0).ok());
+  std::vector<std::vector<uint8_t>> wide;
+  for (int32_t key = 0; key < 3; ++key) {
+    wide.emplace_back(2104, 7);
+    std::memcpy(wide.back().data(), &key, sizeof(key));
+  }
+  ASSERT_TRUE(machine.LoadTuples("W", wide).ok());
+  teradata::TdJoinQuery wide_join;
+  wide_join.outer = "W";
+  wide_join.inner = "W";
+  wide_join.outer_attr = 0;
+  wide_join.inner_attr = 0;
+  for (const bool temp : {false, true}) {
+    wide_join.result_is_temp = temp;
+    const auto joined = machine.RunJoin(wide_join);
+    EXPECT_TRUE(joined.status().IsInvalidArgument())
+        << temp << " " << joined.status().ToString();
+  }
+  EXPECT_EQ(machine.catalog().Names(), (std::vector<std::string>{"A", "W"}));
 
   // Machine still fully functional after the barrage.
   select.relation = "A";

@@ -124,6 +124,21 @@ TEST_F(SelectTest, NonClusteredIndexSelect) {
   EXPECT_EQ(*ids.rbegin(), 119);
 }
 
+// A B-tree entry whose record was deleted behind the index's back is a
+// Corruption status, not a process abort; the records before it were
+// already emitted.
+TEST_F(SelectTest, DanglingIndexEntryIsCorruption) {
+  ASSERT_TRUE(sm_.file(file_id_).Delete(rids_[110]).ok());
+  std::vector<std::vector<uint8_t>> out;
+  const auto stats = NonClusteredIndexSelect(
+      sm_.file(file_id_), sm_.index(nc_id_), /*key_attr=*/1, MiniSchema(),
+      Predicate::Range(1, 200, 238), sm_.charge(),
+      [&](std::span<const uint8_t> t) { out.emplace_back(t.begin(), t.end()); });
+  ASSERT_FALSE(stats.ok());
+  EXPECT_TRUE(stats.status().IsCorruption()) << stats.status().ToString();
+  EXPECT_EQ(out.size(), 10u);
+}
+
 TEST_F(SelectTest, ExactMatchThroughIndex) {
   std::vector<std::vector<uint8_t>> out;
   ClusteredIndexSelect(

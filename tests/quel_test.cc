@@ -95,6 +95,32 @@ TEST_F(QuelTest, RetrieveIntoExistingRelationIsAlreadyExists) {
   EXPECT_EQ(*machine_.CountTuples("tenpct"), 200u);
 }
 
+// `retrieve into` a join whose result tuple no page can hold is a status,
+// not an abort, and creates nothing.
+TEST_F(QuelTest, RetrieveIntoOversizedJoinIsInvalidArgument) {
+  ASSERT_TRUE(machine_
+                  .CreateRelation(
+                      "W",
+                      catalog::Schema({{"key", catalog::AttrType::kInt32, 4},
+                                       {"text", catalog::AttrType::kChar,
+                                        2100}}),
+                      catalog::PartitionSpec::Hashed(0))
+                  .ok());
+  std::vector<std::vector<uint8_t>> wide(3, std::vector<uint8_t>(2104, 0));
+  for (uint8_t key = 0; key < 3; ++key) wide[key][0] = key;
+  ASSERT_TRUE(machine_.LoadTuples("W", wide).ok());
+  ASSERT_TRUE(session_.Execute("range of w is W").ok());
+  ASSERT_TRUE(session_.Execute("range of v is W").ok());
+  const auto join = session_.Execute(
+      "retrieve into ww (w.all, v.all) where w.key = v.key");
+  EXPECT_TRUE(join.status().IsInvalidArgument()) << join.status().ToString();
+  EXPECT_FALSE(machine_.catalog().Contains("ww"));
+  const auto returned =
+      session_.Execute("retrieve (w.all, v.all) where w.key = v.key");
+  ASSERT_TRUE(returned.ok()) << returned.status().ToString();
+  EXPECT_EQ(returned->result_tuples, 3u);
+}
+
 TEST_F(QuelTest, ExactMatchSelection) {
   ASSERT_TRUE(session_.Execute("range of t is A").ok());
   const auto result =
