@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): host-time throughput of the real
 // data-path primitives underlying the simulation — slotted pages, B-tree,
 // join hash table, external sort, merge join, split routing, predicate
-// evaluation, Teradata bulk load, load-time statistics and Gamma index
-// builds. These measure
+// evaluation, Teradata bulk load, load-time statistics, Gamma index
+// builds and a single-site select's fixed cost. These measure
 // the reproduction's own code (wall-clock), not the simulated 1988
 // hardware.
 
@@ -398,6 +398,55 @@ BENCHMARK(BM_RecomputeStatistics)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+void BM_PointSelect(benchmark::State& state) {
+  // gamma.select_point_us: one single-site select (unique1 = key, through
+  // the clustered index) returned to the host, on the durable Table 3
+  // machine (8 disk + 8 diskless nodes, logging and chained declustering
+  // on, a clustered index on unique1 and a non-clustered one on unique2,
+  // 100k tuples) at Arg host threads. Everything around the one-site scan
+  // is fixed per-statement cost: the scheduler, locks, the result return
+  // and the end-of-statement pool flush. Set-up is not timed.
+  const uint32_t n = 100000;
+  gamma::GammaConfig config;
+  config.num_disk_nodes = 8;
+  config.num_diskless_nodes = 8;
+  config.page_size = 4096;
+  config.join_memory_total = 24ull << 20;
+  config.enable_logging = true;
+  config.chained_declustering = true;
+  gamma::GammaMachine machine(config);
+  if (!machine
+           .CreateRelation("A", wis::WisconsinSchema(),
+                           catalog::PartitionSpec::Hashed(wis::kUnique1))
+           .ok() ||
+      !machine.LoadTuples("A", wis::GenerateWisconsin(n, 13)).ok() ||
+      !machine.BuildIndex("A", wis::kUnique1, /*clustered=*/true).ok() ||
+      !machine.BuildIndex("A", wis::kUnique2, /*clustered=*/false).ok()) {
+    state.SkipWithError("set-up failed");
+    return;
+  }
+  sim::HostPool& pool = sim::HostPool::Instance();
+  const int saved_threads = pool.num_threads();
+  pool.set_num_threads(static_cast<int>(state.range(0)));
+  Rng rng(14);
+  gamma::SelectQuery query;
+  query.relation = "A";
+  query.store_result = false;
+  for (auto _ : state) {
+    query.predicate = exec::Predicate::Eq(
+        wis::kUnique1, static_cast<int32_t>(rng.Uniform(n)));
+    auto result = machine.RunSelect(query);
+    if (!result.ok() || result->returned.size() != 1) {
+      state.SkipWithError("point select failed");
+      break;
+    }
+    benchmark::DoNotOptimize(result->returned.data());
+  }
+  pool.set_num_threads(saved_threads);
+}
+BENCHMARK(BM_PointSelect)->Arg(1)->Arg(2)->UseRealTime()->Unit(
+    benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace gammadb

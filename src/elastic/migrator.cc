@@ -395,9 +395,11 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
   // before the lights went out, so recovery must physically reverse (or
   // complete) the statement from the durable log rather than benefiting
   // from discarded buffers. The statement is dismissed: volatile state is
-  // gone, there is nothing to abort; Recover() finishes the job.
+  // gone, there is nothing to abort; Recover() finishes the job. A node
+  // that dies under that force fails the migration like any other write
+  // error: the statement aborts and no crash is simulated.
   auto crash_now = [&](const std::string& where) -> Status {
-    GAMMA_CHECK(m.FlushAllPools().ok());
+    GAMMA_RETURN_NOT_OK(m.FlushAllPools());
     m.BindAll(nullptr);
     m.Crash();
     stmt.Dismiss();

@@ -60,4 +60,16 @@ Status NodeExecutor::Run(sim::CostTracker* tracker, std::vector<NodeTask> tasks,
   return Status::OK();
 }
 
+Status NodeExecutor::FlushPools(sim::CostTracker* tracker, Merge merge) const {
+  std::vector<NodeTask> tasks;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i]->pool().dirty_frames() == 0) continue;
+    tasks.push_back(NodeTask{static_cast<int>(i), [this, i](sim::CostTracker&) {
+                               return nodes_[i]->pool().FlushAll();
+                             }});
+  }
+  if (tasks.empty()) return Status::OK();
+  return Run(tracker, std::move(tasks), merge);
+}
+
 }  // namespace gammadb::exec

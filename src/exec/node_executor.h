@@ -67,6 +67,16 @@ class NodeExecutor {
   Status Run(sim::CostTracker* tracker, std::vector<NodeTask> tasks,
              Merge merge = Merge::kAdd) const;
 
+  /// The pool flush that ends a statement's phases: one Run task per node
+  /// whose pool holds a dirty frame, each writing that pool back. A clean
+  /// pool is skipped: its FlushAll would write nothing, draw no fault and
+  /// return OK, so its shard would merge zeros (kAdd) or hand back its own
+  /// seed (kContinueOwner). Skipping one moves no simulated number, and a
+  /// statement that dirtied one node's pool pays for one task, not one per
+  /// node. Between steps every node is bound to `tracker` (or to none).
+  Status FlushPools(sim::CostTracker* tracker,
+                    Merge merge = Merge::kAdd) const;
+
  private:
   std::span<const std::unique_ptr<storage::StorageManager>> nodes_;
   const sim::MachineParams& hw_;

@@ -193,20 +193,6 @@ void GammaMachine::BindAll(sim::CostTracker* tracker) {
   }
 }
 
-Status GammaMachine::FlushAllPools() {
-  // Every node is bound to the same tracker (or to none) between parallel
-  // steps; flush one host task per node and merge in node order.
-  sim::CostTracker* tracker = nodes_[0]->charge().tracker;
-  std::vector<NodeTask> tasks;
-  tasks.reserve(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    tasks.push_back(NodeTask{static_cast<int>(i), [this, i](sim::CostTracker&) {
-                               return nodes_[i]->pool().FlushAll();
-                             }});
-  }
-  return RunNodeTasks(tracker, std::move(tasks));
-}
-
 Result<GammaMachine::FragmentCopy> GammaMachine::ServingCopy(
     const RelationMeta& meta, int fragment) const {
   const uint32_t primary = meta.per_node_file[static_cast<size_t>(fragment)];

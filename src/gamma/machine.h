@@ -441,8 +441,8 @@ class GammaMachine {
 
   /// Binds every node's ChargeContext to `tracker` (or clears with null).
   void BindAll(sim::CostTracker* tracker);
-  /// Flushes every node's pool, one host task per node, charging whatever
-  /// tracker the nodes are currently bound to.
+  /// Flushes every dirty node pool (exec::NodeExecutor::FlushPools, kAdd),
+  /// charging whatever tracker the nodes are currently bound to.
   Status FlushAllPools();
 
   /// Resolves which copy serves `fragment`, or Unavailable when neither the

@@ -70,16 +70,26 @@ Result<bool> GammaMachine::MirrorsTo(const RelationMeta& meta,
 Result<std::optional<Rid>> GammaMachine::FindByContent(
     storage::StorageManager& sm, storage::HeapFile& file,
     std::span<const uint8_t> bytes) const {
+  // A page at a time: the tuples a page examined are charged in one
+  // CpuTimes call (the same sequential additions as one charge per tuple)
+  // before the next pin, and the walk stops at the first match.
   std::optional<Rid> found;
-  GAMMA_RETURN_NOT_OK(file.Scan([&](Rid rid, std::span<const uint8_t> t) {
-    sm.charge().Cpu(config_.hw.cost.instr_per_tuple_scan);
-    if (t.size() == bytes.size() &&
-        std::memcmp(t.data(), bytes.data(), t.size()) == 0) {
-      found = rid;
-      return false;
-    }
-    return true;
-  }));
+  GAMMA_RETURN_NOT_OK(file.VisitPages(
+      [&](uint32_t page_index, const storage::SlottedPage& page) {
+        uint64_t examined = 0;
+        for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
+          const std::span<const uint8_t> t = page.Get(slot);
+          if (t.empty()) continue;
+          ++examined;
+          if (t.size() == bytes.size() &&
+              std::memcmp(t.data(), bytes.data(), t.size()) == 0) {
+            found = Rid{page_index, slot};
+            break;
+          }
+        }
+        sm.charge().CpuTimes(config_.hw.cost.instr_per_tuple_scan, examined);
+        return !found.has_value();
+      }));
   return found;
 }
 

@@ -40,4 +40,10 @@ Status GammaMachine::RunNodeTasks(sim::CostTracker* tracker,
       .Run(tracker, std::move(tasks));
 }
 
+Status GammaMachine::FlushAllPools() {
+  return exec::NodeExecutor(nodes_, config_.hw, config_.tracker_nodes(),
+                            faults_.get())
+      .FlushPools(nodes_[0]->charge().tracker);
+}
+
 }  // namespace gammadb::gamma

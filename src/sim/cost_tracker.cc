@@ -153,6 +153,13 @@ void CostTracker::ChargeCpu(int node, double instructions) {
       hw_.cpu.InstrSec(instructions);
 }
 
+void CostTracker::ChargeCpuTimes(int node, double instructions,
+                                 uint64_t times) {
+  double& cpu_sec = nodes_.at(static_cast<size_t>(node)).cpu_sec;
+  const double sec = hw_.cpu.InstrSec(instructions);
+  for (uint64_t i = 0; i < times; ++i) cpu_sec += sec;
+}
+
 void CostTracker::ChargeSerialSec(int node, double sec) {
   nodes_.at(static_cast<size_t>(node)).serial_sec += sec;
 }

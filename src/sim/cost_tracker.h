@@ -143,6 +143,9 @@ class CostTracker {
   void ChargeBufferHit(int node);
 
   void ChargeCpu(int node, double instructions);
+  /// `times` ChargeCpu(node, instructions) calls in one: the same sequential
+  /// additions, so the sum rounds exactly as the separate calls would.
+  void ChargeCpuTimes(int node, double instructions, uint64_t times);
   void ChargeSerialSec(int node, double sec);
 
   /// One data packet of `bytes` from `src` to `dst`. Same-node packets are

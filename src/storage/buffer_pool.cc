@@ -74,7 +74,7 @@ Status BufferPool::WriteWithRetry(uint32_t page_no, const uint8_t* data,
 Status BufferPool::WriteBack(uint32_t page_no, Frame& frame) {
   GAMMA_RETURN_NOT_OK(
       WriteWithRetry(page_no, frame.data.get(), frame.write_intent));
-  frame.dirty = false;
+  SetDirty(frame, false);
   return Status::OK();
 }
 
@@ -106,9 +106,26 @@ BufferPool::Frame& BufferPool::Install(uint32_t page_no, Buffer data) {
 
 BufferPool::FrameMap::iterator BufferPool::Drop(FrameMap::iterator it) {
   if (last_ == &it->second) last_ = nullptr;
+  SetDirty(it->second, false);
   LruRemove(&it->second);
   spare_.push_back(std::move(it->second.data));
   return frames_.erase(it);
+}
+
+void BufferPool::SetDirty(Frame& frame, bool dirty) {
+  if (frame.dirty == dirty) return;
+  frame.dirty = dirty;
+  if (dirty) {
+    ++dirty_frames_;
+  } else {
+    --dirty_frames_;
+  }
+}
+
+uint32_t BufferPool::CountDirtyFrames() const {
+  uint32_t dirty = 0;
+  for (const auto& [page_no, frame] : frames_) dirty += frame.dirty ? 1 : 0;
+  return dirty;
 }
 
 void BufferPool::LruAppend(Frame* frame) {
@@ -172,7 +189,7 @@ Result<uint32_t> BufferPool::NewPage(uint8_t** frame_out) {
   GAMMA_ASSIGN_OR_RETURN(page_no, disk_->Allocate());
   Frame& frame = Install(page_no, TakeBuffer());
   std::memset(frame.data.get(), 0, disk_->page_size());
-  frame.dirty = true;
+  SetDirty(frame, true);
   frame.write_intent = AccessIntent::kSequential;
   *frame_out = frame.data.get();
   return page_no;
@@ -182,7 +199,7 @@ void BufferPool::MarkDirty(uint32_t page_no, AccessIntent intent) {
   Frame* frame = Find(page_no);
   GAMMA_CHECK_MSG(frame != nullptr && frame->pin_count > 0,
                   "MarkDirty on unpinned page");
-  frame->dirty = true;
+  SetDirty(*frame, true);
   frame->write_intent = intent;
 }
 

@@ -93,6 +93,13 @@ class BufferPool {
   uint32_t frames_in_use() const {
     return static_cast<uint32_t>(frames_.size());
   }
+  /// Frames holding a page change not yet written back, pinned or not. Kept
+  /// exact on every transition, so asking whether a FlushAll would write
+  /// anything is O(1) for any pool size.
+  uint32_t dirty_frames() const { return dirty_frames_; }
+  /// dirty_frames() recounted by walking every frame (O(frames)): the
+  /// reference the tests hold the running count to.
+  uint32_t CountDirtyFrames() const;
 
  private:
   using Buffer = std::unique_ptr<uint8_t[]>;
@@ -129,6 +136,8 @@ class BufferPool {
   Frame& Install(uint32_t page_no, Buffer data);
   /// Removes an unpinned frame, recycling its buffer; returns the next one.
   FrameMap::iterator Drop(FrameMap::iterator it);
+  /// Sets `frame.dirty`, keeping dirty_frames_ in step.
+  void SetDirty(Frame& frame, bool dirty);
   void LruAppend(Frame* frame);
   void LruRemove(Frame* frame);
 
@@ -143,6 +152,7 @@ class BufferPool {
   /// The frame the last Find or Install returned (null after it is dropped).
   Frame* last_ = nullptr;
   std::vector<Buffer> spare_;
+  uint32_t dirty_frames_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;

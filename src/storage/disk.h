@@ -41,6 +41,11 @@ struct ChargeContext {
   void Cpu(double instructions) const {
     if (tracker != nullptr) tracker->ChargeCpu(node, instructions);
   }
+  /// `times` Cpu(instructions) calls, added one at a time: a page's worth
+  /// of per-tuple charges in one call, rounded as the separate calls were.
+  void CpuTimes(double instructions, uint64_t times) const {
+    if (tracker != nullptr) tracker->ChargeCpuTimes(node, instructions, times);
+  }
   /// Search CPU within one B-tree node during a descent.
   void BtreeNodeVisit() const {
     if (tracker != nullptr) {

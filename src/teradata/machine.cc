@@ -144,17 +144,9 @@ Result<TeradataMachine::Rel> TeradataMachine::GetRel(const std::string& name) {
 }
 
 Status TeradataMachine::FlushAllPools() {
-  // Every AMP is bound to the same tracker (or to none) between steps.
-  sim::CostTracker* tracker = amps_[0]->charge().tracker;
-  std::vector<exec::NodeTask> tasks;
-  tasks.reserve(amps_.size());
-  for (size_t amp = 0; amp < amps_.size(); ++amp) {
-    tasks.push_back(exec::NodeTask{static_cast<int>(amp),
-                                   [this, amp](sim::CostTracker&) {
-                                     return amps_[amp]->pool().FlushAll();
-                                   }});
-  }
-  return RunAmpTasks(tracker, std::move(tasks));
+  return exec::NodeExecutor(amps_, config_.hw, config_.tracker_nodes())
+      .FlushPools(amps_[0]->charge().tracker,
+                  exec::NodeExecutor::Merge::kContinueOwner);
 }
 
 int TeradataMachine::AmpForKey(int32_t key) const {

@@ -250,8 +250,9 @@ class TeradataMachine {
   /// in the phase.
   Status RunAmpTasks(sim::CostTracker* tracker,
                      std::vector<exec::NodeTask> tasks);
-  /// Flushes every AMP's pool, one task per AMP, charging whatever tracker
-  /// the AMPs are bound to; returns the first flush error in AMP order.
+  /// Flushes every dirty AMP pool (exec::NodeExecutor::FlushPools,
+  /// kContinueOwner), charging whatever tracker the AMPs are bound to;
+  /// returns the first flush error in AMP order.
   Status FlushAllPools();
   /// Home AMP of a key under the machine-wide placement hash.
   int AmpForKey(int32_t key) const;

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "sim/cost_tracker.h"
+#include "sim/fault_injector.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk.h"
 #include "storage/storage_manager.h"
@@ -374,6 +376,118 @@ TEST_F(BufferPoolTest, CorruptionOnRecycledPageIsCaught) {
   const auto pinned = pool_.Pin(recycled, AccessIntent::kRandom);
   ASSERT_FALSE(pinned.ok());
   EXPECT_TRUE(pinned.status().IsCorruption()) << pinned.status().ToString();
+}
+
+// The dirty-frame count the end-of-statement flush trusts to skip a clean
+// pool must match a walk of every frame after any operation sequence:
+// fresh pages, repeated MarkDirty, eviction write-backs, write-backs that
+// fail on a dead disk (the frame stays dirty), Discard (which keeps pinned
+// frames) and Invalidate. Pages stay pinned across steps too, so a count
+// that only tracked pinned or only unpinned frames would drift.
+TEST(DirtyFrameCountTest, MatchesRecountAfterEverySeededStep) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::FaultInjector faults(sim::FaultConfig{}, /*num_disk_nodes=*/1);
+    SimulatedDisk disk(4096, &faults, /*node=*/0);
+    ChargeContext charge;  // uncharged
+    BufferPool pool(&disk, &charge, 8 * 4096);
+    Rng rng(seed);
+    std::vector<uint32_t> pages;
+    std::vector<uint32_t> held;  // pinned across steps, at most 3
+    struct Seen {
+      int new_pages = 0, double_marks = 0, evictions = 0, failed_writes = 0,
+          discards = 0, invalidates = 0;
+    } seen;
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(step);
+      const uint64_t evictions = pool.evictions();
+      switch (rng.Uniform(9)) {
+        case 0:
+        case 1: {  // append a page, sometimes keeping it pinned
+          uint8_t* frame = nullptr;
+          auto page = pool.NewPage(&frame);
+          if (!page.ok()) {
+            ++seen.failed_writes;  // the dirty victim could not be written
+            break;
+          }
+          ++seen.new_pages;
+          pages.push_back(*page);
+          if (held.size() < 3 && rng.Uniform(2) == 0) {
+            held.push_back(*page);
+          } else {
+            pool.Unpin(*page);
+          }
+          break;
+        }
+        case 2:
+        case 3: {  // pin an existing page and dirty it zero to two times
+          if (pages.empty()) break;
+          const uint32_t page = pages[rng.Uniform(pages.size())];
+          if (std::count(held.begin(), held.end(), page) != 0) break;
+          auto frame = pool.Pin(page, AccessIntent::kRandom);
+          if (!frame.ok()) {
+            ++seen.failed_writes;  // dead disk: read or victim write failed
+            break;
+          }
+          const uint64_t marks = rng.Uniform(3);
+          for (uint64_t i = 0; i < marks; ++i) pool.MarkDirty(page);
+          if (marks == 2) ++seen.double_marks;
+          if (held.size() < 3 && rng.Uniform(3) == 0) {
+            held.push_back(page);
+          } else {
+            pool.Unpin(page);
+          }
+          break;
+        }
+        case 4:  // dirty a held page while it stays pinned
+          if (!held.empty()) pool.MarkDirty(held[rng.Uniform(held.size())]);
+          break;
+        case 5:  // release a held page
+          if (!held.empty()) {
+            pool.Unpin(held.back());
+            held.pop_back();
+          }
+          break;
+        case 6: {  // flush, which fails and leaves frames dirty when dead
+          const uint32_t before = pool.dirty_frames();
+          if (!pool.FlushAll().ok()) {
+            ++seen.failed_writes;
+            EXPECT_GT(pool.dirty_frames(), 0u);
+            EXPECT_LE(pool.dirty_frames(), before);
+          } else {
+            EXPECT_EQ(pool.dirty_frames(), 0u);
+          }
+          break;
+        }
+        case 7:
+          if (rng.Uniform(2) == 0) {
+            pool.Discard();
+            ++seen.discards;
+          } else if (pool.Invalidate().ok()) {
+            ++seen.invalidates;
+          } else {
+            ++seen.failed_writes;
+          }
+          break;
+        case 8:  // the disk dies, or comes back
+          if (faults.IsDead(0)) {
+            faults.ReviveNode(0);
+          } else {
+            faults.KillNode(0);
+          }
+          break;
+      }
+      if (pool.evictions() > evictions) ++seen.evictions;
+      ASSERT_EQ(pool.dirty_frames(), pool.CountDirtyFrames());
+    }
+    EXPECT_GT(seen.new_pages, 0);
+    EXPECT_GT(seen.double_marks, 0);
+    EXPECT_GT(seen.evictions, 0);
+    EXPECT_GT(seen.failed_writes, 0);
+    EXPECT_GT(seen.discards, 0);
+    EXPECT_GT(seen.invalidates, 0);
+    for (const uint32_t page : held) pool.Unpin(page);
+  }
 }
 
 TEST(DiskParamsTest, AccessTimesMatchPaperFacts) {

@@ -299,6 +299,45 @@ TEST(ElasticMigration, CrashAfterMovesRollsBack) {
   EXPECT_GT(PerNodeCounts(*machine, "M").back(), 0u);
 }
 
+// crash_now forces every dirty page before it simulates the power loss. A
+// source node that dies under that force must fail the migration with a
+// status, not abort the process: the statement aborts like any other
+// failed write, and no crash is simulated. Node 0's k-th disk operation
+// from now fails, for k = 1, 2, ... up to the first k that survives to the
+// crash. The run before that one dies on node 0's last operation before
+// the crash, a write-back of the forcing flush (its deletes left node 0's
+// pool dirty).
+TEST(ElasticMigration, NodeDeathInTheCrashFlushIsAStatus) {
+  const auto tuples = MiniRelation(500, 19);
+  std::vector<std::vector<uint8_t>> expected(tuples);
+  std::sort(expected.begin(), expected.end());
+  elastic::MigrationOptions options;
+  options.crash_after_moves = 5;
+  uint64_t ops = 1;
+  for (;; ++ops) {
+    SCOPED_TRACE(ops);
+    ASSERT_LT(ops, 1000u);
+    gamma::GammaMachine machine(ElasticConfig(2, true));
+    ASSERT_TRUE(machine
+                    .CreateRelation("M", MiniSchema(),
+                                    catalog::PartitionSpec::Hashed(0))
+                    .ok());
+    ASSERT_TRUE(machine.LoadTuples("M", tuples).ok());
+    ASSERT_TRUE(machine.AddNode().ok());
+    machine.KillNodeAfterOps(0, ops);
+    elastic::ElasticMigrator migrator(&machine, options);
+    const auto report = migrator.MigrateRelation("M");
+    ASSERT_FALSE(report.ok());
+    EXPECT_TRUE(report.status().IsUnavailable()) << report.status().message();
+    if (machine.crashed()) break;
+    // Aborted, not crashed: fragment 0 is served from its backup, and the
+    // undo took every logged delete back out of the surviving copies.
+    ASSERT_TRUE(machine.faults().IsDead(0));
+    EXPECT_EQ(SortedContent(machine, "M"), expected);
+  }
+  EXPECT_GT(ops, 1u);
+}
+
 TEST(ElasticMigration, CrashBeforeFlipRollsBack) {
   const auto tuples = MiniRelation(500, 19);
   std::vector<std::vector<uint8_t>> expected(tuples);

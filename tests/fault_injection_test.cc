@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -379,6 +380,48 @@ TEST(AtomicityTest, FailedAppendLeavesNoPartialTuples) {
   const auto retried = machine->RunAppend(append);
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_EQ(*machine->CountTuples("A"), 101u);
+}
+
+// --- The end-of-statement flush ---
+
+// The flush skips only clean pools. An append dirties its fragment's last
+// page on node 0, and node 0 dies at the flush's write-back of that page,
+// so the statement fails there as it did when every pool was flushed.
+// Afterwards node 0's pool is clean (the abort discarded it), and a read
+// served from the backups flushes past the dead node without error.
+TEST(FlushTest, DirtyPoolOnDyingNodeFailsAndCleanOneDoesNot) {
+  auto config = FaultableConfig();
+  config.num_disk_nodes = 2;
+  config.enable_logging = true;
+  auto machine = std::make_unique<gamma::GammaMachine>(config);
+  ASSERT_TRUE(machine
+                  ->CreateRelation("A", wis::WisconsinSchema(),
+                                   catalog::PartitionSpec::RoundRobin())
+                  .ok());
+  const auto tuples = wis::GenerateWisconsin(100, 7);
+  ASSERT_TRUE(machine->LoadTuples("A", tuples).ok());
+
+  // Round-robin: tuple 100 goes to node 0. Node 0's second disk operation
+  // from now fails: the first reads the fragment's last page (the load
+  // left the pools cold), the second is the flush writing it back.
+  machine->KillNodeAfterOps(0, 2);
+  catalog::TupleBuilder builder(&wis::WisconsinSchema());
+  builder.SetInt(wis::kUnique1, 5000).SetInt(wis::kUnique2, 5000);
+  const auto failed = machine->RunAppend(
+      {"A", {builder.bytes().begin(), builder.bytes().end()}});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsUnavailable()) << failed.status().ToString();
+  EXPECT_NE(failed.status().message().find("died mid-operation"),
+            std::string::npos);
+  ASSERT_TRUE(machine->faults().IsDead(0));
+
+  gamma::SelectQuery query;
+  query.relation = "A";
+  query.predicate = Predicate::True();
+  query.store_result = false;
+  const auto read = machine->RunSelect(query);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(Sorted(read->returned), Sorted(tuples));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // simulated times, and field-identical metrics — including recovery-log and
 // fault-injection statistics under an injected fault schedule.
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -357,6 +358,49 @@ TEST(ParallelExecutorTest, AggregateIdenticalAcrossThreadCounts) {
     EXPECT_EQ(run.result.result_tuples, group_attr < 0 ? 1u : 10u);
     EXPECT_EQ(PhaseNames(run.result),
               (std::vector<std::string>{"local_agg", "global_agg", "return"}));
+  }
+}
+
+// Table 3's single-site writes on the durable configuration: each touches
+// one primary fragment and its chained backup, so the end-of-statement
+// flush writes back two pools and skips the rest. Which pools it visits
+// must not depend on the host-pool width.
+TEST(ParallelExecutorTest, SingleSiteWriteIdenticalAcrossThreadCounts) {
+  gamma::GammaConfig config = ParallelConfig();
+  config.enable_logging = true;
+  catalog::TupleBuilder builder(&wis::WisconsinSchema());
+  builder.SetInt(wis::kUnique1, 5000).SetInt(wis::kUnique2, 5000);
+  const gamma::AppendQuery append{
+      "A", {builder.bytes().begin(), builder.bytes().end()}};
+  const std::vector<
+      std::pair<std::string, std::function<Result<QueryResult>(
+                                 gamma::GammaMachine&)>>>
+      writes = {
+          {"append", [&](gamma::GammaMachine& m) { return m.RunAppend(append); }},
+          {"delete",
+           [](gamma::GammaMachine& m) {
+             return m.RunDelete({"A", wis::kUnique1, 77});
+           }},
+          {"modify",
+           [](gamma::GammaMachine& m) {
+             return m.RunModify({"A", wis::kUnique1, 77, wis::kTen, 3});
+           }},
+      };
+  for (const auto& [name, write] : writes) {
+    SCOPED_TRACE(name);
+    const RunOutput run = ExpectRunsIdentical(config, write);
+    EXPECT_EQ(run.result.result_tuples, 1u);
+    std::vector<bool> wrote(run.result.metrics.phases[0].per_node.size());
+    for (const sim::PhaseMetrics& phase : run.result.metrics.phases) {
+      for (size_t i = 0; i < phase.per_node.size(); ++i) {
+        if (phase.per_node[i].pages_written > 0) wrote[i] = true;
+      }
+    }
+    // Among the disk nodes, the primary's and its backup's (the recovery
+    // server writes log pages too).
+    EXPECT_EQ(std::count(wrote.begin(), wrote.begin() + config.num_disk_nodes,
+                         true),
+              2);
   }
 }
 
