@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark): host-time throughput of the real
 // data-path primitives underlying the simulation — slotted pages, B-tree,
 // join hash table, external sort, merge join, split routing, predicate
-// evaluation, Teradata bulk load, load-time statistics, Gamma index
-// builds and a single-site select's fixed cost. These measure
+// evaluation, the three join sites, Teradata bulk load, load-time
+// statistics, Gamma index builds and a single-site select's fixed cost.
+// These measure
 // the reproduction's own code (wall-clock), not the simulated 1988
 // hardware.
 
@@ -10,7 +11,9 @@
 
 #include "catalog/schema.h"
 #include "common/rng.h"
+#include "exec/hash_join.h"
 #include "exec/hash_table.h"
+#include "exec/hybrid_join.h"
 #include "exec/merge_join.h"
 #include "exec/predicate.h"
 #include "exec/sort.h"
@@ -194,6 +197,117 @@ void BM_SortMergeJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 20000);
 }
 BENCHMARK(BM_SortMergeJoin);
+
+enum class SiteKind { kSimple, kHybrid, kSortMerge };
+
+void BM_JoinSite(benchmark::State& state, SiteKind kind) {
+  // Host ns per build and probe tuple through one join site: 10000
+  // Wisconsin build tuples, then 10000 probe tuples (each matches once on
+  // unique2), pushed through a per-tuple sink as the join's exchange drain
+  // delivers them, then the site's local finish. Arg 1 gives the site a
+  // quarter of the build in memory, so it spills: Simple runs its overflow
+  // rounds on this one site, Hybrid joins its spooled buckets and
+  // sort-merge sorts more than one run. Each iteration gets a fresh node.
+  const auto build = wis::GenerateWisconsin(10000, 7);
+  const auto probe = wis::GenerateWisconsin(10000, 8);
+  const catalog::Schema* schema = &wis::WisconsinSchema();
+  const uint64_t build_bytes =
+      build.size() *
+      (schema->tuple_size() + exec::JoinHashTable::kPerEntryOverhead);
+  const uint64_t capacity =
+      state.range(0) != 0 ? build_bytes / 4 : 2 * build_bytes;
+  uint64_t matches = 0;
+  const exec::TupleSink emit = [&matches](std::span<const uint8_t>) {
+    ++matches;
+  };
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sm = std::make_unique<storage::StorageManager>(4096, 8 << 20);
+    std::unique_ptr<exec::JoinSite> site;
+    switch (kind) {
+      case SiteKind::kSimple: {
+        auto simple = std::make_unique<exec::HashJoinSite>(
+            0, sm.get(), schema, schema, wis::kUnique2, wis::kUnique2, capacity);
+        simple->BeginRound(1);
+        site = std::move(simple);
+        break;
+      }
+      case SiteKind::kHybrid:
+        site = std::make_unique<exec::HybridHashJoinSite>(
+            0, sm.get(), schema, schema, wis::kUnique2, wis::kUnique2, capacity,
+            build_bytes, /*seed=*/5);
+        break;
+      case SiteKind::kSortMerge:
+        site = std::make_unique<exec::MergeJoinSite>(
+            0, sm.get(), schema, schema, wis::kUnique2, wis::kUnique2, capacity);
+        break;
+    }
+    const auto deliver = [&](bool is_probe) -> exec::TupleSink {
+      return [s = site.get(), &emit, is_probe](std::span<const uint8_t> t) {
+        is_probe ? s->AddProbeTuple(t, emit) : s->AddBuildTuple(t);
+      };
+    };
+    const exec::TupleSink to_build = deliver(false);
+    const exec::TupleSink to_probe = deliver(true);
+    state.ResumeTiming();
+    for (const auto& t : build) to_build(t);
+    for (const auto& t : probe) to_probe(t);
+    if (!site->Finish(emit).ok()) {
+      state.SkipWithError("finish failed");
+      return;
+    }
+    if (kind == SiteKind::kSimple) {
+      auto& simple = static_cast<exec::HashJoinSite&>(*site);
+      uint64_t prev_spooled = UINT64_MAX;
+      for (uint64_t round = 2; simple.HasOverflow(); ++round) {
+        const uint64_t spooled = simple.build_spool().num_tuples() +
+                                 simple.probe_spool().num_tuples();
+        simple.BeginRound(round, spooled >= prev_spooled);
+        prev_spooled = spooled;
+        const auto feed = [](const storage::HeapFile& spool,
+                             const exec::TupleSink& sink) {
+          return spool.Scan([&](storage::Rid, std::span<const uint8_t> t) {
+            sink(t);
+            return true;
+          });
+        };
+        if (!feed(simple.prev_build_spool(), to_build).ok() ||
+            !feed(simple.prev_probe_spool(), to_probe).ok()) {
+          state.SkipWithError("spool scan failed");
+          return;
+        }
+      }
+    }
+    if (!site->status().ok()) {
+      state.SkipWithError("spool append failed");
+      return;
+    }
+    benchmark::DoNotOptimize(matches);
+    state.PauseTiming();
+    site.reset();
+    sm.reset();
+    state.ResumeTiming();
+  }
+  if (matches != 10000 * static_cast<uint64_t>(state.iterations())) {
+    state.SkipWithError("wrong match count");
+  }
+  state.SetItemsProcessed(state.iterations() * 20000);
+  state.counters["per_tuple"] = benchmark::Counter(
+      20000, benchmark::Counter::kIsIterationInvariantRate |
+                 benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_JoinSite, simple, SiteKind::kSimple)
+    ->ArgName("spill")
+    ->Arg(0)
+    ->Arg(1);
+BENCHMARK_CAPTURE(BM_JoinSite, hybrid, SiteKind::kHybrid)
+    ->ArgName("spill")
+    ->Arg(0)
+    ->Arg(1);
+BENCHMARK_CAPTURE(BM_JoinSite, sortmerge, SiteKind::kSortMerge)
+    ->ArgName("spill")
+    ->Arg(0)
+    ->Arg(1);
 
 void BM_SplitTableRouting(benchmark::State& state) {
   const auto tuples = wis::GenerateWisconsin(10000, 4);

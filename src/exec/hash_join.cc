@@ -18,16 +18,8 @@ HashJoinSite::HashJoinSite(int node, storage::StorageManager* sm,
                            const catalog::Schema* probe_schema,
                            int build_attr, int probe_attr,
                            uint64_t capacity_bytes)
-    : node_(node),
-      sm_(sm),
-      build_schema_(build_schema),
-      probe_schema_(probe_schema),
-      build_attr_(build_attr),
-      probe_attr_(probe_attr),
+    : JoinSite(node, sm, build_schema, probe_schema, build_attr, probe_attr),
       table_(capacity_bytes) {
-  GAMMA_CHECK(sm != nullptr && build_schema != nullptr &&
-              probe_schema != nullptr);
-  GAMMA_CHECK(build_attr >= 0 && probe_attr >= 0);
   build_spool_id_ = sm_->CreateFile();
   probe_spool_id_ = sm_->CreateFile();
   prev_build_spool_id_ = sm_->CreateFile();
@@ -61,34 +53,8 @@ bool HashJoinSite::Resident(int32_t key) const {
   return true;
 }
 
-void HashJoinSite::ChargeCpu(double instr) {
-  sm_->charge().Cpu(instr);
-}
-
 void HashJoinSite::SpoolBuild(std::span<const uint8_t> tuple) {
-  if (!status_.ok()) return;
-  if (sm_->charge().tracker != nullptr) {
-    ChargeCpu(sm_->charge().tracker->hw().cost.instr_per_tuple_copy);
-  }
-  const auto rid = sm_->file(build_spool_id_).Append(tuple);
-  if (!rid.ok()) {
-    status_ = rid.status();
-    return;
-  }
-  ++stats_.build_spooled;
-}
-
-void HashJoinSite::SpoolProbe(std::span<const uint8_t> tuple) {
-  if (!status_.ok()) return;
-  if (sm_->charge().tracker != nullptr) {
-    ChargeCpu(sm_->charge().tracker->hw().cost.instr_per_tuple_copy);
-  }
-  const auto rid = sm_->file(probe_spool_id_).Append(tuple);
-  if (!rid.ok()) {
-    status_ = rid.status();
-    return;
-  }
-  ++stats_.probe_spooled;
+  if (Spool(build_spool_id_, tuple)) ++stats_.build_spooled;
 }
 
 void HashJoinSite::Escalate() {
@@ -113,11 +79,8 @@ void HashJoinSite::Escalate() {
 
 void HashJoinSite::AddBuildTuple(std::span<const uint8_t> tuple) {
   ++stats_.build_received;
-  const catalog::TupleView view(build_schema_, tuple);
-  const int32_t key = view.GetInt(static_cast<size_t>(build_attr_));
-  if (sm_->charge().tracker != nullptr) {
-    ChargeCpu(sm_->charge().tracker->hw().cost.instr_per_tuple_build);
-  }
+  const int32_t key = BuildKey(tuple);
+  Charge(&sim::CostConstants::instr_per_tuple_build);
   if (!Resident(key)) {
     SpoolBuild(tuple);
     return;
@@ -149,24 +112,13 @@ void HashJoinSite::AddBuildTuple(std::span<const uint8_t> tuple) {
 void HashJoinSite::AddProbeTuple(std::span<const uint8_t> tuple,
                                  const TupleSink& emit) {
   ++stats_.probe_received;
-  const catalog::TupleView view(probe_schema_, tuple);
-  const int32_t key = view.GetInt(static_cast<size_t>(probe_attr_));
-  const auto* tracker = sm_->charge().tracker;
-  if (tracker != nullptr) {
-    ChargeCpu(tracker->hw().cost.instr_per_tuple_probe);
-  }
+  const int32_t key = ProbeKey(tuple);
+  Charge(&sim::CostConstants::instr_per_tuple_probe);
   if (!Resident(key)) {
-    SpoolProbe(tuple);
+    if (Spool(probe_spool_id_, tuple)) ++stats_.probe_spooled;
     return;
   }
-  table_.Probe(key, [&](std::span<const uint8_t> build_tuple) {
-    catalog::ConcatInto(joined_, build_tuple, tuple);
-    if (tracker != nullptr) {
-      ChargeCpu(tracker->hw().cost.instr_per_tuple_copy);
-    }
-    ++stats_.matches;
-    emit(joined_);
-  });
+  stats_.matches += ProbeTable(table_, key, tuple, emit);
 }
 
 bool HashJoinSite::HasOverflow() const {

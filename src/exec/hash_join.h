@@ -4,15 +4,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "catalog/schema.h"
 #include "exec/hash_table.h"
-#include "exec/select.h"
-#include "storage/storage_manager.h"
+#include "exec/join_site.h"
 
 namespace gammadb::exec {
 
-/// \brief One join-operator instance (build + probe) at one processor, using
-/// Gamma's distributed Simple hash-partitioned join [DEWI85] (§6, §6.2.2).
+/// \brief A join site running Gamma's distributed Simple hash-partitioned
+/// join [DEWI85] (§6, §6.2.2).
 ///
 /// Build tuples arriving through the split table are inserted into a
 /// memory-capped hash table. When the table overflows, the site escalates: a
@@ -23,8 +21,9 @@ namespace gammadb::exec {
 /// were spooled are spooled too. The spooled pair is joined in a later round
 /// by the orchestrator (which, per the paper, redistributes overflow tuples
 /// across *all* join sites with a new split-table hash — the mechanism
-/// behind the Local/Remote crossover of Figure 13).
-class HashJoinSite {
+/// behind the Local/Remote crossover of Figure 13). Those rounds span
+/// sites, so `Finish` has nothing left to do locally.
+class HashJoinSite : public JoinSite {
  public:
   struct Stats {
     uint64_t build_received = 0;
@@ -44,12 +43,7 @@ class HashJoinSite {
                const catalog::Schema* probe_schema, int build_attr,
                int probe_attr, uint64_t capacity_bytes);
 
-  HashJoinSite(const HashJoinSite&) = delete;
-  HashJoinSite& operator=(const HashJoinSite&) = delete;
-
-  ~HashJoinSite();
-
-  int node() const { return node_; }
+  ~HashJoinSite() override;
 
   /// Starts a (new or first) round: clears the table and residency chain,
   /// retires the current spools to "previous" (so the orchestrator can scan
@@ -62,11 +56,13 @@ class HashJoinSite {
   void BeginRound(uint64_t round_seed, bool forced = false);
 
   /// Build phase: insert or spool one arriving build tuple.
-  void AddBuildTuple(std::span<const uint8_t> tuple);
+  void AddBuildTuple(std::span<const uint8_t> tuple) override;
 
-  /// Probe phase: probe or spool one arriving probe tuple; emits
-  /// build ++ probe concatenations for matches.
-  void AddProbeTuple(std::span<const uint8_t> tuple, const TupleSink& emit);
+  /// Probe phase: probe or spool one arriving probe tuple.
+  void AddProbeTuple(std::span<const uint8_t> tuple,
+                     const TupleSink& emit) override;
+
+  Status Finish(const TupleSink&) override { return Status::OK(); }
 
   /// True when this round spooled anything (another round is needed).
   bool HasOverflow() const;
@@ -82,26 +78,13 @@ class HashJoinSite {
   const Stats& stats() const { return stats_; }
   const JoinHashTable& table() const { return table_; }
 
-  /// First spool-append error, or OK. Sticky; tuples arriving after an
-  /// error are dropped. The orchestrator checks this after each phase (the
-  /// push-based Add* callbacks cannot return a Status themselves).
-  const Status& status() const { return status_; }
-
  private:
   bool Resident(int32_t key) const;
   /// Adds one residency split and purges newly non-resident tuples from the
   /// hash table into the build spool.
   void Escalate();
   void SpoolBuild(std::span<const uint8_t> tuple);
-  void SpoolProbe(std::span<const uint8_t> tuple);
-  void ChargeCpu(double instr);
 
-  int node_;
-  storage::StorageManager* sm_;
-  const catalog::Schema* build_schema_;
-  const catalog::Schema* probe_schema_;
-  int build_attr_;
-  int probe_attr_;
   JoinHashTable table_;
   uint64_t round_seed_ = 0;
   std::vector<uint64_t> residency_salts_;
@@ -111,9 +94,6 @@ class HashJoinSite {
   storage::FileId prev_probe_spool_id_;
   bool forced_round_ = false;
   Stats stats_;
-  Status status_;
-  /// Result-tuple buffer reused by every match (no allocation per result).
-  std::vector<uint8_t> joined_;
 };
 
 }  // namespace gammadb::exec

@@ -4,14 +4,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "catalog/schema.h"
 #include "exec/hash_table.h"
-#include "exec/select.h"
-#include "storage/storage_manager.h"
+#include "exec/join_site.h"
 
 namespace gammadb::exec {
 
-/// \brief One join-operator instance using the Hybrid hash join
+/// \brief A join site running the Hybrid hash join
 /// [DEWI84, DEWI85] — the algorithm the paper's conclusion proposes to adopt
 /// in place of the Simple hash join.
 ///
@@ -22,7 +20,7 @@ namespace gammadb::exec {
 /// with one additional read — so overflow work grows linearly with the
 /// input, not quadratically as under the recursive Simple scheme (the
 /// ablation bench shows exactly this difference).
-class HybridHashJoinSite {
+class HybridHashJoinSite : public JoinSite {
  public:
   struct Stats {
     uint64_t build_received = 0;
@@ -42,39 +40,21 @@ class HybridHashJoinSite {
                      int probe_attr, uint64_t capacity_bytes,
                      uint64_t expected_build_bytes, uint64_t seed);
 
-  HybridHashJoinSite(const HybridHashJoinSite&) = delete;
-  HybridHashJoinSite& operator=(const HybridHashJoinSite&) = delete;
+  ~HybridHashJoinSite() override;
 
-  ~HybridHashJoinSite();
-
-  int node() const { return node_; }
-
-  void AddBuildTuple(std::span<const uint8_t> tuple);
-  void AddProbeTuple(std::span<const uint8_t> tuple, const TupleSink& emit);
+  void AddBuildTuple(std::span<const uint8_t> tuple) override;
+  void AddProbeTuple(std::span<const uint8_t> tuple,
+                     const TupleSink& emit) override;
 
   /// Joins all spooled bucket pairs locally (no redistribution — hybrid's
-  /// overflow stays at the site that spooled it). Call after both inputs
-  /// are exhausted; emits the remaining matches.
-  Status FinishSpooledBuckets(const TupleSink& emit);
+  /// overflow stays at the site that spooled it).
+  Status Finish(const TupleSink& emit) override;
 
   const Stats& stats() const { return stats_; }
 
-  /// First spool-append error, or OK. Sticky; tuples arriving after an
-  /// error are dropped. The orchestrator checks this after each phase.
-  const Status& status() const { return status_; }
-
  private:
   int BucketOf(int32_t key) const;
-  void ChargeCpu(double instr);
-  void ProbeTable(int32_t key, std::span<const uint8_t> tuple,
-                  const TupleSink& emit);
 
-  int node_;
-  storage::StorageManager* sm_;
-  const catalog::Schema* build_schema_;
-  const catalog::Schema* probe_schema_;
-  int build_attr_;
-  int probe_attr_;
   JoinHashTable table_;
   uint64_t seed_;
   bool bucket0_spilled_ = false;
@@ -83,9 +63,6 @@ class HybridHashJoinSite {
   std::vector<storage::FileId> build_buckets_;
   std::vector<storage::FileId> probe_buckets_;
   Stats stats_;
-  Status status_;
-  /// Result-tuple buffer reused by every match (no allocation per result).
-  std::vector<uint8_t> joined_;
 };
 
 }  // namespace gammadb::exec

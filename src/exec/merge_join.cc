@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "exec/sort.h"
 #include "exec/tuple_arena.h"
 
 namespace gammadb::exec {
@@ -95,6 +96,43 @@ MergeJoinStats SortMergeJoin(const storage::HeapFile& left,
     }
   }
   return stats;
+}
+
+MergeJoinSite::MergeJoinSite(int node, storage::StorageManager* sm,
+                             const catalog::Schema* build_schema,
+                             const catalog::Schema* probe_schema,
+                             int build_attr, int probe_attr,
+                             uint64_t memory_bytes)
+    : JoinSite(node, sm, build_schema, probe_schema, build_attr, probe_attr),
+      memory_bytes_(memory_bytes),
+      build_spool_(sm_->CreateFile()),
+      probe_spool_(sm_->CreateFile()) {}
+
+MergeJoinSite::~MergeJoinSite() {
+  sm_->DropFile(build_spool_);
+  sm_->DropFile(probe_spool_);
+}
+
+Status MergeJoinSite::Finish(const TupleSink& emit) {
+  GAMMA_RETURN_NOT_OK(status());
+  Status status;
+  const storage::FileId sorted_build = ExternalSort(
+      *sm_, build_spool_, *build_schema_, build_attr_, memory_bytes_, &status);
+  if (!status.ok()) {
+    sm_->DropFile(sorted_build);
+    return status;
+  }
+  const storage::FileId sorted_probe = ExternalSort(
+      *sm_, probe_spool_, *probe_schema_, probe_attr_, memory_bytes_, &status);
+  if (status.ok()) {
+    status = SortMergeJoin(sm_->file(sorted_build), *build_schema_,
+                           build_attr_, sm_->file(sorted_probe),
+                           *probe_schema_, probe_attr_, sm_->charge(), emit)
+                 .status;
+  }
+  sm_->DropFile(sorted_build);
+  sm_->DropFile(sorted_probe);
+  return status;
 }
 
 }  // namespace gammadb::exec

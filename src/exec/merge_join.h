@@ -5,6 +5,7 @@
 
 #include "catalog/schema.h"
 #include "common/status.h"
+#include "exec/join_site.h"
 #include "exec/select.h"
 #include "storage/heap_file.h"
 
@@ -33,6 +34,37 @@ MergeJoinStats SortMergeJoin(const storage::HeapFile& left,
                              int right_attr,
                              const storage::ChargeContext& charge,
                              const TupleSink& emit);
+
+/// \brief A join site running the sort-merge join (the Teradata-style
+/// alternative of §8's comparison).
+///
+/// Arriving build and probe tuples are only spooled. `Finish` sorts both
+/// spools on their join attributes with `memory_bytes` of sort memory and
+/// merges them; memory bounds the run size, never the join, so there are no
+/// overflow rounds. Probe tuples never match on arrival.
+class MergeJoinSite : public JoinSite {
+ public:
+  MergeJoinSite(int node, storage::StorageManager* sm,
+                const catalog::Schema* build_schema,
+                const catalog::Schema* probe_schema, int build_attr,
+                int probe_attr, uint64_t memory_bytes);
+
+  ~MergeJoinSite() override;
+
+  void AddBuildTuple(std::span<const uint8_t> tuple) override {
+    Spool(build_spool_, tuple);
+  }
+  void AddProbeTuple(std::span<const uint8_t> tuple,
+                     const TupleSink&) override {
+    Spool(probe_spool_, tuple);
+  }
+  Status Finish(const TupleSink& emit) override;
+
+ private:
+  uint64_t memory_bytes_;
+  storage::FileId build_spool_;
+  storage::FileId probe_spool_;
+};
 
 }  // namespace gammadb::exec
 

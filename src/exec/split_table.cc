@@ -1,6 +1,5 @@
 #include "exec/split_table.h"
 
-#include <algorithm>
 
 #include "common/hash.h"
 #include "common/macros.h"
@@ -18,23 +17,6 @@ RouteSpec RouteSpec::HashAttr(int attr, uint64_t salt) {
 
 RouteSpec RouteSpec::RoundRobin() {
   return RouteSpec{};
-}
-
-RouteSpec RouteSpec::RangeAttr(int attr, std::vector<int32_t> boundaries) {
-  GAMMA_CHECK(attr >= 0);
-  GAMMA_CHECK(std::is_sorted(boundaries.begin(), boundaries.end()));
-  // A duplicated boundary value is an empty range: upper_bound would skip
-  // its destination for keys equal to the value while shifting every later
-  // key one destination too far. Collapse duplicates so routing matches the
-  // distinct boundary list. (Empty boundaries are legal: one range, all
-  // tuples to destination 0.)
-  boundaries.erase(std::unique(boundaries.begin(), boundaries.end()),
-                   boundaries.end());
-  RouteSpec spec;
-  spec.kind = Kind::kRangeAttr;
-  spec.attr = attr;
-  spec.boundaries = std::move(boundaries);
-  return spec;
 }
 
 RouteSpec RouteSpec::Single(int index) {
@@ -94,14 +76,6 @@ int SplitTable::RouteTuple(std::span<const uint8_t> tuple) {
     case RouteSpec::Kind::kRoundRobin:
       return static_cast<int>(round_robin_next_++ %
                               static_cast<uint64_t>(n));
-    case RouteSpec::Kind::kRangeAttr: {
-      const catalog::TupleView view(schema_, tuple);
-      const int32_t key = view.GetInt(static_cast<size_t>(route_.attr));
-      const auto it = std::upper_bound(route_.boundaries.begin(),
-                                       route_.boundaries.end(), key);
-      return std::min(static_cast<int>(it - route_.boundaries.begin()),
-                      n - 1);
-    }
     case RouteSpec::Kind::kSingle:
       return route_.single_index;
     case RouteSpec::Kind::kBucketMap: {
@@ -117,7 +91,6 @@ int SplitTable::RouteTuple(std::span<const uint8_t> tuple) {
 
 bool SplitTable::KeyRouted() const {
   return route_.kind == RouteSpec::Kind::kHashAttr ||
-         route_.kind == RouteSpec::Kind::kRangeAttr ||
          route_.kind == RouteSpec::Kind::kBucketMap;
 }
 
@@ -145,7 +118,7 @@ void SplitTable::ChargeTupleBytes(int dest_index, size_t bytes) {
 void SplitTable::Send(std::span<const uint8_t> tuple) {
   GAMMA_CHECK_MSG(!closed_, "Send after Close");
   if (tracker_ != nullptr && KeyRouted()) {
-    // Hash, range probe, and bucket-map lookup all cost one hash path.
+    // Hash and bucket-map lookup both cost one hash path.
     tracker_->ChargeCpu(src_node_, tracker_->hw().cost.instr_per_tuple_hash);
   }
   if (filter_ != nullptr) {

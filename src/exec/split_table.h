@@ -14,12 +14,11 @@ namespace gammadb::exec {
 
 /// How a split table picks the destination process for an output tuple.
 struct RouteSpec {
-  enum class Kind { kHashAttr, kRoundRobin, kRangeAttr, kSingle, kBucketMap };
+  enum class Kind { kHashAttr, kRoundRobin, kSingle, kBucketMap };
 
   Kind kind = Kind::kRoundRobin;
-  int attr = -1;                        // kHashAttr / kRangeAttr / kBucketMap
+  int attr = -1;                        // kHashAttr / kBucketMap
   uint64_t salt = 0x5317;               // kHashAttr / kBucketMap
-  std::vector<int32_t> boundaries;      // kRangeAttr
   int single_index = 0;                 // kSingle
   /// kBucketMap: virtual bucket -> destination index. The tuple's key is
   /// hashed into one of bucket_map.size() virtual buckets, and the map
@@ -29,11 +28,6 @@ struct RouteSpec {
 
   static RouteSpec HashAttr(int attr, uint64_t salt);
   static RouteSpec RoundRobin();
-  /// `boundaries` must be sorted; duplicates are collapsed (a duplicated
-  /// boundary value describes an empty range and would otherwise leave its
-  /// destination unreachable while skewing every later index). An empty
-  /// vector routes all tuples to destination 0.
-  static RouteSpec RangeAttr(int attr, std::vector<int32_t> boundaries);
   static RouteSpec Single(int index);
   static RouteSpec BucketMap(int attr, uint64_t salt,
                              std::vector<int32_t> bucket_map);
@@ -44,10 +38,10 @@ struct RouteSpec {
 ///
 /// A producing operator pushes every output tuple through its split table,
 /// which (a) optionally drops it via a bit-vector filter, (b) picks a
-/// destination entry (hash of an attribute, round-robin, or range), (c)
-/// accounts 2 KB network packets — short-circuited when producer and
-/// consumer share a processor — and (d) delivers the tuple to the consuming
-/// operator instance. Close() flushes partially filled packets and sends the
+/// destination entry (hash of an attribute, round-robin, one fixed entry or
+/// a bucket map), (c) accounts 2 KB network packets — short-circuited when
+/// producer and consumer share a processor — and (d) delivers the tuple to
+/// the consuming operator instance. Close() flushes partially filled packets and sends the
 /// end-of-stream control messages whose growth with configuration size costs
 /// the 0% selection its perfect speedup (§5.2.1).
 class SplitTable {
@@ -91,8 +85,8 @@ class SplitTable {
   int RouteTuple(std::span<const uint8_t> tuple);
   void ChargeTupleBytes(int dest_index, size_t bytes);
   /// True for routes that pick destinations from the tuple's key (hash /
-  /// range / bucket-map) — the ones whose balance the skew observability
-  /// counters track.
+  /// bucket-map) — the ones whose balance the skew observability counters
+  /// track.
   bool KeyRouted() const;
 
   int src_node_;

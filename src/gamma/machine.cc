@@ -15,10 +15,10 @@
 #include "exec/exchange.h"
 #include "exec/hash_join.h"
 #include "exec/hybrid_join.h"
+#include "exec/join_site.h"
 #include "exec/merge_join.h"
 #include "exec/select.h"
 #include "exec/skew.h"
-#include "exec/sort.h"
 #include "exec/split_table.h"
 #include "exec/store.h"
 #include "obs/chrome_trace.h"
@@ -48,10 +48,6 @@ constexpr double kNonClusteredIndexThreshold = 0.05;
 /// Statement profiles kept for FlushProfileRing: one combined trace file
 /// replaces the one-file-per-query pattern on long runs.
 constexpr size_t kProfileRingCapacity = 64;
-
-/// Ceiling on overflow rounds; reaching it means the residency escalation
-/// could not shrink the build input (impossible without extreme skew).
-constexpr int kMaxOverflowRounds = 64;
 
 /// Loops that jump between scattered tuples ask for a tuple's cache lines
 /// this many tuples before they read it.
@@ -93,48 +89,6 @@ void RadixSortByKey(std::vector<T>& items, Key key) {
     items.swap(sorted);
   }
 }
-
-/// One sort-merge join site: arriving build/probe tuples are spooled to
-/// temporary files, sorted on the join attribute once both streams close,
-/// and merge-joined (the Teradata-style alternative of §8's comparison).
-class MergeJoinSite {
- public:
-  MergeJoinSite(int node, storage::StorageManager* sm) : node_(node), sm_(sm) {
-    build_spool_ = sm_->CreateFile();
-    probe_spool_ = sm_->CreateFile();
-  }
-  MergeJoinSite(const MergeJoinSite&) = delete;
-  MergeJoinSite& operator=(const MergeJoinSite&) = delete;
-  ~MergeJoinSite() {
-    sm_->DropFile(build_spool_);
-    sm_->DropFile(probe_spool_);
-  }
-
-  int node() const { return node_; }
-  storage::StorageManager& sm() { return *sm_; }
-  storage::FileId build_spool() const { return build_spool_; }
-  storage::FileId probe_spool() const { return probe_spool_; }
-  const Status& status() const { return status_; }
-
-  void AddBuildTuple(std::span<const uint8_t> t) { Spool(build_spool_, t); }
-  void AddProbeTuple(std::span<const uint8_t> t) { Spool(probe_spool_, t); }
-
- private:
-  void Spool(storage::FileId file, std::span<const uint8_t> t) {
-    if (!status_.ok()) return;
-    if (sm_->charge().tracker != nullptr) {
-      sm_->charge().Cpu(sm_->charge().tracker->hw().cost.instr_per_tuple_copy);
-    }
-    const auto rid = sm_->file(file).Append(t);
-    if (!rid.ok()) status_ = rid.status();
-  }
-
-  int node_;
-  storage::StorageManager* sm_;
-  storage::FileId build_spool_;
-  storage::FileId probe_spool_;
-  Status status_;
-};
 
 }  // namespace
 
@@ -1199,8 +1153,8 @@ Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
 /// \brief One join attempt (§6): both inputs' serving copies, the join
 /// sites' operators, the result split tables and store, and the phase
 /// functions RunJoinAttempt calls in order — SampleSkew (bucket-map routing
-/// only), Build, Probe, the algorithm's finish (FinishHybrid,
-/// FinishSortMerge or OverflowRounds), Finalize. Each phase runs all of its
+/// only), Build, Probe, the algorithm's finish (FinishSites or
+/// OverflowRounds), Finalize. Each phase runs all of its
 /// barriers, so a per-phase host timer wraps one call.
 struct GammaMachine::JoinRun {
   /// Opens the result, charges the query's control messages and operator
@@ -1208,7 +1162,7 @@ struct GammaMachine::JoinRun {
   /// and decides the build/probe routing.
   JoinRun(GammaMachine& machine, Statement& statement, const JoinQuery& query,
           const RelationMeta& inner_rel, const RelationMeta& outer_rel,
-          std::vector<int> sites, std::vector<FragmentCopy> inner_copies,
+          std::vector<int> site_nodes, std::vector<FragmentCopy> inner_copies,
           std::vector<FragmentCopy> outer_copies)
       : m(machine),
         stmt(statement),
@@ -1216,7 +1170,7 @@ struct GammaMachine::JoinRun {
         q(query),
         inner(inner_rel),
         outer(outer_rel),
-        join_nodes(std::move(sites)),
+        join_nodes(std::move(site_nodes)),
         nsites(join_nodes.size()),
         site_capacity(machine.config_.join_memory_total / nsites),
         inner_sources(std::move(inner_copies)),
@@ -1257,28 +1211,31 @@ struct GammaMachine::JoinRun {
                                         : inner.num_tuples;
     seed0 = m.next_salt_++;
     for (size_t j = 0; j < nsites; ++j) {
-      storage::StorageManager& sm =
-          *m.nodes_[static_cast<size_t>(join_nodes[j])];
+      storage::StorageManager* sm =
+          m.nodes_[static_cast<size_t>(join_nodes[j])].get();
       switch (q.algorithm) {
         case JoinAlgorithm::kHybridHash: {
           const uint64_t expected_bytes =
               (expected_build * (inner.schema.tuple_size() +
                                  exec::JoinHashTable::kPerEntryOverhead)) /
               nsites;
-          hybrid_sites.push_back(std::make_unique<exec::HybridHashJoinSite>(
-              join_nodes[j], &sm, &inner.schema, &outer.schema, q.inner_attr,
+          sites.push_back(std::make_unique<exec::HybridHashJoinSite>(
+              join_nodes[j], sm, &inner.schema, &outer.schema, q.inner_attr,
               q.outer_attr, site_capacity, expected_bytes, seed0 ^ 0xA5A5));
           break;
         }
-        case JoinAlgorithm::kSimpleHash:
-          simple_sites.push_back(std::make_unique<exec::HashJoinSite>(
-              join_nodes[j], &sm, &inner.schema, &outer.schema, q.inner_attr,
-              q.outer_attr, site_capacity));
-          simple_sites.back()->BeginRound(seed0);
+        case JoinAlgorithm::kSimpleHash: {
+          auto site = std::make_unique<exec::HashJoinSite>(
+              join_nodes[j], sm, &inner.schema, &outer.schema, q.inner_attr,
+              q.outer_attr, site_capacity);
+          site->BeginRound(seed0);
+          sites.push_back(std::move(site));
           break;
+        }
         case JoinAlgorithm::kSortMerge:
-          merge_sites.push_back(
-              std::make_unique<MergeJoinSite>(join_nodes[j], &sm));
+          sites.push_back(std::make_unique<exec::MergeJoinSite>(
+              join_nodes[j], sm, &inner.schema, &outer.schema, q.inner_attr,
+              q.outer_attr, site_capacity));
           break;
       }
     }
@@ -1435,45 +1392,13 @@ struct GammaMachine::JoinRun {
     return EndSitePhase();
   }
 
-  /// Hybrid: spooled buckets are joined locally, one extra read each.
-  Status FinishHybrid() {
-    tracker.BeginPhase("hybrid_buckets", sim::PhaseKind::kPipelined);
+  /// Hybrid and sort-merge: every site joins what it kept back locally —
+  /// Hybrid its spooled buckets (one extra read each), sort-merge its two
+  /// sorted spools — in one phase named `phase`.
+  Status FinishSites(const char* phase) {
+    tracker.BeginPhase(phase, sim::PhaseKind::kPipelined);
     GAMMA_RETURN_NOT_OK(RunSiteTasks([&](size_t j, sim::CostTracker&) {
-      return hybrid_sites[j]->FinishSpooledBuckets(result_sinks[j]);
-    }));
-    GAMMA_RETURN_NOT_OK(results.Drain(res_ex));
-    return EndSitePhase();
-  }
-
-  /// Sort-merge: each site sorts its spooled partitions on the join
-  /// attribute and merges them; memory bounds the run size, never the join,
-  /// so there are no overflow rounds.
-  Status FinishSortMerge() {
-    tracker.BeginPhase("sort_merge", sim::PhaseKind::kPipelined);
-    GAMMA_RETURN_NOT_OK(RunSiteTasks([&](size_t j, sim::CostTracker&) {
-      MergeJoinSite& site = *merge_sites[j];
-      storage::StorageManager& sm = site.sm();
-      Status status;
-      const storage::FileId sorted_build =
-          exec::ExternalSort(sm, site.build_spool(), inner.schema,
-                             q.inner_attr, site_capacity, &status);
-      if (!status.ok()) {
-        sm.DropFile(sorted_build);
-        return status;
-      }
-      const storage::FileId sorted_probe =
-          exec::ExternalSort(sm, site.probe_spool(), outer.schema,
-                             q.outer_attr, site_capacity, &status);
-      if (status.ok()) {
-        status = exec::SortMergeJoin(sm.file(sorted_build), inner.schema,
-                                     q.inner_attr, sm.file(sorted_probe),
-                                     outer.schema, q.outer_attr, sm.charge(),
-                                     result_sinks[j])
-                     .status;
-      }
-      sm.DropFile(sorted_build);
-      sm.DropFile(sorted_probe);
-      return status;
+      return sites[j]->Finish(result_sinks[j]);
     }));
     GAMMA_RETURN_NOT_OK(results.Drain(res_ex));
     return EndSitePhase();
@@ -1484,29 +1409,31 @@ struct GammaMachine::JoinRun {
   /// tuples no longer align with the storage partitioning (§6.2.2). If a
   /// round makes no progress — a single key's duplicates exceed the table,
   /// which no residency split can fix — the next round is forced: it
-  /// over-commits memory instead of spooling, guaranteeing termination.
+  /// over-commits memory instead of spooling. So every unforced round
+  /// spools strictly fewer tuples than the round before it and a forced
+  /// round spools none: the loop ends without a round cap.
   Status OverflowRounds() {
     int round = 0;
     uint64_t prev_spooled = UINT64_MAX;
     for (;;) {
       bool any_overflow = false;
       uint64_t spooled = 0;
-      for (const auto& site : simple_sites) {
-        any_overflow = any_overflow || site->HasOverflow();
-        spooled += site->build_spool().num_tuples() +
-                   site->probe_spool().num_tuples();
+      for (size_t j = 0; j < nsites; ++j) {
+        const exec::HashJoinSite& site = simple(j);
+        any_overflow = any_overflow || site.HasOverflow();
+        spooled +=
+            site.build_spool().num_tuples() + site.probe_spool().num_tuples();
       }
       if (!any_overflow) return Status::OK();
       const bool forced = spooled >= prev_spooled;
       prev_spooled = spooled;
-      GAMMA_CHECK_MSG(++round < kMaxOverflowRounds,
-                      "join overflow failed to converge");
+      ++round;
       tracker.AddOverflowRound();
       const uint64_t round_seed = m.next_salt_++;
       const uint64_t round_salt =
           HashBytes(&round_seed, sizeof(round_seed), 0x0F107);
-      for (const auto& site : simple_sites) {
-        site->BeginRound(round_seed, forced);
+      for (size_t j = 0; j < nsites; ++j) {
+        simple(j).BeginRound(round_seed, forced);
       }
       GAMMA_RETURN_NOT_OK(
           RedistributeSpools(/*probe=*/false, round, round_salt));
@@ -1534,8 +1461,8 @@ struct GammaMachine::JoinRun {
                            exec::ExchangeDestinations(oex, j, join_nodes),
                            &shard);
           const storage::HeapFile& spool =
-              probe ? simple_sites[j]->prev_probe_spool()
-                    : simple_sites[j]->prev_build_spool();
+              probe ? simple(j).prev_probe_spool()
+                    : simple(j).prev_build_spool();
           GAMMA_RETURN_NOT_OK(
               spool.Scan([&](Rid, std::span<const uint8_t> t) {
                 sm.charge().Cpu(m.config_.hw.cost.instr_per_tuple_scan);
@@ -1561,9 +1488,7 @@ struct GammaMachine::JoinRun {
     GAMMA_RETURN_NOT_OK(CheckSites());
     GAMMA_RETURN_NOT_OK(results.Close());
     // Site teardown drops the spool files before the tracker unbinds.
-    simple_sites.clear();
-    hybrid_sites.clear();
-    merge_sites.clear();
+    sites.clear();
     return Status::OK();
   }
 
@@ -1588,38 +1513,20 @@ struct GammaMachine::JoinRun {
 
   /// Hands arriving build (or probe) tuples to site j's operator.
   exec::TupleSink Deliver(bool probe, size_t j) {
-    return [this, probe, j](std::span<const uint8_t> t) {
-      switch (q.algorithm) {
-        case JoinAlgorithm::kHybridHash:
-          if (probe) {
-            hybrid_sites[j]->AddProbeTuple(t, result_sinks[j]);
-          } else {
-            hybrid_sites[j]->AddBuildTuple(t);
-          }
-          break;
-        case JoinAlgorithm::kSimpleHash:
-          if (probe) {
-            simple_sites[j]->AddProbeTuple(t, result_sinks[j]);
-          } else {
-            simple_sites[j]->AddBuildTuple(t);
-          }
-          break;
-        case JoinAlgorithm::kSortMerge:
-          if (probe) {
-            merge_sites[j]->AddProbeTuple(t);
-          } else {
-            merge_sites[j]->AddBuildTuple(t);
-          }
-          break;
-      }
+    return [site = sites[j].get(), emit = &result_sinks[j],
+            probe](std::span<const uint8_t> t) {
+      probe ? site->AddProbeTuple(t, *emit) : site->AddBuildTuple(t);
     };
+  }
+
+  /// Site j's Simple hash join, for the overflow rounds that span sites.
+  exec::HashJoinSite& simple(size_t j) const {
+    return static_cast<exec::HashJoinSite&>(*sites[j]);
   }
 
   /// Push-based operators latch their first error; surfaced between phases.
   Status CheckSites() const {
-    for (const auto& site : simple_sites) GAMMA_RETURN_NOT_OK(site->status());
-    for (const auto& site : hybrid_sites) GAMMA_RETURN_NOT_OK(site->status());
-    for (const auto& site : merge_sites) GAMMA_RETURN_NOT_OK(site->status());
+    for (const auto& site : sites) GAMMA_RETURN_NOT_OK(site->status());
     return results.status();
   }
 
@@ -1691,9 +1598,8 @@ struct GammaMachine::JoinRun {
   std::vector<std::unique_ptr<SplitTable>> result_splits;
   std::vector<exec::TupleSink> result_sinks;
   uint64_t seed0 = 0;
-  std::vector<std::unique_ptr<exec::HashJoinSite>> simple_sites;
-  std::vector<std::unique_ptr<exec::HybridHashJoinSite>> hybrid_sites;
-  std::vector<std::unique_ptr<MergeJoinSite>> merge_sites;
+  /// One join operator per site, of the query's algorithm.
+  std::vector<std::unique_ptr<exec::JoinSite>> sites;
   std::unique_ptr<exec::BitVectorFilter> filter;
   bool use_bucket_map = false;
   exec::RouteSpec build_route;
@@ -1759,10 +1665,10 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
   GAMMA_RETURN_NOT_OK(run.Probe());
   switch (query.algorithm) {
     case JoinAlgorithm::kHybridHash:
-      GAMMA_RETURN_NOT_OK(run.FinishHybrid());
+      GAMMA_RETURN_NOT_OK(run.FinishSites("hybrid_buckets"));
       break;
     case JoinAlgorithm::kSortMerge:
-      GAMMA_RETURN_NOT_OK(run.FinishSortMerge());
+      GAMMA_RETURN_NOT_OK(run.FinishSites("sort_merge"));
       break;
     case JoinAlgorithm::kSimpleHash:
       GAMMA_RETURN_NOT_OK(run.OverflowRounds());

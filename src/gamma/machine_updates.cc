@@ -336,13 +336,16 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
   stmt.log().ForceTail(target);
   if (Status st = FlushAllPools(); !st.ok()) {
     // The commit-time force failed: tombstone this append (both copies)
-    // while its pages are still cached so nothing partial survives.
+    // while its pages are still cached so nothing partial survives. A node
+    // whose flush task completed already holds the append on disk, and the
+    // abort only discards cached pages, so the tombstones are flushed too.
     if (backup.mirrored) {
       nodes_[static_cast<size_t>((target + 1) % config_.num_disk_nodes)]
           ->file(meta->per_node_backup_file[static_cast<size_t>(target)])
           .Delete(backup.backup_rid);
     }
     fragment.Delete(rid);
+    (void)FlushAllPools();
     return st;
   }
   GAMMA_RETURN_NOT_OK(stmt.CommitWrites({target}, what));

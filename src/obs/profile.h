@@ -52,9 +52,9 @@ struct Utilization {
   int active_nodes = 0;
   /// max/mean of per-node key-routed tuple arrivals in the phase with the
   /// largest redistribution (most tuples routed through kHashAttr /
-  /// kRangeAttr / kBucketMap split tables). The mean is taken over nodes
-  /// that opened at least one key-routed stream, so idle destinations drag
-  /// the ratio up rather than vanishing from it. 1.0 when the query never
+  /// kBucketMap split tables). The mean is taken over nodes that opened at
+  /// least one key-routed stream, so idle destinations drag the ratio up
+  /// rather than vanishing from it. 1.0 when the query never
   /// key-routes — a perfectly balanced redistribution also reads 1.0.
   double skew_imbalance = 1.0;
   /// Tuples routed in that largest redistribution phase (0 = none).

@@ -424,5 +424,41 @@ TEST(FlushTest, DirtyPoolOnDyingNodeFailsAndCleanOneDoesNot) {
   EXPECT_EQ(Sorted(read->returned), Sorted(tuples));
 }
 
+// The same failed append with logging off, where no undo runs: the backup
+// node's flush task has already written the appended tuple when the
+// primary's fails. The tombstone the failure path writes must reach that
+// disk too, or a read served from the backups sees the failed append.
+TEST(FlushTest, FailedAppendLeavesNoBackupCopyWithoutLogging) {
+  auto config = FaultableConfig();
+  config.num_disk_nodes = 2;
+  config.enable_logging = false;
+  auto machine = std::make_unique<gamma::GammaMachine>(config);
+  ASSERT_TRUE(machine
+                  ->CreateRelation("A", wis::WisconsinSchema(),
+                                   catalog::PartitionSpec::RoundRobin())
+                  .ok());
+  const auto tuples = wis::GenerateWisconsin(100, 7);
+  ASSERT_TRUE(machine->LoadTuples("A", tuples).ok());
+
+  machine->KillNodeAfterOps(0, 2);
+  catalog::TupleBuilder builder(&wis::WisconsinSchema());
+  builder.SetInt(wis::kUnique1, 5000).SetInt(wis::kUnique2, 5000);
+  const auto failed = machine->RunAppend(
+      {"A", {builder.bytes().begin(), builder.bytes().end()}});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsUnavailable()) << failed.status().ToString();
+  ASSERT_TRUE(machine->faults().IsDead(0));
+
+  gamma::SelectQuery query;
+  query.relation = "A";
+  query.predicate = Predicate::True();
+  query.store_result = false;
+  const auto read = machine->RunSelect(query);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*machine->CountTuples("A"), 100u);
+  ASSERT_EQ(read->returned.size(), 100u);
+  EXPECT_EQ(Sorted(read->returned), Sorted(tuples));
+}
+
 }  // namespace
 }  // namespace gammadb

@@ -416,6 +416,37 @@ TEST_F(GammaMachineTest, DuplicateSkewJoinConvergesViaForcedRound) {
   EXPECT_GT(result->metrics.overflow_rounds, 0u);
 }
 
+// Starved hash tables on a non-partitioning join attribute: each round
+// spools only slightly fewer tuples than the one before, so the Simple join
+// needs far more than 64 overflow rounds. It must still finish with the
+// whole answer: the forced-round rule, not a round cap, bounds the loop.
+TEST_F(GammaMachineTest, OverflowRoundsEndWithoutACap) {
+  GammaConfig config;
+  config.join_memory_total = 64 * 1024;
+  GammaMachine machine(config);
+  const auto a = wis::GenerateWisconsin(20000, 7);
+  const auto b = wis::GenerateWisconsin(20000, 8);
+  for (const auto& [name, tuples] : {std::pair{"A", &a}, std::pair{"B", &b}}) {
+    ASSERT_TRUE(machine
+                    .CreateRelation(name, wis::WisconsinSchema(),
+                                    PartitionSpec::Hashed(wis::kUnique1))
+                    .ok());
+    ASSERT_TRUE(machine.LoadTuples(name, *tuples).ok());
+  }
+  JoinQuery query;
+  query.outer = "A";
+  query.inner = "B";
+  query.outer_attr = wis::kUnique2;
+  query.inner_attr = wis::kUnique2;
+  query.store_result = false;
+  const auto result = machine.RunJoin(query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->result_tuples,
+            ReferenceJoinCount(b, wis::WisconsinSchema(), wis::kUnique2, a,
+                               wis::WisconsinSchema(), wis::kUnique2));
+  EXPECT_GT(result->metrics.overflow_rounds, 64u);
+}
+
 TEST_F(GammaMachineTest, HybridJoinMatchesSimple) {
   const auto bprime = wis::GenerateWisconsin(500, 8);
   ASSERT_TRUE(machine_

@@ -1,6 +1,8 @@
 // Unit tests for the join-site algorithms: the Simple hash-partitioned join
-// with overflow escalation, and the Hybrid hash join.
+// with overflow escalation, the Hybrid hash join and the sort-merge join,
+// each alone and all three through the shared JoinSite interface.
 
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -8,6 +10,8 @@
 #include "exec/aggregate.h"
 #include "exec/hash_join.h"
 #include "exec/hybrid_join.h"
+#include "exec/merge_join.h"
+#include "sim/fault_injector.h"
 #include "storage/storage_manager.h"
 #include "test_util.h"
 
@@ -153,7 +157,7 @@ TEST(HybridJoinTest, NoSpillWhenEstimateFits) {
     site.AddProbeTuple(MiniTuple(i, -i),
                        [&](std::span<const uint8_t>) { ++matches; });
   }
-  site.FinishSpooledBuckets([&](std::span<const uint8_t>) { ++matches; });
+  site.Finish([&](std::span<const uint8_t>) { ++matches; });
   EXPECT_EQ(matches, 100u);
   EXPECT_EQ(site.stats().build_spooled, 0u);
 }
@@ -172,7 +176,7 @@ TEST(HybridJoinTest, SpooledBucketsJoinOnce) {
                        [&](std::span<const uint8_t>) { ++matches; });
   }
   EXPECT_LT(matches, 200u);  // only bucket 0 matched online
-  site.FinishSpooledBuckets([&](std::span<const uint8_t>) { ++matches; });
+  site.Finish([&](std::span<const uint8_t>) { ++matches; });
   EXPECT_EQ(matches, 200u);
   // Hybrid writes each spooled tuple exactly once.
   EXPECT_LE(site.stats().build_spooled, 200u);
@@ -190,9 +194,179 @@ TEST(HybridJoinTest, UnderestimateStillCorrect) {
     site.AddProbeTuple(MiniTuple(i, -i),
                        [&](std::span<const uint8_t>) { ++matches; });
   }
-  site.FinishSpooledBuckets([&](std::span<const uint8_t>) { ++matches; });
+  site.Finish([&](std::span<const uint8_t>) { ++matches; });
   EXPECT_EQ(matches, 300u);
 }
+
+// --- Every site kind through the JoinSite interface ---
+
+enum class SiteKind { kSimple, kHybrid, kSortMerge };
+
+using Tuples = std::vector<std::vector<uint8_t>>;
+using TupleBag = std::multiset<std::vector<uint8_t>>;
+
+/// A site with room for `capacity_tuples` build tuples; Hybrid is told the
+/// true build size, so it splits into several buckets.
+std::unique_ptr<JoinSite> MakeSite(SiteKind kind, storage::StorageManager* sm,
+                                   uint64_t capacity_tuples,
+                                   uint64_t build_tuples) {
+  const catalog::Schema* schema = &MiniSchema();
+  const uint64_t capacity = TupleCost() * capacity_tuples;
+  switch (kind) {
+    case SiteKind::kSimple: {
+      auto site = std::make_unique<HashJoinSite>(0, sm, schema, schema, 0, 0,
+                                                 capacity);
+      site->BeginRound(1);
+      return site;
+    }
+    case SiteKind::kHybrid:
+      return std::make_unique<HybridHashJoinSite>(
+          0, sm, schema, schema, 0, 0, capacity, TupleCost() * build_tuples,
+          /*seed=*/5);
+    case SiteKind::kSortMerge:
+      return std::make_unique<MergeJoinSite>(0, sm, schema, schema, 0, 0,
+                                             capacity);
+  }
+  return nullptr;
+}
+
+Tuples ReadAll(const storage::HeapFile& file) {
+  Tuples out;
+  EXPECT_TRUE(file.Scan([&](storage::Rid, std::span<const uint8_t> t) {
+                    out.emplace_back(t.begin(), t.end());
+                    return true;
+                  })
+                  .ok());
+  return out;
+}
+
+/// Joins `build` with `probe` through one site: build, probe, Finish, and
+/// for Simple its overflow rounds on this one site (each round feeds the
+/// previous round's spools back, forced once a round stops shrinking them,
+/// as the machine's rounds do across sites).
+TupleBag JoinThroughSite(SiteKind kind, JoinSite& site, const Tuples& build,
+                         const Tuples& probe) {
+  TupleBag out;
+  const TupleSink emit = [&](std::span<const uint8_t> t) {
+    out.emplace(t.begin(), t.end());
+  };
+  for (const auto& t : build) site.AddBuildTuple(t);
+  for (const auto& t : probe) site.AddProbeTuple(t, emit);
+  EXPECT_TRUE(site.Finish(emit).ok());
+  if (kind != SiteKind::kSimple) return out;
+  auto& simple = static_cast<HashJoinSite&>(site);
+  uint64_t prev_spooled = UINT64_MAX;
+  for (uint64_t round = 2; simple.HasOverflow(); ++round) {
+    const uint64_t spooled = simple.build_spool().num_tuples() +
+                             simple.probe_spool().num_tuples();
+    simple.BeginRound(round, /*forced=*/spooled >= prev_spooled);
+    prev_spooled = spooled;
+    for (const auto& t : ReadAll(simple.prev_build_spool())) {
+      simple.AddBuildTuple(t);
+    }
+    for (const auto& t : ReadAll(simple.prev_probe_spool())) {
+      simple.AddProbeTuple(t, emit);
+    }
+  }
+  return out;
+}
+
+/// Oracle: build ++ probe for every pair with equal join keys.
+TupleBag NestedLoopJoin(const Tuples& build, const Tuples& probe) {
+  TupleBag out;
+  std::vector<uint8_t> joined;
+  for (const auto& b : build) {
+    for (const auto& p : probe) {
+      if (catalog::TupleView(&MiniSchema(), b).GetInt(0) ==
+          catalog::TupleView(&MiniSchema(), p).GetInt(0)) {
+        catalog::ConcatInto(joined, b, p);
+        out.insert(joined);
+      }
+    }
+  }
+  return out;
+}
+
+class JoinSiteKindTest : public ::testing::TestWithParam<SiteKind> {};
+
+// 300 build tuples over 40 keys (7 or 8 per key) into room for 50, and 200
+// probe tuples over 50 keys (10 of them unmatched): every kind spills, and
+// every kind must still produce exactly the nested-loop multiset.
+TEST_P(JoinSiteKindTest, DuplicateKeysPastMemoryMatchNestedLoop) {
+  Tuples build, probe;
+  for (int32_t i = 0; i < 300; ++i) build.push_back(MiniTuple(i % 40, i));
+  for (int32_t i = 0; i < 200; ++i) probe.push_back(MiniTuple(i % 50, -i));
+  storage::StorageManager sm(4096, 1 << 20);
+  const auto site = MakeSite(GetParam(), &sm, /*capacity_tuples=*/50,
+                             build.size());
+  const TupleBag joined = JoinThroughSite(GetParam(), *site, build, probe);
+  EXPECT_TRUE(site->status().ok()) << site->status().ToString();
+  EXPECT_EQ(joined.size(), 1200u);
+  EXPECT_EQ(joined, NestedLoopJoin(build, probe));
+}
+
+// Tuples held by every file of `sm` (the site's spools are all it has).
+uint64_t StoredTuples(const storage::StorageManager& sm) {
+  uint64_t total = 0;
+  for (storage::FileId id = 1; id < 64; ++id) {
+    if (sm.HasFile(id)) total += sm.file(id).num_tuples();
+  }
+  return total;
+}
+
+// The site's node dies at the buffer pool's second write-back of a spool
+// page, and the append that needed it latches status(). The node is then
+// revived, so only the latch keeps later tuples out: nothing more is
+// spooled, later tuples are dropped without an abort, and the latched
+// error is the one Finish reports.
+TEST_P(JoinSiteKindTest, FailedSpoolLatchesAndDropsLaterTuples) {
+  sim::FaultInjector faults(sim::FaultConfig{}, /*num_disk_nodes=*/1);
+  storage::StorageManager sm(4096, 8 * 4096, &faults, /*fault_node=*/0);
+  const auto site =
+      MakeSite(GetParam(), &sm, /*capacity_tuples=*/20, /*build_tuples=*/2000);
+  faults.KillNodeAfterOps(0, 2);
+  uint64_t stored_at_failure = 0;
+  const auto note_failure = [&] {
+    if (!site->status().ok() && stored_at_failure == 0) {
+      stored_at_failure = StoredTuples(sm);
+      faults.ReviveNode(0);
+    }
+  };
+  const TupleSink emit = [](std::span<const uint8_t>) {};
+  for (int32_t i = 0; i < 2000; ++i) {
+    site->AddBuildTuple(MiniTuple(i, i));
+    note_failure();
+  }
+  for (int32_t i = 0; i < 2000; ++i) {
+    site->AddProbeTuple(MiniTuple(i, -i), emit);
+    note_failure();
+  }
+  ASSERT_FALSE(site->status().ok());
+  EXPECT_TRUE(site->status().IsUnavailable()) << site->status().ToString();
+  EXPECT_GT(stored_at_failure, 0u);
+  EXPECT_EQ(StoredTuples(sm), stored_at_failure);
+  const Status first = site->status();
+  if (GetParam() != SiteKind::kSimple) {
+    EXPECT_EQ(site->Finish(emit).ToString(), first.ToString());
+  }
+  EXPECT_EQ(site->status().ToString(), first.ToString());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, JoinSiteKindTest,
+    ::testing::Values(SiteKind::kSimple, SiteKind::kHybrid,
+                      SiteKind::kSortMerge),
+    [](const ::testing::TestParamInfo<SiteKind>& info) {
+      switch (info.param) {
+        case SiteKind::kSimple:
+          return "Simple";
+        case SiteKind::kHybrid:
+          return "Hybrid";
+        case SiteKind::kSortMerge:
+          return "SortMerge";
+      }
+      return "Unknown";
+    });
 
 TEST(AggregateTest, ScalarFunctions) {
   storage::StorageManager sm(4096, 64 * 1024);

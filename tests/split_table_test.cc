@@ -80,47 +80,6 @@ TEST_F(SplitTableTest, RoundRobinBalancesExactly) {
   EXPECT_EQ(received_[3].size(), 25u);
 }
 
-TEST_F(SplitTableTest, RangeRouting) {
-  SplitTable split(0, &MiniSchema(), RouteSpec::RangeAttr(0, {10, 20, 30}),
-                   Dests(4), &tracker_);
-  split.Send(MiniTuple(5, 0));
-  split.Send(MiniTuple(10, 0));
-  split.Send(MiniTuple(25, 0));
-  split.Send(MiniTuple(1000, 0));
-  split.Close();
-  EXPECT_EQ(received_[0].size(), 1u);
-  EXPECT_EQ(received_[1].size(), 1u);
-  EXPECT_EQ(received_[2].size(), 1u);
-  EXPECT_EQ(received_[3].size(), 1u);
-}
-
-TEST_F(SplitTableTest, RangeRoutingEmptyBoundaries) {
-  // No boundaries = one range; everything lands on destination 0 instead
-  // of tripping over an empty upper_bound.
-  SplitTable split(0, &MiniSchema(), RouteSpec::RangeAttr(0, {}), Dests(4),
-                   &tracker_);
-  for (int32_t i = -5; i < 5; ++i) split.Send(MiniTuple(i, 0));
-  split.Close();
-  EXPECT_EQ(received_[0].size(), 10u);
-  EXPECT_EQ(received_[1].size(), 0u);
-  EXPECT_EQ(received_[3].size(), 0u);
-}
-
-TEST_F(SplitTableTest, RangeRoutingCollapsesDuplicateBoundaries) {
-  // {10, 10, 20} describes the same three ranges as {10, 20}: a key equal
-  // to the duplicated boundary must go one destination forward (not two),
-  // and keys past it must not shift a destination too far.
-  SplitTable split(0, &MiniSchema(), RouteSpec::RangeAttr(0, {10, 10, 20}),
-                   Dests(3), &tracker_);
-  split.Send(MiniTuple(5, 0));    // first range (< 10)
-  split.Send(MiniTuple(10, 0));   // second range [10, 20)
-  split.Send(MiniTuple(99, 0));   // last range (>= 20)
-  split.Close();
-  EXPECT_EQ(received_[0].size(), 1u);
-  EXPECT_EQ(received_[1].size(), 1u);
-  EXPECT_EQ(received_[2].size(), 1u);
-}
-
 TEST_F(SplitTableTest, BucketMapRoutingHonorsMap) {
   // 8 virtual buckets folded onto 2 of 3 destinations: destination 1 is
   // named by no bucket and must stay empty, and every copy of a key lands
