@@ -12,6 +12,7 @@
 #include <filesystem>
 
 #include "common/macros.h"
+#include "obs/journal.h"
 #include "obs/metrics_registry.h"
 #include "obs/profile.h"
 #include "sim/host_pool.h"
@@ -293,26 +294,22 @@ void JsonReport::Write() const {
   std::fprintf(f, "  \"queries\": [\n");
   for (size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
-    // Labels are bench-internal ASCII; escape the JSON specials anyway.
-    std::string escaped;
-    for (const char c : e.label) {
-      if (c == '"' || c == '\\') escaped += '\\';
-      escaped += c;
-    }
+    std::string query;
+    obs::AppendJsonString(e.label, &query);
     const char* sep = i + 1 < entries_.size() ? "," : "";
     if (e.scalar) {
-      std::fprintf(f, "    {\"query\": \"%s\", \"value\": %.6f}%s\n",
-                   escaped.c_str(), e.seconds, sep);
+      std::fprintf(f, "    {\"query\": %s, \"value\": %.6f}%s\n",
+                   query.c_str(), e.seconds, sep);
     } else {
       std::fprintf(f,
-                   "    {\"query\": \"%s\", \"seconds\": %.6f, "
+                   "    {\"query\": %s, \"seconds\": %.6f, "
                    "\"page_ios\": %llu, \"packets\": %llu, "
                    "\"disk_busy_frac\": %.6f, \"cpu_busy_frac\": %.6f, "
                    "\"net_busy_frac\": %.6f, "
                    "\"critical_resource\": \"%s\", "
                    "\"skew_imbalance\": %.6f, "
                    "\"skew_routed_tuples\": %llu}%s\n",
-                   escaped.c_str(), e.seconds,
+                   query.c_str(), e.seconds,
                    static_cast<unsigned long long>(e.page_ios),
                    static_cast<unsigned long long>(e.packets),
                    e.disk_busy_frac, e.cpu_busy_frac, e.net_busy_frac,

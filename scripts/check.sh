@@ -89,8 +89,7 @@ if [[ "$MODE" == "all" || "$MODE" == "--tsan-only" ]]; then
   GAMMA_HOST_THREADS=4 GAMMA_BENCH_SIZES=10000 \
     ./build-tsan/bench/table3_update
   echo "== Table 2 joins under TSan (4 host threads: parallel Teradata load," \
-    "secondary-index build, and the joins' per-AMP sort step and pool" \
-    "flushes) =="
+    "secondary-index build, and the joins' per-AMP sort step) =="
   GAMMA_HOST_THREADS=4 GAMMA_BENCH_SIZES=10000 \
     ./build-tsan/bench/table2_join
 fi

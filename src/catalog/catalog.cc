@@ -1,5 +1,7 @@
 #include "catalog/catalog.h"
 
+#include "storage/heap_file.h"
+
 namespace gammadb::catalog {
 
 const IndexMeta* RelationMeta::FindIndex(int attr) const {
@@ -32,6 +34,23 @@ Status Catalog::CheckResultName(const std::string& name) const {
     return Status::AlreadyExists("result relation " + name);
   }
   return Status::OK();
+}
+
+Status Catalog::CheckResult(const std::string& name, const Schema& schema,
+                            uint32_t page_size) const {
+  GAMMA_RETURN_NOT_OK(CheckResultName(name));
+  if (!storage::HeapFile::RecordFits(schema.tuple_size(), page_size)) {
+    return Status::InvalidArgument("a result tuple does not fit on one page");
+  }
+  return Status::OK();
+}
+
+std::string Catalog::FreshResultName(const std::string& prefix) {
+  std::string name;
+  do {
+    name = prefix + std::to_string(next_result_id_++);
+  } while (Contains(name));
+  return name;
 }
 
 Result<RelationMeta*> Catalog::Get(const std::string& name) {

@@ -67,11 +67,20 @@ class Catalog {
   /// it names an existing relation. An empty name is always free (the
   /// machine picks a fresh one).
   Status CheckResultName(const std::string& name) const;
+  /// Refuses a stored result (or a temporary spool) before anything is
+  /// charged: a taken `name` (CheckResultName), or a `schema` tuple that
+  /// does not fit on one `page_size` page.
+  Status CheckResult(const std::string& name, const Schema& schema,
+                     uint32_t page_size) const;
+  /// The next `prefix` + N (N = 1, 2, ...) that names no relation; the
+  /// counter never reuses a number, even after its relation is dropped.
+  std::string FreshResultName(const std::string& prefix);
   Status Drop(const std::string& name);
   std::vector<std::string> Names() const;
 
  private:
   std::map<std::string, RelationMeta> relations_;
+  uint64_t next_result_id_ = 1;
 };
 
 }  // namespace gammadb::catalog

@@ -18,7 +18,7 @@ PartitionSpec PartitionSpec::RangeUser(int key_attr,
                                        std::vector<int32_t> boundaries) {
   GAMMA_CHECK(std::is_sorted(boundaries.begin(), boundaries.end()));
   PartitionSpec spec;
-  spec.strategy = PartitionStrategy::kRangeUser;
+  spec.strategy = PartitionStrategy::kRange;
   spec.key_attr = key_attr;
   spec.range_boundaries = std::move(boundaries);
   return spec;
@@ -28,7 +28,7 @@ PartitionSpec PartitionSpec::RangeUniform(int key_attr, int32_t lo,
                                           int32_t hi, int nodes) {
   GAMMA_CHECK(lo <= hi && nodes > 0);
   PartitionSpec spec;
-  spec.strategy = PartitionStrategy::kRangeUniform;
+  spec.strategy = PartitionStrategy::kRange;
   spec.key_attr = key_attr;
   const int64_t span = static_cast<int64_t>(hi) - lo + 1;
   for (int i = 1; i < nodes; ++i) {
@@ -117,7 +117,7 @@ bool PartitionSpec::Deserialize(std::span<const uint8_t> bytes,
   uint32_t strategy_raw = 0;
   uint32_t key_attr_raw = 0;
   if (!GetU32(bytes, &pos, &strategy_raw)) return false;
-  if (strategy_raw > static_cast<uint32_t>(PartitionStrategy::kRangeUniform)) {
+  if (strategy_raw > static_cast<uint32_t>(PartitionStrategy::kRange)) {
     return false;
   }
   spec.strategy = static_cast<PartitionStrategy>(strategy_raw);
@@ -164,8 +164,7 @@ int Partitioner::NodeForKey(int32_t key) const {
       }
       return static_cast<int>(hash % static_cast<uint64_t>(num_nodes_));
     }
-    case PartitionStrategy::kRangeUser:
-    case PartitionStrategy::kRangeUniform: {
+    case PartitionStrategy::kRange: {
       const auto& bounds = spec_->range_boundaries;
       const auto it = std::upper_bound(bounds.begin(), bounds.end(), key);
       const size_t range = static_cast<size_t>(it - bounds.begin());

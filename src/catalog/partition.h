@@ -9,16 +9,17 @@
 
 namespace gammadb::catalog {
 
-/// Gamma's four declustering strategies (§2).
+/// Gamma's declustering strategies (§2). Its two range strategies (user
+/// ranges, uniform ranges) differ only in how the boundaries are chosen, so
+/// they share kRange.
 enum class PartitionStrategy {
   /// Tuples dealt to disks in turn; the default for query results.
   kRoundRobin,
   /// A randomizing function applied to the key attribute selects the disk.
   kHashed,
-  /// User-specified key ranges per site.
-  kRangeUser,
-  /// System computes ranges that spread the key domain uniformly.
-  kRangeUniform,
+  /// Key ranges per site: boundaries given by the user (RangeUser) or
+  /// computed to spread the key domain uniformly (RangeUniform).
+  kRange,
 };
 
 /// \brief How a relation is declustered across the processors with disks.
@@ -28,7 +29,7 @@ struct PartitionSpec {
   int key_attr = -1;
   /// Ascending boundaries b_0 < b_1 < ... (size = ranges - 1); key < b_i goes
   /// to the first range i whose boundary exceeds it. Filled by the user
-  /// (kRangeUser) or computed from the key domain (kRangeUniform).
+  /// (RangeUser) or computed from the key domain (RangeUniform).
   std::vector<int32_t> range_boundaries;
   /// Salt for the declustering hash; split tables use different salts so
   /// load-time and join-time hashes stay independent.

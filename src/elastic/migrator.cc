@@ -130,8 +130,7 @@ Status ElasticMigrator::PlanMoves(RelationMeta* meta, Plan* plan) const {
   switch (meta->partitioning.strategy) {
     case PartitionStrategy::kHashed:
       return PlanHashed(meta, plan);
-    case PartitionStrategy::kRangeUser:
-    case PartitionStrategy::kRangeUniform:
+    case PartitionStrategy::kRange:
       return PlanRange(meta, plan);
     case PartitionStrategy::kRoundRobin:
       return PlanRoundRobin(meta, plan);

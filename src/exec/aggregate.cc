@@ -80,15 +80,6 @@ void GroupedAggregator::MergeGroup(int32_t group, const AggState& state) {
   }
 }
 
-void GroupedAggregator::MergePartials(const GroupedAggregator& other) {
-  for (const auto& [group, state] : other.groups_) {
-    groups_[group].Merge(state);
-    if (charge_->tracker != nullptr) {
-      charge_->Cpu(charge_->tracker->hw().cost.instr_per_tuple_agg);
-    }
-  }
-}
-
 catalog::Schema GroupedAggregator::ResultSchema() {
   return catalog::Schema({{"group", catalog::AttrType::kInt32, 4},
                           {"value", catalog::AttrType::kInt32, 4}});

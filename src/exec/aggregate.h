@@ -44,9 +44,6 @@ class GroupedAggregator {
   /// Accumulates one input tuple.
   void Consume(std::span<const uint8_t> tuple);
 
-  /// Merges another aggregator's partials (the global step).
-  void MergePartials(const GroupedAggregator& other);
-
   /// Merges one partial state received over the network (deserialized from
   /// a partial-aggregate tuple).
   void MergeGroup(int32_t group, const AggState& state);

@@ -5,22 +5,9 @@
 
 namespace gammadb::exec {
 
-Status NodeExecutor::Run(sim::CostTracker* tracker, std::vector<NodeTask> tasks,
-                         Merge merge) const {
+Status NodeExecutor::Run(sim::CostTracker* tracker,
+                         std::vector<NodeTask> tasks) const {
   const size_t n = tasks.size();
-  // The owner whose sums each shard continues (-1: none, the shard is added).
-  std::vector<int> continued(n, -1);
-  if (merge == Merge::kContinueOwner && tracker != nullptr) {
-    std::vector<bool> seen(static_cast<size_t>(tracker_nodes_), false);
-    for (size_t i = 0; i < n; ++i) {
-      const int owner = tasks[i].owner;
-      if (owner < 0) continue;
-      GAMMA_CHECK_MSG(!seen[static_cast<size_t>(owner)],
-                      "continued shards need distinct owners");
-      seen[static_cast<size_t>(owner)] = true;
-      continued[i] = owner;
-    }
-  }
   std::vector<std::unique_ptr<sim::CostTracker>> shards(n);
   std::vector<Status> statuses(n, Status::OK());
   std::vector<std::function<void()>> thunks;
@@ -28,9 +15,6 @@ Status NodeExecutor::Run(sim::CostTracker* tracker, std::vector<NodeTask> tasks,
   for (size_t i = 0; i < n; ++i) {
     shards[i] = std::make_unique<sim::CostTracker>(hw_, tracker_nodes_);
     shards[i]->AttachFaultInjector(faults_);
-    if (continued[i] >= 0) {
-      shards[i]->SeedUsage(continued[i], tracker->current(continued[i]));
-    }
     thunks.push_back([this, i, tracker, &tasks, &shards, &statuses] {
       const NodeTask& task = tasks[i];
       if (task.owner >= 0) {
@@ -45,10 +29,10 @@ Status NodeExecutor::Run(sim::CostTracker* tracker, std::vector<NodeTask> tasks,
     });
   }
   sim::HostPool::Instance().RunAll(thunks);
-  // Barrier passed: merge shards and restore the node bindings, in task
+  // Barrier passed: add the shards and restore the node bindings, in task
   // order (callers build tasks in canonical node order).
   for (size_t i = 0; i < n; ++i) {
-    if (tracker != nullptr) tracker->MergeUsage(*shards[i], continued[i]);
+    if (tracker != nullptr) tracker->MergeUsage(*shards[i]);
     if (tasks[i].owner >= 0) {
       nodes_[static_cast<size_t>(tasks[i].owner)]->BindTracker(tracker,
                                                                tasks[i].owner);
@@ -60,7 +44,7 @@ Status NodeExecutor::Run(sim::CostTracker* tracker, std::vector<NodeTask> tasks,
   return Status::OK();
 }
 
-Status NodeExecutor::FlushPools(sim::CostTracker* tracker, Merge merge) const {
+Status NodeExecutor::FlushPools(sim::CostTracker* tracker) const {
   std::vector<NodeTask> tasks;
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i]->pool().dirty_frames() == 0) continue;
@@ -69,7 +53,7 @@ Status NodeExecutor::FlushPools(sim::CostTracker* tracker, Merge merge) const {
                              }});
   }
   if (tasks.empty()) return Status::OK();
-  return Run(tracker, std::move(tasks), merge);
+  return Run(tracker, std::move(tasks));
 }
 
 }  // namespace gammadb::exec

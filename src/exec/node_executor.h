@@ -28,27 +28,15 @@ struct NodeTask {
 /// AMPs) run their per-node phases through it.
 ///
 /// Determinism contract: each task charges into a private CostTracker shard
-/// (a full node-slot vector with no phases of its own); after the barrier the
-/// shards are merged into the query tracker *in task order*. With one host
-/// thread the same tasks run inline in the same order, so every simulated
-/// time, counter and answer is byte-identical for any thread count — the
-/// schedule decides only which core does the work, never what is charged.
+/// (a full node-slot vector with no phases of its own) that starts empty;
+/// after the barrier every shard is added to the query tracker *in task
+/// order*, so a node's sum is (what the phase charged it before) + (what
+/// each task charged it). With one host thread the same tasks run inline in
+/// the same order, so every simulated time, counter and answer is
+/// byte-identical for any thread count — the schedule decides only which
+/// core does the work, never what is charged.
 class NodeExecutor {
  public:
-  /// How each task's shard meets the query tracker's usage of its owner.
-  enum class Merge {
-    /// The shard starts empty and is added at the barrier, so a node's sum
-    /// is (what the phase charged it before) + (what the task charged).
-    kAdd,
-    /// The shard starts from the tracker's current usage of the owner and
-    /// replaces it at the barrier; other nodes are still added. A task that
-    /// charges only its owner then makes exactly the additions, in the same
-    /// order, that running it inline on the tracker would, even after
-    /// serial charges to that node earlier in the phase. Owners must be
-    /// distinct.
-    kContinueOwner,
-  };
-
   /// `nodes[i]` is node i's storage; every task's shard is a
   /// CostTracker(hw, tracker_nodes) with `faults` (may be null) attached.
   NodeExecutor(std::span<const std::unique_ptr<storage::StorageManager>> nodes,
@@ -64,18 +52,16 @@ class NodeExecutor {
   /// thread count. Returns the first non-OK task status, in task order —
   /// all tasks run to completion either way (an abort discards their work).
   /// `tracker` may be null (uncharged work, e.g. loading).
-  Status Run(sim::CostTracker* tracker, std::vector<NodeTask> tasks,
-             Merge merge = Merge::kAdd) const;
+  Status Run(sim::CostTracker* tracker, std::vector<NodeTask> tasks) const;
 
   /// The pool flush that ends a statement's phases: one Run task per node
   /// whose pool holds a dirty frame, each writing that pool back. A clean
   /// pool is skipped: its FlushAll would write nothing, draw no fault and
-  /// return OK, so its shard would merge zeros (kAdd) or hand back its own
-  /// seed (kContinueOwner). Skipping one moves no simulated number, and a
-  /// statement that dirtied one node's pool pays for one task, not one per
-  /// node. Between steps every node is bound to `tracker` (or to none).
-  Status FlushPools(sim::CostTracker* tracker,
-                    Merge merge = Merge::kAdd) const;
+  /// return OK, so its shard would add zeros. Skipping one moves no
+  /// simulated number, and a statement that dirtied one node's pool pays
+  /// for one task, not one per node. Between steps every node is bound to
+  /// `tracker` (or to none).
+  Status FlushPools(sim::CostTracker* tracker) const;
 
  private:
   std::span<const std::unique_ptr<storage::StorageManager>> nodes_;

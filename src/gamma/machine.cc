@@ -509,16 +509,9 @@ Status GammaMachine::DumpJournal(const std::string& path) const {
 
 void GammaMachine::CapturePostMortem(const std::string& reason) {
   if (!journal_.enabled()) return;
-  std::string out = "{\n  \"reason\": \"";
-  for (const char c : reason) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  out += "\",\n";
+  std::string out = "{\n  \"reason\": ";
+  obs::AppendJsonString(reason, &out);
+  out += ",\n";
   char buf[96];
   std::snprintf(buf, sizeof(buf), "  \"sim_sec\": %.9f,\n", journal_.now());
   out += buf;
@@ -546,14 +539,6 @@ Status GammaMachine::FlushProfileRing(const std::string& path) {
   }
   profile_ring_.Clear();
   return Status::OK();
-}
-
-std::string GammaMachine::FreshResultName() {
-  std::string name;
-  do {
-    name = "result_" + std::to_string(next_result_id_++);
-  } while (catalog_.Contains(name));
-  return name;
 }
 
 Status GammaMachine::CreateRelation(const std::string& name,
@@ -868,19 +853,11 @@ Result<GammaMachine::AccessDecision> GammaMachine::ChooseAccessPath(
   return AccessDecision{AccessPath::kFileScan, nullptr};
 }
 
-Status GammaMachine::CheckResult(const std::string& name,
-                                 const Schema& schema) const {
-  GAMMA_RETURN_NOT_OK(catalog_.CheckResultName(name));
-  if (!storage::HeapFile::RecordFits(schema.tuple_size(), config_.page_size)) {
-    return Status::InvalidArgument("a result tuple does not fit on one page");
-  }
-  return Status::OK();
-}
-
 RelationMeta* GammaMachine::MakeResultRelation(
     const std::string& requested_name, catalog::Schema schema) {
   std::string name =
-      requested_name.empty() ? FreshResultName() : requested_name;
+      requested_name.empty() ? catalog_.FreshResultName("result_")
+                             : requested_name;
   RelationMeta meta;
   meta.name = name;
   meta.schema = std::move(schema);
@@ -910,9 +887,7 @@ std::vector<int> GammaMachine::ParticipatingNodes(
     if (window->first == window->second) {
       const int home = partitioner.NodeForKey(window->first);
       if (home >= 0) return {home};
-    } else if (meta.partitioning.strategy == PartitionStrategy::kRangeUser ||
-               meta.partitioning.strategy ==
-                   PartitionStrategy::kRangeUniform) {
+    } else if (meta.partitioning.strategy == PartitionStrategy::kRange) {
       // Range declustering localizes range predicates: only the sites whose
       // key ranges intersect [lo, hi] get a select operator (§2: "the
       // optimizer is able to determine the best way of assigning these
@@ -1052,7 +1027,8 @@ Result<QueryResult> GammaMachine::RunSelectAttempt(const SelectQuery& query) {
   GAMMA_ASSIGN_OR_RETURN(const AccessDecision decision,
                          ChooseAccessPath(*meta, query));
   if (query.store_result) {
-    GAMMA_RETURN_NOT_OK(CheckResult(query.result_name, meta->schema));
+    GAMMA_RETURN_NOT_OK(catalog_.CheckResult(query.result_name, meta->schema,
+                                             config_.page_size));
   }
   Statement stmt(this);
   sim::CostTracker& tracker = stmt.tracker();
@@ -1621,9 +1597,9 @@ Result<QueryResult> GammaMachine::RunJoinAttempt(const JoinQuery& query) {
     return Status::InvalidArgument("join attribute out of range");
   }
   if (query.store_result) {
-    GAMMA_RETURN_NOT_OK(CheckResult(query.result_name,
-                                    Schema::Concat(inner->schema,
-                                                   outer->schema)));
+    GAMMA_RETURN_NOT_OK(catalog_.CheckResult(
+        query.result_name, Schema::Concat(inner->schema, outer->schema),
+        config_.page_size));
   }
 
   // Join sites per execution mode (§6); dead disk nodes host no operators.

@@ -716,10 +716,6 @@ class GammaMachine {
   Result<AccessDecision> ChooseAccessPath(const catalog::RelationMeta& meta,
                                           const SelectQuery& query) const;
 
-  /// Refuses a stored result before anything is charged: a taken `name`,
-  /// or a `schema` tuple larger than a page.
-  Status CheckResult(const std::string& name,
-                     const catalog::Schema& schema) const;
   /// Registers a round-robin result relation and creates its fragments on
   /// the live disk nodes (kNoFile on dead ones; results are never backed
   /// up — a failed query is simply re-run).
@@ -739,8 +735,6 @@ class GammaMachine {
   Status AcquireTxnLock(sim::CostTracker* tracker, uint64_t txn,
                         int charge_node, txn::LockId id, txn::LockMode mode);
 
-  std::string FreshResultName();
-
   GammaConfig config_;
   std::unique_ptr<sim::FaultInjector> faults_;
   catalog::Catalog catalog_;
@@ -756,7 +750,6 @@ class GammaMachine {
   /// Set by Crash(), cleared by Recover(); queries refuse while set.
   bool crashed_ = false;
   uint64_t next_statement_txn_ = 1;
-  uint64_t next_result_id_ = 1;
   uint64_t next_salt_ = 0xBEEF;
   /// Recent statement profiles, newest last (see profile_ring()).
   obs::BoundedRing<std::shared_ptr<const obs::Profile>> profile_ring_;

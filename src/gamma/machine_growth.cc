@@ -87,8 +87,7 @@ Result<GammaMachine::GrowthReport> GammaMachine::AddNode() {
         spec.bucket_map[static_cast<size_t>(b)] = b % old_n;
       }
       ++report.relations_converted;
-    } else if ((spec.strategy == PartitionStrategy::kRangeUser ||
-                spec.strategy == PartitionStrategy::kRangeUniform) &&
+    } else if (spec.strategy == PartitionStrategy::kRange &&
                spec.range_nodes.empty()) {
       // Pin range placement too: the implicit min(range, nodes-1) fallback
       // would shift overflow ranges when the width changes.

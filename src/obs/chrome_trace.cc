@@ -4,6 +4,8 @@
 #include <map>
 #include <utility>
 
+#include "obs/journal.h"
+
 namespace gammadb::obs {
 
 namespace {
@@ -54,13 +56,6 @@ std::string TrackName(const Span& span, int tid) {
   return name;
 }
 
-void AppendEscaped(std::string* out, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
-
 /// Appends one profile's thread_name metadata and span events under `pid`
 /// (the shared body of the single- and multi-statement renderings).
 void AppendProfileEvents(std::string* out, const Profile& profile, int pid,
@@ -75,23 +70,23 @@ void AppendProfileEvents(std::string* out, const Profile& profile, int pid,
   for (const auto& [tid, name] : tracks) {
     std::snprintf(buf, sizeof(buf),
                   "%s{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"tid\":%d,\"args\":{\"name\":\"",
+                  "\"tid\":%d,\"args\":{\"name\":",
                   *first ? "" : ",", pid, tid);
     *out += buf;
-    AppendEscaped(out, name);
-    *out += "\"}}";
+    AppendJsonString(name, out);
+    *out += "}}";
     *first = false;
   }
 
   for (const Span& span : profile.spans) {
     std::snprintf(buf, sizeof(buf),
-                  "%s{\"name\":\"", *first ? "" : ",");
+                  "%s{\"name\":", *first ? "" : ",");
     *out += buf;
-    AppendEscaped(out, span.name);
+    AppendJsonString(span.name, out);
     // Simulated seconds -> microseconds; fixed precision keeps the bytes
     // identical whenever the profile is.
     std::snprintf(buf, sizeof(buf),
-                  "\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
+                  ",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
                   "\"ts\":%.3f,\"dur\":%.3f",
                   span.device == Device::kNone ? "span" : "device", pid,
                   TrackFor(span), span.begin_sec * 1e6, span.dur_sec * 1e6);
@@ -113,12 +108,12 @@ std::string ChromeTraceJson(const Profile& profile) {
   bool first = true;
   AppendProfileEvents(&out, profile, /*pid=*/1, &first);
 
-  out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"machine\":\"";
-  AppendEscaped(&out, profile.machine);
-  out += "\",\"label\":\"";
-  AppendEscaped(&out, profile.label);
+  out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"machine\":";
+  AppendJsonString(profile.machine, &out);
+  out += ",\"label\":";
+  AppendJsonString(profile.label, &out);
   std::snprintf(buf, sizeof(buf),
-                "\",\"total_sec\":%.6f,\"disk_busy_frac\":%.6f,"
+                ",\"total_sec\":%.6f,\"disk_busy_frac\":%.6f,"
                 "\"cpu_busy_frac\":%.6f,\"net_busy_frac\":%.6f,"
                 "\"ring_busy_frac\":%.6f,\"critical_resource\":\"%s\"}}",
                 profile.total_sec, profile.util.disk_busy_frac,
@@ -157,11 +152,11 @@ std::string ChromeTraceJsonAll(
     ++pid;
     std::snprintf(buf, sizeof(buf),
                   "%s{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"args\":{\"name\":\"",
+                  "\"args\":{\"name\":",
                   first ? "" : ",", pid);
     out += buf;
-    AppendEscaped(&out, std::to_string(pid - 1) + ":" + profile->label);
-    out += "\"}}";
+    AppendJsonString(std::to_string(pid - 1) + ":" + profile->label, &out);
+    out += "}}";
     first = false;
     AppendProfileEvents(&out, *profile, pid, &first);
   }

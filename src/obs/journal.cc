@@ -134,8 +134,6 @@ std::string Journal::RenderText(size_t max_events) const {
   return out;
 }
 
-namespace {
-
 void AppendJsonString(const std::string& s, std::string* out) {
   out->push_back('"');
   for (const char c : s) {
@@ -156,8 +154,6 @@ void AppendJsonString(const std::string& s, std::string* out) {
   }
   out->push_back('"');
 }
-
-}  // namespace
 
 std::string Journal::EventsJson() const {
   const std::vector<MergedEvent> merged = Merged();

@@ -40,6 +40,10 @@ enum class JournalEventKind : uint8_t {
 /// Stable ASCII name for a kind ("statement_begin", "lock_wait", ...).
 const char* JournalEventKindName(JournalEventKind kind);
 
+/// Appends `s` to `out` as a quoted JSON string: `"` and `\` are escaped,
+/// newline and tab become `\n` and `\t`, other control bytes `\u00XX`.
+void AppendJsonString(const std::string& s, std::string* out);
+
 /// One recorded event. `sim_sec` is the machine's simulated clock when the
 /// statement (or control action) that produced the event began; `seq` is the
 /// owning ring's monotonic emit counter, which keeps intra-ring order and

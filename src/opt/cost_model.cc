@@ -177,8 +177,7 @@ int CostModel::ParticipatingSites(const catalog::RelationMeta& meta,
   if (spec.strategy == catalog::PartitionStrategy::kHashed) {
     return bounds->first == bounds->second ? 1 : n;
   }
-  if (spec.strategy == catalog::PartitionStrategy::kRangeUser ||
-      spec.strategy == catalog::PartitionStrategy::kRangeUniform) {
+  if (spec.strategy == catalog::PartitionStrategy::kRange) {
     const AttrStats* as =
         stats != nullptr ? stats->Attr(spec.key_attr) : nullptr;
     const double cardinality =

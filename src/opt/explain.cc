@@ -5,13 +5,13 @@
 
 namespace gammadb::opt {
 
-namespace {
-
 std::string FormatSeconds(double sec) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.4f s", sec);
   return buf;
 }
+
+namespace {
 
 void RenderNode(const PlanNode& node, int depth, std::string* out) {
   const std::string indent(static_cast<size_t>(depth) * 2, ' ');

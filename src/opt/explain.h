@@ -20,6 +20,9 @@ struct PlanNode {
   std::vector<PlanNode> children;
 };
 
+/// `sec` as "%.4f s", the form every plan line prints seconds in.
+std::string FormatSeconds(double sec);
+
 /// Renders the plan tree, indenting children, e.g.:
 ///
 ///   select Aheap10000 (file scan over 8 sites)

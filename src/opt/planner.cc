@@ -9,12 +9,6 @@ namespace gammadb::opt {
 
 namespace {
 
-std::string FormatSec(double sec) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4f s", sec);
-  return buf;
-}
-
 std::string AttrName(const catalog::Schema& schema, int attr) {
   if (attr >= 0 && static_cast<size_t>(attr) < schema.num_attrs()) {
     return schema.attr(static_cast<size_t>(attr)).name;
@@ -158,7 +152,7 @@ Result<PlannedSelect> Planner::PlanSelect(gamma::SelectQuery query) const {
     if (i == best) continue;
     planned.plan.details.push_back(
         std::string("rejected: ") + AccessPathName(candidates[i].spec.path) +
-        " (est " + FormatSec(candidates[i].estimate.seconds) + ")");
+        " (est " + FormatSeconds(candidates[i].estimate.seconds) + ")");
   }
   planned.plan.est_seconds = planned.estimate.seconds;
   planned.plan.est_tuples = planned.estimate.output_tuples;
@@ -272,7 +266,7 @@ Result<PlannedJoin> Planner::PlanJoin(gamma::JoinQuery query) const {
     planned.plan.details.push_back(buf);
     if (bucket_map) {
       planned.plan.details.push_back("est sampling cost: " +
-                                     FormatSec(sample_sec));
+                                     FormatSeconds(sample_sec));
     }
   }
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -281,7 +275,7 @@ Result<PlannedJoin> Planner::PlanJoin(gamma::JoinQuery query) const {
         std::string("rejected: ") +
         JoinAlgorithmName(candidates[i].spec.algorithm) + "/" +
         JoinModeName(candidates[i].spec.mode) + " (est " +
-        FormatSec(candidates[i].estimate.seconds) + ")");
+        FormatSeconds(candidates[i].estimate.seconds) + ")");
   }
   planned.plan.est_seconds = planned.estimate.seconds;
   planned.plan.est_tuples = planned.estimate.output_tuples;

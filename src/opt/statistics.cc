@@ -217,8 +217,7 @@ void StatisticsCatalog::OnLoad(
   stats.hash_partitioned =
       partitioning.strategy == catalog::PartitionStrategy::kHashed;
   stats.range_partitioned =
-      partitioning.strategy == catalog::PartitionStrategy::kRangeUser ||
-      partitioning.strategy == catalog::PartitionStrategy::kRangeUniform;
+      partitioning.strategy == catalog::PartitionStrategy::kRange;
   stats.partition_attr =
       (stats.hash_partitioned || stats.range_partitioned)
           ? partitioning.key_attr

@@ -236,18 +236,12 @@ void CostTracker::ChargeScheduling(uint32_t num_operators,
   metrics_.scheduling_sec += msgs * hw_.net.control_msg_sec;
 }
 
-void CostTracker::MergeUsage(const CostTracker& shard, int continued_node) {
+void CostTracker::MergeUsage(const CostTracker& shard) {
   GAMMA_CHECK_MSG(in_phase_, "MergeUsage outside a phase");
   GAMMA_CHECK(shard.nodes_.size() == nodes_.size());
   GAMMA_CHECK_MSG(shard.metrics_.phases.empty() && !shard.in_phase_,
                   "shard trackers never run phases of their own");
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (static_cast<int>(i) == continued_node) {
-      nodes_[i] = shard.nodes_[i];
-    } else {
-      nodes_[i].Add(shard.nodes_[i]);
-    }
-  }
+  for (size_t i = 0; i < nodes_.size(); ++i) nodes_[i].Add(shard.nodes_[i]);
   phase_ring_bytes_ += shard.phase_ring_bytes_;
 }
 

@@ -186,14 +186,8 @@ class CostTracker {
   /// the query's tracker: shards are merged in canonical node order at every
   /// phase barrier, so the result is independent of how the tasks were
   /// scheduled onto host threads. `shard` must have the same node count and
-  /// must not have closed any phase of its own. When `continued_node` >= 0
-  /// the shard was seeded with that node's usage (SeedUsage), so the shard's
-  /// value replaces this tracker's instead of being added to it.
-  void MergeUsage(const CostTracker& shard, int continued_node = -1);
-
-  /// Starts this shard's usage of `node` from `usage` (another tracker's
-  /// current usage of it), so charges continue that node's running sums.
-  void SeedUsage(int node, const NodeUsage& usage) { nodes_.at(node) = usage; }
+  /// must not have closed any phase of its own.
+  void MergeUsage(const CostTracker& shard);
 
   /// Usage accumulated so far for `node` in the current phase (test hook).
   const NodeUsage& current(int node) const { return nodes_.at(node); }

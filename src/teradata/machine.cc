@@ -144,31 +144,18 @@ Result<TeradataMachine::Rel> TeradataMachine::GetRel(const std::string& name) {
 }
 
 Status TeradataMachine::FlushAllPools() {
-  return exec::NodeExecutor(amps_, config_.hw, config_.tracker_nodes())
-      .FlushPools(amps_[0]->charge().tracker,
-                  exec::NodeExecutor::Merge::kContinueOwner);
+  Status first = Status::OK();
+  for (const auto& amp : amps_) {
+    if (amp->pool().dirty_frames() == 0) continue;
+    Status status = amp->pool().FlushAll();
+    if (first.ok()) first = std::move(status);
+  }
+  return first;
 }
 
 int TeradataMachine::AmpForKey(int32_t key) const {
   return static_cast<int>(HashInt32(key, placement_salt_) %
                           static_cast<uint64_t>(config_.num_amps));
-}
-
-std::string TeradataMachine::FreshResultName() {
-  std::string name;
-  do {
-    name = "td_result_" + std::to_string(next_result_id_++);
-  } while (catalog_.Contains(name));
-  return name;
-}
-
-Status TeradataMachine::CheckResult(const std::string& name,
-                                    const catalog::Schema& schema) const {
-  GAMMA_RETURN_NOT_OK(catalog_.CheckResultName(name));
-  if (!storage::HeapFile::RecordFits(schema.tuple_size(), config_.page_size)) {
-    return Status::InvalidArgument("a result tuple does not fit on one page");
-  }
-  return Status::OK();
 }
 
 TeradataMachine::Rel TeradataMachine::AddRelation(const std::string& name,
@@ -215,8 +202,7 @@ Status TeradataMachine::CreateRelation(const std::string& name,
 Status TeradataMachine::RunAmpTasks(sim::CostTracker* tracker,
                                     std::vector<exec::NodeTask> tasks) {
   return exec::NodeExecutor(amps_, config_.hw, config_.tracker_nodes())
-      .Run(tracker, std::move(tasks),
-           exec::NodeExecutor::Merge::kContinueOwner);
+      .Run(tracker, std::move(tasks));
 }
 
 Status TeradataMachine::LoadTuples(
@@ -399,8 +385,9 @@ void TeradataMachine::Statement::OpenResult(bool store,
   sink_open_ = true;
   mode_ = mode;
   if (!store) return;
-  stored_ = m_.AddRelation(name.empty() ? m_.FreshResultName() : name,
-                           std::move(schema), /*pk_attr=*/0);
+  stored_ = m_.AddRelation(
+      name.empty() ? m_.catalog_.FreshResultName("td_result_") : name,
+      std::move(schema), /*pk_attr=*/0);
   result_.result_relation = stored_.meta->name;
 }
 
@@ -480,7 +467,8 @@ Result<QueryResult> TeradataMachine::Statement::Finish(const char* label) {
 Result<QueryResult> TeradataMachine::RunSelect(const TdSelectQuery& query) {
   GAMMA_ASSIGN_OR_RETURN(const Rel rel, GetRel(query.relation));
   if (query.store_result) {
-    GAMMA_RETURN_NOT_OK(CheckResult(query.result_name, rel.meta->schema));
+    GAMMA_RETURN_NOT_OK(catalog_.CheckResult(
+        query.result_name, rel.meta->schema, config_.page_size));
   }
   const RelationMeta& meta = *rel.meta;
   const Predicate& pred = query.predicate;
@@ -582,9 +570,10 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
     return Status::InvalidArgument("join attribute out of range");
   }
   if (query.store_result) {
-    GAMMA_RETURN_NOT_OK(CheckResult(
+    GAMMA_RETURN_NOT_OK(catalog_.CheckResult(
         query.result_name,
-        Schema::Concat(inner.meta->schema, outer.meta->schema)));
+        Schema::Concat(inner.meta->schema, outer.meta->schema),
+        config_.page_size));
   }
   // Joining on both primary keys: every tuple already lives at its join AMP
   // *and* every fragment is already in hash-key order on the join attribute,

@@ -244,23 +244,19 @@ class TeradataMachine {
   Result<Rel> GetRel(const std::string& name);
   /// Runs one task per AMP on the shared exec::NodeExecutor and returns the
   /// first failure in AMP order. `tracker` is null for uncharged work
-  /// (loading, index builds). Charged tasks continue their AMP's sums
-  /// (Merge::kContinueOwner), so a task that charges only its own AMP is
-  /// bit-identical to running it inline, even after serial charges earlier
-  /// in the phase.
+  /// (loading, index builds). The one charged caller is the join's `sort`
+  /// step, which opens its own phase and charges each AMP only from that
+  /// AMP's task, so adding the shards (0 + shard) gives the inline bits.
   Status RunAmpTasks(sim::CostTracker* tracker,
                      std::vector<exec::NodeTask> tasks);
-  /// Flushes every dirty AMP pool (exec::NodeExecutor::FlushPools,
-  /// kContinueOwner), charging whatever tracker the AMPs are bound to;
-  /// returns the first flush error in AMP order.
+  /// Flushes every dirty AMP pool inline, in AMP order, charging whatever
+  /// tracker the AMPs are bound to; every AMP is visited and the first
+  /// flush error is returned. Inline, not on the executor: a flush follows
+  /// serial charges to the same AMP in the same phase, and a shard added at
+  /// the barrier would sum those doubles in a different order (DESIGN §10).
   Status FlushAllPools();
   /// Home AMP of a key under the machine-wide placement hash.
   int AmpForKey(int32_t key) const;
-  std::string FreshResultName();
-  /// Refuses a stored result (or a temporary spool) before anything is
-  /// charged: a taken `name`, or a `schema` tuple larger than a page.
-  Status CheckResult(const std::string& name,
-                     const catalog::Schema& schema) const;
   /// Registers relation `name` (which must be free) hash-declustered on
   /// `pk_attr`, with an empty fragment and key directory per AMP.
   Rel AddRelation(const std::string& name, catalog::Schema schema,
@@ -296,7 +292,6 @@ class TeradataMachine {
   catalog::Catalog catalog_;
   std::map<std::string, RelationState> states_;
   std::vector<std::unique_ptr<storage::StorageManager>> amps_;
-  uint64_t next_result_id_ = 1;
   /// Placement hash salt: also used to redistribute joins on the primary
   /// key, which is what lets key-attribute joins skip the network (§6.1).
   uint64_t placement_salt_ = 0xDBC1012;

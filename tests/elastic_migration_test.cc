@@ -126,7 +126,7 @@ TEST(ElasticGrowth, AddNodePreservesPlacementAndAnswers) {
       EXPECT_EQ((*meta)->partitioning.bucket_map.size(), 32u);  // 16 * old n
       EXPECT_EQ(grown->relations_converted, 1u);
     }
-    if (spec.strategy == catalog::PartitionStrategy::kRangeUser) {
+    if (spec.strategy == catalog::PartitionStrategy::kRange) {
       // Range placement pinned against the width change.
       EXPECT_EQ((*meta)->partitioning.range_nodes.size(), 2u);
     }

@@ -393,7 +393,10 @@ TEST(AggregateTest, GroupedAndMerged) {
   for (int32_t i = 0; i < 100; ++i) {
     (i % 2 == 0 ? left : right).Consume(MiniTuple(i % 5, i));
   }
-  left.MergePartials(right);
+  // The global step: each of `right`'s partials arrives as one group.
+  for (const auto& [group, state] : right.groups()) {
+    left.MergeGroup(group, state);
+  }
   EXPECT_EQ(left.num_groups(), 5u);
   int64_t total = 0;
   for (const auto& [group, state] : left.groups()) total += state.sum;

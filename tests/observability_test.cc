@@ -638,6 +638,14 @@ TEST(JournalTest, MergedOrderIsTimeThenRingThenSeq) {
   EXPECT_NE(tail.find("wal_force"), std::string::npos);
 }
 
+// The one JSON string escaper behind the journal, the Chrome trace, the
+// post-mortem dump and the bench reports.
+TEST(JournalTest, AppendJsonStringEscapesSpecials) {
+  std::string out = "x";
+  obs::AppendJsonString("a\"b\\c\nd\te\x01" "f", &out);
+  EXPECT_EQ(out, "x\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
+}
+
 TEST(JournalTest, GrowInsertsEmptyRingAtDiskBoundary) {
   obs::Journal journal(4, 8);  // 2 disk + scheduler + host, say
   journal.Emit(2, obs::JournalEventKind::kLockWait, 7);

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/node_executor.h"
 #include "gamma/machine.h"
 #include "sim/host_pool.h"
 #include "sim/workload.h"
@@ -50,6 +51,26 @@ auto WithThreads(int threads, Fn&& body) {
   return result;
 }
 
+/// Exact (bitwise for doubles) equality over every NodeUsage field.
+void ExpectUsageEq(const sim::NodeUsage& ua, const sim::NodeUsage& ub,
+                   const std::string& where) {
+  EXPECT_EQ(ua.disk_sec, ub.disk_sec) << where;
+  EXPECT_EQ(ua.cpu_sec, ub.cpu_sec) << where;
+  EXPECT_EQ(ua.net_sec, ub.net_sec) << where;
+  EXPECT_EQ(ua.serial_sec, ub.serial_sec) << where;
+  EXPECT_EQ(ua.seq_page_ios, ub.seq_page_ios) << where;
+  EXPECT_EQ(ua.rand_page_ios, ub.rand_page_ios) << where;
+  EXPECT_EQ(ua.pages_read, ub.pages_read) << where;
+  EXPECT_EQ(ua.pages_written, ub.pages_written) << where;
+  EXPECT_EQ(ua.buffer_hits, ub.buffer_hits) << where;
+  EXPECT_EQ(ua.packets_sent, ub.packets_sent) << where;
+  EXPECT_EQ(ua.packets_short_circuited, ub.packets_short_circuited) << where;
+  EXPECT_EQ(ua.packets_retransmitted, ub.packets_retransmitted) << where;
+  EXPECT_EQ(ua.bytes_sent, ub.bytes_sent) << where;
+  EXPECT_EQ(ua.bytes_short_circuited, ub.bytes_short_circuited) << where;
+  EXPECT_EQ(ua.control_msgs, ub.control_msgs) << where;
+}
+
 /// Exact (bitwise for doubles) equality over every metrics field the cost
 /// model reports. The parallel executor merges per-task shards in canonical
 /// node order, so even floating-point sums must match the 1-thread run.
@@ -79,23 +100,8 @@ void ExpectMetricsEq(const sim::QueryMetrics& a, const sim::QueryMetrics& b) {
     EXPECT_EQ(pa.bottleneck_resource, pb.bottleneck_resource) << pa.name;
     ASSERT_EQ(pa.per_node.size(), pb.per_node.size());
     for (size_t i = 0; i < pa.per_node.size(); ++i) {
-      const sim::NodeUsage& ua = pa.per_node[i];
-      const sim::NodeUsage& ub = pb.per_node[i];
-      EXPECT_EQ(ua.disk_sec, ub.disk_sec) << pa.name << " node " << i;
-      EXPECT_EQ(ua.cpu_sec, ub.cpu_sec) << pa.name << " node " << i;
-      EXPECT_EQ(ua.net_sec, ub.net_sec) << pa.name << " node " << i;
-      EXPECT_EQ(ua.serial_sec, ub.serial_sec) << pa.name << " node " << i;
-      EXPECT_EQ(ua.seq_page_ios, ub.seq_page_ios);
-      EXPECT_EQ(ua.rand_page_ios, ub.rand_page_ios);
-      EXPECT_EQ(ua.pages_read, ub.pages_read);
-      EXPECT_EQ(ua.pages_written, ub.pages_written);
-      EXPECT_EQ(ua.buffer_hits, ub.buffer_hits);
-      EXPECT_EQ(ua.packets_sent, ub.packets_sent);
-      EXPECT_EQ(ua.packets_short_circuited, ub.packets_short_circuited);
-      EXPECT_EQ(ua.packets_retransmitted, ub.packets_retransmitted);
-      EXPECT_EQ(ua.bytes_sent, ub.bytes_sent);
-      EXPECT_EQ(ua.bytes_short_circuited, ub.bytes_short_circuited);
-      EXPECT_EQ(ua.control_msgs, ub.control_msgs);
+      ExpectUsageEq(pa.per_node[i], pb.per_node[i],
+                    pa.name + " node " + std::to_string(i));
     }
   }
 }
@@ -172,6 +178,94 @@ std::vector<std::string> PhaseNames(const QueryResult& result) {
     names.push_back(phase.name);
   }
   return names;
+}
+
+// The executor's one merge rule: every task's shard starts empty and is
+// added to the query tracker at the barrier, in task order, on top of what
+// the phase charged before, even for a node whose serial charges came
+// first. The charges are chosen so that the rule shows in the last bits:
+// continuing node 0's running sums inline would round differently.
+TEST(ParallelExecutorTest, MergeRuleAddsShardsInTaskOrder) {
+  const sim::MachineParams hw = sim::MachineParams::TeradataDefaults();
+  constexpr int kNodes = 3;
+  std::vector<std::unique_ptr<storage::StorageManager>> nodes;
+  for (int i = 0; i < 2; ++i) {
+    nodes.push_back(std::make_unique<storage::StorageManager>(4096, 64 << 10));
+  }
+  // Serial charges to node 0 before the tasks run.
+  const auto serial = [](sim::CostTracker& t) {
+    t.ChargeCpu(0, 1e6 / 3);
+    t.ChargeDiskRead(0, 4096, /*sequential=*/false);
+  };
+  // Task 0 (owner 0) charges only itself; task 1 (owner 1) charges itself
+  // and, remotely, node 0 and (by a packet to it) node 2.
+  const auto task0 = [](sim::CostTracker& t) {
+    t.ChargeCpu(0, 1e5);
+    t.ChargeCpu(0, 11e5 / 7);
+  };
+  const auto task1 = [](sim::CostTracker& t) {
+    t.ChargeCpu(1, 5e5 / 3);
+    t.ChargeCpu(0, 13e5 / 11);
+    t.ChargeDataPacket(1, 2, 2048);
+    t.ChargeDiskWrite(1, 4096, /*sequential=*/true);
+  };
+
+  // The rule, written out: (serial + shard 0) + shard 1, node by node.
+  sim::CostTracker expected(hw, kNodes);
+  expected.BeginPhase("p", sim::PhaseKind::kPipelined);
+  serial(expected);
+  std::vector<sim::NodeUsage> want;
+  for (int node = 0; node < kNodes; ++node) {
+    want.push_back(expected.current(node));
+  }
+  for (const auto& body : {std::function(task0), std::function(task1)}) {
+    sim::CostTracker shard(hw, kNodes);
+    body(shard);
+    for (int node = 0; node < kNodes; ++node) {
+      want[static_cast<size_t>(node)].Add(shard.current(node));
+    }
+  }
+  expected.EndPhase();
+  // Running the same charges inline on one tracker rounds differently.
+  sim::CostTracker inline_sums(hw, kNodes);
+  inline_sums.BeginPhase("p", sim::PhaseKind::kPipelined);
+  serial(inline_sums);
+  task0(inline_sums);
+  task1(inline_sums);
+  EXPECT_NE(inline_sums.current(0).cpu_sec, want[0].cpu_sec);
+  inline_sums.EndPhase();
+
+  for (const int threads : {1, kManyThreads}) {
+    const std::vector<sim::NodeUsage> got = WithThreads(threads, [&] {
+      sim::CostTracker tracker(hw, kNodes);
+      tracker.BeginPhase("p", sim::PhaseKind::kPipelined);
+      serial(tracker);
+      std::vector<exec::NodeTask> tasks;
+      tasks.push_back({0, [&](sim::CostTracker& shard) {
+                         task0(shard);
+                         return Status::OK();
+                       }});
+      tasks.push_back({1, [&](sim::CostTracker& shard) {
+                         task1(shard);
+                         return Status::OK();
+                       }});
+      GAMMA_CHECK(exec::NodeExecutor(nodes, hw, kNodes)
+                      .Run(&tracker, std::move(tasks))
+                      .ok());
+      std::vector<sim::NodeUsage> usage;
+      for (int node = 0; node < kNodes; ++node) {
+        usage.push_back(tracker.current(node));
+      }
+      tracker.EndPhase();
+      return usage;
+    });
+    for (int node = 0; node < kNodes; ++node) {
+      ExpectUsageEq(got[static_cast<size_t>(node)],
+                    want[static_cast<size_t>(node)],
+                    std::to_string(threads) + " threads, node " +
+                        std::to_string(node));
+    }
+  }
 }
 
 // Table 1's shape: a 10% range selection returned to the host, and the
@@ -275,11 +369,12 @@ TEST(ParallelExecutorTest, JoinIdenticalAcrossThreadCounts) {
   }
 }
 
-// Teradata's sort step and pool flushes run one task per AMP. Key joins
-// (no redistribution or sort) and non-key joins (redistribute, multi-run
-// external sort, merge), stored and returned, must match the 1-thread run
-// byte for byte and field for field — including a second statement on the
-// same machine, which starts from the pools the first one left behind.
+// Teradata's sort step runs one task per AMP; its pool flushes run inline,
+// AMP by AMP. Key joins (no redistribution or sort) and non-key joins
+// (redistribute, multi-run external sort, merge), stored and returned, must
+// match the 1-thread run byte for byte and field for field — including a
+// second statement on the same machine, which starts from the pools the
+// first one left behind.
 TEST(ParallelExecutorTest, TeradataJoinIdenticalAcrossThreadCounts) {
   struct TdOutput {
     std::vector<QueryResult> results;

@@ -167,8 +167,9 @@ TEST_F(TeradataMachineTest, SortMergeJoinCorrect) {
 
 // Simulated seconds of a 2k x 1k non-key join (redistribute, external sort
 // over several runs per AMP, merge), stored and returned, pinned at %.17g:
-// running the sort step and the pool flushes as per-AMP host tasks, and
-// recycling the spool and run pages, must not move the 1988 clock by a bit.
+// running the sort step as per-AMP host tasks, flushing the pools inline
+// and recycling the spool and run pages must not move the 1988 clock by a
+// bit.
 TEST(TeradataGoldenTest, NonKeyJoinSecondsArePinned) {
   std::string seconds[2];
   for (const bool store : {false, true}) {
