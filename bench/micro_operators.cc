@@ -2,7 +2,8 @@
 // data-path primitives underlying the simulation — slotted pages, B-tree,
 // join hash table, external sort, merge join, split routing, predicate
 // evaluation, the three join sites, Teradata bulk load, load-time
-// statistics, Gamma index builds and a single-site select's fixed cost.
+// statistics, Gamma index builds, a single-site select's fixed cost, and
+// the page path (checksum, buffer-pool misses and the dirty spool cycle).
 // These measure
 // the reproduction's own code (wall-clock), not the simulated 1988
 // hardware.
@@ -63,8 +64,8 @@ void BM_PageChecksum(benchmark::State& state) {
 BENCHMARK(BM_PageChecksum)->Arg(4096)->Arg(32768);
 
 void BM_BufferPoolMissSweep(benchmark::State& state) {
-  // 1024 pages through a 16-frame pool: every pin misses, so each one is a
-  // disk copy, a checksum and a recycled frame buffer.
+  // 1024 pages through a 16-frame pool: every read pin misses, so each one
+  // is a fault check, a checksum of the disk's own block and an eviction.
   constexpr uint32_t kPages = 1024;
   storage::StorageManager sm(4096, 16 * 4096);
   for (uint32_t i = 0; i < kPages; ++i) {
@@ -75,7 +76,8 @@ void BM_BufferPoolMissSweep(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (uint32_t page_no = 0; page_no < kPages; ++page_no) {
-      auto frame = sm.pool().Pin(page_no, storage::AccessIntent::kSequential);
+      auto frame =
+          sm.pool().PinRead(page_no, storage::AccessIntent::kSequential);
       if (!frame.ok()) {
         state.SkipWithError("pin failed");
         return;
@@ -87,6 +89,41 @@ void BM_BufferPoolMissSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kPages);
 }
 BENCHMARK(BM_BufferPoolMissSweep);
+
+void BM_BufferPoolDirtySweep(benchmark::State& state) {
+  // The spool cycle: append 1024 records of 2 KB (two per page) through a
+  // 16-frame pool, so every new page evicts a dirty one, then read the file
+  // back and drop it. Each page is zeroed once, written back once and
+  // re-read once.
+  constexpr uint32_t kRecords = 1024;
+  storage::StorageManager sm(4096, 16 * 4096);
+  const std::vector<uint8_t> record(2000, 0x5A);
+  for (auto _ : state) {
+    const storage::FileId id = sm.CreateFile();
+    storage::HeapFile& file = sm.file(id);
+    for (uint32_t i = 0; i < kRecords; ++i) {
+      if (!file.Append(record).ok()) {
+        state.SkipWithError("append failed");
+        return;
+      }
+    }
+    uint64_t seen = 0;
+    const Status scanned =
+        file.VisitPages([&](uint32_t, const storage::SlottedPage& page) {
+          seen += page.live_count();
+          return true;
+        });
+    if (!scanned.ok() || seen != kRecords) {
+      state.SkipWithError("scan failed");
+      return;
+    }
+    benchmark::DoNotOptimize(seen);
+    sm.pool().Discard();
+    sm.DropFile(id);
+  }
+  state.SetItemsProcessed(state.iterations() * kRecords);
+}
+BENCHMARK(BM_BufferPoolDirtySweep);
 
 void BM_BTreeInsert(benchmark::State& state) {
   Rng rng(1);

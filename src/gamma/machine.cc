@@ -192,7 +192,9 @@ std::vector<int> GammaMachine::LiveDiskNodes() const {
   return live;
 }
 
-std::vector<txn::LockManager::Grant> GammaMachine::CommitTxn(uint64_t txn) {
+Result<std::vector<txn::LockManager::Grant>> GammaMachine::CommitTxn(
+    uint64_t txn) {
+  GAMMA_RETURN_NOT_OK(txns_.CanCommit(txn));
   // The transaction's statements each forced their log records and pages at
   // statement end, so the commit point only seals the winner marker.
   if (wal_ != nullptr && !wal_->IsCommitted(txn) &&

@@ -306,8 +306,10 @@ class GammaMachine {
   uint64_t BeginTxn() { return txns_.Begin(); }
   /// Commits / aborts an explicit transaction: releases its 2PL locks in
   /// every table. Returns the lock requests that became grantable (for the
-  /// workload scheduler to wake the corresponding blocked clients).
-  std::vector<txn::LockManager::Grant> CommitTxn(uint64_t txn);
+  /// workload scheduler to wake the corresponding blocked clients). A
+  /// commit of a transaction that is not open is InvalidArgument, and of
+  /// one waiting on a lock FailedPrecondition; neither changes anything.
+  Result<std::vector<txn::LockManager::Grant>> CommitTxn(uint64_t txn);
   std::vector<txn::LockManager::Grant> AbortTxn(uint64_t txn);
 
   /// Drops a relation and its fragment/backup files (uncharged; used by the

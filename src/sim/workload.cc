@@ -496,7 +496,7 @@ void WorkloadDriver::CommitClientTxn(size_t ci) {
     }
   }
   const std::vector<txn::LockManager::Grant> grants =
-      machine_->CommitTxn(c.txn);
+      machine_->CommitTxn(c.txn).value();
   txn_client_.erase(c.txn);
   c.txn = 0;
   report_.commit_log.push_back(CommitRecord{c.index, c.script_pos,

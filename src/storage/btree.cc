@@ -30,6 +30,9 @@ namespace {
 uint32_t* LeftmostChild(uint8_t* frame) {
   return reinterpret_cast<uint32_t*>(frame + sizeof(uint32_t) * 2);
 }
+const uint32_t* LeftmostChild(const uint8_t* frame) {
+  return reinterpret_cast<const uint32_t*>(frame + sizeof(uint32_t) * 2);
+}
 
 }  // namespace
 
@@ -54,8 +57,9 @@ Result<uint32_t> BTree::FindLeafForScan(int32_t key) const {
   GAMMA_CHECK(root_ != kNoPage);
   uint32_t page_no = root_;
   for (;;) {
-    uint8_t* frame = nullptr;
-    GAMMA_ASSIGN_OR_RETURN(frame, pool_->Pin(page_no, AccessIntent::kRandom));
+    const uint8_t* frame = nullptr;
+    GAMMA_ASSIGN_OR_RETURN(frame,
+                           pool_->PinRead(page_no, AccessIntent::kRandom));
     charge_->BtreeNodeVisit();
     const auto* header = Header(frame);
     if (header->is_leaf) {
@@ -87,8 +91,9 @@ Result<uint32_t> BTree::FindLeafForInsert(int32_t key, Rid /*rid*/,
   GAMMA_CHECK(root_ != kNoPage);
   uint32_t page_no = root_;
   for (;;) {
-    uint8_t* frame = nullptr;
-    GAMMA_ASSIGN_OR_RETURN(frame, pool_->Pin(page_no, AccessIntent::kRandom));
+    const uint8_t* frame = nullptr;
+    GAMMA_ASSIGN_OR_RETURN(frame,
+                           pool_->PinRead(page_no, AccessIntent::kRandom));
     charge_->BtreeNodeVisit();
     const auto* header = Header(frame);
     if (header->is_leaf) {
@@ -376,11 +381,11 @@ Status BTree::ScanFrom(int32_t key, const ScanCallback& callback) const {
   GAMMA_ASSIGN_OR_RETURN(page_no, FindLeafForScan(key));
   bool first_leaf = true;
   while (page_no != kNoPage) {
-    uint8_t* frame = nullptr;
+    const uint8_t* frame = nullptr;
     GAMMA_ASSIGN_OR_RETURN(
         frame,
-        pool_->Pin(page_no, first_leaf ? AccessIntent::kRandom
-                                       : AccessIntent::kSequential));
+        pool_->PinRead(page_no, first_leaf ? AccessIntent::kRandom
+                                           : AccessIntent::kSequential));
     const auto* header = Header(frame);
     const auto* leaves = Leaves(frame);
     for (uint16_t i = 0; i < header->count; ++i) {

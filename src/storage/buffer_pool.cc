@@ -1,7 +1,6 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -13,6 +12,7 @@ BufferPool::BufferPool(SimulatedDisk* disk, const ChargeContext* charge,
                        uint64_t capacity_bytes)
     : disk_(disk), charge_(charge) {
   GAMMA_CHECK(disk != nullptr && charge != nullptr);
+  arena_ = &disk->arena();
   const uint64_t frames = capacity_bytes / disk->page_size();
   // Keep at least a handful of frames so concurrent pins (B-tree descents
   // hold parent + child) always succeed.
@@ -24,7 +24,7 @@ BufferPool::~BufferPool() {
   // phase; destruction outside a query would charge to nothing anyway.
 }
 
-Status BufferPool::ReadWithRetry(uint32_t page_no, uint8_t* out,
+Status BufferPool::ReadWithRetry(uint32_t page_no, Block* block,
                                  AccessIntent intent) {
   Status status;
   for (int attempt = 0; attempt <= kMaxIoRetries; ++attempt) {
@@ -34,7 +34,7 @@ Status BufferPool::ReadWithRetry(uint32_t page_no, uint8_t* out,
       // A retry re-seeks from scratch no matter how the first pass streamed.
       intent = AccessIntent::kRandom;
     }
-    status = disk_->Read(page_no, out);
+    status = disk_->ReadShared(page_no, block);
     if (status.ok() || status.IsIOError()) {
       // The platters spun either way; a transient failure costs the same
       // access time as a success.
@@ -49,8 +49,8 @@ Status BufferPool::ReadWithRetry(uint32_t page_no, uint8_t* out,
                              ")");
 }
 
-Status BufferPool::WriteWithRetry(uint32_t page_no, const uint8_t* data,
-                                  AccessIntent intent) {
+Status BufferPool::WriteWithRetry(uint32_t page_no, const Frame& frame) {
+  AccessIntent intent = frame.write_intent;
   Status status;
   for (int attempt = 0; attempt <= kMaxIoRetries; ++attempt) {
     if (attempt > 0) {
@@ -58,7 +58,10 @@ Status BufferPool::WriteWithRetry(uint32_t page_no, const uint8_t* data,
       charge_->SerialSec(kRetryBackoffSec);
       intent = AccessIntent::kRandom;
     }
-    status = disk_->Write(page_no, data);
+    // A pinned frame's holder may write on through its pointer, so only an
+    // unpinned frame's block is handed over.
+    status = frame.pin_count > 0 ? disk_->Write(page_no, frame.data)
+                                 : disk_->Hand(page_no, frame.block);
     if (status.ok() || status.IsIOError()) {
       charge_->DiskWrite(disk_->page_size(), intent);
     }
@@ -72,19 +75,9 @@ Status BufferPool::WriteWithRetry(uint32_t page_no, const uint8_t* data,
 }
 
 Status BufferPool::WriteBack(uint32_t page_no, Frame& frame) {
-  GAMMA_RETURN_NOT_OK(
-      WriteWithRetry(page_no, frame.data.get(), frame.write_intent));
+  GAMMA_RETURN_NOT_OK(WriteWithRetry(page_no, frame));
   SetDirty(frame, false);
   return Status::OK();
-}
-
-BufferPool::Buffer BufferPool::TakeBuffer() {
-  if (spare_.empty()) {
-    return std::make_unique_for_overwrite<uint8_t[]>(disk_->page_size());
-  }
-  Buffer buf = std::move(spare_.back());
-  spare_.pop_back();
-  return buf;
 }
 
 BufferPool::Frame* BufferPool::Find(uint32_t page_no) {
@@ -95,9 +88,20 @@ BufferPool::Frame* BufferPool::Find(uint32_t page_no) {
   return last_;
 }
 
-BufferPool::Frame& BufferPool::Install(uint32_t page_no, Buffer data) {
-  Frame& frame = frames_[page_no];
-  frame.data = std::move(data);
+BufferPool::Frame& BufferPool::Install(uint32_t page_no, Block block) {
+  // A dropped frame's map node is reused: the map sees the same insertion
+  // (so the same FlushAll order) without a node allocation per miss.
+  FrameMap::iterator it;
+  if (spare_node_.empty()) {
+    it = frames_.try_emplace(page_no).first;
+  } else {
+    spare_node_.key() = page_no;
+    spare_node_.mapped() = Frame{};
+    it = frames_.insert(std::move(spare_node_)).position;
+  }
+  Frame& frame = it->second;
+  frame.block = block;
+  frame.data = arena_->data(block);
   frame.page_no = page_no;
   frame.pin_count = 1;
   last_ = &frame;
@@ -108,8 +112,10 @@ BufferPool::FrameMap::iterator BufferPool::Drop(FrameMap::iterator it) {
   if (last_ == &it->second) last_ = nullptr;
   SetDirty(it->second, false);
   LruRemove(&it->second);
-  spare_.push_back(std::move(it->second.data));
-  return frames_.erase(it);
+  arena_->Release(it->second.block);
+  const auto next = std::next(it);
+  spare_node_ = frames_.extract(it);
+  return next;
 }
 
 void BufferPool::SetDirty(Frame& frame, bool dirty) {
@@ -155,43 +161,55 @@ Status BufferPool::MakeRoom() {
   return Status::OK();
 }
 
-Result<uint8_t*> BufferPool::Pin(uint32_t page_no, AccessIntent intent) {
+Result<BufferPool::Frame*> BufferPool::PinFrame(uint32_t page_no,
+                                                AccessIntent intent) {
   if (Frame* frame = Find(page_no); frame != nullptr) {
     if (frame->pin_count == 0) LruRemove(frame);
     frame->pin_count += 1;
     ++hits_;
     charge_->BufferHit();
-    return frame->data.get();
+    return frame;
   }
   GAMMA_RETURN_NOT_OK(MakeRoom());
-  // Read into a buffer outside the frame table first; a failed or corrupt
+  // Read and verify before touching the frame table; a failed or corrupt
   // read must not leave a frame cached.
-  Buffer buf = TakeBuffer();
-  Status status = ReadWithRetry(page_no, buf.get(), intent);
+  Block block = BlockArena::kNone;
+  Status status = ReadWithRetry(page_no, &block, intent);
   if (status.ok() &&
-      SimulatedDisk::ComputeChecksum(buf.get(), disk_->page_size()) !=
+      SimulatedDisk::ComputeChecksum(arena_->data(block), page_size()) !=
           disk_->StoredChecksum(page_no)) {
+    arena_->Release(block);
     status = Status::Corruption("checksum mismatch on node " +
                                 std::to_string(disk_->node()) + ", page " +
                                 std::to_string(page_no));
   }
-  if (!status.ok()) {
-    spare_.push_back(std::move(buf));
-    return status;
-  }
+  if (!status.ok()) return status;
   ++misses_;
-  return Install(page_no, std::move(buf)).data.get();
+  return &Install(page_no, block);
+}
+
+Result<uint8_t*> BufferPool::Pin(uint32_t page_no, AccessIntent intent) {
+  Frame* frame = nullptr;
+  GAMMA_ASSIGN_OR_RETURN(frame, PinFrame(page_no, intent));
+  if (arena_->Shared(frame->block)) disk_->Unshare(page_no);
+  return frame->data;
+}
+
+Result<const uint8_t*> BufferPool::PinRead(uint32_t page_no,
+                                           AccessIntent intent) {
+  Frame* frame = nullptr;
+  GAMMA_ASSIGN_OR_RETURN(frame, PinFrame(page_no, intent));
+  return frame->data;
 }
 
 Result<uint32_t> BufferPool::NewPage(uint8_t** frame_out) {
   GAMMA_RETURN_NOT_OK(MakeRoom());
   uint32_t page_no = 0;
   GAMMA_ASSIGN_OR_RETURN(page_no, disk_->Allocate());
-  Frame& frame = Install(page_no, TakeBuffer());
-  std::memset(frame.data.get(), 0, disk_->page_size());
+  Frame& frame = Install(page_no, arena_->TakeZeroed());
   SetDirty(frame, true);
   frame.write_intent = AccessIntent::kSequential;
-  *frame_out = frame.data.get();
+  *frame_out = frame.data;
   return page_no;
 }
 
@@ -199,6 +217,7 @@ void BufferPool::MarkDirty(uint32_t page_no, AccessIntent intent) {
   Frame* frame = Find(page_no);
   GAMMA_CHECK_MSG(frame != nullptr && frame->pin_count > 0,
                   "MarkDirty on unpinned page");
+  GAMMA_DCHECK(!arena_->Shared(frame->block));  // pinned by PinRead only
   SetDirty(*frame, true);
   frame->write_intent = intent;
 }

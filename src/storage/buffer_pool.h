@@ -2,9 +2,7 @@
 #define GAMMA_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -27,12 +25,18 @@ namespace gammadb::storage {
 /// for the machine layer to fail over; checksum mismatches surface as
 /// kCorruption (bit rot is not retryable — the stored bytes are wrong).
 ///
-/// Page buffers are recycled: an evicted or discarded frame's buffer goes
-/// on a spare list and backs the next miss or NewPage, so a warm pool pins,
-/// evicts and re-reads without touching the host allocator. The LRU list is
-/// threaded through the frames themselves, and the frame of the most recent
-/// lookup is cached, so the Pin / MarkDirty / Unpin run of one page costs a
-/// single hash lookup.
+/// Frames hold blocks of the disk's BlockArena. A read pin (PinRead) that
+/// misses holds the disk slot's own block, after the same fault draw and
+/// checksum as any miss, so a clean frame costs no copy. A writable pin
+/// (Pin) on such a frame first gives the disk slot a copy, so the frame's
+/// block, and every pointer into it, stays put. A dirty frame is written
+/// back by handing its block to the disk, after which the frame shares it.
+/// A frame still pinned when it is written back is copied instead, since
+/// its holder may write on through its pointer. Evicted and discarded
+/// frames release their block for the next miss or NewPage. The LRU list
+/// is threaded through the frames themselves, and the frame of the most
+/// recent lookup is cached, so the Pin / MarkDirty / Unpin run of one page
+/// costs a single hash lookup.
 class BufferPool {
  public:
   /// Transient-fault retry budget per logical disk access.
@@ -51,10 +55,15 @@ class BufferPool {
   uint32_t page_size() const { return disk_->page_size(); }
   uint32_t capacity_frames() const { return capacity_frames_; }
 
-  /// Pins `page_no`, reading it from disk if absent and verifying its
-  /// checksum. The pointer stays valid until the matching Unpin. On any
-  /// error no frame is installed and nothing is pinned.
+  /// Pins `page_no` for reading and writing, reading it from disk if absent
+  /// and verifying its checksum. The pointer stays valid until the matching
+  /// Unpin. On any error no frame is installed and nothing is pinned.
   Result<uint8_t*> Pin(uint32_t page_no, AccessIntent intent);
+
+  /// Pin for a caller that only reads the page: same charges, faults and
+  /// checksum, but a miss shares the disk's stored bytes instead of copying
+  /// them. The caller must not MarkDirty the page on this pin.
+  Result<const uint8_t*> PinRead(uint32_t page_no, AccessIntent intent);
 
   /// Allocates a fresh disk page, pins it dirty (its eventual write-back is
   /// sequential: new pages are appended). Returns the page number.
@@ -102,10 +111,11 @@ class BufferPool {
   uint32_t CountDirtyFrames() const;
 
  private:
-  using Buffer = std::unique_ptr<uint8_t[]>;
+  using Block = BlockArena::Block;
 
   struct Frame {
-    Buffer data;
+    Block block = BlockArena::kNone;
+    uint8_t* data = nullptr;  // the block's bytes
     uint32_t page_no = 0;
     uint32_t pin_count = 0;
     bool dirty = false;
@@ -118,9 +128,12 @@ class BufferPool {
 
   /// One logical read/write as the cost model sees it: every attempt the
   /// disk actually performed is charged; retries add backoff stalls.
-  Status ReadWithRetry(uint32_t page_no, uint8_t* out, AccessIntent intent);
-  Status WriteWithRetry(uint32_t page_no, const uint8_t* data,
-                        AccessIntent intent);
+  Status ReadWithRetry(uint32_t page_no, Block* block, AccessIntent intent);
+  Status WriteWithRetry(uint32_t page_no, const Frame& frame);
+
+  /// The pinned frame for `page_no`: a hit, or a miss read into a frame
+  /// that shares the disk's block.
+  Result<Frame*> PinFrame(uint32_t page_no, AccessIntent intent);
 
   /// The frame cached for `page_no`, or null.
   Frame* Find(uint32_t page_no);
@@ -130,11 +143,9 @@ class BufferPool {
   Status MakeRoom();
   Status WriteBack(uint32_t page_no, Frame& frame);
 
-  /// A page buffer from the spare list, or a new one; contents unspecified.
-  Buffer TakeBuffer();
-  /// Installs a pinned frame for `page_no` over `data`.
-  Frame& Install(uint32_t page_no, Buffer data);
-  /// Removes an unpinned frame, recycling its buffer; returns the next one.
+  /// Installs a pinned frame for `page_no` over `block`.
+  Frame& Install(uint32_t page_no, Block block);
+  /// Removes an unpinned frame, releasing its block; returns the next one.
   FrameMap::iterator Drop(FrameMap::iterator it);
   /// Sets `frame.dirty`, keeping dirty_frames_ in step.
   void SetDirty(Frame& frame, bool dirty);
@@ -142,6 +153,7 @@ class BufferPool {
   void LruRemove(Frame* frame);
 
   SimulatedDisk* disk_;
+  BlockArena* arena_ = nullptr;
   const ChargeContext* charge_;
   uint32_t capacity_frames_;
   /// Node-based, so Frame pointers (the LRU links) survive rehashing.
@@ -149,9 +161,10 @@ class BufferPool {
   /// Unpinned frames, least-recently-used at the head.
   Frame* lru_head_ = nullptr;
   Frame* lru_tail_ = nullptr;
+  /// The map node of the last dropped frame, for the next Install.
+  FrameMap::node_type spare_node_;
   /// The frame the last Find or Install returned (null after it is dropped).
   Frame* last_ = nullptr;
-  std::vector<Buffer> spare_;
   uint32_t dirty_frames_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

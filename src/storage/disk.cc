@@ -1,7 +1,6 @@
 #include "storage/disk.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <string>
 
@@ -11,18 +10,17 @@ namespace gammadb::storage {
 
 namespace {
 
-constexpr uint64_t kChecksumSalt = 0xC4EC;
-constexpr uint64_t kLanePrime = 0x100000001b3ULL;  // the 64-bit FNV prime
+// The checksum's lane width and block: eight vectors of eight 32-bit lanes
+// take one 256-byte block per step.
+using Lanes = uint32_t __attribute__((vector_size(32)));
+constexpr size_t kLaneVectors = 8;
+constexpr size_t kChecksumBlock = kLaneVectors * sizeof(Lanes);
 
-uint64_t LoadWord(const uint8_t* p) {
-  uint64_t word = 0;
-  std::memcpy(&word, p, sizeof(word));
-  return word;
-}
-
-uint64_t Mix(uint64_t lane, uint64_t word) {
-  return (lane ^ word) * kLanePrime;
-}
+constexpr uint32_t kLaneSeed = 0x811C9DC5u ^ 0xC4ECu;  // FNV offset, salted
+constexpr uint32_t kLaneSpread = 0x9E3779B9u;  // lane j starts at seed + j*this
+constexpr uint32_t kLaneOdd = 0x9E3779B1u;     // per-word multiplier
+constexpr uint32_t kFoldOdd = 0x85EBCA77u;     // vector-to-vector fold
+constexpr uint64_t kStatePrime = 0x100000001b3ULL;  // the 64-bit FNV prime
 
 uint64_t Avalanche(uint64_t h) {
   h ^= h >> 33;
@@ -33,37 +31,91 @@ uint64_t Avalanche(uint64_t h) {
   return h;
 }
 
+// The lane pass of ComputeChecksum, cloned for AVX2 where the compiler can
+// (one vpmulld per eight words); every clone computes the same function.
+// Not under TSan: it instruments GCC's ifunc resolver, which then runs
+// before the sanitizer is set up and crashes the process at load.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    !defined(__SANITIZE_THREAD__)
+__attribute__((target_clones("avx2", "default")))
+#endif
+uint64_t LaneState(const uint8_t* data, size_t len) {
+  Lanes acc[kLaneVectors];
+  for (size_t k = 0; k < kLaneVectors; ++k) {
+    for (size_t l = 0; l < 8; ++l) {
+      acc[k][l] = kLaneSeed + static_cast<uint32_t>(8 * k + l) * kLaneSpread;
+    }
+  }
+  auto step = [&acc](const uint8_t* block) {
+    for (size_t k = 0; k < kLaneVectors; ++k) {
+      Lanes word;
+      std::memcpy(&word, block + k * sizeof(Lanes), sizeof(Lanes));
+      acc[k] = (acc[k] ^ word) * kLaneOdd;
+    }
+  };
+  size_t i = 0;
+  for (; i + kChecksumBlock <= len; i += kChecksumBlock) step(data + i);
+  if (i < len) {
+    uint8_t tail[kChecksumBlock] = {};
+    std::memcpy(tail, data + i, len - i);
+    step(tail);
+  }
+  Lanes folded = acc[0];
+  for (size_t k = 1; k < kLaneVectors; ++k) folded = folded * kFoldOdd + acc[k];
+  uint64_t state = 0;
+  for (size_t l = 0; l < 8; ++l) state = (state ^ folded[l]) * kStatePrime;
+  return state;
+}
+
 }  // namespace
+
+BlockArena::BlockArena(uint32_t block_size)
+    : block_size_(block_size),
+      blocks_per_slab_(std::max<uint32_t>(1, kSlabBytes / block_size)) {}
+
+BlockArena::Block BlockArena::Carve() {
+  const auto block = static_cast<Block>(holders_.size());
+  GAMMA_CHECK_MSG(block != kNone, "block arena exhausted");
+  if (block % blocks_per_slab_ == 0) {
+    auto* slab = static_cast<uint8_t*>(
+        std::calloc(blocks_per_slab_, static_cast<size_t>(block_size_)));
+    GAMMA_CHECK_MSG(slab != nullptr, "host out of memory for a page slab");
+    slabs_.emplace_back(slab);
+  }
+  holders_.push_back(1);
+  return block;
+}
+
+BlockArena::Block BlockArena::Take() {
+  if (free_.empty()) return Carve();
+  const Block block = free_.back();
+  free_.pop_back();
+  holders_[block] = 1;
+  return block;
+}
+
+BlockArena::Block BlockArena::TakeZeroed() {
+  if (free_.empty()) return Carve();  // a calloc slab is zero already
+  const Block block = Take();
+  std::memset(data(block), 0, block_size_);
+  return block;
+}
+
+void BlockArena::Release(Block block) {
+  GAMMA_DCHECK(holders_[block] > 0);
+  if (--holders_[block] == 0) free_.push_back(block);
+}
 
 SimulatedDisk::SimulatedDisk(uint32_t page_size, sim::FaultInjector* faults,
                              int node)
-    : page_size_(page_size), faults_(faults), node_(node) {
+    : page_size_(page_size), arena_(page_size), faults_(faults), node_(node) {
   GAMMA_CHECK(page_size >= 64);
-  pages_per_slab_ = std::max<uint32_t>(1, kSlabBytes / page_size);
   const std::vector<uint8_t> zeros(page_size, 0);
   zero_checksum_ = ComputeChecksum(zeros.data(), page_size);
 }
 
 uint32_t SimulatedDisk::ComputeChecksum(const uint8_t* data, size_t len) {
-  uint64_t lanes[4] = {14695981039346656037ULL ^ kChecksumSalt,
-                       0x9e3779b97f4a7c15ULL, 0xbf58476d1ce4e5b9ULL,
-                       0x94d049bb133111ebULL};
-  size_t i = 0;
-  for (; i + 32 <= len; i += 32) {
-    lanes[0] = Mix(lanes[0], LoadWord(data + i));
-    lanes[1] = Mix(lanes[1], LoadWord(data + i + 8));
-    lanes[2] = Mix(lanes[2], LoadWord(data + i + 16));
-    lanes[3] = Mix(lanes[3], LoadWord(data + i + 24));
-  }
-  for (; i + 8 <= len; i += 8) lanes[0] = Mix(lanes[0], LoadWord(data + i));
-  if (i < len) {
-    uint64_t tail = 0;
-    std::memcpy(&tail, data + i, len - i);
-    lanes[1] = Mix(lanes[1], tail);
-  }
-  const uint64_t h = lanes[0] ^ std::rotl(lanes[1], 16) ^
-                     std::rotl(lanes[2], 32) ^ std::rotl(lanes[3], 48) ^ len;
-  const uint64_t mixed = Avalanche(h);
+  const uint64_t mixed = Avalanche(LaneState(data, len) ^ len);
   return static_cast<uint32_t>(mixed ^ (mixed >> 32));
 }
 
@@ -115,21 +167,15 @@ Result<uint32_t> SimulatedDisk::Allocate() {
         "disk on node " + std::to_string(node_) + " is full (" +
         std::to_string(kMaxPages) + " pages)");
   }
+  // A reused slot lost its block at Free, so both kinds read as zeros.
   uint32_t slot = 0;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    std::memset(SlotData(slot), 0, page_size_);
     checksums_[slot] = zero_checksum_;
   } else {
     slot = num_slots();
-    if (slot % pages_per_slab_ == 0) {
-      // calloc: every page of a fresh slab is already a zeroed page.
-      auto* slab = static_cast<uint8_t*>(
-          std::calloc(pages_per_slab_, static_cast<size_t>(page_size_)));
-      GAMMA_CHECK_MSG(slab != nullptr, "host out of memory for a disk slab");
-      slabs_.emplace_back(slab);
-    }
+    blocks_.push_back(BlockArena::kNone);
     checksums_.push_back(zero_checksum_);
   }
   ++live_pages_;
@@ -140,19 +186,54 @@ Result<uint32_t> SimulatedDisk::Allocate() {
 void SimulatedDisk::Free(uint32_t page_no) {
   GAMMA_CHECK_MSG(page_no < num_pages() && slot_of_[page_no] != kFreed,
                   "free of a page that is not allocated");
-  free_slots_.push_back(slot_of_[page_no]);
+  const uint32_t slot = slot_of_[page_no];
+  if (blocks_[slot] != BlockArena::kNone) arena_.Release(blocks_[slot]);
+  blocks_[slot] = BlockArena::kNone;
+  free_slots_.push_back(slot);
   slot_of_[page_no] = kFreed;
   --live_pages_;
 }
 
-Status SimulatedDisk::Read(uint32_t page_no, uint8_t* out) {
+uint8_t* SimulatedDisk::OwnBlock(uint32_t slot, bool keep) {
+  const Block old = blocks_[slot];
+  if (old != BlockArena::kNone && !arena_.Shared(old)) return arena_.data(old);
+  const bool zeros = keep && old == BlockArena::kNone;
+  const Block own = zeros ? arena_.TakeZeroed() : arena_.Take();
+  uint8_t* bytes = arena_.data(own);
+  if (old != BlockArena::kNone) {
+    if (keep) std::memcpy(bytes, arena_.data(old), page_size_);
+    arena_.Release(old);
+  }
+  blocks_[slot] = own;
+  return bytes;
+}
+
+Status SimulatedDisk::CheckRead(uint32_t page_no) {
   GAMMA_RETURN_NOT_OK(CheckBounds(page_no, "read"));
   if (slot_of_[page_no] == kFreed) {
     return Status::NotFound("read of freed page " + std::to_string(page_no) +
                             " on node " + std::to_string(node_));
   }
-  GAMMA_RETURN_NOT_OK(ConsultFaults(page_no, /*writing=*/false));
-  std::memcpy(out, SlotData(slot_of_[page_no]), page_size_);
+  return ConsultFaults(page_no, /*writing=*/false);
+}
+
+Status SimulatedDisk::Read(uint32_t page_no, uint8_t* out) {
+  GAMMA_RETURN_NOT_OK(CheckRead(page_no));
+  const Block block = blocks_[slot_of_[page_no]];
+  if (block == BlockArena::kNone) {
+    std::memset(out, 0, page_size_);
+  } else {
+    std::memcpy(out, arena_.data(block), page_size_);
+  }
+  return Status::OK();
+}
+
+Status SimulatedDisk::ReadShared(uint32_t page_no, Block* block) {
+  GAMMA_RETURN_NOT_OK(CheckRead(page_no));
+  const uint32_t slot = slot_of_[page_no];
+  if (blocks_[slot] == BlockArena::kNone) OwnBlock(slot, /*keep=*/true);
+  *block = blocks_[slot];
+  arena_.Hold(*block);
   return Status::OK();
 }
 
@@ -161,9 +242,26 @@ Status SimulatedDisk::Write(uint32_t page_no, const uint8_t* data) {
   GAMMA_RETURN_NOT_OK(ConsultFaults(page_no, /*writing=*/true));
   const uint32_t slot = slot_of_[page_no];
   if (slot == kFreed) return Status::OK();  // a stale frame's write-back
-  std::memcpy(SlotData(slot), data, page_size_);
+  std::memcpy(OwnBlock(slot, /*keep=*/false), data, page_size_);
   checksums_[slot] = ComputeChecksum(data, page_size_);
   return Status::OK();
+}
+
+Status SimulatedDisk::Hand(uint32_t page_no, Block block) {
+  GAMMA_RETURN_NOT_OK(CheckBounds(page_no, "write"));
+  GAMMA_RETURN_NOT_OK(ConsultFaults(page_no, /*writing=*/true));
+  const uint32_t slot = slot_of_[page_no];
+  if (slot == kFreed) return Status::OK();  // a stale frame's write-back
+  arena_.Hold(block);
+  if (blocks_[slot] != BlockArena::kNone) arena_.Release(blocks_[slot]);
+  blocks_[slot] = block;
+  checksums_[slot] = ComputeChecksum(arena_.data(block), page_size_);
+  return Status::OK();
+}
+
+void SimulatedDisk::Unshare(uint32_t page_no) {
+  GAMMA_CHECK(page_no < num_pages() && slot_of_[page_no] != kFreed);
+  OwnBlock(slot_of_[page_no], /*keep=*/true);
 }
 
 uint32_t SimulatedDisk::StoredChecksum(uint32_t page_no) const {
@@ -174,7 +272,7 @@ uint32_t SimulatedDisk::StoredChecksum(uint32_t page_no) const {
 void SimulatedDisk::CorruptStoredPage(uint32_t page_no) {
   GAMMA_CHECK(page_no < num_pages());
   const uint32_t slot = slot_of_[page_no];
-  if (slot != kFreed) SlotData(slot)[page_no % page_size_] ^= 0xFF;
+  if (slot != kFreed) OwnBlock(slot, /*keep=*/true)[page_no % page_size_] ^= 0xFF;
 }
 
 }  // namespace gammadb::storage

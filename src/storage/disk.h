@@ -58,6 +58,64 @@ struct ChargeContext {
   }
 };
 
+/// \brief Page-sized host blocks carved from fixed-size slabs, each with a
+/// count of its holders.
+///
+/// One arena per node backs both the node's disk slots and its buffer-pool
+/// frames, so a clean frame can hold the very block its disk slot holds
+/// instead of a copy. A holder is a disk slot or a pool frame; a block whose
+/// last holder releases it goes on a free list for the next Take, and host
+/// memory is never returned. Blocks are named by index: a slab's blocks
+/// never move.
+class BlockArena {
+ public:
+  using Block = uint32_t;
+  /// No block: a disk slot that has never been written reads as zeros.
+  static constexpr Block kNone = UINT32_MAX;
+  /// Host bytes per slab (rounded down to whole blocks, at least one).
+  /// Each node's last slab is partly empty, and a machine has dozens of
+  /// nodes: 1 MB slabs added 5% to join_100k's peak RSS, 256 KB adds none.
+  static constexpr uint32_t kSlabBytes = 256u << 10;
+
+  explicit BlockArena(uint32_t block_size);
+
+  BlockArena(const BlockArena&) = delete;
+  BlockArena& operator=(const BlockArena&) = delete;
+
+  /// A block with one holder; its contents are unspecified.
+  Block Take();
+  /// Take, all zeros: a reused block is cleared, a newly carved one already
+  /// is (slabs come zeroed from calloc).
+  Block TakeZeroed();
+  void Hold(Block block) { ++holders_[block]; }
+  /// Drops one holder; the last one frees the block.
+  void Release(Block block);
+  /// Whether more than one holder has the block (a disk slot and the frame
+  /// caching its page). A shared block is never written.
+  bool Shared(Block block) const { return holders_[block] > 1; }
+
+  uint8_t* data(Block block) const {
+    return slabs_[block / blocks_per_slab_].get() +
+           static_cast<size_t>(block % blocks_per_slab_) * block_size_;
+  }
+
+ private:
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+
+  uint32_t block_size_;
+  uint32_t blocks_per_slab_;
+  std::vector<std::unique_ptr<uint8_t[], FreeDeleter>> slabs_;
+  /// Holders per block carved so far.
+  std::vector<uint32_t> holders_;
+  /// Blocks without a holder, reused last-in first-out.
+  std::vector<Block> free_;
+
+  /// A never used block of a calloc slab (zeroed), with one holder.
+  Block Carve();
+};
+
 /// \brief One simulated disk drive: a flat array of fixed-size pages.
 ///
 /// Data lives in host memory; timing comes entirely from the cost model via
@@ -69,27 +127,31 @@ struct ChargeContext {
 /// mismatch as Status::Corruption — keeping the detector out of the page
 /// layout, the way a drive's sector ECC is invisible to the format on top.
 ///
-/// Pages live in fixed-size zero-filled slabs (kSlabBytes each), so a page's
-/// bytes never move and the host pays one heap allocation per slab instead
-/// of one per page. A page number maps to a slab slot; Free returns the slot
-/// for the next Allocate to reuse, but the page number itself is never
-/// handed out again (the buffer pool may still hold a stale frame for it,
-/// and its flush order follows page numbers). Writing a freed page drops
-/// the bytes; reading one is an error.
+/// A page number maps to a slot, and a slot holds one block of the node's
+/// BlockArena, or none while the page has never been written (it reads as
+/// zeros). Free returns the slot for the next Allocate to reuse without
+/// touching any bytes, but the page number itself is never handed out
+/// again (the buffer pool may still hold a stale frame for it, and its
+/// flush order follows page numbers). Writing a freed page drops the
+/// bytes; reading one is an error.
 ///
-/// When a FaultInjector is attached, each Read/Write first consults the
+/// The buffer pool reads without copying: ReadShared hands it the slot's
+/// own block. So every change to stored bytes (Write, CorruptStoredPage,
+/// Unshare) first gives the slot a private block when the current one is
+/// shared, and no frame ever sees a later disk change. Hand adopts a dirty
+/// frame's block as the page's new bytes instead of copying them.
+///
+/// When a FaultInjector is attached, each read and write first consults the
 /// node's fault schedule: a dead node yields kUnavailable, a transient
 /// fault kIOError (retryable), and a corruption fault silently rots one
 /// byte of the *stored* page so the checksum no longer matches.
 class SimulatedDisk {
  public:
+  using Block = BlockArena::Block;
+
   /// Hard cap on live (allocated, not yet freed) pages per drive; Allocate
   /// past it is ResourceExhausted (a full disk), not a crash.
   static constexpr uint32_t kMaxPages = 1u << 20;
-  /// Host bytes per page slab (rounded down to whole pages, at least one).
-  /// Each disk's last slab is partly empty, and a machine has dozens of
-  /// disks: 1 MB slabs added 5% to join_100k's peak RSS, 256 KB adds none.
-  static constexpr uint32_t kSlabBytes = 256u << 10;
 
   explicit SimulatedDisk(uint32_t page_size,
                          sim::FaultInjector* faults = nullptr, int node = -1);
@@ -103,12 +165,14 @@ class SimulatedDisk {
   uint32_t num_pages() const { return static_cast<uint32_t>(slot_of_.size()); }
   /// Pages allocated and not yet freed.
   uint32_t live_pages() const { return live_pages_; }
-  /// Slab slots carved so far (host memory held, in pages); Allocate reuses
-  /// freed slots before carving new ones.
+  /// Slots carved so far; Allocate reuses freed slots before carving new
+  /// ones.
   uint32_t num_slots() const {
     return static_cast<uint32_t>(checksums_.size());
   }
   int node() const { return node_; }
+  /// The node's block arena, shared with the buffer pool over this disk.
+  BlockArena& arena() { return arena_; }
 
   /// Allocates a zeroed page and returns its (never before used) page
   /// number, reusing a freed slot when there is one.
@@ -123,19 +187,35 @@ class SimulatedDisk {
   /// NotFound.
   Status Read(uint32_t page_no, uint8_t* out);
 
+  /// Read without the copy: on success `*block` is the page's stored block
+  /// with one more holder, which the caller releases through arena().
+  Status ReadShared(uint32_t page_no, Block* block);
+
   /// Copies `data` (page_size bytes) into the page and refreshes its
   /// checksum. On a freed page the bounds check and the fault draw still
   /// run, then the bytes are dropped.
   Status Write(uint32_t page_no, const uint8_t* data);
 
+  /// Write without the copy: the page's stored bytes become `block`, which
+  /// gains the slot as a holder (the caller keeps its own hold). Same
+  /// checks, fault draw and checksum as Write; a freed page keeps nothing.
+  Status Hand(uint32_t page_no, Block block);
+
+  /// Gives the page's slot a private copy of its block, so the other
+  /// holder (the frame caching the page) may write the block it keeps.
+  void Unshare(uint32_t page_no);
+
   /// The checksum recorded for the page by its last successful Write.
   uint32_t StoredChecksum(uint32_t page_no) const;
 
-  /// Page checksum: four independent multiply-xor lanes over 64-bit words,
-  /// then an avalanche. Changing any one word always changes the 64-bit
-  /// state (each step is a bijection), so a rotted byte is missed only when
-  /// the 32-bit fold collides. Host-only: never part of the simulated output
-  /// (routing hashes use HashBytes).
+  /// Page checksum: 64 lanes of 32 bits, eight vectors of eight, each step
+  /// `(lane ^ word) * odd` over one 32-bit word of a 256-byte block (the
+  /// last block zero-padded); the lanes then fold into a 64-bit state with
+  /// the length and an avalanche. Every step and every fold is a bijection
+  /// in the word or lane it takes, so changing any one word always changes
+  /// the 64-bit state, and a rotted byte is missed only when the 32-bit
+  /// fold collides. Host-only: never part of the simulated output (routing
+  /// hashes use HashBytes).
   static uint32_t ComputeChecksum(const uint8_t* data, size_t len);
 
   /// Test hook: flips one byte of the stored page without touching its
@@ -148,29 +228,26 @@ class SimulatedDisk {
   /// fault stream and the corruption side effect only applies to reads.
   Status ConsultFaults(uint32_t page_no, bool writing);
   Status CheckBounds(uint32_t page_no, const char* op) const;
+  /// Bounds, freed-page and fault checks shared by Read and ReadShared.
+  Status CheckRead(uint32_t page_no);
+  /// The slot's block, made private to it first: a new block when it has
+  /// none or shares one, holding the old bytes when `keep` (zeros for a
+  /// slot without a block).
+  uint8_t* OwnBlock(uint32_t slot, bool keep);
   /// Slot of a freed page.
   static constexpr uint32_t kFreed = UINT32_MAX;
 
-  uint8_t* SlotData(uint32_t slot) const {
-    return slabs_[slot / pages_per_slab_].get() +
-           static_cast<size_t>(slot % pages_per_slab_) * page_size_;
-  }
-
-  struct FreeDeleter {
-    void operator()(uint8_t* p) const { std::free(p); }
-  };
-
   uint32_t page_size_;
-  uint32_t pages_per_slab_;
   /// Checksum of an all-zero page: what Allocate records.
   uint32_t zero_checksum_;
   uint32_t live_pages_ = 0;
-  std::vector<std::unique_ptr<uint8_t[], FreeDeleter>> slabs_;
+  BlockArena arena_;
   /// Page number -> slot (kFreed once freed).
   std::vector<uint32_t> slot_of_;
   /// Freed slots, reused last-in first-out.
   std::vector<uint32_t> free_slots_;
-  /// Checksum per slot carved so far.
+  /// Block and checksum per slot carved so far.
+  std::vector<Block> blocks_;
   std::vector<uint32_t> checksums_;
   sim::FaultInjector* faults_;
   int node_;

@@ -66,9 +66,9 @@ Result<std::vector<uint8_t>> HeapFile::Fetch(Rid rid,
     return Status::NotFound("rid page out of range");
   }
   const uint32_t page_no = pages_[rid.page_index];
-  uint8_t* frame = nullptr;
-  GAMMA_ASSIGN_OR_RETURN(frame, pool_->Pin(page_no, intent));
-  SlottedPage page(frame, pool_->page_size());
+  const uint8_t* frame = nullptr;
+  GAMMA_ASSIGN_OR_RETURN(frame, pool_->PinRead(page_no, intent));
+  const SlottedPage page = SlottedPage::View(frame, pool_->page_size());
   auto record = page.Get(rid.slot);
   if (record.empty()) {
     pool_->Unpin(page_no);

@@ -69,7 +69,7 @@ class HeapFile {
                    const ScanCallback& callback) const;
 
   /// Calls `visit(page_index, page)` on the pages [first_page, last_page]
-  /// in file order, each pinned kSequential for its call: the pins of
+  /// in file order, each read-pinned kSequential for its call: the pins of
   /// ScanPages, a page at a time instead of a record at a time. `visit`
   /// returns false to stop.
   template <typename Visit>
@@ -78,10 +78,10 @@ class HeapFile {
     GAMMA_CHECK(first_page <= last_page && last_page < pages_.size());
     for (uint32_t i = first_page; i <= last_page; ++i) {
       const uint32_t page_no = pages_[i];
-      uint8_t* frame = nullptr;
-      GAMMA_ASSIGN_OR_RETURN(frame,
-                             pool_->Pin(page_no, AccessIntent::kSequential));
-      const SlottedPage page(frame, pool_->page_size());
+      const uint8_t* frame = nullptr;
+      GAMMA_ASSIGN_OR_RETURN(
+          frame, pool_->PinRead(page_no, AccessIntent::kSequential));
+      const SlottedPage page = SlottedPage::View(frame, pool_->page_size());
       const bool keep_going = visit(i, page);
       pool_->Unpin(page_no);
       if (!keep_going) break;

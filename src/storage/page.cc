@@ -16,7 +16,6 @@ SlottedPage::SlottedPage(uint8_t* data, uint32_t page_size)
 void SlottedPage::Initialize(uint8_t* data, uint32_t page_size) {
   // uint16 offsets cap pages at 32 KiB, which is also the paper's maximum.
   GAMMA_CHECK(page_size >= kMinPageSize && page_size <= 32768);
-  std::memset(data, 0, page_size);
   auto* header = reinterpret_cast<Header*>(data);
   header->num_slots = 0;
   header->free_end = static_cast<uint16_t>(page_size);

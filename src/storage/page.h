@@ -26,8 +26,15 @@ class SlottedPage {
 
   SlottedPage(uint8_t* data, uint32_t page_size);
 
-  /// Formats a fresh page in `data`.
+  /// Writes an empty page's header into `data`. The rest of the page is
+  /// left as it is: a new page (BufferPool::NewPage) is already zeroed.
   static void Initialize(uint8_t* data, uint32_t page_size);
+
+  /// A view over a read-only page (BufferPool::PinRead); only the const
+  /// accessors may be used on it.
+  static SlottedPage View(const uint8_t* data, uint32_t page_size) {
+    return SlottedPage(const_cast<uint8_t*>(data), page_size);
+  }
 
   /// Number of slots ever allocated (including tombstones).
   uint16_t slot_count() const;

@@ -167,9 +167,22 @@ TxnManager::AcquireResult TxnManager::Acquire(uint64_t txn, LockId id,
   return res;
 }
 
-std::vector<LockManager::Grant> TxnManager::Commit(uint64_t txn) {
-  GAMMA_CHECK_MSG(IsActive(txn), "commit of unknown transaction");
-  GAMMA_CHECK_MSG(!IsWaiting(txn), "commit with a lock request in flight");
+Status TxnManager::CanCommit(uint64_t txn) const {
+  if (!IsActive(txn)) {
+    return Status::InvalidArgument("commit of transaction " +
+                                   std::to_string(txn) +
+                                   ", which is not open");
+  }
+  if (IsWaiting(txn)) {
+    return Status::FailedPrecondition("commit of transaction " +
+                                      std::to_string(txn) +
+                                      " with a lock request in flight");
+  }
+  return Status::OK();
+}
+
+Result<std::vector<LockManager::Grant>> TxnManager::Commit(uint64_t txn) {
+  GAMMA_RETURN_NOT_OK(CanCommit(txn));
   std::vector<LockManager::Grant> grants;
   for (auto& table : tables_) table->Release(txn, &grants);
   active_.erase(txn);

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
+#include "common/status.h"
 #include "obs/journal.h"
 #include "txn/lock_manager.h"
 
@@ -97,9 +99,16 @@ class TxnManager {
   /// relation -> the scheduler table).
   AcquireResult Acquire(uint64_t txn, LockId id, LockMode mode);
 
+  /// Whether `txn` may commit now: InvalidArgument when it is not open
+  /// (unknown, or already committed or aborted), FailedPrecondition while
+  /// it waits on a lock request.
+  Status CanCommit(uint64_t txn) const;
+
   /// Commit / abort: releases every lock `txn` holds in every table and
-  /// returns the requests that became grantable.
-  std::vector<LockManager::Grant> Commit(uint64_t txn);
+  /// returns the requests that became grantable. A commit CanCommit refuses
+  /// fails with its status and changes nothing; aborting a transaction
+  /// that is not open does nothing.
+  Result<std::vector<LockManager::Grant>> Commit(uint64_t txn);
   std::vector<LockManager::Grant> Abort(uint64_t txn);
 
   /// Machine crash: every lock table and in-flight transaction vanishes

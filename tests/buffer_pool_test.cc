@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <list>
+#include <map>
 #include <span>
 #include <vector>
 
@@ -192,7 +195,7 @@ TEST(DiskTest, ReadWriteRoundTrip) {
 TEST(DiskTest, PagesKeepTheirBytesAcrossSlabs) {
   // 4 KB pages: 64 per 256 KB slab, so 600 pages span ten slabs. A page
   // twice the slab size gets one slab to itself.
-  for (const uint32_t page_size : {4096u, 2 * SimulatedDisk::kSlabBytes}) {
+  for (const uint32_t page_size : {4096u, 2 * BlockArena::kSlabBytes}) {
     SimulatedDisk disk(page_size);
     const uint32_t pages = page_size == 4096 ? 600 : 3;
     const std::vector<uint8_t> zeros(page_size, 0);
@@ -216,37 +219,98 @@ TEST(DiskTest, PagesKeepTheirBytesAcrossSlabs) {
   }
 }
 
-TEST(DiskTest, ChecksumCatchesEverySingleByteChange) {
-  std::vector<uint8_t> page(4096);
-  uint64_t state = 7;
-  for (auto& byte : page) {
+/// `len` seeded random bytes.
+std::vector<uint8_t> RandomBytes(size_t len, uint64_t seed) {
+  std::vector<uint8_t> bytes(len);
+  uint64_t state = seed;
+  for (auto& byte : bytes) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     byte = static_cast<uint8_t>(state >> 56);
   }
-  // Every length from empty to past one 32-byte block plus a ragged tail,
-  // then the full page: each byte position, three flip patterns.
+  return bytes;
+}
+
+TEST(DiskTest, ChecksumCatchesEverySingleByteChange) {
+  std::vector<uint8_t> page = RandomBytes(32768, 7);
+  // Every length from one byte to past the first 256-byte vector block and
+  // its ragged tail, then pages either side of 4 KB and the largest page:
+  // each byte position, three flip patterns.
   std::vector<size_t> lengths;
-  for (size_t len = 1; len <= 80; ++len) lengths.push_back(len);
-  lengths.push_back(page.size());
+  for (size_t len = 1; len <= 300; ++len) lengths.push_back(len);
+  for (const size_t len : {4095, 4096, 32768}) lengths.push_back(len);
   for (const size_t len : lengths) {
     const uint32_t clean = SimulatedDisk::ComputeChecksum(page.data(), len);
-    EXPECT_NE(clean, SimulatedDisk::ComputeChecksum(page.data(), len - 1))
+    ASSERT_NE(clean, SimulatedDisk::ComputeChecksum(page.data(), len - 1))
         << "length " << len;
     for (size_t pos = 0; pos < len; ++pos) {
       for (const uint8_t flip : {0x01, 0x80, 0xFF}) {
         page[pos] ^= flip;
-        EXPECT_NE(SimulatedDisk::ComputeChecksum(page.data(), len), clean)
+        ASSERT_NE(SimulatedDisk::ComputeChecksum(page.data(), len), clean)
             << "length " << len << ", byte " << pos << ", flip " << int{flip};
         page[pos] ^= flip;
       }
     }
   }
   // Trailing zero bytes still count.
-  const std::vector<uint8_t> zeros(81, 0);
-  for (size_t len = 0; len < 80; ++len) {
+  const std::vector<uint8_t> zeros(301, 0);
+  for (size_t len = 0; len < 300; ++len) {
     EXPECT_NE(SimulatedDisk::ComputeChecksum(zeros.data(), len),
               SimulatedDisk::ComputeChecksum(zeros.data(), len + 1))
         << "length " << len;
+  }
+}
+
+/// ComputeChecksum written out one lane at a time: 64 lanes of 32 bits over
+/// 256-byte blocks (the last one zero-padded), each step (lane ^ word) *
+/// odd; lane l of every eighth folds by Horner into vector lane l, the
+/// eight folds into a 64-bit state, then the length and the avalanche.
+uint32_t ReferenceChecksum(const uint8_t* data, size_t len) {
+  constexpr size_t kBlock = 256;
+  std::vector<uint8_t> padded((len + kBlock - 1) / kBlock * kBlock, 0);
+  if (len > 0) std::memcpy(padded.data(), data, len);
+  uint32_t lanes[64];
+  for (uint32_t j = 0; j < 64; ++j) {
+    lanes[j] = (0x811C9DC5u ^ 0xC4ECu) + j * 0x9E3779B9u;
+  }
+  for (size_t block = 0; block < padded.size(); block += kBlock) {
+    for (size_t j = 0; j < 64; ++j) {
+      uint32_t word = 0;
+      std::memcpy(&word, padded.data() + block + 4 * j, sizeof(word));
+      lanes[j] = (lanes[j] ^ word) * 0x9E3779B1u;
+    }
+  }
+  uint64_t state = 0;
+  for (size_t l = 0; l < 8; ++l) {
+    uint32_t folded = lanes[l];
+    for (size_t k = 1; k < 8; ++k) {
+      folded = folded * 0x85EBCA77u + lanes[8 * k + l];
+    }
+    state = (state ^ folded) * 0x100000001b3ULL;
+  }
+  uint64_t h = state ^ len;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return static_cast<uint32_t>(h ^ (h >> 32));
+}
+
+// Whichever clone the host dispatches to (AVX2 or the default one) computes
+// the one function the scalar reference spells out.
+TEST(DiskTest, ChecksumMatchesScalarReference) {
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 600; ++len) lengths.push_back(len);
+  for (const size_t len : {1023, 4095, 4096, 4097, 32768}) {
+    lengths.push_back(len);
+  }
+  for (const size_t len : lengths) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      const std::vector<uint8_t> page = RandomBytes(len, seed * 1000 + len);
+      ASSERT_EQ(SimulatedDisk::ComputeChecksum(page.data(), len),
+                ReferenceChecksum(page.data(), len))
+          << "length " << len << ", seed " << seed;
+    }
   }
 }
 
@@ -488,6 +552,341 @@ TEST(DirtyFrameCountTest, MatchesRecountAfterEverySeededStep) {
     EXPECT_GT(seen.invalidates, 0);
     for (const uint32_t page : held) pool.Unpin(page);
   }
+}
+
+// Who owns a page's bytes (disk slot, shared clean frame, private dirty
+// frame) must never show: a seeded random sequence of read pins, writable
+// pins, new pages with appends, dirty evictions, frees with slot reuse,
+// stored-page corruption, Discard, Invalidate and FlushAll is replayed
+// against a plain model of the disk (page -> bytes) and of the LRU pool.
+// After every step: each held pin reads the model frame's bytes, frame,
+// eviction and dirty counts match, and every live page's stored bytes and
+// checksum are the model's (a handed-over page reads back identically). A
+// corrupted page fails its next miss as Corruption and is never seen
+// through a cached frame.
+class PageModel {
+ public:
+  static constexpr uint32_t kPageSize = 512;
+  static constexpr uint32_t kFrames = 8;
+
+  explicit PageModel(uint64_t seed)
+      : pool_(&disk_, &charge_, kFrames * kPageSize), rng_(seed) {}
+
+  struct Seen {
+    int read_pins = 0, unshares = 0, dirty_evictions = 0, reused_slots = 0,
+        corruption_misses = 0, corrupt_hits = 0, discarded_dirty = 0,
+        invalidates = 0, flushes = 0, stale_write_backs = 0;
+  };
+
+  void Step() {
+    switch (rng_.Uniform(12)) {
+      case 0:
+      case 1:
+        PinLive(/*writable=*/false);
+        break;
+      case 2:
+      case 3:
+        PinLive(/*writable=*/true);
+        break;
+      case 4:
+      case 5:
+        NewPage();
+        break;
+      case 6:
+        if (!held_.empty()) {
+          const size_t i = rng_.Uniform(held_.size());
+          if (held_[i].writable) Scribble(held_[i].page, held_[i].bytes);
+        }
+        break;
+      case 7:
+        Release();
+        break;
+      case 8:
+        Free();
+        break;
+      case 9:
+        Corrupt();
+        break;
+      case 10:
+        Flush(/*drop=*/rng_.Uniform(2) == 0);
+        break;
+      case 11:
+        Discard();
+        break;
+    }
+  }
+
+  void Check() {
+    ASSERT_EQ(pool_.frames_in_use(), frames_.size());
+    ASSERT_EQ(pool_.evictions(), evictions_);
+    uint32_t dirty = 0;
+    for (const auto& [page, frame] : frames_) dirty += frame.dirty ? 1 : 0;
+    ASSERT_EQ(pool_.dirty_frames(), dirty);
+    ASSERT_EQ(pool_.CountDirtyFrames(), dirty);
+    for (const Held& pin : held_) {
+      const std::vector<uint8_t>& want = frames_.at(pin.page).bytes;
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), pin.bytes))
+          << "pinned page " << pin.page;
+    }
+    std::vector<uint8_t> buf(kPageSize);
+    for (const auto& [page, bytes] : stored_) {
+      ASSERT_TRUE(disk_.Read(page, buf.data()).ok());
+      ASSERT_EQ(buf, bytes) << "stored page " << page;
+      ASSERT_EQ(disk_.StoredChecksum(page) ==
+                    SimulatedDisk::ComputeChecksum(bytes.data(), kPageSize),
+                !Rotten(page))
+          << "stored page " << page;
+    }
+  }
+
+  void ReleaseAll() {
+    while (!held_.empty()) Release();
+  }
+
+  const Seen& seen() const { return seen_; }
+
+ private:
+  struct Frame {
+    std::vector<uint8_t> bytes;
+    bool dirty = false;
+    uint32_t pins = 0;
+  };
+  struct Held {
+    uint32_t page;
+    uint8_t* bytes;
+    bool writable;
+  };
+
+  /// The pool's MakeRoom: evicts the least recently unpinned frame, writing
+  /// it back first when dirty.
+  void MakeRoom() {
+    if (frames_.size() < kFrames) return;
+    const uint32_t victim = lru_.front();
+    lru_.pop_front();
+    if (frames_.at(victim).dirty) {
+      ++seen_.dirty_evictions;
+      WriteBack(victim);
+    }
+    frames_.erase(victim);
+    ++evictions_;
+  }
+
+  void WriteBack(uint32_t page) {
+    Frame& frame = frames_.at(page);
+    frame.dirty = false;
+    if (!stored_.contains(page)) {
+      ++seen_.stale_write_backs;  // a freed page: the bytes are dropped
+      return;
+    }
+    stored_[page] = frame.bytes;
+    written_[page] = frame.bytes;
+  }
+
+  /// Whether the page's stored bytes differ from the ones its checksum was
+  /// computed over (a second flip of the same byte heals it).
+  bool Rotten(uint32_t page) const {
+    return stored_.at(page) != written_.at(page);
+  }
+
+  void Hold(uint32_t page, uint8_t* bytes, bool writable) {
+    Frame& frame = frames_.at(page);
+    if (frame.pins++ == 0) lru_.remove(page);
+    if (held_.size() < 3 && rng_.Uniform(2) == 0) {
+      held_.push_back({page, bytes, writable});
+    } else {
+      Unpin(page);
+    }
+  }
+
+  void Unpin(uint32_t page) {
+    pool_.Unpin(page);
+    if (--frames_.at(page).pins == 0) lru_.push_back(page);
+  }
+
+  /// Writes a few random bytes (sometimes the whole page) through a
+  /// writable pin, in the pool and in the model frame.
+  void Scribble(uint32_t page, uint8_t* bytes) {
+    Frame& frame = frames_.at(page);
+    const uint64_t writes = rng_.Uniform(2) == 0 ? kPageSize : 1 + rng_.Uniform(8);
+    const auto value = static_cast<uint8_t>(rng_.Uniform(256));
+    for (uint64_t i = 0; i < writes; ++i) {
+      const uint64_t pos = writes == kPageSize ? i : rng_.Uniform(kPageSize);
+      bytes[pos] = static_cast<uint8_t>(value + i);
+      frame.bytes[pos] = bytes[pos];
+    }
+    pool_.MarkDirty(page);
+    frame.dirty = true;
+  }
+
+  void PinLive(bool writable) {
+    if (stored_.empty()) return;
+    auto it = stored_.begin();
+    std::advance(it, rng_.Uniform(stored_.size()));
+    const uint32_t page = it->first;
+    const bool cached = frames_.contains(page);
+    if (cached && !frames_.at(page).dirty && writable) ++seen_.unshares;
+    if (!cached) MakeRoom();
+    uint8_t* bytes = nullptr;
+    Status status;
+    if (writable) {
+      auto pinned = pool_.Pin(page, AccessIntent::kRandom);
+      status = pinned.status();
+      if (pinned.ok()) bytes = *pinned;
+    } else {
+      auto pinned = pool_.PinRead(page, AccessIntent::kSequential);
+      status = pinned.status();
+      if (pinned.ok()) bytes = const_cast<uint8_t*>(*pinned);
+    }
+    if (!cached && Rotten(page)) {
+      ASSERT_TRUE(status.IsCorruption()) << status.ToString();
+      ++seen_.corruption_misses;
+      return;
+    }
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    if (cached && Rotten(page)) ++seen_.corrupt_hits;
+    if (!cached) frames_[page].bytes = stored_.at(page);
+    const std::vector<uint8_t>& want = frames_.at(page).bytes;
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), bytes)) << "page " << page;
+    if (!writable) ++seen_.read_pins;
+    if (writable && rng_.Uniform(3) != 0) Scribble(page, bytes);
+    Hold(page, bytes, writable);
+  }
+
+  void NewPage() {
+    MakeRoom();
+    const uint32_t slots = disk_.num_slots();
+    uint8_t* bytes = nullptr;
+    auto page = pool_.NewPage(&bytes);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    ASSERT_EQ(*page, next_page_++);
+    if (disk_.num_slots() == slots) ++seen_.reused_slots;
+    ASSERT_TRUE(std::all_of(bytes, bytes + kPageSize,
+                            [](uint8_t b) { return b == 0; }));
+    stored_[*page] = std::vector<uint8_t>(kPageSize, 0);
+    written_[*page] = stored_[*page];
+    Frame& frame = frames_[*page];
+    frame.bytes.assign(kPageSize, 0);
+    frame.dirty = true;
+    // Append a record-sized run at the front, the way a heap page fills.
+    const uint64_t run = 1 + rng_.Uniform(64);
+    for (uint64_t i = 0; i < run; ++i) {
+      bytes[i] = static_cast<uint8_t>(*page + i + 1);
+      frame.bytes[i] = bytes[i];
+    }
+    frame.pins = 1;
+    if (held_.size() < 3 && rng_.Uniform(2) == 0) {
+      held_.push_back({*page, bytes, true});
+    } else {
+      Unpin(*page);
+    }
+  }
+
+  void Release() {
+    if (held_.empty()) return;
+    const size_t i = rng_.Uniform(held_.size());
+    const uint32_t page = held_[i].page;
+    held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(i));
+    Unpin(page);
+  }
+
+  void Free() {
+    if (stored_.empty()) return;
+    auto it = stored_.begin();
+    std::advance(it, rng_.Uniform(stored_.size()));
+    const uint32_t page = it->first;
+    for (const Held& pin : held_) {
+      if (pin.page == page) return;
+    }
+    pool_.FreePage(page);
+    stored_.erase(page);
+    written_.erase(page);
+  }
+
+  void Corrupt() {
+    if (stored_.empty()) return;
+    auto it = stored_.begin();
+    std::advance(it, rng_.Uniform(stored_.size()));
+    disk_.CorruptStoredPage(it->first);
+    it->second[it->first % kPageSize] ^= 0xFF;
+  }
+
+  void Flush(bool drop) {
+    if (drop) {
+      ASSERT_TRUE(pool_.Invalidate().ok());
+      ++seen_.invalidates;
+    } else {
+      ASSERT_TRUE(pool_.FlushAll().ok());
+      ++seen_.flushes;
+    }
+    for (auto& [page, frame] : frames_) {
+      if (frame.dirty) WriteBack(page);
+    }
+    if (drop) DropUnpinned();
+  }
+
+  void Discard() {
+    pool_.Discard();
+    for (const auto& [page, frame] : frames_) {
+      if (frame.pins == 0 && frame.dirty) ++seen_.discarded_dirty;
+    }
+    DropUnpinned();
+  }
+
+  void DropUnpinned() {
+    std::erase_if(frames_, [](const auto& entry) {
+      return entry.second.pins == 0;
+    });
+    lru_.clear();
+  }
+
+  ChargeContext charge_;  // uncharged
+  SimulatedDisk disk_{kPageSize};
+  BufferPool pool_;
+  Rng rng_;
+  uint32_t next_page_ = 0;
+  std::map<uint32_t, std::vector<uint8_t>> stored_;  // live page -> bytes
+  std::map<uint32_t, std::vector<uint8_t>> written_;  // checksummed bytes
+  std::map<uint32_t, Frame> frames_;  // cached pages, freed ones included
+  std::list<uint32_t> lru_;           // unpinned frames, oldest first
+  std::vector<Held> held_;
+  uint64_t evictions_ = 0;
+  Seen seen_;
+};
+
+TEST(PageOwnershipTest, MatchesPlainModelAfterEverySeededStep) {
+  PageModel::Seen total;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    PageModel model(seed);
+    for (int step = 0; step < 1500; ++step) {
+      SCOPED_TRACE(step);
+      ASSERT_NO_FATAL_FAILURE(model.Step());
+      ASSERT_NO_FATAL_FAILURE(model.Check());
+    }
+    model.ReleaseAll();
+    ASSERT_NO_FATAL_FAILURE(model.Check());
+    const PageModel::Seen& seen = model.seen();
+    total.unshares += seen.unshares;
+    total.dirty_evictions += seen.dirty_evictions;
+    total.reused_slots += seen.reused_slots;
+    total.corruption_misses += seen.corruption_misses;
+    total.corrupt_hits += seen.corrupt_hits;
+    total.discarded_dirty += seen.discarded_dirty;
+    total.invalidates += seen.invalidates;
+    total.flushes += seen.flushes;
+    total.stale_write_backs += seen.stale_write_backs;
+    total.read_pins += seen.read_pins;
+  }
+  EXPECT_GT(total.read_pins, 0);
+  EXPECT_GT(total.unshares, 0);
+  EXPECT_GT(total.dirty_evictions, 0);
+  EXPECT_GT(total.reused_slots, 0);
+  EXPECT_GT(total.corruption_misses, 0);
+  EXPECT_GT(total.corrupt_hits, 0);
+  EXPECT_GT(total.discarded_dirty, 0);
+  EXPECT_GT(total.invalidates, 0);
+  EXPECT_GT(total.flushes, 0);
+  EXPECT_GT(total.stale_write_backs, 0);
 }
 
 TEST(DiskParamsTest, AccessTimesMatchPaperFacts) {

@@ -317,6 +317,63 @@ TEST(MachineTxnTest, FailFastConflictAbortsSecondTxn) {
   EXPECT_EQ((*machine.ReadRelation("R")).size(), 30u);
 }
 
+// A commit the machine cannot perform is a Status, not a process abort, and
+// leaves the transaction table and the relation as they were.
+TEST(MachineTxnTest, CommitOfUnknownTxnIsInvalidArgument) {
+  gamma::GammaMachine machine(SmallConfig());
+  LoadMini(machine, "R", 32, 17);
+  const auto committed = machine.CommitTxn(12345);
+  ASSERT_FALSE(committed.ok());
+  EXPECT_TRUE(committed.status().IsInvalidArgument())
+      << committed.status().ToString();
+  EXPECT_TRUE(machine.txns().quiescent());
+  EXPECT_EQ((*machine.ReadRelation("R")).size(), 32u);
+}
+
+TEST(MachineTxnTest, SecondCommitIsInvalidArgument) {
+  gamma::GammaMachine machine(SmallConfig());
+  LoadMini(machine, "R", 32, 19);
+  const uint64_t t = machine.BeginTxn();
+  gamma::AppendQuery append;
+  append.relation = "R";
+  append.tuple = testing::MiniTuple(100, 7);
+  ASSERT_TRUE(machine.RunAppend(append, t).ok());
+  ASSERT_TRUE(machine.CommitTxn(t).ok());
+  const auto again = machine.CommitTxn(t);
+  ASSERT_FALSE(again.ok());
+  EXPECT_TRUE(again.status().IsInvalidArgument()) << again.status().ToString();
+  EXPECT_EQ((*machine.ReadRelation("R")).size(), 33u);
+}
+
+TEST(MachineTxnTest, CommitWhileWaitingIsFailedPrecondition) {
+  gamma::GammaMachine machine(SmallConfig());
+  LoadMini(machine, "R", 32, 23);
+  txn::TxnManager& txns = machine.txns();
+  const txn::LockId fragment = txn::LockId::Fragment(txns.RelationId("R"), 0);
+  const uint64_t holder = machine.BeginTxn();
+  const uint64_t waiter = machine.BeginTxn();
+  using Outcome = txn::TxnManager::AcquireResult::Outcome;
+  ASSERT_EQ(txns.Acquire(holder, fragment, txn::LockMode::kX).outcome,
+            Outcome::kGranted);
+  ASSERT_EQ(txns.Acquire(waiter, fragment, txn::LockMode::kX).outcome,
+            Outcome::kBlocked);
+
+  const auto committed = machine.CommitTxn(waiter);
+  ASSERT_FALSE(committed.ok());
+  EXPECT_TRUE(committed.status().IsFailedPrecondition())
+      << committed.status().ToString();
+  EXPECT_TRUE(txns.IsActive(waiter));
+  EXPECT_TRUE(txns.IsWaiting(waiter));
+
+  // The holder's commit hands the lock to the waiter, which then commits.
+  const auto released = machine.CommitTxn(holder);
+  ASSERT_TRUE(released.ok());
+  ASSERT_EQ(released->size(), 1u);
+  EXPECT_EQ((*released)[0].txn, waiter);
+  EXPECT_TRUE(machine.CommitTxn(waiter).ok());
+  EXPECT_TRUE(txns.quiescent());
+}
+
 std::vector<std::vector<uint8_t>> Sorted(
     std::vector<std::vector<uint8_t>> tuples) {
   std::sort(tuples.begin(), tuples.end());
