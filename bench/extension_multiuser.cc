@@ -61,7 +61,7 @@ sim::WorkloadReport RunMix(gamma::GammaMachine& machine,
     for (size_t s = 0; s < base.size(); ++s) {
       client.script.push_back(base[(s + c) % base.size()]);
     }
-    driver.AddClient(client);
+    GAMMA_CHECK(driver.AddClient(client).ok());
   }
   return driver.Run();
 }

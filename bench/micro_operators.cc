@@ -513,6 +513,47 @@ void BM_BuildIndex(benchmark::State& state) {
 BENCHMARK(BM_BuildIndex)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(
     benchmark::kMillisecond);
 
+void BM_ReintegrateNode(benchmark::State& state) {
+  // gamma.reintegrate_ns_per_tuple: ReintegrateNode(1) after node 1 died on
+  // an idle machine (8 disk nodes, logging and chained declustering on, a
+  // clustered index on unique1 and a non-clustered one on unique2, 100k
+  // Wisconsin tuples): node 2's backup of fragment 1 is scanned, shipped
+  // and written back as the fragment in key order with both B-trees. Only
+  // the reintegration is timed.
+  const auto tuples = wis::GenerateWisconsin(100000, 15);
+  gamma::GammaConfig config;
+  config.num_disk_nodes = 8;
+  config.num_diskless_nodes = 0;
+  config.enable_logging = true;
+  config.chained_declustering = true;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto machine = std::make_unique<gamma::GammaMachine>(config);
+    if (!machine
+             ->CreateRelation("A", wis::WisconsinSchema(),
+                              catalog::PartitionSpec::Hashed(wis::kUnique1))
+             .ok() ||
+        !machine->LoadTuples("A", tuples).ok() ||
+        !machine->BuildIndex("A", wis::kUnique1, /*clustered=*/true).ok() ||
+        !machine->BuildIndex("A", wis::kUnique2, /*clustered=*/false).ok()) {
+      state.SkipWithError("set-up failed");
+      break;
+    }
+    machine->KillNode(1);
+    state.ResumeTiming();
+    if (!machine->ReintegrateNode(1).ok()) {
+      state.SkipWithError("reintegration failed");
+      break;
+    }
+    state.PauseTiming();
+    machine.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(tuples.size() / 8));
+}
+BENCHMARK(BM_ReintegrateNode)->UseRealTime()->Unit(benchmark::kMillisecond);
+
 void BM_RecomputeStatistics(benchmark::State& state) {
   // gamma.recompute_stats_ns_per_tuple: the recount that follows Recover()
   // and ReintegrateNode() (a sweep of every serving page into int columns,

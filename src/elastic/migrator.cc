@@ -21,7 +21,6 @@
 
 #include "common/hash.h"
 #include "common/macros.h"
-#include "elastic/fragment_rebuild.h"
 #include "gamma/machine.h"
 #include "gamma/recovery_log.h"
 #include "obs/metrics_registry.h"
@@ -113,16 +112,8 @@ Result<MigrationReport> ElasticMigrator::MigrateAll() {
 Status ElasticMigrator::ScanFragment(
     const RelationMeta& meta, int fragment,
     const std::function<void(Rid, std::span<const uint8_t>)>& fn) const {
-  GammaMachine& m = *machine_;
-  const uint32_t fid = meta.per_node_file[static_cast<size_t>(fragment)];
-  if (fid == catalog::kNoFile) return Status::OK();
-  storage::StorageManager& sm = *m.nodes_[static_cast<size_t>(fragment)];
-  const double scan_cpu = m.config_.hw.cost.instr_per_tuple_scan;
-  return sm.file(fid).Scan([&](Rid rid, std::span<const uint8_t> tuple) {
-    sm.charge().Cpu(scan_cpu);
-    fn(rid, tuple);
-    return true;
-  });
+  return machine_->ScanFile(
+      fragment, meta.per_node_file[static_cast<size_t>(fragment)], fn);
 }
 
 Status ElasticMigrator::PlanMoves(RelationMeta* meta, Plan* plan) const {
@@ -468,53 +459,22 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
     for (const auto& [dst, idxs] : by_dst) {
       storage::StorageManager& dsm = *m.nodes_[static_cast<size_t>(dst)];
       dsm.charge().Cpu(m.config_.hw.cost.instr_per_lock);
-      std::vector<std::vector<uint8_t>> combined;
+      std::vector<uint8_t> tuples;
       GAMMA_RETURN_NOT_OK(
-          ScanFragment(*meta, dst, [&](Rid, std::span<const uint8_t> t) {
-            combined.emplace_back(t.begin(), t.end());
-          }));
+          m.CopyFile(dst, meta->per_node_file[static_cast<size_t>(dst)],
+                     &tuples));
+      const size_t existing = tuples.size() / meta->schema.tuple_size();
       for (const size_t i : idxs) {
         const Mover& mv = plan.movers[i];
         tracker.ChargeDataPacket(mv.src, dst, mv.tuple.size());
         report->bytes_shipped += mv.tuple.size();
-        combined.push_back(mv.tuple);
+        tuples.insert(tuples.end(), mv.tuple.begin(), mv.tuple.end());
       }
+      std::vector<Rid> rids;
       GAMMA_ASSIGN_OR_RETURN(
-          FragmentRebuildResult rebuilt,
-          RebuildFragment(dsm, dst, meta, std::move(combined),
-                          m.config_.hw));
-
-      // Match each arrival to the rid the (possibly re-sorted) rebuild
-      // assigned it: both sides walked in byte order, consuming one equal
-      // entry per arrival.
-      const auto byte_less = [](const std::vector<uint8_t>& a,
-                                const std::vector<uint8_t>& b) {
-        return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                            b.end());
-      };
-      std::vector<size_t> ridx(rebuilt.tuples.size());
-      std::iota(ridx.begin(), ridx.end(), size_t{0});
-      std::sort(ridx.begin(), ridx.end(), [&](size_t a, size_t b) {
-        return byte_less(rebuilt.tuples[a], rebuilt.tuples[b]);
-      });
-      std::vector<size_t> midx(idxs.size());
-      std::iota(midx.begin(), midx.end(), size_t{0});
-      std::sort(midx.begin(), midx.end(), [&](size_t a, size_t b) {
-        return byte_less(plan.movers[idxs[a]].tuple,
-                         plan.movers[idxs[b]].tuple);
-      });
-      std::vector<Rid> arrival_rid(idxs.size());
-      size_t cursor = 0;
-      for (const size_t k : midx) {
-        const std::vector<uint8_t>& want = plan.movers[idxs[k]].tuple;
-        while (cursor < ridx.size() &&
-               byte_less(rebuilt.tuples[ridx[cursor]], want)) {
-          ++cursor;
-        }
-        GAMMA_CHECK(cursor < ridx.size());
-        arrival_rid[k] = rebuilt.rids[ridx[cursor]];
-        ++cursor;
-      }
+          const GammaMachine::FragmentBuild build,
+          m.BuildFragment(dst, meta->schema, meta->indices, tuples, &rids));
+      m.SwapInFragment(dst, meta, build);
 
       for (size_t k = 0; k < idxs.size(); ++k) {
         const Mover& mv = plan.movers[idxs[k]];
@@ -526,7 +486,8 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
           report->bytes_shipped += mv.tuple.size();
           mirror.mirrored = true;
         }
-        stmt.Log(WalKind::kInsert, dst, arrival_rid[k], {}, mv.tuple, mirror);
+        stmt.Log(WalKind::kInsert, dst, rids[existing + k], {}, mv.tuple,
+                 mirror);
       }
       log.ForceTail(dst);
       tracker.ChargeControlMessage(dst, m.config_.scheduler_node(),

@@ -104,8 +104,7 @@ class ElasticMigrator {
   Status PlanRange(catalog::RelationMeta* meta, Plan* plan) const;
   Status PlanRoundRobin(catalog::RelationMeta* meta, Plan* plan) const;
 
-  /// Charged sequential scan of fragment `fragment`'s primary file
-  /// (instr_per_tuple_scan per tuple into the node's bound tracker).
+  /// GammaMachine::ScanFile of fragment `fragment`'s primary file.
   Status ScanFragment(
       const catalog::RelationMeta& meta, int fragment,
       const std::function<void(storage::Rid, std::span<const uint8_t>)>& fn)

@@ -90,6 +90,20 @@ void RadixSortByKey(std::vector<T>& items, Key key) {
   }
 }
 
+/// Bulk-loads a fresh B-tree on `sm` from `entries` made in rid order: the
+/// stable sort by key leaves them in (key, rid) order. Entries already in
+/// key order (a clustered index) skip the sort.
+Result<storage::IndexId> BulkLoadIndex(
+    storage::StorageManager& sm, std::vector<storage::BTree::Entry>& entries) {
+  const auto by_key = [](const auto& a, const auto& b) { return a.key < b.key; };
+  if (!std::is_sorted(entries.begin(), entries.end(), by_key)) {
+    RadixSortByKey(entries, [](const auto& e) { return e.key; });
+  }
+  const storage::IndexId id = sm.CreateIndex();
+  GAMMA_RETURN_NOT_OK(sm.index(id).BulkLoad(entries));
+  return id;
+}
+
 }  // namespace
 
 namespace {
@@ -339,7 +353,6 @@ GammaMachine::Statement::~Statement() {
       // the nodes still alive (so failover reads never see them), but leave
       // the records open as a loser — the dead node's copies are
       // unreachable until Recover()/ReintegrateNode() finishes the job.
-      m.wal_->DiscardStaged();
       m.UndoTransaction(wal_txn_, /*close=*/false);
     } else {
       // Clean abort: reverse whatever the statement already sealed — the
@@ -689,6 +702,105 @@ Status GammaMachine::LoadTuples(
   return Status::OK();
 }
 
+Status GammaMachine::ScanFile(
+    int node, uint32_t fid,
+    const std::function<void(Rid, std::span<const uint8_t>)>& fn) {
+  if (fid == catalog::kNoFile) return Status::OK();
+  storage::StorageManager& sm = *nodes_[static_cast<size_t>(node)];
+  const double scan_cpu = config_.hw.cost.instr_per_tuple_scan;
+  return sm.file(fid).Scan([&](Rid rid, std::span<const uint8_t> tuple) {
+    sm.charge().Cpu(scan_cpu);
+    fn(rid, tuple);
+    return true;
+  });
+}
+
+Status GammaMachine::CopyFile(int node, uint32_t fid,
+                              std::vector<uint8_t>* bytes) {
+  return ScanFile(node, fid, [&](Rid, std::span<const uint8_t> tuple) {
+    bytes->insert(bytes->end(), tuple.begin(), tuple.end());
+  });
+}
+
+Result<GammaMachine::FragmentBuild> GammaMachine::BuildFragment(
+    int node, const Schema& schema, std::span<const IndexMeta> indices,
+    std::span<const uint8_t> tuples, std::vector<Rid>* rids) {
+  storage::StorageManager& sm = *nodes_[static_cast<size_t>(node)];
+  const size_t tuple_size = schema.tuple_size();
+  const size_t count = tuples.size() / tuple_size;
+  const auto tuple = [&](size_t position) {
+    return tuples.subspan(position * tuple_size, tuple_size);
+  };
+
+  // Storage order: {key, input position} pairs, radix-sorted on the
+  // clustered key, which keeps equal keys in input order (what a stable
+  // sort of the tuples gives) without moving tuples. 8-byte pairs halve
+  // the sort's memory traffic.
+  const auto clustered =
+      std::find_if(indices.begin(), indices.end(),
+                   [](const IndexMeta& index) { return index.clustered; });
+  const bool sort = clustered != indices.end();
+  GAMMA_CHECK(count <= UINT32_MAX);
+  std::vector<std::pair<int32_t, uint32_t>> order;
+  order.reserve(count);
+  for (size_t p = 0; p < count; ++p) {
+    // The key reads stride across `tuples`; ask for them ahead.
+    if (sort && p + 2 * kPrefetchAhead < count) {
+      __builtin_prefetch(tuple(p + 2 * kPrefetchAhead).data() +
+                         schema.offset(static_cast<size_t>(clustered->attr)));
+    }
+    order.emplace_back(
+        sort ? catalog::IntAttr(schema, tuple(p), clustered->attr) : 0,
+        static_cast<uint32_t>(p));
+  }
+  if (sort) RadixSortByKey(order, [](const auto& o) { return o.first; });
+
+  // Appends run in rid order, so each index's entries are made in rid
+  // order while the tuple is at hand.
+  FragmentBuild build;
+  build.file = sm.CreateFile();
+  storage::HeapFile& file = sm.file(build.file);
+  if (rids != nullptr) rids->resize(count);
+  std::vector<std::vector<storage::BTree::Entry>> entries(indices.size());
+  for (auto& index_entries : entries) index_entries.reserve(count);
+  const double store_cpu = config_.hw.cost.instr_per_tuple_store;
+  for (size_t j = 0; j < count; ++j) {
+    // The key-order gather jumps across `tuples`.
+    if (j + kPrefetchAhead < count) {
+      PrefetchLines(tuple(order[j + kPrefetchAhead].second).data(),
+                    tuple_size);
+    }
+    const std::span<const uint8_t> bytes = tuple(order[j].second);
+    sm.charge().Cpu(store_cpu);
+    GAMMA_ASSIGN_OR_RETURN(const Rid rid, file.Append(bytes));
+    if (rids != nullptr) (*rids)[order[j].second] = rid;
+    for (size_t k = 0; k < indices.size(); ++k) {
+      entries[k].push_back(storage::BTree::Entry{
+          catalog::IntAttr(schema, bytes, indices[k].attr), rid});
+    }
+  }
+  for (auto& index_entries : entries) {
+    GAMMA_ASSIGN_OR_RETURN(const storage::IndexId id,
+                           BulkLoadIndex(sm, index_entries));
+    build.indices.push_back(id);
+  }
+  return build;
+}
+
+void GammaMachine::SwapInFragment(int fragment, RelationMeta* meta,
+                                  const FragmentBuild& build) {
+  storage::StorageManager& sm = *nodes_[static_cast<size_t>(fragment)];
+  const auto f = static_cast<size_t>(fragment);
+  for (size_t k = 0; k < meta->indices.size(); ++k) {
+    sm.DropIndex(meta->indices[k].per_node_index[f]);
+    meta->indices[k].per_node_index[f] = build.indices[k];
+  }
+  if (meta->per_node_file[f] != catalog::kNoFile) {
+    sm.DropFile(meta->per_node_file[f]);
+  }
+  meta->per_node_file[f] = build.file;
+}
+
 Status GammaMachine::BuildIndex(const std::string& name, int attr,
                                 bool clustered) {
   GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(name));
@@ -709,12 +821,10 @@ Status GammaMachine::BuildIndex(const std::string& name, int attr,
   index.clustered = clustered;
 
   // Each node builds its fragment's index (and, for a clustered index, its
-  // reordered fragment) independently; the per-node file and index ids land
-  // in preassigned slots, so the catalog sees them in node order regardless
-  // of which host thread finished first.
-  std::vector<storage::FileId> new_files(
-      static_cast<size_t>(config_.num_disk_nodes), catalog::kNoFile);
-  std::vector<storage::IndexId> new_indices(
+  // reordered fragment) independently; the builds land in preassigned
+  // slots, so the catalog sees them in node order regardless of which host
+  // thread finished first.
+  std::vector<FragmentBuild> builds(
       static_cast<size_t>(config_.num_disk_nodes));
   std::vector<NodeTask> tasks;
   tasks.reserve(static_cast<size_t>(config_.num_disk_nodes));
@@ -723,61 +833,32 @@ Status GammaMachine::BuildIndex(const std::string& name, int attr,
       storage::StorageManager& sm = *nodes_[static_cast<size_t>(i)];
       storage::HeapFile& fragment =
           sm.file(meta->per_node_file[static_cast<size_t>(i)]);
-
-      // Both index kinds radix-sort by key: equal keys keep scan order,
-      // which is rid order, so entries come out in (key, rid) order.
-      std::vector<storage::BTree::Entry> btree_entries;
-      btree_entries.reserve(fragment.num_tuples());
+      FragmentBuild& build = builds[static_cast<size_t>(i)];
       if (clustered) {
-        // Physically reorder the fragment into key order, then index it.
-        // Sorting {key, scan position} pairs keeps equal keys in scan order
-        // (what a stable sort of the tuples gives) without moving tuples.
-        const size_t tuple_size = meta->schema.tuple_size();
+        // Rewrite the fragment in key order with its index.
         std::vector<uint8_t> bytes;
-        bytes.reserve(fragment.num_tuples() * tuple_size);
-        std::vector<std::pair<int32_t, size_t>> order;
-        order.reserve(fragment.num_tuples());
+        bytes.reserve(fragment.num_tuples() * meta->schema.tuple_size());
         GAMMA_RETURN_NOT_OK(
             fragment.Scan([&](Rid, std::span<const uint8_t> tuple) {
-              order.emplace_back(TupleView(&meta->schema, tuple)
-                                     .GetInt(static_cast<size_t>(attr)),
-                                 order.size());
               bytes.insert(bytes.end(), tuple.begin(), tuple.end());
               return true;
             }));
-        RadixSortByKey(order, [](const auto& o) { return o.first; });
-        const storage::FileId sorted_id = sm.CreateFile();
-        storage::HeapFile& sorted = sm.file(sorted_id);
-        // The key-order gather jumps across `bytes`.
-        for (size_t j = 0; j < order.size(); ++j) {
-          if (j + kPrefetchAhead < order.size()) {
-            PrefetchLines(
-                bytes.data() + order[j + kPrefetchAhead].second * tuple_size,
-                tuple_size);
-          }
-          const auto& [key, position] = order[j];
-          GAMMA_ASSIGN_OR_RETURN(
-              const Rid rid,
-              sorted.Append(std::span<const uint8_t>(
-                  bytes.data() + position * tuple_size, tuple_size)));
-          btree_entries.push_back(storage::BTree::Entry{key, rid});
-        }
-        new_files[static_cast<size_t>(i)] = sorted_id;
-      } else {
-        GAMMA_RETURN_NOT_OK(
-            fragment.Scan([&](Rid rid, std::span<const uint8_t> tuple) {
-              btree_entries.push_back(storage::BTree::Entry{
-                  TupleView(&meta->schema, tuple)
-                      .GetInt(static_cast<size_t>(attr)),
-                  rid});
-              return true;
-            }));
-        RadixSortByKey(btree_entries, [](const auto& e) { return e.key; });
+        GAMMA_ASSIGN_OR_RETURN(build, BuildFragment(i, meta->schema,
+                                                    {&index, 1}, bytes));
+        return Status::OK();
       }
-
-      const storage::IndexId index_id = sm.CreateIndex();
-      GAMMA_RETURN_NOT_OK(sm.index(index_id).BulkLoad(btree_entries));
-      new_indices[static_cast<size_t>(i)] = index_id;
+      // Only the index part: scan order is rid order.
+      std::vector<storage::BTree::Entry> entries;
+      entries.reserve(fragment.num_tuples());
+      GAMMA_RETURN_NOT_OK(
+          fragment.Scan([&](Rid rid, std::span<const uint8_t> tuple) {
+            entries.push_back(storage::BTree::Entry{
+                catalog::IntAttr(meta->schema, tuple, attr), rid});
+            return true;
+          }));
+      GAMMA_ASSIGN_OR_RETURN(const storage::IndexId id,
+                             BulkLoadIndex(sm, entries));
+      build.indices.push_back(id);
       return Status::OK();
     }});
   }
@@ -785,13 +866,13 @@ Status GammaMachine::BuildIndex(const std::string& name, int attr,
 
   // Commit the build on the coordinator, in node order.
   for (int i = 0; i < config_.num_disk_nodes; ++i) {
+    const FragmentBuild& build = builds[static_cast<size_t>(i)];
     if (clustered) {
       storage::StorageManager& sm = *nodes_[static_cast<size_t>(i)];
       sm.DropFile(meta->per_node_file[static_cast<size_t>(i)]);
-      meta->per_node_file[static_cast<size_t>(i)] =
-          new_files[static_cast<size_t>(i)];
+      meta->per_node_file[static_cast<size_t>(i)] = build.file;
     }
-    index.per_node_index.push_back(new_indices[static_cast<size_t>(i)]);
+    index.per_node_index.push_back(build.indices.front());
   }
 
   meta->indices.push_back(std::move(index));

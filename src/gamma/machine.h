@@ -447,6 +447,41 @@ class GammaMachine {
   /// charging whatever tracker the nodes are currently bound to.
   Status FlushAllPools();
 
+  /// Charged sequential scan of heap file `fid` on node `node`:
+  /// instr_per_tuple_scan per tuple through the node's bound tracker, then
+  /// `fn`. A kNoFile file scans as empty.
+  Status ScanFile(
+      int node, uint32_t fid,
+      const std::function<void(storage::Rid, std::span<const uint8_t>)>& fn);
+  /// ScanFile that appends every tuple's bytes to `*bytes`.
+  Status CopyFile(int node, uint32_t fid, std::vector<uint8_t>* bytes);
+
+  /// What BuildFragment wrote: a fresh heap file and one fresh B-tree per
+  /// entry of `indices`, in that order.
+  struct FragmentBuild {
+    storage::FileId file = catalog::kNoFile;
+    std::vector<storage::IndexId> indices;
+  };
+
+  /// The one fragment build (DESIGN.md §10): stores `tuples` (whole tuples
+  /// of `schema`, back to back) in a fresh heap file on node `node`, in key
+  /// order when one of `indices` is clustered (equal keys keep input
+  /// order), charging instr_per_tuple_store before each append; then
+  /// bulk-loads a fresh B-tree per entry of `indices`. `rids`, when given,
+  /// receives the rid of each input tuple. Touches no catalog slot: the
+  /// caller commits the result (SwapInFragment) or drops it.
+  Result<FragmentBuild> BuildFragment(
+      int node, const catalog::Schema& schema,
+      std::span<const catalog::IndexMeta> indices,
+      std::span<const uint8_t> tuples,
+      std::vector<storage::Rid>* rids = nullptr);
+
+  /// Makes `build` (written on node `fragment` for all of `meta`'s indexes)
+  /// fragment `fragment` of `meta`, dropping the B-trees and the file it
+  /// replaces.
+  void SwapInFragment(int fragment, catalog::RelationMeta* meta,
+                      const FragmentBuild& build);
+
   /// Resolves which copy serves `fragment`, or Unavailable when neither the
   /// primary nor its chained backup survives.
   Result<FragmentCopy> ServingCopy(const catalog::RelationMeta& meta,

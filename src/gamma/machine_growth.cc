@@ -2,14 +2,14 @@
 // running GammaMachine.
 //
 // AddNode() widens every machine-lifetime structure — the node vector, the
-// fault injector's disk and packet streams, the transaction manager's lock
-// tables and the WAL's staging buffers (per-statement structures are sized
-// from config_ at each statement, so they pick the new width up on their
-// own) — and gives every relation an empty fragment on the new node. Tuple
-// placement is deliberately untouched: hashed relations are first converted
-// to virtual-bucket (bucket_map) routing that reproduces their old
-// placement exactly, so queries keep their answers until an
-// ElasticMigrator (src/elastic/migrator.h) rebalances fragments.
+// fault injector's disk and packet streams and the transaction manager's
+// lock tables (per-statement structures are sized from config_ at each
+// statement, so they pick the new width up on their own) — and gives every
+// relation an empty fragment on the new node. Tuple placement is
+// deliberately untouched: hashed relations are first converted to
+// virtual-bucket (bucket_map) routing that reproduces their old placement
+// exactly, so queries keep their answers until an ElasticMigrator
+// (src/elastic/migrator.h) rebalances fragments.
 //
 // The one physical move AddNode performs itself is the backup-ring
 // rewiring for chained declustering. With backups at (f+1) % n, growing
@@ -31,7 +31,6 @@ namespace gammadb::gamma {
 using catalog::IndexMeta;
 using catalog::PartitionStrategy;
 using catalog::RelationMeta;
-using storage::Rid;
 
 namespace {
 
@@ -113,7 +112,6 @@ Result<GammaMachine::GrowthReport> GammaMachine::AddNode() {
   config_.num_disk_nodes = old_n + 1;
   // Upper node ids (scheduler, host, recovery server) all shifted by one.
   txns_.Grow(config_.tracker_nodes(), config_.scheduler_node());
-  if (wal_ != nullptr) wal_->Grow(config_.tracker_nodes());
   // The flight recorder gains the new node's ring at its disk index, so
   // the control rings keep tracking their (shifted) tracker nodes; the
   // layers that cache a control-ring index are re-attached at the new ids.
@@ -130,7 +128,6 @@ Result<GammaMachine::GrowthReport> GammaMachine::AddNode() {
   // ring rewired. Sequential on the coordinator — deterministic at any
   // host-thread count.
   MaintenanceScope scope(this, "grow");
-  const double scan_cpu = config_.hw.cost.instr_per_tuple_scan;
   storage::StorageManager& fresh = *nodes_[static_cast<size_t>(new_node)];
 
   for (const std::string& name : catalog_.Names()) {
@@ -145,26 +142,24 @@ Result<GammaMachine::GrowthReport> GammaMachine::AddNode() {
 
     // Relocate fragment old_n-1's backup: node 0 -> new node (the ring
     // host (old_n-1 + 1) % (old_n+1)). Charged scan + ship + store.
-    storage::StorageManager& donor = *nodes_[0];
     const uint32_t old_bfid =
         meta->per_node_backup_file[static_cast<size_t>(old_n - 1)];
     if (old_bfid != catalog::kNoFile) {
-      std::vector<std::vector<uint8_t>> tuples;
-      GAMMA_RETURN_NOT_OK(donor.file(old_bfid).Scan(
-          [&](Rid, std::span<const uint8_t> t) {
-            donor.charge().Cpu(scan_cpu);
-            tuples.emplace_back(t.begin(), t.end());
-            return true;
-          }));
+      std::vector<uint8_t> tuples;
+      GAMMA_RETURN_NOT_OK(CopyFile(0, old_bfid, &tuples));
+      const size_t tuple_size = meta->schema.tuple_size();
       const storage::FileId new_bfid = fresh.CreateFile();
-      for (const std::vector<uint8_t>& tuple : tuples) {
-        scope.tracker().ChargeDataPacket(0, new_node, tuple.size());
+      for (size_t at = 0; at < tuples.size(); at += tuple_size) {
+        scope.tracker().ChargeDataPacket(0, new_node, tuple_size);
         fresh.charge().Cpu(config_.hw.cost.instr_per_tuple_store);
-        GAMMA_RETURN_NOT_OK(fresh.file(new_bfid).Append(tuple).status());
-        report.bytes_shipped += tuple.size();
+        GAMMA_RETURN_NOT_OK(
+            fresh.file(new_bfid)
+                .Append(std::span(tuples).subspan(at, tuple_size))
+                .status());
+        report.bytes_shipped += tuple_size;
         ++report.backup_tuples_relocated;
       }
-      donor.DropFile(old_bfid);
+      nodes_[0]->DropFile(old_bfid);
       meta->per_node_backup_file[static_cast<size_t>(old_n - 1)] = new_bfid;
     }
     // The new (empty) fragment old_n chains its backup onto node 0.

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "elastic/fragment_rebuild.h"
 #include "gamma/machine.h"
 #include "gamma/recovery_log.h"
 #include "obs/metrics_registry.h"
@@ -162,7 +161,6 @@ void GammaMachine::Crash() {
   // survive.
   for (auto& node : nodes_) node->pool().Discard();
   txns_.CrashReset();
-  if (wal_ != nullptr) wal_->DiscardStaged();
   crashed_ = true;
 }
 
@@ -540,28 +538,20 @@ Status GammaMachine::RebuildPrimaries(int node, sim::CostTracker& tracker,
     if (old_fid == catalog::kNoFile || bfid == catalog::kNoFile) continue;
     if (faults_->IsDead(host)) continue;  // no source; the old copy stands
 
-    storage::StorageManager& src = *nodes_[static_cast<size_t>(host)];
-    storage::StorageManager& dst = *nodes_[static_cast<size_t>(node)];
-    std::vector<std::vector<uint8_t>> tuples;
-    GAMMA_RETURN_NOT_OK(
-        src.file(bfid).Scan([&](Rid, std::span<const uint8_t> t) {
-          src.charge().Cpu(config_.hw.cost.instr_per_tuple_scan);
-          tuples.emplace_back(t.begin(), t.end());
-          return true;
-        }));
-    // Ship the surviving copy host -> rebuilt node, then hand the stream to
-    // the shared rebuilder (fresh heap file in clustered-key order,
-    // BulkLoad'ed B-trees, catalog flip) — the one charged implementation,
-    // shared with the elastic migrator.
-    for (const std::vector<uint8_t>& tuple : tuples) {
-      tracker.ChargeDataPacket(host, node, tuple.size());
-      report->bytes_shipped += tuple.size();
+    // Ship the surviving copy host -> rebuilt node, then write it as the
+    // fragment through the one fragment build.
+    std::vector<uint8_t> tuples;
+    GAMMA_RETURN_NOT_OK(CopyFile(host, bfid, &tuples));
+    const size_t tuple_size = meta->schema.tuple_size();
+    for (size_t at = 0; at < tuples.size(); at += tuple_size) {
+      tracker.ChargeDataPacket(host, node, tuple_size);
+      report->bytes_shipped += tuple_size;
       ++report->tuples_copied;
     }
-    GAMMA_RETURN_NOT_OK(
-        elastic::RebuildFragment(dst, node, meta, std::move(tuples),
-                                 config_.hw)
-            .status());
+    GAMMA_ASSIGN_OR_RETURN(
+        const FragmentBuild build,
+        BuildFragment(node, meta->schema, meta->indices, tuples));
+    SwapInFragment(node, meta, build);
     ++report->fragments_rebuilt;
     touched->insert(name);
   }

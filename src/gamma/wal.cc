@@ -12,12 +12,6 @@ WalStore::WalStore(int num_nodes) : num_nodes_(num_nodes) {
   staged_.resize(static_cast<size_t>(num_nodes));
 }
 
-void WalStore::Grow(int num_nodes) {
-  GAMMA_CHECK(num_nodes >= num_nodes_);
-  num_nodes_ = num_nodes;
-  staged_.resize(static_cast<size_t>(num_nodes));
-}
-
 namespace {
 
 /// Records the redo/undo passes act on — the ones whose presence keeps a
@@ -75,10 +69,6 @@ void WalStore::Seal() {
   }
 }
 
-void WalStore::DiscardStaged() {
-  for (std::vector<WalRecord>& buffer : staged_) buffer.clear();
-}
-
 uint64_t WalStore::Append(WalRecord record) {
   SealOne(std::move(record));
   return next_lsn_ - 1;
@@ -97,7 +87,6 @@ void WalStore::NoteCommit(uint64_t txn) {
 
 void WalStore::NoteCleanAbort(uint64_t txn) {
   if (committed_.contains(txn)) return;  // too late: txn is a winner
-  DiscardStaged();
   // Only transactions that actually logged something need closing.
   bool logged = false;
   for (const WalRecord& record : log_) {

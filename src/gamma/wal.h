@@ -91,22 +91,17 @@ struct WalRecord {
 /// and LSNs are byte-identical for any GAMMA_HOST_THREADS. Store operators
 /// only charge their records; nothing replayable comes from a parallel task.
 ///
-/// Stage/Seal/DiscardStaged are the per-node staging path for records
-/// produced inside host-parallel tasks (stage under the one-task-per-node
-/// rule, seal in canonical node order at a barrier). The machine does not
-/// use it today; it stays because perfbench measures its host cost as the
-/// `gamma.wal.stage_seal_ns` layer, and Grow keeps its buffers as wide as
-/// the tracker.
+/// Stage/Seal are a per-node staging path for records produced inside
+/// host-parallel tasks (stage under the one-task-per-node rule, seal in
+/// canonical node order at a barrier). The machine never stages, so its
+/// buffers stay empty; the path stays because perfbench measures its host
+/// cost as the `gamma.wal.stage_seal_ns` layer.
 class WalStore {
  public:
   explicit WalStore(int num_nodes);
 
   WalStore(const WalStore&) = delete;
   WalStore& operator=(const WalStore&) = delete;
-
-  /// Elastic growth: widens the per-node staging buffers to `num_nodes`
-  /// tracker nodes (never shrinks). Existing records and LSNs are untouched.
-  void Grow(int num_nodes);
 
   /// Wires the machine's flight recorder in: commit forces and checkpoints
   /// are journaled on `ring` (the recovery server's). Both happen on the
@@ -128,10 +123,6 @@ class WalStore {
   /// Coordinator barrier: moves every staged record into the log in
   /// ascending node order, assigning LSNs.
   void Seal();
-
-  /// Drops all staged (unsealed) records — a statement failed before its
-  /// effects were forced.
-  void DiscardStaged();
 
   /// Appends a record on the coordinator path, sealing immediately.
   /// Returns its LSN.

@@ -53,6 +53,20 @@ void AddReadFootprint(gamma::GammaMachine* machine, const std::string& name,
   }
 }
 
+/// The relations a statement reads or writes.
+std::vector<const std::string*> RelationsOf(const Statement& stmt) {
+  return std::visit(
+      [](const auto& q) -> std::vector<const std::string*> {
+        if constexpr (std::is_same_v<std::decay_t<decltype(q)>,
+                                     gamma::JoinQuery>) {
+          return {&q.outer, &q.inner};
+        } else {
+          return {&q.relation};
+        }
+      },
+      stmt);
+}
+
 /// The multi-granularity lock set a statement needs, in canonical order
 /// (relation intention lock first, fragments ascending, duplicates merged by
 /// supremum). Deadlocks arise only from transactions whose *statements*
@@ -227,13 +241,29 @@ WorkloadDriver::WorkloadDriver(gamma::GammaMachine* machine,
 
 WorkloadDriver::~WorkloadDriver() = default;
 
-void WorkloadDriver::AddClient(ClientSpec spec) {
-  GAMMA_CHECK(!ran_);
-  GAMMA_CHECK(!spec.script.empty());
+Status WorkloadDriver::AddClient(ClientSpec spec) {
+  if (ran_) {
+    return Status::FailedPrecondition("the workload has already run");
+  }
+  if (spec.script.empty()) {
+    return Status::InvalidArgument("a workload client needs a script");
+  }
+  // Lock footprints read each statement's relation from the catalog.
+  for (const TxnSpec& txn : spec.script) {
+    for (const Statement& stmt : txn.statements) {
+      for (const std::string* name : RelationsOf(stmt)) {
+        if (!machine_->catalog().Get(*name).ok()) {
+          return Status::InvalidArgument("workload transaction " + txn.label +
+                                         " names unknown relation " + *name);
+        }
+      }
+    }
+  }
   const uint64_t seed = options_.seed ^ (0x9E3779B97F4A7C15ULL *
                                          (clients_.size() + 1));
   clients_.push_back(
       std::make_unique<Client>(std::move(spec), clients_.size(), seed));
+  return Status::OK();
 }
 
 const TxnSpec& WorkloadDriver::SpecOf(const Client& c) const {

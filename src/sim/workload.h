@@ -133,7 +133,9 @@ class WorkloadDriver {
   WorkloadDriver(const WorkloadDriver&) = delete;
   WorkloadDriver& operator=(const WorkloadDriver&) = delete;
 
-  void AddClient(ClientSpec spec);
+  /// InvalidArgument for an empty script or a statement whose relation is
+  /// not in the machine's catalog; FailedPrecondition after Run.
+  Status AddClient(ClientSpec spec);
 
   /// Runs the workload to completion and reports. Call once.
   WorkloadReport Run();

@@ -272,7 +272,15 @@ uint32_t SimulatedDisk::StoredChecksum(uint32_t page_no) const {
 void SimulatedDisk::CorruptStoredPage(uint32_t page_no) {
   GAMMA_CHECK(page_no < num_pages());
   const uint32_t slot = slot_of_[page_no];
-  if (slot != kFreed) OwnBlock(slot, /*keep=*/true)[page_no % page_size_] ^= 0xFF;
+  if (slot == kFreed) return;
+  // Rot sticks until the next Write or Hand: flipping the same byte of a
+  // page that already fails its checksum would restore it.
+  const Block block = blocks_[slot];
+  if (block != BlockArena::kNone &&
+      ComputeChecksum(arena_.data(block), page_size_) != checksums_[slot]) {
+    return;
+  }
+  OwnBlock(slot, /*keep=*/true)[page_no % page_size_] ^= 0xFF;
 }
 
 }  // namespace gammadb::storage

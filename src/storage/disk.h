@@ -219,8 +219,9 @@ class SimulatedDisk {
   static uint32_t ComputeChecksum(const uint8_t* data, size_t len);
 
   /// Test hook: flips one byte of the stored page without touching its
-  /// checksum — the bit-rot a checksum exists to catch. A freed page has no
-  /// stored bytes; nothing happens.
+  /// checksum — the bit-rot a checksum exists to catch. A page that already
+  /// fails its checksum stays as it is, so rot lasts until the next Write
+  /// or Hand. A freed page has no stored bytes; nothing happens.
   void CorruptStoredPage(uint32_t page_no);
 
  private:

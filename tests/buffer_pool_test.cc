@@ -442,6 +442,33 @@ TEST_F(BufferPoolTest, CorruptionOnRecycledPageIsCaught) {
   EXPECT_TRUE(pinned.status().IsCorruption()) << pinned.status().ToString();
 }
 
+// Injected rot lasts until the page is written again: corrupting a page a
+// second time must not flip the byte back and let the page verify.
+TEST_F(BufferPoolTest, SecondCorruptionDoesNotHealThePage) {
+  uint8_t* frame = nullptr;
+  const uint32_t page = pool_.NewPage(&frame).value();
+  std::memset(frame, 0x5A, 4096);
+  pool_.Unpin(page);
+  ASSERT_TRUE(pool_.Invalidate().ok());
+
+  std::vector<uint8_t> once(4096);
+  disk_.CorruptStoredPage(page);
+  ASSERT_TRUE(disk_.Read(page, once.data()).ok());
+  EXPECT_EQ(once[page % 4096], 0x5A ^ 0xFF);  // the first flip is unchanged
+  disk_.CorruptStoredPage(page);
+  std::vector<uint8_t> twice(4096);
+  ASSERT_TRUE(disk_.Read(page, twice.data()).ok());
+  EXPECT_EQ(twice, once);
+  const auto pinned = pool_.PinRead(page, AccessIntent::kRandom);
+  ASSERT_FALSE(pinned.ok());
+  EXPECT_TRUE(pinned.status().IsCorruption()) << pinned.status().ToString();
+
+  // A write replaces the rotted bytes and their checksum.
+  ASSERT_TRUE(disk_.Write(page, Filled(0x11).data()).ok());
+  disk_.CorruptStoredPage(page);
+  EXPECT_TRUE(pool_.Pin(page, AccessIntent::kRandom).status().IsCorruption());
+}
+
 // The dirty-frame count the end-of-statement flush trusts to skip a clean
 // pool must match a walk of every frame after any operation sequence:
 // fresh pages, repeated MarkDirty, eviction write-backs, write-backs that
@@ -683,7 +710,7 @@ class PageModel {
   }
 
   /// Whether the page's stored bytes differ from the ones its checksum was
-  /// computed over (a second flip of the same byte heals it).
+  /// computed over.
   bool Rotten(uint32_t page) const {
     return stored_.at(page) != written_.at(page);
   }
@@ -807,7 +834,8 @@ class PageModel {
     auto it = stored_.begin();
     std::advance(it, rng_.Uniform(stored_.size()));
     disk_.CorruptStoredPage(it->first);
-    it->second[it->first % kPageSize] ^= 0xFF;
+    // Rot sticks: a page that already fails its checksum is left alone.
+    if (!Rotten(it->first)) it->second[it->first % kPageSize] ^= 0xFF;
   }
 
   void Flush(bool drop) {

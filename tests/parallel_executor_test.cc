@@ -613,19 +613,19 @@ MixOutput RunConcurrentMix() {
   sim::ClientSpec reader;
   reader.script = {select_spec, join_spec};
   reader.loops = 2;
-  driver.AddClient(reader);
+  EXPECT_TRUE(driver.AddClient(reader).ok());
   sim::ClientSpec reader2;
   reader2.script = {join_spec, select_spec};
   reader2.loops = 2;
-  driver.AddClient(reader2);
+  EXPECT_TRUE(driver.AddClient(reader2).ok());
   sim::ClientSpec writer_ab;
   writer_ab.script = {upd_ab};
   writer_ab.loops = 3;
-  driver.AddClient(writer_ab);
+  EXPECT_TRUE(driver.AddClient(writer_ab).ok());
   sim::ClientSpec writer_ba;
   writer_ba.script = {upd_ba};
   writer_ba.loops = 3;
-  driver.AddClient(writer_ba);
+  EXPECT_TRUE(driver.AddClient(writer_ba).ok());
 
   MixOutput out;
   out.report = driver.Run();

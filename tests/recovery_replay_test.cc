@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -657,9 +658,27 @@ TEST(CrashReplayTest, ReplayLocatesImagesInRenumberedRebuilds) {
 
 /// Flips one byte of every stored page of `disk`; a second call repairs
 /// them.
-void Rot(storage::SimulatedDisk& disk) {
+/// A disk's stored pages before Rot (empty for a freed page).
+using StoredPages = std::vector<std::vector<uint8_t>>;
+
+/// Rots every stored page of `disk` and returns the bytes Repair puts back.
+StoredPages Rot(storage::SimulatedDisk& disk) {
+  StoredPages pages(disk.num_pages());
   for (uint32_t page = 0; page < disk.num_pages(); ++page) {
+    pages[page].resize(disk.page_size());
+    if (!disk.Read(page, pages[page].data()).ok()) pages[page].clear();
     disk.CorruptStoredPage(page);
+  }
+  return pages;
+}
+
+/// Rewrites every page Rot rotted with its earlier bytes (a write replaces
+/// rotted bytes and their checksum).
+void Repair(storage::SimulatedDisk& disk, const StoredPages& pages) {
+  for (uint32_t page = 0; page < pages.size(); ++page) {
+    if (!pages[page].empty()) {
+      ASSERT_TRUE(disk.Write(page, pages[page].data()).ok());
+    }
   }
 }
 
@@ -678,7 +697,10 @@ TEST(RecoveryFailureTest, FailedRecoverLeavesNoNodeBound) {
             .ok());
   }
   machine.machine->Crash();
-  for (int n = 0; n < 4; ++n) Rot(machine.machine->node(n).disk());
+  std::vector<StoredPages> stored;
+  for (int n = 0; n < 4; ++n) {
+    stored.push_back(Rot(machine.machine->node(n).disk()));
+  }
 
   // Redo's first page read fails its checksum.
   const auto recovery = machine.machine->Recover();
@@ -688,7 +710,9 @@ TEST(RecoveryFailureTest, FailedRecoverLeavesNoNodeBound) {
   ExpectNoNodeBound(*machine.machine);
 
   // Once the disks are repaired, the restart goes through.
-  for (int n = 0; n < 4; ++n) Rot(machine.machine->node(n).disk());
+  for (int n = 0; n < 4; ++n) {
+    Repair(machine.machine->node(n).disk(), stored[static_cast<size_t>(n)]);
+  }
   ASSERT_TRUE(machine.machine->Recover().ok());
   EXPECT_FALSE(machine.machine->crashed());
   ExpectNoNodeBound(*machine.machine);
@@ -723,7 +747,7 @@ TEST(ReintegrationTest, FailedReintegrationLeavesTheNodeDownForARetry) {
   // rebuild.
   storage::StorageManager& host = victim.machine->node(2);
   ASSERT_TRUE(host.pool().Invalidate().ok());
-  Rot(host.disk());
+  const StoredPages stored = Rot(host.disk());
   const auto failed = victim.machine->ReintegrateNode(1);
   ASSERT_FALSE(failed.ok());
   EXPECT_TRUE(failed.status().IsCorruption()) << failed.status().ToString();
@@ -732,13 +756,79 @@ TEST(ReintegrationTest, FailedReintegrationLeavesTheNodeDownForARetry) {
   ExpectNoNodeBound(*victim.machine);
 
   // Repair the disk and retry: the stale backup catches up.
-  Rot(host.disk());
+  Repair(host.disk(), stored);
   const auto retry = victim.machine->ReintegrateNode(1);
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_TRUE(victim.machine->NodeAlive(1));
   EXPECT_GT(retry->log_records_replayed, 0u);
   for (const bool mirrored : mirrored_flags()) EXPECT_TRUE(mirrored);
   EXPECT_EQ(Read(*victim.machine), Read(*oracle.machine));
+}
+
+// Reintegration rewrites a clustered fragment through the same build as
+// BuildIndex: the rebuilt primary holds the same tuples at the same rids,
+// equal clustered keys in the same order, and every B-tree returns the same
+// (key, rid) entries and range answers.
+TEST(ReintegrationTest, ClusteredRebuildMatchesTheBuildIndexFragment) {
+  gamma::GammaMachine machine(LoggedConfig());
+  ASSERT_TRUE(machine
+                  .CreateRelation("A", wis::WisconsinSchema(),
+                                  catalog::PartitionSpec::Hashed(
+                                      wis::kUnique1))
+                  .ok());
+  ASSERT_TRUE(machine.LoadTuples("A", wis::GenerateWisconsin(600, 7)).ok());
+  ASSERT_TRUE(machine.BuildIndex("A", wis::kTen, /*clustered=*/true).ok());
+  ASSERT_TRUE(machine.BuildIndex("A", wis::kUnique2, false).ok());
+
+  using Entries = std::vector<std::pair<int32_t, storage::Rid>>;
+  struct Fragment {
+    std::vector<std::pair<storage::Rid, std::vector<uint8_t>>> tuples;
+    std::vector<Entries> indexes;
+    std::vector<std::vector<std::vector<uint8_t>>> ranges;
+    bool operator==(const Fragment&) const = default;
+  };
+  const auto fragment = [&] {
+    Fragment out;
+    const catalog::RelationMeta& meta = **machine.catalog().Get("A");
+    storage::StorageManager& sm = machine.node(1);
+    EXPECT_TRUE(sm.file(meta.per_node_file[1])
+                    .Scan([&](storage::Rid rid, std::span<const uint8_t> t) {
+                      out.tuples.emplace_back(
+                          rid, std::vector<uint8_t>(t.begin(), t.end()));
+                      return true;
+                    })
+                    .ok());
+    for (const catalog::IndexMeta& index : meta.indices) {
+      Entries& entries = out.indexes.emplace_back();
+      EXPECT_TRUE(sm.index(index.per_node_index[1])
+                      .ScanFrom(INT32_MIN,
+                                [&](const storage::BTree::Entry& e) {
+                                  entries.emplace_back(e.key, e.rid);
+                                  return true;
+                                })
+                      .ok());
+      gamma::SelectQuery query;
+      query.relation = "A";
+      query.predicate = Predicate::Range(index.attr, 2, 4);
+      query.access = index.clustered ? gamma::AccessPath::kClusteredIndex
+                                     : gamma::AccessPath::kNonClusteredIndex;
+      query.store_result = false;
+      auto result = machine.RunSelect(query);
+      EXPECT_TRUE(result.ok());
+      if (result.ok()) out.ranges.push_back(result->returned);
+    }
+    return out;
+  };
+  const Fragment built = fragment();
+  ASSERT_GT(built.tuples.size(), 100u);
+  ASSERT_EQ(built.indexes.size(), 2u);
+  ASSERT_FALSE(built.ranges[0].empty());
+
+  machine.KillNode(1);
+  const auto rebuild = machine.ReintegrateNode(1);
+  ASSERT_TRUE(rebuild.ok()) << rebuild.status().ToString();
+  EXPECT_EQ(rebuild->fragments_rebuilt, 1u);
+  EXPECT_TRUE(fragment() == built);
 }
 
 TEST(CrashReplayTest, RecoverRequiresLoggingAndIsSafeWhenHealthy) {

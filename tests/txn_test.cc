@@ -533,11 +533,11 @@ MixRun RunDeadlockMix(int host_threads) {
   sim::ClientSpec ca;
   ca.script = {ab};
   ca.loops = 2;
-  driver.AddClient(ca);
+  EXPECT_TRUE(driver.AddClient(ca).ok());
   sim::ClientSpec cb;
   cb.script = {ba};
   cb.loops = 2;
-  driver.AddClient(cb);
+  EXPECT_TRUE(driver.AddClient(cb).ok());
 
   MixRun out;
   out.report = driver.Run();
@@ -597,6 +597,50 @@ TEST(WorkloadTxnTest, DeadlockMixIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(one.r, four.r);
   EXPECT_EQ(one.s, four.s);
+}
+
+// A script that names a relation the catalog lacks, or no script at all, is
+// refused when the client is added; the run never sees it. So is a client
+// added after the run.
+TEST(WorkloadTxnTest, AddClientRefusesUnknownRelationsAndEmptyScripts) {
+  gamma::GammaMachine machine(SmallConfig());
+  LoadMini(machine, "R", 8, 1);
+  sim::WorkloadDriver driver(&machine, sim::WorkloadOptions{});
+
+  sim::ClientSpec empty;
+  EXPECT_TRUE(driver.AddClient(empty).IsInvalidArgument());
+
+  gamma::DeleteQuery del;
+  del.relation = "missing";
+  gamma::AppendQuery append;
+  append.relation = "missing";
+  gamma::JoinQuery join;
+  join.outer = "R";
+  join.inner = "missing";
+  for (const sim::Statement& stmt :
+       {sim::Statement(ModifyVal("missing", 2, 100)), sim::Statement(del),
+        sim::Statement(append), sim::Statement(join)}) {
+    sim::TxnSpec txn;
+    txn.label = "bad";
+    txn.statements = {ModifyVal("R", 2, 100), stmt};
+    sim::ClientSpec client;
+    client.script = {txn};
+    const Status status = driver.AddClient(client);
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.ToString().find("missing"), std::string::npos);
+  }
+
+  sim::TxnSpec good;
+  good.label = "good";
+  good.statements = {ModifyVal("R", 2, 100)};
+  good.execute_real = true;
+  sim::ClientSpec client;
+  client.script = {good};
+  client.loops = 1;
+  ASSERT_TRUE(driver.AddClient(client).ok());
+  const sim::WorkloadReport report = driver.Run();
+  EXPECT_EQ(report.committed, 1u);
+  EXPECT_TRUE(driver.AddClient(client).IsFailedPrecondition());
 }
 
 }  // namespace
