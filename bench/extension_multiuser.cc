@@ -63,7 +63,9 @@ sim::WorkloadReport RunMix(gamma::GammaMachine& machine,
     }
     GAMMA_CHECK(driver.AddClient(client).ok());
   }
-  return driver.Run();
+  auto report = driver.Run();
+  GAMMA_CHECK_MSG(report.ok(), report.status().ToString().c_str());
+  return std::move(report).value();
 }
 
 }  // namespace

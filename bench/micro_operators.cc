@@ -2,11 +2,14 @@
 // data-path primitives underlying the simulation — slotted pages, B-tree,
 // join hash table, external sort, merge join, split routing, predicate
 // evaluation, the three join sites, Teradata bulk load, load-time
-// statistics, Gamma index builds, a single-site select's fixed cost, and
-// the page path (checksum, buffer-pool misses and the dirty spool cycle).
+// statistics, Gamma index builds, a single-site select's fixed cost, the
+// page path (checksum, buffer-pool misses and the dirty spool cycle), and
+// a whole machine's life (build, load, overflowing join, destroy).
 // These measure
 // the reproduction's own code (wall-clock), not the simulated 1988
 // hardware.
+
+#include <sys/resource.h>
 
 #include <benchmark/benchmark.h>
 
@@ -639,6 +642,58 @@ void BM_PointSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_PointSelect)->Arg(1)->Arg(2)->UseRealTime()->Unit(
     benchmark::kMicrosecond);
+
+void BM_MachineRebuild(benchmark::State& state) {
+  // One machine's whole life, the way a perfbench join_100k iteration
+  // spends it: build the §6.1 Gamma machine (8 disk + 8 diskless nodes,
+  // 4 KB pages, 4.8 MB join memory), load 100k-tuple A and B, run the
+  // overflowing Remote-mode joinAB on unique2, and destroy the machine.
+  // Everything is timed; `minflt` is the host's minor page faults per
+  // iteration (getrusage), which counts the fresh host pages touched.
+  const auto tuples = wis::GenerateWisconsin(100000, 16);
+  gamma::GammaConfig config;
+  config.num_disk_nodes = 8;
+  config.num_diskless_nodes = 8;
+  config.page_size = 4096;
+  config.join_memory_total = 4800 * 1024;
+  gamma::JoinQuery query;
+  query.outer = "A";
+  query.inner = "B";
+  query.outer_attr = wis::kUnique2;
+  query.inner_attr = wis::kUnique2;
+  query.mode = gamma::JoinMode::kRemote;
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  for (auto _ : state) {
+    gamma::GammaMachine machine(config);
+    bool ok = true;
+    for (const char* name : {"A", "B"}) {
+      ok = ok &&
+           machine
+               .CreateRelation(name, wis::WisconsinSchema(),
+                               catalog::PartitionSpec::Hashed(wis::kUnique1))
+               .ok() &&
+           machine.LoadTuples(name, tuples).ok();
+    }
+    if (!ok) {
+      state.SkipWithError("load failed");
+      break;
+    }
+    auto result = machine.RunJoin(query);
+    if (!result.ok() || result->result_tuples != tuples.size() ||
+        result->metrics.overflow_rounds == 0) {
+      state.SkipWithError("overflowing joinAB failed");
+      break;
+    }
+    benchmark::DoNotOptimize(result->result_relation.data());
+  }
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  state.counters["minflt"] = benchmark::Counter(
+      static_cast<double>(after.ru_minflt - before.ru_minflt),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_MachineRebuild)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace gammadb

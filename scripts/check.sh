@@ -43,9 +43,9 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   GAMMA_BENCH_SIZES=10000 ./build/bench/table3_update
   echo "== aggregates (scalar + grouped, local/merge path, 100k) =="
   ./build/bench/extension_aggregates
-  echo "== micro benchmarks smoke (statistics fold, index build, node reintegration, recount, point select, join sites, page checksum, pool miss and dirty sweeps) =="
+  echo "== micro benchmarks smoke (statistics fold, index build, node reintegration, recount, point select, join sites, page checksum, pool miss and dirty sweeps, machine rebuild) =="
   ./build/bench/micro_operators \
-    --benchmark_filter='BM_StatsAbsorb|BM_BuildIndex|BM_ReintegrateNode|BM_RecomputeStatistics|BM_PointSelect|BM_JoinSite|BM_PageChecksum|BM_BufferPoolMissSweep|BM_BufferPoolDirtySweep' \
+    --benchmark_filter='BM_StatsAbsorb|BM_BuildIndex|BM_ReintegrateNode|BM_RecomputeStatistics|BM_PointSelect|BM_JoinSite|BM_PageChecksum|BM_BufferPoolMissSweep|BM_BufferPoolDirtySweep|BM_MachineRebuild' \
     --benchmark_min_time=0.01
   echo "== perf-regression gate (BENCH_*.json vs baselines/) =="
   python3 scripts/bench_compare.py --self-check
@@ -61,8 +61,11 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--sanitize-only" ]]; then
-  echo "== sanitized build (ASan + UBSan) =="
-  run_suite build-sanitize -DGAMMA_SANITIZE=address
+  echo "== sanitized build (ASan + UBSan, LeakSanitizer on) =="
+  ASAN_OPTIONS=detect_leaks=1 run_suite build-sanitize -DGAMMA_SANITIZE=address
+  echo "== recycled page slabs under ASan (poisoned while cached, no leak at exit) =="
+  ASAN_OPTIONS=detect_leaks=1 ./build-sanitize/tests/buffer_pool_test \
+    --gtest_filter='RecycledSlab*:PageOwnershipTest.*OnRecycledSlabs'
   echo "== recovery smoke under ASan + UBSan (crash, restart, reintegration) =="
   GAMMA_BENCH_SIZES=10000 ./build-sanitize/bench/extension_recovery_server
 fi

@@ -67,6 +67,23 @@ std::vector<const std::string*> RelationsOf(const Statement& stmt) {
       stmt);
 }
 
+/// Lock footprints read each statement's relation from the catalog: a
+/// message naming the first relation of `spec` the catalog lacks, or "".
+std::string UnknownRelation(gamma::GammaMachine& machine,
+                            const ClientSpec& spec) {
+  for (const TxnSpec& txn : spec.script) {
+    for (const Statement& stmt : txn.statements) {
+      for (const std::string* name : RelationsOf(stmt)) {
+        if (!machine.catalog().Get(*name).ok()) {
+          return "workload transaction " + txn.label +
+                 " names unknown relation " + *name;
+        }
+      }
+    }
+  }
+  return "";
+}
+
 /// The multi-granularity lock set a statement needs, in canonical order
 /// (relation intention lock first, fragments ascending, duplicates merged by
 /// supremum). Deadlocks arise only from transactions whose *statements*
@@ -158,14 +175,19 @@ Result<gamma::QueryResult> RunStatement(gamma::GammaMachine& machine,
   return std::visit(
       [&](const auto& q) -> Result<gamma::QueryResult> {
         using T = std::decay_t<decltype(q)>;
+        if constexpr (std::is_same_v<T, gamma::SelectQuery> ||
+                      std::is_same_v<T, gamma::JoinQuery> ||
+                      std::is_same_v<T, gamma::AggregateQuery>) {
+          if (txn != 0) {
+            return Status::InvalidArgument(
+                "reads run only as profiling statements");
+          }
+        }
         if constexpr (std::is_same_v<T, gamma::SelectQuery>) {
-          GAMMA_CHECK_MSG(txn == 0, "reads run only as profiling statements");
           return machine.RunSelect(q);
         } else if constexpr (std::is_same_v<T, gamma::JoinQuery>) {
-          GAMMA_CHECK_MSG(txn == 0, "reads run only as profiling statements");
           return machine.RunJoin(q);
         } else if constexpr (std::is_same_v<T, gamma::AggregateQuery>) {
-          GAMMA_CHECK_MSG(txn == 0, "reads run only as profiling statements");
           return machine.RunAggregate(q);
         } else if constexpr (std::is_same_v<T, gamma::AppendQuery>) {
           return machine.RunAppend(q, txn);
@@ -248,16 +270,9 @@ Status WorkloadDriver::AddClient(ClientSpec spec) {
   if (spec.script.empty()) {
     return Status::InvalidArgument("a workload client needs a script");
   }
-  // Lock footprints read each statement's relation from the catalog.
-  for (const TxnSpec& txn : spec.script) {
-    for (const Statement& stmt : txn.statements) {
-      for (const std::string* name : RelationsOf(stmt)) {
-        if (!machine_->catalog().Get(*name).ok()) {
-          return Status::InvalidArgument("workload transaction " + txn.label +
-                                         " names unknown relation " + *name);
-        }
-      }
-    }
+  if (const std::string missing = UnknownRelation(*machine_, spec);
+      !missing.empty()) {
+    return Status::InvalidArgument(missing);
   }
   const uint64_t seed = options_.seed ^ (0x9E3779B97F4A7C15ULL *
                                          (clients_.size() + 1));
@@ -519,10 +534,10 @@ void WorkloadDriver::CommitClientTxn(size_t ci) {
     // had side effects and the commit order IS the serial-equivalent order.
     for (const Statement& stmt : spec.statements) {
       Result<gamma::QueryResult> r = RunStatement(*machine_, stmt, c.txn);
-      GAMMA_CHECK_MSG(r.ok(),
-                      ("statement failed under pre-acquired locks: " +
-                       r.status().message())
-                          .c_str());
+      if (!r.ok()) {
+        failure_ = r.status();  // Run aborts the transaction
+        return;
+      }
     }
   }
   const std::vector<txn::LockManager::Grant> grants =
@@ -547,11 +562,26 @@ void WorkloadDriver::CommitClientTxn(size_t ci) {
   StartThink(ci);
 }
 
-WorkloadReport WorkloadDriver::Run() {
-  GAMMA_CHECK(!ran_);
+Result<WorkloadReport> WorkloadDriver::Run() {
+  if (ran_) {
+    return Status::FailedPrecondition("the workload has already run");
+  }
   ran_ = true;
+  for (const auto& client : clients_) {
+    if (const std::string missing = UnknownRelation(*machine_, client->spec);
+        !missing.empty()) {
+      return Status::NotFound(missing);
+    }
+  }
   for (size_t i = 0; i < clients_.size(); ++i) StartThink(i);
-  queue_.RunUntilIdle();
+  while (failure_.ok() && queue_.RunOne()) {
+  }
+  if (!failure_.ok()) {
+    for (const auto& client : clients_) {
+      if (client->txn != 0) machine_->AbortTxn(client->txn);
+    }
+    return failure_;
+  }
 
   report_.end_sec = queue_.now();
   const txn::TxnStats totals = machine_->txns().totals();

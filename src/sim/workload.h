@@ -137,8 +137,13 @@ class WorkloadDriver {
   /// not in the machine's catalog; FailedPrecondition after Run.
   Status AddClient(ClientSpec spec);
 
-  /// Runs the workload to completion and reports. Call once.
-  WorkloadReport Run();
+  /// Runs the workload to completion and reports. A relation dropped since
+  /// AddClient is NotFound, before anything runs; a second call is
+  /// FailedPrecondition. A real statement that fails ends the run with its
+  /// Status, after every open client transaction is aborted through the
+  /// machine (with logging on, that undoes the failed transaction's earlier
+  /// statements).
+  Result<WorkloadReport> Run();
 
  private:
   struct Client;
@@ -172,6 +177,8 @@ class WorkloadDriver {
   std::map<std::string, ClassAccum> class_accum_;
   double last_measured_commit_sec_ = 0;
   WorkloadReport report_;
+  /// The first real statement failure; it stops the event loop.
+  Status failure_;
   txn::TxnStats base_totals_;
   bool ran_ = false;
 };

@@ -1,8 +1,18 @@
 #include "storage/disk.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <string>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "common/macros.h"
 
@@ -67,20 +77,60 @@ uint64_t LaneState(const uint8_t* data, size_t len) {
   return state;
 }
 
+// Slabs of destroyed arenas, by slab bytes, for the next arena's Carve.
+// Never destroyed: an arena may be destroyed during static destruction,
+// and LeakSanitizer sees the cached slabs as reachable from here. Under
+// ASan a cached slab is poisoned, so a stale pointer into a destroyed
+// machine's pages still faults.
+struct SlabCache {
+  std::mutex mu;
+  std::map<size_t, std::vector<uint8_t*>> free;
+};
+
+SlabCache& Slabs() {
+  static auto* cache = new SlabCache;
+  return *cache;
+}
+
 }  // namespace
 
 BlockArena::BlockArena(uint32_t block_size)
     : block_size_(block_size),
       blocks_per_slab_(std::max<uint32_t>(1, kSlabBytes / block_size)) {}
 
+BlockArena::~BlockArena() {
+  const size_t bytes = static_cast<size_t>(blocks_per_slab_) * block_size_;
+  SlabCache& cache = Slabs();
+  const std::lock_guard<std::mutex> lock(cache.mu);
+  for (uint8_t* slab : slabs_) {
+    ASAN_POISON_MEMORY_REGION(slab, bytes);
+    cache.free[bytes].push_back(slab);
+  }
+}
+
 BlockArena::Block BlockArena::Carve() {
   const auto block = static_cast<Block>(holders_.size());
   GAMMA_CHECK_MSG(block != kNone, "block arena exhausted");
   if (block % blocks_per_slab_ == 0) {
-    auto* slab = static_cast<uint8_t*>(
-        std::calloc(blocks_per_slab_, static_cast<size_t>(block_size_)));
-    GAMMA_CHECK_MSG(slab != nullptr, "host out of memory for a page slab");
-    slabs_.emplace_back(slab);
+    const size_t bytes = static_cast<size_t>(blocks_per_slab_) * block_size_;
+    uint8_t* slab = nullptr;
+    {
+      SlabCache& cache = Slabs();
+      const std::lock_guard<std::mutex> lock(cache.mu);
+      std::vector<uint8_t*>& cached = cache.free[bytes];
+      if (!cached.empty()) {
+        slab = cached.back();
+        cached.pop_back();
+      }
+    }
+    carving_recycled_ = slab != nullptr;
+    if (carving_recycled_) {
+      ASAN_UNPOISON_MEMORY_REGION(slab, bytes);
+    } else {
+      slab = static_cast<uint8_t*>(std::calloc(bytes, 1));
+      GAMMA_CHECK_MSG(slab != nullptr, "host out of memory for a page slab");
+    }
+    slabs_.push_back(slab);
   }
   holders_.push_back(1);
   return block;
@@ -95,9 +145,9 @@ BlockArena::Block BlockArena::Take() {
 }
 
 BlockArena::Block BlockArena::TakeZeroed() {
-  if (free_.empty()) return Carve();  // a calloc slab is zero already
+  const bool carved = free_.empty();
   const Block block = Take();
-  std::memset(data(block), 0, block_size_);
+  if (!carved || carving_recycled_) std::memset(data(block), 0, block_size_);
   return block;
 }
 

@@ -2,8 +2,6 @@
 #define GAMMA_STORAGE_DISK_H_
 
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -64,28 +62,38 @@ struct ChargeContext {
 /// One arena per node backs both the node's disk slots and its buffer-pool
 /// frames, so a clean frame can hold the very block its disk slot holds
 /// instead of a copy. A holder is a disk slot or a pool frame; a block whose
-/// last holder releases it goes on a free list for the next Take, and host
-/// memory is never returned. Blocks are named by index: a slab's blocks
-/// never move.
+/// last holder releases it goes on a free list for the next Take. Blocks are
+/// named by index: a slab's blocks never move.
+///
+/// Slabs outlive the arena: a destroyed arena's slabs go to one process-wide
+/// list keyed by slab bytes, and Carve takes a slab from it before it
+/// allocates a new one, so a machine built after another reuses host pages
+/// that are already faulted in. A fresh slab comes zeroed from calloc; a
+/// block of a recycled slab holds old bytes until TakeZeroed clears it, once,
+/// when it is carved. Host memory is never returned.
 class BlockArena {
  public:
   using Block = uint32_t;
   /// No block: a disk slot that has never been written reads as zeros.
   static constexpr Block kNone = UINT32_MAX;
-  /// Host bytes per slab (rounded down to whole blocks, at least one).
-  /// Each node's last slab is partly empty, and a machine has dozens of
-  /// nodes: 1 MB slabs added 5% to join_100k's peak RSS, 256 KB adds none.
+  /// Host bytes per slab (rounded down to whole blocks, at least one), so
+  /// every power-of-two block size up to it shares one size of recycled
+  /// slab. Each node's last slab is partly empty, and a machine has dozens
+  /// of nodes: 1 MB slabs added 5% to join_100k's peak RSS, 256 KB adds
+  /// none.
   static constexpr uint32_t kSlabBytes = 256u << 10;
 
   explicit BlockArena(uint32_t block_size);
+  /// Hands every slab to the process-wide list for the next arena.
+  ~BlockArena();
 
   BlockArena(const BlockArena&) = delete;
   BlockArena& operator=(const BlockArena&) = delete;
 
   /// A block with one holder; its contents are unspecified.
   Block Take();
-  /// Take, all zeros: a reused block is cleared, a newly carved one already
-  /// is (slabs come zeroed from calloc).
+  /// Take, all zeros: a reused block or a newly carved one of a recycled
+  /// slab is cleared, one newly carved from a calloc slab already is.
   Block TakeZeroed();
   void Hold(Block block) { ++holders_[block]; }
   /// Drops one holder; the last one frees the block.
@@ -95,24 +103,23 @@ class BlockArena {
   bool Shared(Block block) const { return holders_[block] > 1; }
 
   uint8_t* data(Block block) const {
-    return slabs_[block / blocks_per_slab_].get() +
+    return slabs_[block / blocks_per_slab_] +
            static_cast<size_t>(block % blocks_per_slab_) * block_size_;
   }
 
  private:
-  struct FreeDeleter {
-    void operator()(uint8_t* p) const { std::free(p); }
-  };
-
   uint32_t block_size_;
   uint32_t blocks_per_slab_;
-  std::vector<std::unique_ptr<uint8_t[], FreeDeleter>> slabs_;
+  std::vector<uint8_t*> slabs_;
+  /// Whether the last slab, the one Carve takes blocks from, is recycled
+  /// (its uncarved blocks hold another arena's bytes) rather than zeroed.
+  bool carving_recycled_ = false;
   /// Holders per block carved so far.
   std::vector<uint32_t> holders_;
   /// Blocks without a holder, reused last-in first-out.
   std::vector<Block> free_;
 
-  /// A never used block of a calloc slab (zeroed), with one holder.
+  /// A never used block with one holder; zeros unless carving_recycled_.
   Block Carve();
 };
 

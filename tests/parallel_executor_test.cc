@@ -628,7 +628,9 @@ MixOutput RunConcurrentMix() {
   EXPECT_TRUE(driver.AddClient(writer_ba).ok());
 
   MixOutput out;
-  out.report = driver.Run();
+  auto report = driver.Run();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (report.ok()) out.report = *report;
   out.final_a = *machine.ReadRelation("A");
   return out;
 }

@@ -540,7 +540,9 @@ MixRun RunDeadlockMix(int host_threads) {
   EXPECT_TRUE(driver.AddClient(cb).ok());
 
   MixRun out;
-  out.report = driver.Run();
+  auto report = driver.Run();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (report.ok()) out.report = *report;
   out.r = *machine.ReadRelation("R");
   out.s = *machine.ReadRelation("S");
   pool.set_num_threads(prev);
@@ -638,9 +640,106 @@ TEST(WorkloadTxnTest, AddClientRefusesUnknownRelationsAndEmptyScripts) {
   client.script = {good};
   client.loops = 1;
   ASSERT_TRUE(driver.AddClient(client).ok());
-  const sim::WorkloadReport report = driver.Run();
-  EXPECT_EQ(report.committed, 1u);
+  const auto report = driver.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->committed, 1u);
   EXPECT_TRUE(driver.AddClient(client).IsFailedPrecondition());
+}
+
+// A real statement that fails under its pre-acquired locks ends the run with
+// its own Status, and the transaction's earlier statement is undone.
+TEST(WorkloadTxnTest, FailedRealStatementReturnsItsStatusAndAborts) {
+  gamma::GammaConfig config = SmallConfig();
+  config.enable_logging = true;  // the abort undoes through the WAL
+  gamma::GammaMachine machine(config);
+  LoadMini(machine, "R", 16, 1);
+  const auto before = *machine.ReadRelation("R");
+
+  gamma::ModifyQuery bad = ModifyVal("R", 100, 200);
+  bad.target_attr = 99;  // out of range: fails only when it runs
+  sim::TxnSpec txn;
+  txn.label = "half";
+  txn.statements = {ModifyVal("R", 2, 100), bad};
+  txn.execute_real = true;
+  sim::ClientSpec client;
+  client.script = {txn};
+  client.loops = 1;
+  sim::WorkloadDriver driver(&machine, sim::WorkloadOptions{});
+  ASSERT_TRUE(driver.AddClient(client).ok());
+
+  const auto report = driver.Run();
+  EXPECT_TRUE(report.status().IsInvalidArgument())
+      << report.status().ToString();
+  auto sorted = [](std::vector<std::vector<uint8_t>> rows) {
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  EXPECT_EQ(sorted(*machine.ReadRelation("R")), sorted(before));
+  // No lock outlives the failed run: an auto-commit update goes through.
+  const auto retry = machine.RunModify(ModifyVal("R", 2, 100));
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+
+  // A read executed inside a transaction is refused the same way.
+  const auto updated = *machine.ReadRelation("R");
+  gamma::SelectQuery read;
+  read.relation = "R";
+  txn.statements = {ModifyVal("R", 100, 300), read};
+  client.script = {txn};
+  sim::WorkloadDriver reader(&machine, sim::WorkloadOptions{});
+  ASSERT_TRUE(reader.AddClient(client).ok());
+  const auto refused = reader.Run();
+  EXPECT_TRUE(refused.status().IsInvalidArgument())
+      << refused.status().ToString();
+  EXPECT_EQ(sorted(*machine.ReadRelation("R")), sorted(updated));
+}
+
+// A relation dropped between AddClient and Run is NotFound before any
+// statement runs.
+TEST(WorkloadTxnTest, RunRefusesARelationDroppedAfterAddClient) {
+  gamma::GammaMachine machine(SmallConfig());
+  LoadMini(machine, "R", 16, 1);
+  LoadMini(machine, "S", 16, 2);
+  const auto before = *machine.ReadRelation("R");
+
+  sim::TxnSpec txn;
+  txn.label = "rs";
+  txn.statements = {ModifyVal("R", 2, 100), ModifyVal("S", 2, 100)};
+  txn.execute_real = true;
+  sim::ClientSpec client;
+  client.script = {txn};
+  client.loops = 1;
+  sim::WorkloadDriver driver(&machine, sim::WorkloadOptions{});
+  ASSERT_TRUE(driver.AddClient(client).ok());
+  ASSERT_TRUE(machine.DropRelation("S").ok());
+
+  const auto report = driver.Run();
+  EXPECT_TRUE(report.status().IsNotFound()) << report.status().ToString();
+  EXPECT_NE(report.status().ToString().find("S"), std::string::npos);
+  EXPECT_EQ(*machine.ReadRelation("R"), before);
+}
+
+// Run is once: a second call is refused and changes nothing.
+TEST(WorkloadTxnTest, SecondRunIsFailedPrecondition) {
+  gamma::GammaMachine machine(SmallConfig());
+  LoadMini(machine, "R", 8, 1);
+  sim::TxnSpec txn;
+  txn.label = "once";
+  txn.statements = {ModifyVal("R", 2, 100)};
+  txn.execute_real = true;
+  sim::ClientSpec client;
+  client.script = {txn};
+  client.loops = 1;
+  sim::WorkloadDriver driver(&machine, sim::WorkloadOptions{});
+  ASSERT_TRUE(driver.AddClient(client).ok());
+  const auto first = driver.Run();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->committed, 1u);
+  const auto after = *machine.ReadRelation("R");
+
+  const auto second = driver.Run();
+  EXPECT_TRUE(second.status().IsFailedPrecondition())
+      << second.status().ToString();
+  EXPECT_EQ(*machine.ReadRelation("R"), after);
 }
 
 }  // namespace
