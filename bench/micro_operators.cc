@@ -412,14 +412,55 @@ void BM_PredicateEval(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateEval);
 
-void BM_WisconsinGenerate(benchmark::State& state) {
+void BM_GenerateWisconsin(benchmark::State& state) {
+  // wisconsin.generate_ns_per_tuple: a 100k-tuple Wisconsin relation at Arg
+  // host threads.
+  sim::HostPool& pool = sim::HostPool::Instance();
+  const int saved_threads = pool.num_threads();
+  pool.set_num_threads(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        wis::GenerateWisconsin(static_cast<uint32_t>(state.range(0)), 7));
+    benchmark::DoNotOptimize(wis::GenerateWisconsin(100000, 7));
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  pool.set_num_threads(saved_threads);
+  state.SetItemsProcessed(state.iterations() * 100000);
 }
-BENCHMARK(BM_WisconsinGenerate)->Arg(10000);
+BENCHMARK(BM_GenerateWisconsin)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
+
+void BM_LoadTuples(benchmark::State& state) {
+  // gamma.load_ns_per_tuple: 100k Wisconsin tuples loaded into a fresh
+  // hashed relation on the default machine's 8 disk nodes (route, page-at-a-
+  // time appends, pool settle, load statistics) at Arg host threads. The
+  // machine's construction and destruction are not timed.
+  const auto tuples = wis::GenerateWisconsin(100000, 8);
+  sim::HostPool& pool = sim::HostPool::Instance();
+  const int saved_threads = pool.num_threads();
+  pool.set_num_threads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto machine = std::make_unique<gamma::GammaMachine>(gamma::GammaConfig{});
+    if (!machine
+             ->CreateRelation("A", wis::WisconsinSchema(),
+                              catalog::PartitionSpec::Hashed(wis::kUnique1))
+             .ok()) {
+      state.SkipWithError("create failed");
+      break;
+    }
+    state.ResumeTiming();
+    if (!machine->LoadTuples("A", tuples).ok()) {
+      state.SkipWithError("load failed");
+      break;
+    }
+    state.PauseTiming();
+    machine.reset();
+    state.ResumeTiming();
+  }
+  pool.set_num_threads(saved_threads);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(tuples.size()));
+}
+BENCHMARK(BM_LoadTuples)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
 
 void BM_TeradataLoad(benchmark::State& state) {
   // teradata.load_ns_per_tuple: 100k Wisconsin tuples bulk-loaded into a

@@ -43,9 +43,9 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   GAMMA_BENCH_SIZES=10000 ./build/bench/table3_update
   echo "== aggregates (scalar + grouped, local/merge path, 100k) =="
   ./build/bench/extension_aggregates
-  echo "== micro benchmarks smoke (statistics fold, index build, node reintegration, recount, point select, join sites, page checksum, pool miss and dirty sweeps, machine rebuild) =="
+  echo "== micro benchmarks smoke (statistics fold, index build, node reintegration, recount, point select, join sites, page checksum, pool miss and dirty sweeps, machine rebuild, Wisconsin generation, load) =="
   ./build/bench/micro_operators \
-    --benchmark_filter='BM_StatsAbsorb|BM_BuildIndex|BM_ReintegrateNode|BM_RecomputeStatistics|BM_PointSelect|BM_JoinSite|BM_PageChecksum|BM_BufferPoolMissSweep|BM_BufferPoolDirtySweep|BM_MachineRebuild' \
+    --benchmark_filter='BM_StatsAbsorb|BM_BuildIndex|BM_ReintegrateNode|BM_RecomputeStatistics|BM_PointSelect|BM_JoinSite|BM_PageChecksum|BM_BufferPoolMissSweep|BM_BufferPoolDirtySweep|BM_MachineRebuild|BM_GenerateWisconsin|BM_LoadTuples' \
     --benchmark_min_time=0.01
   echo "== perf-regression gate (BENCH_*.json vs baselines/) =="
   python3 scripts/bench_compare.py --self-check

@@ -145,9 +145,13 @@ Partitioner::Partitioner(const PartitionSpec* spec, const Schema* schema,
 }
 
 int Partitioner::NodeFor(std::span<const uint8_t> tuple) {
+  return NodeAt(round_robin_next_++, tuple);
+}
+
+int Partitioner::NodeAt(uint64_t position,
+                        std::span<const uint8_t> tuple) const {
   if (spec_->strategy == PartitionStrategy::kRoundRobin) {
-    return static_cast<int>(round_robin_next_++ %
-                            static_cast<uint64_t>(num_nodes_));
+    return static_cast<int>(position % static_cast<uint64_t>(num_nodes_));
   }
   const TupleView view(schema_, tuple);
   return NodeForKey(view.GetInt(static_cast<size_t>(spec_->key_attr)));

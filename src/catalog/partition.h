@@ -75,6 +75,11 @@ class Partitioner {
   /// Home site for this tuple. Round-robin advances an internal counter.
   int NodeFor(std::span<const uint8_t> tuple);
 
+  /// What the `position`-th NodeFor call of a fresh Partitioner returns
+  /// for `tuple`, with no counter to advance: disjoint ranges of one batch
+  /// can be routed at once.
+  int NodeAt(uint64_t position, std::span<const uint8_t> tuple) const;
+
   /// Home site by key value (exact-match queries on hashed/range relations
   /// can go straight to one site). Returns -1 when the strategy cannot
   /// localize a key (round-robin).

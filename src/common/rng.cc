@@ -35,12 +35,18 @@ double Rng::NextDouble() {
 
 std::vector<uint32_t> Rng::Permutation(uint32_t n) {
   std::vector<uint32_t> perm(n);
-  for (uint32_t i = 0; i < n; ++i) perm[i] = i;
+  Permute(perm);
+  return perm;
+}
+
+void Rng::Permute(std::span<uint32_t> out) {
+  GAMMA_CHECK(out.size() <= UINT32_MAX);
+  const auto n = static_cast<uint32_t>(out.size());
+  for (uint32_t i = 0; i < n; ++i) out[i] = i;
   for (uint32_t i = n; i > 1; --i) {
     const uint32_t j = static_cast<uint32_t>(Uniform(i));
-    std::swap(perm[i - 1], perm[j]);
+    std::swap(out[i - 1], out[j]);
   }
-  return perm;
 }
 
 }  // namespace gammadb

@@ -2,6 +2,7 @@
 #define GAMMA_COMMON_RNG_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace gammadb {
@@ -29,6 +30,9 @@ class Rng {
 
   /// A uniformly random permutation of 0..n-1 (Fisher-Yates).
   std::vector<uint32_t> Permutation(uint32_t n);
+
+  /// Permutation(out.size()) written into `out`.
+  void Permute(std::span<uint32_t> out);
 
  private:
   uint64_t state_;

@@ -24,6 +24,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/metrics_registry.h"
 #include "obs/profile.h"
+#include "sim/host_pool.h"
 #include "storage/deferred_update.h"
 
 namespace gammadb::gamma {
@@ -602,68 +603,82 @@ Status GammaMachine::CreateRelation(const std::string& name,
 Status GammaMachine::LoadTuples(
     const std::string& name, const std::vector<std::vector<uint8_t>>& tuples) {
   GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(name));
-  // Validate everything before touching any fragment, so the common failure
-  // (malformed input) rejects the whole batch without a single write.
-  for (const std::vector<uint8_t>& tuple : tuples) {
-    if (tuple.size() != meta->schema.tuple_size()) {
-      return Status::InvalidArgument("tuple size does not match schema");
-    }
-  }
-  catalog::Partitioner partitioner(&meta->partitioning, &meta->schema,
-                                   config_.num_disk_nodes);
-  // Route every tuple once on the coordinator into per-node append lists,
-  // then fan the appends out one host task per disk node: a node appends
-  // exactly the subsequence of tuples homed (or backed up) on it, in input
-  // order — the same per-node append sequence the sequential loop produced,
-  // so the stored pages are bit-identical for any thread count.
-  struct Placement {
-    uint32_t file;
-    size_t index;
-  };
+  // A node's append list holds 4-byte entries: input index << 1, with the
+  // low bit set for a backup copy.
+  GAMMA_CHECK(tuples.size() <= (size_t{1} << 31));
+  const catalog::Partitioner partitioner(&meta->partitioning, &meta->schema,
+                                         config_.num_disk_nodes);
   const auto num_disk = static_cast<size_t>(config_.num_disk_nodes);
-  std::vector<std::vector<Placement>> placements(num_disk);
-  // Both loops chase the caller's separately allocated tuples: the route
-  // reads each one's partitioning key, a node's appends copy it whole.
+  const size_t tuple_size = meta->schema.tuple_size();
   const size_t key_offset =
       meta->partitioning.strategy == PartitionStrategy::kRoundRobin
           ? 0
           : meta->schema.offset(
                 static_cast<size_t>(meta->partitioning.key_attr));
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    if (i + kPrefetchAhead < tuples.size()) {
-      __builtin_prefetch(tuples[i + kPrefetchAhead].data() + key_offset);
-    }
-    const auto home = static_cast<size_t>(partitioner.NodeFor(tuples[i]));
-    placements[home].push_back({meta->per_node_file[home], i});
-    if (meta->backed_up) {
-      placements[(home + 1) % num_disk].push_back(
-          {meta->per_node_backup_file[home], i});
-    }
+  // Route on every host thread. Every tuple is validated before any
+  // fragment is touched, so malformed input rejects the whole batch without
+  // a single write. A node's list is in input order: exactly the
+  // subsequence of tuples homed (or backed up) on it, with primaries and
+  // backups interleaved as the input has them.
+  std::vector<std::vector<uint32_t>> entries(num_disk);
+  const bool routed = sim::RouteInChunks(
+      tuples.size(), entries,
+      [&](size_t i) -> std::optional<uint32_t> {
+        if (i + kPrefetchAhead < tuples.size()) {
+          __builtin_prefetch(tuples[i + kPrefetchAhead].data() + key_offset);
+        }
+        if (tuples[i].size() != tuple_size) return std::nullopt;
+        return static_cast<uint32_t>(partitioner.NodeAt(i, tuples[i]));
+      },
+      [&](size_t i, uint32_t home, auto&& emit) {
+        emit(home, static_cast<uint32_t>(i) << 1);
+        if (meta->backed_up) {
+          emit((home + 1) % num_disk, (static_cast<uint32_t>(i) << 1) | 1);
+        }
+      });
+  if (!routed) {
+    return Status::InvalidArgument("tuple size does not match schema");
   }
-  struct Undo {
-    uint32_t file;
-    Rid rid;
+  std::vector<std::vector<Rid>> rids(num_disk);
+  for (size_t n = 0; n < num_disk; ++n) rids[n].resize(entries[n].size());
+  // One host task per disk node appends its list, a run of one file's
+  // entries at a time, and records each rid for the rollback. The per-node
+  // append sequence is the input's, so the stored pages are bit-identical
+  // for any thread count.
+  std::vector<size_t> appended(num_disk);
+  const auto file_of = [&](size_t n, uint32_t entry) {
+    return (entry & 1) != 0
+               ? meta->per_node_backup_file[(n + num_disk - 1) % num_disk]
+               : meta->per_node_file[n];
   };
-  std::vector<std::vector<Undo>> undo(num_disk);
   std::vector<NodeTask> tasks;
   tasks.reserve(num_disk);
   for (size_t n = 0; n < num_disk; ++n) {
     tasks.push_back(NodeTask{
         static_cast<int>(n), [&, n](sim::CostTracker&) -> Status {
-          storage::StorageManager& sm = *nodes_[n];
-          std::vector<Undo>& mine = undo[n];
-          const std::vector<Placement>& homed = placements[n];
-          mine.reserve(homed.size());
-          for (size_t j = 0; j < homed.size(); ++j) {
-            if (j + kPrefetchAhead < homed.size()) {
-              const std::vector<uint8_t>& ahead =
-                  tuples[homed[j + kPrefetchAhead].index];
-              PrefetchLines(ahead.data(), ahead.size());
+          const std::vector<uint32_t>& mine = entries[n];
+          for (size_t run = 0; run < mine.size();) {
+            size_t end = run + 1;
+            while (end < mine.size() && ((mine[end] ^ mine[run]) & 1) == 0) {
+              ++end;
             }
-            const Placement& p = homed[j];
-            GAMMA_ASSIGN_OR_RETURN(const Rid rid,
-                                   sm.file(p.file).Append(tuples[p.index]));
-            mine.push_back({p.file, rid});
+            GAMMA_RETURN_NOT_OK(
+                nodes_[n]->file(file_of(n, mine[run])).AppendBatch(
+                    end - run,
+                    [&](size_t j) -> std::span<const uint8_t> {
+                      j += run;
+                      if (j + kPrefetchAhead < mine.size()) {
+                        const std::vector<uint8_t>& ahead =
+                            tuples[mine[j + kPrefetchAhead] >> 1];
+                        PrefetchLines(ahead.data(), ahead.size());
+                      }
+                      return tuples[mine[j] >> 1];
+                    },
+                    [&](size_t j, Rid rid) {
+                      rids[n][run + j] = rid;
+                      ++appended[n];
+                    }));
+            run = end;
           }
           return Status::OK();
         }});
@@ -688,10 +703,9 @@ Status GammaMachine::LoadTuples(
     // All-or-nothing: tombstone everything this call appended while the
     // touched pages are still cached, then settle the pools (best effort on
     // a node that died mid-load — its data is lost with it regardless).
-    for (int n = 0; n < config_.num_disk_nodes; ++n) {
-      std::vector<Undo>& mine = undo[static_cast<size_t>(n)];
-      for (auto it = mine.rbegin(); it != mine.rend(); ++it) {
-        nodes_[static_cast<size_t>(n)]->file(it->file).Delete(it->rid);
+    for (size_t n = 0; n < num_disk; ++n) {
+      for (size_t j = appended[n]; j-- > 0;) {
+        nodes_[n]->file(file_of(n, entries[n][j])).Delete(rids[n][j]);
       }
     }
     for (auto& node : nodes_) node->pool().Invalidate();
@@ -764,21 +778,25 @@ Result<GammaMachine::FragmentBuild> GammaMachine::BuildFragment(
   std::vector<std::vector<storage::BTree::Entry>> entries(indices.size());
   for (auto& index_entries : entries) index_entries.reserve(count);
   const double store_cpu = config_.hw.cost.instr_per_tuple_store;
-  for (size_t j = 0; j < count; ++j) {
-    // The key-order gather jumps across `tuples`.
-    if (j + kPrefetchAhead < count) {
-      PrefetchLines(tuple(order[j + kPrefetchAhead].second).data(),
-                    tuple_size);
-    }
-    const std::span<const uint8_t> bytes = tuple(order[j].second);
-    sm.charge().Cpu(store_cpu);
-    GAMMA_ASSIGN_OR_RETURN(const Rid rid, file.Append(bytes));
-    if (rids != nullptr) (*rids)[order[j].second] = rid;
-    for (size_t k = 0; k < indices.size(); ++k) {
-      entries[k].push_back(storage::BTree::Entry{
-          catalog::IntAttr(schema, bytes, indices[k].attr), rid});
-    }
-  }
+  GAMMA_RETURN_NOT_OK(file.AppendBatch(
+      count,
+      [&](size_t j) {
+        // The key-order gather jumps across `tuples`.
+        if (j + kPrefetchAhead < count) {
+          PrefetchLines(tuple(order[j + kPrefetchAhead].second).data(),
+                        tuple_size);
+        }
+        sm.charge().Cpu(store_cpu);
+        return tuple(order[j].second);
+      },
+      [&](size_t j, Rid rid) {
+        if (rids != nullptr) (*rids)[order[j].second] = rid;
+        const std::span<const uint8_t> bytes = tuple(order[j].second);
+        for (size_t k = 0; k < indices.size(); ++k) {
+          entries[k].push_back(storage::BTree::Entry{
+              catalog::IntAttr(schema, bytes, indices[k].attr), rid});
+        }
+      }));
   for (auto& index_entries : entries) {
     GAMMA_ASSIGN_OR_RETURN(const storage::IndexId id,
                            BulkLoadIndex(sm, index_entries));

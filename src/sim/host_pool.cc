@@ -117,4 +117,16 @@ void HostPool::RunAll(const std::vector<std::function<void()>>& tasks) {
   }
 }
 
+void HostPool::RunChunks(
+    size_t n, size_t chunks,
+    const std::function<void(size_t, size_t, size_t)>& fn) {
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(chunks);
+  for (size_t c = 0; c < chunks; ++c) {
+    tasks.push_back([&fn, c, begin = n * c / chunks,
+                     end = n * (c + 1) / chunks] { fn(c, begin, end); });
+  }
+  RunAll(tasks);
+}
+
 }  // namespace gammadb::sim

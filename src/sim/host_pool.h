@@ -5,7 +5,10 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace gammadb::sim {
@@ -45,6 +48,11 @@ class HostPool {
   /// thread; the call itself is the barrier.
   void RunAll(const std::vector<std::function<void()>>& tasks);
 
+  /// One RunAll task per chunk: `fn(chunk, begin, end)` for the `chunks`
+  /// contiguous ranges [n * c / chunks, n * (c + 1) / chunks) of [0, n).
+  void RunChunks(size_t n, size_t chunks,
+                 const std::function<void(size_t, size_t, size_t)>& fn);
+
   /// GAMMA_HOST_THREADS when set and valid, else hardware_concurrency.
   static int DefaultThreads();
 
@@ -69,6 +77,61 @@ class HostPool {
   uint64_t generation_ = 0;
   bool shutdown_ = false;
 };
+
+/// \brief Builds per-destination lists of `Entry`s from the inputs [0, n)
+/// on every host thread, each list in input order.
+///
+/// `classify(i)` reads input i and returns its key, or std::nullopt to
+/// reject it; `scatter(i, key, emit)` then calls `emit(dest, entry)` for
+/// each entry input i sends, from its key alone. [0, n) splits into one
+/// contiguous chunk per pool thread, and the chunks are routed twice: the
+/// first pass classifies every input, keeping its key, and counts what
+/// each chunk sends each destination; the lists are then sized exactly on
+/// the calling thread, and the second pass writes each chunk's entries at
+/// its offset in each list. Returns false, before the second pass, if any
+/// input was rejected. The lists do not depend on the pool width.
+template <typename Entry, typename Classify, typename Scatter>
+bool RouteInChunks(size_t n, std::vector<std::vector<Entry>>& lists,
+                   Classify&& classify, Scatter&& scatter) {
+  using Key = typename std::invoke_result_t<Classify&, size_t>::value_type;
+  HostPool& pool = HostPool::Instance();
+  const auto chunks = static_cast<size_t>(pool.num_threads());
+  const size_t dests = lists.size();
+  std::vector<Key> keys(n);
+  std::vector<size_t> at(chunks * dests);  // counts, then offsets
+  std::vector<uint8_t> rejected(chunks);
+  pool.RunChunks(n, chunks, [&](size_t c, size_t begin, size_t end) {
+    size_t* count = &at[c * dests];
+    for (size_t i = begin; i < end; ++i) {
+      const std::optional<Key> key = classify(i);
+      if (!key.has_value()) {
+        rejected[c] = 1;
+        return;
+      }
+      keys[i] = *key;
+      scatter(i, *key, [count](size_t dest, const Entry&) { ++count[dest]; });
+    }
+  });
+  for (const uint8_t r : rejected) {
+    if (r != 0) return false;
+  }
+  for (size_t dest = 0; dest < dests; ++dest) {
+    size_t total = 0;
+    for (size_t c = 0; c < chunks; ++c) {
+      total += std::exchange(at[c * dests + dest], total);
+    }
+    lists[dest].resize(total);
+  }
+  pool.RunChunks(n, chunks, [&](size_t c, size_t begin, size_t end) {
+    size_t* next = &at[c * dests];
+    for (size_t i = begin; i < end; ++i) {
+      scatter(i, keys[i], [&](size_t dest, const Entry& entry) {
+        lists[dest][next[dest]++] = entry;
+      });
+    }
+  });
+  return true;
+}
 
 }  // namespace gammadb::sim
 

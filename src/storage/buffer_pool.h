@@ -75,6 +75,14 @@ class BufferPool {
 
   void Unpin(uint32_t page_no);
 
+  /// Books a Pin and Unpin of a page the caller already holds pinned: one
+  /// hit, counted and charged. Nothing else moves: the frame is resident,
+  /// and the pair would leave its LRU place as it was.
+  void BookHit() {
+    ++hits_;
+    charge_->BufferHit();
+  }
+
   /// Returns a page its file no longer owns to the disk for reuse. A frame
   /// still cached for it stays and ages out like any other; a dirty one is
   /// still written back and charged, so freeing moves no simulated cost.

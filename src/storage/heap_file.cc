@@ -12,33 +12,10 @@ HeapFile::HeapFile(BufferPool* pool, const ChargeContext* charge)
 HeapFile::~HeapFile() { Clear(); }
 
 Result<Rid> HeapFile::Append(std::span<const uint8_t> record) {
-  GAMMA_CHECK_MSG(RecordFits(record.size(), pool_->page_size()),
-                  "record larger than a page");
-  if (!pages_.empty()) {
-    const uint32_t page_no = pages_.back();
-    uint8_t* frame = nullptr;
-    GAMMA_ASSIGN_OR_RETURN(frame,
-                           pool_->Pin(page_no, AccessIntent::kSequential));
-    SlottedPage page(frame, pool_->page_size());
-    if (auto slot = page.Insert(record)) {
-      pool_->MarkDirty(page_no, AccessIntent::kSequential);
-      pool_->Unpin(page_no);
-      ++num_tuples_;
-      return Rid{static_cast<uint32_t>(pages_.size() - 1), *slot};
-    }
-    pool_->Unpin(page_no);
-  }
-  uint8_t* frame = nullptr;
-  uint32_t page_no = 0;
-  GAMMA_ASSIGN_OR_RETURN(page_no, pool_->NewPage(&frame));
-  SlottedPage::Initialize(frame, pool_->page_size());
-  SlottedPage page(frame, pool_->page_size());
-  auto slot = page.Insert(record);
-  GAMMA_CHECK_MSG(slot.has_value(), "record does not fit on an empty page");
-  pool_->Unpin(page_no);
-  pages_.push_back(page_no);
-  ++num_tuples_;
-  return Rid{static_cast<uint32_t>(pages_.size() - 1), *slot};
+  Rid rid;
+  GAMMA_RETURN_NOT_OK(AppendBatch(
+      1, [&](size_t) { return record; }, [&](size_t, Rid r) { rid = r; }));
+  return rid;
 }
 
 Status HeapFile::Scan(const ScanCallback& callback) const {

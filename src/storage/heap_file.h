@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -58,8 +59,19 @@ class HeapFile {
   }
 
   /// Appends a record, growing the file as needed. The record must fit
-  /// (RecordFits).
+  /// (RecordFits). AppendBatch of one record.
   Result<Rid> Append(std::span<const uint8_t> record);
+
+  /// Appends records 0..n-1 in order: `get(i)` returns record i (and makes
+  /// any charge the caller books for it), `on_record(i, rid)` takes its rid.
+  /// The tail page is pinned once and filled, yet the pool and the charges
+  /// see exactly what n Append calls do: per record, the caller's charge
+  /// and then one pin hit (the first record's pin is a real Pin and may
+  /// miss); a record that does not fit also books its failed insert's hit
+  /// before the NewPage. Page numbers, bytes, LRU order, fault draws and
+  /// counts are Append's. On an error the records before it stay appended.
+  template <typename Get, typename OnRecord>
+  Status AppendBatch(size_t n, Get&& get, OnRecord&& on_record);
 
   /// Full sequential scan.
   Status Scan(const ScanCallback& callback) const;
@@ -121,6 +133,55 @@ class HeapFile {
   std::vector<uint32_t> pages_;  // disk page numbers, in file order
   uint64_t num_tuples_ = 0;
 };
+
+template <typename Get, typename OnRecord>
+Status HeapFile::AppendBatch(size_t n, Get&& get, OnRecord&& on_record) {
+  if (n == 0) return Status::OK();
+  const uint32_t page_size = pool_->page_size();
+  std::span<const uint8_t> record = get(size_t{0});
+  // The tail page, pinned once for the whole batch; `dirty` once a record
+  // went onto it (a NewPage frame starts dirty).
+  uint32_t page_no = 0;
+  uint8_t* frame = nullptr;
+  bool dirty = false;
+  if (!pages_.empty()) {
+    page_no = pages_.back();
+    GAMMA_ASSIGN_OR_RETURN(frame,
+                           pool_->Pin(page_no, AccessIntent::kSequential));
+  }
+  for (size_t i = 0;;) {
+    GAMMA_CHECK_MSG(RecordFits(record.size(), page_size),
+                    "record larger than a page");
+    std::optional<uint16_t> slot;
+    if (frame != nullptr) {
+      SlottedPage page(frame, page_size);
+      slot = page.Insert(record);
+      if (slot.has_value() && !dirty) {
+        pool_->MarkDirty(page_no, AccessIntent::kSequential);
+        dirty = true;
+      }
+    }
+    if (!slot.has_value()) {
+      if (frame != nullptr) pool_->Unpin(page_no);
+      frame = nullptr;
+      GAMMA_ASSIGN_OR_RETURN(page_no, pool_->NewPage(&frame));
+      SlottedPage::Initialize(frame, page_size);
+      SlottedPage page(frame, page_size);
+      slot = page.Insert(record);
+      GAMMA_CHECK_MSG(slot.has_value(), "record does not fit on an empty page");
+      pages_.push_back(page_no);
+      dirty = true;
+    }
+    ++num_tuples_;
+    on_record(i, Rid{static_cast<uint32_t>(pages_.size() - 1), *slot});
+    if (++i == n) break;
+    record = get(i);
+    // The pin the next Append would take: the tail is resident and ours.
+    pool_->BookHit();
+  }
+  pool_->Unpin(page_no);
+  return Status::OK();
+}
 
 }  // namespace gammadb::storage
 

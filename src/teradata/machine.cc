@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "common/hash.h"
@@ -15,6 +16,7 @@
 #include "exec/sort.h"
 #include "exec/split_table.h"
 #include "obs/profile.h"
+#include "sim/host_pool.h"
 
 namespace gammadb::teradata {
 
@@ -211,28 +213,40 @@ Status TeradataMachine::LoadTuples(
   const RelationMeta& meta = *rel.meta;
   const int pk_attr = rel.state->pk_attr;
   const auto num_amps = static_cast<size_t>(config_.num_amps);
-  // Route each tuple to its AMP by its placement hash, computed once; each
-  // AMP then stores its fragment in hash-key order (the hash value, then a
-  // sequence number, forms the tuple id, §3). Ties keep input order.
+  // Route each tuple to its AMP by its placement hash, on every host
+  // thread; each AMP then stores its fragment in hash-key order (the hash
+  // value, then a sequence number, forms the tuple id, §3). Ties keep input
+  // order. Every tuple is validated before any fragment is touched.
   struct Keyed {
     uint64_t hash;
-    size_t index;
+    uint32_t index;
     bool operator<(const Keyed& o) const {
       return hash != o.hash ? hash < o.hash : index < o.index;
     }
   };
+  GAMMA_CHECK(tuples.size() <= UINT32_MAX);
   std::vector<std::vector<Keyed>> per_amp(num_amps);
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    if (tuples[i].size() != meta.schema.tuple_size()) {
-      return Status::InvalidArgument("tuple size does not match schema");
-    }
-    const uint64_t hash =
-        HashInt32(IntAttr(meta.schema, tuples[i], pk_attr), placement_salt_);
-    per_amp[hash % num_amps].push_back(Keyed{hash, i});
+  const bool routed = sim::RouteInChunks(
+      tuples.size(), per_amp,
+      [&](size_t i) -> std::optional<uint64_t> {
+        if (tuples[i].size() != meta.schema.tuple_size()) return std::nullopt;
+        return HashInt32(IntAttr(meta.schema, tuples[i], pk_attr),
+                         placement_salt_);
+      },
+      [&](size_t i, uint64_t hash, auto&& emit) {
+        emit(hash % num_amps, Keyed{hash, static_cast<uint32_t>(i)});
+      });
+  if (!routed) {
+    return Status::InvalidArgument("tuple size does not match schema");
   }
   // One task per AMP: sort, append, fill the key directory and settle the
-  // pool (loading is uncharged; measured queries start cold).
-  std::vector<std::vector<std::pair<size_t, Rid>>> appended(num_amps);
+  // pool (loading is uncharged; measured queries start cold). Each rid is
+  // kept for the rollback.
+  std::vector<std::vector<Rid>> rids(num_amps);
+  for (size_t amp = 0; amp < num_amps; ++amp) {
+    rids[amp].resize(per_amp[amp].size());
+  }
+  std::vector<size_t> appended(num_amps);
   std::vector<exec::NodeTask> tasks;
   tasks.reserve(num_amps);
   for (size_t amp = 0; amp < num_amps; ++amp) {
@@ -240,18 +254,21 @@ Status TeradataMachine::LoadTuples(
         static_cast<int>(amp), [&, amp](sim::CostTracker&) -> Status {
           std::vector<Keyed>& bucket = per_amp[amp];
           std::sort(bucket.begin(), bucket.end());
-          storage::HeapFile& fragment =
-              amps_[amp]->file(meta.per_node_file[amp]);
           Directory& dir = rel.state->key_dir[amp];
           dir.Reserve(bucket.size());
-          auto& mine = appended[amp];
-          mine.reserve(bucket.size());
-          for (const Keyed& k : bucket) {
-            const std::vector<uint8_t>& tuple = tuples[k.index];
-            GAMMA_ASSIGN_OR_RETURN(const Rid rid, fragment.Append(tuple));
-            mine.emplace_back(k.index, rid);
-            dir.Add(IntAttr(meta.schema, tuple, pk_attr), rid);
-          }
+          GAMMA_RETURN_NOT_OK(
+              amps_[amp]->file(meta.per_node_file[amp]).AppendBatch(
+                  bucket.size(),
+                  [&](size_t j) -> std::span<const uint8_t> {
+                    return tuples[bucket[j].index];
+                  },
+                  [&](size_t j, Rid rid) {
+                    rids[amp][j] = rid;
+                    ++appended[amp];
+                    dir.Add(IntAttr(meta.schema, tuples[bucket[j].index],
+                                    pk_attr),
+                            rid);
+                  }));
           return amps_[amp]->pool().Invalidate();
         }});
   }
@@ -260,8 +277,9 @@ Status TeradataMachine::LoadTuples(
     // All-or-nothing: take what this call appended back out, then settle
     // the pools.
     for (size_t amp = 0; amp < num_amps; ++amp) {
-      for (const auto& [index, rid] : appended[amp]) {
-        (void)Remove(rel, static_cast<int>(amp), rid, tuples[index]);
+      for (size_t j = 0; j < appended[amp]; ++j) {
+        (void)Remove(rel, static_cast<int>(amp), rids[amp][j],
+                     tuples[per_amp[amp][j].index]);
       }
       amps_[amp]->pool().Invalidate();
     }

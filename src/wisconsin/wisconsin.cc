@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <string>
 
 #include "common/macros.h"
 #include "common/rng.h"
+#include "sim/host_pool.h"
 
 namespace gammadb::wisconsin {
 
@@ -34,15 +34,14 @@ const catalog::Schema& WisconsinSchema() {
 
 namespace {
 
-/// Builds the benchmark's 52-character string for a value: seven significant
-/// characters (base-26 digits of the value) followed by padding.
-std::string MakeString(uint32_t value, char pad) {
-  std::string out(52, pad);
+/// Writes the seven significant characters of the benchmark's 52-character
+/// string for a value (its base-26 digits) into `field`; the 'x' padding
+/// after them is the caller's.
+void WriteString(uint32_t value, char* field) {
   for (int pos = 6; pos >= 0; --pos) {
-    out[static_cast<size_t>(pos)] = static_cast<char>('A' + value % 26);
+    field[pos] = static_cast<char>('A' + value % 26);
     value /= 26;
   }
-  return out;
 }
 
 constexpr const char* kString4Cycle[4] = {"AAAA", "HHHH", "OOOO", "VVVV"};
@@ -57,36 +56,55 @@ uint32_t TuplesPerPage(uint32_t page_size) {
 
 std::vector<std::vector<uint8_t>> GenerateWisconsin(uint32_t n,
                                                     uint64_t seed) {
-  Rng rng1(seed);
-  Rng rng2(seed ^ 0x5EED5EEDULL);
-  const std::vector<uint32_t> unique1 = rng1.Permutation(n);
-  const std::vector<uint32_t> unique2 = rng2.Permutation(n);
+  // The two permutations draw from independent streams, so they are built
+  // side by side; every tuple then depends only on its position, so the
+  // pool's threads build contiguous ranges of them. The output does not
+  // depend on the pool width.
+  std::vector<uint32_t> unique1(n);
+  std::vector<uint32_t> unique2(n);
+  sim::HostPool& pool = sim::HostPool::Instance();
+  pool.RunAll({[&] { Rng(seed).Permute(unique1); },
+               [&] { Rng(seed ^ 0x5EED5EEDULL).Permute(unique2); }});
 
+  // The tuples are allocated here, in order, on the calling thread; the
+  // pool threads only fill them. (Tuples a pool thread allocates live in
+  // its own malloc arena, and the statements run on the relation later
+  // measured slower.)
   const catalog::Schema& schema = WisconsinSchema();
-  std::vector<std::vector<uint8_t>> tuples;
-  tuples.reserve(n);
-  catalog::TupleBuilder builder(&schema);
-  for (uint32_t i = 0; i < n; ++i) {
-    const int32_t u1 = static_cast<int32_t>(unique1[i]);
-    const int32_t u2 = static_cast<int32_t>(unique2[i]);
-    builder.SetInt(kUnique1, u1);
-    builder.SetInt(kUnique2, u2);
-    builder.SetInt(kTwo, u1 % 2);
-    builder.SetInt(kFour, u1 % 4);
-    builder.SetInt(kTen, u1 % 10);
-    builder.SetInt(kTwenty, u1 % 20);
-    builder.SetInt(kOnePercent, u1 % 100);
-    builder.SetInt(kTenPercent, u1 % 10);
-    builder.SetInt(kTwentyPercent, u1 % 5);
-    builder.SetInt(kFiftyPercent, u1 % 2);
-    builder.SetInt(kUnique3, u1);
-    builder.SetInt(kEvenOnePercent, (u1 % 100) * 2);
-    builder.SetInt(kOddOnePercent, (u1 % 100) * 2 + 1);
-    builder.SetChar(kStringU1, MakeString(unique1[i], 'x'));
-    builder.SetChar(kStringU2, MakeString(unique2[i], 'x'));
-    builder.SetChar(kString4, kString4Cycle[i % 4]);
-    tuples.emplace_back(builder.bytes().begin(), builder.bytes().end());
-  }
+  std::vector<std::vector<uint8_t>> tuples(
+      n, std::vector<uint8_t>(schema.tuple_size()));
+  pool.RunChunks(
+      n, static_cast<size_t>(pool.num_threads()),
+      [&](size_t, size_t begin, size_t end) {
+        catalog::TupleBuilder builder(&schema);
+        char u1_string[52];
+        char u2_string[52];
+        std::memset(u1_string, 'x', sizeof(u1_string));
+        std::memset(u2_string, 'x', sizeof(u2_string));
+        for (size_t i = begin; i < end; ++i) {
+          const int32_t u1 = static_cast<int32_t>(unique1[i]);
+          const int32_t u2 = static_cast<int32_t>(unique2[i]);
+          builder.SetInt(kUnique1, u1);
+          builder.SetInt(kUnique2, u2);
+          builder.SetInt(kTwo, u1 % 2);
+          builder.SetInt(kFour, u1 % 4);
+          builder.SetInt(kTen, u1 % 10);
+          builder.SetInt(kTwenty, u1 % 20);
+          builder.SetInt(kOnePercent, u1 % 100);
+          builder.SetInt(kTenPercent, u1 % 10);
+          builder.SetInt(kTwentyPercent, u1 % 5);
+          builder.SetInt(kFiftyPercent, u1 % 2);
+          builder.SetInt(kUnique3, u1);
+          builder.SetInt(kEvenOnePercent, (u1 % 100) * 2);
+          builder.SetInt(kOddOnePercent, (u1 % 100) * 2 + 1);
+          WriteString(unique1[i], u1_string);
+          WriteString(unique2[i], u2_string);
+          builder.SetChar(kStringU1, {u1_string, sizeof(u1_string)});
+          builder.SetChar(kStringU2, {u2_string, sizeof(u2_string)});
+          builder.SetChar(kString4, kString4Cycle[i % 4]);
+          std::ranges::copy(builder.bytes(), tuples[i].begin());
+        }
+      });
   return tuples;
 }
 

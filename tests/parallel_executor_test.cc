@@ -439,6 +439,132 @@ TEST(ParallelExecutorTest, TeradataJoinIdenticalAcrossThreadCounts) {
   }
 }
 
+/// One fragment file as a scan sees it: page count, then (rid, bytes) in
+/// scan order.
+struct FragmentImage {
+  uint32_t num_pages = 0;
+  std::vector<std::pair<storage::Rid, std::vector<uint8_t>>> records;
+  bool operator==(const FragmentImage&) const = default;
+};
+
+FragmentImage ImageOf(storage::StorageManager& sm, uint32_t file) {
+  FragmentImage image;
+  image.num_pages = sm.file(file).num_pages();
+  GAMMA_CHECK(sm.file(file)
+                  .Scan([&](storage::Rid rid, std::span<const uint8_t> t) {
+                    image.records.emplace_back(
+                        rid, std::vector<uint8_t>(t.begin(), t.end()));
+                    return true;
+                  })
+                  .ok());
+  return image;
+}
+
+/// Every fragment (primary, then backup) of every relation, then each
+/// relation's ReadRelation.
+struct LoadImage {
+  std::vector<FragmentImage> fragments;
+  std::vector<std::vector<std::vector<uint8_t>>> relations;
+  bool operator==(const LoadImage&) const = default;
+};
+
+LoadImage LoadGammaRelations(bool chained) {
+  gamma::GammaConfig config = ParallelConfig();
+  config.chained_declustering = chained;
+  gamma::GammaMachine machine(config);
+  const std::vector<std::pair<std::string, catalog::PartitionSpec>> specs = {
+      {"hashed", catalog::PartitionSpec::Hashed(wis::kUnique1)},
+      {"range", catalog::PartitionSpec::RangeUniform(wis::kUnique2, 0, 2999,
+                                                     config.num_disk_nodes)},
+      {"round_robin", catalog::PartitionSpec::RoundRobin()}};
+  LoadImage image;
+  for (const auto& [name, spec] : specs) {
+    GAMMA_CHECK(
+        machine.CreateRelation(name, wis::WisconsinSchema(), spec).ok());
+    GAMMA_CHECK(
+        machine.LoadTuples(name, wis::GenerateWisconsin(3000, 5)).ok());
+    const catalog::RelationMeta& meta = *machine.catalog().Get(name).value();
+    for (int n = 0; n < config.num_disk_nodes; ++n) {
+      image.fragments.push_back(ImageOf(
+          machine.node(n), meta.per_node_file[static_cast<size_t>(n)]));
+    }
+    for (size_t f = 0; f < meta.per_node_backup_file.size(); ++f) {
+      const int host = static_cast<int>((f + 1) % meta.per_node_file.size());
+      image.fragments.push_back(
+          ImageOf(machine.node(host), meta.per_node_backup_file[f]));
+    }
+    image.relations.push_back(*machine.ReadRelation(name));
+  }
+  return image;
+}
+
+TEST(ParallelExecutorTest, GammaLoadIdenticalAcrossThreadCounts) {
+  for (const bool chained : {false, true}) {
+    SCOPED_TRACE(chained ? "chained declustering" : "no backups");
+    const LoadImage one = WithThreads(1, [&] {
+      return LoadGammaRelations(chained);
+    });
+    const LoadImage many = WithThreads(kManyThreads, [&] {
+      return LoadGammaRelations(chained);
+    });
+    EXPECT_EQ(one.fragments.size(), chained ? 24u : 12u);
+    EXPECT_EQ(one.relations[0].size(), 3000u);
+    EXPECT_TRUE(one == many);
+  }
+}
+
+TEST(ParallelExecutorTest, TeradataLoadIdenticalAcrossThreadCounts) {
+  const auto run = [] {
+    teradata::TeradataConfig config;
+    config.num_amps = 8;
+    teradata::TeradataMachine machine(config);
+    GAMMA_CHECK(
+        machine.CreateRelation("A", wis::WisconsinSchema(), wis::kUnique1)
+            .ok());
+    GAMMA_CHECK(machine.LoadTuples("A", wis::GenerateWisconsin(3000, 5)).ok());
+    const catalog::RelationMeta& meta = *machine.catalog().Get("A").value();
+    LoadImage image;
+    for (int amp = 0; amp < config.num_amps; ++amp) {
+      image.fragments.push_back(ImageOf(
+          machine.amp(amp), meta.per_node_file[static_cast<size_t>(amp)]));
+    }
+    image.relations.push_back(*machine.ReadRelation("A"));
+    return image;
+  };
+  const LoadImage one = WithThreads(1, run);
+  EXPECT_EQ(one.relations[0].size(), 3000u);
+  EXPECT_TRUE(one == WithThreads(kManyThreads, run));
+}
+
+TEST(ParallelExecutorTest, MalformedTupleInTheLastRouteChunkAllocatesNothing) {
+  // At 4 host threads the route's last chunk holds the last quarter of the
+  // input; a wrong-size tuple there must reject the load before any node
+  // allocates a page.
+  std::vector<std::vector<uint8_t>> tuples = wis::GenerateWisconsin(4000, 9);
+  tuples.back().pop_back();
+  WithThreads(kManyThreads, [&] {
+    gamma::GammaMachine gm(ParallelConfig());
+    GAMMA_CHECK(gm.CreateRelation("A", wis::WisconsinSchema(),
+                                  catalog::PartitionSpec::Hashed(
+                                      wis::kUnique1))
+                    .ok());
+    EXPECT_TRUE(gm.LoadTuples("A", tuples).IsInvalidArgument());
+    for (int n = 0; n < ParallelConfig().num_disk_nodes; ++n) {
+      EXPECT_EQ(gm.node(n).disk().num_pages(), 0u) << "node " << n;
+    }
+    teradata::TeradataConfig config;
+    config.num_amps = 8;
+    teradata::TeradataMachine td(config);
+    GAMMA_CHECK(
+        td.CreateRelation("A", wis::WisconsinSchema(), wis::kUnique1).ok());
+    EXPECT_TRUE(td.LoadTuples("A", tuples).IsInvalidArgument());
+    for (int amp = 0; amp < config.num_amps; ++amp) {
+      EXPECT_EQ(td.amp(amp).disk().num_pages(), 0u) << "AMP " << amp;
+    }
+    return 0;
+  });
+}
+
 TEST(ParallelExecutorTest, AggregateIdenticalAcrossThreadCounts) {
   for (const int group_attr : {-1, static_cast<int>(wis::kTen)}) {
     const RunOutput run = ExpectRunsIdentical(

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/host_pool.h"
 #include "wisconsin/wisconsin.h"
 
 namespace gammadb::wisconsin {
@@ -152,6 +153,33 @@ TEST(WisconsinTest, ZipfThetaControlsHeadShare) {
   // theta=0: ~1% per value. theta=1: the head carries ~1/H(100) ≈ 19%.
   EXPECT_LT(top_share(0.0), 0.03);
   EXPECT_GT(top_share(1.0), 0.12);
+}
+
+/// FNV-1a over every tuple's bytes, in order.
+uint64_t Fnv1a(const std::vector<std::vector<uint8_t>>& tuples) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const auto& tuple : tuples) {
+    for (const uint8_t byte : tuple) {
+      hash = (hash ^ byte) * 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(WisconsinTest, SameBytesAtEveryHostPoolWidth) {
+  sim::HostPool& pool = sim::HostPool::Instance();
+  const int prev = pool.num_threads();
+  pool.set_num_threads(1);
+  const auto reference = GenerateWisconsin(10000, 1);
+  for (const int width : {2, 3, 4}) {
+    pool.set_num_threads(width);
+    EXPECT_TRUE(GenerateWisconsin(10000, 1) == reference) << width;
+  }
+  pool.set_num_threads(prev);
+  // Every paper cell loads this generator's output: a change to any byte
+  // moves them all, so the bytes are pinned.
+  EXPECT_EQ(Fnv1a(reference), 0x96734f629a71b28dULL);
+  EXPECT_EQ(Fnv1a(GenerateWisconsin(10000, 42)), 0x14ca3cd5dd588cf5ULL);
 }
 
 TEST(WisconsinTest, TuplesPerPageHelper) {
