@@ -43,6 +43,8 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   GAMMA_BENCH_SIZES=10000 ./build/bench/table3_update
   echo "== aggregates (scalar + grouped, local/merge path, 100k) =="
   ./build/bench/extension_aggregates
+  echo "== multiuser workload (closed-loop 2PL clients through WorkloadDriver, 100k) =="
+  ./build/bench/extension_multiuser
   echo "== micro benchmarks smoke (statistics fold, index build, node reintegration, recount, point select, join sites, page checksum, pool miss and dirty sweeps, machine rebuild, Wisconsin generation, load) =="
   ./build/bench/micro_operators \
     --benchmark_filter='BM_StatsAbsorb|BM_BuildIndex|BM_ReintegrateNode|BM_RecomputeStatistics|BM_PointSelect|BM_JoinSite|BM_PageChecksum|BM_BufferPoolMissSweep|BM_BufferPoolDirtySweep|BM_MachineRebuild|BM_GenerateWisconsin|BM_LoadTuples' \

@@ -355,7 +355,7 @@ Status ElasticMigrator::MigrateOne(const std::string& name,
                                    MigrationReport* report) {
   GammaMachine& m = *machine_;
   GAMMA_RETURN_NOT_OK(m.RefuseIfCrashed("migrating"));
-  if (m.wal_ == nullptr) {
+  if (!m.config_.enable_logging) {
     return Status::FailedPrecondition(
         "elastic migration requires enable_logging: the move is WAL-logged "
         "so a crash can roll it back");

@@ -29,12 +29,6 @@ void Exchange::Clear() {
   for (TupleArena& tuples : cells_) tuples.Clear();
 }
 
-uint64_t Exchange::buffered() const {
-  uint64_t total = 0;
-  for (const TupleArena& tuples : cells_) total += tuples.size();
-  return total;
-}
-
 std::vector<SplitTable::Destination> ExchangeDestinations(
     Exchange& ex, size_t producer, const std::vector<int>& nodes,
     size_t rotate) {

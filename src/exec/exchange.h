@@ -47,9 +47,6 @@ class Exchange {
   /// Exchange can back the next phase).
   void Clear();
 
-  /// Total buffered tuples (diagnostic).
-  uint64_t buffered() const;
-
  private:
   TupleArena& cell(size_t producer, size_t consumer) {
     return cells_[producer * consumers_ + consumer];

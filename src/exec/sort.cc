@@ -27,13 +27,6 @@ struct SortKey {
 
 }  // namespace
 
-uint64_t PredictRunCount(uint64_t num_tuples, uint32_t tuple_size,
-                         uint64_t memory_bytes) {
-  if (num_tuples == 0) return 0;
-  const uint64_t per_run = std::max<uint64_t>(memory_bytes / tuple_size, 1);
-  return (num_tuples + per_run - 1) / per_run;
-}
-
 storage::FileId ExternalSort(storage::StorageManager& sm,
                              storage::FileId input,
                              const catalog::Schema& schema, int attr,

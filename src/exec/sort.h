@@ -26,11 +26,6 @@ storage::FileId ExternalSort(storage::StorageManager& sm,
                              const catalog::Schema& schema, int attr,
                              uint64_t memory_bytes, Status* error = nullptr);
 
-/// Number of sorted runs ExternalSort will form for `num_tuples` tuples of
-/// `tuple_size` bytes under `memory_bytes` of sort memory (test hook).
-uint64_t PredictRunCount(uint64_t num_tuples, uint32_t tuple_size,
-                         uint64_t memory_bytes);
-
 }  // namespace gammadb::exec
 
 #endif  // GAMMA_EXEC_SORT_H_

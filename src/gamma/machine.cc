@@ -126,6 +126,7 @@ size_t JournalCapFromEnv() {
 GammaMachine::GammaMachine(GammaConfig config)
     : config_(config),
       txns_(config.tracker_nodes(), config.scheduler_node()),
+      wal_(config.tracker_nodes()),
       profile_ring_(kProfileRingCapacity),
       journal_(config.tracker_nodes(), JournalCapFromEnv()) {
   GAMMA_CHECK(config_.num_disk_nodes > 0);
@@ -143,16 +144,14 @@ GammaMachine::GammaMachine(GammaConfig config)
         config_.page_size, config_.buffer_pool_bytes,
         disk_node ? faults_.get() : nullptr, disk_node ? i : -1));
   }
-  if (config_.enable_logging) {
-    wal_ = std::make_unique<WalStore>(config_.tracker_nodes());
-  }
   // Wire the flight recorder into the layers that emit events from their
   // own call sites: fault draws (per-node rings), lock waits / deadlock
-  // victims (scheduler ring), WAL forces / checkpoints (recovery ring).
+  // victims (scheduler ring), WAL forces / checkpoints (recovery ring, only
+  // when the recovery server is modelled).
   faults_->AttachJournal(&journal_);
   txns_.AttachJournal(&journal_, config_.scheduler_node());
-  if (wal_ != nullptr) {
-    wal_->AttachJournal(&journal_, config_.recovery_node());
+  if (config_.enable_logging) {
+    wal_.AttachJournal(&journal_, config_.recovery_node());
   }
 }
 
@@ -212,20 +211,15 @@ Result<std::vector<txn::LockManager::Grant>> GammaMachine::CommitTxn(
   GAMMA_RETURN_NOT_OK(txns_.CanCommit(txn));
   // The transaction's statements each forced their log records and pages at
   // statement end, so the commit point only seals the winner marker.
-  if (wal_ != nullptr && !wal_->IsCommitted(txn) &&
-      wal_->HasDataRecords(txn)) {
-    wal_->NoteCommit(txn);
+  if (!wal_.IsCommitted(txn) && wal_.HasDataRecords(txn)) {
+    wal_.NoteCommit(txn);
     MaybeAutoCheckpoint(/*log=*/nullptr, /*src_node=*/0);
   }
   return txns_.Commit(txn);
 }
 
 std::vector<txn::LockManager::Grant> GammaMachine::AbortTxn(uint64_t txn) {
-  if (wal_ != nullptr && !wal_->IsCommitted(txn) &&
-      wal_->HasDataRecords(txn)) {
-    UndoTransaction(txn, /*close=*/true);
-    for (auto& node : nodes_) node->pool().Invalidate();
-  }
+  if (!wal_.IsCommitted(txn)) UndoTransaction(txn, /*close=*/true);
   return txns_.Abort(txn);
 }
 
@@ -315,24 +309,24 @@ Status GammaMachine::ScanSources(sim::CostTracker& tracker,
 }
 
 GammaMachine::Statement::Statement(GammaMachine* machine)
-    : Statement(machine, /*wal=*/nullptr, /*external_txn=*/0) {}
+    : Statement(machine, /*external_txn=*/0) {}
 
 GammaMachine::Statement::Statement(GammaMachine* machine,
                                    const std::string& relation,
                                    uint64_t external_txn)
-    : Statement(machine, machine->wal_.get(), external_txn) {
-  if (machine_->wal_ == nullptr) return;
+    : Statement(machine, external_txn) {
   wal_txn_ = auto_commit_ ? StatementTxn(machine_->next_statement_txn_++)
                           : txn_;
-  wal_rel_ = machine_->wal_->InternRelation(relation);
+  wal_rel_ = machine_->wal_.InternRelation(relation);
 }
 
-GammaMachine::Statement::Statement(GammaMachine* machine, WalStore* wal,
+GammaMachine::Statement::Statement(GammaMachine* machine,
                                    uint64_t external_txn)
     : machine_(machine),
       tracker_(machine->config_.hw, machine->config_.tracker_nodes()),
       log_(machine->config_.enable_logging ? &tracker_ : nullptr,
-           machine->config_.recovery_node(), machine->config_.page_size, wal),
+           machine->config_.recovery_node(), machine->config_.page_size,
+           machine->wal_),
       auto_commit_(external_txn == 0) {
   tracker_.AttachFaultInjector(machine_->faults_.get());
   machine_->BindAll(&tracker_);
@@ -348,25 +342,13 @@ GammaMachine::Statement::~Statement() {
   // instead of flushing (a dead node could not accept them anyway).
   for (auto& node : m.nodes_) node->pool().Discard();
   m.BindAll(nullptr);
-  if (m.wal_ != nullptr && wal_txn_ != 0) {
-    if (crashed_) {
-      // The node died at its commit point: undo the statement's effects on
-      // the nodes still alive (so failover reads never see them), but leave
-      // the records open as a loser — the dead node's copies are
-      // unreachable until Recover()/ReintegrateNode() finishes the job.
-      m.UndoTransaction(wal_txn_, /*close=*/false);
-    } else {
-      // Clean abort: reverse whatever the statement already sealed — the
-      // pool Discard above dropped unflushed effects, but records of pages
-      // that were evicted (or force-flushed before a later step failed)
-      // survived on disk. Undo is test-and-apply, so already-dropped
-      // effects are skipped.
-      m.UndoTransaction(wal_txn_, /*close=*/true);
-    }
-    // The undo ran uncharged; settle its pages off-budget so the next
-    // measured query does not pay for them.
-    for (auto& node : m.nodes_) node->pool().Invalidate();
-  }
+  // Reverse whatever the statement already sealed: the pool Discard above
+  // dropped unflushed effects, but pages that were evicted (or force-flushed
+  // before a later step failed) survived on disk. Undo is test-and-apply, so
+  // already-dropped effects are skipped. After a death at the commit point
+  // the records stay open as a loser: the dead node's copies are
+  // unreachable until Recover()/ReintegrateNode() finishes the job.
+  m.UndoTransaction(wal_txn_, /*close=*/!crashed_);
   if (!partial_result_.empty() && m.catalog_.Contains(partial_result_)) {
     auto meta_or = m.catalog_.Get(partial_result_);
     if (meta_or.ok()) {
@@ -398,7 +380,6 @@ Status GammaMachine::Statement::ReachCommitPoint(const std::vector<int>& sites,
 
 Status GammaMachine::Statement::CommitWrites(const std::vector<int>& sites,
                                              const std::string& what) {
-  if (!machine_->config_.enable_logging) return Status::OK();
   const int commit_site = sites.empty() ? 0 : sites.front();
   if (!auto_commit_) {
     // The statement's records are forced; the commit marker waits for
@@ -407,8 +388,11 @@ Status GammaMachine::Statement::CommitWrites(const std::vector<int>& sites,
     return Status::OK();
   }
   // Commit point: the log is forced and the pages are durable, but the
-  // winner marker has not been sealed — a death here leaves a loser.
-  GAMMA_RETURN_NOT_OK(ReachCommitPoint(sites, what));
+  // winner marker has not been sealed — a death here leaves a loser. The
+  // evaluated Gamma had no commit point to die at.
+  if (machine_->config_.enable_logging) {
+    GAMMA_RETURN_NOT_OK(ReachCommitPoint(sites, what));
+  }
   log_.LogCommit(commit_site, wal_txn_);
   machine_->MaybeAutoCheckpoint(&log_, commit_site);
   return Status::OK();
@@ -1091,7 +1075,7 @@ class GammaMachine::ResultStore {
   /// the result cardinality.
   Status Close() {
     GAMMA_RETURN_NOT_OK(status());
-    if (stored() && m_.config_.enable_logging) {
+    if (stored()) {
       for (int node : nodes_) stmt_.log().Commit(node);
     }
     GAMMA_RETURN_NOT_OK(m_.FlushAllPools());

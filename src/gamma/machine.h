@@ -54,9 +54,11 @@ struct GammaConfig {
   /// Host-side parse/compile/dispatch before the scheduler takes over.
   double host_setup_sec = 0.04;
   /// Ship log records for every stored/updated tuple to a dedicated
-  /// recovery server (the §8 plan; the evaluated Gamma ran without it).
-  /// Also keeps the replayable write-ahead log that Crash()/Recover() and
-  /// node reintegration replay.
+  /// recovery server (the §8 plan; the evaluated Gamma ran without it), and
+  /// allow Crash()/Recover(), checkpoints, node reintegration and elastic
+  /// migration, which replay the write-ahead log. Every machine keeps that
+  /// log, since every abort undoes through it; this flag decides only what
+  /// the logging is charged.
   bool enable_logging = false;
   /// A statement that hits Unavailable mid-flight (a node died under it) is
   /// retried against the surviving configuration up to this many times.
@@ -185,8 +187,9 @@ class GammaMachine {
     double rebuild_sec = 0;
   };
 
-  /// The machine-lifetime write-ahead log (null when logging is off).
-  WalStore* wal() { return wal_.get(); }
+  /// The machine-lifetime write-ahead log. With logging off every commit
+  /// truncates it to the open transactions' records.
+  WalStore* wal() { return &wal_; }
   bool crashed() const { return crashed_; }
 
   /// Simulates a whole-machine crash: every buffer pool, lock table and
@@ -367,8 +370,8 @@ class GammaMachine {
    public:
     /// A read statement (select, join, aggregate): auto-commits, no WAL.
     explicit Statement(GammaMachine* machine);
-    /// A write to `relation` under `external_txn` (0 auto-commits). With
-    /// logging on, its records go to the machine's WAL.
+    /// A write to `relation` under `external_txn` (0 auto-commits). Its
+    /// records go to the machine's WAL.
     Statement(GammaMachine* machine, const std::string& relation,
               uint64_t external_txn);
     Statement(const Statement&) = delete;
@@ -394,10 +397,11 @@ class GammaMachine {
                             const std::string& what);
 
     /// Commit tail of a write statement whose records are forced and pages
-    /// flushed (no-op with logging off). Auto-commit: ReachCommitPoint,
-    /// then the sealed commit record and the checkpoint cadence at
-    /// `sites.front()`. Under an external transaction the commit marker
-    /// waits for CommitTxn; only the force + acknowledgement is charged.
+    /// flushed. Auto-commit: ReachCommitPoint (logging on only), then the
+    /// sealed commit record and the checkpoint cadence at `sites.front()`.
+    /// Under an external transaction the commit marker waits for CommitTxn;
+    /// only the force + acknowledgement is charged (nothing with logging
+    /// off).
     Status CommitWrites(const std::vector<int>& sites, const std::string& what);
 
     /// Success path: unbinds the nodes, closes the cost accounting, copies
@@ -410,7 +414,7 @@ class GammaMachine {
     void Dismiss() { finished_ = true; }
 
    private:
-    Statement(GammaMachine* machine, WalStore* wal, uint64_t external_txn);
+    Statement(GammaMachine* machine, uint64_t external_txn);
 
     GammaMachine* machine_;
     sim::CostTracker tracker_;
@@ -625,8 +629,8 @@ class GammaMachine {
     Result<Mirror> MirrorChange(int node, std::span<const uint8_t> before,
                                 std::span<const uint8_t> after);
     /// The statement's one WAL entry: a `kind` record of fragment `node`
-    /// with its images, charged from `node` (a no-op with logging off). An
-    /// insert is ∅ → after, a delete before → ∅ and a modify before →
+    /// with its images, charged from `node` (uncharged with logging off).
+    /// An insert is ∅ → after, a delete before → ∅ and a modify before →
     /// after; a kPartition record (spec images) carries fragment -1 and
     /// counts as mirrored, since no backup copy needs catching up.
     void Log(WalKind kind, int node, storage::Rid rid,
@@ -732,15 +736,20 @@ class GammaMachine {
                         std::vector<CatchUpStamp>* stamps);
   void CloseReachableLosers();
 
-  /// Physically reverses every sealed record of `wal_txn` wherever it is
-  /// reachable (dead nodes are skipped). `close` additionally compensates
-  /// the transaction in the log (clean abort); a crashed statement leaves
-  /// it open so Recover()/ReintegrateNode() finish the job.
+  /// The one abort path, at both logging settings: physically reverses
+  /// every sealed record of `wal_txn` wherever it is reachable (dead nodes
+  /// are skipped), uncharged, then writes the undone pages back and empties
+  /// the pools. `close` additionally compensates the transaction in the log
+  /// (clean abort); a crashed statement leaves it open so
+  /// Recover()/ReintegrateNode() finish the job. A transaction with no data
+  /// records is left alone.
   void UndoTransaction(uint64_t wal_txn, bool close);
 
   /// Writes a fuzzy checkpoint when the commit cadence is due, charging the
   /// checkpoint records through `log` from `src_node` (null: uncharged, as
-  /// for CommitTxn, which runs outside any statement).
+  /// for CommitTxn, which runs outside any statement). With logging off no
+  /// pass replays committed records, so every commit truncates them
+  /// instead, uncharged and without checkpoint records.
   void MaybeAutoCheckpoint(RecoveryLog* log, int src_node);
 
   /// Resets `name`'s cardinality from its serving fragment copies and
@@ -781,9 +790,9 @@ class GammaMachine {
   /// fragment/page locks live in the fragment's table, relation locks in the
   /// scheduler's. Only coordinator threads call it.
   txn::TxnManager txns_;
-  /// Replayable write-ahead log kept by the recovery server (only when
-  /// `enable_logging`); survives Crash().
-  std::unique_ptr<WalStore> wal_;
+  /// Replayable write-ahead log kept by the recovery server; survives
+  /// Crash(). Every abort undoes through it, at both logging settings.
+  WalStore wal_;
   /// Set by Crash(), cleared by Recover(); queries refuse while set.
   bool crashed_ = false;
   uint64_t next_statement_txn_ = 1;

@@ -117,8 +117,8 @@ Result<GammaMachine::GrowthReport> GammaMachine::AddNode() {
   // layers that cache a control-ring index are re-attached at the new ids.
   journal_.Grow(new_node);
   txns_.AttachJournal(&journal_, config_.scheduler_node());
-  if (wal_ != nullptr) {
-    wal_->AttachJournal(&journal_, config_.recovery_node());
+  if (config_.enable_logging) {
+    wal_.AttachJournal(&journal_, config_.recovery_node());
   }
   journal_.Emit(config_.scheduler_node(), obs::JournalEventKind::kNodeAdded,
                 new_node);

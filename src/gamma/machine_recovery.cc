@@ -165,19 +165,25 @@ void GammaMachine::Crash() {
 }
 
 Result<uint64_t> GammaMachine::Checkpoint() {
-  if (wal_ == nullptr) {
+  if (!config_.enable_logging) {
     return Status::FailedPrecondition(
         "checkpointing requires enable_logging");
   }
-  return wal_->Checkpoint();
+  return wal_.Checkpoint();
 }
 
 void GammaMachine::MaybeAutoCheckpoint(RecoveryLog* log, int src_node) {
-  if (wal_ == nullptr || config_.checkpoint_every_commits == 0) return;
-  if (wal_->commits_since_checkpoint() < config_.checkpoint_every_commits) {
+  if (!config_.enable_logging) {
+    // Nothing replays or reintegrates committed records: keep only the
+    // open transactions', with no checkpoint records and no charge.
+    wal_.Truncate(/*keep_unmirrored=*/false);
     return;
   }
-  wal_->Checkpoint();
+  if (config_.checkpoint_every_commits == 0 ||
+      wal_.commits_since_checkpoint() < config_.checkpoint_every_commits) {
+    return;
+  }
+  wal_.Checkpoint();
   if (log != nullptr) log->ChargeCheckpoint(src_node);
 }
 
@@ -278,7 +284,7 @@ Result<GammaMachine::Landing> GammaMachine::ApplyTransition(
 Status GammaMachine::ReplayRecord(const WalRecord& record, Replay direction,
                                   uint64_t* applied,
                                   std::set<std::string>* touched) {
-  const std::string& name = wal_->RelationName(record.rel);
+  const std::string& name = wal_.RelationName(record.rel);
   auto meta_or = catalog_.Get(name);
   if (!meta_or.ok()) return Status::OK();  // relation dropped since
   RelationMeta* meta = *meta_or;
@@ -326,16 +332,23 @@ Status GammaMachine::ReplayRecord(const WalRecord& record, Replay direction,
 }
 
 void GammaMachine::UndoTransaction(uint64_t wal_txn, bool close) {
-  if (wal_ == nullptr || wal_txn == 0) return;
-  const std::deque<WalRecord>& log = wal_->records();
+  if (wal_txn == 0) return;
+  const std::deque<WalRecord>& log = wal_.records();
+  bool logged = false;
   uint64_t undone = 0;
   for (auto it = log.rbegin(); it != log.rend(); ++it) {
     if (it->txn != wal_txn || !IsData(it->kind)) continue;
+    logged = true;
     // Best effort: an unreachable copy (dead node) is picked up by
     // Recover()/ReintegrateNode() later.
     (void)ReplayRecord(*it, Replay::kUndo, &undone, nullptr);
   }
-  if (close) wal_->NoteCleanAbort(wal_txn);
+  if (!logged) return;
+  if (close) wal_.NoteCleanAbort(wal_txn);
+  // The undo ran uncharged; settle its pages off-budget so the next
+  // measured query does not pay for them. An undo that changed nothing
+  // dirtied nothing, so this only drops the pages it read.
+  for (auto& node : nodes_) node->pool().Invalidate();
 }
 
 GammaMachine::MaintenanceScope::MaintenanceScope(GammaMachine* machine,
@@ -362,12 +375,12 @@ bool GammaMachine::IsLoser(uint64_t wal_txn) const {
   // A transaction still active in the lock manager is live (Recover on an
   // un-crashed machine is a pure verification pass; a real crash cleared
   // the transaction table).
-  return !wal_->IsCommitted(wal_txn) && !wal_->IsAborted(wal_txn) &&
+  return !wal_.IsCommitted(wal_txn) && !wal_.IsAborted(wal_txn) &&
          (IsStatementTxn(wal_txn) || !txns_.IsActive(wal_txn));
 }
 
 Result<GammaMachine::RecoveryReport> GammaMachine::Recover() {
-  if (wal_ == nullptr) {
+  if (!config_.enable_logging) {
     return Status::FailedPrecondition("Recover requires enable_logging");
   }
   MaintenanceScope scope(this, "recovery");
@@ -376,14 +389,14 @@ Result<GammaMachine::RecoveryReport> GammaMachine::Recover() {
   // --- Analysis: one sequential sweep of the retained log classifies every
   // transaction as winner (sealed commit record), already-compensated
   // (clean abort) or loser.
-  const std::deque<WalRecord>& log = wal_->records();
+  const std::deque<WalRecord>& log = wal_.records();
   std::set<uint64_t> winners;
   std::set<uint64_t> losers;
   for (const WalRecord& r : log) {
     ++report.log_records_scanned;
     report.log_bytes_replayed += r.bytes();
     if (!IsData(r.kind)) continue;
-    if (wal_->IsCommitted(r.txn)) {
+    if (wal_.IsCommitted(r.txn)) {
       winners.insert(r.txn);
     } else if (IsLoser(r.txn)) {
       losers.insert(r.txn);
@@ -417,7 +430,7 @@ Result<GammaMachine::RecoveryReport> GammaMachine::Recover() {
 
   // The reversals are on disk: close the losers in the log so a second
   // restart skips them. A failed restart leaves them for the next one.
-  for (const uint64_t txn : losers) wal_->NoteCleanAbort(txn);
+  for (const uint64_t txn : losers) wal_.NoteCleanAbort(txn);
   for (const std::string& name : touched) RecountRelation(name);
   crashed_ = false;
   NoteRestart(&report);
@@ -450,7 +463,7 @@ void GammaMachine::NoteRestart(RecoveryReport* report) {
 }
 
 Result<GammaMachine::RebuildReport> GammaMachine::ReintegrateNode(int node) {
-  if (wal_ == nullptr) {
+  if (!config_.enable_logging) {
     return Status::FailedPrecondition(
         "node reintegration requires enable_logging");
   }
@@ -510,9 +523,9 @@ Status GammaMachine::UndoStrandedLosers(RebuildReport* report,
   // Statements that died at the node's commit point flushed their pages
   // before the death, and every undo so far skipped the unreachable node.
   // Test-and-apply makes the global sweep a no-op everywhere else.
-  const std::deque<WalRecord>& log = wal_->records();
+  const std::deque<WalRecord>& log = wal_.records();
   for (auto it = log.rbegin(); it != log.rend(); ++it) {
-    if (!IsData(it->kind) || wal_->IsCommitted(it->txn)) continue;
+    if (!IsData(it->kind) || wal_.IsCommitted(it->txn)) continue;
     GAMMA_RETURN_NOT_OK(
         ReplayRecord(*it, Replay::kUndo, &report->records_undone, touched));
   }
@@ -567,10 +580,10 @@ Status GammaMachine::CatchUpBackups(int node, sim::CostTracker& tracker,
   const int pred =
       (node + config_.num_disk_nodes - 1) % config_.num_disk_nodes;
   storage::StorageManager& sm = *nodes_[static_cast<size_t>(node)];
-  for (WalRecord& r : wal_->mutable_records()) {
+  for (WalRecord& r : wal_.mutable_records()) {
     if (!IsData(r.kind) || r.mirrored || r.fragment != pred) continue;
-    if (!wal_->IsCommitted(r.txn)) continue;
-    auto meta_or = catalog_.Get(wal_->RelationName(r.rel));
+    if (!wal_.IsCommitted(r.txn)) continue;
+    auto meta_or = catalog_.Get(wal_.RelationName(r.rel));
     if (!meta_or.ok()) continue;
     const RelationMeta* meta = *meta_or;
     if (!meta->backed_up) continue;
@@ -598,8 +611,8 @@ void GammaMachine::CloseReachableLosers() {
   if (static_cast<int>(LiveDiskNodes().size()) != config_.num_disk_nodes) {
     return;
   }
-  for (const uint64_t txn : wal_->OpenTxns()) {
-    if (IsLoser(txn)) wal_->NoteCleanAbort(txn);
+  for (const uint64_t txn : wal_.OpenTxns()) {
+    if (IsLoser(txn)) wal_.NoteCleanAbort(txn);
   }
 }
 

@@ -55,11 +55,11 @@ Result<bool> GammaMachine::MirrorsTo(const RelationMeta& meta,
   if (!meta.backed_up) return false;
   const int host = (home + 1) % config_.num_disk_nodes;
   if (!faults_->IsDead(host)) return true;
-  // Without the replayable log a dead backup host blocks the write (the
+  // Without the recovery server a dead backup host blocks the write (the
   // mirror would silently diverge). With it the write proceeds and its
   // record carries mirrored=false; reintegration replays it into the stale
   // backup when the host returns.
-  if (wal_ == nullptr) {
+  if (!config_.enable_logging) {
     return Status::Unavailable("backup site " + std::to_string(host) +
                                " of fragment " + std::to_string(home) +
                                " of " + meta.name + " is down");
@@ -334,20 +334,9 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
   // Write-ahead: the record and the force precede the page flushes below.
   stmt.Log(WalKind::kInsert, target, rid, {}, query.tuple, backup);
   stmt.log().ForceTail(target);
-  if (Status st = FlushAllPools(); !st.ok()) {
-    // The commit-time force failed: tombstone this append (both copies)
-    // while its pages are still cached so nothing partial survives. A node
-    // whose flush task completed already holds the append on disk, and the
-    // abort only discards cached pages, so the tombstones are flushed too.
-    if (backup.mirrored) {
-      nodes_[static_cast<size_t>((target + 1) % config_.num_disk_nodes)]
-          ->file(meta->per_node_backup_file[static_cast<size_t>(target)])
-          .Delete(backup.backup_rid);
-    }
-    fragment.Delete(rid);
-    (void)FlushAllPools();
-    return st;
-  }
+  // A failed flush leaves the append on the disks whose flush task
+  // completed; the statement's undo takes it back out.
+  GAMMA_RETURN_NOT_OK(FlushAllPools());
   GAMMA_RETURN_NOT_OK(stmt.CommitWrites({target}, what));
   stmt.tracker().ChargeControlMessage(target, config_.scheduler_node(), true);
   stmt.tracker().ChargeControlMessage(config_.scheduler_node(),

@@ -7,7 +7,7 @@
 namespace gammadb::gamma {
 
 RecoveryLog::RecoveryLog(sim::CostTracker* tracker, int recovery_node,
-                         uint32_t page_size, WalStore* wal)
+                         uint32_t page_size, WalStore& wal)
     : tracker_(tracker),
       recovery_node_(recovery_node),
       page_size_(page_size),
@@ -73,12 +73,9 @@ void RecoveryLog::Append(int src_node, uint32_t payload_bytes,
 void RecoveryLog::Log(int src_node, WalRecord header,
                       std::span<const uint8_t> before,
                       std::span<const uint8_t> after) {
-  if (tracker_ == nullptr) return;
-  if (wal_ != nullptr) {
-    header.before.assign(before.begin(), before.end());
-    header.after.assign(after.begin(), after.end());
-    wal_->Append(std::move(header));
-  }
+  header.before.assign(before.begin(), before.end());
+  header.after.assign(after.begin(), after.end());
+  wal_.Append(std::move(header));
   Append(src_node, static_cast<uint32_t>(before.size() + after.size()));
 }
 
@@ -116,8 +113,8 @@ void RecoveryLog::Commit(int src_node) {
 }
 
 void RecoveryLog::LogCommit(int src_node, uint64_t txn) {
+  wal_.NoteCommit(txn);
   if (tracker_ == nullptr) return;
-  if (wal_ != nullptr) wal_->NoteCommit(txn);
   Enqueue(src_node, kRecordHeaderBytes, tracker_);
   Commit(src_node);
 }

@@ -22,8 +22,8 @@ namespace gammadb::gamma {
 /// machine-lifetime WalStore.
 ///
 /// One path in: every replayable record goes through Log(), which copies
-/// its images into the attached WalStore and charges them through Append();
-/// store operators call Append() alone (charge only, nothing replayable).
+/// its images into the WalStore and charges them through Append(); store
+/// operators call Append() alone (charge only, nothing replayable).
 /// Commit and checkpoint markers ship through the same packet loop as
 /// Append() but are not counted in stats().records. ForceTail() is the one
 /// force; Commit() and ChargeCheckpoint() end in it.
@@ -34,8 +34,9 @@ namespace gammadb::gamma {
 /// which applies them in canonical node order. Calls without a shard apply
 /// server work immediately.
 ///
-/// Logging off is a null tracker: every call returns at once, charges
-/// nothing, counts nothing and leaves any WalStore untouched.
+/// Logging off is a null tracker: nothing is charged or counted, but Log()
+/// still keeps the record and LogCommit() still seals the commit marker,
+/// because every abort undoes through the WalStore.
 class RecoveryLog {
  public:
   struct Stats {
@@ -51,10 +52,10 @@ class RecoveryLog {
       static_cast<uint32_t>(WalRecord::kHeaderBytes);
 
   /// `recovery_node` is the dedicated processor's tracker index; `tracker`
-  /// may be null (logging off). `wal`, when given, is the machine-lifetime
-  /// store Log() appends replayable records to (null = charge-only).
+  /// may be null (logging off). `wal` is the machine-lifetime store Log()
+  /// and LogCommit() seal into.
   RecoveryLog(sim::CostTracker* tracker, int recovery_node,
-              uint32_t page_size, WalStore* wal = nullptr);
+              uint32_t page_size, WalStore& wal);
 
   RecoveryLog(const RecoveryLog&) = delete;
   RecoveryLog& operator=(const RecoveryLog&) = delete;
@@ -69,9 +70,9 @@ class RecoveryLog {
 
   /// Logs one replayable record from `src_node`: `header` (txn, kind, rel,
   /// fragment, rids, mirrored) with its `before`/`after` images, which are
-  /// copied into the WalStore when one is attached. Charges like Append of
-  /// `before.size() + after.size()`. Update statements log on the
-  /// coordinator thread, so LSNs are identical for any host-pool width.
+  /// copied into the WalStore. Charges like Append of `before.size() +
+  /// after.size()`. Update statements log on the coordinator thread, so
+  /// LSNs are identical for any host-pool width.
   void Log(int src_node, WalRecord header, std::span<const uint8_t> before,
            std::span<const uint8_t> after);
 
@@ -86,7 +87,7 @@ class RecoveryLog {
   void Commit(int src_node);
 
   /// Seals the statement's commit record (winner marker), ships the
-  /// uncounted marker and commits.
+  /// uncounted marker and commits (the sealing alone with logging off).
   void LogCommit(int src_node, uint64_t txn);
 
   /// Charges the fuzzy-checkpoint record pair (uncounted markers) and
@@ -115,7 +116,7 @@ class RecoveryLog {
   sim::CostTracker* tracker_;
   int recovery_node_;
   uint32_t page_size_;
-  WalStore* wal_;
+  WalStore& wal_;
   /// Unshipped log bytes per source node.
   std::vector<uint64_t> pending_;
   /// Shard-shipped bytes per source awaiting server-side settlement.

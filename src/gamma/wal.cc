@@ -121,28 +121,15 @@ std::vector<uint64_t> WalStore::OpenTxns() const {
   return {open.begin(), open.end()};
 }
 
-uint64_t WalStore::Checkpoint() {
-  GAMMA_CHECK_MSG(
-      std::all_of(staged_.begin(), staged_.end(),
-                  [](const std::vector<WalRecord>& b) { return b.empty(); }),
-      "checkpoint with staged (unsealed) log records");
-  // The begin record carries the active-transaction table: the open
-  // transactions whose records the undo pass must still reach.
-  const std::vector<uint64_t> open = OpenTxns();
-  WalRecord begin;
-  begin.kind = WalKind::kCheckpointBegin;
-  const uint64_t begin_lsn = Append(std::move(begin));
-
-  // Truncation point: recovery needs (a) every record of an open
-  // transaction, (b) every committed record not yet mirrored into its
-  // chained backup (reintegration replays those), (c) the checkpoint itself.
-  uint64_t keep_from = begin_lsn;
+void WalStore::Truncate(bool keep_unmirrored) {
+  uint64_t keep_from = next_lsn_;
   for (const WalRecord& record : log_) {
     if (!IsReplayable(record.kind)) continue;
     const bool open_txn =
         !committed_.contains(record.txn) && !aborted_.contains(record.txn);
-    const bool unmirrored_winner =
-        committed_.contains(record.txn) && !record.mirrored;
+    const bool unmirrored_winner = keep_unmirrored &&
+                                   committed_.contains(record.txn) &&
+                                   !record.mirrored;
     if ((open_txn || unmirrored_winner) && record.lsn < keep_from) {
       keep_from = record.lsn;
     }
@@ -151,6 +138,23 @@ uint64_t WalStore::Checkpoint() {
     retained_bytes_ -= log_.front().bytes();
     log_.pop_front();
   }
+}
+
+uint64_t WalStore::Checkpoint() {
+  GAMMA_CHECK_MSG(
+      std::all_of(staged_.begin(), staged_.end(),
+                  [](const std::vector<WalRecord>& b) { return b.empty(); }),
+      "checkpoint with staged (unsealed) log records");
+  // The begin record carries the active-transaction table: the open
+  // transactions whose records the undo pass must still reach. Recovery
+  // also needs every committed record not yet mirrored into its chained
+  // backup (reintegration replays those) and the checkpoint itself, which
+  // lands after the truncation point.
+  const std::vector<uint64_t> open = OpenTxns();
+  Truncate(/*keep_unmirrored=*/true);
+  WalRecord begin;
+  begin.kind = WalKind::kCheckpointBegin;
+  const uint64_t begin_lsn = Append(std::move(begin));
 
   WalRecord end;
   end.kind = WalKind::kCheckpointEnd;

@@ -84,12 +84,14 @@ struct WalRecord {
 ///
 /// `RecoveryLog` (per statement) charges the simulated cost of shipping and
 /// forcing log records; this machine-lifetime store keeps the records
-/// themselves so a crashed machine can be restored and a rebuilt node can be
-/// caught up. Every data record arrives through `RecoveryLog::Log` and every
-/// marker through NoteCommit, NoteCleanAbort or Checkpoint, all on the
-/// coordinator thread and sealed at once, so records seal in program order
-/// and LSNs are byte-identical for any GAMMA_HOST_THREADS. Store operators
-/// only charge their records; nothing replayable comes from a parallel task.
+/// themselves so every abort can be undone, a crashed machine restored and a
+/// rebuilt node caught up. Every machine has one; with logging off nothing
+/// is charged for it and every commit truncates it. Every data record
+/// arrives through `RecoveryLog::Log` and every marker through NoteCommit,
+/// NoteCleanAbort or Checkpoint, all on the coordinator thread and sealed at
+/// once, so records seal in program order and LSNs are byte-identical for
+/// any GAMMA_HOST_THREADS. Store operators only charge their records;
+/// nothing replayable comes from a parallel task.
 ///
 /// Stage/Seal are a per-node staging path for records produced inside
 /// host-parallel tasks (stage under the one-task-per-node rule, seal in
@@ -151,11 +153,14 @@ class WalStore {
   // --- Checkpointing ---
 
   /// Writes a fuzzy checkpoint (begin + end records snapshotting the
-  /// transactions with sealed-but-uncommitted records) and truncates the
-  /// prefix no recovery pass can need: everything below the oldest record of
-  /// an open transaction and the oldest committed-but-unmirrored record.
-  /// Returns the checkpoint's begin LSN.
+  /// transactions with sealed-but-uncommitted records) after
+  /// Truncate(/*keep_unmirrored=*/true). Returns the checkpoint's begin LSN.
   uint64_t Checkpoint();
+
+  /// Drops the prefix no pass can need: everything below the oldest record
+  /// of an open transaction and, when `keep_unmirrored` (reintegration
+  /// replays them), the oldest committed-but-unmirrored record.
+  void Truncate(bool keep_unmirrored);
 
   /// LSN of the last complete checkpoint's begin record (0 = none yet).
   uint64_t checkpoint_lsn() const { return checkpoint_lsn_; }

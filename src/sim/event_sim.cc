@@ -22,11 +22,6 @@ bool EventQueue::RunOne() {
   return true;
 }
 
-void EventQueue::RunUntilIdle() {
-  while (RunOne()) {
-  }
-}
-
 void ResourceServer::Demand(double service_sec, std::function<void()> done) {
   GAMMA_CHECK(service_sec >= 0);
   const double start = std::max(queue_->now(), free_at_);

@@ -28,8 +28,6 @@ class EventQueue {
 
   /// Pops and runs the next event. Returns false when the queue is empty.
   bool RunOne();
-  /// Runs until no events remain.
-  void RunUntilIdle();
 
   size_t pending() const { return events_.size(); }
 

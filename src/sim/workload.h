@@ -141,8 +141,7 @@ class WorkloadDriver {
   /// AddClient is NotFound, before anything runs; a second call is
   /// FailedPrecondition. A real statement that fails ends the run with its
   /// Status, after every open client transaction is aborted through the
-  /// machine (with logging on, that undoes the failed transaction's earlier
-  /// statements).
+  /// machine, which undoes the failed transaction's earlier statements.
   Result<WorkloadReport> Run();
 
  private:

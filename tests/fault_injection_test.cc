@@ -424,10 +424,11 @@ TEST(FlushTest, DirtyPoolOnDyingNodeFailsAndCleanOneDoesNot) {
   EXPECT_EQ(Sorted(read->returned), Sorted(tuples));
 }
 
-// The same failed append with logging off, where no undo runs: the backup
-// node's flush task has already written the appended tuple when the
-// primary's fails. The tombstone the failure path writes must reach that
-// disk too, or a read served from the backups sees the failed append.
+// The same failed append with logging off: the backup node's flush task has
+// already written the appended tuple when the primary's fails. The
+// statement's undo, which runs at both logging settings, must take it back
+// out of that disk, or a read served from the backups sees the failed
+// append.
 TEST(FlushTest, FailedAppendLeavesNoBackupCopyWithoutLogging) {
   auto config = FaultableConfig();
   config.num_disk_nodes = 2;

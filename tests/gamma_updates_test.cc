@@ -427,5 +427,87 @@ TEST(WritePathPin, EveryWriteKindKeepsItsChargesAndRecords) {
   }
 }
 
+// --- Aborts undo through the WAL at both logging settings ---
+
+/// One disk node with a four-frame pool: a statement that walks the 400
+/// tuples' pages evicts (writes back) its dirty pages as it goes.
+std::unique_ptr<GammaMachine> SmallPoolMachine(bool logging) {
+  GammaConfig config;
+  config.num_disk_nodes = 1;
+  config.num_diskless_nodes = 0;
+  config.buffer_pool_bytes = 4 * config.page_size;
+  config.enable_logging = logging;
+  auto machine = std::make_unique<GammaMachine>(config);
+  GAMMA_CHECK(machine
+                  ->CreateRelation("R", wis::WisconsinSchema(),
+                                   PartitionSpec::Hashed(wis::kUnique1))
+                  .ok());
+  GAMMA_CHECK(machine->LoadTuples("R", wis::GenerateWisconsin(400, 3)).ok());
+  return machine;
+}
+
+ModifyQuery SetTen(int locate_attr, int32_t locate_key, int32_t value) {
+  ModifyQuery query;
+  query.relation = "R";
+  query.locate_attr = locate_attr;
+  query.locate_key = locate_key;
+  query.target_attr = wis::kTen;
+  query.new_value = value;
+  return query;
+}
+
+// An auto-commit modify fails on a page lock that an open transaction holds
+// on the last page in scan order. By then the pool has written back the
+// statement's earlier dirty pages, so discarding the pool is not enough:
+// the undo must reverse them. Aborting the holder then undoes its modify.
+TEST(AbortUndoTest, FailedStatementUndoesItsEvictedPages) {
+  for (const bool logging : {false, true}) {
+    SCOPED_TRACE(logging ? "logging on" : "logging off");
+    auto machine = SmallPoolMachine(logging);
+    const auto loaded = *machine->ReadRelation("R");
+    const int32_t last =
+        TupleView(&wis::WisconsinSchema(), loaded.back()).GetInt(wis::kUnique1);
+
+    const uint64_t holder = machine->BeginTxn();
+    ASSERT_TRUE(
+        machine->RunModify(SetTen(wis::kUnique1, last, 77), holder).ok());
+    const auto before = *machine->ReadRelation("R");
+    const uint64_t evictions = machine->node(0).pool().evictions();
+
+    const auto failed =
+        machine->RunModify(SetTen(wis::kTwo, last % 2, 99));
+    ASSERT_FALSE(failed.ok());
+    EXPECT_TRUE(failed.status().IsFailedPrecondition())
+        << failed.status().ToString();
+    EXPECT_GT(machine->node(0).pool().evictions(), evictions);
+    EXPECT_TRUE(*machine->ReadRelation("R") == before);
+
+    machine->AbortTxn(holder);
+    EXPECT_TRUE(*machine->ReadRelation("R") == loaded);
+  }
+}
+
+// An explicit transaction's statements are all undone by AbortTxn.
+TEST(AbortUndoTest, AbortTxnUndoesEveryStatement) {
+  for (const bool logging : {false, true}) {
+    SCOPED_TRACE(logging ? "logging on" : "logging off");
+    auto machine = SmallPoolMachine(logging);
+    const auto loaded = *machine->ReadRelation("R");
+    const uint64_t txn = machine->BeginTxn();
+    ASSERT_TRUE(machine->RunModify(SetTen(wis::kUnique1, 5, 77), txn).ok());
+    catalog::TupleBuilder builder(&wis::WisconsinSchema());
+    builder.SetInt(wis::kUnique1, 5000).SetInt(wis::kUnique2, 5000);
+    ASSERT_TRUE(machine
+                    ->RunAppend({"R", {builder.bytes().begin(),
+                                       builder.bytes().end()}},
+                                txn)
+                    .ok());
+    ASSERT_EQ(machine->ReadRelation("R")->size(), 401u);
+    machine->AbortTxn(txn);
+    EXPECT_TRUE(*machine->ReadRelation("R") == loaded);
+    EXPECT_TRUE(machine->txns().quiescent());
+  }
+}
+
 }  // namespace
 }  // namespace gammadb::gamma

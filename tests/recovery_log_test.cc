@@ -1,6 +1,7 @@
 // Tests for the recovery server extension (§8 future work): log-record
 // accounting, the cost it adds, and that answers never change.
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -25,7 +26,8 @@ using exec::Predicate;
 TEST(RecoveryLogUnit, PacketAndPageAccounting) {
   sim::CostTracker tracker(sim::MachineParams::GammaDefaults(), 4);
   tracker.BeginPhase("p", sim::PhaseKind::kPipelined);
-  RecoveryLog log(&tracker, /*recovery_node=*/3, /*page_size=*/4096);
+  WalStore wal(4);
+  RecoveryLog log(&tracker, /*recovery_node=*/3, /*page_size=*/4096, wal);
   // 100 records of 208-byte images = 24 KB of log: expect ~11 packets and
   // ~6 log pages (5 full + 1 forced tail).
   for (int i = 0; i < 100; ++i) log.Append(0, 208);
@@ -43,14 +45,16 @@ TEST(RecoveryLogUnit, PacketAndPageAccounting) {
   EXPECT_GT(metrics.phases[0].per_node[3].disk_sec, 0.0);
 }
 
-// Logging off is a null tracker: nothing is charged, counted or kept, even
-// with a WalStore attached.
+// Logging off is a null tracker: nothing is charged or counted, but the
+// record and the commit marker are kept, since every abort undoes through
+// the WalStore.
 TEST(RecoveryLogUnit, NullTrackerIsUncharged) {
   WalStore wal(4);
-  RecoveryLog log(nullptr, 0, 4096, &wal);
+  RecoveryLog log(nullptr, 0, 4096, wal);
   const std::vector<uint8_t> image(100, 7);
   for (int i = 0; i < 10; ++i) log.Append(0, 100);
   WalRecord header;
+  header.txn = 1;
   header.kind = WalKind::kInsert;
   log.Log(0, std::move(header), {}, image);
   log.LogCommit(0, 1);
@@ -61,7 +65,11 @@ TEST(RecoveryLogUnit, NullTrackerIsUncharged) {
   EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(stats.log_pages_written, 0u);
   EXPECT_EQ(stats.forced_flushes, 0u);
-  EXPECT_TRUE(wal.records().empty());
+  ASSERT_EQ(wal.records().size(), 2u);
+  EXPECT_EQ(wal.records()[0].kind, WalKind::kInsert);
+  EXPECT_EQ(wal.records()[0].after, image);
+  EXPECT_EQ(wal.records()[1].kind, WalKind::kCommit);
+  EXPECT_TRUE(wal.IsCommitted(1));
 }
 
 class RecoveryLogMachine : public ::testing::Test {
@@ -302,6 +310,97 @@ TEST(RecoveryLogPin, LoggedStatementShapesKeepTheirCharges) {
     auto machine = LogPinMachine(shape.join_memory, shape.checkpoint_every);
     EXPECT_EQ(shape.run(*machine), shape.want);
   }
+}
+
+// Logging off keeps every write's record for the undo but charges nothing
+// for it, and truncates the log at every commit (even with the checkpoint
+// cadence off). Across a few hundred auto-commit appends, modifies and
+// deletes plus explicit transactions the retained log never holds more than
+// an open transaction's two records, no statement counts a log record, no
+// WAL event is journaled, and every statement's seconds are the ones
+// logging off gave before it kept a log (pinned as runs of equal "%.17g"
+// values, "value*count;").
+TEST(RecoveryLogPin, LoggingOffKeepsABoundedUnchargedLog) {
+  GammaConfig config;
+  config.num_disk_nodes = 4;
+  config.num_diskless_nodes = 4;
+  config.checkpoint_every_commits = 0;
+  GammaMachine m(config);
+  GAMMA_CHECK(m.CreateRelation("A", wis::WisconsinSchema(),
+                               catalog::PartitionSpec::Hashed(wis::kUnique1))
+                  .ok());
+  GAMMA_CHECK(m.LoadTuples("A", wis::GenerateWisconsin(2000, 9)).ok());
+
+  std::string runs;
+  std::string last;
+  int repeat = 0;
+  uint64_t peak_retained = 0;
+  const auto note = [&](const Result<QueryResult>& result) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->metrics.log_records, 0u);
+    EXPECT_EQ(result->metrics.log_forced_flushes, 0u);
+    peak_retained = std::max(peak_retained, m.wal()->retained_bytes());
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", result->metrics.TotalSec());
+    if (buf == last) {
+      ++repeat;
+      return;
+    }
+    if (repeat > 0) runs += last + "*" + std::to_string(repeat) + ";";
+    last = buf;
+    repeat = 1;
+  };
+  for (int32_t i = 0; i < 300; ++i) {
+    note(m.RunAppend(PinAppend(7000 + i)));
+    if (i % 50 == 3) {
+      ModifyQuery modify;
+      modify.relation = "A";
+      modify.locate_attr = wis::kUnique1;
+      modify.locate_key = i;
+      modify.target_attr = wis::kTen;
+      modify.new_value = 77;
+      note(m.RunModify(modify));
+    }
+    if (i % 60 == 5) {
+      DeleteQuery del;
+      del.relation = "A";
+      del.key_attr = wis::kUnique1;
+      del.key = 1000 + i;
+      note(m.RunDelete(del));
+    }
+    if (i % 60 == 30) {
+      const uint64_t txn = m.BeginTxn();
+      note(m.RunAppend(PinAppend(9000 + i), txn));
+      note(m.RunAppend(PinAppend(9500 + i), txn));
+      ASSERT_TRUE(m.CommitTxn(txn).ok());
+    }
+  }
+  runs += last + "*" + std::to_string(repeat) + ";";
+
+  EXPECT_EQ(runs,
+            "0.12341274796747968*3;0.10524770731707317*1;"
+            "0.9212861788617861*1;0.12341274796747968*1;"
+            "0.10524770731707317*1;0.91611951219511956*1;"
+            "0.10524770731707317*50;0.93753455284552611*1;"
+            "0.10524770731707317*12;0.9296195121951194*1;"
+            "0.10524770731707317*40;0.96728292682926575*1;"
+            "0.10524770731707317*22;0.9568678861788591*1;"
+            "0.10524770731707317*30;0.95028455284552593*1;"
+            "0.10524770731707317*32;0.96511788617885896*1;"
+            "0.10524770731707317*18;0.96378455284552578*1;"
+            "0.10524770731707317*44;0.99011626016259879*1;"
+            "0.10524770731707317*8;1.0105313008130052*1;"
+            "0.10524770731707317*48;");
+  const uint64_t record =
+      WalRecord::kHeaderBytes + wis::WisconsinSchema().tuple_size();
+  EXPECT_LE(peak_retained, 2 * record);
+  EXPECT_GT(m.wal()->total_bytes(), 300 * record);
+  for (const obs::Journal::MergedEvent& e : m.journal().Merged()) {
+    EXPECT_NE(e.event->kind, obs::JournalEventKind::kWalForce);
+    EXPECT_NE(e.event->kind, obs::JournalEventKind::kCheckpoint);
+  }
+  EXPECT_EQ(*m.CountTuples("A"), 2000u + 300u + 10u - 5u);
+  EXPECT_EQ(m.wal()->retained_bytes(), 0u);
 }
 
 }  // namespace

@@ -647,50 +647,54 @@ TEST(WorkloadTxnTest, AddClientRefusesUnknownRelationsAndEmptyScripts) {
 }
 
 // A real statement that fails under its pre-acquired locks ends the run with
-// its own Status, and the transaction's earlier statement is undone.
+// its own Status, and the transaction's earlier statement is undone, with
+// logging on or off: every abort undoes through the machine's WAL.
 TEST(WorkloadTxnTest, FailedRealStatementReturnsItsStatusAndAborts) {
-  gamma::GammaConfig config = SmallConfig();
-  config.enable_logging = true;  // the abort undoes through the WAL
-  gamma::GammaMachine machine(config);
-  LoadMini(machine, "R", 16, 1);
-  const auto before = *machine.ReadRelation("R");
+  for (const bool logging : {false, true}) {
+    SCOPED_TRACE(logging ? "logging on" : "logging off");
+    gamma::GammaConfig config = SmallConfig();
+    config.enable_logging = logging;
+    gamma::GammaMachine machine(config);
+    LoadMini(machine, "R", 16, 1);
+    const auto before = *machine.ReadRelation("R");
 
-  gamma::ModifyQuery bad = ModifyVal("R", 100, 200);
-  bad.target_attr = 99;  // out of range: fails only when it runs
-  sim::TxnSpec txn;
-  txn.label = "half";
-  txn.statements = {ModifyVal("R", 2, 100), bad};
-  txn.execute_real = true;
-  sim::ClientSpec client;
-  client.script = {txn};
-  client.loops = 1;
-  sim::WorkloadDriver driver(&machine, sim::WorkloadOptions{});
-  ASSERT_TRUE(driver.AddClient(client).ok());
+    gamma::ModifyQuery bad = ModifyVal("R", 100, 200);
+    bad.target_attr = 99;  // out of range: fails only when it runs
+    sim::TxnSpec txn;
+    txn.label = "half";
+    txn.statements = {ModifyVal("R", 2, 100), bad};
+    txn.execute_real = true;
+    sim::ClientSpec client;
+    client.script = {txn};
+    client.loops = 1;
+    sim::WorkloadDriver driver(&machine, sim::WorkloadOptions{});
+    ASSERT_TRUE(driver.AddClient(client).ok());
 
-  const auto report = driver.Run();
-  EXPECT_TRUE(report.status().IsInvalidArgument())
-      << report.status().ToString();
-  auto sorted = [](std::vector<std::vector<uint8_t>> rows) {
-    std::sort(rows.begin(), rows.end());
-    return rows;
-  };
-  EXPECT_EQ(sorted(*machine.ReadRelation("R")), sorted(before));
-  // No lock outlives the failed run: an auto-commit update goes through.
-  const auto retry = machine.RunModify(ModifyVal("R", 2, 100));
-  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+    const auto report = driver.Run();
+    EXPECT_TRUE(report.status().IsInvalidArgument())
+        << report.status().ToString();
+    auto sorted = [](std::vector<std::vector<uint8_t>> rows) {
+      std::sort(rows.begin(), rows.end());
+      return rows;
+    };
+    EXPECT_EQ(sorted(*machine.ReadRelation("R")), sorted(before));
+    // No lock outlives the failed run: an auto-commit update goes through.
+    const auto retry = machine.RunModify(ModifyVal("R", 2, 100));
+    ASSERT_TRUE(retry.ok()) << retry.status().ToString();
 
-  // A read executed inside a transaction is refused the same way.
-  const auto updated = *machine.ReadRelation("R");
-  gamma::SelectQuery read;
-  read.relation = "R";
-  txn.statements = {ModifyVal("R", 100, 300), read};
-  client.script = {txn};
-  sim::WorkloadDriver reader(&machine, sim::WorkloadOptions{});
-  ASSERT_TRUE(reader.AddClient(client).ok());
-  const auto refused = reader.Run();
-  EXPECT_TRUE(refused.status().IsInvalidArgument())
-      << refused.status().ToString();
-  EXPECT_EQ(sorted(*machine.ReadRelation("R")), sorted(updated));
+    // A read executed inside a transaction is refused the same way.
+    const auto updated = *machine.ReadRelation("R");
+    gamma::SelectQuery read;
+    read.relation = "R";
+    txn.statements = {ModifyVal("R", 100, 300), read};
+    client.script = {txn};
+    sim::WorkloadDriver reader(&machine, sim::WorkloadOptions{});
+    ASSERT_TRUE(reader.AddClient(client).ok());
+    const auto refused = reader.Run();
+    EXPECT_TRUE(refused.status().IsInvalidArgument())
+        << refused.status().ToString();
+    EXPECT_EQ(sorted(*machine.ReadRelation("R")), sorted(updated));
+  }
 }
 
 // A relation dropped between AddClient and Run is NotFound before any
