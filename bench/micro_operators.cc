@@ -504,13 +504,12 @@ void BM_StatsAbsorb(benchmark::State& state) {
   // the 13 integer attributes) at Arg host threads.
   const auto tuples = wis::GenerateWisconsin(100000, 9);
   const auto& schema = wis::WisconsinSchema();
-  const auto partitioning = catalog::PartitionSpec::Hashed(wis::kUnique1);
   sim::HostPool& pool = sim::HostPool::Instance();
   const int saved_threads = pool.num_threads();
   pool.set_num_threads(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     opt::StatisticsCatalog stats;
-    stats.OnLoad("A", schema, tuples, partitioning);
+    stats.OnLoad("A", schema, tuples);
     benchmark::DoNotOptimize(stats.Find("A"));
   }
   pool.set_num_threads(saved_threads);

@@ -49,6 +49,8 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   ./build/bench/micro_operators \
     --benchmark_filter='BM_StatsAbsorb|BM_BuildIndex|BM_ReintegrateNode|BM_RecomputeStatistics|BM_PointSelect|BM_JoinSite|BM_PageChecksum|BM_BufferPoolMissSweep|BM_BufferPoolDirtySweep|BM_MachineRebuild|BM_GenerateWisconsin|BM_LoadTuples' \
     --benchmark_min_time=0.01
+  echo "== optimizer validation (chosen vs forced plans, estimates kept, 10k) =="
+  GAMMA_BENCH_SIZES=10000 ./build/bench/extension_optimizer
   echo "== perf-regression gate (BENCH_*.json vs baselines/) =="
   python3 scripts/bench_compare.py --self-check
   echo "== simulated-clock digests (perfbench smoke: selects, joins, txn updates) =="

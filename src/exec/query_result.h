@@ -20,8 +20,8 @@ struct QueryResult {
   sim::QueryMetrics metrics;
   uint64_t result_tuples = 0;
   /// Times the whole query was restarted after a node died mid-flight
-  /// (0 = ran clean; bounded by GammaConfig::failover_max_retries, with
-  /// exponential backoff charged between attempts — see
+  /// (0 = ran clean; at most 3, kFailoverMaxRetries in gamma/machine.cc,
+  /// with exponential backoff charged between attempts — see
   /// metrics.failover_backoff_sec).
   uint32_t failover_retries = 0;
   /// Name of the stored result relation (empty if returned to host).

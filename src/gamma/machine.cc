@@ -50,6 +50,14 @@ constexpr double kNonClusteredIndexThreshold = 0.05;
 /// replaces the one-file-per-query pattern on long runs.
 constexpr size_t kProfileRingCapacity = 64;
 
+/// A statement that hits Unavailable mid-flight (a node died under it) is
+/// retried against the surviving configuration up to this many times.
+constexpr uint32_t kFailoverMaxRetries = 3;
+
+/// Simulated reconfiguration wait before failover retry k:
+/// base * 2^(k-1) seconds, charged to scheduling.
+constexpr double kFailoverBackoffBaseSec = 0.05;
+
 /// Loops that jump between scattered tuples ask for a tuple's cache lines
 /// this many tuples before they read it.
 constexpr size_t kPrefetchAhead = 8;
@@ -330,7 +338,7 @@ GammaMachine::Statement::Statement(GammaMachine* machine,
       auto_commit_(external_txn == 0) {
   tracker_.AttachFaultInjector(machine_->faults_.get());
   machine_->BindAll(&tracker_);
-  tracker_.ChargeHostSetup(machine_->config_.host_setup_sec);
+  tracker_.ChargeHostSetup(kHostSetupSec);
   txn_ = auto_commit_ ? machine_->txns_.Begin() : external_txn;
 }
 
@@ -361,7 +369,6 @@ GammaMachine::Statement::~Statement() {
       }
     }
     m.catalog_.Drop(partial_result_);
-    m.stats_.Drop(partial_result_);
   }
   m.BindAll(nullptr);
 }
@@ -420,21 +427,16 @@ Result<QueryResult> GammaMachine::RunWithFailover(
     const std::function<Result<QueryResult>()>& attempt) {
   GAMMA_RETURN_NOT_OK(RefuseIfCrashed("issuing queries"));
   Result<QueryResult> result = attempt();
-  const uint32_t budget =
-      config_.failover_max_retries > 0
-          ? static_cast<uint32_t>(config_.failover_max_retries)
-          : 0;
   uint32_t retries = 0;
   double backoff_sec = 0;
   while (!result.ok() && result.status().IsUnavailable() &&
-         retries < budget) {
+         retries < kFailoverMaxRetries) {
     // A node died mid-flight: the attempt was aborted cleanly (locks
     // released, partial result dropped). Wait out the simulated
     // reconfiguration delay, then retry — fragment routing now resolves to
     // the chained backups. Unavailable after the final retry means some
     // fragment truly has no surviving copy, and is reported to the host.
-    backoff_sec +=
-        config_.failover_backoff_base_sec * static_cast<double>(1u << retries);
+    backoff_sec += kFailoverBackoffBaseSec * static_cast<double>(1u << retries);
     ++retries;
     result = attempt();
   }
@@ -696,7 +698,7 @@ Status GammaMachine::LoadTuples(
     return failed;
   }
   meta->num_tuples += tuples.size();
-  stats_.OnLoad(name, meta->schema, tuples, meta->partitioning);
+  stats_.OnLoad(name, meta->schema, tuples);
   return Status::OK();
 }
 
@@ -878,7 +880,6 @@ Status GammaMachine::BuildIndex(const std::string& name, int attr,
   }
 
   meta->indices.push_back(std::move(index));
-  stats_.OnIndexBuilt(name, attr, clustered);
   for (auto& node : nodes_) node->pool().Invalidate();
   return Status::OK();
 }
@@ -1088,8 +1089,6 @@ class GammaMachine::ResultStore {
     for (const auto& store : stores_) total += store->stored();
     result_.result_tuples = total;
     meta_->num_tuples = total;
-    m_.stats_.SetResultCardinality(meta_->name, meta_->schema,
-                                   static_cast<double>(total));
     return Status::OK();
   }
 

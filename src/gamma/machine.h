@@ -34,6 +34,10 @@ class ElasticMigrator;
 
 namespace gammadb::gamma {
 
+/// Host-side parse/compile/dispatch before the scheduler takes over, charged
+/// to every statement and estimated by the cost model.
+inline constexpr double kHostSetupSec = 0.04;
+
 /// \brief Configuration of one simulated Gamma machine.
 ///
 /// The paper's machine is 8 processors with disks + 8 diskless query
@@ -51,8 +55,6 @@ struct GammaConfig {
   /// sites. The paper holds this constant while varying processors (§1) and
   /// sweeps it in §6.2.2.
   uint64_t join_memory_total = 8 * kMiB;
-  /// Host-side parse/compile/dispatch before the scheduler takes over.
-  double host_setup_sec = 0.04;
   /// Ship log records for every stored/updated tuple to a dedicated
   /// recovery server (the §8 plan; the evaluated Gamma ran without it), and
   /// allow Crash()/Recover(), checkpoints, node reintegration and elastic
@@ -60,12 +62,6 @@ struct GammaConfig {
   /// log, since every abort undoes through it; this flag decides only what
   /// the logging is charged.
   bool enable_logging = false;
-  /// A statement that hits Unavailable mid-flight (a node died under it) is
-  /// retried against the surviving configuration up to this many times.
-  int failover_max_retries = 3;
-  /// Simulated reconfiguration wait before failover retry k:
-  /// base * 2^(k-1) seconds, charged to scheduling.
-  double failover_backoff_base_sec = 0.05;
   /// With logging on, the recovery server writes a fuzzy checkpoint after
   /// this many sealed commit records (0 = only explicit Checkpoint calls).
   uint64_t checkpoint_every_commits = 32;
@@ -329,10 +325,11 @@ class GammaMachine {
   /// Tuple count summed over fragments.
   Result<uint64_t> CountTuples(const std::string& name);
 
-  /// Rebuilds the relation's catalog statistics from a fresh (uncharged)
-  /// sweep of the serving fragment copies — e.g. after a failover rebuild,
-  /// when incremental maintenance has drifted. A failed sweep keeps the old
-  /// statistics.
+  /// Recounts the relation from a fresh (uncharged) sweep of the serving
+  /// fragment copies: the catalog's tuple count and the attribute
+  /// statistics. Run after undo or redo changed tuples, and on demand (e.g.
+  /// after a failover rebuild, when incremental maintenance has drifted). A
+  /// failed sweep keeps the old count and statistics.
   Status RecomputeStatistics(const std::string& name);
 
  private:
@@ -535,7 +532,7 @@ class GammaMachine {
 
   /// Runs `attempt`; while it reports Unavailable (a node died mid-flight),
   /// re-runs it against the surviving configuration up to
-  /// `failover_max_retries` times, charging exponential backoff between
+  /// kFailoverMaxRetries times, charging exponential backoff between
   /// retries.
   Result<QueryResult> RunWithFailover(
       const std::function<Result<QueryResult>()>& attempt);
@@ -712,7 +709,7 @@ class GammaMachine {
   /// Replays `record` (kRedo or kUndo) on its reachable primary, with index
   /// maintenance, and on its mirrored backup; a kPartition record flips the
   /// catalog's spec image instead. Bumps `*applied` and records the relation
-  /// in `touched` (may be null) only when something changed.
+  /// in `touched` only when something changed.
   Status ReplayRecord(const WalRecord& record, Replay direction,
                       uint64_t* applied, std::set<std::string>* touched);
 
@@ -738,7 +735,8 @@ class GammaMachine {
 
   /// The one abort path, at both logging settings: physically reverses
   /// every sealed record of `wal_txn` wherever it is reachable (dead nodes
-  /// are skipped), uncharged, then writes the undone pages back and empties
+  /// are skipped), uncharged, recounts every relation it changed
+  /// (RecomputeStatistics), then writes the undone pages back and empties
   /// the pools. `close` additionally compensates the transaction in the log
   /// (clean abort); a crashed statement leaves it open so
   /// Recover()/ReintegrateNode() finish the job. A transaction with no data
@@ -751,10 +749,6 @@ class GammaMachine {
   /// pass replays committed records, so every commit truncates them
   /// instead, uncharged and without checkpoint records.
   void MaybeAutoCheckpoint(RecoveryLog* log, int src_node);
-
-  /// Resets `name`'s cardinality from its serving fragment copies and
-  /// recomputes its statistics (after undo changed tuple counts).
-  void RecountRelation(const std::string& name);
 
   /// §5.1 optimizer: clustered index when the predicate is on its attribute;
   /// non-clustered only when selectivity is low enough to beat a scan. A

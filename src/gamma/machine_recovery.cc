@@ -187,18 +187,6 @@ void GammaMachine::MaybeAutoCheckpoint(RecoveryLog* log, int src_node) {
   if (log != nullptr) log->ChargeCheckpoint(src_node);
 }
 
-void GammaMachine::RecountRelation(const std::string& name) {
-  auto meta_or = catalog_.Get(name);
-  if (!meta_or.ok()) return;
-  auto count_or = CountTuples(name);
-  if (!count_or.ok()) return;
-  (*meta_or)->num_tuples = *count_or;
-  // Undo changed tuple contents too; refresh the planner statistics from
-  // the surviving copies (best effort — a missing fragment keeps the old
-  // statistics).
-  (void)RecomputeStatistics(name);
-}
-
 struct GammaMachine::ReplayCopy {
   storage::StorageManager& sm;
   storage::HeapFile& file;
@@ -326,7 +314,7 @@ Status GammaMachine::ReplayRecord(const WalRecord& record, Replay direction,
   }
   if (changed) {
     ++*applied;
-    if (touched != nullptr) touched->insert(name);
+    touched->insert(name);
   }
   return Status::OK();
 }
@@ -336,15 +324,19 @@ void GammaMachine::UndoTransaction(uint64_t wal_txn, bool close) {
   const std::deque<WalRecord>& log = wal_.records();
   bool logged = false;
   uint64_t undone = 0;
+  std::set<std::string> touched;
   for (auto it = log.rbegin(); it != log.rend(); ++it) {
     if (it->txn != wal_txn || !IsData(it->kind)) continue;
     logged = true;
     // Best effort: an unreachable copy (dead node) is picked up by
     // Recover()/ReintegrateNode() later.
-    (void)ReplayRecord(*it, Replay::kUndo, &undone, nullptr);
+    (void)ReplayRecord(*it, Replay::kUndo, &undone, &touched);
   }
   if (!logged) return;
   if (close) wal_.NoteCleanAbort(wal_txn);
+  // Best effort too: a relation with an unreachable fragment keeps its
+  // count and statistics until the copy comes back.
+  for (const std::string& name : touched) (void)RecomputeStatistics(name);
   // The undo ran uncharged; settle its pages off-budget so the next
   // measured query does not pay for them. An undo that changed nothing
   // dirtied nothing, so this only drops the pages it read.
@@ -431,7 +423,7 @@ Result<GammaMachine::RecoveryReport> GammaMachine::Recover() {
   // The reversals are on disk: close the losers in the log so a second
   // restart skips them. A failed restart leaves them for the next one.
   for (const uint64_t txn : losers) wal_.NoteCleanAbort(txn);
-  for (const std::string& name : touched) RecountRelation(name);
+  for (const std::string& name : touched) (void)RecomputeStatistics(name);
   crashed_ = false;
   NoteRestart(&report);
   return report;
@@ -506,7 +498,7 @@ Result<GammaMachine::RebuildReport> GammaMachine::ReintegrateNode(int node) {
     if (backup_rid.has_value()) record->backup_rid = *backup_rid;
   }
   CloseReachableLosers();
-  for (const std::string& name : touched) RecountRelation(name);
+  for (const std::string& name : touched) (void)RecomputeStatistics(name);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
   registry.counter("recovery.reintegrations").Inc();
   registry.counter("recovery.fragments_rebuilt").Inc(report.fragments_rebuilt);

@@ -380,7 +380,6 @@ Result<QueryResult> GammaMachine::RunDelete(const DeleteQuery& query,
           }));
 
   meta->num_tuples -= deleted;
-  stats_.OnDelete(query.relation, deleted);
   QueryResult result;
   result.result_tuples = deleted;
   return FinalizeObs("delete", stmt.Finish(std::move(result)));
@@ -548,7 +547,7 @@ Result<std::vector<std::vector<uint8_t>>> GammaMachine::ReadRelation(
 }
 
 Status GammaMachine::RecomputeStatistics(const std::string& name) {
-  GAMMA_ASSIGN_OR_RETURN(const RelationMeta* meta, catalog_.Get(name));
+  GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(name));
   // One sweep over ReadRelation's pages in ReadRelation's order (the same
   // pins), copying only the int attributes, a page at a time, into columns.
   const catalog::Schema& schema = meta->schema;
@@ -585,7 +584,8 @@ Status GammaMachine::RecomputeStatistics(const std::string& name) {
         nodes_[static_cast<size_t>(copy.node)]->file(copy.file).VisitPages(
             sweep));
   }
-  // Only a complete sweep replaces the statistics.
+  // Only a complete sweep replaces the count and the statistics.
+  meta->num_tuples = swept.rows;
   stats_.Recompute(name, schema, swept);
   return Status::OK();
 }

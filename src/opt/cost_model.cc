@@ -5,13 +5,14 @@
 #include <vector>
 
 #include "exec/skew.h"
+#include "storage/page.h"
 
 namespace gammadb::opt {
 
 namespace {
 
 /// Selectivity fallbacks when a relation has no attribute statistics
-/// (result relations store only cardinality) — the System R constants.
+/// (a stored query result has none) — the System R constants.
 constexpr double kFallbackEqSelectivity = 0.01;
 constexpr double kFallbackRangeSelectivity = 0.10;
 
@@ -43,8 +44,8 @@ double AttrFraction(const std::pair<int32_t, int32_t>& bounds,
 /// the phase's bytes.
 class PhaseSim {
  public:
-  PhaseSim(const MachineShape& shape, int num_nodes)
-      : shape_(shape), loads_(static_cast<size_t>(num_nodes)) {}
+  PhaseSim(const gamma::GammaConfig& config, int num_nodes)
+      : config_(config), loads_(static_cast<size_t>(num_nodes)) {}
 
   void DiskRead(int node, double pages, bool sequential) {
     DiskAccess(node, pages, sequential);
@@ -54,14 +55,14 @@ class PhaseSim {
   }
   void Cpu(int node, double instructions) {
     loads_[static_cast<size_t>(node)].cpu +=
-        shape_.hw.cpu.InstrSec(instructions);
+        config_.hw.cpu.InstrSec(instructions);
   }
   /// Data-packet stream of `bytes` from `src` to `dst` (split-table path:
   /// the per-tuple copy is charged separately by the caller).
   void Packets(int src, int dst, double bytes) {
     if (bytes <= 0) return;
-    const auto& net = shape_.hw.net;
-    const auto& cost = shape_.hw.cost;
+    const auto& net = config_.hw.net;
+    const auto& cost = config_.hw.cost;
     const double packets =
         std::ceil(bytes / static_cast<double>(net.packet_payload_bytes));
     if (src == dst) {
@@ -77,12 +78,12 @@ class PhaseSim {
   }
   /// Non-blocking control message (split-table close, completion reports).
   void ControlMessage(int src, int dst) {
-    const auto& cost = shape_.hw.cost;
+    const auto& cost = config_.hw.cost;
     if (src == dst) {
       Cpu(src, cost.instr_per_packet_shortcircuit);
       return;
     }
-    const double half = shape_.hw.net.control_msg_sec / 2;
+    const double half = config_.hw.net.control_msg_sec / 2;
     loads_[static_cast<size_t>(src)].cpu += half;
     loads_[static_cast<size_t>(dst)].cpu += half;
   }
@@ -94,7 +95,7 @@ class PhaseSim {
                          std::max(load.disk, std::max(load.cpu, load.net)));
     }
     return std::max(elapsed,
-                    ring_bytes_ / shape_.hw.net.ring_bytes_per_sec);
+                    ring_bytes_ / config_.hw.net.ring_bytes_per_sec);
   }
 
  private:
@@ -108,11 +109,12 @@ class PhaseSim {
     if (pages <= 0) return;
     Load& load = loads_[static_cast<size_t>(node)];
     load.disk +=
-        pages * shape_.hw.disk.AccessSec(shape_.page_size, sequential);
-    load.cpu += pages * shape_.hw.cpu.InstrSec(shape_.hw.cost.instr_per_page_io);
+        pages * config_.hw.disk.AccessSec(config_.page_size, sequential);
+    load.cpu +=
+        pages * config_.hw.cpu.InstrSec(config_.hw.cost.instr_per_page_io);
   }
 
-  const MachineShape& shape_;
+  const gamma::GammaConfig& config_;
   std::vector<Load> loads_;
   double ring_bytes_ = 0;
 };
@@ -147,11 +149,11 @@ double ShortCircuitFraction(gamma::JoinMode mode, bool aligned,
 
 double EstimateSelectivity(const exec::Predicate& pred,
                            const RelationStats* stats,
-                           const catalog::Schema& schema) {
+                           const catalog::RelationMeta& meta) {
   if (pred.is_true()) return 1;
-  const double cardinality = stats != nullptr ? stats->cardinality : 0;
+  const auto cardinality = static_cast<double>(meta.num_tuples);
   double selectivity = 1;
-  for (size_t a = 0; a < schema.num_attrs(); ++a) {
+  for (size_t a = 0; a < meta.schema.num_attrs(); ++a) {
     const auto bounds = pred.BoundsOn(static_cast<int>(a));
     if (!bounds.has_value()) continue;
     const AttrStats* as =
@@ -162,15 +164,14 @@ double EstimateSelectivity(const exec::Predicate& pred,
 }
 
 double CostModel::TuplesPerPage(uint32_t tuple_size) const {
-  // Mirrors storage::Page: 8-byte header, 4-byte slot per tuple.
-  const double per_page = (shape_.page_size - 8.0) / (tuple_size + 4.0);
-  return std::max(1.0, std::floor(per_page));
+  return std::max(1.0, static_cast<double>(storage::SlottedPage::Capacity(
+                           config_.page_size, tuple_size)));
 }
 
 int CostModel::ParticipatingSites(const catalog::RelationMeta& meta,
                                   const RelationStats* stats,
                                   const exec::Predicate& pred) const {
-  const int n = shape_.num_disk_nodes;
+  const int n = config_.num_disk_nodes;
   const catalog::PartitionSpec& spec = meta.partitioning;
   const auto bounds = pred.BoundsOn(spec.key_attr);
   if (!bounds.has_value()) return n;
@@ -180,10 +181,8 @@ int CostModel::ParticipatingSites(const catalog::RelationMeta& meta,
   if (spec.strategy == catalog::PartitionStrategy::kRange) {
     const AttrStats* as =
         stats != nullptr ? stats->Attr(spec.key_attr) : nullptr;
-    const double cardinality =
-        stats != nullptr ? stats->cardinality
-                         : static_cast<double>(meta.num_tuples);
-    const double fraction = AttrFraction(*bounds, as, cardinality);
+    const double fraction =
+        AttrFraction(*bounds, as, static_cast<double>(meta.num_tuples));
     return std::clamp(static_cast<int>(std::ceil(fraction * n)), 1, n);
   }
   return n;
@@ -195,13 +194,11 @@ SelectEstimate CostModel::EstimateSelect(const catalog::RelationMeta& meta,
                                          const SelectPlanSpec& plan) const {
   SelectEstimate est;
   const catalog::Schema& schema = meta.schema;
-  const double cardinality = stats != nullptr
-                                 ? stats->cardinality
-                                 : static_cast<double>(meta.num_tuples);
-  est.selectivity = EstimateSelectivity(pred, stats, schema);
+  const auto cardinality = static_cast<double>(meta.num_tuples);
+  est.selectivity = EstimateSelectivity(pred, stats, meta);
   est.output_tuples = est.selectivity * cardinality;
 
-  const int n = shape_.num_disk_nodes;
+  const int n = config_.num_disk_nodes;
   const int sites = ParticipatingSites(meta, stats, pred);
   est.participating_sites = sites;
   const double tpp = TuplesPerPage(schema.tuple_size());
@@ -209,11 +206,11 @@ SelectEstimate CostModel::EstimateSelect(const catalog::RelationMeta& meta,
   const double frag_pages = std::ceil(frag_tuples / tpp);
   const double matches_per_site = est.output_tuples / std::max(1, sites);
 
-  const auto& cost = shape_.hw.cost;
-  const auto& net = shape_.hw.net;
-  const int scheduler = shape_.num_disk_nodes + shape_.num_diskless_nodes;
+  const auto& cost = config_.hw.cost;
+  const auto& net = config_.hw.net;
+  const int scheduler = config_.num_disk_nodes + config_.num_diskless_nodes;
   const int host = scheduler + 1;
-  PhaseSim phase(shape_, host + 1);
+  PhaseSim phase(config_, host + 1);
 
   // Store destinations: the single source for a one-site selection, all
   // disk nodes otherwise; the host when the result is returned instead.
@@ -229,7 +226,7 @@ SelectEstimate CostModel::EstimateSelect(const catalog::RelationMeta& meta,
         break;
       }
       case gamma::AccessPath::kClusteredIndex: {
-        const double height = IndexHeight(frag_tuples, shape_.page_size);
+        const double height = IndexHeight(frag_tuples, config_.page_size);
         phase.DiskRead(s, height, /*sequential=*/false);
         phase.Cpu(s, height * cost.instr_per_btree_level);
         phase.DiskRead(s, std::ceil(matches_per_site / tpp),
@@ -238,17 +235,17 @@ SelectEstimate CostModel::EstimateSelect(const catalog::RelationMeta& meta,
         break;
       }
       case gamma::AccessPath::kNonClusteredIndex: {
-        const double height = IndexHeight(frag_tuples, shape_.page_size);
+        const double height = IndexHeight(frag_tuples, config_.page_size);
         phase.DiskRead(s, height, /*sequential=*/false);
         phase.Cpu(s, height * cost.instr_per_btree_level);
         // Leaf walk over the qualifying entries (dense keyed leaves).
-        const double leaf_cap = std::max(2.0, shape_.page_size / 16.0);
+        const double leaf_cap = std::max(2.0, config_.page_size / 16.0);
         phase.DiskRead(s, std::ceil(matches_per_site / leaf_cap),
                        /*sequential=*/true);
         // Each qualifying rid is a random data-page fetch; the small
         // buffer pool means almost every fetch misses.
         const double pool_pages = static_cast<double>(
-            shape_.buffer_pool_bytes / shape_.page_size);
+            config_.buffer_pool_bytes / config_.page_size);
         const double hit =
             frag_pages > 0 ? std::min(1.0, pool_pages / frag_pages) : 1.0;
         phase.DiskRead(s, matches_per_site * (1.0 - hit),
@@ -293,7 +290,7 @@ SelectEstimate CostModel::EstimateSelect(const catalog::RelationMeta& meta,
 
   const double sched_msgs =
       static_cast<double>(sites + stores) * net.sched_msgs_per_operator_per_node;
-  est.seconds = shape_.host_setup_sec + sched_msgs * net.control_msg_sec +
+  est.seconds = gamma::kHostSetupSec + sched_msgs * net.control_msg_sec +
                 phase.Elapsed();
   return est;
 }
@@ -305,10 +302,10 @@ JoinEstimate CostModel::EstimateJoin(
     const exec::Predicate& inner_pred, int inner_attr,
     const JoinPlanSpec& plan) const {
   JoinEstimate est;
-  const int n = shape_.num_disk_nodes;
-  const int diskless = shape_.num_diskless_nodes;
-  const auto& cost = shape_.hw.cost;
-  const auto& net = shape_.hw.net;
+  const int n = config_.num_disk_nodes;
+  const int diskless = config_.num_diskless_nodes;
+  const auto& cost = config_.hw.cost;
+  const auto& net = config_.hw.net;
   const int scheduler = n + diskless;
   const int num_nodes = scheduler + 2;  // + scheduler + host
 
@@ -328,30 +325,25 @@ JoinEstimate CostModel::EstimateJoin(
   }
   const int num_sites = static_cast<int>(join_sites.size());
 
-  const double outer_card = outer_stats != nullptr
-                                ? outer_stats->cardinality
-                                : static_cast<double>(outer.num_tuples);
-  const double inner_card = inner_stats != nullptr
-                                ? inner_stats->cardinality
-                                : static_cast<double>(inner.num_tuples);
-  const double outer_sel =
-      EstimateSelectivity(outer_pred, outer_stats, outer.schema);
-  const double inner_sel =
-      EstimateSelectivity(inner_pred, inner_stats, inner.schema);
+  const auto outer_card = static_cast<double>(outer.num_tuples);
+  const auto inner_card = static_cast<double>(inner.num_tuples);
+  const double outer_sel = EstimateSelectivity(outer_pred, outer_stats, outer);
+  const double inner_sel = EstimateSelectivity(inner_pred, inner_stats, inner);
   est.probe_tuples = outer_sel * outer_card;
   est.build_tuples = inner_sel * inner_card;
 
   // Equijoin output: |B||P| / max(d_B, d_P) with the distinct counts capped
   // by the post-selection input sizes.
-  auto distinct_of = [](const RelationStats* stats, int attr, double input) {
-    if (stats == nullptr) return std::max(1.0, input);
-    const AttrStats* as = stats->Attr(attr);
+  auto distinct_of = [](const RelationStats* stats, int attr, double card,
+                        double input) {
+    const AttrStats* as = stats != nullptr ? stats->Attr(attr) : nullptr;
     if (as == nullptr) return std::max(1.0, input);
-    return std::clamp(as->DistinctEstimate(stats->cardinality), 1.0,
-                      std::max(1.0, input));
+    return std::clamp(as->DistinctEstimate(card), 1.0, std::max(1.0, input));
   };
-  const double d_build = distinct_of(inner_stats, inner_attr, est.build_tuples);
-  const double d_probe = distinct_of(outer_stats, outer_attr, est.probe_tuples);
+  const double d_build =
+      distinct_of(inner_stats, inner_attr, inner_card, est.build_tuples);
+  const double d_probe =
+      distinct_of(outer_stats, outer_attr, outer_card, est.probe_tuples);
   est.output_tuples = est.build_tuples * est.probe_tuples /
                       std::max(1.0, std::max(d_build, d_probe));
 
@@ -377,7 +369,7 @@ JoinEstimate CostModel::EstimateJoin(
 
   // Memory: does a site's share of the building side fit its hash table?
   const double site_capacity =
-      static_cast<double>(shape_.join_memory_total) / num_sites;
+      static_cast<double>(config_.join_memory_total) / num_sites;
   const double build_bytes_site =
       est.build_tuples / num_sites * (inner.schema.tuple_size() + 16.0);
   const double resident =
@@ -410,7 +402,7 @@ JoinEstimate CostModel::EstimateJoin(
 
   for (int side_ix = 0; side_ix < 2; ++side_ix) {
     const Side& side = sides[side_ix];
-    PhaseSim phase(shape_, num_nodes);
+    PhaseSim phase(config_, num_nodes);
     const double frag_tuples = side.input / std::max(1, n);
     const double frag_pages = std::ceil(frag_tuples / side.tpp);
     const double emitted_site = side.emitted / std::max(1, n);
@@ -491,9 +483,9 @@ JoinEstimate CostModel::EstimateJoin(
 
   // Overflow / sort resolution phase.
   if (sort_merge) {
-    PhaseSim phase(shape_, num_nodes);
+    PhaseSim phase(config_, num_nodes);
     const double mem_pages =
-        std::max(2.0, site_capacity / shape_.page_size);
+        std::max(2.0, site_capacity / config_.page_size);
     for (int j = 0; j < num_sites; ++j) {
       const int site = join_sites[static_cast<size_t>(j)];
       for (const Side& side : sides) {
@@ -544,7 +536,7 @@ JoinEstimate CostModel::EstimateJoin(
         plan.algorithm == gamma::JoinAlgorithm::kHybridHash
             ? 1.0 - resident
             : std::min(16.0, 1.0 / resident - 1.0);
-    PhaseSim phase(shape_, num_nodes);
+    PhaseSim phase(config_, num_nodes);
     for (int j = 0; j < num_sites; ++j) {
       const int site = join_sites[static_cast<size_t>(j)];
       const double build_site = est.build_tuples / num_sites * spool_factor;
@@ -610,22 +602,19 @@ JoinEstimate CostModel::EstimateJoin(
       static_cast<double>(2 * n + 2 * num_sites + n) *
       net.sched_msgs_per_operator_per_node;
   est.seconds =
-      shape_.host_setup_sec + sched_msgs * net.control_msg_sec + total;
+      gamma::kHostSetupSec + sched_msgs * net.control_msg_sec + total;
   return est;
 }
 
 double CostModel::EstimateAggregate(const catalog::RelationMeta& meta,
-                                    const RelationStats* stats,
                                     const exec::Predicate& pred) const {
-  const auto& cost = shape_.hw.cost;
-  const auto& net = shape_.hw.net;
-  const int n = shape_.num_disk_nodes;
-  const double cardinality = stats != nullptr
-                                 ? stats->cardinality
-                                 : static_cast<double>(meta.num_tuples);
+  const auto& cost = config_.hw.cost;
+  const auto& net = config_.hw.net;
+  const int n = config_.num_disk_nodes;
+  const auto cardinality = static_cast<double>(meta.num_tuples);
   const double tpp = TuplesPerPage(meta.schema.tuple_size());
   const double frag_tuples = cardinality / std::max(1, n);
-  PhaseSim phase(shape_, n + 2);
+  PhaseSim phase(config_, n + 2);
   for (int s = 0; s < n; ++s) {
     phase.DiskRead(s, std::ceil(frag_tuples / tpp), /*sequential=*/true);
     phase.Cpu(s, frag_tuples *
@@ -635,25 +624,20 @@ double CostModel::EstimateAggregate(const catalog::RelationMeta& meta,
   }
   const double sched_msgs =
       static_cast<double>(2 * n) * net.sched_msgs_per_operator_per_node;
-  return shape_.host_setup_sec + sched_msgs * net.control_msg_sec +
+  return gamma::kHostSetupSec + sched_msgs * net.control_msg_sec +
          phase.Elapsed() + net.control_msg_sec;
 }
 
 double CostModel::EstimateSkewSample(const catalog::RelationMeta& outer,
-                                     const RelationStats* outer_stats,
-                                     const catalog::RelationMeta& inner,
-                                     const RelationStats* inner_stats) const {
-  const auto& cost = shape_.hw.cost;
-  const int n = std::max(1, shape_.num_disk_nodes);
+                                     const catalog::RelationMeta& inner) const {
+  const auto& cost = config_.hw.cost;
+  const int n = std::max(1, config_.num_disk_nodes);
   // Node n stands in for the scheduler receiving the per-fragment reports.
-  PhaseSim phase(shape_, n + 1);
-  auto sample_side = [&](const catalog::RelationMeta& meta,
-                         const RelationStats* stats) {
-    const double cardinality = stats != nullptr
-                                   ? stats->cardinality
-                                   : static_cast<double>(meta.num_tuples);
+  PhaseSim phase(config_, n + 1);
+  auto sample_side = [&](const catalog::RelationMeta& meta) {
     const double tpp = TuplesPerPage(meta.schema.tuple_size());
-    const double frag_pages = std::ceil(cardinality / n / tpp);
+    const double frag_pages =
+        std::ceil(static_cast<double>(meta.num_tuples) / n / tpp);
     const double sampled =
         std::ceil(frag_pages / static_cast<double>(exec::kSkewSampleStride));
     for (int s = 0; s < n; ++s) {
@@ -663,8 +647,8 @@ double CostModel::EstimateSkewSample(const catalog::RelationMeta& outer,
       phase.ControlMessage(s, n);
     }
   };
-  sample_side(outer, outer_stats);
-  sample_side(inner, inner_stats);
+  sample_side(outer);
+  sample_side(inner);
   return phase.Elapsed();
 }
 

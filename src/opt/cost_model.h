@@ -4,34 +4,21 @@
 #include <cstdint>
 
 #include "catalog/catalog.h"
-#include "common/units.h"
 #include "exec/predicate.h"
+#include "gamma/machine.h"
 #include "gamma/query.h"
 #include "opt/statistics.h"
-#include "sim/hardware.h"
 
 namespace gammadb::opt {
 
-/// The machine parameters the cost model needs: a plain-data subset of
-/// GammaConfig, so the optimizer can be built and tested without a machine.
-struct MachineShape {
-  int num_disk_nodes = 8;
-  int num_diskless_nodes = 8;
-  uint32_t page_size = 4096;
-  uint64_t buffer_pool_bytes = 64 * kKiB;
-  uint64_t join_memory_total = 8 * kMiB;
-  double host_setup_sec = 0.04;
-  sim::MachineParams hw;
-};
-
-/// Estimated fraction of tuples satisfying `pred`: the product over
-/// constrained attributes of the per-attribute fraction, assuming a uniform
-/// distribution over [min, max] (equality uses 1 / distinct). Falls back to
-/// System-R-style constants (1% equality, 10% range) when no statistics are
-/// available.
+/// Estimated fraction of `meta`'s tuples satisfying `pred`: the product
+/// over constrained attributes of the per-attribute fraction, assuming a
+/// uniform distribution over [min, max] (equality uses 1 / distinct). Falls
+/// back to System-R-style constants (1% equality, 10% range) when no
+/// statistics are available.
 double EstimateSelectivity(const exec::Predicate& pred,
                            const RelationStats* stats,
-                           const catalog::Schema& schema);
+                           const catalog::RelationMeta& meta);
 
 /// A fully specified candidate selection plan.
 struct SelectPlanSpec {
@@ -77,13 +64,12 @@ struct JoinEstimate {
 /// packet and short-circuit accounting, the NIC bottleneck, hash-table
 /// memory vs overflow spooling, and the scheduler's 4-messages-per-op-per-
 /// node overhead. Absolute estimates track the executor closely because
-/// both draw every constant from sim::MachineParams; what the planner needs
-/// is that the *ordering* of candidate plans matches measured times.
+/// both read the machine's GammaConfig and its sim::MachineParams; what the
+/// planner needs is that the *ordering* of candidate plans matches measured
+/// times.
 class CostModel {
  public:
-  explicit CostModel(MachineShape shape) : shape_(shape) {}
-
-  const MachineShape& shape() const { return shape_; }
+  explicit CostModel(const gamma::GammaConfig& config) : config_(config) {}
 
   SelectEstimate EstimateSelect(const catalog::RelationMeta& meta,
                                 const RelationStats* stats,
@@ -100,7 +86,6 @@ class CostModel {
 
   /// Scan + accumulate estimate for aggregates (used by EXPLAIN only).
   double EstimateAggregate(const catalog::RelationMeta& meta,
-                           const RelationStats* stats,
                            const exec::Predicate& pred) const;
 
   /// Elapsed-time estimate of a join's skew-sampling pass: every disk site
@@ -108,9 +93,7 @@ class CostModel {
   /// hashes the sampled join keys, and reports its sample to the scheduler.
   /// Charged by the machine inside the query when bucket-map routing runs.
   double EstimateSkewSample(const catalog::RelationMeta& outer,
-                            const RelationStats* outer_stats,
-                            const catalog::RelationMeta& inner,
-                            const RelationStats* inner_stats) const;
+                            const catalog::RelationMeta& inner) const;
 
   /// Disk sites participating in a selection (1 for an exact match on the
   /// hashed partitioning attribute, a localized subset for a range on a
@@ -123,7 +106,7 @@ class CostModel {
   double TuplesPerPage(uint32_t tuple_size) const;
 
  private:
-  MachineShape shape_;
+  const gamma::GammaConfig& config_;
 };
 
 }  // namespace gammadb::opt

@@ -18,18 +18,6 @@ std::string AttrName(const catalog::Schema& schema, int attr) {
 
 }  // namespace
 
-MachineShape ShapeFromConfig(const gamma::GammaConfig& config) {
-  MachineShape shape;
-  shape.num_disk_nodes = config.num_disk_nodes;
-  shape.num_diskless_nodes = config.num_diskless_nodes;
-  shape.page_size = config.page_size;
-  shape.buffer_pool_bytes = config.buffer_pool_bytes;
-  shape.join_memory_total = config.join_memory_total;
-  shape.host_setup_sec = config.host_setup_sec;
-  shape.hw = config.hw;
-  return shape;
-}
-
 std::string DescribePredicate(const exec::Predicate& pred,
                               const catalog::Schema& schema) {
   if (pred.is_true()) return "true";
@@ -91,8 +79,8 @@ const char* JoinAlgorithmName(gamma::JoinAlgorithm algorithm) {
 
 Result<PlannedSelect> Planner::PlanSelect(gamma::SelectQuery query) const {
   const catalog::RelationMeta* meta;
-  GAMMA_ASSIGN_OR_RETURN(meta, catalog_->Get(query.relation));
-  const RelationStats* stats = stats_->Find(query.relation);
+  GAMMA_ASSIGN_OR_RETURN(meta, machine_.catalog().Get(query.relation));
+  const RelationStats* stats = machine_.stats().Find(query.relation);
 
   // Enumerate the applicable access paths.
   struct Candidate {
@@ -162,10 +150,11 @@ Result<PlannedSelect> Planner::PlanSelect(gamma::SelectQuery query) const {
 Result<PlannedJoin> Planner::PlanJoin(gamma::JoinQuery query) const {
   const catalog::RelationMeta* outer;
   const catalog::RelationMeta* inner;
-  GAMMA_ASSIGN_OR_RETURN(outer, catalog_->Get(query.outer));
-  GAMMA_ASSIGN_OR_RETURN(inner, catalog_->Get(query.inner));
-  const RelationStats* outer_stats = stats_->Find(query.outer);
-  const RelationStats* inner_stats = stats_->Find(query.inner);
+  GAMMA_ASSIGN_OR_RETURN(outer, machine_.catalog().Get(query.outer));
+  GAMMA_ASSIGN_OR_RETURN(inner, machine_.catalog().Get(query.inner));
+  const RelationStats* outer_stats = machine_.stats().Find(query.outer);
+  const RelationStats* inner_stats = machine_.stats().Find(query.inner);
+  const gamma::GammaConfig& config = machine_.config();
 
   struct Candidate {
     JoinPlanSpec spec;
@@ -180,8 +169,7 @@ Result<PlannedJoin> Planner::PlanJoin(gamma::JoinQuery query) const {
       gamma::JoinAlgorithm::kSimpleHash, gamma::JoinAlgorithm::kHybridHash,
       gamma::JoinAlgorithm::kSortMerge};
   for (gamma::JoinMode mode : modes) {
-    if (mode == gamma::JoinMode::kRemote &&
-        model_.shape().num_diskless_nodes == 0) {
+    if (mode == gamma::JoinMode::kRemote && config.num_diskless_nodes == 0) {
       continue;
     }
     for (gamma::JoinAlgorithm algorithm : algorithms) {
@@ -214,18 +202,17 @@ Result<PlannedJoin> Planner::PlanJoin(gamma::JoinQuery query) const {
   // predict what plain hash(attr) % sites would do to the busiest site;
   // above the documented threshold the bucket-map route pays for its
   // sampling pass. A forced routing is respected (estimates still shown).
-  int join_sites = model_.shape().num_disk_nodes;
+  int join_sites = config.num_disk_nodes;
   if (planned.query.mode == gamma::JoinMode::kRemote) {
-    join_sites = model_.shape().num_diskless_nodes;
+    join_sites = config.num_diskless_nodes;
   } else if (planned.query.mode == gamma::JoinMode::kAllnodes) {
-    join_sites += model_.shape().num_diskless_nodes;
+    join_sites += config.num_diskless_nodes;
   }
   join_sites = std::max(1, join_sites);
   const JoinSkewPrediction skew =
       PredictJoinSkew(outer_stats, query.outer_attr, inner_stats,
                       query.inner_attr, static_cast<size_t>(join_sites));
-  const double sample_sec =
-      model_.EstimateSkewSample(*outer, outer_stats, *inner, inner_stats);
+  const double sample_sec = model_.EstimateSkewSample(*outer, *inner);
   bool bucket_map = skew.use_bucket_map;
   if (query.routing != gamma::SplitRouting::kAuto) {
     bucket_map = query.routing == gamma::SplitRouting::kBucketMap;
@@ -300,11 +287,10 @@ Result<PlannedJoin> Planner::PlanJoin(gamma::JoinQuery query) const {
 Result<PlannedAggregate> Planner::PlanAggregate(
     gamma::AggregateQuery query) const {
   const catalog::RelationMeta* meta;
-  GAMMA_ASSIGN_OR_RETURN(meta, catalog_->Get(query.relation));
-  const RelationStats* stats = stats_->Find(query.relation);
+  GAMMA_ASSIGN_OR_RETURN(meta, machine_.catalog().Get(query.relation));
   PlannedAggregate planned;
   planned.query = query;
-  planned.est_seconds = model_.EstimateAggregate(*meta, stats, query.predicate);
+  planned.est_seconds = model_.EstimateAggregate(*meta, query.predicate);
   planned.plan.label =
       (query.group_attr >= 0 ? "aggregate by " +
                                    AttrName(meta->schema, query.group_attr) +

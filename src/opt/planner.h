@@ -12,9 +12,6 @@
 
 namespace gammadb::opt {
 
-/// The cost-model view of a machine's configuration.
-MachineShape ShapeFromConfig(const gamma::GammaConfig& config);
-
 struct PlannedSelect {
   /// The input query with `access` pinned to the chosen path.
   gamma::SelectQuery query;
@@ -36,7 +33,8 @@ struct PlannedAggregate {
   PlanNode plan;
 };
 
-/// \brief Cost-based plan selection over catalog statistics.
+/// \brief Cost-based plan selection over a machine's catalog, configuration
+/// and attribute statistics.
 ///
 /// Enumerates the machine's physical alternatives — access path (heap scan /
 /// clustered B-tree / non-clustered B-tree) for selections; join algorithm
@@ -47,25 +45,18 @@ struct PlannedAggregate {
 /// plans too.
 class Planner {
  public:
-  Planner(MachineShape shape, const catalog::Catalog* catalog,
-          const StatisticsCatalog* stats)
-      : model_(shape), catalog_(catalog), stats_(stats) {}
-
-  /// Convenience: plan against a live machine's catalog and statistics.
+  /// Plans against `machine`, which must outlive the planner.
   explicit Planner(const gamma::GammaMachine& machine)
-      : Planner(ShapeFromConfig(machine.config()), &machine.catalog(),
-                &machine.stats()) {}
+      : machine_(machine), model_(machine.config()) {}
 
   Result<PlannedSelect> PlanSelect(gamma::SelectQuery query) const;
   Result<PlannedJoin> PlanJoin(gamma::JoinQuery query) const;
   Result<PlannedAggregate> PlanAggregate(gamma::AggregateQuery query) const;
 
-  const CostModel& model() const { return model_; }
 
  private:
+  const gamma::GammaMachine& machine_;
   CostModel model_;
-  const catalog::Catalog* catalog_;
-  const StatisticsCatalog* stats_;
 };
 
 /// Human-readable form of a predicate under a schema, e.g.

@@ -211,26 +211,8 @@ double AttrStats::DistinctEstimate(double cardinality) const {
 
 void StatisticsCatalog::OnLoad(
     const std::string& relation, const catalog::Schema& schema,
-    const std::vector<std::vector<uint8_t>>& tuples,
-    const catalog::PartitionSpec& partitioning) {
-  RelationStats& stats = Ensure(relation, schema);
-  stats.hash_partitioned =
-      partitioning.strategy == catalog::PartitionStrategy::kHashed;
-  stats.range_partitioned =
-      partitioning.strategy == catalog::PartitionStrategy::kRange;
-  stats.partition_attr =
-      (stats.hash_partitioned || stats.range_partitioned)
-          ? partitioning.key_attr
-          : -1;
-  AbsorbTuples(stats, schema, tuples);
-}
-
-void StatisticsCatalog::OnIndexBuilt(const std::string& relation, int attr,
-                                     bool clustered) {
-  auto it = relations_.find(relation);
-  if (it == relations_.end()) return;
-  if (it->second.FindIndex(attr, clustered) != nullptr) return;
-  it->second.indexes.push_back(IndexStats{attr, clustered});
+    const std::vector<std::vector<uint8_t>>& tuples) {
+  AbsorbTuples(Ensure(relation, schema), schema, tuples);
 }
 
 void StatisticsCatalog::OnAppend(const std::string& relation,
@@ -243,15 +225,6 @@ void StatisticsCatalog::OnAppend(const std::string& relation,
     const int32_t value = view.GetInt(a);
     Fold(stats.attrs[a], std::span(&value, 1));
   }
-  stats.cardinality += 1;
-}
-
-void StatisticsCatalog::OnDelete(const std::string& relation,
-                                 uint64_t deleted) {
-  auto it = relations_.find(relation);
-  if (it == relations_.end()) return;
-  it->second.cardinality =
-      std::max(0.0, it->second.cardinality - static_cast<double>(deleted));
 }
 
 void StatisticsCatalog::OnModify(const std::string& relation,
@@ -264,13 +237,6 @@ void StatisticsCatalog::OnModify(const std::string& relation,
     return;
   }
   Fold(stats.attrs[static_cast<size_t>(attr)], std::span(&new_value, 1));
-}
-
-void StatisticsCatalog::SetResultCardinality(const std::string& relation,
-                                             const catalog::Schema& schema,
-                                             double cardinality) {
-  RelationStats& stats = Ensure(relation, schema);
-  stats.cardinality = cardinality;
 }
 
 void StatisticsCatalog::Recompute(
@@ -311,14 +277,7 @@ RelationStats& StatisticsCatalog::Ensure(const std::string& relation,
 
 RelationStats& StatisticsCatalog::Reset(const std::string& relation,
                                         const catalog::Schema& schema) {
-  RelationStats fresh;
-  if (auto it = relations_.find(relation); it != relations_.end()) {
-    fresh.partition_attr = it->second.partition_attr;
-    fresh.hash_partitioned = it->second.hash_partitioned;
-    fresh.range_partitioned = it->second.range_partitioned;
-    fresh.indexes = it->second.indexes;
-  }
-  relations_[relation] = std::move(fresh);
+  relations_[relation] = RelationStats{};
   return Ensure(relation, schema);
 }
 
@@ -344,7 +303,6 @@ void StatisticsCatalog::FoldBatch(RelationStats& stats,
     gather(static_cast<size_t>(begin), n, block);
     pool.RunAll(fold);
   }
-  stats.cardinality += static_cast<double>(rows);
 }
 
 void StatisticsCatalog::AbsorbTuples(

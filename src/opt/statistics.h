@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "catalog/catalog.h"
 #include "catalog/schema.h"
 
 namespace gammadb::opt {
@@ -145,21 +144,10 @@ struct IntColumns {
   std::vector<std::vector<int32_t>> columns;
 };
 
-struct IndexStats {
-  int attr = -1;
-  bool clustered = false;
-};
-
-/// \brief Everything the planner knows about one relation.
+/// \brief A relation's attribute distributions: what the planner knows
+/// beyond the catalog. Cardinality, partitioning and indexes are the
+/// catalog's (catalog::RelationMeta).
 struct RelationStats {
-  double cardinality = 0;
-  /// Horizontal-partitioning attribute (-1 for round-robin declustering).
-  int partition_attr = -1;
-  bool hash_partitioned = false;
-  bool range_partitioned = false;
-  /// Indexes available on the relation (mirrors catalog, maintained by the
-  /// OnIndexBuilt hook so the planner can consult statistics alone).
-  std::vector<IndexStats> indexes;
   /// Indexed by attribute position; empty until the relation is loaded.
   std::vector<AttrStats> attrs;
 
@@ -167,12 +155,6 @@ struct RelationStats {
     if (attr < 0 || static_cast<size_t>(attr) >= attrs.size()) return nullptr;
     const AttrStats& s = attrs[static_cast<size_t>(attr)];
     return s.has_values ? &s : nullptr;
-  }
-  const IndexStats* FindIndex(int attr, bool clustered) const {
-    for (const IndexStats& ix : indexes) {
-      if (ix.attr == attr && ix.clustered == clustered) return &ix;
-    }
-    return nullptr;
   }
 };
 
@@ -189,11 +171,13 @@ JoinSkewPrediction PredictJoinSkew(const RelationStats* outer, int outer_attr,
                                    const RelationStats* inner, int inner_attr,
                                    size_t nsites);
 
-/// \brief Catalog statistics collected at load time and maintained
-/// incrementally by append / delete / modify.
+/// \brief Attribute statistics collected at load time and maintained
+/// incrementally by append / modify.
 ///
 /// The GammaMachine owns one of these and calls the On* hooks from the
-/// corresponding operations; the planner reads it via Find(). Statistics
+/// corresponding operations; the planner reads it via Find(). Deletes leave
+/// the distributions as they are (min/max and the distinct sketch only
+/// grow) until a Recompute. A stored query result gets no entry. Statistics
 /// maintenance is free in simulated time (Gamma's Query Manager kept them in
 /// the host's catalog, off the critical path).
 class StatisticsCatalog {
@@ -201,22 +185,13 @@ class StatisticsCatalog {
   /// Bulk collection: exact min/max, sketch sized from the batch. A second
   /// load into the same relation folds into the existing statistics.
   void OnLoad(const std::string& relation, const catalog::Schema& schema,
-              const std::vector<std::vector<uint8_t>>& tuples,
-              const catalog::PartitionSpec& partitioning);
-  void OnIndexBuilt(const std::string& relation, int attr, bool clustered);
+              const std::vector<std::vector<uint8_t>>& tuples);
   void OnAppend(const std::string& relation, const catalog::Schema& schema,
                 std::span<const uint8_t> tuple);
-  /// Deletion: cardinality drops; min/max and the distinct sketch keep their
-  /// (now possibly loose) values until a Recompute.
-  void OnDelete(const std::string& relation, uint64_t deleted);
   void OnModify(const std::string& relation, const catalog::Schema& schema,
                 int attr, int32_t new_value);
-  /// Result relations: cardinality is known exactly from the store count,
-  /// attribute distributions are not collected.
-  void SetResultCardinality(const std::string& relation,
-                            const catalog::Schema& schema, double cardinality);
-  /// Full rebuild from a fresh scan (e.g. after a failover rebuild); keeps
-  /// partitioning/index info, replaces cardinality and attribute stats.
+  /// Full rebuild from a fresh scan (e.g. after a failover rebuild):
+  /// replaces the attribute statistics.
   void Recompute(const std::string& relation, const catalog::Schema& schema,
                  const std::vector<std::vector<uint8_t>>& tuples);
   /// The same rebuild from swept columns: bit-identical to Recompute over
@@ -230,8 +205,7 @@ class StatisticsCatalog {
  private:
   RelationStats& Ensure(const std::string& relation,
                         const catalog::Schema& schema);
-  /// Clears `relation`'s data-dependent statistics, keeping its structural
-  /// facts (partitioning, indexes).
+  /// Clears `relation`'s statistics.
   RelationStats& Reset(const std::string& relation,
                        const catalog::Schema& schema);
 

@@ -26,6 +26,13 @@ class SlottedPage {
 
   SlottedPage(uint8_t* data, uint32_t page_size);
 
+  /// Records of `record_size` bytes an empty `page_size`-byte page holds:
+  /// each takes its bytes plus one slot, after the header.
+  static constexpr uint32_t Capacity(uint32_t page_size,
+                                     uint32_t record_size) {
+    return (page_size - kHeaderSize) / (record_size + kSlotSize);
+  }
+
   /// Writes an empty page's header into `data`. The rest of the page is
   /// left as it is: a new page (BufferPool::NewPage) is already zeroed.
   static void Initialize(uint8_t* data, uint32_t page_size);

@@ -162,18 +162,17 @@ int TeradataMachine::AmpForKey(int32_t key) const {
 
 TeradataMachine::Rel TeradataMachine::AddRelation(const std::string& name,
                                                   catalog::Schema schema,
-                                                  int pk_attr) {
+                                                  int key_attr) {
   RelationMeta meta;
   meta.name = name;
   meta.schema = std::move(schema);
-  meta.partitioning = catalog::PartitionSpec::Hashed(pk_attr);
+  meta.partitioning = catalog::PartitionSpec::Hashed(key_attr);
   meta.partitioning.hash_salt = placement_salt_;
   for (int i = 0; i < config_.num_amps; ++i) {
     meta.per_node_file.push_back(amps_[static_cast<size_t>(i)]->CreateFile());
   }
   GAMMA_CHECK(catalog_.Register(std::move(meta)).ok());
   RelationState state;
-  state.pk_attr = pk_attr;
   state.key_dir.resize(static_cast<size_t>(config_.num_amps));
   auto [it, inserted] = states_.emplace(name, std::move(state));
   GAMMA_CHECK(inserted);
@@ -211,7 +210,7 @@ Status TeradataMachine::LoadTuples(
     const std::string& name, const std::vector<std::vector<uint8_t>>& tuples) {
   GAMMA_ASSIGN_OR_RETURN(const Rel rel, GetRel(name));
   const RelationMeta& meta = *rel.meta;
-  const int pk_attr = rel.state->pk_attr;
+  const int key_attr = rel.key_attr();
   const auto num_amps = static_cast<size_t>(config_.num_amps);
   // Route each tuple to its AMP by its placement hash, on every host
   // thread; each AMP then stores its fragment in hash-key order (the hash
@@ -230,7 +229,7 @@ Status TeradataMachine::LoadTuples(
       tuples.size(), per_amp,
       [&](size_t i) -> std::optional<uint64_t> {
         if (tuples[i].size() != meta.schema.tuple_size()) return std::nullopt;
-        return HashInt32(IntAttr(meta.schema, tuples[i], pk_attr),
+        return HashInt32(IntAttr(meta.schema, tuples[i], key_attr),
                          placement_salt_);
       },
       [&](size_t i, uint64_t hash, auto&& emit) {
@@ -266,7 +265,7 @@ Status TeradataMachine::LoadTuples(
                     rids[amp][j] = rid;
                     ++appended[amp];
                     dir.Add(IntAttr(meta.schema, tuples[bucket[j].index],
-                                    pk_attr),
+                                    key_attr),
                             rid);
                   }));
           return amps_[amp]->pool().Invalidate();
@@ -366,8 +365,8 @@ TeradataMachine::Statement::Statement(TeradataMachine& machine, int steps,
   const TeradataConfig& config = m_.config_;
   tracker_.BeginPhase("ifp_dispatch", sim::PhaseKind::kSequential);
   tracker_.ChargeSerialSec(config.ifp_node(),
-                           single_tuple ? config.single_step_overhead_sec
-                                        : steps * config.step_overhead_sec);
+                           single_tuple ? kSingleStepOverheadSec
+                                        : steps * kStepOverheadSec);
   tracker_.ChargeControlMessage(config.host_node(), config.ifp_node(),
                                 /*blocking=*/true);
   tracker_.EndPhase();
@@ -405,7 +404,7 @@ void TeradataMachine::Statement::OpenResult(bool store,
   if (!store) return;
   stored_ = m_.AddRelation(
       name.empty() ? m_.catalog_.FreshResultName("td_result_") : name,
-      std::move(schema), /*pk_attr=*/0);
+      std::move(schema), /*key_attr=*/0);
   result_.result_relation = stored_.meta->name;
 }
 
@@ -490,7 +489,7 @@ Result<QueryResult> TeradataMachine::RunSelect(const TdSelectQuery& query) {
   }
   const RelationMeta& meta = *rel.meta;
   const Predicate& pred = query.predicate;
-  const bool exact_pk = pred.is_eq() && pred.attr() == rel.state->pk_attr;
+  const bool exact_pk = pred.is_eq() && pred.attr() == rel.key_attr();
   Statement stmt(*this, query.store_result ? 2 : 1, exact_pk);
   stmt.OpenResult(query.store_result, query.result_name, meta.schema,
                   InsertMode::kRecovery);
@@ -597,8 +596,8 @@ Result<QueryResult> TeradataMachine::RunJoin(const TdJoinQuery& query) {
   // *and* every fragment is already in hash-key order on the join attribute,
   // so the redistribution and sort steps are skipped — the §6.1
   // "substantial performance improvement" for key-attribute joins.
-  const bool key_join = query.outer_attr == outer.state->pk_attr &&
-                        query.inner_attr == inner.state->pk_attr;
+  const bool key_join = query.outer_attr == outer.key_attr() &&
+                        query.inner_attr == inner.key_attr();
   Statement stmt(*this, (key_join ? 1 : 3) + (query.store_result ? 1 : 0),
                  /*single_tuple=*/false);
   // Results are inserted with full recovery, unless they feed a later step

@@ -24,6 +24,20 @@
 
 namespace gammadb::teradata {
 
+/// IFP parse/dispatch/step overhead per multi-AMP query step.
+inline constexpr double kStepOverheadSec = 1.3;
+/// Fast-path overhead for single-tuple (primary-key) requests.
+inline constexpr double kSingleStepOverheadSec = 0.8;
+/// Random page I/Os per tuple inserted with full recovery (transient
+/// journal + fallback-less data + index maintenance; [DEWI87]).
+inline constexpr uint32_t kInsertRecoveryIos = 5;
+/// CPU per inserted tuple for the logging path.
+inline constexpr double kInstrPerInsertLogging = 20000;
+/// CPU per tuple inserted into the hash-key-ordered temporary files during
+/// join redistribution (the spool path runs the full tuple-insert code;
+/// fitted from Table 2's Teradata column via [DEWI87]).
+inline constexpr double kInstrPerSpoolTuple = 20000;
+
 /// \brief Configuration of the simulated Teradata DBC/1012 (§3).
 ///
 /// The evaluated machine: 4 IFPs + 20 AMPs (Intel 80286, 2 MB each, two
@@ -40,19 +54,6 @@ struct TeradataConfig {
   /// Per-AMP memory for sort runs during sort-merge joins.
   uint64_t sort_memory_bytes = 1 * kMiB;
   sim::MachineParams hw = sim::MachineParams::TeradataDefaults();
-  /// IFP parse/dispatch/step overhead per multi-AMP query step.
-  double step_overhead_sec = 1.3;
-  /// Fast-path overhead for single-tuple (primary-key) requests.
-  double single_step_overhead_sec = 0.8;
-  /// Random page I/Os per tuple inserted with full recovery (transient
-  /// journal + fallback-less data + index maintenance; [DEWI87]).
-  uint32_t insert_recovery_ios = 5;
-  /// CPU per inserted tuple for the logging path.
-  double instr_per_insert_logging = 20000;
-  /// CPU per tuple inserted into the hash-key-ordered temporary files during
-  /// join redistribution (the spool path runs the full tuple-insert code;
-  /// fitted from Table 2's Teradata column via [DEWI87]).
-  double instr_per_spool_tuple = 20000;
   /// Observability: when enabled, every successful statement carries a
   /// derived Profile in its QueryResult (same contract as GammaConfig).
   obs::TraceOptions trace;
@@ -173,7 +174,6 @@ class TeradataMachine {
   };
   /// Per-relation physical state beyond the shared catalog entry.
   struct RelationState {
-    int pk_attr = -1;
     std::vector<Directory> key_dir;
     std::vector<SecondaryIndex> indices;
   };
@@ -181,8 +181,11 @@ class TeradataMachine {
   struct Rel {
     catalog::RelationMeta* meta = nullptr;
     RelationState* state = nullptr;
+
+    /// The primary key: the attribute the relation is hash-declustered on.
+    int key_attr() const { return meta->partitioning.key_attr; }
   };
-  /// kRecovery: `insert_recovery_ios` random writes plus the logging CPU
+  /// kRecovery: kInsertRecoveryIos random writes plus the logging CPU
   /// ([DEWI87]). kSpool: a hash-key-ordered temporary, the insert CPU only.
   enum class InsertMode { kRecovery, kSpool };
 
@@ -258,9 +261,9 @@ class TeradataMachine {
   /// Home AMP of a key under the machine-wide placement hash.
   int AmpForKey(int32_t key) const;
   /// Registers relation `name` (which must be free) hash-declustered on
-  /// `pk_attr`, with an empty fragment and key directory per AMP.
+  /// `key_attr`, with an empty fragment and key directory per AMP.
   Rel AddRelation(const std::string& name, catalog::Schema schema,
-                  int pk_attr);
+                  int key_attr);
 
   // --- Write steps (machine_updates.cc, DESIGN.md §20) ---
 

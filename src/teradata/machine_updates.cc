@@ -30,7 +30,7 @@ void TeradataMachine::Link(Rel rel, int amp, Rid rid,
       dir.Erase(key, rid);
     }
   };
-  apply(rel.state->key_dir[at], rel.state->pk_attr);
+  apply(rel.state->key_dir[at], rel.key_attr());
   for (SecondaryIndex& index : rel.state->indices) {
     apply(index.dir[at], index.attr);
   }
@@ -44,7 +44,7 @@ Result<std::vector<std::pair<int, Rid>>> TeradataMachine::Locate(
                                                       AccessIntent::kRandom);
     for (const Rid rid : dir.Find(key)) rows.emplace_back(amp, rid);
   };
-  if (attr == rel.state->pk_attr) {
+  if (attr == rel.key_attr()) {
     // Primary key: one AMP, one hash access.
     const int home = AmpForKey(key);
     probe(home, rel.state->key_dir[static_cast<size_t>(home)]);
@@ -84,12 +84,12 @@ Result<Rid> TeradataMachine::Insert(InsertMode mode, int amp,
   if (mode == InsertMode::kRecovery) {
     // Full-recovery insert path: transient-journal and index-maintenance
     // I/Os plus the logging CPU ([DEWI87]; the paper's §4 cost analysis).
-    for (uint32_t i = 0; i < config_.insert_recovery_ios; ++i) {
+    for (uint32_t i = 0; i < kInsertRecoveryIos; ++i) {
       sm.charge().DiskWrite(config_.page_size, AccessIntent::kRandom);
     }
-    sm.charge().Cpu(config_.instr_per_insert_logging);
+    sm.charge().Cpu(kInstrPerInsertLogging);
   } else {
-    sm.charge().Cpu(config_.instr_per_spool_tuple);
+    sm.charge().Cpu(kInstrPerSpoolTuple);
   }
   return sm.file(file).Append(tuple);
 }
@@ -149,7 +149,7 @@ Result<QueryResult> TeradataMachine::RunAppend(const TdAppendQuery& query) {
   sim::CostTracker& tracker = stmt.tracker();
   tracker.BeginPhase("append", sim::PhaseKind::kSequential);
   const int amp =
-      AmpForKey(IntAttr(rel.meta->schema, query.tuple, rel.state->pk_attr));
+      AmpForKey(IntAttr(rel.meta->schema, query.tuple, rel.key_attr()));
   tracker.ChargeDataPacket(config_.host_node(), amp, query.tuple.size());
   GAMMA_RETURN_NOT_OK(
       Insert(InsertMode::kRecovery, rel, amp, query.tuple).status());
@@ -180,12 +180,12 @@ Result<QueryResult> TeradataMachine::RunDelete(const TdDeleteQuery& query) {
     // Full recovery: the index leaf rewrites, then the transient journal's
     // logging CPU and the data page.
     GAMMA_RETURN_NOT_OK(Remove(rel, amp, rid, tuple));
-    sm.charge().Cpu(config_.instr_per_insert_logging);
+    sm.charge().Cpu(kInstrPerInsertLogging);
     sm.charge().DiskWrite(config_.page_size, AccessIntent::kRandom);
     rel.meta->num_tuples -= 1;
     stmt.result().result_tuples += 1;
   }
-  if (query.key_attr == rel.state->pk_attr) {
+  if (query.key_attr == rel.key_attr()) {
     tracker.ChargeControlMessage(AmpForKey(query.key), config_.ifp_node(),
                                  true);
   }
@@ -208,13 +208,13 @@ Result<QueryResult> TeradataMachine::RunModify(const TdModifyQuery& query) {
   tracker.BeginPhase("modify", sim::PhaseKind::kSequential);
   GAMMA_ASSIGN_OR_RETURN(const auto located,
                          Locate(rel, query.locate_attr, query.locate_key));
-  const bool relocates = query.target_attr == rel.state->pk_attr;
+  const bool relocates = query.target_attr == rel.key_attr();
   if (relocates && !located.empty()) {
     // Changing the primary key moves the tuple between AMPs: a multi-AMP
     // transaction with two-phase commit, coordinated by the IFP (the
     // reason Table 3's key-modify row is the most expensive Teradata
     // update).
-    tracker.ChargeSerialSec(config_.ifp_node(), config_.step_overhead_sec);
+    tracker.ChargeSerialSec(config_.ifp_node(), kStepOverheadSec);
   }
   for (const auto& [amp, rid] : located) {
     const auto at = static_cast<size_t>(amp);
@@ -232,7 +232,7 @@ Result<QueryResult> TeradataMachine::RunModify(const TdModifyQuery& query) {
       // at both ends, fixing every secondary index.
       GAMMA_RETURN_NOT_OK(Remove(rel, amp, rid, old_tuple));
       sm.charge().DiskWrite(config_.page_size, AccessIntent::kRandom);
-      sm.charge().Cpu(config_.instr_per_insert_logging);
+      sm.charge().Cpu(kInstrPerInsertLogging);
       rel.meta->num_tuples -= 1;
       const int new_amp = AmpForKey(query.new_value);
       if (new_amp != amp) {
@@ -259,7 +259,7 @@ Result<QueryResult> TeradataMachine::RunModify(const TdModifyQuery& query) {
         sm.charge().DiskWrite(config_.page_size, AccessIntent::kRandom);
       }
       sm.charge().DiskWrite(config_.page_size, AccessIntent::kRandom);
-      sm.charge().Cpu(config_.instr_per_insert_logging);
+      sm.charge().Cpu(kInstrPerInsertLogging);
     }
     stmt.result().result_tuples += 1;
   }

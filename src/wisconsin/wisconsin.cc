@@ -48,12 +48,6 @@ constexpr const char* kString4Cycle[4] = {"AAAA", "HHHH", "OOOO", "VVVV"};
 
 }  // namespace
 
-uint32_t TuplesPerPage(uint32_t page_size) {
-  const uint32_t tuple_size = WisconsinSchema().tuple_size();
-  // Slotted-page header (8 bytes) plus a 4-byte slot per record.
-  return (page_size - 8) / (tuple_size + 4);
-}
-
 std::vector<std::vector<uint8_t>> GenerateWisconsin(uint32_t n,
                                                     uint64_t seed) {
   // The two permutations draw from independent streams, so they are built

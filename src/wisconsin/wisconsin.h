@@ -62,9 +62,6 @@ struct ZipfColumn {
 std::vector<std::vector<uint8_t>> GenerateWisconsinZipf(
     uint32_t n, uint64_t seed, const ZipfColumn& column);
 
-/// Tuple count of one 4 KB page of Wisconsin tuples (~17, §5.1).
-uint32_t TuplesPerPage(uint32_t page_size);
-
 }  // namespace gammadb::wisconsin
 
 #endif  // GAMMA_WISCONSIN_WISCONSIN_H_

@@ -509,5 +509,56 @@ TEST(AbortUndoTest, AbortTxnUndoesEveryStatement) {
   }
 }
 
+// An aborted append leaves the catalog count where the relation is: the
+// undo recounts what it changed. Round-robin placement reads that count, so
+// the next append lands where a machine that never saw the aborted one
+// puts it.
+TEST(AbortUndoTest, AbortedAppendLeavesTheCountExact) {
+  const auto machine_for = [](bool logging) {
+    GammaConfig config;
+    config.num_disk_nodes = 4;
+    config.num_diskless_nodes = 0;
+    config.enable_logging = logging;
+    auto machine = std::make_unique<GammaMachine>(config);
+    GAMMA_CHECK(machine
+                    ->CreateRelation("RR", wis::WisconsinSchema(),
+                                     PartitionSpec::RoundRobin())
+                    .ok());
+    GAMMA_CHECK(
+        machine->LoadTuples("RR", wis::GenerateWisconsin(401, 3)).ok());
+    return machine;
+  };
+  const auto append = [](GammaMachine& machine, int32_t key, uint64_t txn) {
+    catalog::TupleBuilder builder(&wis::WisconsinSchema());
+    builder.SetInt(wis::kUnique1, key).SetInt(wis::kUnique2, key);
+    return machine.RunAppend(
+        {"RR", {builder.bytes().begin(), builder.bytes().end()}}, txn);
+  };
+  const auto fragment_sizes = [](GammaMachine& machine) {
+    const catalog::RelationMeta& meta = **machine.catalog().Get("RR");
+    std::vector<uint64_t> sizes;
+    for (int n = 0; n < machine.config().num_disk_nodes; ++n) {
+      sizes.push_back(machine.node(n)
+                          .file(meta.per_node_file[static_cast<size_t>(n)])
+                          .num_tuples());
+    }
+    return sizes;
+  };
+  for (const bool logging : {false, true}) {
+    SCOPED_TRACE(logging ? "logging on" : "logging off");
+    auto machine = machine_for(logging);
+    const uint64_t txn = machine->BeginTxn();
+    ASSERT_TRUE(append(*machine, 5000, txn).ok());
+    machine->AbortTxn(txn);
+    EXPECT_EQ((*machine->catalog().Get("RR"))->num_tuples,
+              *machine->CountTuples("RR"));
+
+    auto never_aborted = machine_for(logging);
+    ASSERT_TRUE(append(*machine, 5001, 0).ok());
+    ASSERT_TRUE(append(*never_aborted, 5001, 0).ok());
+    EXPECT_EQ(fragment_sizes(*machine), fragment_sizes(*never_aborted));
+  }
+}
+
 }  // namespace
 }  // namespace gammadb::gamma

@@ -1,6 +1,7 @@
-// Tests for the optimizer's catalog statistics: bulk-load collection,
-// incremental maintenance by append / delete / modify, rebuild after a
-// failover, and result-relation cardinality from stored query results.
+// Tests for the optimizer's attribute statistics and the catalog count
+// beside them: bulk-load collection, incremental maintenance by append /
+// delete / modify, rebuild after a failover, and stored query results,
+// which are counted but carry no statistics.
 
 #include <algorithm>
 #include <cmath>
@@ -48,15 +49,17 @@ class OptimizerStatsTest : public ::testing::Test {
     return *stats;
   }
 
+  uint64_t NumTuples(const std::string& rel) {
+    return machine_.catalog().Get(rel).value()->num_tuples;
+  }
+
   static constexpr uint32_t kN = 2000;
   gamma::GammaMachine machine_;
 };
 
 TEST_F(OptimizerStatsTest, BulkLoadCollectsExactCardinalityAndBounds) {
   const RelationStats& stats = StatsOf("A");
-  EXPECT_EQ(stats.cardinality, static_cast<double>(kN));
-  EXPECT_TRUE(stats.hash_partitioned);
-  EXPECT_EQ(stats.partition_attr, wis::kUnique1);
+  EXPECT_EQ(NumTuples("A"), kN);
 
   // unique1/unique2 are permutations of 0..n-1: exact min/max.
   for (const int attr : {wis::kUnique1, wis::kUnique2}) {
@@ -65,7 +68,7 @@ TEST_F(OptimizerStatsTest, BulkLoadCollectsExactCardinalityAndBounds) {
     EXPECT_EQ(a->min, 0);
     EXPECT_EQ(a->max, static_cast<int32_t>(kN) - 1);
     // Linear counting over a well-sized bitmap: within 10% of the truth.
-    EXPECT_NEAR(a->DistinctEstimate(stats.cardinality), kN, kN * 0.10);
+    EXPECT_NEAR(a->DistinctEstimate(kN), kN, kN * 0.10);
   }
 }
 
@@ -80,15 +83,6 @@ TEST_F(OptimizerStatsTest, DistinctEstimateSeesLowCardinalityAttrs) {
   EXPECT_LE(distinct, 13.0);
 }
 
-TEST_F(OptimizerStatsTest, IndexBuildIsVisibleToStatistics) {
-  ASSERT_TRUE(machine_.BuildIndex("A", wis::kUnique1, true).ok());
-  ASSERT_TRUE(machine_.BuildIndex("A", wis::kUnique2, false).ok());
-  const RelationStats& stats = StatsOf("A");
-  EXPECT_NE(stats.FindIndex(wis::kUnique1, true), nullptr);
-  EXPECT_NE(stats.FindIndex(wis::kUnique2, false), nullptr);
-  EXPECT_EQ(stats.FindIndex(wis::kUnique2, true), nullptr);
-}
-
 TEST_F(OptimizerStatsTest, AppendMaintainsCardinalityAndBounds) {
   catalog::TupleBuilder builder(&machine_.catalog().Get("A").value()->schema);
   builder.SetInt(wis::kUnique1, static_cast<int32_t>(kN) + 500);
@@ -99,18 +93,18 @@ TEST_F(OptimizerStatsTest, AppendMaintainsCardinalityAndBounds) {
   ASSERT_TRUE(machine_.RunAppend(append).ok());
 
   const RelationStats& stats = StatsOf("A");
-  EXPECT_EQ(stats.cardinality, static_cast<double>(kN) + 1);
+  EXPECT_EQ(NumTuples("A"), kN + 1);
   EXPECT_EQ(stats.Attr(wis::kUnique1)->max, static_cast<int32_t>(kN) + 500);
   EXPECT_EQ(stats.Attr(wis::kUnique2)->min, -3);
 }
 
-TEST_F(OptimizerStatsTest, DeleteDropsCardinality) {
+TEST_F(OptimizerStatsTest, DeleteDropsTheCount) {
   gamma::DeleteQuery del;
   del.relation = "A";
   del.key_attr = wis::kUnique1;
   del.key = 42;
   ASSERT_TRUE(machine_.RunDelete(del).ok());
-  EXPECT_EQ(StatsOf("A").cardinality, static_cast<double>(kN) - 1);
+  EXPECT_EQ(NumTuples("A"), kN - 1);
 }
 
 TEST_F(OptimizerStatsTest, ModifyWidensTheTargetAttribute) {
@@ -122,8 +116,8 @@ TEST_F(OptimizerStatsTest, ModifyWidensTheTargetAttribute) {
   modify.new_value = 1 << 20;
   ASSERT_TRUE(machine_.RunModify(modify).ok());
   EXPECT_EQ(StatsOf("A").Attr(wis::kUnique2)->max, 1 << 20);
-  // Cardinality unchanged by an in-place modify.
-  EXPECT_EQ(StatsOf("A").cardinality, static_cast<double>(kN));
+  // Count unchanged by an in-place modify.
+  EXPECT_EQ(NumTuples("A"), kN);
 }
 
 TEST_F(OptimizerStatsTest, RecomputeTightensBoundsAfterDeletes) {
@@ -140,22 +134,20 @@ TEST_F(OptimizerStatsTest, RecomputeTightensBoundsAfterDeletes) {
             static_cast<int32_t>(kN) - 1);
 
   ASSERT_TRUE(machine_.RecomputeStatistics("A").ok());
-  const RelationStats& stats = StatsOf("A");
-  EXPECT_EQ(stats.cardinality, static_cast<double>(kN) - 10);
-  EXPECT_EQ(stats.Attr(wis::kUnique1)->max, static_cast<int32_t>(kN) - 11);
-  // Structural facts survive the rebuild.
-  EXPECT_TRUE(stats.hash_partitioned);
-  EXPECT_EQ(stats.partition_attr, wis::kUnique1);
+  EXPECT_EQ(NumTuples("A"), kN - 10);
+  EXPECT_EQ(StatsOf("A").Attr(wis::kUnique1)->max,
+            static_cast<int32_t>(kN) - 11);
 }
 
-TEST_F(OptimizerStatsTest, StoredResultsGetExactCardinality) {
+TEST_F(OptimizerStatsTest, StoredResultsAreCountedWithoutStatistics) {
   gamma::SelectQuery query;
   query.relation = "A";
   query.predicate = Predicate::Range(wis::kUnique1, 0, 99);
   query.result_name = "R";
   const auto result = machine_.RunSelect(query);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(StatsOf("R").cardinality, 100.0);
+  EXPECT_EQ(NumTuples("R"), 100u);
+  EXPECT_EQ(machine_.stats().Find("R"), nullptr);
 }
 
 TEST(OptimizerStatsFailoverTest, RecomputeAfterFailoverMatchesSurvivors) {
@@ -178,7 +170,7 @@ TEST(OptimizerStatsFailoverTest, RecomputeAfterFailoverMatchesSurvivors) {
   ASSERT_TRUE(machine->RecomputeStatistics("A").ok());
   const opt::RelationStats* stats = machine->stats().Find("A");
   ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->cardinality, 1000.0);
+  EXPECT_EQ((*machine->catalog().Get("A"))->num_tuples, 1000u);
   EXPECT_EQ(stats->Attr(wis::kUnique1)->min, 0);
   EXPECT_EQ(stats->Attr(wis::kUnique1)->max, 999);
 }
@@ -285,7 +277,6 @@ void ExpectAttrStatsEqual(const opt::AttrStats& x, const opt::AttrStats& y,
 
 void ExpectStatsEqual(const RelationStats& x, const RelationStats& y,
                       const std::string& label) {
-  EXPECT_EQ(x.cardinality, y.cardinality) << label;
   ASSERT_EQ(x.attrs.size(), y.attrs.size()) << label;
   for (size_t a = 0; a < x.attrs.size(); ++a) {
     ExpectAttrStatsEqual(x.attrs[a], y.attrs[a],
@@ -297,9 +288,9 @@ void ExpectStatsEqual(const RelationStats& x, const RelationStats& y,
 // relation out. After Recover() (a loser undone, deletes that leave dead
 // slots, a key-modify relocation), while a dead node's fragment is served by
 // its backup, and after ReintegrateNode(), the statistics equal a Recompute
-// over ReadRelation's tuples bit for bit, at 1, 2 and 4 host threads. A
-// recount whose sweep fails part way (a scheduled node death) keeps the
-// previous statistics.
+// over ReadRelation's tuples bit for bit, and the catalog count equals
+// CountTuples, at 1, 2 and 4 host threads. A recount whose sweep fails part
+// way (a scheduled node death) keeps the previous count and statistics.
 TEST(RecountStatsTest, RecountMatchesRecomputeOverReadRelation) {
   const auto& schema = wis::WisconsinSchema();
   // 20000 tuples: the sweep folds more than one 16k column block.
@@ -327,6 +318,9 @@ TEST(RecountStatsTest, RecountMatchesRecomputeOverReadRelation) {
       reference.Recompute("A", schema, *machine.ReadRelation("A"));
       ExpectStatsEqual(*machine.stats().Find("A"), *reference.Find("A"),
                        at + label);
+      EXPECT_EQ((*machine.catalog().Get("A"))->num_tuples,
+                *machine.CountTuples("A"))
+          << at + label;
     };
     const auto del = [&](int32_t key, uint64_t txn) {
       return machine.RunDelete(gamma::DeleteQuery{"A", wis::kUnique1, key},
@@ -376,6 +370,7 @@ TEST(RecountStatsTest, RecountMatchesRecomputeOverReadRelation) {
     // were: unique1's minimum stays 0, where a recount makes it 1.
     ASSERT_TRUE(del(0, 0).ok());
     const RelationStats before = *machine.stats().Find("A");
+    const uint64_t count_before = (*machine.catalog().Get("A"))->num_tuples;
     ASSERT_EQ(before.attrs[wis::kUnique1].min, 0);
     for (int n = 0; n < config.num_disk_nodes; ++n) {
       ASSERT_TRUE(machine.node(n).pool().Invalidate().ok());
@@ -385,6 +380,7 @@ TEST(RecountStatsTest, RecountMatchesRecomputeOverReadRelation) {
     EXPECT_FALSE(machine.NodeAlive(2));
     ExpectStatsEqual(*machine.stats().Find("A"), before,
                      at + "failed sweep");
+    EXPECT_EQ((*machine.catalog().Get("A"))->num_tuples, count_before) << at;
     ASSERT_TRUE(machine.RecomputeStatistics("A").ok());
     EXPECT_EQ(machine.stats().Find("A")->attrs[wis::kUnique1].min, 1);
     pool.set_num_threads(prev);
@@ -409,11 +405,10 @@ TEST(StatisticsThreadsTest, BulkFoldIdenticalAcrossThreadCounts) {
     const int prev = pool.num_threads();
     pool.set_num_threads(threads);
     opt::StatisticsCatalog stats;
-    const auto spec = catalog::PartitionSpec::Hashed(wis::kUnique1);
-    stats.OnLoad("A", schema, batch1, spec);
+    stats.OnLoad("A", schema, batch1);
     stats.OnAppend("A", schema, appended);
     stats.OnModify("A", schema, wis::kTen, kModified);
-    stats.OnLoad("A", schema, batch2, spec);
+    stats.OnLoad("A", schema, batch2);
     stats.Recompute("B", schema, batch2);
     pool.set_num_threads(prev);
     return std::vector<RelationStats>{*stats.Find("A"), *stats.Find("B")};
@@ -451,14 +446,10 @@ TEST(StatisticsThreadsTest, BulkFoldIdenticalAcrossThreadCounts) {
   ten.freq.Insert(kModified);
   for (const auto& tuple : batch2) insert(reference[0], tuple);
   for (const auto& tuple : batch2) insert(reference[1], tuple);
-  const std::vector<double> cardinalities{
-      static_cast<double>(batch1.size() + 1 + batch2.size()),
-      static_cast<double>(batch2.size())};
 
   for (const int threads : {1, 2, 4}) {
     const auto folded = fold(threads);
     for (size_t r = 0; r < folded.size(); ++r) {
-      EXPECT_EQ(folded[r].cardinality, cardinalities[r]) << threads;
       ASSERT_EQ(folded[r].attrs.size(), schema.num_attrs());
       for (size_t a = 0; a < schema.num_attrs(); ++a) {
         ExpectAttrStatsEqual(folded[r].attrs[a], reference[r][a],

@@ -122,6 +122,22 @@ TEST(PageSizesTest, MinAndMaxPageSizes) {
   }
 }
 
+// Capacity is the number of inserts a real page takes: tiny, medium and
+// Wisconsin-sized (208-byte) records on 2, 4 and 32 KB pages.
+TEST(PageSizesTest, CapacityMatchesAFilledPage) {
+  for (const uint32_t page_size : {2048u, 4096u, 32768u}) {
+    for (const uint32_t record_size : {3u, 100u, 208u}) {
+      std::vector<uint8_t> buffer(page_size);
+      SlottedPage::Initialize(buffer.data(), page_size);
+      SlottedPage page(buffer.data(), page_size);
+      uint32_t inserted = 0;
+      while (page.Insert(Record(1, record_size)).has_value()) ++inserted;
+      EXPECT_EQ(inserted, SlottedPage::Capacity(page_size, record_size))
+          << page_size << "-byte page, " << record_size << "-byte records";
+    }
+  }
+}
+
 // Property test: random insert/delete/update workloads stay consistent with
 // a std::map oracle, across page sizes.
 class PagePropertyTest : public ::testing::TestWithParam<uint32_t> {};

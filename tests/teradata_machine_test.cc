@@ -92,7 +92,7 @@ TEST_F(TeradataMachineTest, ExactMatchOnPrimaryKeyIsOneAccess) {
   // Single hash access: one page read, no scan.
   EXPECT_LE(result->metrics.Totals().pages_read, 2u);
   // Fast path: well under the multi-AMP step overhead.
-  EXPECT_LT(result->seconds(), SmallConfig().step_overhead_sec * 2);
+  EXPECT_LT(result->seconds(), kStepOverheadSec * 2);
 }
 
 TEST_F(TeradataMachineTest, DenseIndexScansWholeIndex) {

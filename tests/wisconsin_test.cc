@@ -182,10 +182,5 @@ TEST(WisconsinTest, SameBytesAtEveryHostPoolWidth) {
   EXPECT_EQ(Fnv1a(GenerateWisconsin(10000, 42)), 0x14ca3cd5dd588cf5ULL);
 }
 
-TEST(WisconsinTest, TuplesPerPageHelper) {
-  EXPECT_EQ(TuplesPerPage(4096), (4096u - 8) / 212);
-  EXPECT_GT(TuplesPerPage(32768), 7 * TuplesPerPage(4096));
-}
-
 }  // namespace
 }  // namespace gammadb::wisconsin
