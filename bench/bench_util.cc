@@ -106,32 +106,34 @@ std::string BprimeName(uint32_t n) {
 }
 std::string CName(uint32_t n) { return "C" + std::to_string(n / 10); }
 
+void LoadGammaRelation(gamma::GammaMachine& machine, uint32_t n,
+                       const std::string& name) {
+  const auto& tuples =
+      name == BprimeName(n) ? CachedWisconsin(n / 10, kBprimeSeed)
+      : name == CName(n)    ? CachedWisconsin(n / 10, kCSeed)
+                            : CachedWisconsin(n, kASeed);
+  GAMMA_CHECK(machine
+                  .CreateRelation(name, wis::WisconsinSchema(),
+                                  catalog::PartitionSpec::Hashed(
+                                      wis::kUnique1))
+                  .ok());
+  GAMMA_CHECK(machine.LoadTuples(name, tuples).ok());
+}
+
 void LoadGammaDatabase(gamma::GammaMachine& machine, uint32_t n,
                        bool with_indices, bool with_join_relations) {
-  const auto& schema = wis::WisconsinSchema();
-  const auto spec = catalog::PartitionSpec::Hashed(wis::kUnique1);
-  const auto& a = CachedWisconsin(n, kASeed);
-
-  GAMMA_CHECK(machine.CreateRelation(HeapName(n), schema, spec).ok());
-  GAMMA_CHECK(machine.LoadTuples(HeapName(n), a).ok());
-
+  LoadGammaRelation(machine, n, HeapName(n));
   if (with_indices) {
-    GAMMA_CHECK(machine.CreateRelation(IndexedName(n), schema, spec).ok());
-    GAMMA_CHECK(machine.LoadTuples(IndexedName(n), a).ok());
+    LoadGammaRelation(machine, n, IndexedName(n));
     GAMMA_CHECK(
         machine.BuildIndex(IndexedName(n), wis::kUnique1, true).ok());
     GAMMA_CHECK(
         machine.BuildIndex(IndexedName(n), wis::kUnique2, false).ok());
   }
   if (with_join_relations) {
-    GAMMA_CHECK(machine.CreateRelation(CopyName(n), schema, spec).ok());
-    GAMMA_CHECK(machine.LoadTuples(CopyName(n), a).ok());
-    const auto& bprime = CachedWisconsin(n / 10, kBprimeSeed);
-    GAMMA_CHECK(machine.CreateRelation(BprimeName(n), schema, spec).ok());
-    GAMMA_CHECK(machine.LoadTuples(BprimeName(n), bprime).ok());
-    const auto& c = CachedWisconsin(n / 10, kCSeed);
-    GAMMA_CHECK(machine.CreateRelation(CName(n), schema, spec).ok());
-    GAMMA_CHECK(machine.LoadTuples(CName(n), c).ok());
+    for (const std::string& name : {CopyName(n), BprimeName(n), CName(n)}) {
+      LoadGammaRelation(machine, n, name);
+    }
   }
 }
 

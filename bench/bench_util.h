@@ -47,6 +47,13 @@ std::string CopyName(uint32_t n);      // "B<n>", identical content to A
 std::string BprimeName(uint32_t n);    // n/10 tuples
 std::string CName(uint32_t n);         // n/10 tuples
 
+/// Loads one relation of the §4 benchmark database for relation size `n`,
+/// by its name (HeapName, IndexedName, CopyName, BprimeName or CName),
+/// hash-declustered on unique1 and without indexes: what a bench that
+/// reads only some of the relations loads.
+void LoadGammaRelation(gamma::GammaMachine& machine, uint32_t n,
+                       const std::string& name);
+
 /// Loads the §4 benchmark database into a Gamma machine for one relation
 /// size: a heap copy, an indexed copy (when `with_indices`), and the join
 /// partners B / Bprime / C (when `with_join_relations`).

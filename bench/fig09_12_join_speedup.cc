@@ -41,8 +41,9 @@ double RunJoin(int procs, gamma::JoinMode mode, int attr,
   config.num_diskless_nodes = procs;
   config.join_memory_total = 8ull << 20;  // constant total; no overflow
   gamma::GammaMachine machine(config);
-  LoadGammaDatabase(machine, kN, /*with_indices=*/false,
-                    /*with_join_relations=*/true);
+  // Only the two relations the join reads.
+  LoadGammaRelation(machine, kN, HeapName(kN));
+  LoadGammaRelation(machine, kN, BprimeName(kN));
   gamma::JoinQuery query;
   query.outer = HeapName(kN);
   query.inner = BprimeName(kN);

@@ -34,8 +34,9 @@ Sample RunJoin(gamma::JoinMode mode, double memory_ratio) {
   config.join_memory_total =
       static_cast<uint64_t>(memory_ratio * static_cast<double>(build_bytes));
   gamma::GammaMachine machine(config);
-  LoadGammaDatabase(machine, kN, /*with_indices=*/false,
-                    /*with_join_relations=*/true);
+  // Only the two relations the join reads.
+  LoadGammaRelation(machine, kN, HeapName(kN));
+  LoadGammaRelation(machine, kN, BprimeName(kN));
   gamma::JoinQuery query;
   query.outer = HeapName(kN);
   query.inner = BprimeName(kN);

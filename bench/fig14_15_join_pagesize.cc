@@ -25,8 +25,9 @@ double RunJoinAselB(uint32_t page_size, gamma::JoinMode mode) {
   config.page_size = page_size;
   config.join_memory_total = 8ull << 20;
   gamma::GammaMachine machine(config);
-  LoadGammaDatabase(machine, kN, /*with_indices=*/false,
-                    /*with_join_relations=*/true);
+  // Only the two relations the join reads.
+  LoadGammaRelation(machine, kN, HeapName(kN));
+  LoadGammaRelation(machine, kN, CopyName(kN));
   gamma::JoinQuery query;
   query.outer = HeapName(kN);
   query.inner = CopyName(kN);

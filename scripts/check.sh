@@ -45,9 +45,9 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   ./build/bench/extension_aggregates
   echo "== multiuser workload (closed-loop 2PL clients through WorkloadDriver, 100k) =="
   ./build/bench/extension_multiuser
-  echo "== micro benchmarks smoke (statistics fold, index build, node reintegration, recount, point select, join sites, page checksum, pool miss and dirty sweeps, machine rebuild, Wisconsin generation, load) =="
+  echo "== micro benchmarks smoke (first-read statistics fold, index build, node reintegration, recount, point select, join sites, page checksum, pool miss and dirty sweeps, machine rebuild, Wisconsin generation, load) =="
   ./build/bench/micro_operators \
-    --benchmark_filter='BM_StatsAbsorb|BM_BuildIndex|BM_ReintegrateNode|BM_RecomputeStatistics|BM_PointSelect|BM_JoinSite|BM_PageChecksum|BM_BufferPoolMissSweep|BM_BufferPoolDirtySweep|BM_MachineRebuild|BM_GenerateWisconsin|BM_LoadTuples' \
+    --benchmark_filter='BM_StatsFold|BM_BuildIndex|BM_ReintegrateNode|BM_RecomputeStatistics|BM_PointSelect|BM_JoinSite|BM_PageChecksum|BM_BufferPoolMissSweep|BM_BufferPoolDirtySweep|BM_MachineRebuild|BM_GenerateWisconsin|BM_LoadTuples' \
     --benchmark_min_time=0.01
   echo "== optimizer validation (chosen vs forced plans, estimates kept, 10k) =="
   GAMMA_BENCH_SIZES=10000 ./build/bench/extension_optimizer

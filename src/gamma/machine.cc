@@ -133,6 +133,9 @@ size_t JournalCapFromEnv() {
 
 GammaMachine::GammaMachine(GammaConfig config)
     : config_(config),
+      stats_([this](const std::string& name) {
+        return StoredFragments(name);
+      }),
       txns_(config.tracker_nodes(), config.scheduler_node()),
       wal_(config.tracker_nodes()),
       profile_ring_(kProfileRingCapacity),
@@ -583,6 +586,7 @@ Status GammaMachine::CreateRelation(const std::string& name,
           nodes_[static_cast<size_t>(host)]->CreateFile());
     }
   }
+  stats_.Reset(name, meta.schema);
   return catalog_.Register(std::move(meta));
 }
 
@@ -698,7 +702,7 @@ Status GammaMachine::LoadTuples(
     return failed;
   }
   meta->num_tuples += tuples.size();
-  stats_.OnLoad(name, meta->schema, tuples);
+  stats_.Reset(name, meta->schema);
   return Status::OK();
 }
 

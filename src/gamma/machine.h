@@ -116,8 +116,8 @@ class GammaMachine {
   const GammaConfig& config() const { return config_; }
   catalog::Catalog& catalog() { return catalog_; }
   const catalog::Catalog& catalog() const { return catalog_; }
-  /// Catalog statistics maintained by load / append / delete / modify (read
-  /// by the cost-based planner).
+  /// Attribute statistics, folded on first read and maintained by append /
+  /// modify (read by the cost-based planner and kAuto join routing).
   const opt::StatisticsCatalog& stats() const { return stats_; }
   storage::StorageManager& node(int i) { return *nodes_.at(static_cast<size_t>(i)); }
 
@@ -325,11 +325,11 @@ class GammaMachine {
   /// Tuple count summed over fragments.
   Result<uint64_t> CountTuples(const std::string& name);
 
-  /// Recounts the relation from a fresh (uncharged) sweep of the serving
-  /// fragment copies: the catalog's tuple count and the attribute
-  /// statistics. Run after undo or redo changed tuples, and on demand (e.g.
-  /// after a failover rebuild, when incremental maintenance has drifted). A
-  /// failed sweep keeps the old count and statistics.
+  /// Recounts the relation's tuples from a fresh (uncharged) sweep of the
+  /// serving fragment copies, then drops its folded attribute statistics.
+  /// Run after undo or redo changed tuples, and on demand (e.g. after a
+  /// failover rebuild, when incremental maintenance has drifted). A failed
+  /// sweep keeps the old count and statistics.
   Status RecomputeStatistics(const std::string& name);
 
  private:
@@ -482,6 +482,10 @@ class GammaMachine {
   /// replaces.
   void SwapInFragment(int fragment, catalog::RelationMeta* meta,
                       const FragmentBuild& build);
+
+  /// The file serving each fragment of `name`, in fragment order: what a
+  /// statistics fold reads.
+  Result<opt::FragmentFiles> StoredFragments(const std::string& name) const;
 
   /// Resolves which copy serves `fragment`, or Unavailable when neither the
   /// primary nor its chained backup survives.

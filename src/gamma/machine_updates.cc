@@ -344,7 +344,7 @@ Result<QueryResult> GammaMachine::RunAppend(const AppendQuery& query,
   stmt.tracker().EndPhase();
 
   meta->num_tuples += 1;
-  stats_.OnAppend(query.relation, meta->schema, query.tuple);
+  stats_.OnAppend(query.relation, query.tuple);
   QueryResult result;
   result.result_tuples = 1;
   return FinalizeObs("append", stmt.Finish(std::move(result)));
@@ -515,8 +515,7 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
           }));
 
   if (modified > 0) {
-    stats_.OnModify(query.relation, meta->schema, query.target_attr,
-                    query.new_value);
+    stats_.OnModify(query.relation, query.target_attr, query.new_value);
   }
   QueryResult result;
   result.result_tuples = modified;
@@ -525,9 +524,43 @@ Result<QueryResult> GammaMachine::RunModify(const ModifyQuery& query,
 
 Result<std::vector<std::vector<uint8_t>>> GammaMachine::ReadRelation(
     const std::string& name) {
-  GAMMA_ASSIGN_OR_RETURN(const RelationMeta* meta, catalog_.Get(name));
+  GAMMA_ASSIGN_OR_RETURN(const opt::FragmentFiles files,
+                         StoredFragments(name));
   std::vector<std::vector<uint8_t>> out;
-  out.reserve(meta->num_tuples);
+  for (const storage::HeapFile* file : files) {
+    GAMMA_RETURN_NOT_OK(file->Scan([&](Rid, std::span<const uint8_t> tuple) {
+      out.emplace_back(tuple.begin(), tuple.end());
+      return true;
+    }));
+  }
+  return out;
+}
+
+Status GammaMachine::RecomputeStatistics(const std::string& name) {
+  GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(name));
+  GAMMA_ASSIGN_OR_RETURN(const opt::FragmentFiles files,
+                         StoredFragments(name));
+  // One sweep over ReadRelation's pages in ReadRelation's order (the same
+  // pins), counting the live slots.
+  uint64_t live = 0;
+  for (const storage::HeapFile* file : files) {
+    GAMMA_RETURN_NOT_OK(
+        file->VisitPages([&](uint32_t, const storage::SlottedPage& page) {
+          live += page.live_count();
+          return true;
+        }));
+  }
+  // Only a complete sweep replaces the count and drops the folded
+  // statistics; each attribute refolds on its next read.
+  meta->num_tuples = live;
+  stats_.Reset(name, meta->schema);
+  return Status::OK();
+}
+
+Result<opt::FragmentFiles> GammaMachine::StoredFragments(
+    const std::string& name) const {
+  GAMMA_ASSIGN_OR_RETURN(const RelationMeta* meta, catalog_.Get(name));
+  opt::FragmentFiles files;
   for (int f = 0; f < config_.num_disk_nodes; ++f) {
     // kNoFile: a result relation created while this node was dead holds no
     // fragment here at all (nothing was ever routed to it).
@@ -535,72 +568,17 @@ Result<std::vector<std::vector<uint8_t>>> GammaMachine::ReadRelation(
       continue;
     }
     GAMMA_ASSIGN_OR_RETURN(const FragmentCopy copy, ServingCopy(*meta, f));
-    GAMMA_RETURN_NOT_OK(
-        nodes_[static_cast<size_t>(copy.node)]
-            ->file(copy.file)
-            .Scan([&](Rid, std::span<const uint8_t> tuple) {
-              out.emplace_back(tuple.begin(), tuple.end());
-              return true;
-            }));
+    files.push_back(&nodes_[static_cast<size_t>(copy.node)]->file(copy.file));
   }
-  return out;
-}
-
-Status GammaMachine::RecomputeStatistics(const std::string& name) {
-  GAMMA_ASSIGN_OR_RETURN(RelationMeta * meta, catalog_.Get(name));
-  // One sweep over ReadRelation's pages in ReadRelation's order (the same
-  // pins), copying only the int attributes, a page at a time, into columns.
-  const catalog::Schema& schema = meta->schema;
-  const std::vector<size_t> ints = opt::IntAttrs(schema);
-  opt::IntColumns swept;
-  swept.columns.resize(ints.size());
-  // num_tuples is only a capacity hint: the live slots are counted.
-  for (auto& column : swept.columns) column.reserve(meta->num_tuples);
-  std::vector<const uint8_t*> live;
-  const auto sweep = [&](uint32_t, const storage::SlottedPage& page) {
-    live.clear();
-    for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
-      const std::span<const uint8_t> record = page.Get(slot);
-      if (!record.empty()) live.push_back(record.data());
-    }
-    for (size_t i = 0; i < ints.size(); ++i) {
-      std::vector<int32_t>& column = swept.columns[i];
-      const size_t base = column.size();
-      column.resize(base + live.size());
-      const uint32_t offset = schema.offset(ints[i]);
-      for (size_t t = 0; t < live.size(); ++t) {
-        std::memcpy(&column[base + t], live[t] + offset, sizeof(int32_t));
-      }
-    }
-    swept.rows += live.size();
-    return true;
-  };
-  for (int f = 0; f < config_.num_disk_nodes; ++f) {
-    if (meta->per_node_file[static_cast<size_t>(f)] == catalog::kNoFile) {
-      continue;
-    }
-    GAMMA_ASSIGN_OR_RETURN(const FragmentCopy copy, ServingCopy(*meta, f));
-    GAMMA_RETURN_NOT_OK(
-        nodes_[static_cast<size_t>(copy.node)]->file(copy.file).VisitPages(
-            sweep));
-  }
-  // Only a complete sweep replaces the count and the statistics.
-  meta->num_tuples = swept.rows;
-  stats_.Recompute(name, schema, swept);
-  return Status::OK();
+  return files;
 }
 
 Result<uint64_t> GammaMachine::CountTuples(const std::string& name) {
-  GAMMA_ASSIGN_OR_RETURN(const RelationMeta* meta, catalog_.Get(name));
+  GAMMA_ASSIGN_OR_RETURN(const opt::FragmentFiles files,
+                         StoredFragments(name));
   uint64_t count = 0;
-  for (int f = 0; f < config_.num_disk_nodes; ++f) {
-    if (meta->per_node_file[static_cast<size_t>(f)] == catalog::kNoFile) {
-      continue;
-    }
-    GAMMA_ASSIGN_OR_RETURN(const FragmentCopy copy, ServingCopy(*meta, f));
-    count += nodes_[static_cast<size_t>(copy.node)]
-                 ->file(copy.file)
-                 .num_tuples();
+  for (const storage::HeapFile* file : files) {
+    count += file->num_tuples();
   }
   return count;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <limits>
 #include <map>
 #include <optional>
@@ -85,7 +86,13 @@ class Lexer {
           ++j;
         }
         Token token{TokKind::kNumber, std::string(input_.substr(i, j - i))};
-        token.number = static_cast<int32_t>(std::stol(token.text));
+        if (std::from_chars(token.text.data(),
+                            token.text.data() + token.text.size(),
+                            token.number)
+                .ec != std::errc()) {
+          return Status::InvalidArgument("number out of range: " +
+                                         token.text);
+        }
         tokens.push_back(std::move(token));
         i = j;
         continue;

@@ -202,6 +202,12 @@ Result<const uint8_t*> BufferPool::PinRead(uint32_t page_no,
   return frame->data;
 }
 
+Result<const uint8_t*> BufferPool::Peek(uint32_t page_no) const {
+  const auto it = frames_.find(page_no);
+  if (it != frames_.end()) return static_cast<const uint8_t*>(it->second.data);
+  return disk_->Peek(page_no);
+}
+
 Result<uint32_t> BufferPool::NewPage(uint8_t** frame_out) {
   GAMMA_RETURN_NOT_OK(MakeRoom());
   uint32_t page_no = 0;

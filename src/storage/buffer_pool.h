@@ -65,6 +65,12 @@ class BufferPool {
   /// them. The caller must not MarkDirty the page on this pin.
   Result<const uint8_t*> PinRead(uint32_t page_no, AccessIntent intent);
 
+  /// A page's current bytes without a pin: a resident frame's, dirty or
+  /// clean, else the disk's stored block (SimulatedDisk::Peek). Nothing
+  /// moves: no LRU place, count, charge or fault draw. The pointer is valid
+  /// until the pool or the disk next changes.
+  Result<const uint8_t*> Peek(uint32_t page_no) const;
+
   /// Allocates a fresh disk page, pins it dirty (its eventual write-back is
   /// sequential: new pages are appended). Returns the page number.
   Result<uint32_t> NewPage(uint8_t** frame_out);

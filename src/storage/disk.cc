@@ -223,10 +223,12 @@ Result<uint32_t> SimulatedDisk::Allocate() {
     slot = free_slots_.back();
     free_slots_.pop_back();
     checksums_[slot] = zero_checksum_;
+    rotted_[slot] = 0;
   } else {
     slot = num_slots();
     blocks_.push_back(BlockArena::kNone);
     checksums_.push_back(zero_checksum_);
+    rotted_.push_back(0);
   }
   ++live_pages_;
   slot_of_.push_back(slot);
@@ -294,6 +296,7 @@ Status SimulatedDisk::Write(uint32_t page_no, const uint8_t* data) {
   if (slot == kFreed) return Status::OK();  // a stale frame's write-back
   std::memcpy(OwnBlock(slot, /*keep=*/false), data, page_size_);
   checksums_[slot] = ComputeChecksum(data, page_size_);
+  rotted_[slot] = 0;
   return Status::OK();
 }
 
@@ -306,12 +309,26 @@ Status SimulatedDisk::Hand(uint32_t page_no, Block block) {
   if (blocks_[slot] != BlockArena::kNone) arena_.Release(blocks_[slot]);
   blocks_[slot] = block;
   checksums_[slot] = ComputeChecksum(arena_.data(block), page_size_);
+  rotted_[slot] = 0;
   return Status::OK();
 }
 
 void SimulatedDisk::Unshare(uint32_t page_no) {
   GAMMA_CHECK(page_no < num_pages() && slot_of_[page_no] != kFreed);
   OwnBlock(slot_of_[page_no], /*keep=*/true);
+}
+
+Result<const uint8_t*> SimulatedDisk::Peek(uint32_t page_no) const {
+  GAMMA_CHECK(page_no < num_pages() && slot_of_[page_no] != kFreed);
+  const uint32_t slot = slot_of_[page_no];
+  if (rotted_[slot] != 0) {
+    return Status::Corruption("rotted page " + std::to_string(page_no) +
+                              " on node " + std::to_string(node_));
+  }
+  if (blocks_[slot] == BlockArena::kNone) {
+    return static_cast<const uint8_t*>(nullptr);
+  }
+  return static_cast<const uint8_t*>(arena_.data(blocks_[slot]));
 }
 
 uint32_t SimulatedDisk::StoredChecksum(uint32_t page_no) const {
@@ -323,14 +340,11 @@ void SimulatedDisk::CorruptStoredPage(uint32_t page_no) {
   GAMMA_CHECK(page_no < num_pages());
   const uint32_t slot = slot_of_[page_no];
   if (slot == kFreed) return;
-  // Rot sticks until the next Write or Hand: flipping the same byte of a
-  // page that already fails its checksum would restore it.
-  const Block block = blocks_[slot];
-  if (block != BlockArena::kNone &&
-      ComputeChecksum(arena_.data(block), page_size_) != checksums_[slot]) {
-    return;
-  }
+  // Rot sticks until the next Write or Hand: flipping the same byte again
+  // would restore the page.
+  if (rotted_[slot] != 0) return;
   OwnBlock(slot, /*keep=*/true)[page_no % page_size_] ^= 0xFF;
+  rotted_[slot] = 1;
 }
 
 }  // namespace gammadb::storage

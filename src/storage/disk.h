@@ -215,6 +215,12 @@ class SimulatedDisk {
   /// The checksum recorded for the page by its last successful Write.
   uint32_t StoredChecksum(uint32_t page_no) const;
 
+  /// A live page's stored bytes, read in place: no fault draw, no op tick,
+  /// no copy and no checksum pass. Null for a page that has no bytes yet
+  /// (it reads as zeros); Corruption for a page CorruptStoredPage rotted,
+  /// whose bytes fail the checksum a pool miss verifies.
+  Result<const uint8_t*> Peek(uint32_t page_no) const;
+
   /// Page checksum: 64 lanes of 32 bits, eight vectors of eight, each step
   /// `(lane ^ word) * odd` over one 32-bit word of a 256-byte block (the
   /// last block zero-padded); the lanes then fold into a 64-bit state with
@@ -254,9 +260,12 @@ class SimulatedDisk {
   std::vector<uint32_t> slot_of_;
   /// Freed slots, reused last-in first-out.
   std::vector<uint32_t> free_slots_;
-  /// Block and checksum per slot carved so far.
+  /// Block and checksum per slot carved so far, and whether the slot's
+  /// bytes were rotted since its last Write or Hand (so they fail the
+  /// checksum).
   std::vector<Block> blocks_;
   std::vector<uint32_t> checksums_;
+  std::vector<uint8_t> rotted_;
   sim::FaultInjector* faults_;
   int node_;
 };

@@ -108,6 +108,21 @@ class HeapFile {
     return VisitPages(0, num_pages() - 1, std::forward<Visit>(visit));
   }
 
+  /// VisitPages over the whole file without the pool's pins: each page's
+  /// current bytes come from BufferPool::Peek, so the pool, the charges and
+  /// the fault schedule see nothing. A page with no bytes yet holds no
+  /// records and is skipped. Stops at the first page that cannot be read.
+  template <typename Visit>
+  Status PeekPages(Visit&& visit) const {
+    for (uint32_t i = 0; i < pages_.size(); ++i) {
+      const uint8_t* bytes = nullptr;
+      GAMMA_ASSIGN_OR_RETURN(bytes, pool_->Peek(pages_[i]));
+      if (bytes == nullptr) continue;
+      if (!visit(i, SlottedPage::View(bytes, pool_->page_size()))) break;
+    }
+    return Status::OK();
+  }
+
   /// Random fetch of one record (copied out).
   Result<std::vector<uint8_t>> Fetch(
       Rid rid, AccessIntent intent = AccessIntent::kRandom) const;

@@ -410,7 +410,7 @@ select RR unique1 = 1234: 1.1731927083333331 s, 1 tuples, file scan, d6559867753
 join H x Bprime on attr 0: 2.9934166666666671 s, 400 tuples, simple hash/Local/hash/build 400, a94b4869b8d7239d
 join RR x Bprime on attr 1: 3.7386666666666653 s, 400 tuples, simple hash/Remote/hash/build 400, 9cf9d6c4504f11dc
 join Rg x Bprime on attr 0: 2.4119999999999999 s, 400 tuples, simple hash/Remote/hash/build 400, cfe0cc8626eb18b8
-join Z x Bprime on attr 1: 6.2439166666666646 s, 4000 tuples, simple hash/Remote/bucket-map/build 400, 707adcca989f7c51
+join Z x Bprime on attr 1: 6.2439166666666646 s, 4000 tuples, simple hash/Remote/bucket-map/build 400, 9e88103a97bd7495
 aggregate H by attr -1: 1.536 s, -1 tuples, file scan, 770e7e7a17df5c72
 aggregate Rg by attr 4: 1.2026666666666666 s, -1 tuples, file scan, 5485a3a9c314bf41
 aggregate RR by attr 4: 1.2026666666666666 s, -1 tuples, file scan, b607201b66c8adf0
@@ -427,7 +427,7 @@ select RR unique1 = 1234: 1.173630208333333 s, 1 tuples, file scan, d38806d4f576
 join H x Bprime on attr 0: 2.9944166666666674 s, 400 tuples, simple hash/Local/hash/build 400, 97e5d8e1cdb59631
 join RR x Bprime on attr 1: 3.7399791666666653 s, 400 tuples, simple hash/Remote/hash/build 400, e2b5e82e38930d30
 join Rg x Bprime on attr 0: 2.4125624999999999 s, 400 tuples, simple hash/Remote/hash/build 400, 6481ccec285f5387
-join Z x Bprime on attr 1: 6.2439166666666646 s, 4000 tuples, simple hash/Remote/bucket-map/build 400, 707adcca989f7c51
+join Z x Bprime on attr 1: 6.2439166666666646 s, 4000 tuples, simple hash/Remote/bucket-map/build 400, 9e88103a97bd7495
 aggregate H by attr -1: 1.5367500000000001 s, -1 tuples, file scan, 4d472e362c8e4d7a
 aggregate Rg by attr 4: 1.2031666666666665 s, -1 tuples, file scan, ead02fbf89102f27
 aggregate RR by attr 4: 1.2031666666666665 s, -1 tuples, file scan, f87e14471b47a2ba
@@ -444,7 +444,7 @@ select RR unique1 = 1234: 1.1733385416666664 s, 1 tuples, file scan, c6b0285ea0c
 join H x Bprime on attr 0: 2.9937500000000008 s, 400 tuples, simple hash/Local/hash/build 400, 900f7c28c7e8e4b6
 join RR x Bprime on attr 1: 3.7391041666666651 s, 400 tuples, simple hash/Remote/hash/build 400, d5e48e2ac87d6b4f
 join Rg x Bprime on attr 0: 2.4120625936797406 s, 399.80014988758433 tuples, simple hash/Remote/hash/build 400, 1675830731fb045c
-join Z x Bprime on attr 1: 6.2439166666666646 s, 4000 tuples, simple hash/Remote/bucket-map/build 400, 707adcca989f7c51
+join Z x Bprime on attr 1: 6.2439166666666646 s, 4000 tuples, simple hash/Remote/bucket-map/build 400, 9e88103a97bd7495
 aggregate H by attr -1: 1.5362499999999999 s, -1 tuples, file scan, 0d34ca6831dc3eb8
 aggregate Rg by attr 4: 1.2028333333333332 s, -1 tuples, file scan, b5bcd3a16de2df1a
 aggregate RR by attr 4: 1.2028333333333332 s, -1 tuples, file scan, d72bf04516e4c5d3
@@ -461,7 +461,7 @@ select RR unique1 = 1234: 1.1733385416666664 s, 1 tuples, file scan, c6b0285ea0c
 join H x Bprime on attr 0: 2.9937500000000008 s, 400 tuples, simple hash/Local/hash/build 400, 900f7c28c7e8e4b6
 join RR x Bprime on attr 1: 3.7391041666666651 s, 400 tuples, simple hash/Remote/hash/build 400, d5e48e2ac87d6b4f
 join Rg x Bprime on attr 0: 2.4120625936797406 s, 399.80014988758433 tuples, simple hash/Remote/hash/build 400, 1675830731fb045c
-join Z x Bprime on attr 1: 6.2439166666666646 s, 4000 tuples, simple hash/Remote/bucket-map/build 400, 707adcca989f7c51
+join Z x Bprime on attr 1: 6.2439166666666646 s, 4000 tuples, simple hash/Remote/bucket-map/build 400, 9e88103a97bd7495
 aggregate H by attr -1: 1.5362499999999999 s, -1 tuples, file scan, 0d34ca6831dc3eb8
 aggregate Rg by attr 4: 1.2028333333333332 s, -1 tuples, file scan, b5bcd3a16de2df1a
 aggregate RR by attr 4: 1.2028333333333332 s, -1 tuples, file scan, d72bf04516e4c5d3
@@ -478,7 +478,7 @@ select RR unique1 = 1234: 1.1733385416666664 s, 1 tuples, file scan, c6b0285ea0c
 join H x Bprime on attr 0: 2.9937500000000008 s, 400 tuples, simple hash/Local/hash/build 400, 900f7c28c7e8e4b6
 join RR x Bprime on attr 1: 3.7391041666666651 s, 400 tuples, simple hash/Remote/hash/build 400, d5e48e2ac87d6b4f
 join Rg x Bprime on attr 0: 2.3271974980003991 s, 320.01599680063987 tuples, simple hash/Remote/hash/build 400, ce56d3f8bb1d184d
-join Z x Bprime on attr 1: 6.2439166666666646 s, 4000 tuples, simple hash/Remote/bucket-map/build 400, 707adcca989f7c51
+join Z x Bprime on attr 1: 6.2439166666666646 s, 4000 tuples, simple hash/Remote/bucket-map/build 400, 9e88103a97bd7495
 aggregate H by attr -1: 1.5362499999999999 s, -1 tuples, file scan, 0d34ca6831dc3eb8
 aggregate Rg by attr 4: 1.2028333333333332 s, -1 tuples, file scan, b5bcd3a16de2df1a
 aggregate RR by attr 4: 1.2028333333333332 s, -1 tuples, file scan, d72bf04516e4c5d3
@@ -608,8 +608,8 @@ constexpr const char* kExplainJoin = R"(join RR x Bprime on (unique2 = unique2) 
     estimated: 2.8492 s, 4000 tuples
 )";
 constexpr const char* kExplainSkewJoin = R"(join Z x Bprime on (unique2 = unique2) [simple hash, Remote]
-  routing: bucket-map (predicted hash imbalance 1.55 > threshold 1.25)
-  est per-node routed tuples: hash max/mean 1704/1100, bucket-map ~1100
+  routing: bucket-map (predicted hash imbalance 1.60 > threshold 1.25)
+  est per-node routed tuples: hash max/mean 1757/1100, bucket-map ~1100
   est sampling cost: 0.0553 s
   rejected: simple hash/Local (est 9.2034 s)
   rejected: hybrid hash/Local (est 9.2034 s)

@@ -1,8 +1,14 @@
 // Tests for the QUEL front end: parsing, planning onto machine queries,
 // session range variables, and error reporting.
 
+#include <cctype>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "gamma/machine.h"
 #include "quel/quel.h"
 #include "test_util.h"
@@ -266,6 +272,137 @@ TEST_F(QuelTest, CaseInsensitiveKeywordsAndRelationLookup) {
       session_.Execute("RETRIEVE (T.ALL) WHERE T.UNIQUE1 < 10");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->result_tuples, 10u);
+}
+
+/// Splits a statement as the QUEL lexer does: words, numbers, "<=", ">="
+/// and one-character symbols.
+std::vector<std::string> Tokens(const std::string& statement) {
+  std::vector<std::string> tokens;
+  for (size_t i = 0; i < statement.size();) {
+    const auto is_word = [&](size_t k) {
+      return k < statement.size() &&
+             (std::isalnum(static_cast<unsigned char>(statement[k])) ||
+              statement[k] == '_' || statement[k] == '-');
+    };
+    size_t j = i + 1;
+    if (std::isspace(static_cast<unsigned char>(statement[i]))) {
+      i = j;
+      continue;
+    }
+    if (is_word(i)) {
+      while (is_word(j)) ++j;
+    } else if (j < statement.size() && statement[j] == '=') {
+      ++j;
+    }
+    tokens.push_back(statement.substr(i, j - i));
+    i = j;
+  }
+  return tokens;
+}
+
+// Seeded token mutations of the quel_session example's statements: each
+// mutant drops, repeats, swaps, replaces or inserts tokens (keywords,
+// attributes, symbols, out-of-range numbers) and must come back as a
+// Status, never abort. The valid mutants run appends, deletes and replaces
+// between retrieves, so the planner folds statistics on odd sequences.
+TEST(QuelFuzzTest, TokenMutationsReturnStatuses) {
+  gamma::GammaConfig config;
+  config.num_disk_nodes = 4;
+  config.num_diskless_nodes = 2;
+  gamma::GammaMachine machine(config);
+  for (const auto& [name, n, seed] :
+       {std::tuple{"tenktup1", 1000u, 1u}, std::tuple{"onektup", 100u, 2u}}) {
+    ASSERT_TRUE(machine
+                    .CreateRelation(name, wis::WisconsinSchema(),
+                                    catalog::PartitionSpec::Hashed(
+                                        wis::kUnique1))
+                    .ok());
+    ASSERT_TRUE(
+        machine.LoadTuples(name, wis::GenerateWisconsin(n, seed)).ok());
+  }
+  ASSERT_TRUE(machine.BuildIndex("tenktup1", wis::kUnique1, true).ok());
+  const std::vector<std::string> examples = {
+      "range of t is tenktup1",
+      "range of s is onektup",
+      "retrieve into sel1pct (t.all) where t.unique1 < 100",
+      "retrieve (t.all) where t.unique2 = 4321",
+      "retrieve (s.all, t.all) where s.unique2 = t.unique2",
+      "retrieve (min(t.unique1))",
+      "retrieve (count(t.unique1) by t.ten)",
+      "append to tenktup1 (unique1 = 99999, unique2 = 99999)",
+      "replace t (ten = 3) where t.unique1 = 99999",
+      "delete t where t.unique1 = 99999",
+  };
+  std::vector<std::string> pool = {
+      "99999999999999999999", "-2147483648", "2147483648", "-1", "0",
+      "stringu1", "ten", "four", "unique1", "x", "explain", "or", "all",
+      "max", "sum", "avg", "by", "into", "where", "and", "is", "of"};
+  Session session(&machine);
+  for (const std::string& statement : examples) {
+    std::string joined;
+    for (const std::string& token : Tokens(statement)) joined += token + " ";
+    ASSERT_TRUE(session.Execute(joined).ok()) << joined;
+    for (const std::string& token : Tokens(statement)) pool.push_back(token);
+  }
+  // A replacement keeps the token's kind (number, word or symbol), so many
+  // mutants still parse and run.
+  const auto kind = [](const std::string& token) {
+    return std::isdigit(static_cast<unsigned char>(token.back())) ? 0
+           : std::isalpha(static_cast<unsigned char>(token[0]))   ? 1
+                                                                   : 2;
+  };
+  Rng rng(33);
+  int ok = 0;
+  int failed = 0;
+  for (int i = 0; i < 400; ++i) {
+    std::vector<std::string> tokens =
+        Tokens(examples[rng.Uniform(examples.size())]);
+    const auto any = [&] { return pool[rng.Uniform(pool.size())]; };
+    // A third of the mutants only change constants, so they run.
+    const bool constants_only = rng.Uniform(3) == 0;
+    for (std::string& token : tokens) {
+      if (!constants_only || kind(token) != 0 || rng.Uniform(2) == 0) continue;
+      do {
+        token = any();
+      } while (kind(token) != 0);
+    }
+    const uint64_t edits = constants_only ? 0 : 1 + (rng.Uniform(4) == 0);
+    for (uint64_t e = 0; e < edits; ++e) {
+      const size_t at = rng.Uniform(tokens.size());
+      switch (rng.Uniform(6)) {
+        case 0:
+          tokens.erase(tokens.begin() + at);
+          break;
+        case 1:
+          tokens.insert(tokens.begin() + at, tokens[at]);
+          break;
+        case 2:
+          if (at + 1 < tokens.size()) std::swap(tokens[at], tokens[at + 1]);
+          break;
+        case 3:
+          tokens.insert(tokens.begin() + at, any());
+          break;
+        default:
+          for (std::string token = any();; token = any()) {
+            if (kind(token) == kind(tokens[at])) {
+              tokens[at] = token;
+              break;
+            }
+          }
+          break;
+      }
+      if (tokens.empty()) tokens.push_back(any());
+    }
+    std::string mutant;
+    for (const std::string& token : tokens) mutant += token + " ";
+    const auto result = session.Execute(mutant);
+    (result.ok() ? ok : failed) += 1;
+  }
+  EXPECT_GT(ok, 40);
+  EXPECT_GT(failed, 40);
+  // The planner's first reads folded statistics; later appends and
+  // replaces reached them as they ran.
+  EXPECT_GT(machine.stats().folds(), 0u);
 }
 
 }  // namespace
