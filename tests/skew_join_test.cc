@@ -153,7 +153,7 @@ TEST(SkewPredictorTest, UniformAttributeStaysBelowThreshold) {
   opt::AttrStats attr;
   for (int32_t v = 0; v < 4000; ++v) attr.freq.Insert(v);
   attr.has_values = true;
-  EXPECT_LT(opt::PredictHashImbalance(attr, 8),
+  EXPECT_LT(opt::PredictHashImbalance(attr.freq, 8),
             opt::kSkewImbalanceThreshold);
 }
 
@@ -165,7 +165,7 @@ TEST(SkewPredictorTest, HeavyValueCrossesThreshold) {
     attr.freq.Insert(i % 4 == 0 ? 77 : i);
   }
   attr.has_values = true;
-  EXPECT_GT(opt::PredictHashImbalance(attr, 8),
+  EXPECT_GT(opt::PredictHashImbalance(attr.freq, 8),
             opt::kSkewImbalanceThreshold);
 }
 
